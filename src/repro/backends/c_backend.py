@@ -35,6 +35,7 @@ from ..observability.hwcounters import attribute_dispatch, get_counter_harness
 from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
+from ..symbolic.ordering import CanonicalTermOrder
 from ..symbolic.random import RandomValue
 
 __all__ = ["generate_c_source", "compile_c_kernel", "CompiledCKernel", "c_compiler_available"]
@@ -89,7 +90,7 @@ static inline double _fast_rsqrt(double x) { return (double)(1.0f / sqrtf((float
 """
 
 
-class _CPrinter(C99CodePrinter):
+class _CPrinter(CanonicalTermOrder, C99CodePrinter):
     """C expression printer aware of field accesses and fast-math nodes."""
 
     def __init__(self, access_str, rng_str):
@@ -468,11 +469,18 @@ class CompiledCKernel:
             )
         dim = k.dim
         gl = k.ghost_layers if ghost_layers is None else int(ghost_layers)
-        ref = arrays[k.fields[0].name]
-        interior = [ref.shape[d] - 2 * gl for d in range(dim)]
+        spatial = arrays[k.fields[0].name].shape[:dim]
+        interior = [n - 2 * gl for n in spatial]
         argv: list = []
         for f in k.fields:
             a = arrays[f.name]
+            # the native loop nest trusts these extents: a mis-shaped array
+            # would be read and written out of bounds
+            if a.shape != spatial + f.index_shape:
+                raise ValueError(
+                    f"array {f.name} has shape {a.shape}, expected "
+                    f"{spatial + f.index_shape}"
+                )
             if not a.flags["C_CONTIGUOUS"]:
                 raise ValueError(f"array {f.name} must be C-contiguous")
             if a.dtype != np.float64:

@@ -23,6 +23,7 @@ from ..ir.kernel import Kernel
 from ..symbolic.assignment import Assignment, AssignmentCollection
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
+from ..symbolic.ordering import CanonicalTermOrder
 from ..symbolic.random import RandomValue
 from .runtime import RUNTIME_NAMESPACE
 
@@ -40,7 +41,7 @@ def create_arrays(
     return arrays
 
 
-class _Printer(NumPyPrinter):
+class _Printer(CanonicalTermOrder, NumPyPrinter):
     """Expression printer with symbol renaming and fast-math lowering."""
 
     def __init__(self, rename: dict[str, str]):

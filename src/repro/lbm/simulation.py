@@ -1,12 +1,14 @@
-"""LBM driver: boundary handling and a single-block simulation loop."""
+"""LBM driver: boundary handling and the single-block sweep schedule."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backends.numpy_backend import compile_numpy_kernel, create_arrays
 from ..ir import KernelConfig, create_kernel
+from ..parallel.blockforest import Block
 from ..parallel.boundary import fill_ghosts
+from ..profiling import compile_cached
+from ..timeloop import TimeLoop
 from .lattice import Lattice
 from .method import LBMethod, create_lbm_update, equilibrium_pdfs
 
@@ -35,12 +37,16 @@ def apply_bounce_back(
         arr[tuple(ghost) + (i,)] = arr[tuple(fluid) + (lattice.opposite(i),)]
 
 
-class LBMSimulation:
+class LBMSimulation(TimeLoop):
     """A periodic-or-walled channel simulation on one block.
 
     ``walls`` lists (axis, side) faces with halfway bounce-back; all other
-    faces are periodic.
+    faces are periodic.  One time step is the schedule ``[sync(src),
+    sweep(update)]`` on the shared :class:`repro.timeloop.TimeLoop`, which
+    also provides the kernel cache, the profiler and the recorder events.
     """
+
+    kind = "lbm"
 
     def __init__(
         self,
@@ -59,25 +65,29 @@ class LBMSimulation:
         self.walls = list(walls)
 
         ac, self.src_field, self.dst_field = create_lbm_update(method)
-        kernel = create_kernel(ac, KernelConfig())
-        if backend == "c":
-            from ..backends.c_backend import compile_c_kernel
-
-            self._update = compile_c_kernel(kernel)
-        else:
-            self._update = compile_numpy_kernel(kernel)
-        self.kernel = kernel
-
-        self.arrays = create_arrays([self.src_field, self.dst_field], self.shape, 1)
-        eq = equilibrium_pdfs(method)
-        self.arrays[self.src_field.name][...] = np.asarray(eq)
-        self.time_step = 0
+        self.kernel = create_kernel(ac, KernelConfig())
+        src, dst = self.src_field.name, self.dst_field.name
+        origin = (0,) * self.lattice.dim
+        super().__init__(
+            [self.kernel],
+            [Block(origin, self.shape, origin)],
+            [("sync", src), ("sweep", [self.kernel])],
+            [(src, dst)],
+            compile_cached,
+            block_shape=self.shape,
+            dt=1.0,
+            backend=backend,
+            state_fields=(src,),
+            shape=list(self.shape),
+        )
+        self.arrays = self._owned[0].arrays
+        self.arrays[src][...] = np.asarray(equilibrium_pdfs(method))
 
     # -- state -----------------------------------------------------------------
 
     @property
     def pdf(self) -> np.ndarray:
-        return self.arrays[self.src_field.name][(slice(1, -1),) * self.lattice.dim]
+        return self.arrays[self.src_field.name][self._cut]
 
     def density(self) -> np.ndarray:
         return self.pdf.sum(axis=-1)
@@ -95,7 +105,7 @@ class LBMSimulation:
 
         u = np.asarray(u, dtype=float)
         lat = self.lattice
-        pdf = self.arrays[self.src_field.name][(slice(1, -1),) * lat.dim]
+        pdf = self.pdf
         rho_s = sp.Symbol("r")
         u_s = [sp.Symbol(f"v{d}") for d in range(lat.dim)]
         for i in range(lat.q):
@@ -105,19 +115,14 @@ class LBMSimulation:
 
     # -- stepping ----------------------------------------------------------------
 
-    def _boundaries(self) -> None:
-        arr = self.arrays[self.src_field.name]
-        fill_ghosts(arr, 1, self.lattice.dim, mode="periodic")
-        for axis, side in self.walls:
-            apply_bounce_back(arr, self.lattice, axis, side)
-
-    def step(self, n_steps: int = 1) -> None:
-        src, dst = self.src_field.name, self.dst_field.name
-        for _ in range(n_steps):
-            self._boundaries()
-            self._update(self.arrays, ghost_layers=1)
-            self.arrays[src], self.arrays[dst] = self.arrays[dst], self.arrays[src]
-            self.time_step += 1
+    def sync(self, name: str) -> None:
+        """Boundary handling: periodic fill, then bounce-back on the walls."""
+        arr = self.arrays[name]
+        gl = self.ghost_layers
+        with self.profiler.measure(f"fill:{name}"):
+            fill_ghosts(arr, gl, self.lattice.dim, mode="periodic")
+            for axis, side in self.walls:
+                apply_bounce_back(arr, self.lattice, axis, side, gl)
 
     def total_mass(self) -> float:
         return float(self.density().sum())

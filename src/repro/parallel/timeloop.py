@@ -1,13 +1,17 @@
 """Distributed time stepping: Algorithm 1 over a block forest.
 
-Each rank owns a set of blocks (Morton-distributed); the step structure is
-identical to :class:`repro.pfm.solver.SingleBlockSolver`, with ghost-layer
-*exchanges* replacing the single-block boundary fills:
+Each rank owns a set of blocks (Morton-distributed); the step is the same
+sweep schedule :class:`repro.pfm.solver.SingleBlockSolver` runs, executed
+by the shared :class:`repro.timeloop.TimeLoop` with ghost-layer *exchanges*
+as the ``sync`` primitive instead of boundary fills:
 
 1. φ-kernel on every owned block (φ_src D3C7, µ_src D3C1)
 2. projection, then ghost exchange of φ_dst
 3. µ-kernel (µ_src D3C7, φ_src+φ_dst D3C19)
 4. ghost exchange of µ_dst, swap
+
+The communication-hiding variant (``overlap=True``) is a second schedule
+over the same ops, not a second loop.
 
 Philox counters use *global* cell coordinates (``block.cell_offset``), so a
 distributed run with fluctuations is bit-identical to a single-block run —
@@ -18,29 +22,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from time import perf_counter
-
-from ..backends.numpy_backend import compile_numpy_kernel
-from ..diagnostics.suite import merge_partials
 from ..ir.kernel import split_interior_frontier
 from ..observability.distributed import CommMatrix
 from ..observability.health import HealthMonitor
-from ..observability.log import get_logger, kv
 from ..observability.metrics import get_registry
-from ..observability.recorder import get_recorder
-from ..observability.tracing import get_tracer
 from ..pfm.model import PhaseFieldKernelSet
-from ..profiling import SolverProfiler, compile_cached
+from ..profiling import compile_cached
+from ..timeloop import TimeLoop
 from .blockforest import Block, BlockForest
 from .ghostlayer import ExchangePlan, GhostExchange, exchange_field
 from .mpi_sim import SimComm
 
 __all__ = ["DistributedSolver"]
 
-_log = get_logger("parallel.timeloop")
 
-
-class DistributedSolver:
+class DistributedSolver(TimeLoop):
     """Runs a phase-field model on the blocks owned by one rank.
 
     Pass a :class:`repro.observability.HealthMonitor` as *health* to check
@@ -61,6 +57,8 @@ class DistributedSolver:
     require (e.g. to validate gl=2 wall handling end to end).
     """
 
+    kind = "distributed"
+
     def __init__(
         self,
         kernel_set: PhaseFieldKernelSet,
@@ -68,7 +66,6 @@ class DistributedSolver:
         comm: SimComm | None = None,
         wall_mode: str = "neumann",
         seed: int = 0,
-        compiled_cache: dict | None = None,
         health: HealthMonitor | None = None,
         overlap: bool = False,
         ghost_layers: int | None = None,
@@ -81,136 +78,42 @@ class DistributedSolver:
         self.forest = forest
         self.comm = comm
         self.wall_mode = wall_mode
-        self.seed = seed
-        required_gl = max(kernel_set.ghost_layers, 1)
-        if ghost_layers is None:
-            self.ghost_layers = required_gl
-        else:
-            if int(ghost_layers) < required_gl:
-                raise ValueError(
-                    f"ghost_layers={ghost_layers} below the kernel set's "
-                    f"requirement of {required_gl}"
-                )
-            self.ghost_layers = int(ghost_layers)
         self.rank = comm.rank if comm is not None else 0
-        n_ranks = comm.size if comm is not None else 1
-        self.n_ranks = n_ranks
-
-        self.owners = forest.owner_map(n_ranks)
-        self.blocks: dict[tuple, Block] = {}
-        for coords, owner in self.owners.items():
-            if owner == self.rank:
-                block = forest.make_block(coords)
-                gl = self.ghost_layers
-                for f in kernel_set.fields:
-                    shape = tuple(s + 2 * gl for s in block.interior_shape) + f.index_shape
-                    block.arrays[f.name] = np.zeros(shape, dtype=np.float64)
-                self.blocks[coords] = block
-
-        # ``compiled_cache`` predates the process-wide kernel cache and keys
-        # on kernel *names* only — kept for callers that need rank-private
-        # compilations; by default the shared structural cache is used, so
-        # every rank/solver built from an equal kernel set compiles once
-        self.backend = backend
-        if compiled_cache is not None:
-            if backend != "numpy":
-                raise ValueError("compiled_cache only supports the numpy backend")
-
-            def compiled(kernel):
-                if kernel.name not in compiled_cache:
-                    compiled_cache[kernel.name] = compile_numpy_kernel(kernel)
-                return compiled_cache[kernel.name]
-        else:
-            def compiled(kernel):
-                return compile_cached(kernel, backend)
-
-        self._phi = [compiled(k) for k in kernel_set.phi_kernels]
-        self._project = compiled(kernel_set.projection_kernel)
-        self._mu = [compiled(k) for k in kernel_set.mu_kernels]
-
+        self.n_ranks = comm.size if comm is not None else 1
         self.overlap = bool(overlap)
-        self._pending: GhostExchange | None = None
-        self._exchange_plan: ExchangePlan | None = None
-        if self.overlap:
-            self._validate_overlap()
-            # lower each µ kernel into one interior variant plus 2·dim
-            # frontier slabs; together they tile the block exactly once
-            self._mu_interior = []
-            self._mu_frontier = []
-            for k in kernel_set.mu_kernels:
-                interior, frontiers = split_interior_frontier(k)
-                self._mu_interior.append(compiled(interior))
-                self._mu_frontier.extend(compiled(f) for f in frontiers)
-            # defer the µ_dst finish() into the next step only when the φ
-            # sweep reads µ at the centre cell alone — then stale µ ghosts
-            # during the φ sweep are never observed
-            phi_like = [*kernel_set.phi_kernels, kernel_set.projection_kernel]
-            self._defer_mu = all(
-                acc.max_abs_offset == 0
-                for k in phi_like
-                for acc in k.ac.field_reads
-                if acc.field.name == "mu"
-            )
 
-        self.time_step = 0
-        self.time = 0.0
-        self.bytes_sent = 0
-        self.step_seconds = 0.0
-        self.profiler = SolverProfiler()
-        self.comm_matrix = CommMatrix(n_ranks)
-        self.health = health
-        self._diag_suite = None
-        self._diag_series = None
-        self._fp_stream = None
-        self._cells_per_block = {
-            coords: int(np.prod(block.interior_shape))
-            for coords, block in self.blocks.items()
+        self.owners = forest.owner_map(self.n_ranks)
+        self.blocks: dict[tuple, Block] = {
+            coords: forest.make_block(coords)
+            for coords, owner in self.owners.items()
+            if owner == self.rank
         }
-        registry = get_registry()
-        self._step_latency = registry.histogram(
-            "repro_step_seconds", "wall time per solver time step",
-            solver="distributed", rank=self.rank,
-        )
-        self._bytes_counter = registry.counter(
+        self.bytes_sent = 0
+        self.comm_matrix = CommMatrix(self.n_ranks)
+        self._bytes_counter = get_registry().counter(
             "repro_exchange_bytes_total", "ghost-layer bytes sent to remote ranks",
             rank=self.rank,
         )
-        # flight-recorder integration: per-block field stats at crash time,
-        # and (under a RunDir) a rank-suffixed event journal so a dead rank
-        # leaves its last events on disk even if the pipe hop fails too
-        self.rundir = rundir
-        recorder = get_recorder()
-        recorder.set_state_provider(self._recorder_state)
-        if rundir is not None:
-            if self.rank == 0:
-                rundir.note(
-                    solver="distributed", backend=backend,
-                    ranks=self.n_ranks, overlap=self.overlap,
-                    forest=str(forest.global_shape),
-                )
-            journal_rank = self.rank if self.n_ranks > 1 else None
-            recorder.open_journal(rundir.journal_path(journal_rank))
-            if health is not None:
-                rundir.attach_health(health)
-        _log.info(
-            kv(
-                "solver_created",
-                kind="distributed",
-                rank=self.rank,
-                blocks=len(self.blocks),
-                forest=str(forest.global_shape),
-                health=health is not None,
-            )
+        self._in_flight: dict[str, GhostExchange] = {}
+        self._exchange_plan: ExchangePlan | None = None
+        super().__init__(
+            kernel_set.all_kernels,
+            self.blocks.values(),
+            self._overlapped_schedule() if self.overlap else kernel_set.schedule,
+            kernel_set.swaps,
+            compile_cached,
+            block_shape=forest.block_shape,
+            dt=self.params.dt,
+            seed=seed,
+            backend=backend,
+            ghost_layers=ghost_layers,
+            health=health,
+            rundir=rundir,
+            tags={"rank": self.rank},
+            ranks=self.n_ranks,
+            overlap=self.overlap,
+            forest=str(forest.global_shape),
         )
-
-    def _recorder_state(self) -> dict:
-        """Live per-block φ/µ views for crash post-mortem field stats."""
-        state = {}
-        for coords, block in self.blocks.items():
-            tag = "_".join(str(c) for c in coords)
-            state[f"phi[block {tag}]"] = block.arrays["phi"]
-            state[f"mu[block {tag}]"] = block.arrays["mu"]
-        return state
 
     # -- initialization -------------------------------------------------------
 
@@ -221,117 +124,18 @@ class DistributedSolver:
         ``phi_block`` has shape ``interior_shape + (N,)`` and ``mu_block``
         broadcasts to ``interior_shape + (K−1,)``.
         """
-        self._finish_pending()
-        gl = self.ghost_layers
+        self._drain()
         for block in self.blocks.values():
             phi0, mu0 = init(block.cell_offset, block.interior_shape)
-            sl = (slice(gl, -gl),) * self.forest.dim
-            block.arrays["phi"][sl] = phi0
-            block.arrays["mu"][sl] = mu0
-        self._exchange("phi")
-        self._exchange("mu")
+            block.arrays["phi"][self._cut] = phi0
+            block.arrays["mu"][self._cut] = mu0
+        self.sync("phi")
+        self.sync("mu")
 
-    # -- checkpointing ---------------------------------------------------------
+    # -- schedules ---------------------------------------------------------------
 
-    def _block_checkpoint_path(self, base, coords):
-        from pathlib import Path
-
-        base = Path(base)
-        tag = "block_" + "_".join(str(c) for c in coords)
-        return base.with_name(f"{base.stem}.{tag}.npz")
-
-    def save_checkpoint(self, path=None) -> list:
-        """Write one ``.npz`` per owned block next to the normalized *path*.
-
-        Block ``(i, j, ...)`` lands in ``<stem>.block_i_j.npz`` holding the
-        interior φ/µ plus time and step, so a restart with any rank count
-        (over the same forest) can reassemble the state.  With no *path*
-        and an attached :class:`RunDir`, blocks land under
-        ``<rundir>/checkpoints/``.  Returns the paths written by this rank.
-        """
-        from ..analysis.io import save_snapshot, snapshot_path
-
-        if path is None:
-            if self.rundir is None:
-                raise ValueError("save_checkpoint needs a path (no RunDir attached)")
-            path = self.rundir.checkpoint_dir / f"step{self.time_step:08d}"
-        self._finish_pending()
-        base = snapshot_path(path)
-        get_recorder().record(
-            "checkpoint", str(base), time_step=self.time_step, blocks=len(self.blocks)
-        )
-        gl = self.ghost_layers
-        sl = (slice(gl, -gl),) * self.forest.dim
-        written = []
-        for coords in sorted(self.blocks):
-            arrays = self.blocks[coords].arrays
-            written.append(
-                save_snapshot(
-                    self._block_checkpoint_path(base, coords),
-                    arrays["phi"][sl].copy(),
-                    arrays["mu"][sl].copy(),
-                    self.time,
-                    self.time_step,
-                )
-            )
-        _log.info(
-            kv(
-                "checkpoint_saved",
-                kind="distributed",
-                rank=self.rank,
-                base=str(base),
-                blocks=len(written),
-                time_step=self.time_step,
-            )
-        )
-        return written
-
-    def load_checkpoint(self, path) -> None:
-        """Restore every owned block from :meth:`save_checkpoint` files.
-
-        Restores interiors, time and step, then re-exchanges φ and µ so the
-        ghost frame is consistent — a resumed run continues bit-identically
-        to an uninterrupted one.
-        """
-        from ..analysis.io import load_snapshot, snapshot_path
-
-        self._finish_pending()
-        base = snapshot_path(path)
-        gl = self.ghost_layers
-        sl = (slice(gl, -gl),) * self.forest.dim
-        times: set[float] = set()
-        steps: set[int] = set()
-        for coords in sorted(self.blocks):
-            data = load_snapshot(self._block_checkpoint_path(base, coords))
-            arrays = self.blocks[coords].arrays
-            arrays["phi"][sl] = data["phi"]
-            arrays["mu"][sl] = data["mu"]
-            times.add(float(data["time"]))
-            steps.add(int(data["time_step"]))
-        if len(times) > 1 or len(steps) > 1:
-            raise ValueError(
-                f"inconsistent per-block checkpoints under {base}: "
-                f"times={sorted(times)}, steps={sorted(steps)}"
-            )
-        if times:
-            self.time = times.pop()
-            self.time_step = steps.pop()
-        self._exchange("phi")
-        self._exchange("mu")
-        _log.info(
-            kv(
-                "checkpoint_loaded",
-                kind="distributed",
-                rank=self.rank,
-                base=str(base),
-                blocks=len(self.blocks),
-                time_step=self.time_step,
-            )
-        )
-
-    # -- stepping ----------------------------------------------------------------
-
-    def _validate_overlap(self) -> None:
+    def _overlapped_schedule(self) -> list[tuple]:
+        """Algorithm 1 with both exchanges hidden behind compute (§4.3)."""
         ks = self.kernel_set
         margin = max((max(k.ghost_layers, 1) for k in ks.mu_kernels), default=1)
         if min(self.forest.block_shape) < 2 * margin:
@@ -353,335 +157,86 @@ class DistributedSolver:
                         f"overlap schedule needs independent µ kernels, but "
                         f"{ki.name!r} reads {sorted(clash)} written by {kj.name!r}"
                     )
-
-    def _exchange(self, name: str) -> None:
-        sent = exchange_field(
-            self.blocks,
-            self.forest,
-            self.owners,
-            self.comm,
-            name,
-            self.ghost_layers,
-            self.wall_mode,
-            profiler=self.profiler,
-            comm_matrix=self.comm_matrix,
+        # lower each µ kernel into one interior variant plus 2·dim frontier
+        # slabs; together they tile the block exactly once
+        mu_interior, mu_frontier = [], []
+        for k in ks.mu_kernels:
+            interior, frontiers = split_interior_frontier(k)
+            mu_interior.append(interior)
+            mu_frontier.extend(frontiers)
+        # defer the µ_dst finish into the next step only when the φ sweep
+        # reads µ at the centre cell alone — then stale µ ghosts during the
+        # φ sweep are never observed, and that sweep hides the exchange too
+        phi_like = [*ks.phi_kernels, ks.projection_kernel]
+        defer_mu = all(
+            acc.max_abs_offset == 0
+            for k in phi_like
+            for acc in k.ac.field_reads
+            if acc.field.name == "mu"
         )
-        self.bytes_sent += sent
-        if sent:
-            self._bytes_counter.inc(sent)
+        return [
+            ("sweep", phi_like),
+            ("start", "phi_dst"),
+            ("sweep", mu_interior),
+            # the previous step's µ_dst exchange (today's µ_src ghosts) must
+            # land before any frontier cell reads them
+            ("finish", "mu_dst"),
+            ("finish", "phi_dst"),
+            ("sweep", mu_frontier),
+            ("start", "mu_dst"),
+            *([] if defer_mu else [("finish", "mu_dst")]),
+        ]
 
-    def _start_exchange(self, name: str) -> GhostExchange:
-        if self._exchange_plan is None:
+    # -- ghost synchronization ------------------------------------------------------
+
+    def _count_sent(self, nbytes: int) -> None:
+        self.bytes_sent += nbytes
+        if nbytes:
+            self._bytes_counter.inc(nbytes)
+
+    def _exchange(self, primitive, name: str, **extra):
+        """``exchange_field`` or ``GhostExchange`` over this rank's blocks."""
+        return primitive(
+            self.blocks, self.forest, self.owners, self.comm, name,
+            self.ghost_layers, self.wall_mode,
+            profiler=self.profiler, comm_matrix=self.comm_matrix, **extra,
+        )
+
+    def sync(self, name: str) -> None:
+        """Blocking ghost-layer exchange of field *name* over all blocks."""
+        self._count_sent(self._exchange(exchange_field, name))
+
+    def start(self, name: str) -> None:
+        """Post the asynchronous exchange of field *name*."""
+        if self._exchange_plan is None:  # the neighbour topology is static
             self._exchange_plan = ExchangePlan(
-                self.blocks, self.forest, self.owners,
-                self.rank, self.ghost_layers,
+                self.blocks, self.forest, self.owners, self.rank, self.ghost_layers
             )
-        ex = GhostExchange(
-            self.blocks,
-            self.forest,
-            self.owners,
-            self.comm,
-            name,
-            self.ghost_layers,
-            self.wall_mode,
-            profiler=self.profiler,
-            comm_matrix=self.comm_matrix,
-            plan=self._exchange_plan,
+        self._in_flight[name] = self._exchange(
+            GhostExchange, name, plan=self._exchange_plan
         )
-        ex.start()
-        return ex
+        self._in_flight[name].start()
 
-    def _finish_exchange(self, ex: GhostExchange) -> None:
-        ex.finish()
-        self.bytes_sent += ex.bytes_sent
-        if ex.bytes_sent:
-            self._bytes_counter.inc(ex.bytes_sent)
+    def finish(self, name: str) -> None:
+        """Land the exchange of field *name*, if one is in flight."""
+        ex = self._in_flight.pop(name, None)
+        if ex is not None:
+            ex.finish()
+            self._count_sent(ex.bytes_sent)
 
-    def _finish_pending(self) -> None:
-        """Land the µ_dst exchange deferred from the previous step.
+    def _drain(self) -> None:
+        for name in list(self._in_flight):
+            self.finish(name)
 
-        Any operation that reads ghost cells or drains the message queues
-        (gather, checkpointing, diagnostics, reports, the next frontier
-        sweep) must call this first.
-        """
-        if self._pending is not None:
-            ex, self._pending = self._pending, None
-            self._finish_exchange(ex)
+    def _merged(self, local: dict) -> dict:
+        if self.comm is None:
+            return local
+        merged: dict = {}
+        for part in self.comm.allgather(local):
+            merged.update(part)
+        return merged
 
-    def _run(self, compiled, block: Block) -> None:
-        # dispatch recorded BEFORE the sweep: a crashing kernel is the
-        # post-mortem's last event (see SingleBlockSolver._run)
-        get_recorder().record(
-            "kernel", compiled.name,
-            time_step=self.time_step, block=list(block.coords),
-        )
-        cells = self._cells_per_block.get(tuple(block.coords), 0)
-        sub = getattr(getattr(compiled, "kernel", None), "subspace", None)
-        if sub is not None:
-            cells = 1
-            for lo, hi in sub.concrete(block.interior_shape):
-                cells *= hi - lo
-        with self.profiler.measure(compiled.name, cells=cells):
-            compiled(
-                block.arrays,
-                ghost_layers=self.ghost_layers,
-                block_offset=block.cell_offset,
-                t=self.time,
-                time_step=self.time_step,
-                seed=self.seed,
-            )
-
-    def _sweep_phi(self) -> None:
-        for block in self.blocks.values():
-            for k in self._phi:
-                self._run(k, block)
-            self._run(self._project, block)
-
-    def _step_synchronous(self) -> None:
-        self._sweep_phi()
-        self._exchange("phi_dst")
-        for block in self.blocks.values():
-            for k in self._mu:
-                self._run(k, block)
-        self._exchange("mu_dst")
-
-    def _step_overlapped(self) -> None:
-        # φ sweep, then hide the φ_dst exchange behind the µ interior
-        # kernels; the µ frontier runs once the ghosts have landed
-        self._sweep_phi()
-        ex_phi = self._start_exchange("phi_dst")
-        for block in self.blocks.values():
-            for k in self._mu_interior:
-                self._run(k, block)
-        # the previous step's µ_dst exchange (today's µ_src ghosts) must
-        # land before any frontier cell reads them
-        self._finish_pending()
-        self._finish_exchange(ex_phi)
-        for block in self.blocks.values():
-            for k in self._mu_frontier:
-                self._run(k, block)
-        ex_mu = self._start_exchange("mu_dst")
-        if self._defer_mu:
-            # φ reads µ at the centre only, so next step's φ sweep can hide
-            # this exchange too; finish() lands it before the µ frontier
-            self._pending = ex_mu
-        else:
-            self._finish_exchange(ex_mu)
-
-    def step(self, n_steps: int = 1) -> None:
-        tracer = get_tracer()
-        recorder = get_recorder()
-        for _ in range(n_steps):
-            t0 = perf_counter()
-            begin_step = self.time_step
-            recorder.step_begin(begin_step, rank=self.rank)
-            with tracer.span(
-                "step",
-                category="runtime",
-                time_step=self.time_step,
-                overlap=self.overlap,
-            ):
-                if self.overlap:
-                    self._step_overlapped()
-                else:
-                    self._step_synchronous()
-                for block in self.blocks.values():
-                    block.arrays["phi"], block.arrays["phi_dst"] = (
-                        block.arrays["phi_dst"],
-                        block.arrays["phi"],
-                    )
-                    block.arrays["mu"], block.arrays["mu_dst"] = (
-                        block.arrays["mu_dst"],
-                        block.arrays["mu"],
-                    )
-                self.time_step += 1
-                self.time += self.params.dt
-                # invariants run BEFORE the field watchdogs — see
-                # SingleBlockSolver.step for the ordering rationale
-                if (
-                    self._diag_suite is not None
-                    and self.time_step % self._diag_every == 0
-                ):
-                    self._evaluate_diagnostics()
-                if self.health is not None and self.health.due(self.time_step):
-                    self._check_health()
-                if (
-                    self._fp_stream is not None
-                    and self.time_step % self._fp_every == 0
-                ):
-                    self._evaluate_fingerprints()
-            dt = perf_counter() - t0
-            recorder.step_end(begin_step, dt)
-            self.step_seconds += dt
-            self._step_latency.observe(dt)
-
-    # -- in-situ physics diagnostics ------------------------------------------
-
-    def enable_diagnostics(
-        self,
-        suite=None,
-        every: int = 1,
-        csv_path=None,
-        check_invariants: bool = True,
-    ):
-        """Evaluate a :class:`~repro.diagnostics.DiagnosticsSuite` in-situ.
-
-        Collective: every rank evaluates its own blocks' partial sums, the
-        partials are allgathered and merged in sorted block-coordinate
-        order (a fixed sequence of scalar adds), so every rank — and a
-        single-process run over the same forest — computes the bit-identical
-        global series.  CSV and metrics gauges are emitted on rank 0 only;
-        invariant checks run on all ranks (same merged values) so a
-        policy-"raise" monitor aborts every rank.
-        """
-        from ..diagnostics import DiagnosticsSeries, DiagnosticsSuite, invariant_names
-
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        if csv_path is None and self.rundir is not None:
-            csv_path = self.rundir.diagnostics_path
-        if suite is None:
-            suite = DiagnosticsSuite.for_model(self.model)
-        self._diag_suite = suite
-        self._diag_every = int(every)
-        self._diag_series = DiagnosticsSeries(
-            suite.names,
-            csv_path=csv_path if self.rank == 0 else None,
-            metrics=self.rank == 0,
-            trace=True,
-        )
-        if check_invariants:
-            self._diag_mass, self._diag_energy = invariant_names(
-                suite.names, self.params
-            )
-        else:
-            self._diag_mass, self._diag_energy = (), None
-        self._evaluate_diagnostics()
-        return self._diag_series
-
-    @property
-    def diagnostics(self):
-        """The live :class:`DiagnosticsSeries`, or ``None`` when disabled."""
-        return self._diag_series
-
-    def _evaluate_diagnostics(self) -> dict:
-        self._finish_pending()
-        suite = self._diag_suite
-        local: dict[tuple, tuple[dict, int]] = {}
-        for coords, block in self.blocks.items():
-            local[coords] = suite.partial(
-                block.arrays,
-                ghost_layers=self.ghost_layers,
-                block_offset=block.cell_offset,
-                t=self.time,
-                time_step=self.time_step,
-                seed=self.seed,
-            )
-        if self.comm is not None:
-            per_block: dict[tuple, tuple[dict, int]] = {}
-            for part in self.comm.allgather(local):
-                per_block.update(part)
-        else:
-            per_block = local
-        totals, n_cells = merge_partials(per_block, tuple(suite.names))
-        values = suite.finalize(totals, n_cells)
-        self._diag_series.record(self.time_step, self.time, values)
-        if self.health is not None and (self._diag_mass or self._diag_energy):
-            self.health.check_diagnostics(
-                values,
-                self.time_step,
-                mass_names=self._diag_mass,
-                energy_name=self._diag_energy,
-                where=f"rank {self.rank}",
-            )
-        return values
-
-    def _check_health(self) -> None:
-        gl = self.ghost_layers
-        sl = (slice(gl, -gl),) * self.forest.dim
-        for coords, block in self.blocks.items():
-            self.health.check(
-                {"phi": block.arrays["phi"][sl], "mu": block.arrays["mu"][sl]},
-                self.time_step,
-                phase_sum_of="phi",
-                where=f"rank {self.rank} block {coords}",
-            )
-
-    # -- determinism fingerprints ----------------------------------------------
-
-    def enable_fingerprints(
-        self,
-        every: int = 1,
-        fields: tuple[str, ...] | None = None,
-        reference=None,
-        path=None,
-    ):
-        """Stream ``repro-fingerprint/1`` state digests every *every* steps.
-
-        Collective: every rank digests its own blocks' interiors, the
-        per-block digests are allgathered and assembled in sorted
-        block-coordinate order, so every rank — and a single-block run
-        fingerprinted with ``tile_shape=forest.block_shape`` — emits the
-        bit-identical record stream.  The ledger is written on rank 0
-        only; the online audit against *reference* runs on ALL ranks
-        (same merged record), so a policy-"raise" monitor aborts every
-        rank at the first divergent (step, field, block).
-        """
-        from ..observability.fingerprint import FingerprintStream
-
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        names = tuple(fields) if fields else ("phi", "mu")
-        for name in names:
-            for block in self.blocks.values():
-                if name not in block.arrays:
-                    raise ValueError(f"unknown field {name!r}")
-        if path is None and self.rundir is not None:
-            path = self.rundir.fingerprint_path
-        self._fp_stream = FingerprintStream(
-            path=path if self.rank == 0 else None,
-            reference=reference,
-            health=self.health,
-            where=f"rank {self.rank}" if self.n_ranks > 1 else "",
-            metrics=self.rank == 0,
-        )
-        self._fp_every = int(every)
-        self._fp_fields = names
-        self._evaluate_fingerprints()
-        return self._fp_stream
-
-    @property
-    def fingerprints(self):
-        """The live :class:`FingerprintStream`, or ``None`` when disabled."""
-        return self._fp_stream
-
-    def _evaluate_fingerprints(self) -> dict:
-        from ..observability.fingerprint import block_key, digest_array
-
-        self._finish_pending()
-        t0 = perf_counter()
-        gl = self.ghost_layers
-        sl = (slice(gl, -gl),) * self.forest.dim
-        local: dict[str, dict[str, str]] = {}
-        for coords, block in self.blocks.items():
-            local[block_key(coords)] = {
-                name: digest_array(block.arrays[name][sl])
-                for name in self._fp_fields
-            }
-        if self.comm is not None:
-            merged: dict[str, dict[str, str]] = {}
-            for part in self.comm.allgather(local):
-                merged.update(part)
-        else:
-            merged = local
-        fields = {
-            name: {key: merged[key][name] for key in merged}
-            for name in self._fp_fields
-        }
-        self._fp_stream.add_overhead(perf_counter() - t0)
-        return self._fp_stream.record_digests(self.time_step, self.time, fields)
-
-    # -- diagnostics ----------------------------------------------------------
+    # -- reports -----------------------------------------------------------------
 
     def default_step_model(self):
         """A :class:`StepTimeModel` calibrated from this run's measurements.
@@ -709,6 +264,22 @@ class DistributedSolver:
             ghost_layers=self.ghost_layers,
         )
 
+    def _gathered_comm(self) -> tuple[CommMatrix, list[float]]:
+        """Collective: the comm matrix merged over all ranks, and their step times."""
+        self._drain()
+        parts = [(self.rank, self.step_seconds, self.comm_matrix)]
+        if self.comm is not None:
+            # merge each gathered matrix exactly once — under a process- or
+            # MPI-backed communicator the allgather returns *copies*, so an
+            # identity check against self.comm_matrix would double-count
+            # this rank's rows (the thread-backed simulator returns the
+            # object itself, where the same single merge is still correct)
+            parts = self.comm.allgather(parts[0])
+        matrix = CommMatrix(self.n_ranks)
+        for _, _, other in parts:
+            matrix.merge(other)
+        return matrix, [seconds for _, seconds, _ in sorted(parts)]
+
     def scaling_report(self, step_model=None, nodes: int = 1) -> str:
         """Comm matrix, λ imbalance factor and comm-model closure.
 
@@ -726,23 +297,7 @@ class DistributedSolver:
             overlap_closure_report,
         )
 
-        self._finish_pending()
-        matrix = CommMatrix(self.n_ranks)
-        if self.comm is not None:
-            # merge each gathered matrix exactly once — under a process- or
-            # MPI-backed communicator the allgather returns *copies*, so an
-            # identity check against self.comm_matrix would double-count
-            # this rank's rows (the thread-backed simulator returns the
-            # object itself, where the same single merge is still correct)
-            gathered = self.comm.allgather(
-                (self.rank, self.step_seconds, self.comm_matrix)
-            )
-            step_times = [t for _, t, _ in sorted(gathered)]
-            for _, _, other in gathered:
-                matrix.merge(other)
-        else:
-            matrix.merge(self.comm_matrix)
-            step_times = [self.step_seconds]
+        matrix, step_times = self._gathered_comm()
         lam = imbalance_factor(step_times)
         model = step_model if step_model is not None else self.default_step_model()
         measured = (
@@ -772,67 +327,18 @@ class DistributedSolver:
         return "\n".join(lines)
 
     def profile_report(self, machine=None, step_model=None, nodes: int = 1) -> str:
-        """Per-rank timing table plus the predicted-vs-measured closures.
+        """Per-rank timing table, model closures and the scaling section.
 
-        Includes the distributed scaling section (:meth:`scaling_report`);
-        under a communicator every rank must therefore call this together.
+        Includes :meth:`scaling_report`; under a communicator every rank
+        must therefore call this together.
         """
-        from ..observability.report import model_accuracy_report
-
-        self._finish_pending()
-        base = self.profiler.report(
-            f"distributed profile: rank {self.rank}, {len(self.blocks)} blocks, "
-            f"{self.time_step} steps"
+        return "\n".join(
+            [
+                super().profile_report(machine),
+                "",
+                self.scaling_report(step_model, nodes=nodes),
+            ]
         )
-        accuracy = model_accuracy_report(
-            self.kernel_set.all_kernels,
-            self.profiler,
-            machine=machine,
-            block_shape=self.forest.block_shape,
-        )
-        parts = [base, "", accuracy, "", self.scaling_report(step_model, nodes=nodes)]
-        if self.health is not None:
-            parts += ["", self.health.summary()]
-        return "\n".join(parts)
-
-    def export_metrics(self, registry=None) -> None:
-        """Publish this rank's profile into the metrics registry."""
-        self.profiler.export_metrics(
-            registry, solver="distributed", rank=self.rank
-        )
-
-    def export_perf(self, path=None, machine=None, bench: str = "distributed") -> str | None:
-        """Append rank 0's ``repro-perf/1`` records to the run's perf ledger.
-
-        Mirrors :meth:`export_comm_matrix`: rank 0 writes — to *path*, or
-        the attached RunDir's canonical ``perf/perf.jsonl`` — and returns
-        the path; other ranks return ``None``.
-        """
-        from ..perfmodel.ledger import PerfLedger, records_from_profiler
-
-        self._finish_pending()
-        if self.rank != 0:
-            return None
-        if path is None:
-            if self.rundir is None:
-                raise ValueError("export_perf needs a path (no RunDir attached)")
-            path = self.rundir.perf_path
-        records = records_from_profiler(
-            bench,
-            self.kernel_set.all_kernels,
-            self.profiler,
-            machine=machine,
-            block_shape=self.forest.block_shape,
-            options={
-                "backend": self.backend,
-                "ranks": self.n_ranks,
-                "overlap": bool(self.overlap),
-            },
-        )
-        if not records:
-            return None
-        PerfLedger(path).extend(records)
-        return str(path)
 
     def export_comm_matrix(self, path=None) -> str | None:
         """Write the merged comm matrix as JSON (``comm_matrix.json``).
@@ -844,19 +350,12 @@ class DistributedSolver:
         """
         import json
 
-        self._finish_pending()
-        matrix = CommMatrix(self.n_ranks)
-        if self.comm is not None:
-            for other in self.comm.allgather(self.comm_matrix):
-                matrix.merge(other)
-        else:
-            matrix.merge(self.comm_matrix)
+        matrix, _ = self._gathered_comm()
         if self.rank != 0:
             return None
-        if path is None:
-            if self.rundir is None:
-                raise ValueError("export_comm_matrix needs a path (no RunDir attached)")
-            path = self.rundir.comm_matrix_path
+        path = self._output_path(
+            path, "export_comm_matrix", lambda rundir: rundir.comm_matrix_path
+        )
         with open(path, "w") as handle:
             json.dump(matrix.to_json(), handle, indent=1)
             handle.write("\n")
@@ -866,22 +365,15 @@ class DistributedSolver:
 
     def gather(self, name: str) -> np.ndarray | None:
         """Assemble the global interior field on rank 0 (None elsewhere)."""
-        self._finish_pending()
-        gl = self.ghost_layers
-        sl = (slice(gl, -gl),) * self.forest.dim
+        self._drain()
         local = {
-            coords: block.arrays[name][sl].copy()
+            coords: block.arrays[name][self._cut].copy()
             for coords, block in self.blocks.items()
         }
-        if self.comm is not None:
-            pieces = self.comm.gather(local, root=0)
-            if self.rank != 0:
-                return None
-            merged: dict = {}
-            for p in pieces:
-                merged.update(p)
-        else:
-            merged = local
+        pieces = [local] if self.comm is None else self.comm.gather(local, root=0)
+        if self.rank != 0:
+            return None
+        merged = {coords: data for piece in pieces for coords, data in piece.items()}
         sample = next(iter(merged.values()))
         shape = tuple(self.forest.global_shape) + sample.shape[self.forest.dim:]
         out = np.zeros(shape, dtype=np.float64)

@@ -82,6 +82,23 @@ class PhaseFieldKernelSet:
     def ghost_layers(self) -> int:
         return max(k.ghost_layers for k in self.all_kernels)
 
+    #: field pairs exchanged at the end of every time step
+    swaps = (("phi", "phi_dst"), ("mu", "mu_dst"))
+
+    @property
+    def schedule(self) -> list[tuple]:
+        """Algorithm 1 as a sweep schedule (see :mod:`repro.timeloop`).
+
+        φ kernels and the Gibbs-simplex projection, ghost synchronization of
+        φ_dst, µ kernels, ghost synchronization of µ_dst.
+        """
+        return [
+            ("sweep", [*self.phi_kernels, self.projection_kernel]),
+            ("sync", "phi_dst"),
+            ("sweep", list(self.mu_kernels)),
+            ("sync", "mu_dst"),
+        ]
+
 
 class GrandPotentialModel:
     """Symbolic assembly of the thermodynamically consistent model."""

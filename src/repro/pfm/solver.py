@@ -9,38 +9,37 @@ One time step:
 5. boundary handling of ``µ_dst``
 6. swap ``φ_src ↔ φ_dst`` and ``µ_src ↔ µ_dst``
 
-The distributed-memory version of the same loop (ghost-layer exchange
-instead of boundary fills) lives in :mod:`repro.parallel.timeloop`.
+Steps 1–5 are :attr:`PhaseFieldKernelSet.schedule`, executed by the shared
+:class:`repro.timeloop.TimeLoop` over one block whose ghost synchronization
+is the boundary fill.  The distributed-memory version of the same loop
+(ghost-layer exchange instead of boundary fills) lives in
+:mod:`repro.parallel.timeloop`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from time import perf_counter
-
-from ..backends.numpy_backend import create_arrays
 from ..observability.health import HealthMonitor
-from ..observability.log import get_logger, kv
-from ..observability.metrics import get_registry
-from ..observability.recorder import get_recorder
-from ..observability.tracing import get_tracer
+from ..parallel.blockforest import Block
 from ..parallel.boundary import fill_ghosts
-from ..profiling import SolverProfiler, compile_cached
+from ..profiling import compile_cached
+from ..timeloop import TimeLoop
 from .model import GrandPotentialModel, PhaseFieldKernelSet
 
 __all__ = ["SingleBlockSolver"]
 
-_log = get_logger("pfm.solver")
 
-
-class SingleBlockSolver:
+class SingleBlockSolver(TimeLoop):
     """Runs a phase-field model on one rectangular block (NumPy or C kernels).
 
     Pass a :class:`repro.observability.HealthMonitor` as *health* to run
     NaN/phase-sum/bounds checks on the monitor's cadence during
     :meth:`step`; failures follow the monitor's warn/record/raise policy.
     """
+
+    kind = "single"
+    checkpoint_per_block = False
 
     def __init__(
         self,
@@ -63,68 +62,29 @@ class SingleBlockSolver:
             )
         self.shape = tuple(int(s) for s in interior_shape)
         self.boundary = boundary
-        self.seed = seed
-        required_gl = max(kernel_set.ghost_layers, 1)
-        if ghost_layers is None:
-            self.ghost_layers = required_gl
-        else:
-            if int(ghost_layers) < required_gl:
-                raise ValueError(
-                    f"ghost_layers={ghost_layers} below the kernel set's "
-                    f"requirement of {required_gl}"
-                )
-            self.ghost_layers = int(ghost_layers)
-
-        # compiled once per process via the shared kernel cache: building a
-        # second solver from an equal kernel set reuses every binary
-        self.backend = backend
-        self._phi = [compile_cached(k, backend) for k in kernel_set.phi_kernels]
-        self._project = compile_cached(kernel_set.projection_kernel, backend)
-        self._mu = [compile_cached(k, backend) for k in kernel_set.mu_kernels]
-
-        self.arrays = create_arrays(kernel_set.fields, self.shape, self.ghost_layers)
-        self.time_step = 0
-        self.time = 0.0
-        self.profiler = SolverProfiler()
-        self.health = health
-        self._cells_per_sweep = int(np.prod(self.shape))
-        self._callbacks: list[tuple[int, object]] = []
-        self._diag_suite = None
-        self._diag_series = None
-        self._fp_stream = None
-        self._step_latency = get_registry().histogram(
-            "repro_step_seconds", "wall time per solver time step", solver="single"
+        origin = (0,) * dim
+        super().__init__(
+            kernel_set.all_kernels,
+            [Block(origin, self.shape, origin)],
+            kernel_set.schedule,
+            kernel_set.swaps,
+            compile_cached,
+            block_shape=self.shape,
+            dt=self.params.dt,
+            seed=seed,
+            backend=backend,
+            ghost_layers=ghost_layers,
+            health=health,
+            rundir=rundir,
+            shape=list(self.shape),
         )
-        # flight-recorder integration: field stats at crash time come from
-        # the live arrays; with a RunDir the event journal and health log
-        # land in the bundle alongside checkpoints and diagnostics
-        self.rundir = rundir
-        recorder = get_recorder()
-        recorder.set_state_provider(
-            lambda: {"phi": self.arrays["phi"], "mu": self.arrays["mu"]}
-        )
-        if rundir is not None:
-            rundir.note(solver="single", backend=backend, shape=list(self.shape))
-            recorder.open_journal(rundir.journal_path(recorder.rank))
-            if health is not None:
-                rundir.attach_health(health)
-        _log.info(
-            kv(
-                "solver_created",
-                kind="single",
-                shape=self.shape,
-                backend=backend,
-                boundary=boundary,
-                health=health is not None,
-            )
-        )
+        #: the block's ghost-layered arrays by field name
+        self.arrays: dict[str, np.ndarray] = self._owned[0].arrays
 
     # -- state access ---------------------------------------------------------
 
     def _interior(self, name: str) -> np.ndarray:
-        gl = self.ghost_layers
-        sl = (slice(gl, -gl),) * self.params.dim
-        return self.arrays[name][sl]
+        return self.arrays[name][self._cut]
 
     @property
     def phi(self) -> np.ndarray:
@@ -144,329 +104,13 @@ class SingleBlockSolver:
             )
         self._interior("phi")[...] = phi
         self._interior("mu")[...] = mu
-        self._fill("phi")
-        self._fill("mu")
+        self.sync("phi")
+        self.sync("mu")
 
-    # -- stepping ----------------------------------------------------------------
-
-    def _fill(self, name: str) -> None:
+    def sync(self, name: str) -> None:
+        """Boundary handling: fill the ghost layers of field *name*."""
         with self.profiler.measure(f"fill:{name}"):
-            fill_ghosts(
-                self.arrays[name], self.ghost_layers, self.params.dim, self.boundary
-            )
-
-    def _run(self, compiled, **extra) -> None:
-        # dispatch is recorded BEFORE the sweep runs, so a kernel that
-        # crashes (or wedges) is named by the post-mortem's last event
-        get_recorder().record("kernel", compiled.name, time_step=self.time_step)
-        with self.profiler.measure(compiled.name, cells=self._cells_per_sweep):
-            compiled(
-                self.arrays,
-                ghost_layers=self.ghost_layers,
-                t=self.time,
-                time_step=self.time_step,
-                seed=self.seed,
-                **extra,
-            )
-
-    def add_callback(self, fn, every: int = 1) -> None:
-        """Register an in-situ hook ``fn(solver)`` run every *every* steps.
-
-        The paper's §4.1 Python interface for "in-situ evaluation and
-        computational steering": callbacks see (and may modify) the live
-        state between time steps.
-        """
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self._callbacks.append((int(every), fn))
-
-    def save_checkpoint(self, path=None):
-        """Write φ, µ and the time state to a compressed checkpoint.
-
-        With no *path* and an attached :class:`RunDir`, the checkpoint goes
-        to ``<rundir>/checkpoints/step<NNNNNNNN>``.  Returns the actual
-        file path (``.npz`` is appended when missing, the same
-        normalization :meth:`load_checkpoint` applies).
-        """
-        from ..analysis.io import save_snapshot
-
-        if path is None:
-            if self.rundir is None:
-                raise ValueError("save_checkpoint needs a path (no RunDir attached)")
-            path = self.rundir.checkpoint_dir / f"step{self.time_step:08d}"
-        written = save_snapshot(
-            path, self.phi.copy(), self.mu.copy(), self.time, self.time_step
-        )
-        get_recorder().record(
-            "checkpoint", str(written), time_step=self.time_step
-        )
-        _log.info(kv("checkpoint_saved", path=written, step=self.time_step))
-        return written
-
-    def load_checkpoint(self, path) -> None:
-        """Restore a checkpoint written by :meth:`save_checkpoint`.
-
-        Accepts the same path that was passed to :meth:`save_checkpoint`,
-        with or without the ``.npz`` suffix.
-        """
-        from ..analysis.io import load_snapshot
-
-        data = load_snapshot(path)
-        self.set_state(data["phi"], data["mu"])
-        self.time = data["time"]
-        self.time_step = data["time_step"]
-        _log.info(kv("checkpoint_loaded", path=path, step=self.time_step))
-
-    # -- in-situ physics diagnostics ------------------------------------------
-
-    def enable_diagnostics(
-        self,
-        suite=None,
-        every: int = 1,
-        csv_path=None,
-        tile_shape: tuple[int, ...] | None = None,
-        check_invariants: bool = True,
-        metrics: bool = True,
-        trace: bool = True,
-    ):
-        """Evaluate a :class:`~repro.diagnostics.DiagnosticsSuite` in-situ.
-
-        Every *every* steps (and once immediately, establishing the
-        conservation reference) the suite's reduction kernel runs on the
-        live fields; rows stream into the returned
-        :class:`~repro.diagnostics.DiagnosticsSeries` (CSV/gauges/trace
-        counters).  With *check_invariants* and a :class:`HealthMonitor`
-        attached, solute-mass drift and free-energy decay violations go
-        through the monitor's policy *before* the per-field watchdogs run.
-        *tile_shape* selects the fixed-order tiled sum — pass the
-        distributed run's block shape to reproduce its series bit for bit.
-        """
-        from ..diagnostics import DiagnosticsSeries, DiagnosticsSuite, invariant_names
-
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        if csv_path is None and self.rundir is not None:
-            csv_path = self.rundir.diagnostics_path
-        if suite is None:
-            suite = DiagnosticsSuite.for_model(self.model)
-        self._diag_suite = suite
-        self._diag_every = int(every)
-        self._diag_tiles = tuple(tile_shape) if tile_shape else None
-        self._diag_series = DiagnosticsSeries(
-            suite.names, csv_path=csv_path, metrics=metrics, trace=trace
-        )
-        if check_invariants:
-            self._diag_mass, self._diag_energy = invariant_names(
-                suite.names, self.params
-            )
-        else:
-            self._diag_mass, self._diag_energy = (), None
-        self._evaluate_diagnostics()
-        return self._diag_series
-
-    @property
-    def diagnostics(self):
-        """The live :class:`DiagnosticsSeries`, or ``None`` when disabled."""
-        return self._diag_series
-
-    def _evaluate_diagnostics(self) -> dict:
-        suite = self._diag_suite
-        raw, n_cells = suite.partial(
-            self.arrays,
-            ghost_layers=self.ghost_layers,
-            tile_shape=self._diag_tiles,
-            t=self.time,
-            time_step=self.time_step,
-            seed=self.seed,
-        )
-        values = suite.finalize(raw, n_cells)
-        self._diag_series.record(self.time_step, self.time, values)
-        if self.health is not None and (self._diag_mass or self._diag_energy):
-            self.health.check_diagnostics(
-                values,
-                self.time_step,
-                mass_names=self._diag_mass,
-                energy_name=self._diag_energy,
-            )
-        return values
-
-    # -- determinism fingerprints ----------------------------------------------
-
-    def enable_fingerprints(
-        self,
-        every: int = 1,
-        fields: tuple[str, ...] | None = None,
-        reference=None,
-        path=None,
-        tile_shape: tuple[int, ...] | None = None,
-        metrics: bool = True,
-        trace: bool = True,
-    ):
-        """Stream ``repro-fingerprint/1`` state digests every *every* steps.
-
-        Each record carries per-``(field, block)`` BLAKE2b digests of the
-        interior bytes plus a combined digest, taken in the fixed
-        lexicographic traversal order — pass a distributed run's block
-        shape as *tile_shape* to reproduce its per-block stream bit for
-        bit (the default treats the whole interior as one block).
-
-        *path* defaults to the attached RunDir's canonical
-        ``fingerprints.jsonl``.  *reference* (a ledger file or run
-        directory) makes the run self-auditing: every record is compared
-        online and the first mismatching ``(field, block)`` trips a
-        ``divergence`` health event through the solver's monitor (or a
-        private ``policy="raise"`` one when none is attached).  Records
-        once immediately and then after each *every*-th step.
-        """
-        from ..observability.fingerprint import FingerprintStream
-
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        names = tuple(fields) if fields else ("phi", "mu")
-        for name in names:
-            if name not in self.arrays:
-                raise ValueError(f"unknown field {name!r}")
-        if path is None and self.rundir is not None:
-            path = self.rundir.fingerprint_path
-        self._fp_stream = FingerprintStream(
-            path=path,
-            reference=reference,
-            health=self.health,
-            metrics=metrics,
-            trace=trace,
-        )
-        self._fp_every = int(every)
-        self._fp_fields = names
-        self._fp_tiles = tuple(tile_shape) if tile_shape else None
-        self._evaluate_fingerprints()
-        return self._fp_stream
-
-    @property
-    def fingerprints(self):
-        """The live :class:`FingerprintStream`, or ``None`` when disabled."""
-        return self._fp_stream
-
-    def _evaluate_fingerprints(self) -> dict:
-        interiors = {name: self._interior(name) for name in self._fp_fields}
-        return self._fp_stream.record_state(
-            self.time_step,
-            self.time,
-            interiors,
-            dim=self.params.dim,
-            tile_shape=self._fp_tiles,
-        )
-
-    def step(self, n_steps: int = 1) -> None:
-        """Advance the solution by *n_steps* explicit Euler steps."""
-        tracer = get_tracer()
-        recorder = get_recorder()
-        for _ in range(n_steps):
-            t0 = perf_counter()
-            begin_step = self.time_step
-            recorder.step_begin(begin_step)
-            with tracer.span("step", category="runtime", time_step=self.time_step):
-                for k in self._phi:
-                    self._run(k)
-                self._run(self._project)
-                self._fill("phi_dst")
-                for k in self._mu:
-                    self._run(k)
-                self._fill("mu_dst")
-                self.arrays["phi"], self.arrays["phi_dst"] = (
-                    self.arrays["phi_dst"],
-                    self.arrays["phi"],
-                )
-                self.arrays["mu"], self.arrays["mu_dst"] = (
-                    self.arrays["mu_dst"],
-                    self.arrays["mu"],
-                )
-                self.time_step += 1
-                self.time += self.params.dt
-                # invariants run BEFORE the field watchdogs: a too-large dt
-                # trips the named energy_decay check while values are still
-                # finite, not the NaN alarm steps later
-                if (
-                    self._diag_suite is not None
-                    and self.time_step % self._diag_every == 0
-                ):
-                    self._evaluate_diagnostics()
-                if self.health is not None and self.health.due(self.time_step):
-                    self.health.check(
-                        {"phi": self.phi, "mu": self.mu},
-                        self.time_step,
-                        phase_sum_of="phi",
-                    )
-                for every, fn in self._callbacks:
-                    if self.time_step % every == 0:
-                        fn(self)
-                # fingerprints run LAST: they must digest the state the
-                # next step will consume, after any steering callback
-                if (
-                    self._fp_stream is not None
-                    and self.time_step % self._fp_every == 0
-                ):
-                    self._evaluate_fingerprints()
-            seconds = perf_counter() - t0
-            recorder.step_end(begin_step, seconds)
-            self._step_latency.observe(seconds)
-
-    # -- diagnostics ----------------------------------------------------------
-
-    def profile_report(self, machine=None) -> str:
-        """Per-kernel timing table plus the predicted-vs-measured closure.
-
-        The second section joins the ECM prediction for every generated
-        kernel (on *machine*, default Skylake 8174) with the measured
-        MLUP/s of this run — the reproduction's Fig.-2-style model-accuracy
-        check.
-        """
-        from ..observability.report import model_accuracy_report
-
-        base = self.profiler.report(
-            f"solver profile: {self.shape} interior, backend={self.backend!r}, "
-            f"{self.time_step} steps"
-        )
-        accuracy = model_accuracy_report(
-            self.kernel_set.all_kernels,
-            self.profiler,
-            machine=machine,
-            block_shape=self.shape,
-        )
-        parts = [base, "", accuracy]
-        if self.health is not None:
-            parts += ["", self.health.summary()]
-        return "\n".join(parts)
-
-    def export_metrics(self, registry=None) -> None:
-        """Publish this solver's profile into the metrics registry."""
-        self.profiler.export_metrics(registry, solver="single")
-
-    def export_perf(self, path=None, machine=None, bench: str = "solver") -> str | None:
-        """Append this run's ``repro-perf/1`` records (``perf/perf.jsonl``).
-
-        One record per cell-counted kernel, joining measured rates (and
-        hardware counters where the host provides them) with the ECM
-        prediction; appends to *path*, or the attached RunDir's canonical
-        perf ledger.  Returns the path, or ``None`` with nothing to write.
-        """
-        from ..perfmodel.ledger import PerfLedger, records_from_profiler
-
-        if path is None:
-            if self.rundir is None:
-                raise ValueError("export_perf needs a path (no RunDir attached)")
-            path = self.rundir.perf_path
-        records = records_from_profiler(
-            bench,
-            self.kernel_set.all_kernels,
-            self.profiler,
-            machine=machine,
-            block_shape=self.shape,
-            options={"backend": self.backend, "shape": list(self.shape)},
-        )
-        if not records:
-            return None
-        PerfLedger(path).extend(records)
-        return str(path)
+            fill_ghosts(self.arrays[name], self.ghost_layers, self.dim, self.boundary)
 
     def phase_fractions(self) -> np.ndarray:
         """Volume fraction of every phase."""

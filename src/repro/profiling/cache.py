@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import sympy as sp
+from sympy.printing.repr import ReprPrinter
 
 from ..ir.kernel import Kernel
 from ..observability.log import get_logger, kv
 from ..observability.metrics import get_registry
 from ..observability.tracing import get_tracer
+from ..symbolic.ordering import CanonicalTermOrder
 
 _log = get_logger("profiling.cache")
 
@@ -55,6 +57,10 @@ class CacheStats:
         return f"kernel cache: {self.size} entries, {self.hits} hits, {self.misses} misses"
 
 
+class _Repr(CanonicalTermOrder, ReprPrinter):
+    """``srepr`` whose sums do not reorder with ``PYTHONHASHSEED``."""
+
+
 def kernel_fingerprint(kernel: Kernel) -> str:
     """Structural SHA-256 fingerprint of a lowered :class:`Kernel`.
 
@@ -81,9 +87,10 @@ def kernel_fingerprint(kernel: Kernel) -> str:
     put(str(getattr(kernel, "reductions", ())))
     # iteration-space restriction changes the emitted loop bounds/slices
     put(str(getattr(kernel, "subspace", None)))
+    srepr = _Repr().doprint
     for a in kernel.ac.all_assignments:
-        put(sp.srepr(a.lhs))
-        put(sp.srepr(a.rhs))
+        put(srepr(a.lhs))
+        put(srepr(a.rhs))
     put(str(sorted((s.name, lvl) for s, lvl in kernel.hoist_levels.items())))
     put(str(sorted((s.name, str(t)) for s, t in kernel.types.items())))
     for f in kernel.fields:

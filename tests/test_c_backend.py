@@ -167,3 +167,36 @@ class TestSourceStructure:
         x_def = src.index("const double x_0")
         inner_loop = src.index("for (int64_t i1")
         assert x_def < inner_loop
+
+
+class TestArgumentValidation:
+    """The native loop nest trusts its extents: bad arrays must raise, not segfault."""
+
+    @pytest.fixture(scope="class")
+    def binary_mu(self):
+        from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+        ks = GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
+        (mu_kernel,) = ks.mu_kernels
+        return ks, compile_c_kernel(mu_kernel)
+
+    @pytest.mark.parametrize(
+        "bad_shape",
+        [
+            (6, 6, 1),     # smaller spatial extent than the first field: exit 139 before
+            (10, 10),      # index axis missing
+            (10, 10, 2),   # wrong number of components
+        ],
+    )
+    def test_misshaped_field_raises(self, binary_mu, bad_shape):
+        ks, mu = binary_mu
+        arrays = create_arrays(ks.fields, (8, 8), 1)
+        arrays["mu_dst"] = np.zeros(bad_shape)
+        with pytest.raises(ValueError, match="mu_dst"):
+            mu(arrays, ghost_layers=1, t=0.0)
+
+    def test_well_shaped_arrays_still_run(self, binary_mu):
+        ks, mu = binary_mu
+        arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
+        mu(arrays, ghost_layers=1, t=0.0)
+        assert np.isfinite(arrays["mu_dst"]).all()

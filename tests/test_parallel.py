@@ -324,10 +324,9 @@ class TestDistributedSolver:
         ref_mu = ref.gather("mu")
 
         forest = BlockForest((16, 8), (4, 4), periodic=True)
-        cache = {}
 
         def prog(comm):
-            solver = DistributedSolver(kernels, forest, comm=comm, compiled_cache=dict(cache))
+            solver = DistributedSolver(kernels, forest, comm=comm)
             solver.set_state_from(init)
             solver.step(4)
             return solver.gather("phi"), solver.gather("mu")

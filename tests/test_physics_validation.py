@@ -50,7 +50,7 @@ class TestMuDiffusionLimit:
         x = np.arange(n) + 0.5
         mu0 = 1e-3 * np.sin(k * x)
         solver.mu[..., 0] = mu0[:, None]
-        solver._fill("mu")
+        solver.sync("mu")
 
         steps = 400
         solver.step(steps)

@@ -58,6 +58,36 @@ class TestKernelFingerprint:
             kernel_set.phi_kernels[0]
         )
 
+    def test_independent_of_hash_seed(self):
+        """The IR (term order of sums) must not follow ``PYTHONHASHSEED``.
+
+        The 3-D binary µ kernel printed two flux terms in swapped order
+        under seed 3: another C summation order, another disk-cache key.
+        """
+        import os
+        import subprocess
+        import sys
+
+        program = (
+            "from repro.pfm import GrandPotentialModel, make_two_phase_binary\n"
+            "from repro.profiling import kernel_fingerprint\n"
+            "ks = GrandPotentialModel(make_two_phase_binary(dim=3)).create_kernels()\n"
+            "print(*[kernel_fingerprint(k) for k in ks.all_kernels])\n"
+        )
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", program],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "3")
+        ]
+        printed = [run.communicate(timeout=300)[0].split() for run in runs]
+        assert all(run.returncode == 0 for run in runs)
+        assert len(printed[0]) == 3
+        assert printed[0] == printed[1]
+
 
 class TestKernelCache:
     def test_two_solvers_compile_each_kernel_once(self, kernel_set):
