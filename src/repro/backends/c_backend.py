@@ -23,6 +23,7 @@ import hashlib
 import os
 import subprocess
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,20 @@ static inline double _fast_div(double a, double b) {
 }
 static inline double _fast_sqrt(double x) { return (double)sqrtf((float)x); }
 static inline double _fast_rsqrt(double x) { return (double)(1.0f / sqrtf((float)x)); }
+
+/* Max/Min of the IR. A NaN in either operand propagates, as in numpy.amax /
+   numpy.amin. The compare-and-select has the exact semantics of the SSE/AVX
+   max/min instructions (second operand on NaN or a tie), so the compiler is
+   free to inline and vectorize it: a vmaxpd/vminpd or a compare, plus one
+   blend for a NaN in the first operand. */
+static inline double _max(double a, double b) {
+    double m = a > b ? a : b;
+    return a != a ? a : m;
+}
+static inline double _min(double a, double b) {
+    double m = a < b ? a : b;
+    return a != a ? a : m;
+}
 """
 
 
@@ -119,6 +134,18 @@ class _CPrinter(CanonicalTermOrder, C99CodePrinter):
 
     def _print_fast_rsqrt(self, expr):
         return f"_fast_rsqrt({self._print(expr.args[0])})"
+
+    def _fold_left(self, func, expr):
+        # not libm's fmax/fmin (sympy's default): without -ffinite-math-only
+        # gcc must *call* them, which drops NaNs, blocks vectorization and
+        # made the projection the slowest sweep (see DESIGN.md)
+        return reduce(lambda out, a: f"{func}({out}, {a})", map(self._print, expr.args))
+
+    def _print_Max(self, expr):
+        return self._fold_left("_max", expr)
+
+    def _print_Min(self, expr):
+        return self._fold_left("_min", expr)
 
     def _print_Pow(self, expr):
         base, expo = expr.args

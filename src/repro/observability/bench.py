@@ -25,8 +25,9 @@ Document schema (``repro-bench/1``)::
     }
 
 ``metrics`` values must be finite numbers; by convention names containing
-``seconds``/``time``/``latency`` are lower-is-better, everything else
-(MLUP/s, efficiencies, speedups) higher-is-better — the convention
+``seconds``/``time``/``latency``/``_ms``/``_us``/``_ns`` are
+lower-is-better, everything else (MLUP/s, efficiencies, speedups)
+higher-is-better — the convention
 ``tools/bench_regress.py`` uses to decide the direction of a regression.
 """
 
@@ -53,7 +54,7 @@ __all__ = [
 BENCH_SCHEMA = "repro-bench/1"
 
 #: metric-name substrings that flip the regression direction
-_LOWER_BETTER_MARKERS = ("seconds", "time", "latency", "_ms", "_ns")
+_LOWER_BETTER_MARKERS = ("seconds", "time", "latency", "_ms", "_us", "_ns")
 
 
 class BenchSchemaError(ValueError):

@@ -396,6 +396,7 @@ class CounterHarness:
             raise ValueError(f"unknown counter source {source!r}")
         self.source = source
         self._overhead = 0.0
+        self._samples = 0
         self._groups = threading.local()
 
     @property
@@ -433,6 +434,7 @@ class CounterHarness:
         if source == "off":
             return None
         t0 = perf_counter()
+        self._samples += 1
         if source == "rusage":
             # the hot path on counter-less hosts: keep it one getrusage
             # call plus one positional dataclass construction
@@ -475,6 +477,11 @@ class CounterHarness:
     def overhead_seconds(self) -> float:
         """Accumulated self-measured cost of every :meth:`sample` call."""
         return self._overhead
+
+    @property
+    def samples_taken(self) -> int:
+        """Number of :meth:`sample` calls behind :attr:`overhead_seconds`."""
+        return self._samples
 
     def publish_overhead(self, registry=None) -> float:
         """Export the accumulated sampling cost as a gauge; returns it."""

@@ -279,6 +279,11 @@ class FlightRecorder:
         """Accumulated self-measured cost of every :meth:`record` call."""
         return self._overhead
 
+    @property
+    def events_recorded(self) -> int:
+        """Number of :meth:`record` calls behind :attr:`overhead_seconds`."""
+        return self._seq
+
     def publish_overhead(self, registry=None) -> float:
         """Set the ``repro_observability_overhead_seconds`` gauge; returns it."""
         from .metrics import get_registry

@@ -1,5 +1,8 @@
 """C backend tests: bitwise parity with the NumPy backend."""
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -13,6 +16,8 @@ from repro.backends.c_backend import (
 from repro.discretization import FiniteDifferenceDiscretization, discretize_system
 from repro.ir import KernelConfig, create_kernel
 from repro.symbolic import (
+    Assignment,
+    AssignmentCollection,
     EvolutionEquation,
     Field,
     PDESystem,
@@ -200,3 +205,148 @@ class TestArgumentValidation:
         arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
         mu(arrays, ghost_layers=1, t=0.0)
         assert np.isfinite(arrays["mu_dst"]).all()
+
+
+@pytest.fixture(scope="module")
+def binary2d():
+    from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+    return GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
+
+
+class TestMinMaxLowering:
+    """``Min``/``Max`` are inline C with NumPy's NaN rule, not libm calls."""
+
+    #: one (phi_0, phi_1) cell per case of the Gibbs-simplex projection
+    FINITE_CELLS = [
+        (0.25, 0.5),        # inside the simplex faces: only renormalized
+        (0.0, 1.0),         # exactly on the bounds
+        (1.0, 0.0),
+        (-0.25, 1.5),       # below 0 and above 1
+        (3.0, 2.0),         # both clipped to 1
+        (5e-324, 0.5),      # a denormal survives the clip
+        (5e-324, 0.0),      # ... and a denormal sum hits the 1e-300 guard
+        (0.0, 0.0),         # all clipped: 0 / 1e-300
+        (-1.0, -2.0),
+        (np.inf, 0.5),      # ±inf are clipped like any other value
+        (-np.inf, 0.5),
+        (np.inf, -np.inf),
+    ]
+    NAN_CELLS = [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan), (np.nan, np.inf)]
+
+    def _project(self, ks, cells):
+        gl = max(ks.ghost_layers, 1)
+        out = {}
+        for backend, compiler in (
+            ("numpy", compile_numpy_kernel),
+            ("c", compile_c_kernel),
+        ):
+            # 17 cells per row: the vectorized body and the scalar tail both run
+            arrays = create_arrays(ks.fields, (len(cells), 17), gl, fill=0.5)
+            arrays["phi_dst"][gl:-gl, gl:-gl] = np.asarray(cells)[:, None, :]
+            with np.errstate(invalid="ignore"):
+                compiler(ks.projection_kernel)(arrays, ghost_layers=gl, t=0.0)
+            out[backend] = arrays["phi_dst"][gl:-gl, gl:-gl].copy()
+        return out["numpy"], out["c"]
+
+    def test_finite_cells_bitwise_equal(self, binary2d):
+        ref, got = self._project(binary2d, self.FINITE_CELLS)
+        assert np.isfinite(ref).all()
+        assert np.array_equal(ref.view(np.uint64), got.view(np.uint64))
+        assert np.array_equal(ref[7], np.zeros((17, 2)))   # the guarded cell
+
+    def test_nan_propagates_like_numpy(self, binary2d):
+        """libm's fmax(0, NaN) is 0: the parent projected (NaN, 0.5) to (0, 1)."""
+        ref, got = self._project(binary2d, self.NAN_CELLS)
+        assert np.isnan(ref).all()
+        assert np.isnan(got).all()
+
+    def test_negative_zero_compares_equal(self, binary2d):
+        # max(0, -0.0) may be either zero: the helper returns its second
+        # operand on a tie (the vmaxpd rule), NumPy's choice depends on the
+        # SIMD path it was built with — equal under ==, not bit for bit
+        ref, got = self._project(binary2d, [(-0.0, 0.5), (-0.0, -0.0)])
+        assert np.array_equal(ref, got)
+
+    def test_nary_arguments_fold_left(self):
+        """More than two arguments nest to the left; NaN wins at any position."""
+        f, g = Field("f", 1, index_shape=(3,)), Field("g", 1, index_shape=(2,))
+        args = [f.center(i) for i in range(3)]
+        ac = AssignmentCollection(
+            [
+                Assignment(g.center(0), sp.Max(*args)),
+                Assignment(g.center(1), sp.Min(*args)),
+            ],
+            name="minmax3",
+        )
+        k = create_kernel(ac)
+        src = generate_c_source(k)
+        assert "_max(_max(" in src and "_min(_min(" in src
+        cells = [(1.0, 3.0, 2.0), (3.0, 1.0, 2.0), (2.0, 1.0, 3.0)]
+        cells += [tuple(np.roll((np.nan, 1.0, 2.0), s)) for s in range(3)]
+        a_np = create_arrays(k.fields, (len(cells),), 1)
+        a_np["f"][1:-1] = cells
+        a_c = {n: v.copy() for n, v in a_np.items()}
+        with np.errstate(invalid="ignore"):
+            compile_numpy_kernel(k)(a_np, ghost_layers=1)
+        compile_c_kernel(k)(a_c, ghost_layers=1)
+        assert np.array_equal(a_np["g"][1:4], [(3.0, 1.0)] * 3)
+        assert np.array_equal(a_c["g"][1:4], a_np["g"][1:4])
+        assert np.isnan(a_np["g"][4:7]).all() and np.isnan(a_c["g"][4:7]).all()
+
+    def test_nan_watchdog_fires_on_phi(self, binary2d):
+        """A NaN in φ survives the C step, so the health monitor can see it."""
+        from repro.observability import HealthMonitor
+        from repro.pfm import SingleBlockSolver, planar_front
+
+        monitor = HealthMonitor(policy="record", interval=1)
+        solver = SingleBlockSolver(binary2d, (12, 8), backend="c", health=monitor)
+        phi0 = planar_front((12, 8), 2, 0, 1, position=6.0, epsilon=4.0)
+        phi0[3, 4, 0] = np.nan
+        solver.set_state(phi0, mu=0.0)
+        with np.errstate(invalid="ignore"):
+            solver.step(1)
+        assert ("nan", "phi") in {(e.check, e.field) for e in monitor.events}
+
+
+@pytest.mark.skipif(shutil.which("nm") is None, reason="nm (binutils) not installed")
+class TestNoLibmMinMax:
+    """Instruction level: no kernel may call into libm for a minimum or maximum.
+
+    gcc (without ``-ffinite-math-only``) compiles ``fmax``/``fmin`` to a PLT
+    call per cell, which also keeps the loop from being vectorized.
+    """
+
+    @pytest.fixture(scope="class", params=["binary2d", "binary3d", "p1", "diagnostics"])
+    def kernels(self, request):
+        from repro.diagnostics import DiagnosticsSuite
+        from repro.pfm import GrandPotentialModel, make_p1, make_two_phase_binary
+
+        if request.param == "binary2d":
+            return request.getfixturevalue("binary2d").all_kernels
+        if request.param == "p1":
+            return GrandPotentialModel(make_p1(dim=3)).create_kernels().all_kernels
+        if request.param == "diagnostics":
+            model = GrandPotentialModel(make_two_phase_binary(dim=2))
+            return [DiagnosticsSuite.for_model(model, backend="c").kernel]
+        return GrandPotentialModel(make_two_phase_binary(dim=3)).create_kernels().all_kernels
+
+    def test_no_fmin_fmax_in_source_or_symbols(self, kernels):
+        from repro.backends.c_backend import _BASE_FLAGS
+        from repro.profiling import kernel_fingerprint
+        from repro.profiling.diskcache import KernelDiskCache, cache_key
+
+        for kernel in kernels:
+            source = compile_c_kernel(kernel).source
+            assert "fmin" not in source and "fmax" not in source, kernel.name
+            so_path = KernelDiskCache().lookup(
+                cache_key(kernel_fingerprint(kernel), flags=_BASE_FLAGS, backend="c")
+            )
+            assert so_path is not None, kernel.name
+            undefined = subprocess.run(
+                ["nm", "-D", "--undefined-only", str(so_path)],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            assert "fmin" not in undefined and "fmax" not in undefined, (
+                kernel.name, undefined
+            )

@@ -5,9 +5,16 @@ Also runs a single-block per-kernel smoke (after every process-backend
 measurement — libgomp's thread pool does not survive a fork) that writes
 ``BENCH_kernels.json`` at the repo root, appends one ``repro-perf/1``
 record per kernel (plus the scaling series) to the append-only history
-under ``benchmarks/history/``, and gates the hardware-counter sampling
-overhead below ``OVERHEAD_BUDGET`` — the same self-measured < 5 % bar as
-the flight recorder.
+under ``benchmarks/history/``.
+
+The three observability costs (flight recorder, hardware-counter sampling,
+fingerprints) are gated as **unit costs** — µs per recorder event, µs per
+counter sample, ns per hashed byte: self-measured seconds over the number
+of events, samples and bytes of the same run.  Their share of the step
+wall is still written into the BENCH records, as information: a fraction
+of the step punishes every kernel speed-up (the fingerprint share went
+2.95 % → 6.95 % when the projection sweep got 10x faster, with the
+hashing unchanged).
 
 Runs the two-phase binary model on 1/2/4 ranks over a small 2D block forest
 — a miniature of the paper's Fig. 3 scaling study — and records
@@ -26,7 +33,8 @@ run into a ``repro-bench/1`` document.  Two rank runtimes are measured:
 Each rank count is measured with both step schedules (``overlap=off``:
 synchronous ghost exchange; ``overlap=on``: interior/frontier split with
 asynchronous exchange, paper §4.3); multi-rank runs assert the overlapped
-schedule is no slower than the synchronous one within a noise allowance.
+schedule is no slower than the synchronous one within a noise allowance
+plus its fixed split-dispatch cost (``OVERLAP_SPLIT_MS``).
 On a machine with >= 4 cores the 4-rank process run must beat the 1-rank
 process run by more than ``REAL_SPEEDUP_FLOOR``; with fewer cores the
 speedup is recorded (and reported) but not enforced — a 1-core container
@@ -97,12 +105,26 @@ WARMUP = 2
 RANK_COUNTS = (1, 2, 4)
 REPEATS = 3               # best-of, to tame shared-runner noise
 OVERLAP_HEADROOM = 1.15   # allowed sync/overlap noise ratio before failing
+#: what the overlapped schedule costs per step whatever the kernels do: each
+#: block's mu sweep becomes interior + 2*dim frontier dispatches plus an
+#: exchange start/finish.  Measured 0.8-1.4 ms at 1 rank, the same before
+#: and after the projection got 10x faster (4 % of a 24 ms step, 13 % of a
+#: 9.5 ms one), so it is allowed in ms, on top of the relative noise headroom
+OVERLAP_SPLIT_MS = 1.5
 REAL_SPEEDUP_FLOOR = 1.3  # required 4-rank process-backend speedup (>=4 cores)
-OVERHEAD_BUDGET = 0.05    # flight-recorder cost must stay under 5% of step time
-#: fingerprint-gate cadence: hashing every interior byte costs real memory
-#: bandwidth (~40 ms on this domain), so production runs fingerprint every
-#: N-th step; the gate measures the amortized cost at that documented
-#: cadence over a longer window and holds it to the same <5% budget
+#: unit-cost gates, each ~4x the median of nine runs on the recording host
+#: (2-vCPU x86-64 KVM guest, OMP_NUM_THREADS=1): 3.0-4.2 us per recorder
+#: event, 2.2-3.2 us per counter sample (rusage rung), 1.49-1.64 ns per
+#: hashed byte (BLAKE2b digest + merge + fsync'd ledger append); while the
+#: host throttles a vCPU the same run reads 5.0 us, 5.0 us and 2.5 ns.  The
+#: rest of the 4x is room for a slower shared runner and for the dearer
+#: perf rung (one group read per sample)
+RECORDER_US_PER_EVENT = 12.0
+COUNTER_US_PER_SAMPLE = 10.0
+FINGERPRINT_NS_PER_BYTE = 6.0
+#: fingerprint cadence: hashing every interior byte costs real memory
+#: bandwidth (~30 ms on this domain), so production runs fingerprint every
+#: N-th step; the share of the step wall is reported at that cadence
 FINGERPRINT_EVERY = 50
 FINGERPRINT_STEPS = 100
 #: each rank is pinned to one OpenMP thread so the real-parallel speedup
@@ -161,15 +183,28 @@ def _measure_real(kernels, params, n_ranks: int, overlap: bool) -> float:
     )
 
 
-def _measure_fingerprint_overhead(kernels, params) -> tuple[float, int]:
-    """Self-measured fingerprint cost as a fraction of the step wall.
+def _gate_unit_cost(
+    failures: list, what: str, cost: float, unit: str, gate: float,
+    fraction: float, note: str = "",
+) -> None:
+    """Print one observability cost and fail it against its unit-cost gate."""
+    print(
+        f"{what} overhead: {cost:.2f} {unit} (gate {gate:g}; "
+        f"{fraction * 100:.3f}% of wall{note})"
+    )
+    if cost > gate:
+        failures.append(f"{what} costs {cost:.2f} {unit} — above the {gate:g} gate")
+
+
+def _measure_fingerprint_overhead(kernels, params) -> tuple[float, float, int]:
+    """Self-measured fingerprint cost: ns per hashed byte, share of the wall.
 
     One in-parent 1-rank run with the determinism observatory enabled at
     the documented production cadence (``every=FINGERPRINT_EVERY``); the
     stream's own overhead accounting (digest + merge + serialize + fsync)
     is snapshotted around a ``FINGERPRINT_STEPS``-step window and
     published as the ``repro_fingerprint_overhead_seconds`` gauge.
-    Returns ``(amortized fraction, records emitted in the window)``.
+    Returns ``(ns per byte, amortized fraction, records in the window)``.
     """
     import tempfile
 
@@ -186,10 +221,11 @@ def _measure_fingerprint_overhead(kernels, params) -> tuple[float, int]:
         t0 = perf_counter()
         solver.step(FINGERPRINT_STEPS)
         wall = perf_counter() - t0
-        fraction = (stream.overhead_seconds - before_overhead) / wall
+        overhead = stream.overhead_seconds - before_overhead
         records = len(stream.records) - before_records
         stream.publish_overhead()
-    return fraction, records
+    hashed = records * sum(solver.gather(name).nbytes for name in solver.state_fields)
+    return overhead / hashed * 1e9, overhead / wall, records
 
 
 def _precompile(kernels) -> None:
@@ -205,12 +241,12 @@ def _precompile(kernels) -> None:
 
 
 def _kernels_smoke(kernels, params, history: PerfLedger, failures: list) -> BenchWriter:
-    """Per-kernel MLUP/s on one block, with the counter-overhead gate.
+    """Per-kernel MLUP/s on one block, with the counter-sampling gate.
 
     Must run after every process-backend measurement (libgomp fork
     hazard); writes a ``kernels`` BENCH suite, appends per-kernel
     ``repro-perf/1`` records and gates the hardware-counter sampling cost
-    below ``OVERHEAD_BUDGET`` of the measured wall.
+    per sample below ``COUNTER_US_PER_SAMPLE``.
     """
     shape = tuple(n // 2 for n in BLOCK_SHAPE)
     solver = SingleBlockSolver(kernels, shape, backend=BACKEND)
@@ -223,10 +259,14 @@ def _kernels_smoke(kernels, params, history: PerfLedger, failures: list) -> Benc
     solver.profiler.reset()
     harness = get_counter_harness()
     overhead_before = harness.overhead_seconds
+    samples_before = harness.samples_taken
     t0 = perf_counter()
     solver.step(STEPS)
     wall = perf_counter() - t0
-    counter_fraction = (harness.overhead_seconds - overhead_before) / wall
+    counter_seconds = harness.overhead_seconds - overhead_before
+    counter_fraction = counter_seconds / wall
+    # "off" takes no samples and costs nothing
+    counter_us = counter_seconds / max(harness.samples_taken - samples_before, 1) * 1e6
     harness.publish_overhead()
 
     writer = BenchWriter("kernels")
@@ -252,16 +292,12 @@ def _kernels_smoke(kernels, params, history: PerfLedger, failures: list) -> Benc
         "counter_overhead",
         params={"backend": BACKEND, "source": harness.source},
         counter_overhead_fraction=counter_fraction,
+        counter_us_per_sample=counter_us,
     )
-    print(
-        f"hardware-counter overhead: {counter_fraction * 100:.3f}% of wall "
-        f"(source={harness.source}, budget {OVERHEAD_BUDGET * 100:.0f}%)"
+    _gate_unit_cost(
+        failures, "hardware-counter", counter_us, "us per sample",
+        COUNTER_US_PER_SAMPLE, counter_fraction, f", source={harness.source}",
     )
-    if counter_fraction > OVERHEAD_BUDGET:
-        failures.append(
-            f"hardware-counter sampling overhead {counter_fraction * 100:.2f}% "
-            f"of step wall time exceeds the {OVERHEAD_BUDGET * 100:.0f}% budget"
-        )
 
     kernel_records = records_from_profiler(
         "kernels_smoke",
@@ -438,23 +474,26 @@ def main(argv=None) -> int:
             line += (f", real {real_sync[n_ranks] / STEPS * 1e3:.2f} ms "
                      f"(speedup {metrics['real_speedup']:.2f}x)")
         print(line)
-        if n_ranks > 1 and overlap_s > sync_s * OVERLAP_HEADROOM:
+        allowed_s = sync_s * OVERLAP_HEADROOM + OVERLAP_SPLIT_MS * 1e-3 * STEPS
+        if n_ranks > 1 and overlap_s > allowed_s:
             failures.append(
                 f"ranks={n_ranks}: overlapped step "
                 f"{overlap_s / STEPS * 1e3:.2f} ms exceeds synchronous "
                 f"{sync_s / STEPS * 1e3:.2f} ms by more than "
-                f"{(OVERLAP_HEADROOM - 1) * 100:.0f}%"
+                f"{(OVERLAP_HEADROOM - 1) * 100:.0f}% + {OVERLAP_SPLIT_MS} ms"
             )
 
-    # flight-recorder overhead gate: one more instrumented 1-rank run with
-    # the overhead counter snapshotted around it — the always-on recorder
-    # must cost < OVERHEAD_BUDGET of the wall time it instruments
+    # flight-recorder gate: one more instrumented 1-rank run with the
+    # recorder's own overhead and event counters snapshotted around it
     recorder = get_recorder()
     overhead_before = recorder.overhead_seconds
+    events_before = recorder.events_recorded
     t0 = perf_counter()
     _measure_sim(kernels, params, 1, overlap=False)
     overhead_wall = perf_counter() - t0
-    overhead_fraction = (recorder.overhead_seconds - overhead_before) / overhead_wall
+    recorder_seconds = recorder.overhead_seconds - overhead_before
+    overhead_fraction = recorder_seconds / overhead_wall
+    recorder_us = recorder_seconds / max(recorder.events_recorded - events_before, 1) * 1e6
     recorder.publish_overhead()
     writer.add(
         "observability_overhead",
@@ -465,21 +504,16 @@ def main(argv=None) -> int:
             "backend": BACKEND,
         },
         observability_overhead_fraction=overhead_fraction,
+        recorder_us_per_event=recorder_us,
     )
-    print(
-        f"flight-recorder overhead: {overhead_fraction * 100:.3f}% of wall "
-        f"(budget {OVERHEAD_BUDGET * 100:.0f}%)"
+    _gate_unit_cost(
+        failures, "flight-recorder", recorder_us, "us per event",
+        RECORDER_US_PER_EVENT, overhead_fraction,
     )
-    if overhead_fraction > OVERHEAD_BUDGET:
-        failures.append(
-            f"flight-recorder overhead {overhead_fraction * 100:.2f}% of step "
-            f"wall time exceeds the {OVERHEAD_BUDGET * 100:.0f}% budget"
-        )
 
     # determinism-observatory gate: the fingerprint stream (digest + merge
-    # + fsync'd ledger append) gets the same self-measured <5% bar at its
-    # documented production cadence
-    fp_fraction, fp_records = _measure_fingerprint_overhead(kernels, params)
+    # + fsync'd ledger append) per byte it hashed
+    fp_ns, fp_fraction, fp_records = _measure_fingerprint_overhead(kernels, params)
     writer.add(
         "fingerprint_overhead",
         params={
@@ -490,17 +524,14 @@ def main(argv=None) -> int:
             "backend": BACKEND,
         },
         fingerprint_overhead_fraction=fp_fraction,
+        fingerprint_ns_per_byte=fp_ns,
     )
-    print(
-        f"fingerprint overhead: {fp_fraction * 100:.3f}% of wall "
-        f"({fp_records} record(s) at every={FINGERPRINT_EVERY} over "
-        f"{FINGERPRINT_STEPS} steps, budget {OVERHEAD_BUDGET * 100:.0f}%)"
+    _gate_unit_cost(
+        failures, "fingerprint", fp_ns, "ns per hashed byte",
+        FINGERPRINT_NS_PER_BYTE, fp_fraction,
+        f", {fp_records} record(s) at every={FINGERPRINT_EVERY} over "
+        f"{FINGERPRINT_STEPS} steps",
     )
-    if fp_fraction > OVERHEAD_BUDGET:
-        failures.append(
-            f"fingerprint overhead {fp_fraction * 100:.2f}% of step "
-            f"wall time exceeds the {OVERHEAD_BUDGET * 100:.0f}% budget"
-        )
 
     if measure_real:
         top = RANK_COUNTS[-1]
