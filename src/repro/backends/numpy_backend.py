@@ -23,7 +23,7 @@ from ..ir.kernel import Kernel
 from ..symbolic.assignment import Assignment, AssignmentCollection
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
-from ..symbolic.ordering import CanonicalTermOrder
+from ..symbolic.ordering import CanonicalTermOrder, SmallPowersAsProducts
 from ..symbolic.random import RandomValue
 from .runtime import RUNTIME_NAMESPACE
 
@@ -41,7 +41,7 @@ def create_arrays(
     return arrays
 
 
-class _Printer(CanonicalTermOrder, NumPyPrinter):
+class _Printer(CanonicalTermOrder, SmallPowersAsProducts, NumPyPrinter):
     """Expression printer with symbol renaming and fast-math lowering."""
 
     def __init__(self, rename: dict[str, str]):

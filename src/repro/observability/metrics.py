@@ -48,6 +48,18 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def _num(value: float) -> str:
+    """Shortest text that parses back to *value* exactly; integers as integers.
+
+    ``:g`` keeps six significant digits: a byte counter above 10**6 was
+    exported rounded and a gauge did not survive ``parse_prometheus``.
+    """
+    value = float(value)
+    if value.is_integer() and abs(value) < 2**53:
+        return str(int(value))
+    return repr(value)
+
+
 def _label_str(labels: tuple[tuple[str, str], ...], extra: str = "") -> str:
     parts = [f'{k}="{_escape(v)}"' for k, v in labels]
     if extra:
@@ -254,14 +266,14 @@ class MetricsRegistry:
                 if isinstance(inst, Histogram):
                     cumulative = inst.cumulative()
                     for bound, c in zip(inst.bounds, cumulative):
-                        le = _label_str(key, f'le="{bound:g}"')
+                        le = _label_str(key, f'le="{_num(bound)}"')
                         lines.append(f"{name}_bucket{le} {c}")
                     le = _label_str(key, 'le="+Inf"')
                     lines.append(f"{name}_bucket{le} {cumulative[-1]}")
-                    lines.append(f"{name}_sum{_label_str(key)} {inst.sum:g}")
+                    lines.append(f"{name}_sum{_label_str(key)} {_num(inst.sum)}")
                     lines.append(f"{name}_count{_label_str(key)} {inst.count}")
                 else:
-                    lines.append(f"{name}{_label_str(key)} {inst.value:g}")
+                    lines.append(f"{name}{_label_str(key)} {_num(inst.value)}")
         return "\n".join(lines) + "\n"
 
     def export_prometheus(self, path) -> str:

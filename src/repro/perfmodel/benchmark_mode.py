@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.c_backend import generate_c_source
+from ..backends.c_backend import _CODEGEN_FLAGS, generate_c_source
 from ..ir.kernel import Kernel
 
 __all__ = ["MeasuredPerformance", "measure_kernel", "generate_benchmark_source"]
@@ -152,7 +152,7 @@ def measure_kernel(
     from ..profiling.diskcache import KernelDiskCache, cache_key
 
     source = generate_benchmark_source(kernel, interior_shape, iterations, repeats)
-    bench_flags = ("-O3", "-march=native", "-std=c99", "-lm")
+    bench_flags = (*_CODEGEN_FLAGS, "-lm")
     digest = hashlib.sha256(source.encode()).hexdigest()
     key = cache_key(digest, flags=bench_flags, backend="c-bench")
     cache = KernelDiskCache()
@@ -162,9 +162,9 @@ def measure_kernel(
             c_path = Path(td) / f"bench_{kernel.name}.c"
             c_path.write_text(source)
             cc = os.environ.get("CC", "cc")
-            base = [cc, "-O3", "-march=native", "-std=c99"]
+            base = [cc, *_CODEGEN_FLAGS]
             last = None
-            for flags in ([*base, "-fopenmp"], base):
+            for flags in ([*base, "-fopenmp"], [*base, "-fopenmp-simd"]):
                 try:
                     subprocess.run(
                         [*flags, "-o", str(tmp_path), str(c_path), "-lm"],

@@ -16,6 +16,10 @@ interpreter's hash seed.
 number replaced by its ``float`` value, which is a total order (numerically
 equal coefficients tie and the next key entry decides — the order sympy
 itself produces whenever the comparison is consistent).
+
+The module holds the lowering rules every code printer must share for the
+backends to agree bit for bit: besides the term order, how a small integer
+power is spelled (:class:`SmallPowersAsProducts`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import sympy as sp
 from sympy.core.sorting import default_sort_key
 
-__all__ = ["CanonicalTermOrder", "ordered_terms"]
+__all__ = ["CanonicalTermOrder", "SmallPowersAsProducts", "ordered_terms"]
 
 _term_key, _ = sp.Expr._parse_order(None)
 
@@ -55,3 +59,24 @@ class CanonicalTermOrder:
 
     def _as_ordered_terms(self, expr, order=None):
         return ordered_terms(expr)
+
+
+class SmallPowersAsProducts:
+    """Code-printer mixin: ``x**n`` for integer ``2 <= |n| <= 8`` is a product.
+
+    Shared by the C and the NumPy printer so that both round the same way:
+    ``x*x*x`` rounds after every multiplication, ``pow(x, 3)`` /
+    ``numpy.power`` once at the end (and calls libm per element).  The
+    chain multiplies left to right in both languages.
+    """
+
+    def _print_Pow(self, expr):
+        base, expo = expr.args
+        if expo.is_Integer and 1 < abs(int(expo)) <= 8:
+            b = self._print(base)
+            if not (base.is_Symbol or base.is_Function):
+                b = f"({b})"
+            chain = "*".join([b] * abs(int(expo)))
+            # parenthesize: the caller assumes Pow precedence, the chain has Mul
+            return f"({chain})" if int(expo) > 0 else f"(1.0/({chain}))"
+        return super()._print_Pow(expr)

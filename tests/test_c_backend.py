@@ -1,5 +1,7 @@
 """C backend tests: bitwise parity with the NumPy backend."""
 
+import os
+import re
 import shutil
 import subprocess
 
@@ -9,6 +11,7 @@ import sympy as sp
 
 from repro.backends import compile_numpy_kernel, create_arrays
 from repro.backends.c_backend import (
+    _BASE_FLAGS,
     c_compiler_available,
     compile_c_kernel,
     generate_c_source,
@@ -112,6 +115,21 @@ class TestParity:
             a_np["g"][1:-1, 1:-1], a_c["g"][1:-1, 1:-1], rtol=1e-6
         )
 
+    def test_small_integer_powers_are_products_in_both_backends(self):
+        """``x**3`` is ``x*x*x`` in C and in NumPy: ``pow`` rounds once, the chain twice."""
+        from repro.backends.numpy_backend import generate_numpy_source
+
+        f, g = Field("f", 2), Field("g", 2)
+        c = f.center()
+        ac = AssignmentCollection(
+            [Assignment(g.center(), c**3 + (c + 2) ** -2 + 5 * c**8)], name="pows"
+        )
+        k = create_kernel(ac)
+        assert "pow(" not in generate_c_source(k)
+        assert "**" not in generate_numpy_source(k)
+        a_np, a_c = _run_both([k], (9, 13))
+        assert np.array_equal(a_np["g"].view(np.uint64), a_c["g"].view(np.uint64))
+
 
 class TestBinaryModelParity:
     def test_full_time_step(self):
@@ -151,6 +169,24 @@ class TestSourceStructure:
         (k,) = _heat_kernel(3)
         src = generate_c_source(k)
         assert "#pragma omp parallel for" in src
+
+    def test_simd_on_the_innermost_loop(self):
+        (k,) = _heat_kernel(3)
+        lines = [line.strip() for line in generate_c_source(k).splitlines()]
+        at = lines.index("#pragma omp simd")
+        assert lines[at + 1].startswith("for (int64_t i2")
+        assert lines.count("#pragma omp simd") == 1
+        (k1,) = _heat_kernel(1)
+        assert "#pragma omp parallel for simd schedule(static)" in generate_c_source(k1)
+
+    def test_reduction_kernels_carry_no_simd(self):
+        """``simd reduction`` would reorder the sums the diagnostics report."""
+        from repro.diagnostics import DiagnosticsSuite
+        from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+        model = GrandPotentialModel(make_two_phase_binary(dim=2))
+        src = generate_c_source(DiagnosticsSuite.for_model(model, backend="c").kernel)
+        assert "reduction(+:" in src and "simd" not in src
 
     def test_restrict_pointers(self):
         (k,) = _heat_kernel(2)
@@ -212,6 +248,35 @@ def binary2d():
     from repro.pfm import GrandPotentialModel, make_two_phase_binary
 
     return GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
+
+
+@pytest.fixture(scope="module")
+def binary3d():
+    from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+    return GrandPotentialModel(make_two_phase_binary(dim=3)).create_kernels()
+
+
+@pytest.fixture(scope="module")
+def p1():
+    from repro.pfm import GrandPotentialModel, make_p1
+
+    return GrandPotentialModel(make_p1(dim=3)).create_kernels()
+
+
+def _undefined_symbols(kernel) -> str:
+    """``nm -D --undefined-only`` of the cached ``.so`` of a compiled kernel."""
+    from repro.profiling import kernel_fingerprint
+    from repro.profiling.diskcache import KernelDiskCache, cache_key
+
+    so_path = KernelDiskCache().lookup(
+        cache_key(kernel_fingerprint(kernel), flags=_BASE_FLAGS, backend="c")
+    )
+    assert so_path is not None, kernel.name
+    return subprocess.run(
+        ["nm", "-D", "--undefined-only", str(so_path)],
+        check=True, capture_output=True, text=True,
+    ).stdout
 
 
 class TestMinMaxLowering:
@@ -320,33 +385,172 @@ class TestNoLibmMinMax:
     @pytest.fixture(scope="class", params=["binary2d", "binary3d", "p1", "diagnostics"])
     def kernels(self, request):
         from repro.diagnostics import DiagnosticsSuite
-        from repro.pfm import GrandPotentialModel, make_p1, make_two_phase_binary
+        from repro.pfm import GrandPotentialModel, make_two_phase_binary
 
-        if request.param == "binary2d":
-            return request.getfixturevalue("binary2d").all_kernels
-        if request.param == "p1":
-            return GrandPotentialModel(make_p1(dim=3)).create_kernels().all_kernels
         if request.param == "diagnostics":
             model = GrandPotentialModel(make_two_phase_binary(dim=2))
             return [DiagnosticsSuite.for_model(model, backend="c").kernel]
-        return GrandPotentialModel(make_two_phase_binary(dim=3)).create_kernels().all_kernels
+        return request.getfixturevalue(request.param).all_kernels
 
     def test_no_fmin_fmax_in_source_or_symbols(self, kernels):
-        from repro.backends.c_backend import _BASE_FLAGS
-        from repro.profiling import kernel_fingerprint
-        from repro.profiling.diskcache import KernelDiskCache, cache_key
-
         for kernel in kernels:
             source = compile_c_kernel(kernel).source
             assert "fmin" not in source and "fmax" not in source, kernel.name
-            so_path = KernelDiskCache().lookup(
-                cache_key(kernel_fingerprint(kernel), flags=_BASE_FLAGS, backend="c")
-            )
-            assert so_path is not None, kernel.name
-            undefined = subprocess.run(
-                ["nm", "-D", "--undefined-only", str(so_path)],
-                check=True, capture_output=True, text=True,
-            ).stdout
+            undefined = _undefined_symbols(kernel)
             assert "fmin" not in undefined and "fmax" not in undefined, (
                 kernel.name, undefined
             )
+
+
+class TestVectorized:
+    """Compiler level: gcc reports the innermost loop of every kernel vectorized.
+
+    The P1 µ loop needs both halves of the backend's recipe: without
+    ``-fno-math-errno`` gcc stops at "control flow in loop" (the errno branch
+    of ``sqrt``), without ``#pragma omp simd`` at "complicated access
+    pattern" (its cost model on the stride-4 φ / stride-2 µ accesses).
+    """
+
+    #: gcc 12 has no lane permutation for an interleaved group of 6 or 12
+    #: doubles — the staggered flux field of a 3-D split kernel, read whole
+    #: per cell: "the size of the group of accesses is not a power of 2 or
+    #: not equal to 3".  A pragma cannot help; a structure-of-arrays layout
+    #: would (ROADMAP 3b).  Not asserted scalar: a newer gcc may do better.
+    NOT_VECTORIZABLE = {("binary3d", "phi_main"), ("p1", "phi_main"), ("p1", "mu_main")}
+
+    @pytest.fixture(
+        scope="class",
+        params=[(m, v) for m in ("binary2d", "binary3d", "p1") for v in ("full", "split")],
+        ids="-".join,
+    )
+    def kernel_set(self, request):
+        model, variant = request.param
+        ks = request.getfixturevalue(model)
+        if variant == "split":
+            ks = ks.model.create_kernels(variant_phi="split", variant_mu="split")
+        return model, ks
+
+    @staticmethod
+    def _vectorized_lines(source, tmp_path) -> set[int]:
+        """Source lines gcc names in a "loop vectorized" report, backend flags."""
+        c_path = tmp_path / "k.c"
+        c_path.write_text(source)
+        cc = os.environ.get("CC", "cc")
+        proc = subprocess.run(
+            [cc, *_BASE_FLAGS, "-fopenmp", "-fopt-info-vec-optimized",
+             "-o", str(tmp_path / "k.so"), str(c_path)],
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            # only a compiler without the report option or OpenMP excuses the gate
+            assert "fopt-info" in proc.stderr or "fopenmp" in proc.stderr, proc.stderr
+            pytest.skip(f"{cc} takes no -fopenmp -fopt-info-vec-optimized")
+        return {
+            int(m.group(1))
+            for m in re.finditer(r":(\d+):\d+: optimized: loop vectorized", proc.stderr)
+        }
+
+    def test_innermost_loops_are_vectorized(self, kernel_set, tmp_path):
+        model, ks = kernel_set
+        for kernel in ks.all_kernels:
+            source = generate_c_source(kernel)
+            lines = [line.strip() for line in source.splitlines()]
+            simd = [i for i, line in enumerate(lines) if line == "#pragma omp simd"]
+            assert len(simd) == source.count("/* region"), kernel.name
+            if (model, kernel.name) in self.NOT_VECTORIZABLE:
+                continue
+            reported = self._vectorized_lines(source, tmp_path)
+            for at in simd:
+                # the innermost body holds no brace: the loop ends at the next
+                # "}"; gcc names a line of the loop (1-based), not the pragma
+                end = lines.index("}", at)
+                assert reported & set(range(at + 2, end + 2)), (
+                    model, kernel.name, at + 1, sorted(reported)
+                )
+
+    @pytest.mark.skipif(shutil.which("nm") is None, reason="nm (binutils) not installed")
+    def test_p1_mu_does_not_import_sqrt(self, p1):
+        """The errno path was the only reason ``sqrt`` was a libm call."""
+        (mu,) = p1.mu_kernels
+        assert "sqrt(" in compile_c_kernel(mu).source
+        assert "sqrt" not in _undefined_symbols(mu)
+
+
+class TestSerialFallback:
+    def test_compiler_without_openmp_still_gets_the_simd_loop(self, tmp_path, monkeypatch):
+        """``-fopenmp`` refused: the retry carries ``-fopenmp-simd``, no libgomp."""
+        log = tmp_path / "args.log"
+        wrapper = tmp_path / "cc-noomp"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'echo "$@" >> {log}\n'
+            'for a in "$@"; do\n'
+            '  [ "$a" = -fopenmp ] && { echo "no OpenMP here" >&2; exit 1; }\n'
+            "done\n"
+            f'exec {shutil.which(os.environ.get("CC", "cc"))} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+        (k,) = _heat_kernel(2)
+        a_np, a_c = _run_both([k], (9, 13), dt=1e-3, dx_0=0.1, dx_1=0.2)
+        np.testing.assert_array_equal(a_np["f_dst"], a_c["f_dst"])
+        refused, built = [a.split() for a in log.read_text().splitlines() if " -o " in a]
+        assert "-fopenmp" in refused
+        assert "-fopenmp-simd" in built and "-fopenmp" not in built
+        if shutil.which("nm"):
+            assert "GOMP" not in _undefined_symbols(k)
+
+
+class TestP1Parity:
+    """P1 (4 phases, 3 components) in 3-D, the kernel set that needs the pragma."""
+
+    #: inner extent 13: a vector body and a remainder on any vector width
+    SHAPE = (12, 10, 13)
+    STEPS = 5
+
+    @staticmethod
+    def _phi0(shape):
+        from repro.pfm import planar_front
+
+        rng = np.random.default_rng(0)
+        phi = planar_front(shape, 4, 0, 1, position=5.3, epsilon=4.0)
+        phi = phi + 0.05 * rng.random(phi.shape)     # all four phases present
+        return phi / phi.sum(axis=-1, keepdims=True)
+
+    @pytest.fixture(scope="class")
+    def c_single(self, p1):
+        from repro.pfm import SingleBlockSolver
+
+        solver = SingleBlockSolver(p1, self.SHAPE, backend="c", boundary="neumann", seed=3)
+        solver.set_state(self._phi0(self.SHAPE), mu=0.0)
+        solver.step(self.STEPS)
+        return solver.phi.copy(), solver.mu.copy()
+
+    def test_c_equals_numpy_bitwise(self, p1, c_single):
+        from repro.pfm import SingleBlockSolver
+
+        solver = SingleBlockSolver(p1, self.SHAPE, backend="numpy", boundary="neumann", seed=3)
+        solver.set_state(self._phi0(self.SHAPE), mu=0.0)
+        solver.step(self.STEPS)
+        for got, ref in zip(c_single, (solver.phi, solver.mu)):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_overlapped_forest_equals_single_block(self, p1, c_single):
+        """Restricted kernels: interior plus one-cell-thin frontier slabs."""
+        from repro.parallel import BlockForest, DistributedSolver
+
+        phi0 = self._phi0(self.SHAPE)
+
+        def init(offset, block_shape):
+            return phi0[tuple(slice(o, o + s) for o, s in zip(offset, block_shape))], 0.0
+
+        forest = BlockForest(self.SHAPE, (6, 10, 13), periodic=False)
+        solver = DistributedSolver(
+            p1, forest, backend="c", wall_mode="neumann", seed=3, overlap=True
+        )
+        solver.set_state_from(init)
+        solver.step(self.STEPS)
+        for got, ref in zip((solver.gather("phi"), solver.gather("mu")), c_single):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

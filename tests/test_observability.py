@@ -165,6 +165,26 @@ class TestMetrics:
             parsed, "repro_latency_seconds", "repro_latency_seconds_bucket", le="1"
         ) == 2  # cumulative buckets
 
+    def test_prometheus_values_round_trip_exactly(self):
+        """``:g`` kept six digits: a 9-digit counter and a gauge came back rounded."""
+        reg = MetricsRegistry()
+        reg.counter("repro_cache_bytes_total", "bytes").inc(123456789)
+        reg.gauge("repro_overhead_seconds", "overhead").set(3.42449638992548e-05)
+        h = reg.histogram("repro_latency_seconds", "latency", buckets=(2.5e6,))
+        h.observe(1234567.125)
+
+        text = reg.to_prometheus()
+        assert "repro_cache_bytes_total 123456789\n" in text   # integers as integers
+        parsed = parse_prometheus(text)
+        assert find_sample(parsed, "repro_cache_bytes_total") == 123456789
+        assert find_sample(parsed, "repro_overhead_seconds") == 3.42449638992548e-05
+        assert find_sample(
+            parsed, "repro_latency_seconds", "repro_latency_seconds_sum"
+        ) == 1234567.125
+        assert find_sample(
+            parsed, "repro_latency_seconds", "repro_latency_seconds_bucket", le="2500000"
+        ) == 1
+
     def test_json_export(self):
         reg = MetricsRegistry()
         reg.counter("repro_things_total", "things", solver="single").inc()
