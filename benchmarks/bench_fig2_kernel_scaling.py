@@ -32,7 +32,7 @@ def ecm():
     return ECMModel(SKYLAKE_8174)
 
 
-def test_fig2_left_mu_variants(benchmark, ecm, p1_full, p1_split, bench_json):
+def test_fig2_left_mu_variants(benchmark, ecm, p1_full, p1_split):
     p_full = [ecm.predict(k, (60, 60, 60)) for k in p1_full.mu_kernels]
     p_split = [ecm.predict(k, (60, 60, 60)) for k in p1_split.mu_kernels]
 
@@ -54,13 +54,8 @@ def test_fig2_left_mu_variants(benchmark, ecm, p1_full, p1_split, bench_json):
     lines.append("")
     lines.append(f"  ECM crossover (µ-full overtakes µ-split): {crossover} cores   (paper: 16)")
     emit_table("fig2_left_mu_scaling", lines)
-    bench_json(
-        "kernels", "fig2_left_mu_variants",
-        params={"block": "60x60x60", "socket_cores": 24},
-        mu_full_mlups_per_core_24=series[24][0],
-        mu_split_mlups_per_core_24=series[24][1],
-        crossover_cores=float(crossover),
-    )
+    benchmark.extra_info["µ-full MLUP/s per core at 24"] = round(series[24][0], 3)
+    benchmark.extra_info["µ-split MLUP/s per core at 24"] = round(series[24][1], 3)
 
     # paper shapes: split faster at 1 core, declining; full flat; crossover in-socket
     assert series[1][1] > series[1][0]
@@ -102,7 +97,7 @@ def test_fig2_middle_phi_variants(benchmark, ecm, p1_full, p1_split, p2_full, p2
     benchmark(lambda: [ecm.predict(k, (60, 60, 60)) for k in p2_full.phi_kernels])
 
 
-def test_fig2_measured_single_core(benchmark, p1_full, p1_split, bench_json):
+def test_fig2_measured_single_core(benchmark, p1_full, p1_split):
     """Measured C-kernel rates on this machine (the 'Bench' curves)."""
     from repro.backends.c_backend import c_compiler_available, compile_c_kernel
     from repro.backends.numpy_backend import create_arrays
@@ -148,12 +143,8 @@ def test_fig2_measured_single_core(benchmark, p1_full, p1_split, bench_json):
         "split must not be slower single-core)",
     ]
     emit_table("fig2_measured_single_core", lines)
-    bench_json(
-        "kernels", "fig2_measured_single_core",
-        params={"block": f"{n}x{n}x{n}", "backend": "c"},
-        mu_full_mlups=results["mu-full"],
-        mu_split_mlups=results["mu-split"],
-    )
+    for label, mlups in results.items():
+        benchmark.extra_info[f"{label} MLUP/s"] = round(mlups, 3)
     assert results["mu-split"] > 0.85 * results["mu-full"]
 
     mu_full_kernels = [compile_c_kernel(k) for k in p1_full.mu_kernels]

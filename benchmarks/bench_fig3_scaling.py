@@ -31,7 +31,7 @@ def _cpu_core_rate(p1_full, p1_split):
     return 1.0 / sum(1.0 / p.mlups(n) for p in preds) / n
 
 
-def test_fig3_left_weak_scaling_cpu(benchmark, p1_full, p1_split, bench_json):
+def test_fig3_left_weak_scaling_cpu(benchmark, p1_full, p1_split):
     from repro.parallel import ClusterModel, CommOptions, OMNIPATH_FAT_TREE
 
     generated_rate = _cpu_core_rate(p1_full, p1_split)
@@ -70,13 +70,7 @@ def test_fig3_left_weak_scaling_cpu(benchmark, p1_full, p1_split, bench_json):
     lines.append(f"generated / manual at scale: {ratio:.2f}x   (paper: ≈ 1.2x)")
     lines.append(f"paper: ≈ 6 MLUP/s per core sustained, near-perfect weak scaling")
     emit_table("fig3_left_weak_scaling_cpu", lines)
-    bench_json(
-        "scaling", "fig3_left_weak_scaling_cpu",
-        params={"cores": gen_pts[-1].ranks, "cells_per_core": "60x60x60"},
-        mlups_per_core=gen_pts[-1].mlups_per_rank,
-        parallel_efficiency=gen_pts[-1].efficiency,
-        generated_over_manual=ratio,
-    )
+    benchmark.extra_info["MLUP/s per core at 2^19"] = round(gen_pts[-1].mlups_per_rank, 3)
 
     # flatness: per-core rate at 2^19 cores within 5 % of 32 cores
     assert gen_pts[-1].mlups_per_rank > 0.95 * gen_pts[0].mlups_per_rank
@@ -87,7 +81,7 @@ def test_fig3_left_weak_scaling_cpu(benchmark, p1_full, p1_split, bench_json):
     benchmark(lambda: model.weak_scaling((60, 60, 60), cores))
 
 
-def test_fig3_middle_weak_scaling_gpu(benchmark, p1_full, p1_split, bench_json):
+def test_fig3_middle_weak_scaling_gpu(benchmark, p1_full, p1_split):
     from repro.gpu import TransformationSequence, apply_sequence
     from repro.parallel import ARIES_DRAGONFLY, ClusterModel, CommOptions
 
@@ -121,12 +115,7 @@ def test_fig3_middle_weak_scaling_gpu(benchmark, p1_full, p1_split, bench_json):
     lines.append("")
     lines.append("paper: ≈ 440 MLUP/s per GPU, flat to 2 400 GPUs")
     emit_table("fig3_middle_weak_scaling_gpu", lines)
-    bench_json(
-        "scaling", "fig3_middle_weak_scaling_gpu",
-        params={"gpus": pts[-1].ranks, "cells_per_gpu": "400x400x400"},
-        mlups_per_gpu=pts[-1].mlups_per_rank,
-        parallel_efficiency=pts[-1].efficiency,
-    )
+    benchmark.extra_info["MLUP/s per GPU at 2400"] = round(pts[-1].mlups_per_rank, 1)
 
     assert pts[-1].mlups_per_rank > 0.93 * pts[0].mlups_per_rank
     assert 250 < gpu_rate < 700, "GPU rate should be in the paper's regime"
@@ -134,7 +123,7 @@ def test_fig3_middle_weak_scaling_gpu(benchmark, p1_full, p1_split, bench_json):
     benchmark(lambda: cluster.weak_scaling((400, 400, 400), gpus))
 
 
-def test_fig3_overlap_measured_step_times(bench_json):
+def test_fig3_overlap_measured_step_times():
     """Executed (not modeled) sync vs overlapped step times on simulated ranks.
 
     Runs the 2D two-phase binary model over 2 simulated MPI ranks with both
@@ -208,28 +197,17 @@ def test_fig3_overlap_measured_step_times(bench_json):
         "",
         "paper: overlapped schedule hides the ghost exchange behind the",
         "interior sweep; on shared 1-core runners parity within noise is",
-        "the expected outcome (tools/bench_scaling_smoke.py gates the ratio)",
+        "the expected outcome (benchmarks/perf reports parallel.overlap_gain)",
     ]
     emit_table("fig3_overlap_measured", lines)
-    bench_json(
-        "scaling", "fig3_overlap_measured",
-        params={
-            "ranks": n_ranks, "backend": backend,
-            "domain": "x".join(map(str, global_shape)),
-            "block": "x".join(map(str, block_shape)), "steps": steps,
-        },
-        step_seconds_sync=sync_s,
-        step_seconds_overlap=overlap_s,
-        predicted_overlap_gain=closure["predicted_gain"],
-    )
 
     assert sync_s > 0 and overlap_s > 0
-    # perf gating lives in the scaling smoke; this only guards against the
-    # overlapped schedule degenerating outright
+    # only guards against the overlapped schedule degenerating outright;
+    # the ratio is benchmarks/perf's parallel.overlap_gain
     assert overlap_s < 2.0 * sync_s
 
 
-def test_fig3_real_parallel_measured(bench_json):
+def test_fig3_real_parallel_measured():
     """Executed step times on *real OS processes* (the process backend).
 
     Runs the 2D two-phase binary model on 1 and 2 process-backed ranks
@@ -241,9 +219,9 @@ def test_fig3_real_parallel_measured(bench_json):
     forked ranks safe regardless of test ordering.
 
     On shared 1-core runners a speedup near 1/n is the physical ceiling;
-    the speedup floor is gated by ``tools/bench_scaling_smoke.py`` (which
-    forks before any parallel region and can use the C backend), so this
-    test only asserts liveness and records the measurement.
+    the C-backend speedup is ``parallel.rank_speedup`` of
+    ``benchmarks/perf/run.py`` (whose workers fork before any parallel
+    region), so this test only asserts liveness and tabulates the measurement.
     """
     from time import perf_counter
 
@@ -306,26 +284,16 @@ def test_fig3_real_parallel_measured(bench_json):
         f"(speedup {speedup:.2f}x)",
         "",
         "paper: rank-parallel execution over distributed blocks; the",
-        "speedup floor on multi-core hosts is gated by the scaling smoke",
+        "C-backend speedup is benchmarks/perf's parallel.rank_speedup",
     ]
     emit_table("fig3_real_parallel_measured", lines)
-    bench_json(
-        "scaling", "fig3_real_parallel_measured",
-        params={
-            "ranks": n_ranks, "backend": "numpy",
-            "domain": "x".join(map(str, global_shape)),
-            "block": "x".join(map(str, block_shape)), "steps": steps,
-        },
-        step_seconds_real=parallel_s,
-        real_speedup=speedup,
-    )
 
     assert serial_s > 0 and parallel_s > 0
-    # liveness guard only: real perf gating lives in the scaling smoke
+    # liveness guard only
     assert speedup > 0.1
 
 
-def test_fig3_right_strong_scaling(benchmark, p1_full, p1_split, bench_json):
+def test_fig3_right_strong_scaling(benchmark, p1_full, p1_split):
     from repro.parallel import ClusterModel, CommOptions, OMNIPATH_FAT_TREE
 
     rate = _cpu_core_rate(p1_full, p1_split)
@@ -363,13 +331,8 @@ def test_fig3_right_strong_scaling(benchmark, p1_full, p1_split, bench_json):
     )
     lines.append("paper: ≈0.2 s per step at 48 cores → 460 steps/s at 152 064 cores")
     emit_table("fig3_right_strong_scaling", lines)
-    bench_json(
-        "scaling", "fig3_right_strong_scaling",
-        params={"domain": "512x256x256", "cores_max": cores[-1]},
-        steps_per_second_48=pts[0].steps_per_second,
-        steps_per_second_max=pts[-1].steps_per_second,
-        speedup=speedup,
-    )
+    benchmark.extra_info["MLUP/s per core at 48"] = round(pts[0].mlups_per_rank, 3)
+    benchmark.extra_info[f"MLUP/s per core at {cores[-1]}"] = round(pts[-1].mlups_per_rank, 3)
 
     # paper anchors: ≈0.1–0.3 s/step at 48 cores, hundreds of steps/s at the
     # extreme end where the per-step overhead floor dominates

@@ -57,17 +57,8 @@ def _attach_model_accuracy(benchmark, kernels, n):
     )
 
 
-def _record_bench_json(bench_json, benchmark, name, backend, n):
-    bench_json(
-        "kernels", f"{name}/{backend}",
-        params={"block": f"{n}x{n}x{n}", "backend": backend},
-        mlups=n**3 / benchmark.stats["mean"] / 1e6,
-        mean_seconds=benchmark.stats["mean"],
-    )
-
-
 class TestPhiKernelThroughput:
-    def test_phi_full(self, benchmark, p1_full, backend, bench_json):
+    def test_phi_full(self, benchmark, p1_full, backend):
         n = 32
         kernels = [p1_full.phi_kernels[0]]
         compiled = _compile(kernels, backend)
@@ -81,11 +72,10 @@ class TestPhiKernelThroughput:
         benchmark.extra_info["MLUP/s"] = round(n**3 / benchmark.stats["mean"] / 1e6, 3)
         benchmark.extra_info["backend"] = backend
         _attach_model_accuracy(benchmark, kernels, n)
-        _record_bench_json(bench_json, benchmark, "phi_full", backend, n)
 
 
 class TestMuKernelThroughput:
-    def test_mu_full(self, benchmark, p1_full, backend, bench_json):
+    def test_mu_full(self, benchmark, p1_full, backend):
         n = 32
         kernels = p1_full.mu_kernels
         compiled = _compile(kernels, backend)
@@ -99,9 +89,8 @@ class TestMuKernelThroughput:
         benchmark.extra_info["MLUP/s"] = round(n**3 / benchmark.stats["mean"] / 1e6, 3)
         benchmark.extra_info["backend"] = backend
         _attach_model_accuracy(benchmark, kernels, n)
-        _record_bench_json(bench_json, benchmark, "mu_full", backend, n)
 
-    def test_mu_split(self, benchmark, p1_split, backend, bench_json):
+    def test_mu_split(self, benchmark, p1_split, backend):
         n = 32
         kernels = p1_split.mu_kernels
         compiled = _compile(kernels, backend)
@@ -115,11 +104,10 @@ class TestMuKernelThroughput:
         benchmark.extra_info["MLUP/s"] = round(n**3 / benchmark.stats["mean"] / 1e6, 3)
         benchmark.extra_info["backend"] = backend
         _attach_model_accuracy(benchmark, kernels, n)
-        _record_bench_json(bench_json, benchmark, "mu_split", backend, n)
 
 
 class TestProjectionThroughput:
-    def test_projection(self, benchmark, p1_full, backend, bench_json):
+    def test_projection(self, benchmark, p1_full, backend):
         n = 32
         kernels = [p1_full.projection_kernel]
         compiled = _compile(kernels, backend)
@@ -129,6 +117,6 @@ class TestProjectionThroughput:
             compiled[0](arrays, ghost_layers=1)
 
         benchmark(sweep)
+        benchmark.extra_info["MLUP/s"] = round(n**3 / benchmark.stats["mean"] / 1e6, 3)
         benchmark.extra_info["backend"] = backend
         _attach_model_accuracy(benchmark, kernels, n)
-        _record_bench_json(bench_json, benchmark, "projection", backend, n)

@@ -5,15 +5,9 @@ anisotropic variational derivatives take ~30 s), so all benches share
 session-scoped kernel sets.  Every bench writes its regenerated table to
 ``benchmarks/results/<experiment>.txt`` and also emits it to stdout, so
 ``pytest benchmarks/ --benchmark-only`` leaves the full set of
-paper-comparison tables on disk.
-
-Benches additionally record their headline numbers through the
-``bench_json`` fixture; at session end the collected records are written
-as machine-readable ``BENCH_<suite>.json`` documents at the repo root
-(schema ``repro-bench/1``), the input of ``tools/bench_regress.py`` — and
-every record is *appended* to the ``repro-perf/1`` history ledger under
-``benchmarks/history/``, the input of ``tools/perf_trend.py`` (the BENCH
-files are snapshots; the ledger is the trajectory).
+paper-comparison tables on disk.  Headline numbers go into
+``benchmark.extra_info``, which ``--benchmark-json`` stores next to the
+timing statistics.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def emit_table(experiment: str, lines: list[str]) -> str:
@@ -34,42 +27,6 @@ def emit_table(experiment: str, lines: list[str]) -> str:
     (RESULTS_DIR / f"{experiment}.txt").write_text(text)
     sys.stdout.write(f"\n{'=' * 72}\n{text}{'=' * 72}\n")
     return text
-
-
-@pytest.fixture(scope="session")
-def bench_json():
-    """Session-wide BENCH JSON collector: ``bench_json(suite, name, ...)``.
-
-    ``suite`` is ``"scaling"`` or ``"kernels"``; extra keyword arguments are
-    the metrics (finite numbers).  Documents are only written for suites
-    that recorded at least one record, so partial runs (``-k``) still
-    produce valid files.
-    """
-    from repro.observability.bench import BenchWriter
-
-    writers: dict[str, BenchWriter] = {}
-
-    def record(suite: str, name: str, params: dict | None = None, **metrics):
-        writer = writers.get(suite)
-        if writer is None:
-            writer = writers[suite] = BenchWriter(suite)
-        writer.add(name, params=params, **metrics)
-
-    yield record
-    from repro.perfmodel.ledger import PerfLedger, perf_record
-
-    ledger = PerfLedger(REPO_ROOT / "benchmarks" / "history" / "perf_history.jsonl")
-    for suite, writer in sorted(writers.items()):
-        if writer.records:
-            path = writer.write(REPO_ROOT / f"BENCH_{suite}.json")
-            sys.stdout.write(f"\nbench records written to {path}\n")
-            appended = ledger.extend(
-                perf_record(suite, r["name"], r["metrics"], options=r["params"])
-                for r in writer.records
-            )
-            sys.stdout.write(
-                f"appended {appended} record(s) to {ledger.path}\n"
-            )
 
 
 @pytest.fixture(scope="session")

@@ -21,23 +21,13 @@ This subsystem makes every layer observable:
   tracers merged into one multi-track Perfetto timeline, the per-(src, dst)
   communication matrix, the λ = max/mean step-time imbalance factor and
   the comm-model closure against
-  :class:`repro.parallel.comm_model.StepTimeModel`,
-* :mod:`~repro.observability.bench` — the machine-readable benchmark
-  trajectory (``BENCH_scaling.json`` / ``BENCH_kernels.json``) consumed by
-  ``tools/bench_regress.py``.
+  :class:`repro.parallel.comm_model.StepTimeModel`.
 
 Everything is off by default and zero-cost when disabled; the kernel cache
 and the solvers are pre-wired, so ``enable_tracing()`` plus a run is enough
 to get a ``trace.json``.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BenchSchemaError,
-    BenchWriter,
-    load_bench_document,
-    validate_bench_document,
-)
 from .distributed import (
     CommMatrix,
     comm_closure_report,
@@ -117,9 +107,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchSchemaError",
-    "BenchWriter",
     "CommMatrix",
     "Counter",
     "CounterHarness",
@@ -171,7 +158,6 @@ __all__ = [
     "imbalance_factor",
     "install_excepthook",
     "kv",
-    "load_bench_document",
     "load_manifest",
     "make_harness",
     "merge_rank_traces",
@@ -192,7 +178,6 @@ __all__ = [
     "set_thread_tracer",
     "set_tracer",
     "tiled_digests",
-    "validate_bench_document",
     "validate_fingerprint_record",
     "write_postmortem",
 ]

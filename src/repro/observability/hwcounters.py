@@ -33,9 +33,8 @@ mistaken for one with them.  ``REPRO_HWCOUNTERS=perf|rusage|time|off``
 forces a rung (tests force each one; ``off`` disables sampling entirely).
 
 Every :meth:`CounterHarness.sample` call times itself; the accumulated
-cost (:attr:`CounterHarness.overhead_seconds`) is gated against step wall
-time in ``tools/bench_scaling_smoke.py`` — the same < 5 % bar as the
-flight recorder.
+cost (:attr:`CounterHarness.overhead_seconds`) is gated per sample
+(10 µs) by the tier-1 tests.
 
 Tight dispatch attribution: backends bracket the *native* kernel call with
 :func:`attribute_dispatch` inside the profiler's :func:`attribution_scope`,
@@ -322,7 +321,7 @@ def _select_cpu_reader():
     → ``/proc/thread-self/stat`` (utime+stime ticks) →
     ``getrusage(RUSAGE_SELF)`` → ``(None, None)``.  Selection happens one
     time; the returned closure is then a single ``getrusage`` call, which
-    keeps per-sample cost inside the < 5 % overhead budget.
+    keeps per-sample cost inside the 10 µs gate.
     """
     try:
         import resource

@@ -1,12 +1,13 @@
 """Shared append-only JSONL ledger: fsync'd writes, torn-tail-tolerant reads.
 
-Both observability ledgers — the perf history
+Both observability ledgers — the per-run perf ledger
 (:class:`repro.perfmodel.ledger.PerfLedger`) and the determinism
 fingerprint stream (:class:`repro.observability.fingerprint.FingerprintLedger`)
 — need the same durability contract:
 
 * **appends are durable**: each ``extend()`` writes whole lines, flushes
-  and ``fsync``\\ s, so a crash can tear at most the final line;
+  and ``fsync``\\ s, so a crash can tear at most the final line — which
+  the next ``extend()`` drops before it appends;
 * **reads forgive the torn tail**: a truncated last line (a run killed
   mid-append) is skipped silently even under ``strict=True`` — it is the
   expected signature of a crash, not corruption;
@@ -54,9 +55,17 @@ class JsonlLedger:
         if not validated:
             return 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
+        with open(self.path, "ab+") as fh:
+            size = fh.tell()
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    # a killed run's unterminated tail holds no record (only
+                    # whole lines are written) but would swallow the next one
+                    fh.seek(0)
+                    fh.truncate(fh.read().rfind(b"\n") + 1)
             for record in validated:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
             fh.flush()
             os.fsync(fh.fileno())
         return len(validated)

@@ -17,8 +17,8 @@ diagnosable from the artifacts alone:
   record;
 * **self-measured overhead** — every :meth:`~FlightRecorder.record` call
   times itself; the accumulated cost is exported as the
-  ``repro_observability_overhead_seconds`` gauge and gated against step
-  time in ``tools/bench_scaling_smoke.py`` (< 5 %);
+  ``repro_observability_overhead_seconds`` gauge and gated per event
+  (12 µs) by the tier-1 tests;
 * **JSONL journal** — :meth:`~FlightRecorder.open_journal` streams every
   event to a line-buffered ``journal.jsonl`` (one JSON object per line),
   the durable variant of the ring for post-run analysis and the HTML run

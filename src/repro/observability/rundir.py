@@ -36,21 +36,22 @@ Use it as a context manager for automatic status tracking::
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
 import socket
+import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
-from .bench import git_sha
-
 __all__ = [
     "MANIFEST_SCHEMA",
     "RunDir",
     "get_rundir",
+    "git_sha",
     "set_rundir",
     "load_manifest",
 ]
@@ -70,6 +71,27 @@ _ARTIFACTS = {
     "postmortem": "postmortem.json",
     "report": "report.html",
 }
+
+
+@functools.cache
+def git_sha() -> str | None:
+    """The repo's git commit sha, or ``None`` outside a work tree.
+
+    Cached: one ``git`` process per run, shared by the manifest and every
+    perf-ledger record.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parents[3],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
 
 
 class RunDir:

@@ -11,7 +11,6 @@ from .ledger import (
     host_stanza,
     perf_record,
     records_from_profiler,
-    series_key,
     validate_perf_record,
 )
 from .machine import (
@@ -55,7 +54,6 @@ __all__ = [
     "host_stanza",
     "perf_record",
     "records_from_profiler",
-    "series_key",
     "validate_perf_record",
     "performance_report",
     "RooflinePoint",

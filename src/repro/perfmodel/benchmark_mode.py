@@ -38,7 +38,7 @@ class MeasuredPerformance:
         return self.seconds_per_sweep * clock_ghz * 1e9 / np.prod(self.interior_shape)
 
 
-_BENCH_MAIN = r"""
+_MAIN_TEMPLATE = r"""
 #include <stdio.h>
 #include <stdlib.h>
 #include <time.h>
@@ -124,7 +124,7 @@ def generate_benchmark_source(
         f"            kernel_{kernel.name}({', '.join(call_args)});"
     )
 
-    main = _BENCH_MAIN % {
+    main = _MAIN_TEMPLATE % {
         "gl": gl,
         "size_defs": size_defs,
         "alloc_and_init": "\n".join(alloc_lines),

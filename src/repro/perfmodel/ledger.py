@@ -1,16 +1,12 @@
-"""Append-only perf history: the ``repro-perf/1`` variant ledger.
+"""Per-run perf ledger: ``repro-perf/1`` records, measured next to ECM.
 
-``BENCH_*.json`` documents are overwritten in place — a snapshot, not a
-trajectory.  The ledger is the memory: every bench run *appends* one JSONL
-record per measured kernel (or bench-level series) under
-``benchmarks/history/``, keyed by
-
-    kernel fingerprint x codegen options x host
-
-so ``tools/perf_trend.py`` can plot per-variant trends and closure drift
-over time, and refuse to compare records from different machines (the host
-``key`` hashes hardware identity only — never the hostname, which CI
-containers refresh every run; see :func:`repro.perfmodel.machine.detect_host`).
+``TimeLoop.export_perf`` appends one JSONL record per measured kernel to
+``<rundir>/perf/perf.jsonl``: the measured side (MLUP/s, seconds and — when
+hardware counters ran — cycles/LUP, IPC, bytes/LUP) joined with the ECM
+prediction for the same kernel.  ``tools/run_report.py`` renders it and
+``tools/check_observability.py --require-perf`` schema-checks it.  It is the
+closure of *one* run, not a trajectory; numbers are compared across commits
+by ``benchmarks/perf/run.py``.
 
 Record shape (one JSON object per line)::
 
@@ -18,8 +14,8 @@ Record shape (one JSON object per line)::
       "schema": "repro-perf/1",
       "timestamp": "2026-08-08T12:00:00+00:00",
       "git_sha": "abc123..." | null,
-      "bench": "scaling_smoke",            # producing bench/suite
-      "name": "kernels/phi_update",        # series name within the bench
+      "bench": "quickstart",               # producing run
+      "name": "kernels/phi_update",        # record name within the run
       "kernel": {"name": ..., "fingerprint": ...} | null,
       "options": {...},                    # codegen options of the variant
       "host": {... detect_host() stanza ..., "key": "hex16"},
@@ -36,21 +32,18 @@ Record shape (one JSON object per line)::
 
 Counter-derived fields are ``null`` (not 0) on hosts without perf_event
 access — the degradation chain keeps the *time-derived* fields populated,
-so the history stays useful on the 1-core CI container.  ``measured`` is a
-flexible metrics dict: bench-level records (scaling efficiency, step wall)
-carry their own keys; direction per metric follows
-:func:`repro.observability.bench.lower_is_better`.
+so the record stays useful on the 1-core CI container.  The host ``key``
+hashes hardware identity only — never the hostname, which CI containers
+refresh every run; see :func:`repro.perfmodel.machine.detect_host`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from datetime import datetime, timezone
-from pathlib import Path
 
-from ..observability.bench import git_sha
 from ..observability.jsonl import JsonlLedger
+from ..observability.rundir import git_sha
 from .machine import detect_host
 
 __all__ = [
@@ -60,14 +53,10 @@ __all__ = [
     "host_stanza",
     "perf_record",
     "records_from_profiler",
-    "series_key",
     "validate_perf_record",
 ]
 
 PERF_SCHEMA = "repro-perf/1"
-
-#: default history location, relative to the repo root
-DEFAULT_HISTORY = Path("benchmarks") / "history" / "perf_history.jsonl"
 
 
 class PerfSchemaError(ValueError):
@@ -153,48 +142,13 @@ def validate_perf_record(record) -> dict:
     return record
 
 
-def series_key(record: dict) -> tuple:
-    """The trend-series identity of a record.
-
-    Records compare only within the same (bench, name, kernel fingerprint,
-    codegen options, host key) tuple — a new variant, a different option
-    set or another machine starts a fresh series rather than polluting an
-    existing one.
-    """
-    kernel = record.get("kernel") or {}
-    options = record.get("options") or {}
-    return (
-        record["bench"],
-        record["name"],
-        kernel.get("fingerprint"),
-        json.dumps(options, sort_keys=True),
-        record["host"]["key"],
-    )
-
-
 class PerfLedger(JsonlLedger):
-    """Append-only JSONL history of ``repro-perf/1`` records.
-
-    The append/load mechanics (fsync'd whole-line writes, torn-tail
-    forgiveness, ``path:lineno`` strict errors) live in the shared
-    :class:`repro.observability.jsonl.JsonlLedger`; this subclass binds
-    them to the ``repro-perf/1`` schema and the default history location.
-    """
+    """A :class:`~repro.observability.jsonl.JsonlLedger` of ``repro-perf/1`` records."""
 
     SchemaError = PerfSchemaError
 
-    def __init__(self, path=None):
-        super().__init__(path if path is not None else DEFAULT_HISTORY)
-
     def validate(self, record) -> dict:
         return validate_perf_record(record)
-
-    def series(self) -> dict[tuple, list[dict]]:
-        """Records grouped by :func:`series_key`, each oldest first."""
-        grouped: dict[tuple, list[dict]] = {}
-        for record in self.load():
-            grouped.setdefault(series_key(record), []).append(record)
-        return grouped
 
 
 def records_from_profiler(

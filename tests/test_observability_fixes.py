@@ -3,20 +3,14 @@
 Edge cases in the rank-trace merger (empty input, span-less ranks,
 duplicate rank ids), Prometheus exposition-format escaping round-trips
 with pathological label values, per-check health event counters carrying
-the rank-bearing ``where``, counter events flowing into single- and
-multi-rank Chrome traces, and the ``bench_regress`` missing-baseline
-behavior (clear exit-2 message, ``--record-if-missing``).
+the rank-bearing ``where``, and counter events flowing into single- and
+multi-rank Chrome traces.
 """
-
-import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.observability import (
-    BenchWriter,
     HealthMonitor,
     MetricsRegistry,
     Tracer,
@@ -33,15 +27,6 @@ def _clean_metrics():
     reset_metrics()
     yield
     reset_metrics()
-
-
-def _bench_regress():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-    try:
-        import bench_regress
-    finally:
-        sys.path.pop(0)
-    return bench_regress
 
 
 # -- merge_rank_traces edge cases --------------------------------------------
@@ -167,53 +152,3 @@ class TestHealthEventAttribution:
             {"free_energy": float("nan")}, 1, energy_name="free_energy"
         )
         assert monitor.healthy
-
-
-# -- bench_regress missing-baseline behavior ---------------------------------
-
-
-class TestBenchRegressMissingBaseline:
-    @pytest.fixture()
-    def bench(self, tmp_path):
-        writer = BenchWriter("scaling")
-        writer.add("run", params={"ranks": 2}, mlups=50.0)
-        path = tmp_path / "BENCH_scaling.json"
-        writer.write(path)
-        return path
-
-    def test_missing_baseline_exits_2_with_hint(self, bench, tmp_path, capsys):
-        bench_regress = _bench_regress()
-        missing = tmp_path / "nope" / "baseline.json"
-        rc = bench_regress.main(
-            ["compare", str(bench), "--baseline", str(missing)]
-        )
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "does not exist" in err and "--record-if-missing" in err
-
-    def test_record_if_missing_bootstraps_baseline(self, bench, tmp_path):
-        bench_regress = _bench_regress()
-        baseline = tmp_path / "baseline.json"
-        assert bench_regress.main(
-            ["compare", str(bench), "--baseline", str(baseline),
-             "--record-if-missing"]
-        ) == 0
-        doc = json.loads(baseline.read_text())
-        assert doc["schema"] == "repro-bench-baseline/1"
-        # second run compares normally against the recorded baseline
-        assert bench_regress.main(
-            ["compare", str(bench), "--baseline", str(baseline),
-             "--record-if-missing"]
-        ) == 0
-
-    def test_malformed_baseline_record_is_schema_error(self, bench, tmp_path):
-        bench_regress = _bench_regress()
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "schema": "repro-bench-baseline/1",
-            "suite": "scaling",
-            "records": [{"name": "run"}],  # metrics mapping missing
-        }))
-        assert bench_regress.main(
-            ["compare", str(bench), "--baseline", str(baseline)]
-        ) == 2

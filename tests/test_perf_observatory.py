@@ -3,17 +3,15 @@
 The contract under test: a perf_event_open(2) harness that degrades
 perf -> rusage -> time (each rung forcible, a forced rung never silently
 degrades), per-kernel counter attribution through the profiler with an
-explicit provenance line on every counter-bearing report, an append-only
-``repro-perf/1`` JSONL history keyed by (bench, name, kernel fingerprint,
-codegen options, host key), a trend tool that flags latest-vs-rolling-
-baseline regressions in the right direction per metric, and /sys host
-auto-detection whose key never includes the hostname.
+explicit provenance line on every counter-bearing report, the per-run
+``repro-perf/1`` JSONL ledger (a crashed run's torn tail costs no later
+record), and /sys host auto-detection whose key never includes the
+hostname.
 """
 
-import importlib.util
 import json
 import math
-from pathlib import Path
+import subprocess
 
 import pytest
 
@@ -29,14 +27,14 @@ from repro.observability.hwcounters import (
     probe_capabilities,
     set_counter_harness,
 )
+from repro.observability.fingerprint import FingerprintLedger, fingerprint_record
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.rundir import RunDir
+from repro.observability.rundir import RunDir, git_sha
 from repro.perfmodel.ledger import (
     PerfLedger,
     PerfSchemaError,
     host_stanza,
     perf_record,
-    series_key,
     validate_perf_record,
 )
 from repro.perfmodel.machine import (
@@ -47,14 +45,6 @@ from repro.perfmodel.machine import (
     detect_physical_cores,
 )
 from repro.profiling import SolverProfiler
-
-
-def _load_tool(name):
-    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -130,13 +120,17 @@ class TestDegradationChain:
             assert caps["selected"] in ("rusage", "time")
 
     def test_sample_overhead_is_bounded(self):
-        harness = make_harness(force="rusage")
+        # 10 us per sample is ~4x what the rusage rung reads on a 2-vCPU
+        # guest (2.2-3.6 us); best of three, a throttled vCPU reads x1.5
         n = 2000
-        for _ in range(n):
-            harness.sample()
-        # the smoke bench gates at 5% of step wall; here just pin the
-        # per-sample cost to an order of magnitude below a small kernel
-        assert harness.overhead_seconds / n < 50e-6
+        costs = []
+        for _ in range(3):
+            harness = make_harness(force="rusage")
+            for _ in range(n):
+                harness.sample()
+            assert harness.samples_taken == n
+            costs.append(harness.overhead_seconds / n)
+        assert min(costs) < 10e-6
 
     def test_publish_overhead_exports_gauge(self):
         harness = make_harness(force="rusage")
@@ -274,31 +268,32 @@ class TestPerfLedger:
         ledger.append(_record(mlups=2.0))
         assert len(ledger.path.read_text().splitlines()) == 2
 
-    def test_series_keying(self, tmp_path):
-        ledger = PerfLedger(tmp_path / "h.jsonl")
-        ledger.extend([
-            _record(mlups=10.0),
-            _record(mlups=11.0),
-            _record(fingerprint="a" * 16),              # new kernel variant
-            _record(options={"backend": "numpy"}),      # new codegen options
-            _record(name="kernels/mu"),                 # different kernel
-        ])
-        series = ledger.series()
-        assert len(series) == 4
-        lengths = sorted(len(records) for records in series.values())
-        assert lengths == [1, 1, 1, 2]
-        for key in series:
-            assert len(key) == 5
-
-    def test_host_key_excludes_hostname(self):
-        stanza = host_stanza()
+    def test_host_key_excludes_hostname(self, monkeypatch):
         record = _record()
-        assert record["host"]["key"] == stanza["key"]
-        # tampering with the hostname must not move the record to a new
-        # series: the key hashes hardware identity only
-        tampered = json.loads(json.dumps(record))
-        tampered["host"]["hostname"] = "some-other-ci-container"
-        assert series_key(tampered) == series_key(record)
+        assert record["host"]["key"] == host_stanza()["key"]
+        # the key hashes hardware identity only: the same machine under
+        # another hostname (a fresh CI container) keeps it
+        monkeypatch.setattr(
+            "repro.perfmodel.machine.socket.gethostname",
+            lambda: "some-other-ci-container",
+        )
+        renamed = detect_host()
+        assert renamed["hostname"] == "some-other-ci-container"
+        assert renamed["key"] == record["host"]["key"]
+
+    def test_one_git_process_for_all_records(self, monkeypatch):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        git_sha.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        shas = {_record(mlups=v)["git_sha"] for v in (1.0, 2.0, 3.0)}
+        assert len(calls) == 1
+        assert shas == {git_sha()}
 
     def test_invalid_records_rejected(self):
         with pytest.raises(PerfSchemaError, match="not finite"):
@@ -307,7 +302,7 @@ class TestPerfLedger:
             perf_record("b", "n", measured={"mlups": 1.0},
                         kernel={"name": "phi"})
         with pytest.raises(PerfSchemaError, match="schema"):
-            validate_perf_record({"schema": "repro-bench/1"})
+            validate_perf_record({"schema": "repro-run/1"})
         with pytest.raises(PerfSchemaError, match="measured"):
             validate_perf_record({**_record(), "measured": {}})
 
@@ -318,6 +313,24 @@ class TestPerfLedger:
             fh.write('{"schema": "repro-perf/1", "bench": "ker')   # torn write
         assert len(ledger.load()) == 2
         assert len(ledger.load(strict=True)) == 2   # torn tail always forgiven
+
+    @pytest.mark.parametrize("ledger_class, make_record", [
+        (PerfLedger, lambda i: _record(mlups=1.0 + i)),
+        (FingerprintLedger,
+         lambda i: fingerprint_record(i, 0.0, {"phi": {"0": "ab" * 16}})),
+    ])
+    def test_append_after_crash_keeps_every_record(
+        self, tmp_path, ledger_class, make_record
+    ):
+        ledger = ledger_class(tmp_path / "h.jsonl")
+        records = [make_record(i) for i in range(3)]
+        ledger.append(records[0])
+        with open(ledger.path, "a") as fh:
+            fh.write('{"schema": "repro-perf/1", "bench": "ker')   # killed run
+        ledger.append(records[1])
+        assert ledger.load(strict=True) == records[:2]
+        ledger.append(records[2])
+        assert ledger.load(strict=True) == records
 
     def test_strict_raises_on_malformed_middle_line(self, tmp_path):
         ledger = PerfLedger(tmp_path / "h.jsonl")
@@ -379,74 +392,7 @@ class TestRecordsFromProfiler:
             assert record["predicted"]["mlups"] > 0
         ledger = PerfLedger(tmp_path / "h.jsonl")
         ledger.extend(records)
-        assert len(ledger.series()) == len(records)
-
-
-# -- perf_trend: regressions against a rolling baseline ------------------------
-
-
-class TestPerfTrend:
-    def _history(self, tmp_path, mlups_values, **kwargs):
-        ledger = PerfLedger(tmp_path / "history.jsonl")
-        ledger.extend(
-            _record(mlups=v, timestamp=f"2026-08-0{i + 1}T00:00:00", **kwargs)
-            for i, v in enumerate(mlups_values)
-        )
-        return ledger
-
-    def test_regression_flagged_with_direction(self, tmp_path):
-        trend = _load_tool("perf_trend")
-        ledger = self._history(tmp_path, [10.0, 10.0, 10.0, 10.0, 10.0, 7.0])
-        regressions = trend.find_regressions(
-            ledger.series(), threshold=0.15, window=5, min_history=3
-        )
-        metrics = {r["metric"]: r for r in regressions}
-        # mlups dropped 30% (higher-is-better) and mean_seconds rose ~43%
-        # (lower-is-better): both directions must flag
-        assert metrics["mlups"]["change"] == pytest.approx(0.30)
-        assert metrics["mean_seconds"]["change"] == pytest.approx(3 / 7)
-
-    def test_improvement_not_flagged(self, tmp_path):
-        trend = _load_tool("perf_trend")
-        ledger = self._history(tmp_path, [10.0, 10.0, 10.0, 14.0])
-        assert trend.find_regressions(
-            ledger.series(), threshold=0.15, window=5, min_history=3
-        ) == []
-
-    def test_short_series_skipped(self, tmp_path):
-        trend = _load_tool("perf_trend")
-        ledger = self._history(tmp_path, [10.0, 5.0])
-        assert trend.find_regressions(
-            ledger.series(), threshold=0.15, window=5, min_history=3
-        ) == []
-
-    def test_cli_exit_codes_and_html(self, tmp_path, capsys):
-        trend = _load_tool("perf_trend")
-        ledger = self._history(tmp_path, [10.0, 10.0, 10.0, 10.0, 10.0, 7.0])
-        out = tmp_path / "trend.html"
-        argv = ["--history", str(ledger.path), "--out", str(out)]
-        assert trend.main(argv) == 1                      # regression
-        assert trend.main([*argv, "--warn-only"]) == 0    # warn-only passes
-        html = out.read_text()
-        assert "<svg" in html and "Regressions" in html
-        assert "kernels/kernels/phi" in html or "kernels/phi" in html
-        capsys.readouterr()
-
-    def test_cli_missing_history_is_ok(self, tmp_path, capsys):
-        trend = _load_tool("perf_trend")
-        code = trend.main(["--history", str(tmp_path / "absent.jsonl"),
-                           "--out", str(tmp_path / "t.html")])
-        assert code == 0
-        capsys.readouterr()
-
-    def test_cli_invalid_history_fails(self, tmp_path, capsys):
-        trend = _load_tool("perf_trend")
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"schema": "wrong"}\n\n')
-        code = trend.main(["--history", str(bad),
-                           "--out", str(tmp_path / "t.html")])
-        assert code == 2
-        capsys.readouterr()
+        assert len(ledger.load(strict=True)) == len(records)
 
 
 # -- host auto-detection -------------------------------------------------------
