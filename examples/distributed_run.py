@@ -7,24 +7,36 @@ verifies that the result is *bit-identical* to a single-block run: the
 ghost-layer protocol and the counter-based RNG make the decomposition
 invisible to the physics.
 
-Also demonstrates the scaling-observability layer: every rank runs under a
-rank-tagged tracer, the per-rank timelines merge into ONE Chrome/Perfetto
-trace (``runs/distributed_demo/trace.json`` — one named track per rank,
-written into a :class:`RunDir` so no artifact lands at the repo root), and
-rank 0 prints the communication matrix, the λ load-imbalance factor and
-the predicted-vs-measured comm-time closure.
+Also demonstrates the scaling-observability layer: the main process and
+every rank record into a flight recorder that keeps every event
+(``capacity=None``), and the five event streams render as ONE
+Chrome/Perfetto trace (``runs/distributed_demo/trace.json`` — the codegen
+pipeline on the main-process track, one named track per rank, written into
+a :class:`RunDir` so no artifact lands at the repo root); rank 0 prints
+the communication matrix, the λ load-imbalance factor and the
+predicted-vs-measured comm-time closure.
 
 Run:  python examples/distributed_run.py
 """
 
+import json
+
 import numpy as np
 
-from repro.observability import RunDir, export_merged_trace, rank_tracer
+from repro.observability import (
+    FlightRecorder,
+    RunDir,
+    chrome_trace,
+    rank_recorder,
+    set_recorder,
+)
 from repro.parallel import BlockForest, DistributedSolver, run_ranks
 from repro.pfm import GrandPotentialModel, make_two_phase_binary, planar_front
 
 
 def main():
+    main_recorder = FlightRecorder(capacity=None)
+    set_recorder(main_recorder)
     params = make_two_phase_binary(dim=2)
     params.fluctuation_amplitude = 0.02   # exercise the global RNG counters
     model = GrandPotentialModel(params)
@@ -55,13 +67,13 @@ def main():
         print(f"  rank {rank}: blocks {blocks} (Morton-contiguous)")
 
     def rank_program(comm):
-        with rank_tracer(comm.rank) as tracer:
+        with rank_recorder(comm.rank, capacity=None) as recorder:
             solver = DistributedSolver(kernels, forest, comm=comm)
             solver.set_state_from(init)
             solver.step(steps)
             phi = solver.gather("phi")
             scaling = solver.scaling_report()   # collective: all ranks call it
-        return phi, solver.bytes_sent, solver.profiler, tracer, scaling
+        return phi, solver.bytes_sent, solver.profiler, recorder, scaling
 
     results = run_ranks(4, rank_program)
     phi_dist = results[0][0]
@@ -92,9 +104,10 @@ def main():
     rundir = RunDir("runs/distributed_demo",
                     config={"steps": steps, "ranks": 4})
     rundir.note(example="distributed_run", ranks=4)
-    trace_path = export_merged_trace([r[3] for r in results], rundir.trace_path)
+    trace = chrome_trace([main_recorder] + [r[3] for r in results])
+    rundir.trace_path.write_text(json.dumps(trace, indent=1))
     rundir.write_manifest(status="ok")
-    print(f"\nmerged 4-rank timeline written to {trace_path} "
+    print(f"\nmerged 4-rank timeline written to {rundir.trace_path} "
           "(open in Perfetto / chrome://tracing)")
     print()
     print(results[0][4])   # comm matrix, λ, comm-model closure (same on all ranks)

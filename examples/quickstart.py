@@ -26,15 +26,18 @@ watchdog, ``--log-level INFO`` shows the structured pipeline log.
 
     python examples/quickstart.py --rundir runs/demo
 
-bundles EVERY artifact — trace, metrics (.prom and .json), diagnostics
-CSV, flight-recorder journal, health log — under one directory with a
-``manifest.json``, ready for ``tools/run_report.py`` to render as a
-self-contained HTML report.
+bundles EVERY artifact — metrics (.prom and .json), diagnostics CSV, the
+flight-recorder journal (every span, step, operation, counter sample and
+health event of the run) and the trace rendered from it — under one
+directory with a ``manifest.json``, ready for
+``tools/check_observability.py runs/demo`` to validate and
+``tools/run_report.py`` to render as a self-contained HTML report.
 """
 
 import argparse
 import contextlib
 import json
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -45,14 +48,15 @@ from repro.backends.c_backend import c_compiler_available, compile_c_kernel, gen
 from repro.discretization import FiniteDifferenceDiscretization, discretize_system
 from repro.ir import KernelConfig, create_kernel
 from repro.observability import (
+    FlightRecorder,
     HealthMonitor,
     RunDir,
+    chrome_trace,
     configure_logging,
-    enable_tracing,
     get_recorder,
     get_registry,
-    get_tracer,
     model_accuracy_report,
+    set_recorder,
 )
 from repro.parallel import fill_ghosts
 from repro.profiling import SolverProfiler, compile_cached
@@ -66,9 +70,8 @@ from repro.symbolic import (
 
 
 def build_kernel(dx=1.0, dt=0.05, epsilon=4.0, gamma=1.0):
-    tracer = get_tracer()
     # -- 1. energy functional layer -----------------------------------------
-    with tracer.span("assemble_energy_functional", category="functional"):
+    with get_recorder().span("assemble_energy_functional", category="functional"):
         phi, phi_dst = fields("phi, phi_dst: double[2D]")
         c = phi.center()
         a = gamma * gradient_norm(c, squared=True, dim=2)      # |∇φ|²
@@ -116,7 +119,7 @@ def parse_args(argv=None):
                          "--fingerprints")
     ap.add_argument("--rundir", metavar="PATH",
                     help="bundle every artifact (trace, metrics, diagnostics, "
-                         "journal, health log, fingerprints) under one run "
+                         "journal, fingerprints) under one run "
                          "directory with a manifest.json; implies --trace/"
                          "--metrics/--diagnostics/--health/--fingerprints at "
                          "their canonical paths")
@@ -136,8 +139,10 @@ def main(argv=None):
         args.health = True
     if args.audit_against and not args.fingerprints:
         args.fingerprints = "fingerprints.jsonl"
-    if args.trace:
-        enable_tracing()
+    if args.trace and rundir is None:
+        # the default recorder keeps the newest 1024 events; a trace wants
+        # them all (a RunDir run renders its trace from the journal instead)
+        set_recorder(FlightRecorder(capacity=None))
     if args.log_level:
         configure_logging(args.log_level)
     health = HealthMonitor(
@@ -152,8 +157,6 @@ def _run(args, health, rundir):
     if rundir is not None:
         rundir.note(example="quickstart", backend="numpy")
         recorder.open_journal(rundir.journal_path())
-        if health is not None:
-            rundir.attach_health(health)
 
     kernel, functional, phi_field = build_kernel()
     print("generated kernel:", kernel)
@@ -176,8 +179,7 @@ def _run(args, health, rundir):
             functional_diagnostics(functional, phi_field, dim=2), dim=2, dx=1.0
         )
         series = DiagnosticsSeries(
-            suite.names, csv_path=args.diagnostics,
-            metrics=bool(args.metrics), trace=bool(args.trace),
+            suite.names, csv_path=args.diagnostics, metrics=bool(args.metrics)
         )
 
     n = 96
@@ -203,7 +205,6 @@ def _run(args, health, rundir):
             reference=args.audit_against,
             health=health,
             metrics=bool(args.metrics),
-            trace=bool(args.trace),
         )
 
     def record_fingerprint(ts):
@@ -281,13 +282,15 @@ def _run(args, health, rundir):
         path = get_registry().export_prometheus(args.metrics)
         print(f"\nmetrics written to {path}")
     if args.trace:
-        path = get_tracer().export_chrome(args.trace)
-        print(f"trace written to {path} (load in chrome://tracing)")
+        # the journal is line-buffered: it already holds every event so far
+        recorders = rundir.journals() if rundir is not None else [recorder]
+        Path(args.trace).write_text(json.dumps(chrome_trace(recorders), indent=1))
+        print(f"trace written to {args.trace} (load in chrome://tracing)")
     if rundir is not None:
         with open(rundir.metrics_json_path, "w") as fh:
             json.dump(get_registry().to_json(), fh, indent=1)
         # append the measured-vs-predicted kernel record to the run's perf
-        # ledger so check_observability.py --require-perf can validate it
+        # ledger so check_observability.py --require perf can validate it
         from repro.perfmodel.ledger import PerfLedger, records_from_profiler
 
         perf_records = records_from_profiler(
@@ -296,7 +299,6 @@ def _run(args, health, rundir):
         )
         if perf_records:
             PerfLedger(rundir.perf_path).extend(perf_records)
-        recorder.close_journal()
         print(f"run directory: {rundir.path} (render with tools/run_report.py)")
 
     if c_compiler_available():

@@ -559,13 +559,13 @@ class CompiledCKernel:
 def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
     """Generate, compile (with on-disk caching) and wrap a C kernel."""
     from ..observability.log import get_logger, kv
-    from ..observability.tracing import get_tracer
+    from ..observability.recorder import get_recorder
 
     from ..profiling.cache import kernel_fingerprint
     from ..profiling.diskcache import KernelDiskCache, cache_key
 
     func_name = _c_func_name(kernel.name)
-    with get_tracer().span(f"codegen:c:{kernel.name}", category="backend") as span:
+    with get_recorder().span(f"codegen:c:{kernel.name}", category="backend") as span:
         fingerprint = kernel_fingerprint(kernel)
         key = cache_key(fingerprint, flags=_BASE_FLAGS, backend="c")
         cache = KernelDiskCache()
@@ -588,8 +588,7 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
         lib = ctypes.CDLL(str(so_path))
         func = getattr(lib, func_name)
         func.restype = None
-        if span is not None:
-            span.args["disk_cache"] = "hit" if hit else "miss"
+        span["disk_cache"] = "hit" if hit else "miss"
         get_logger("backends.c").info(
             kv(
                 "c_kernel_ready",

@@ -194,9 +194,9 @@ class CompiledNumpyKernel:
 
 def compile_numpy_kernel(kernel: Kernel) -> CompiledNumpyKernel:
     """Generate and compile the NumPy implementation of *kernel*."""
-    from ..observability.tracing import get_tracer
+    from ..observability.recorder import get_recorder
 
-    with get_tracer().span(
+    with get_recorder().span(
         f"codegen:numpy:{kernel.name}", category="backend"
     ) as span:
         src = generate_numpy_source(kernel)
@@ -208,8 +208,7 @@ def compile_numpy_kernel(kernel: Kernel) -> CompiledNumpyKernel:
         namespace["functools"] = functools
         namespace["builtins"] = builtins
         exec(compile(src, f"<numpy kernel {kernel.name}>", "exec"), namespace)
-        if span is not None:
-            span.args["source_lines"] = src.count("\n")
+        span["source_lines"] = src.count("\n")
         return CompiledNumpyKernel(kernel, src, namespace["_kernel"])
 
 

@@ -1,19 +1,20 @@
-"""Time-series sink for diagnostics: rows + CSV + gauges + trace counters.
+"""Time-series sink for diagnostics: rows + CSV + gauges + counter events.
 
 A :class:`DiagnosticsSeries` keeps every recorded row in memory (tests and
 notebooks), optionally appends to a CSV file
 (:class:`~repro.analysis.io.TimeSeriesWriter` schema: ``time_step,time,
 <diagnostic...>``), mirrors the latest value of each diagnostic into the
-metrics registry as ``repro_diagnostic{name="..."}`` gauges and tags the
-values into the Chrome trace as counter events (rendered as stacked
-counter tracks in ``chrome://tracing`` / Perfetto).
+metrics registry as ``repro_diagnostic{name="..."}`` gauges and records
+every row as a ``counter`` event of the flight recorder (rendered by
+``chrome_trace`` as stacked counter tracks in ``chrome://tracing`` /
+Perfetto).
 """
 
 from __future__ import annotations
 
 from ..analysis.io import TimeSeriesWriter
 from ..observability.metrics import get_registry
-from ..observability.tracing import get_tracer
+from ..observability.recorder import get_recorder
 
 __all__ = ["DiagnosticsSeries"]
 
@@ -26,7 +27,6 @@ class DiagnosticsSeries:
         names: list[str],
         csv_path=None,
         metrics: bool = True,
-        trace: bool = True,
     ):
         self.names = list(names)
         self.columns = ["time_step", "time"] + self.names
@@ -36,10 +36,9 @@ class DiagnosticsSeries:
             TimeSeriesWriter(csv_path, self.columns) if csv_path is not None else None
         )
         self._metrics = metrics
-        self._trace = trace
 
     def record(self, time_step: int, time: float, values: dict[str, float]) -> dict:
-        """Append one row; mirrors into CSV, gauges and trace counters."""
+        """Append one row; mirrors into CSV, gauges and the event stream."""
         missing = set(self.names) - set(values)
         if missing:
             raise KeyError(f"missing diagnostics: {sorted(missing)}")
@@ -54,12 +53,7 @@ class DiagnosticsSeries:
                 registry.gauge(
                     "repro_diagnostic", "physics diagnostic value", name=n
                 ).set(row[n])
-        if self._trace:
-            get_tracer().add_counter(
-                "diagnostics",
-                {n: row[n] for n in self.names},
-                category="physics",
-            )
+        get_recorder().counter("diagnostics", {n: row[n] for n in self.names})
         return row
 
     def column(self, name: str) -> list[float]:

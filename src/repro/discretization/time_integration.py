@@ -133,9 +133,9 @@ def discretize_system(
     if variant not in ("full", "split"):
         raise ValueError("variant must be 'full' or 'split'")
 
-    from ..observability.tracing import get_tracer
+    from ..observability.recorder import get_recorder
 
-    with get_tracer().span(
+    with get_recorder().span(
         f"discretize:{system.name}",
         category="discretization",
         variant=variant,

@@ -167,7 +167,7 @@ def create_kernel(
     optionally inserts approximate operations, chooses the loop order and
     classifies hoistable subexpressions.
     """
-    from ..observability.tracing import get_tracer
+    from ..observability.recorder import get_recorder
 
     config = config or KernelConfig()
     dims = {f.spatial_dimensions for f in ac.fields}
@@ -175,7 +175,7 @@ def create_kernel(
         raise ValueError(f"kernel mixes fields of different dimensionality: {dims}")
     (dim,) = dims
 
-    with get_tracer().span(
+    with get_recorder().span(
         f"create_kernel:{name or ac.name}", category="ir", target=config.target
     ) as span:
         ac = optimize(ac, parameter_values=config.parameter_values, cse=config.cse)
@@ -205,11 +205,10 @@ def create_kernel(
             config=config,
             reductions=reductions,
         )
-        if span is not None:
-            span.args.update(
-                assignments=len(ac), ghost_layers=kernel.ghost_layers,
-                loop_order=str(kernel.loop_order),
-            )
+        span.update(
+            assignments=len(ac), ghost_layers=kernel.ghost_layers,
+            loop_order=str(kernel.loop_order),
+        )
         return kernel
 
 

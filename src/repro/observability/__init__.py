@@ -1,12 +1,16 @@
-"""End-to-end observability: tracing, metrics, health, structured logging.
+"""End-to-end observability: one event stream, metrics, health, logging.
 
 The paper's claim is quantitative — generated kernels run at predicted
 MLUP/s — so the reproduction needs more than a final wall-clock table.
 This subsystem makes every layer observable:
 
-* :mod:`~repro.observability.tracing` — nested spans over the whole
-  pipeline (functional → PDE → discretization → simplification → IR →
-  backend → runtime) exported as Chrome-trace JSON,
+* :mod:`~repro.observability.recorder` — the one event collector: spans
+  over the whole pipeline (functional → PDE → discretization →
+  simplification → IR → backend → runtime), steps, kernel dispatches,
+  profiled operations, diagnostics counters, fingerprints and health
+  events are ``(seq, ts, kind, name, data)`` events of a
+  :class:`FlightRecorder`; :func:`chrome_trace` renders one or several
+  recorders (or their journals) as a Chrome-trace/Perfetto timeline,
 * :mod:`~repro.observability.metrics` — counters/gauges/histograms with
   JSON and Prometheus text-format export (kernel-cache stats, exchanged
   bytes, per-kernel MLUP/s, step-latency histograms, health events),
@@ -17,25 +21,25 @@ This subsystem makes every layer observable:
 * :mod:`~repro.observability.report` — the predicted-vs-measured model
   accuracy table joining :class:`repro.perfmodel.ecm.ECMModel` predictions
   with :class:`repro.profiling.SolverProfiler` measurements,
-* :mod:`~repro.observability.distributed` — the scaling layer: rank-tagged
-  tracers merged into one multi-track Perfetto timeline, the per-(src, dst)
-  communication matrix, the λ = max/mean step-time imbalance factor and
-  the comm-model closure against
+* :mod:`~repro.observability.distributed` — the scaling layer: the
+  per-(src, dst) communication matrix, the λ = max/mean step-time
+  imbalance factor and the comm-model closure against
   :class:`repro.parallel.comm_model.StepTimeModel`.
 
-Everything is off by default and zero-cost when disabled; the kernel cache
-and the solvers are pre-wired, so ``enable_tracing()`` plus a run is enough
-to get a ``trace.json``.
+The recorder and the profiler are always on: an event costs 1.2–2.2 µs
+into the bounded ring (7.5 µs with a journal open), a profiled operation
+one ``perf_counter`` pair plus one such event.  The ring keeps the newest
+1024 events; a run that wants its whole timeline either journals into a
+:class:`RunDir` (``chrome_trace(rundir.journals())``) or installs
+``set_recorder(FlightRecorder(capacity=None))`` before it starts.
+Logging, health checks, diagnostics and fingerprints are opt-in.
 """
 
 from .distributed import (
     CommMatrix,
     comm_closure_report,
     comm_closure_rows,
-    export_merged_trace,
     imbalance_factor,
-    merge_rank_traces,
-    rank_tracer,
 )
 from .fingerprint import (
     FINGERPRINT_SCHEMA,
@@ -86,25 +90,18 @@ from .postmortem import (
     write_postmortem,
 )
 from .recorder import (
+    PIPELINE_LAYERS,
     FlightRecorder,
     RecorderEvent,
+    chrome_trace,
     get_recorder,
+    load_journal,
     rank_recorder,
     set_recorder,
     set_thread_recorder,
 )
 from .report import export_accuracy_metrics, model_accuracy_report, model_accuracy_rows
 from .rundir import MANIFEST_SCHEMA, RunDir, get_rundir, load_manifest, set_rundir
-from .tracing import (
-    PIPELINE_LAYERS,
-    Span,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    set_thread_tracer,
-    set_tracer,
-)
 
 __all__ = [
     "CommMatrix",
@@ -129,22 +126,18 @@ __all__ = [
     "POSTMORTEM_SCHEMA",
     "RecorderEvent",
     "RunDir",
-    "Span",
-    "Tracer",
     "attribute_dispatch",
     "attribution_scope",
     "block_key",
     "capture_postmortem",
+    "chrome_trace",
     "combined_digest",
     "comm_closure_report",
     "comm_closure_rows",
     "configure_logging",
     "counter_provenance_line",
     "digest_array",
-    "disable_tracing",
-    "enable_tracing",
     "export_accuracy_metrics",
-    "export_merged_trace",
     "field_stats",
     "find_mismatches",
     "find_sample",
@@ -154,13 +147,12 @@ __all__ = [
     "get_recorder",
     "get_registry",
     "get_rundir",
-    "get_tracer",
     "imbalance_factor",
     "install_excepthook",
     "kv",
+    "load_journal",
     "load_manifest",
     "make_harness",
-    "merge_rank_traces",
     "model_accuracy_report",
     "model_accuracy_rows",
     "parse_block_key",
@@ -168,15 +160,12 @@ __all__ = [
     "perf_events_available",
     "probe_capabilities",
     "rank_recorder",
-    "rank_tracer",
     "reset_metrics",
     "set_counter_harness",
     "set_recorder",
     "set_registry",
     "set_rundir",
     "set_thread_recorder",
-    "set_thread_tracer",
-    "set_tracer",
     "tiled_digests",
     "validate_fingerprint_record",
     "write_postmortem",

@@ -1,18 +1,12 @@
-"""Distributed-run observability: rank traces, comm matrix, imbalance.
+"""Distributed-run observability: comm matrix, imbalance, model closure.
 
 The paper's headline results are *scaling* figures (Fig. 3) and the
 communication-option study (Table 2); explaining them requires per-rank
 timing, communication-volume accounting and load-imbalance analysis — the
 same layer the waLBerla scaling studies lean on.  This module provides it
-for the simulated-MPI runs of :mod:`repro.parallel`:
-
-* **per-rank tracing** — :func:`rank_tracer` installs a rank-tagged
-  :class:`~repro.observability.tracing.Tracer` for the calling rank's
-  thread; after :func:`repro.parallel.run_ranks` returns, the collected
-  tracers merge via :func:`merge_rank_traces` into ONE Chrome/Perfetto
-  timeline: one named process track per rank, one thread track per
-  pipeline layer, all aligned on the shared ``perf_counter`` clock so
-  exchange waits and compute phases line up visually across ranks;
+for the simulated-MPI runs of :mod:`repro.parallel` (the per-rank
+*timeline* is :func:`repro.observability.recorder.chrome_trace` over the
+ranks' :func:`~repro.observability.recorder.rank_recorder` rings):
 
 * **communication matrix** — :class:`CommMatrix` accumulates per-
   ``(src, dst)`` bytes and message counts (fed by
@@ -33,18 +27,10 @@ reverse edge must stay lazy to keep the import graph acyclic.
 
 from __future__ import annotations
 
-import json
-from contextlib import contextmanager
-
 import numpy as np
-
-from .tracing import PIPELINE_LAYERS, Tracer, set_thread_tracer
 
 __all__ = [
     "CommMatrix",
-    "rank_tracer",
-    "merge_rank_traces",
-    "export_merged_trace",
     "imbalance_factor",
     "comm_closure_rows",
     "comm_closure_report",
@@ -158,142 +144,6 @@ class CommMatrix:
             f"CommMatrix(n_ranks={self.n_ranks}, "
             f"bytes={self.total_bytes}, messages={self.total_messages})"
         )
-
-
-# -- per-rank tracing -----------------------------------------------------------
-
-
-@contextmanager
-def rank_tracer(rank: int, enabled: bool = True):
-    """Install a rank-tagged tracer for the calling thread (one MPI rank).
-
-    Inside the block, :func:`repro.observability.get_tracer` resolves to
-    the new tracer on this thread only, so every profiler record and span
-    of the rank lands in its own collection.  Yields the tracer — return
-    it from the rank program and feed the collected set to
-    :func:`merge_rank_traces`::
-
-        def rank_program(comm):
-            with rank_tracer(comm.rank) as tracer:
-                solver = DistributedSolver(kernels, forest, comm=comm)
-                ...
-            return tracer
-
-        tracers = run_ranks(4, rank_program)
-        export_merged_trace(tracers, "trace.json")
-    """
-    tracer = Tracer(enabled=enabled, rank=rank)
-    previous = set_thread_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_thread_tracer(previous)
-
-
-def merge_rank_traces(tracers) -> dict:
-    """Merge per-rank tracers into ONE Chrome/Perfetto trace document.
-
-    Track layout: each rank becomes a named *process* (``rank N``, sorted
-    by rank), and within a rank every pipeline layer (span category) gets
-    its own named *thread* track — so the φ/µ sweeps, the exchange
-    wait/copy phases and the codegen layers of all ranks line up on a
-    common timeline.  All simulated ranks share one ``perf_counter``
-    clock; timestamps are taken relative to the earliest tracer epoch.
-    """
-    tracers = [t for t in tracers if t is not None]
-    if not tracers:
-        raise ValueError("no tracers to merge")
-    ranks = [
-        t.rank if t.rank is not None else i for i, t in enumerate(tracers)
-    ]
-    duplicates = sorted({r for r in ranks if ranks.count(r) > 1})
-    if duplicates:
-        # two tracers on one pid would silently interleave their tracks
-        raise ValueError(
-            f"duplicate rank ids in merged trace: {duplicates}"
-        )
-    epoch = min(t.epoch for t in tracers)
-    layer_tids = {layer: i for i, layer in enumerate(PIPELINE_LAYERS)}
-    meta: list[dict] = []
-    spans: list[dict] = []
-    counters: list[dict] = []
-    for i, tracer in enumerate(tracers):
-        rank = ranks[i]
-        meta.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": rank,
-                "tid": 0,
-                "args": {"name": f"rank {rank}"},
-            }
-        )
-        meta.append(
-            {
-                "name": "process_sort_index",
-                "ph": "M",
-                "pid": rank,
-                "tid": 0,
-                "args": {"sort_index": rank},
-            }
-        )
-        used: dict[int, str] = {}
-        extra_tids: dict[str, int] = {}
-        for s in tracer.finished_spans():
-            cat = s.category or "default"
-            tid = layer_tids.get(cat)
-            if tid is None:
-                tid = extra_tids.setdefault(cat, len(PIPELINE_LAYERS) + len(extra_tids))
-            used[tid] = cat
-            spans.append(
-                {
-                    "name": s.name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": round((s.start - epoch) * 1e6, 3),
-                    "dur": round(s.duration * 1e6, 3),
-                    "pid": rank,
-                    "tid": tid,
-                    "args": s.args,
-                }
-            )
-        for tid, cat in sorted(used.items()):
-            meta.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": rank,
-                    "tid": tid,
-                    "args": {"name": cat},
-                }
-            )
-        for name, category, ts, values in tracer.counters:
-            counters.append(
-                {
-                    "name": name,
-                    "cat": category or "counter",
-                    "ph": "C",
-                    "ts": round((ts - epoch) * 1e6, 3),
-                    "pid": rank,
-                    "tid": 0,
-                    "args": values,
-                }
-            )
-    spans.sort(key=lambda e: (e["pid"], e["tid"], e["ts"], -e["dur"]))
-    counters.sort(key=lambda e: (e["pid"], e["name"], e["ts"]))
-    return {
-        "traceEvents": meta + spans + counters,
-        "displayTimeUnit": "ms",
-        "otherData": {"producer": "repro.observability.distributed"},
-    }
-
-
-def export_merged_trace(tracers, path) -> str:
-    """Write the merged multi-rank trace as ``trace.json``; returns the path."""
-    text = json.dumps(merge_rank_traces(tracers), indent=1, default=str)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return str(path)
 
 
 # -- imbalance and model closure -------------------------------------------------

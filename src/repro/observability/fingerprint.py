@@ -46,7 +46,6 @@ import numpy as np
 from .jsonl import JsonlLedger
 from .metrics import get_registry
 from .recorder import get_recorder
-from .tracing import get_tracer
 
 __all__ = [
     "FINGERPRINT_SCHEMA",
@@ -274,7 +273,7 @@ def load_reference(reference) -> tuple[Path, dict[int, dict]]:
 
 
 class FingerprintStream:
-    """Emits fingerprint records: ledger + flight recorder + trace + audit.
+    """Emits fingerprint records: ledger + flight recorder + audit.
 
     One stream per run.  Solvers (or the quickstart loop) call
     :meth:`record_state` with the live interiors, or
@@ -301,9 +300,8 @@ class FingerprintStream:
         cannot fail is worse than none.
     where:
         Location tag for health events (e.g. ``"rank 2"``).
-    metrics / trace:
-        Export the record/divergence counters and overhead gauge, and
-        wrap emission in a ``fingerprint`` trace span carrying the digest.
+    metrics:
+        Export the record/divergence counters and overhead gauge.
     """
 
     def __init__(
@@ -313,7 +311,6 @@ class FingerprintStream:
         health=None,
         where: str = "",
         metrics: bool = True,
-        trace: bool = True,
     ):
         self.path = Path(path) if path is not None else None
         self.ledger = None
@@ -332,7 +329,6 @@ class FingerprintStream:
         self.health = health
         self.where = where
         self.metrics = metrics
-        self.trace = trace
         self.records: list[dict] = []
         self.matched = 0
         self.unmatched = 0
@@ -365,38 +361,33 @@ class FingerprintStream:
     def record_digests(self, step: int, time: float, fields: dict) -> dict:
         """Emit one record from already-computed per-block digests.
 
-        Appends to the ledger, mirrors the digest into the flight-recorder
-        event ring and the Chrome trace, bumps the counters, and — when
-        auditing — compares against the reference and routes the first
-        mismatch through the health monitor (which may raise).
+        Appends to the ledger, records the digest as a ``fingerprint``
+        event of the flight recorder (timed: it is an interval of the
+        run's timeline), bumps the counters, and — when auditing — compares
+        against the reference and routes the first mismatch through the
+        health monitor (which may raise).
         """
         t0 = perf_counter()
-        tracer = get_tracer() if self.trace else None
-        span = (
-            tracer.span("fingerprint", category="runtime", time_step=int(step))
-            if tracer is not None
-            else _null_context()
-        )
         try:
-            with span as sp:
-                record = fingerprint_record(step, time, fields)
-                self.records.append(record)
-                if self.ledger is not None:
-                    self.ledger.append(record)
-                get_recorder().record(
-                    "fingerprint",
-                    record["digest"],
-                    time_step=record["step"],
-                    n_fields=len(record["fields"]),
-                )
-                if sp is not None:
-                    sp.args["digest"] = record["digest"]
-                if self.metrics:
-                    get_registry().counter(
-                        "repro_fingerprint_records_total",
-                        "fingerprint records emitted",
-                    ).inc()
-                self._audit(record)
+            record = fingerprint_record(step, time, fields)
+            self.records.append(record)
+            if self.ledger is not None:
+                self.ledger.append(record)
+            # before the audit: a divergence that raises finds the digest
+            # in the ring
+            get_recorder().record(
+                "fingerprint",
+                record["digest"],
+                time_step=record["step"],
+                n_fields=len(record["fields"]),
+                seconds=perf_counter() - t0,
+            )
+            if self.metrics:
+                get_registry().counter(
+                    "repro_fingerprint_records_total",
+                    "fingerprint records emitted",
+                ).inc()
+            self._audit(record)
         finally:
             self.overhead_seconds += perf_counter() - t0
             if self.metrics:
@@ -466,11 +457,3 @@ class FingerprintStream:
             f"path={str(self.path) if self.path else None!r}, "
             f"auditing={self.auditing})"
         )
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False

@@ -57,16 +57,6 @@ class HealthEvent:
         loc = f" {self.where}" if self.where else ""
         return f"[step {self.time_step}{loc}] {self.check}({self.field}): {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "time_step": self.time_step,
-            "check": self.check,
-            "field": self.field,
-            "message": self.message,
-            "value": self.value,
-            "where": self.where,
-        }
-
 
 @dataclass
 class HealthMonitor:
@@ -107,7 +97,6 @@ class HealthMonitor:
     energy_decay_slack: float = 1e-12
     events: list[HealthEvent] = dc_field(default_factory=list)
     n_checks: int = 0
-    sinks: list = dc_field(default_factory=list, repr=False)
     _mass_ref: dict = dc_field(default_factory=dict, repr=False)
     _energy_prev: float | None = dc_field(default=None, repr=False)
 
@@ -291,17 +280,12 @@ class HealthMonitor:
         self._record(found, registry)
         return found
 
-    def add_sink(self, sink) -> None:
-        """Register ``sink(event)`` to be called for every new event.
-
-        :meth:`repro.observability.rundir.RunDir.attach_health` uses this
-        to mirror events into ``health.jsonl``; sink failures are swallowed
-        so observability never changes run outcomes.
-        """
-        self.sinks.append(sink)
-
     def _record(self, found: list[HealthEvent], registry) -> None:
-        """Shared event handling: store, count, log, apply the policy."""
+        """Shared event handling: store, record, count, log, apply the policy.
+
+        The ``kind="health"`` recorder event (``check`` as its name) is the
+        durable form: with a journal open it is the run's health log.
+        """
         if not found:
             return
         self.events.extend(found)
@@ -316,11 +300,6 @@ class HealthMonitor:
                 value=event.value,
                 where=event.where,
             )
-            for sink in self.sinks:
-                try:
-                    sink(event)
-                except Exception:
-                    pass
             registry.counter(
                 "repro_health_events_total",
                 "failed health checks",

@@ -1,20 +1,24 @@
-"""Flight recorder: an always-on, bounded ring buffer of structured events.
+"""Flight recorder: the one event stream every layer writes to.
 
-Long multi-rank runs fail in ways the trace/metrics layers cannot explain
-after the fact: the tracer is opt-in (and unbounded), the metrics are
-aggregates, and a worker that dies under :mod:`repro.parallel.proc_comm`
-takes its in-memory state with it.  The :class:`FlightRecorder` is the
-production-forensics counterpart — waLBerla-class codes keep exactly this
-kind of rolling event log so a crash at step 48 123 of a day-long run is
-diagnosable from the artifacts alone:
+Every timed interval and every discrete occurrence of a run — codegen
+pipeline spans, time steps, kernel dispatches, profiled operations,
+diagnostics counter samples, fingerprints, health events, checkpoint
+writes — is one ``(seq, ts, kind, name, data)`` event appended to a
+:class:`FlightRecorder`.  Nothing else collects events: the Chrome /
+Perfetto timeline (:func:`chrome_trace`), the multi-rank timeline (the
+same function over several recorders), the health log and the step-time
+chart of ``tools/run_report.py`` are views of this stream, and a crash
+at step 48 123 of a day-long run is diagnosable from it alone:
 
 * **always on** — the process-wide recorder is enabled by default and
-  bounded (a ``deque(maxlen=...)`` ring), so it costs a few microseconds
-  per event and a fixed amount of memory no matter how long the run is;
-* **structured events** — step begin/end, kernel dispatch, every profiled
-  operation (ghost-exchange pack/wait/unpack, boundary fills), health
-  events and checkpoint writes, each a ``(seq, ts, kind, name, data)``
-  record;
+  bounded (a ``deque(maxlen=...)`` ring), so it costs 1–2 µs per event
+  (7.5 µs with a journal open) and a fixed amount of memory no matter
+  how long the run is; ``capacity=None`` keeps every event instead, for
+  a run whose whole timeline is wanted without a journal;
+* **intervals are events that carry** ``seconds`` — ``op`` (recorded by
+  the profiler after the interval), ``step_end``, ``fingerprint`` and the
+  ``span_end`` closing a :meth:`~FlightRecorder.span`; the interval is
+  ``[ts - seconds, ts]``;
 * **self-measured overhead** — every :meth:`~FlightRecorder.record` call
   times itself; the accumulated cost is exported as the
   ``repro_observability_overhead_seconds`` gauge and gated per event
@@ -23,15 +27,15 @@ diagnosable from the artifacts alone:
   event to a line-buffered ``journal.jsonl`` (one JSON object per line),
   the durable variant of the ring for post-run analysis and the HTML run
   report;
-* **crash forensics** — the ring, the open-span stack and the current
-  step position are what :func:`repro.observability.postmortem.capture_postmortem`
-  snapshots into ``postmortem.json`` when a rank dies.
+* **crash forensics** — the ring, the calling thread's open-span stack
+  and step position are what
+  :func:`repro.observability.postmortem.capture_postmortem` snapshots
+  into ``postmortem.json`` when a rank dies.
 
-Like the tracer, the process-wide instance (:func:`get_recorder`) can be
-shadowed per thread with :func:`set_thread_recorder` /
-:func:`rank_recorder`, so simulated (thread-backed) MPI ranks each keep
-their own event ring; forked process ranks get a private copy of the
-global recorder for free.
+The process-wide instance (:func:`get_recorder`) can be shadowed per
+thread with :func:`set_thread_recorder` / :func:`rank_recorder`, so
+simulated (thread-backed) MPI ranks each keep their own event ring;
+forked process ranks get a private copy of the global recorder for free.
 """
 
 from __future__ import annotations
@@ -43,8 +47,11 @@ from contextlib import contextmanager
 from time import perf_counter
 
 __all__ = [
+    "PIPELINE_LAYERS",
     "FlightRecorder",
     "RecorderEvent",
+    "chrome_trace",
+    "load_journal",
     "get_recorder",
     "set_recorder",
     "set_thread_recorder",
@@ -57,6 +64,18 @@ DEFAULT_CAPACITY = 1024
 
 #: name of the self-measured overhead gauge
 OVERHEAD_GAUGE = "repro_observability_overhead_seconds"
+
+#: the pipeline layers used as span categories, in stack order; each is one
+#: named thread track of :func:`chrome_trace`
+PIPELINE_LAYERS = (
+    "functional",
+    "pde",
+    "discretization",
+    "simplification",
+    "ir",
+    "backend",
+    "runtime",
+)
 
 
 def _plain(value):
@@ -125,25 +144,41 @@ class RecorderEvent(tuple):
         return f"RecorderEvent(seq={self[0]}, kind={self[2]!r}, name={self[3]!r})"
 
 
+class _ThreadState(threading.local):
+    """Where the calling thread is: its open begin/end spans and step position.
+
+    Per thread because simulated ranks may share one recorder: a shared
+    stack lets rank 0's ``step_end`` pop rank 1's ``step_begin``, and a
+    post-mortem then names the wrong rank and step.
+    """
+
+    def __init__(self):
+        self.open: list[RecorderEvent] = []
+        self.position: dict = {}
+
+
 class FlightRecorder:
-    """Bounded ring of structured run events with an optional JSONL journal."""
+    """Ring of structured run events with an optional JSONL journal.
+
+    *capacity* bounds the ring (the newest events are kept); ``None`` keeps
+    every event.
+    """
 
     def __init__(
         self,
-        capacity: int = DEFAULT_CAPACITY,
+        capacity: int | None = DEFAULT_CAPACITY,
         enabled: bool = True,
         rank: int | None = None,
     ):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be >= 1 (or None: keep every event)")
         self.enabled = enabled
         self.rank = rank
-        self.capacity = int(capacity)
+        self.capacity = capacity if capacity is None else int(capacity)
         self._ring: deque[RecorderEvent] = deque(maxlen=self.capacity)
         self._seq = 0
         self._overhead = 0.0
-        self._open: list[RecorderEvent] = []
-        self._position: dict = {}
+        self._thread = _ThreadState()
         self._journal = None
         self._journal_path: str | None = None
         self._state_provider = None
@@ -179,23 +214,44 @@ class FlightRecorder:
         """Record a ``<kind>_begin`` event and push it on the open-span stack."""
         event = self.record(f"{kind}_begin", name, **data)
         if event is not None:
-            with self._lock:
-                self._open.append(event)
+            self._thread.open.append(event)
         return event
 
     def end(self, kind: str, name: str = "", **data) -> RecorderEvent | None:
-        """Record a ``<kind>_end`` event and pop the matching open span."""
+        """Record a ``<kind>_end`` event and pop this thread's innermost open span."""
         event = self.record(f"{kind}_end", name, **data)
-        if event is not None:
-            with self._lock:
-                if self._open:
-                    self._open.pop()
+        if event is not None and self._thread.open:
+            self._thread.open.pop()
         return event
+
+    @contextmanager
+    def span(self, name: str, category: str = "", **args):
+        """Time the enclosed block as a ``span_begin`` / ``span_end`` pair.
+
+        *category* names the pipeline layer (the track of
+        :func:`chrome_trace`).  Yields the dict that is attached to the end
+        event — it starts as *args*; add what is known only after the work
+        ran::
+
+            with get_recorder().span("compile:phi", category="backend") as result:
+                ...
+                result["cache"] = "hit"
+        """
+        t0 = perf_counter()
+        self.begin("span", name, category=category, **args)
+        try:
+            yield args
+        finally:
+            self.end("span", name, category=category, seconds=perf_counter() - t0, **args)
+
+    def counter(self, name: str, values: dict[str, float]) -> RecorderEvent | None:
+        """Record one sample of the named counter track (e.g. the diagnostics)."""
+        return self.record("counter", name, **{k: float(v) for k, v in values.items()})
 
     def step_begin(self, time_step: int, **data) -> RecorderEvent | None:
         """Open a time-step span; also updates :attr:`position`."""
         if self.enabled:
-            self._position = {"time_step": int(time_step), **data}
+            self._thread.position = {"time_step": int(time_step), **data}
         return self.begin("step", str(time_step), time_step=int(time_step), **data)
 
     def step_end(self, time_step: int, seconds: float | None = None) -> RecorderEvent | None:
@@ -222,8 +278,8 @@ class FlightRecorder:
 
     @property
     def position(self) -> dict:
-        """Last known run position (``time_step``, …) from :meth:`step_begin`."""
-        return dict(self._position)
+        """This thread's run position (``time_step``, …) from :meth:`step_begin`."""
+        return dict(self._thread.position)
 
     # -- journal ---------------------------------------------------------------
 
@@ -247,6 +303,7 @@ class FlightRecorder:
                 except OSError:
                     pass
             self._journal = None
+            self._journal_path = None
 
     @property
     def journal_path(self) -> str | None:
@@ -264,8 +321,8 @@ class FlightRecorder:
         return [_plain(e.to_dict()) for e in tail]
 
     def open_spans(self) -> list[dict]:
-        """The currently open begin/end spans, outermost first."""
-        return [_plain(e.to_dict()) for e in self._open]
+        """The begin/end spans open on this thread, outermost first."""
+        return [_plain(e.to_dict()) for e in self._thread.open]
 
     def last_of(self, *kinds: str) -> RecorderEvent | None:
         """Newest event whose kind is one of *kinds* (``None`` if absent)."""
@@ -300,8 +357,7 @@ class FlightRecorder:
     def reset(self) -> None:
         with self._lock:
             self._ring.clear()
-            self._open.clear()
-            self._position = {}
+            self._thread = _ThreadState()
             self._seq = 0
             self._overhead = 0.0
 
@@ -311,17 +367,20 @@ class FlightRecorder:
     # -- pickling ---------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        # recorders cross the proc_comm worker -> parent hop inside crash
-        # post-mortems; the journal handle, state provider and lock are
-        # per-process and rebuilt (empty) on the other side
+        # recorders cross the proc_comm worker -> parent hop (crash
+        # post-mortems, and rank recorders returned for chrome_trace); the
+        # journal handle, state provider and lock are per-process and
+        # rebuilt (empty) on the other side.  On Linux perf_counter is
+        # CLOCK_MONOTONIC — system-wide — so the events of several
+        # processes still align on one timeline.
         with self._lock:
             return {
                 "enabled": self.enabled,
                 "rank": self.rank,
                 "capacity": self.capacity,
                 "ring": list(self._ring),
-                "open": list(self._open),
-                "position": dict(self._position),
+                "open": list(self._thread.open),
+                "position": dict(self._thread.position),
                 "seq": self._seq,
                 "overhead": self._overhead,
             }
@@ -331,8 +390,9 @@ class FlightRecorder:
         self.rank = state["rank"]
         self.capacity = state["capacity"]
         self._ring = deque(state["ring"], maxlen=self.capacity)
-        self._open = list(state["open"])
-        self._position = dict(state["position"])
+        self._thread = _ThreadState()
+        self._thread.open = list(state["open"])
+        self._thread.position = dict(state["position"])
         self._seq = state["seq"]
         self._overhead = state["overhead"]
         self._journal = None
@@ -373,13 +433,22 @@ def set_thread_recorder(recorder: FlightRecorder | None) -> FlightRecorder | Non
 
 
 @contextmanager
-def rank_recorder(rank: int, capacity: int = DEFAULT_CAPACITY, enabled: bool = True):
+def rank_recorder(rank: int, capacity: int | None = DEFAULT_CAPACITY, enabled: bool = True):
     """Install a rank-tagged recorder for the calling thread (one MPI rank).
 
-    The flight-recorder counterpart of
-    :func:`repro.observability.distributed.rank_tracer` — yields the new
-    recorder; return it from the rank program to inspect per-rank rings
-    after :func:`~repro.parallel.mpi_sim.run_ranks` returns.
+    Inside the block :func:`get_recorder` resolves to the new recorder on
+    this thread only, so every event of the rank lands in its own ring.
+    Yields the recorder — return it from the rank program to inspect the
+    per-rank rings, or (with ``capacity=None``) to render all ranks as one
+    timeline, after :func:`~repro.parallel.mpi_sim.run_ranks` returns::
+
+        def rank_program(comm):
+            with rank_recorder(comm.rank, capacity=None) as recorder:
+                solver = DistributedSolver(kernels, forest, comm=comm)
+                ...
+            return recorder
+
+        doc = chrome_trace(run_ranks(4, rank_program))
 
     On an exception the recorder stays installed for the thread: the rank
     is unwinding toward the crash-capture handler in ``run_ranks``, which
@@ -395,3 +464,106 @@ def rank_recorder(rank: int, capacity: int = DEFAULT_CAPACITY, enabled: bool = T
         raise
     else:
         set_thread_recorder(previous)
+
+
+# -- views of the event stream ----------------------------------------------------
+
+
+def load_journal(path, rank: int | None = None) -> FlightRecorder:
+    """A JSONL journal's events as a detached, keep-everything recorder.
+
+    The events are the tuples the writing process recorded, so everything
+    that reads a live recorder (:func:`chrome_trace`, ``events``,
+    ``last_of``) reads a finished — or crashed — run's journal the same way.
+    """
+    recorder = FlightRecorder(capacity=None, rank=rank)
+    with open(path) as handle:
+        for line in handle:
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # a crash can truncate the final line
+            recorder._ring.append(
+                RecorderEvent(
+                    event["seq"], event["ts"], event["kind"], event["name"], event["data"]
+                )
+            )
+    return recorder
+
+
+def chrome_trace(recorders) -> dict:
+    """The events of one or several recorders as ONE Chrome/Perfetto document.
+
+    *recorders* are live recorders, rank recorders returned (pickled, under
+    the process backend) from a rank program, or journals read back with
+    :func:`load_journal`; ``None`` entries are skipped.  Track layout: each
+    recorder is a named *process* (``rank N``, sorted by rank; ``repro`` for
+    an untagged one, sorted first), and within it every pipeline layer —
+    the ``category`` of a :meth:`~FlightRecorder.span`; ``runtime`` for
+    steps, profiled operations and fingerprints — is a named *thread*, so
+    the φ/µ sweeps, the exchange phases and the codegen layers of all
+    ranks line up on a common timeline (all ranks share one
+    ``perf_counter`` clock; timestamps are relative to the earliest
+    event).  Every event that carries ``seconds`` becomes a complete
+    (``"X"``) event over ``[ts - seconds, ts]``, every ``counter`` event a
+    ``"C"`` sample.  Write it with ``json.dump``; load the file in
+    ``chrome://tracing`` or https://ui.perfetto.dev.
+    """
+    recorders = [r for r in recorders if r is not None]
+    if not recorders:
+        raise ValueError("no recorders to render")
+    ranks = [r.rank for r in recorders]
+    duplicates = sorted({str(r) for r in ranks if ranks.count(r) > 1})
+    if duplicates:
+        # two recorders on one pid would silently interleave their tracks
+        raise ValueError(f"duplicate rank ids in one trace: {duplicates}")
+    main_pid = 1 + max((r for r in ranks if r is not None), default=-1)
+    layer_tids = {layer: tid for tid, layer in enumerate(PIPELINE_LAYERS)}
+
+    def meta(what, pid, tid, **args):
+        return {"name": what, "ph": "M", "pid": pid, "tid": tid, "args": args}
+
+    metadata: list[dict] = []
+    spans: list[dict] = []
+    counters: list[dict] = []
+    for recorder, rank in zip(recorders, ranks):
+        pid = main_pid if rank is None else rank
+        metadata.append(
+            meta("process_name", pid, 0, name="repro" if rank is None else f"rank {rank}")
+        )
+        metadata.append(
+            meta("process_sort_index", pid, 0, sort_index=-1 if rank is None else rank)
+        )
+        used: dict[int, str] = {}
+        for _seq, ts, kind, name, data in recorder.events:
+            event = {"name": name, "cat": "runtime", "ts": ts, "pid": pid, "tid": 0}
+            if kind == "counter":
+                counters.append({**event, "cat": "counter", "ph": "C", "args": _plain(data)})
+                continue
+            if "seconds" not in data:
+                continue
+            args = {k: v for k, v in data.items() if k not in ("seconds", "category")}
+            if kind == "span_end":
+                event["cat"] = data.get("category") or "default"
+            elif kind != "op":
+                # step_end, fingerprint: the kind names the interval and the
+                # event's name identifies it (the step number, the digest)
+                event["name"], args["name"] = kind.removesuffix("_end"), name
+            tid = layer_tids.setdefault(event["cat"], len(layer_tids))
+            used[tid] = event["cat"]
+            event.update(
+                ph="X", ts=ts - data["seconds"], dur=round(data["seconds"] * 1e6, 3),
+                tid=tid, args=_plain(args),
+            )
+            spans.append(event)
+        metadata += [meta("thread_name", pid, tid, name=cat) for tid, cat in sorted(used.items())]
+    epoch = min((e["ts"] for e in spans + counters), default=0.0)
+    for event in spans + counters:
+        event["ts"] = round((event["ts"] - epoch) * 1e6, 3)
+    spans.sort(key=lambda e: (e["pid"], e["tid"], e["ts"], -e["dur"]))
+    counters.sort(key=lambda e: (e["pid"], e["name"], e["ts"]))
+    return {
+        "traceEvents": metadata + spans + counters,
+        "displayTimeUnit": "ms",
+        "otherData": {"producer": "repro.observability"},
+    }

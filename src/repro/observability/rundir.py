@@ -6,13 +6,13 @@ a metrics dump there, checkpoints wherever the caller pointed them.
 
     run-2026-08-08/
       manifest.json        # config, git rev, host, backend, ranks, wall
-      trace.json           # Chrome-trace spans (merged across ranks)
+      trace.json           # Chrome-trace rendering of the journals
       metrics.prom         # Prometheus text-format metrics snapshot
       metrics.json         # same registry, JSON form
       diagnostics.csv      # in-situ physics diagnostics series
       fingerprints.jsonl   # repro-fingerprint/1 determinism ledger
-      health.jsonl         # health watchdog events
-      journal.jsonl        # flight-recorder event journal (rank 0)
+      journal.jsonl        # flight-recorder event journal: every span,
+                           # step, op, counter, fingerprint, health event
       journal.rank3.jsonl  # per-rank journals under launch_ranks
       comm_matrix.json     # per-(src,dst) bytes/message matrix
       postmortem.json      # crash bundles, when a run dies
@@ -47,6 +47,8 @@ import threading
 import time
 from pathlib import Path
 
+from .recorder import get_recorder, load_journal
+
 __all__ = [
     "MANIFEST_SCHEMA",
     "RunDir",
@@ -65,7 +67,6 @@ _ARTIFACTS = {
     "metrics_json": "metrics.json",
     "diagnostics": "diagnostics.csv",
     "fingerprints": "fingerprints.jsonl",
-    "health": "health.jsonl",
     "journal": "journal.jsonl",
     "comm_matrix": "comm_matrix.json",
     "postmortem": "postmortem.json",
@@ -136,10 +137,6 @@ class RunDir:
         return self.path / _ARTIFACTS["fingerprints"]
 
     @property
-    def health_path(self) -> Path:
-        return self.path / _ARTIFACTS["health"]
-
-    @property
     def comm_matrix_path(self) -> Path:
         return self.path / _ARTIFACTS["comm_matrix"]
 
@@ -169,6 +166,22 @@ class RunDir:
         if rank is None:
             return self.path / _ARTIFACTS["journal"]
         return self.path / f"journal.rank{int(rank)}.jsonl"
+
+    def journals(self) -> list:
+        """Every journal of the run, read back as rank-tagged recorders.
+
+        The main-process journal first (``rank=None``), then the per-rank
+        ones by rank — the input of
+        :func:`~repro.observability.recorder.chrome_trace`.
+        """
+        found = []
+        if self.journal_path().exists():
+            found.append(load_journal(self.journal_path()))
+        ranked = {
+            int(p.name.split(".")[1].removeprefix("rank")): p
+            for p in self.path.glob("journal.rank*.jsonl")
+        }
+        return found + [load_journal(ranked[rank], rank) for rank in sorted(ranked)]
 
     # -- manifest --------------------------------------------------------------
 
@@ -224,21 +237,6 @@ class RunDir:
             handle.write("\n")
         return manifest
 
-    # -- integration helpers ---------------------------------------------------
-
-    def attach_health(self, monitor) -> None:
-        """Mirror a :class:`HealthMonitor`'s events into ``health.jsonl``."""
-        rundir = self
-
-        def sink(event):
-            try:
-                with open(rundir.health_path, "a") as handle:
-                    handle.write(json.dumps(event.to_dict(), default=repr) + "\n")
-            except OSError:
-                pass
-
-        monitor.add_sink(sink)
-
     # -- context manager -------------------------------------------------------
 
     def __enter__(self):
@@ -247,6 +245,12 @@ class RunDir:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        # the run is over: left open, its journal would keep receiving the
+        # events of every later run in this process, at the journal price
+        recorder = get_recorder()
+        journal = recorder.journal_path
+        if journal is not None and Path(journal).parent == self.path:
+            recorder.close_journal()
         try:
             if exc is not None:
                 # a RankError arrives with the per-rank bundles already on

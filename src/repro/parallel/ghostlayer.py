@@ -142,7 +142,7 @@ def exchange_field(
                 expected[key] = expected.get(key, 0) + 1
         if timing:
             t1 = perf_counter()
-            profiler.record(f"exchange:{field_name}:pack", t1 - t0, end=t1)
+            profiler.record(f"exchange:{field_name}:pack", t1 - t0)
         if not outgoing and not expected:
             continue
 
@@ -170,7 +170,7 @@ def exchange_field(
             t1 = perf_counter()
             profiler.record(
                 f"exchange:{field_name}:deliver", t1 - t0,
-                nbytes=axis_bytes, messages=len(outgoing), end=t1,
+                nbytes=axis_bytes, messages=len(outgoing),
             )
 
         t0 = perf_counter() if timing else 0.0
@@ -183,13 +183,13 @@ def exchange_field(
                 arr[_strip(arr, axis, slice(n - gl, n))] = payload
         if timing:
             t1 = perf_counter()
-            profiler.record(f"exchange:{field_name}:unpack", t1 - t0, end=t1)
+            profiler.record(f"exchange:{field_name}:unpack", t1 - t0)
 
     if timing:
         t_end = perf_counter()
         profiler.record(
             f"exchange:{field_name}", t_end - t_begin,
-            nbytes=sent_bytes, messages=sent_messages, end=t_end,
+            nbytes=sent_bytes, messages=sent_messages,
         )
     return sent_bytes
 
@@ -407,9 +407,7 @@ class GhostExchange:
         t1 = perf_counter()
         self._seconds += t1 - t0
         if self.profiler is not None:
-            self.profiler.record(
-                f"exchange:{self.field_name}:pack", t1 - t0, end=t1,
-            )
+            self.profiler.record(f"exchange:{self.field_name}:pack", t1 - t0)
 
     def finish(self) -> None:
         """Wait for in-flight receives, unpack ghosts, fill domain walls."""
@@ -429,9 +427,7 @@ class GhostExchange:
         self._send_requests.clear()
         t1 = perf_counter()
         if self.profiler is not None:
-            self.profiler.record(
-                f"exchange:{self.field_name}:wait", t1 - t0, end=t1,
-            )
+            self.profiler.record(f"exchange:{self.field_name}:wait", t1 - t0)
 
         t2 = perf_counter()
         for bundle in received:
@@ -443,14 +439,12 @@ class GhostExchange:
             _apply_wall(self.arrays[coords], axis, side, self.gl, self.wall_mode)
         t3 = perf_counter()
         if self.profiler is not None:
-            self.profiler.record(
-                f"exchange:{self.field_name}:unpack", t3 - t2, end=t3,
-            )
+            self.profiler.record(f"exchange:{self.field_name}:unpack", t3 - t2)
         self._seconds += t3 - t0
         if self.profiler is not None:
             self.profiler.record(
                 f"exchange:{self.field_name}", self._seconds,
-                nbytes=self.bytes_sent, messages=self.messages_sent, end=t3,
+                nbytes=self.bytes_sent, messages=self.messages_sent,
             )
 
 

@@ -36,9 +36,13 @@ unblocks every other rank's receive; the parent bounds the whole run with
 Caveats of the process backend: it requires the ``fork`` start method
 (rank programs may be closures over unpicklable kernel objects), and ranks
 must be launched *before* the parent process runs any OpenMP parallel
-region — libgomp's thread pool does not survive a fork.  Pass
-``env={"OMP_NUM_THREADS": ...}`` to bound each rank's threads; the workers
-apply it before their first parallel region.
+region — libgomp's thread pool does not survive a fork.
+``env={"OMP_NUM_THREADS": ...}`` does NOT bound a rank's threads once the
+parent has loaded a compiled kernel: libgomp reads its settings at the
+parent's first ``dlopen``, and the forked workers inherit them (measured,
+ROADMAP item 1b — open; threads as a kernel argument is the planned fix).
+Until then export ``OMP_NUM_THREADS`` before the parent process starts, as
+``tests/conftest.py`` and the benchmark workers do.
 """
 
 from __future__ import annotations
@@ -564,7 +568,8 @@ def run_ranks_processes(
     the first rank failure as a :class:`RankError`, and terminates + names
     ranks still running after *join_timeout*.  *slab_bytes* sizes each
     directed shared-memory ghost-buffer slab; *env* is applied inside every
-    worker before the rank program runs (e.g. ``OMP_NUM_THREADS``).
+    worker before the rank program runs (too late for ``OMP_NUM_THREADS``
+    once the parent has loaded a kernel, see the module docstring).
 
     Crash forensics: a dying worker captures a post-mortem bundle (last
     events, open spans, field stats — see

@@ -2,7 +2,6 @@
 
 from .ecm import ECMModel, ECMPrediction, combine_kernels_mlups
 from .flops import SKYLAKE_WEIGHTS, OperationCount, count_operations
-from .instruction_tables import HASWELL_TABLE, SKYLAKE_TABLE, InstructionTable, weights_for
 from .layer_condition import TrafficAnalysis, analyze_traffic, blocking_factor
 from .ledger import (
     PERF_SCHEMA,
@@ -34,10 +33,6 @@ __all__ = [
     "SKYLAKE_WEIGHTS",
     "OperationCount",
     "count_operations",
-    "InstructionTable",
-    "SKYLAKE_TABLE",
-    "HASWELL_TABLE",
-    "weights_for",
     "TrafficAnalysis",
     "analyze_traffic",
     "blocking_factor",

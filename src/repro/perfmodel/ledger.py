@@ -4,9 +4,9 @@
 ``<rundir>/perf/perf.jsonl``: the measured side (MLUP/s, seconds and — when
 hardware counters ran — cycles/LUP, IPC, bytes/LUP) joined with the ECM
 prediction for the same kernel.  ``tools/run_report.py`` renders it and
-``tools/check_observability.py --require-perf`` schema-checks it.  It is the
-closure of *one* run, not a trajectory; numbers are compared across commits
-by ``benchmarks/perf/run.py``.
+``tools/check_observability.py RUNDIR --require perf`` schema-checks it.
+It is the closure of *one* run, not a trajectory; numbers are compared
+across commits by ``benchmarks/perf/run.py``.
 
 Record shape (one JSON object per line)::
 

@@ -28,7 +28,7 @@ from ..discretization import (
 )
 from ..ir import Kernel, KernelConfig, create_kernel
 from ..observability.log import get_logger, kv
-from ..observability.tracing import get_tracer
+from ..observability.recorder import get_recorder
 from ..symbolic import (
     Assignment,
     AssignmentCollection,
@@ -127,7 +127,7 @@ class GrandPotentialModel:
         return multi_obstacle_potential(self.phi, p.gamma, p.gamma_triple)
 
     def energy_functional(self) -> EnergyFunctional:
-        with get_tracer().span(
+        with get_recorder().span(
             "assemble_energy_functional",
             category="functional",
             phases=self.params.n_phases,
@@ -147,7 +147,7 @@ class GrandPotentialModel:
     def variational_derivatives(self) -> list[sp.Expr]:
         """δΨ/δφ_α for every phase (cached — they are expensive)."""
         if self._dpsi_cache is None:
-            with get_tracer().span(
+            with get_recorder().span(
                 "variational_derivatives",
                 category="pde",
                 phases=self.params.n_phases,
@@ -179,7 +179,7 @@ class GrandPotentialModel:
 
     def phi_system(self) -> PDESystem:
         """Allen-Cahn equations with Lagrange multiplier and fluctuations."""
-        with get_tracer().span("build_phi_system", category="pde"):
+        with get_recorder().span("build_phi_system", category="pde"):
             return self._phi_system()
 
     def _phi_system(self) -> PDESystem:
@@ -215,7 +215,7 @@ class GrandPotentialModel:
 
     def mu_system(self) -> PDESystem:
         """Eq. (8): the non-variational chemical potential evolution."""
-        with get_tracer().span("build_mu_system", category="pde"):
+        with get_recorder().span("build_mu_system", category="pde"):
             return self._mu_system()
 
     def _mu_system(self) -> PDESystem:
@@ -348,7 +348,7 @@ class GrandPotentialModel:
                 ]
             return [create_kernel(result, config)]
 
-        with get_tracer().span(
+        with get_recorder().span(
             "create_kernels",
             category="pipeline",
             variant_phi=variant_phi,

@@ -26,7 +26,7 @@ from sympy.printing.repr import ReprPrinter
 from ..ir.kernel import Kernel
 from ..observability.log import get_logger, kv
 from ..observability.metrics import get_registry
-from ..observability.tracing import get_tracer
+from ..observability.recorder import get_recorder
 from ..symbolic.ordering import CanonicalTermOrder
 
 _log = get_logger("profiling.cache")
@@ -132,7 +132,7 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
     """
     global _HITS, _MISSES
     registry = get_registry()
-    with get_tracer().span(
+    with get_recorder().span(
         f"compile:{kernel.name}", category="backend", backend=backend
     ) as span:
         key = (backend, kernel_fingerprint(kernel))
@@ -143,8 +143,7 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
                 registry.counter(
                     "repro_kernel_cache_hits_total", "kernel cache hits"
                 ).inc()
-                if span is not None:
-                    span.args["cache"] = "hit"
+                span["cache"] = "hit"
                 _log.debug(kv("cache_hit", kernel=kernel.name, backend=backend))
                 return compiled
         # compile outside the lock: codegen is slow and reentrant-safe
@@ -160,8 +159,7 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
         registry.gauge(
             "repro_kernel_cache_size", "compiled kernels held by the cache"
         ).set(size)
-        if span is not None:
-            span.args["cache"] = "miss"
+        span["cache"] = "miss"
         _log.info(
             kv(
                 "kernel_compiled",

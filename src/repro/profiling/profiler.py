@@ -12,11 +12,11 @@ Profiling is always on: one ``perf_counter`` pair per kernel sweep is noise
 next to the sweep itself.  Construct with ``enabled=False`` to make
 ``measure`` a true no-op.
 
-Every accepted timing is also forwarded to the global
-:class:`repro.observability.tracing.Tracer` (when enabled) as a ``runtime``
-span — the profiler is the single span source for the runtime loop, so a
-kernel sweep is measured exactly once and appears in both the profile table
-and the Chrome trace.
+Every accepted timing is also recorded as one ``op`` event of the
+:class:`repro.observability.recorder.FlightRecorder` — the profiler is the
+single event source for the runtime loop, so a kernel sweep is measured
+and stored exactly once; the :class:`TimingRecord` table is the O(1) live
+fold of those events, the Chrome trace a rendering of them.
 
 Hardware counters: :meth:`SolverProfiler.measure` samples the process-wide
 :class:`repro.observability.hwcounters.CounterHarness` around every block,
@@ -39,7 +39,6 @@ from ..observability.hwcounters import (
     get_counter_harness,
 )
 from ..observability.recorder import get_recorder
-from ..observability.tracing import get_tracer
 from ..perfmodel.report import format_table, report_header
 
 __all__ = ["SolverProfiler", "TimingRecord"]
@@ -133,17 +132,15 @@ class SolverProfiler:
         seconds: float,
         cells: int = 0,
         nbytes: int = 0,
-        end: float | None = None,
         messages: int = 0,
         counters=None,
     ) -> None:
         """Accumulate one timed interval under *name*.
 
-        *end* is the ``perf_counter`` value at which the interval finished;
-        when given and the global tracer is enabled, the interval is also
-        emitted as a ``runtime`` trace span (one measurement, two sinks).
-        *messages* counts the MPI messages behind the interval, so exchange
-        wait time is attributable to message count as well as volume.
+        The interval ended just before this call: the timestamp of the
+        ``op`` event it becomes stands for its end.  *messages* counts the
+        MPI messages behind the interval, so exchange wait time is
+        attributable to message count as well as volume.
         *counters* is a :class:`~repro.observability.hwcounters.CounterSample`
         delta covering the interval (``None`` when sampling is off).
         """
@@ -156,19 +153,7 @@ class SolverProfiler:
         rec.bytes += nbytes
         rec.messages += messages
         rec.absorb_counters(counters)
-        tracer = get_tracer()
-        if tracer.enabled and end is not None:
-            args = {}
-            if cells:
-                args["cells"] = cells
-            if nbytes:
-                args["bytes"] = nbytes
-            if messages:
-                args["messages"] = messages
-            tracer.add_event(
-                name, category="runtime", start=end - seconds, end=end, args=args
-            )
-        # the profiler is also the single event source for the flight
+        # the profiler is the single event source for the flight
         # recorder: every kernel sweep, ghost-exchange phase and fill
         # becomes one "op" event in the ring (and the crash post-mortem)
         recorder = get_recorder()
@@ -203,7 +188,7 @@ class SolverProfiler:
                 delta = slot.sample
             else:
                 delta = harness.delta(s0, harness.sample())
-            self.record(name, t1 - t0, cells, nbytes, end=t1, counters=delta)
+            self.record(name, t1 - t0, cells, nbytes, counters=delta)
 
     # -- aggregation -----------------------------------------------------------
 

@@ -15,8 +15,8 @@ from a process that already entered an OpenMP region), aggregates worker
 cache/throughput statistics into the :class:`MetricsRegistry`, samples
 the task-queue depth, and writes one merged ``sweep.json`` manifest
 (schema ``repro-sweep/1``) that ``tools/run_report.py`` renders as a
-sweep report and ``tools/check_observability.py --require-sweep``
-validates in CI.
+sweep report and ``tools/check_observability.py SWEEPDIR`` validates in
+CI.
 
 Scenario specs are plain dicts on the wire (JSON in, JSON out), so a
 sweep can be driven from a file::

@@ -54,9 +54,9 @@ def functional_derivative(energy_density: sp.Expr, access: FieldAccess) -> sp.Ex
     returned with an outer unevaluated ``Diff`` so that the discretizer can
     apply the staggered divergence-of-fluxes scheme.
     """
-    from ..observability.tracing import get_tracer
+    from ..observability.recorder import get_recorder
 
-    with get_tracer().span(
+    with get_recorder().span(
         f"variational_derivative:{access.name}", category="pde"
     ):
         return _functional_derivative(energy_density, access)

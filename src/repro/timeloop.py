@@ -32,7 +32,6 @@ from .backends.numpy_backend import create_arrays
 from .observability.log import get_logger, kv
 from .observability.metrics import get_registry
 from .observability.recorder import get_recorder
-from .observability.tracing import get_tracer
 from .profiling import SolverProfiler
 
 __all__ = ["TimeLoop"]
@@ -60,8 +59,8 @@ class TimeLoop:
     requirement, performance reports), *blocks* the geometry of the blocks
     this process owns (their arrays are allocated here), *compile* the
     ``compile_cached``-style callable every scheduled kernel goes through.
-    *tags* identify this loop among its peers (``rank=…``) on metrics,
-    recorder and trace records; *note* describes the run in the RunDir
+    *tags* identify this loop among its peers (``rank=…``) on metrics and
+    recorder events; *note* describes the run in the RunDir
     manifest and the perf ledger.
 
     Checkpoints, the default diagnostics suite and the phase-sum health
@@ -151,8 +150,8 @@ class TimeLoop:
         # flight-recorder integration: field stats at crash time come from
         # the live arrays; with a RunDir the event journal (rank-suffixed
         # under several ranks, so a dead rank leaves its last events on
-        # disk even if the pipe hop fails too) and the health log land in
-        # the bundle alongside checkpoints and diagnostics
+        # disk even if the pipe hop fails too) lands in the bundle alongside
+        # checkpoints and diagnostics — health events are journal lines
         self.rundir = rundir
         recorder = get_recorder()
         recorder.set_state_provider(self._recorder_state)
@@ -161,8 +160,6 @@ class TimeLoop:
                 rundir.note(solver=self.kind, **self._note)
             journal_rank = self.rank if self.n_ranks > 1 else recorder.rank
             recorder.open_journal(rundir.journal_path(journal_rank))
-            if health is not None:
-                rundir.attach_health(health)
         _log.info(
             kv("solver_created", kind=self.kind, blocks=len(self._owned),
                health=health is not None, **self._tags, **self._note)
@@ -239,24 +236,22 @@ class TimeLoop:
 
     def step(self, n_steps: int = 1) -> None:
         """Advance the solution by *n_steps* passes over the schedule."""
-        tracer = get_tracer()
         recorder = get_recorder()
         for _ in range(n_steps):
             t0 = perf_counter()
             begin_step = self.time_step
             recorder.step_begin(begin_step, **self._tags)
-            with tracer.span("step", category="runtime", time_step=begin_step, **self._tags):
-                for op, arg in self._ops:
-                    op(arg)
-                for block in self._owned:
-                    arrays = block.arrays
-                    for a, b in self.swaps:
-                        arrays[a], arrays[b] = arrays[b], arrays[a]
-                self.time_step += 1
-                self.time += self.dt
-                for _stage, every, fn in self._after_step:
-                    if self.time_step % every == 0:
-                        fn()
+            for op, arg in self._ops:
+                op(arg)
+            for block in self._owned:
+                arrays = block.arrays
+                for a, b in self.swaps:
+                    arrays[a], arrays[b] = arrays[b], arrays[a]
+            self.time_step += 1
+            self.time += self.dt
+            for _stage, every, fn in self._after_step:
+                if self.time_step % every == 0:
+                    fn()
             seconds = perf_counter() - t0
             recorder.step_end(begin_step, seconds)
             self.step_seconds += seconds
@@ -375,15 +370,14 @@ class TimeLoop:
         tile_shape: tuple[int, ...] | None = None,
         check_invariants: bool = True,
         metrics: bool = True,
-        trace: bool = True,
     ):
         """Evaluate a :class:`~repro.diagnostics.DiagnosticsSuite` in-situ.
 
         Every *every* steps (and once immediately, establishing the
         conservation reference) the suite's reduction kernel runs on the
         live fields; rows stream into the returned
-        :class:`~repro.diagnostics.DiagnosticsSeries` (CSV/gauges/trace
-        counters).  With *check_invariants* and a :class:`HealthMonitor`
+        :class:`~repro.diagnostics.DiagnosticsSeries` (CSV/gauges/counter
+        events).  With *check_invariants* and a :class:`HealthMonitor`
         attached, solute-mass drift and free-energy decay violations go
         through the monitor's policy *before* the per-field watchdogs run.
 
@@ -411,7 +405,6 @@ class TimeLoop:
             suite.names,
             csv_path=csv_path if self.rank == 0 else None,
             metrics=metrics and self.rank == 0,
-            trace=trace,
         )
         mass, energy = (
             invariant_names(suite.names, self.params) if check_invariants else ((), None)
@@ -455,7 +448,6 @@ class TimeLoop:
         path=None,
         tile_shape: tuple[int, ...] | None = None,
         metrics: bool = True,
-        trace: bool = True,
     ):
         """Stream ``repro-fingerprint/1`` state digests every *every* steps.
 
@@ -497,7 +489,6 @@ class TimeLoop:
             health=self.health,
             where=self._where(),
             metrics=metrics and self.rank == 0,
-            trace=trace,
         )
 
         def evaluate() -> None:

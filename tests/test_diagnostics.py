@@ -29,13 +29,15 @@ from repro.diagnostics import (
 )
 from repro.ir import KernelConfig, create_kernel
 from repro.observability import (
+    FlightRecorder,
     HealthError,
     HealthMonitor,
-    get_tracer,
+    chrome_trace,
     parse_prometheus,
     find_sample,
     reset_metrics,
     get_registry,
+    set_recorder,
 )
 from repro.parallel import BlockForest, run_ranks
 from repro.parallel.timeloop import DistributedSolver
@@ -396,7 +398,7 @@ class TestDiagnosticsSeries:
     def test_csv_and_columns(self, tmp_path):
         path = tmp_path / "series.csv"
         series = DiagnosticsSeries(
-            ["free_energy"], csv_path=path, metrics=False, trace=False
+            ["free_energy"], csv_path=path, metrics=False
         )
         series.record(0, 0.0, {"free_energy": 2.0})
         series.record(1, 0.1, {"free_energy": 1.5})
@@ -411,23 +413,22 @@ class TestDiagnosticsSeries:
             series.column("nope")
 
     def test_gauges_and_trace_counters(self):
-        tracer = get_tracer()
-        tracer.enabled = True
-        tracer.reset()
+        recorder = FlightRecorder()
+        previous = set_recorder(recorder)
         try:
             series = DiagnosticsSeries(["free_energy", "interface_area"])
             series.record(0, 0.0, {"free_energy": 3.0, "interface_area": 7.0})
-            parsed = parse_prometheus(get_registry().to_prometheus())
-            assert find_sample(
-                parsed, "repro_diagnostic", name="free_energy"
-            ) == 3.0
-            doc = tracer.to_chrome()
-            counters = [
-                ev for ev in doc["traceEvents"] if ev.get("ph") == "C"
-            ]
-            assert counters and counters[0]["args"] == {
-                "free_energy": 3.0, "interface_area": 7.0,
-            }
         finally:
-            tracer.reset()
-            tracer.enabled = False
+            set_recorder(previous)
+        parsed = parse_prometheus(get_registry().to_prometheus())
+        assert find_sample(
+            parsed, "repro_diagnostic", name="free_energy"
+        ) == 3.0
+        doc = chrome_trace([recorder])
+        counters = [
+            ev for ev in doc["traceEvents"] if ev.get("ph") == "C"
+        ]
+        assert counters and counters[0]["name"] == "diagnostics"
+        assert counters[0]["args"] == {
+            "free_energy": 3.0, "interface_area": 7.0,
+        }

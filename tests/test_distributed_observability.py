@@ -1,6 +1,6 @@
 """Distributed scaling observability (tier-1).
 
-Covers the scaling layer end to end: rank-tagged tracers merging into one
+Covers the scaling layer end to end: rank-tagged recorders rendering as one
 multi-track Chrome trace, the per-(src, dst) communication matrix fed by
 the ghost exchange, the λ imbalance factor and the comm-model closure in
 ``DistributedSolver.profile_report()``, the ``SimComm.recv`` deadlock
@@ -15,20 +15,17 @@ import pytest
 
 from repro.observability import (
     CommMatrix,
+    FlightRecorder,
     MetricsRegistry,
-    Tracer,
+    chrome_trace,
     comm_closure_rows,
-    disable_tracing,
-    export_merged_trace,
     find_sample,
     get_recorder,
-    get_tracer,
     imbalance_factor,
-    merge_rank_traces,
     parse_prometheus,
-    rank_tracer,
+    rank_recorder,
     reset_metrics,
-    set_thread_tracer,
+    set_thread_recorder,
 )
 from repro.parallel import BlockForest, RankError, run_ranks
 from repro.parallel.timeloop import DistributedSolver
@@ -39,9 +36,8 @@ from repro.profiling import SolverProfiler
 @pytest.fixture(autouse=True)
 def _clean_observability_state():
     yield
-    disable_tracing()
     reset_metrics()
-    set_thread_tracer(None)
+    set_thread_recorder(None)
 
 
 @pytest.fixture(scope="module")
@@ -61,61 +57,93 @@ def _init(global_shape, params):
     return init
 
 
-# -- rank-tagged tracers and trace merging -------------------------------------
+# -- rank-tagged recorders and the multi-rank timeline -------------------------
 
 
 class TestRankTracer:
     def test_thread_local_override(self):
-        base = get_tracer()
-        with rank_tracer(3) as tracer:
-            assert get_tracer() is tracer
-            assert tracer.rank == 3
-        assert get_tracer() is base
+        base = get_recorder()
+        with rank_recorder(3) as recorder:
+            assert get_recorder() is recorder
+            assert recorder.rank == 3
+        assert get_recorder() is base
 
     def test_rank_process_metadata(self):
-        tracer = Tracer(rank=2)
-        with tracer.span("work", category="runtime"):
+        recorder = FlightRecorder(rank=2)
+        with recorder.span("work", category="runtime"):
             pass
-        doc = tracer.to_chrome()
+        doc = chrome_trace([recorder])
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         names = {e["name"]: e for e in meta}
         assert names["process_name"]["args"]["name"] == "rank 2"
         assert names["process_name"]["pid"] == 2
         assert names["process_sort_index"]["args"]["sort_index"] == 2
-        assert any(e["name"] == "thread_name" for e in meta)
+        assert names["thread_name"]["args"]["name"] == "runtime"
 
     def test_merge_produces_one_track_per_rank(self):
-        tracers = []
+        recorders = []
         for rank in range(3):
-            t = Tracer(rank=rank)
-            with t.span(f"op{rank}", category="runtime"):
+            r = FlightRecorder(rank=rank)
+            with r.span(f"op{rank}", category="runtime"):
                 pass
-            tracers.append(t)
-        doc = merge_rank_traces(tracers)
+            recorders.append(r)
+        main = FlightRecorder()  # e.g. the launching process: codegen spans
+        with main.span("create_kernels", category="ir"):
+            pass
+        doc = chrome_trace([main] + recorders)
         events = doc["traceEvents"]
         process_names = {
-            e["args"]["name"] for e in events if e["name"] == "process_name"
+            e["args"]["name"]: e["pid"] for e in events if e["name"] == "process_name"
         }
-        assert process_names == {"rank 0", "rank 1", "rank 2"}
-        spans = [e for e in events if e["ph"] == "X"]
+        assert process_names == {"repro": 3, "rank 0": 0, "rank 1": 1, "rank 2": 2}
+        spans = [e for e in events if e["ph"] == "X" and e["cat"] == "runtime"]
         assert {e["pid"] for e in spans} == {0, 1, 2}
-        # shared clock: timestamps are relative to the earliest epoch
-        assert min(e["ts"] for e in spans) >= 0.0
+        # shared clock: timestamps are relative to the earliest event
+        assert min(e["ts"] for e in events if e["ph"] == "X") == 0.0
         # same category -> same tid on every rank
         assert len({e["tid"] for e in spans}) == 1
 
     def test_merge_rejects_empty(self):
         with pytest.raises(ValueError):
-            merge_rank_traces([None, None])
+            chrome_trace([None, None])
 
     def test_export_merged_trace(self, tmp_path):
-        t = Tracer(rank=0)
-        with t.span("op", category="runtime"):
+        r = FlightRecorder(rank=0)
+        with r.span("op", category="runtime", block=(0, 1), cells=np.int64(4)):
             pass
-        path = export_merged_trace([t], tmp_path / "merged.json")
-        doc = json.loads((tmp_path / "merged.json").read_text())
-        assert path.endswith("merged.json")
-        assert doc["traceEvents"]
+        path = tmp_path / "merged.json"
+        path.write_text(json.dumps(chrome_trace([r])))  # JSON-safe as returned
+        (span,) = [e for e in json.loads(path.read_text())["traceEvents"] if e["ph"] == "X"]
+        assert span["args"] == {"block": [0, 1], "cells": 4}
+
+    def test_end_pops_the_calling_threads_span(self):
+        """Ranks sharing one recorder keep separate open-span stacks."""
+        import threading
+
+        recorder = FlightRecorder()
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def rank1():
+            recorder.step_begin(9, rank=1)
+            inside.set()
+            release.wait(10)
+            seen["open"] = recorder.open_spans()
+            seen["position"] = recorder.position
+            recorder.step_end(9)
+
+        thread = threading.Thread(target=rank1)
+        thread.start()
+        assert inside.wait(10)
+        recorder.step_begin(7, rank=0)
+        recorder.step_end(7)  # must pop rank 0's span, not rank 1's
+        assert recorder.open_spans() == []
+        recorder.step_begin(8, rank=0)
+        release.set()
+        thread.join()
+        assert [s["data"] for s in seen["open"]] == [{"time_step": 9, "rank": 1}]
+        assert seen["position"] == {"time_step": 9, "rank": 1}
+        assert [s["data"]["time_step"] for s in recorder.open_spans()] == [8]
 
 
 # -- communication matrix ------------------------------------------------------
@@ -211,16 +239,16 @@ class TestDistributedRun:
         forest = BlockForest((16, 16), (4, 4), periodic=True)
 
         def program(comm):
-            with rank_tracer(comm.rank) as tracer:
+            with rank_recorder(comm.rank, capacity=None) as recorder:
                 solver = DistributedSolver(kernel_set, forest, comm=comm)
                 solver.set_state_from(_init((16, 16), params))
                 solver.step(2)
                 report = solver.profile_report()
-            return tracer, report
+            return recorder, report
 
         results = run_ranks(4, program)
         path = tmp_path / "trace.json"
-        export_merged_trace([t for t, _ in results], path)
+        path.write_text(json.dumps(chrome_trace([r for r, _ in results])))
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
         names = {

@@ -1,5 +1,5 @@
-"""Tests for the extension features: Dirichlet walls, instruction tables,
-VTK output, benchmark mode and variant selection."""
+"""Tests for the extension features: Dirichlet walls, VTK output,
+benchmark mode and variant selection."""
 
 import numpy as np
 import pytest
@@ -62,38 +62,6 @@ class TestDirichletBoundary:
             arrays["f_dbc"], arrays["f_dbc_dst"] = arrays["f_dbc_dst"], arrays["f_dbc"]
         x = (np.arange(n) + 0.5) / n
         np.testing.assert_allclose(arrays["f_dbc"][1:-1], x, atol=1e-6)
-
-
-class TestInstructionTables:
-    def test_skylake_matches_paper_weights(self):
-        from repro.perfmodel import weights_for
-
-        w = weights_for("skylake")
-        assert w["adds"] == 1.0 and w["muls"] == 1.0
-        assert w["divs"] == 16.0
-        assert w["sqrts"] == 10.0   # approximate sqrt on AVX-512
-        assert w["rsqrts"] == 2.0   # rsqrt14
-
-    def test_haswell_lacks_rsqrt_approximation(self):
-        from repro.perfmodel import weights_for
-
-        w = weights_for("haswell")
-        assert w["rsqrts"] > 10, "no DP rsqrt approximation on AVX2"
-        assert w["divs"] >= 16
-
-    def test_unknown_arch(self):
-        from repro.perfmodel import weights_for
-
-        with pytest.raises(KeyError):
-            weights_for("itanium")
-
-    def test_weights_feed_opcount(self):
-        from repro.perfmodel import OperationCount, weights_for
-
-        oc = OperationCount(adds=10, muls=5, rsqrts=2)
-        skl = oc.normalized_flops(weights_for("skylake"))
-        hsw = oc.normalized_flops(weights_for("haswell"))
-        assert hsw > skl  # rsqrts are expensive without the approximation
 
 
 class TestVTKOutput:

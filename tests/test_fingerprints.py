@@ -267,7 +267,7 @@ class TestFingerprintStream:
     def test_reruns_produce_byte_identical_ledgers(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
-            stream = FingerprintStream(path=path, metrics=False, trace=False)
+            stream = FingerprintStream(path=path, metrics=False)
             for step in range(3):
                 stream.record_state(
                     step, step * 0.05, self._state(), dim=2, tile_shape=(4, 4)
@@ -278,19 +278,19 @@ class TestFingerprintStream:
     def test_construction_truncates_stale_ledger(self, tmp_path):
         path = tmp_path / "fp.jsonl"
         path.write_text('{"stale": true}\n')
-        stream = FingerprintStream(path=path, metrics=False, trace=False)
+        stream = FingerprintStream(path=path, metrics=False)
         stream.record_state(0, 0.0, self._state(), dim=2)
         records = FingerprintLedger(path).load(strict=True)
         assert len(records) == 1 and records[0]["step"] == 0
 
     def test_audit_counts_matched_and_unmatched_steps(self, tmp_path):
         ref_path = tmp_path / "ref.jsonl"
-        ref = FingerprintStream(path=ref_path, metrics=False, trace=False)
+        ref = FingerprintStream(path=ref_path, metrics=False)
         for step in (0, 1):
             ref.record_state(step, step * 0.05, self._state(), dim=2)
         stream = FingerprintStream(
             reference=ref_path, health=HealthMonitor(policy="record"),
-            metrics=False, trace=False,
+            metrics=False,
         )
         for step in (0, 1, 7):  # 7 has no reference record
             stream.record_state(step, step * 0.05, self._state(), dim=2)
@@ -301,13 +301,13 @@ class TestFingerprintStream:
 
     def test_divergence_names_step_field_block_and_raises(self, tmp_path):
         ref_path = tmp_path / "ref.jsonl"
-        ref = FingerprintStream(path=ref_path, metrics=False, trace=False)
+        ref = FingerprintStream(path=ref_path, metrics=False)
         for step in range(3):
             ref.record_state(
                 step, step * 0.05, self._state(), dim=2, tile_shape=(4, 4)
             )
         # default health monitor is policy="raise"
-        stream = FingerprintStream(reference=ref_path, metrics=False, trace=False)
+        stream = FingerprintStream(reference=ref_path, metrics=False)
         state = self._state()
         stream.record_state(0, 0.0, state, dim=2, tile_shape=(4, 4))
         state["mu"][6, 2] = np.nextafter(state["mu"][6, 2], np.inf)
@@ -320,10 +320,10 @@ class TestFingerprintStream:
 
     def test_record_policy_and_divergence_counter(self, tmp_path):
         ref_path = tmp_path / "ref.jsonl"
-        ref = FingerprintStream(path=ref_path, metrics=False, trace=False)
+        ref = FingerprintStream(path=ref_path, metrics=False)
         ref.record_state(0, 0.0, self._state(seed=1), dim=2)
         mon = HealthMonitor(policy="record")
-        stream = FingerprintStream(reference=ref_path, health=mon, trace=False)
+        stream = FingerprintStream(reference=ref_path, health=mon)
         stream.record_state(0, 0.0, self._state(seed=2), dim=2)
         events = [e for e in mon.events if e.check == "divergence"]
         assert events and events[0].time_step == 0
@@ -506,7 +506,7 @@ class TestDivergenceTool:
             {"phi": rng.random((8, 8)), "mu": rng.random((8, 8))}
             for _ in range(n_steps)
         ]
-        stream = FingerprintStream(path=path, metrics=False, trace=False)
+        stream = FingerprintStream(path=path, metrics=False)
         for step, state in enumerate(states):
             if step == perturb_step:
                 state = {k: v.copy() for k, v in state.items()}
@@ -653,7 +653,7 @@ class TestReportingSurfaces:
         divergence = _tools("divergence")
         other = RunDir(tmp_path / "other")
         stream = FingerprintStream(
-            path=other.fingerprint_path, metrics=False, trace=False
+            path=other.fingerprint_path, metrics=False
         )
         rng = np.random.default_rng(11)
         for step in range(3):

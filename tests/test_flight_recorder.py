@@ -37,9 +37,13 @@ from repro.observability.metrics import (
     find_sample,
     parse_prometheus,
 )
-from repro.observability.recorder import OVERHEAD_GAUGE, FlightRecorder
+from repro.observability.recorder import (
+    OVERHEAD_GAUGE,
+    FlightRecorder,
+    chrome_trace,
+    set_recorder,
+)
 from repro.observability.rundir import MANIFEST_SCHEMA
-from repro.observability.tracing import Tracer
 from repro.parallel import launch_ranks
 from repro.parallel.mpi_sim import RankError, run_ranks
 from repro.parallel.proc_comm import process_backend_available, run_ranks_processes
@@ -267,23 +271,61 @@ class TestRunDir:
         rec.step_end(13)
 
     def test_attach_health_mirrors_events(self, tmp_path):
+        """Health events are journal lines: the journal is the health log."""
         rundir = RunDir(tmp_path / "run")
-        monitor = HealthMonitor(policy="warn", interval=1)
-        rundir.attach_health(monitor)
-        monitor.check({"phi": np.array([0.5, np.nan])}, time_step=4)
-        events = [json.loads(line) for line in
-                  rundir.health_path.read_text().splitlines()]
-        assert events and events[0]["time_step"] == 4
-        assert events[0]["field"] == "phi"
+        recorder = FlightRecorder()
+        recorder.open_journal(rundir.journal_path())
+        previous = set_recorder(recorder)
+        try:
+            monitor = HealthMonitor(policy="warn", interval=1)
+            monitor.check({"phi": np.array([0.5, np.nan])}, time_step=4, where="rank 1")
+        finally:
+            set_recorder(previous)
+            recorder.close_journal()
+        (event,) = [e for e in rundir.journals()[0].events if e.kind == "health"]
+        # the six HealthEvent fields: check as the name, the rest as data
+        assert event.name == "nan" and event.data == {
+            "field": "phi", "time_step": 4, "message": "1 non-finite values",
+            "value": 1.0, "where": "rank 1",
+        }
+        assert "health" not in rundir.artifacts()  # no second copy on disk
+
+    def test_exit_closes_the_journal_it_holds(self, kernel_set, tmp_path):
+        """A finished run must stop receiving other runs' events."""
+        from repro.pfm import SingleBlockSolver, planar_front
+
+        def run(steps, **kwargs):
+            solver = SingleBlockSolver(kernel_set, (8, 8), **kwargs)
+            p = solver.params
+            front = planar_front((8, 8), p.n_phases, 0, 1, position=4.0, epsilon=p.epsilon)
+            solver.set_state(front, mu=0.0)
+            solver.step(steps)
+
+        with RunDir(tmp_path / "a") as rundir:
+            run(2, rundir=rundir)
+            assert get_recorder().journal_path == str(rundir.journal_path())
+        assert get_recorder().journal_path is None
+        size = rundir.journal_path().stat().st_size
+        assert size > 0 and load_manifest(rundir.path)["status"] == "ok"
+        run(5)  # a later run in the same process, without a RunDir
+        assert rundir.journal_path().stat().st_size == size
+
+    def test_exit_leaves_a_foreign_journal_open(self, tmp_path):
+        recorder = get_recorder()
+        recorder.open_journal(tmp_path / "elsewhere.jsonl")
+        with RunDir(tmp_path / "run"):
+            pass
+        assert recorder.journal_path == str(tmp_path / "elsewhere.jsonl")
+
+
+@pytest.fixture(scope="module")
+def kernel_set():
+    from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+    return GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
 
 
 class TestSolverRunDirIntegration:
-    @pytest.fixture(scope="class")
-    def kernel_set(self):
-        from repro.pfm import GrandPotentialModel, make_two_phase_binary
-
-        return GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
-
     def test_solver_journals_steps_and_checkpoints(self, kernel_set, tmp_path):
         from repro.pfm import SingleBlockSolver, planar_front
 
@@ -297,7 +339,6 @@ class TestSolverRunDirIntegration:
             solver.step(3)
             ckpt = solver.save_checkpoint()
             assert Path(ckpt).parent == rundir.checkpoint_dir
-        get_recorder().close_journal()
         manifest = load_manifest(tmp_path / "run")
         assert manifest["solver"] == "single"
         assert manifest["status"] == "ok"
@@ -310,6 +351,37 @@ class TestSolverRunDirIntegration:
         assert any(e["kind"] == "checkpoint" for e in events)
         ends = [e for e in events if e["kind"] == "step_end"]
         assert all(e["data"]["seconds"] >= 0 for e in ends)
+
+    def test_journal_renders_the_same_trace_as_the_live_recorder(
+        self, kernel_set, tmp_path
+    ):
+        """trace.json is a view of the events, wherever they are read from."""
+        from repro.diagnostics import DiagnosticsSuite
+        from repro.pfm import SingleBlockSolver, planar_front
+
+        recorder = FlightRecorder(capacity=None)
+        previous = set_recorder(recorder)
+        try:
+            with RunDir(tmp_path / "run") as rundir:
+                recorder.open_journal(rundir.journal_path())
+                solver = SingleBlockSolver(kernel_set, (8, 8), boundary="periodic")
+                params = solver.params
+                solver.set_state(
+                    planar_front((8, 8), params.n_phases, 0, 1, position=4.0,
+                                 epsilon=params.epsilon),
+                    mu=0.0,
+                )
+                solver.enable_diagnostics(DiagnosticsSuite.for_model(solver.model))
+                solver.enable_fingerprints()
+                solver.step(3)
+        finally:
+            set_recorder(previous)
+        live = chrome_trace([recorder])
+        assert chrome_trace(rundir.journals()) == live
+        phases = [e["ph"] for e in live["traceEvents"]]
+        assert phases.count("C") == 4  # diagnostics: once at enable + 3 steps
+        names = {e["name"] for e in live["traceEvents"] if e["ph"] == "X"}
+        assert {"step", "fingerprint", "phi", "mu", "compile:phi"} <= names
 
 
 def _crashing_prog(comm):
@@ -429,6 +501,27 @@ class TestRunReport:
         assert "flight-recorder overhead" in html
         assert "no post-mortems" in html
         assert "journal.jsonl" in html  # artifact inventory
+        assert "no failed health checks" in html
+
+    def test_health_section_renders_from_the_journal(self, tmp_path):
+        rundir = RunDir(tmp_path / "run")
+        recorder = FlightRecorder(rank=1)
+        recorder.open_journal(rundir.journal_path(1))
+        previous = set_recorder(recorder)
+        try:
+            HealthMonitor(policy="record").check(
+                {"phi": np.array([0.5, np.nan])}, time_step=4, where="rank 1"
+            )
+        finally:
+            set_recorder(previous)
+            recorder.close_journal()
+        rundir.write_manifest(status="ok")
+        assert not (rundir.path / "health.jsonl").exists()
+        run_report = _load_run_report()
+        assert run_report.main([str(rundir.path)]) == 0
+        html = rundir.report_path.read_text()
+        assert "Health events" in html and "1 non-finite values" in html
+        assert "<td class=\"l\">nan</td>" in html and "rank 1" in html
 
     def test_report_renders_crash_section(self, tmp_path):
         rundir = self._make_rundir(tmp_path)
@@ -501,42 +594,37 @@ class TestSatelliteFixes:
         assert sample_empty["count"] == 0 and sample_empty["mean"] == 0.0
 
     def test_tracer_pickle_preserves_counters_and_tids(self):
-        tracer = Tracer(rank=1)
-        with tracer.span("step", category="runtime"):
-            tracer.add_counter("energy", {"free_energy": 12.5}, category="runtime")
-        clone = pickle.loads(pickle.dumps(tracer))
-        assert clone.counters == tracer.counters
-        assert [s.name for s in clone.spans] == ["step"]
-        # thread-name metadata survives: the chrome export of the clone
-        # carries the same thread_name/tid assignments as the original
-        def tid_meta(t):
-            return sorted(
-                (e["tid"], e["args"]["name"])
-                for e in t.to_chrome()["traceEvents"]
-                if e.get("ph") == "M" and e["name"] == "thread_name"
-            )
-
-        assert tid_meta(clone) == tid_meta(tracer)
-        counter_events = [
-            e for e in clone.to_chrome()["traceEvents"] if e.get("ph") == "C"
+        recorder = FlightRecorder(rank=1, capacity=None)
+        with recorder.span("step", category="runtime"):
+            recorder.counter("energy", {"free_energy": 12.5})
+        clone = pickle.loads(pickle.dumps(recorder))
+        assert clone.capacity is None and clone.events == recorder.events
+        # the clone renders the same document: spans, counter samples and
+        # the thread_name/tid assignments all survive
+        doc = chrome_trace([clone])
+        assert doc == chrome_trace([recorder])
+        assert [e["args"] for e in doc["traceEvents"] if e["ph"] == "C"] == [
+            {"free_energy": 12.5}
         ]
-        assert counter_events and counter_events[0]["args"] == {"free_energy": 12.5}
+        assert [
+            (e["tid"], e["args"]["name"])
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        ] == [(6, "runtime")]
 
     @needs_processes
     def test_tracer_counters_cross_process_boundary(self):
         def prog(comm):
-            tracer = Tracer(rank=comm.rank)
-            with tracer.span("step", category="runtime"):
-                tracer.add_counter(
-                    "diag", {"value": float(comm.rank)}, category="runtime"
-                )
-            return tracer
+            recorder = FlightRecorder(rank=comm.rank)
+            with recorder.span("step", category="runtime"):
+                recorder.counter("diag", {"value": float(comm.rank)})
+            return recorder
 
-        tracers = run_ranks_processes(2, prog)
-        for rank, tracer in enumerate(tracers):
-            (name, category, ts, values) = tracer.counters[0]
-            assert name == "diag" and values == {"value": float(rank)}
-            assert tracer.rank == rank
+        recorders = run_ranks_processes(2, prog)
+        for rank, recorder in enumerate(recorders):
+            counter = recorder.last_of("counter")
+            assert counter.name == "diag" and counter.data == {"value": float(rank)}
+            assert recorder.rank == rank
 
 
 @pytest.fixture(autouse=True)

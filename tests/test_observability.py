@@ -1,7 +1,7 @@
 """End-to-end observability: tracing, metrics export, health monitoring.
 
-Covers :mod:`repro.observability` — Chrome-trace export and span-nesting
-determinism across pipeline rebuilds, the Prometheus text-format
+Covers :mod:`repro.observability` — recorder spans, their Chrome-trace
+rendering and span-nesting determinism across pipeline rebuilds, the Prometheus text-format
 round-trip, the NaN/drift/bounds health watchdog on live solver runs —
 plus the profiler-merge and distributed-gather regressions fixed in the
 same change.
@@ -13,18 +13,17 @@ import numpy as np
 import pytest
 
 from repro.observability import (
+    FlightRecorder,
     HealthError,
     HealthMonitor,
     MetricsRegistry,
-    Tracer,
-    disable_tracing,
-    enable_tracing,
+    chrome_trace,
     find_sample,
     get_registry,
     model_accuracy_rows,
     parse_prometheus,
     reset_metrics,
-    set_tracer,
+    set_recorder,
 )
 from repro.parallel import BlockForest
 from repro.parallel.timeloop import DistributedSolver
@@ -39,9 +38,8 @@ from repro.profiling import SolverProfiler, clear_kernel_cache, compile_cached
 
 @pytest.fixture(autouse=True)
 def _clean_observability_state():
-    """Keep the process-wide tracer/registry out of other test modules."""
+    """Keep the process-wide registry out of other test modules."""
     yield
-    disable_tracing()
     reset_metrics()
 
 
@@ -59,35 +57,61 @@ def _front(shape, params):
 # -- tracing -------------------------------------------------------------------
 
 
+def _span_tree(events) -> list[tuple]:
+    """Timing-free ``(name, category, parent_name)`` triples of the spans."""
+    stack, out = [], []
+    for e in events:
+        if e.kind == "span_begin":
+            out.append((e.name, e.data["category"], stack[-1] if stack else None))
+            stack.append(e.name)
+        elif e.kind == "span_end":
+            stack.pop()
+    return out
+
+
+@pytest.fixture
+def keep_all():
+    """A process-wide recorder that keeps every event (what a trace wants)."""
+    recorder = FlightRecorder(capacity=None)
+    previous = set_recorder(recorder)
+    yield recorder
+    set_recorder(previous)
+
+
 class TestTracer:
+    """Spans and their Chrome rendering — the recorder is the tracer."""
+
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("outer", category="runtime") as sp:
-            assert sp is None
-        assert tracer.finished_spans() == []
+        recorder = FlightRecorder(enabled=False)
+        with recorder.span("outer", category="runtime") as result:
+            result["ops"] = 7  # call sites write unconditionally
+        assert recorder.events == [] and recorder.open_spans() == []
 
     def test_nesting_and_args(self):
-        tracer = Tracer()
-        with tracer.span("outer", category="pipeline", n=3):
-            with tracer.span("inner", category="ir") as sp:
-                sp.args["ops"] = 7
-        tree = tracer.span_tree()
+        recorder = FlightRecorder()
+        with recorder.span("outer", category="pipeline", n=3):
+            with recorder.span("inner", category="ir") as result:
+                result["ops"] = 7
+                assert [s["name"] for s in recorder.open_spans()] == ["outer", "inner"]
+        tree = _span_tree(recorder.events)
         assert ("outer", "pipeline", None) in tree
         assert ("inner", "ir", "outer") in tree
-        inner = [s for s in tracer.finished_spans() if s.name == "inner"][0]
-        assert inner.args == {"ops": 7}
-        assert inner.duration >= 0
+        inner, outer = [e for e in recorder.events if e.kind == "span_end"]
+        assert inner.data["ops"] == 7 and outer.data["n"] == 3
+        assert 0 <= inner.data["seconds"] <= outer.data["seconds"]
+        spans = {e["name"]: e for e in chrome_trace([recorder])["traceEvents"] if e["ph"] == "X"}
+        assert spans["inner"]["args"] == {"ops": 7} and spans["inner"]["cat"] == "ir"
+        assert spans["outer"]["args"] == {"n": 3}
 
-    def test_pipeline_span_tree_deterministic(self):
+    def test_pipeline_span_tree_deterministic(self, keep_all):
         """Rebuilding the same model yields the identical span hierarchy."""
         trees = []
         for _ in range(2):
             clear_kernel_cache()  # identical compile spans on both rounds
-            tracer = enable_tracing(reset=True)
+            keep_all.reset()
             ks = GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
             compile_cached(ks.projection_kernel, "numpy")
-            trees.append(tracer.span_tree())
-        disable_tracing()
+            trees.append(_span_tree(keep_all.events))
         assert trees[0] == trees[1]
         cats = {cat for _, cat, _ in trees[0]}
         assert {
@@ -95,15 +119,14 @@ class TestTracer:
             "simplification", "ir", "backend",
         } <= cats
 
-    def test_chrome_export_is_valid_json(self, tmp_path, kernel_set):
-        tracer = enable_tracing(reset=True)
+    def test_chrome_export_is_valid_json(self, tmp_path, kernel_set, keep_all):
         solver = SingleBlockSolver(kernel_set, (8, 8), boundary="periodic")
         solver.set_state(_front((8, 8), kernel_set.model.params))
         solver.step(2)
-        path = tracer.export_chrome(tmp_path / "trace.json")
-        disable_tracing()
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(chrome_trace([keep_all])))
 
-        doc = json.loads(open(path).read())
+        doc = json.loads(path.read_text())
         all_events = doc["traceEvents"]
         assert all_events
         # metadata events name the tracks (Perfetto shows bare tids without)
@@ -126,16 +149,69 @@ class TestTracer:
             for ev in sweeps
         )
 
-    def test_profiler_feeds_trace_once(self, kernel_set):
+    def test_profiler_feeds_trace_once(self, kernel_set, keep_all):
         """Runtime spans come from the profiler — same counts, no doubles."""
-        tracer = enable_tracing(reset=True)
         solver = SingleBlockSolver(kernel_set, (8, 8), boundary="periodic")
         solver.set_state(_front((8, 8), kernel_set.model.params))
         solver.step(3)
-        disable_tracing()
         phi_name = kernel_set.phi_kernels[0].name
-        n_spans = sum(1 for s in tracer.finished_spans() if s.name == phi_name)
+        spans = [e for e in chrome_trace([keep_all])["traceEvents"] if e["ph"] == "X"]
+        n_spans = sum(1 for e in spans if e["name"] == phi_name)
         assert n_spans == solver.profiler.records[phi_name].calls == 3
+
+    @pytest.mark.parametrize("capacity", [1024, None])
+    def test_one_step_is_ten_events(self, kernel_set, capacity):
+        """Each interval is stored once, whether or not a trace is kept."""
+        recorder = FlightRecorder(capacity=capacity)
+        previous = set_recorder(recorder)
+        try:
+            solver = SingleBlockSolver(kernel_set, (8, 8))
+            solver.set_state(_front((8, 8), kernel_set.model.params), mu=0.0)
+            recorder.reset()
+            solver.step(1)
+        finally:
+            set_recorder(previous)
+        kinds = [e.kind for e in recorder.events]
+        assert len(kinds) == 10
+        assert kinds.count("kernel") == 3 and kinds.count("op") == 5
+        assert kinds[0] == "step_begin" and kinds[-1] == "step_end"
+
+
+class TestTracedPassCounts:
+    """Per-pass node counts cost 10 % of the P1 set-up: only for a full timeline."""
+
+    def _optimize(self, monkeypatch, recorder):
+        from repro.simplification import passes
+        from repro.symbolic import Assignment, AssignmentCollection, fields
+
+        calls = []
+        real = passes.total_nodes
+        monkeypatch.setattr(
+            passes, "total_nodes", lambda ac: calls.append(1) or real(ac)
+        )
+        src, dst = fields("f_src, f_dst: double[2D]")
+        c = src.center()
+        ac = AssignmentCollection([Assignment(dst.center(), c * c + c)], name="t")
+        previous = set_recorder(recorder)
+        try:
+            passes.optimize(ac)
+        finally:
+            set_recorder(previous)
+        return calls, [
+            e for e in recorder.events
+            if e.kind == "span_end" and e.name.startswith("pass:")
+        ]
+
+    def test_default_recorder_never_counts(self, monkeypatch):
+        calls, ends = self._optimize(monkeypatch, FlightRecorder())
+        assert calls == [] and ends
+        assert all("ops_before" not in e.data for e in ends)
+
+    def test_keep_everything_recorder_counts(self, monkeypatch):
+        calls, ends = self._optimize(monkeypatch, FlightRecorder(capacity=None))
+        assert len(calls) == 2 * len(ends) and ends
+        for e in ends:
+            assert e.data["ops_before"] > 0 and e.data["ops_after"] > 0
 
 
 # -- metrics -------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Observability hardening riding along with the diagnostics PR (tier-1).
 
-Edge cases in the rank-trace merger (empty input, span-less ranks,
+Edge cases of the multi-recorder timeline (empty input, span-less ranks,
 duplicate rank ids), Prometheus exposition-format escaping round-trips
 with pathological label values, per-check health event counters carrying
 the rank-bearing ``where``, and counter events flowing into single- and
@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from repro.observability import (
+    FlightRecorder,
     HealthMonitor,
     MetricsRegistry,
-    Tracer,
+    chrome_trace,
     find_sample,
     get_registry,
-    merge_rank_traces,
     parse_prometheus,
     reset_metrics,
 )
@@ -29,20 +29,20 @@ def _clean_metrics():
     reset_metrics()
 
 
-# -- merge_rank_traces edge cases --------------------------------------------
+# -- chrome_trace over several recorders: edge cases --------------------------
 
 
 class TestMergeRankTraces:
     def test_empty_list_raises(self):
-        with pytest.raises(ValueError, match="no tracers"):
-            merge_rank_traces([])
+        with pytest.raises(ValueError, match="no recorders"):
+            chrome_trace([])
 
     def test_zero_span_rank_still_gets_a_track(self):
-        busy = Tracer(rank=0)
+        busy = FlightRecorder(rank=0)
         with busy.span("op", category="runtime"):
             pass
-        idle = Tracer(rank=1)  # e.g. a rank that owned no blocks
-        doc = merge_rank_traces([busy, idle])
+        idle = FlightRecorder(rank=1)  # e.g. a rank that owned no blocks
+        doc = chrome_trace([busy, idle])
         events = doc["traceEvents"]
         process_names = {
             e["args"]["name"] for e in events if e["name"] == "process_name"
@@ -52,25 +52,24 @@ class TestMergeRankTraces:
         assert {e["pid"] for e in spans} == {0}
 
     def test_duplicate_rank_ids_raise(self):
-        a, b = Tracer(rank=2), Tracer(rank=2)
-        for t in (a, b):
-            with t.span("op", category="runtime"):
+        a, b = FlightRecorder(rank=2), FlightRecorder(rank=2)
+        for r in (a, b):
+            with r.span("op", category="runtime"):
                 pass
         with pytest.raises(ValueError, match="duplicate rank ids.*2"):
-            merge_rank_traces([a, b])
+            chrome_trace([a, b])
+        with pytest.raises(ValueError, match="duplicate rank ids.*None"):
+            chrome_trace([FlightRecorder(), FlightRecorder()])
 
     def test_counter_events_merge_per_rank(self):
-        tracers = []
+        recorders = []
         for rank in range(2):
-            t = Tracer(rank=rank)
-            with t.span("step", category="runtime"):
+            r = FlightRecorder(rank=rank)
+            with r.span("step", category="runtime"):
                 pass
-            t.add_counter(
-                "diagnostics", {"free_energy": float(10 - rank)},
-                category="physics",
-            )
-            tracers.append(t)
-        doc = merge_rank_traces(tracers)
+            r.counter("diagnostics", {"free_energy": float(10 - rank)})
+            recorders.append(r)
+        doc = chrome_trace(recorders)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert {e["pid"] for e in counters} == {0, 1}
         assert all(e["ts"] >= 0 and "free_energy" in e["args"] for e in counters)

@@ -333,16 +333,16 @@ class TestSolverBitIdentity:
 
 class TestCrossProcessObservability:
     def test_rank_tracers_merge_across_processes(self):
-        from repro.observability.distributed import merge_rank_traces, rank_tracer
+        from repro.observability.recorder import chrome_trace, rank_recorder
 
         def prog(comm):
-            with rank_tracer(comm.rank) as tracer:
-                with tracer.span("step", category="runtime", rank=comm.rank):
+            with rank_recorder(comm.rank) as recorder:
+                with recorder.span("step", category="runtime", rank=comm.rank):
                     time.sleep(0.01)
-            return tracer
+            return recorder
 
-        tracers = run_ranks_processes(2, prog)
-        merged = merge_rank_traces(tracers)
+        recorders = run_ranks_processes(2, prog)
+        merged = chrome_trace(recorders)
         names = {
             (e.get("pid"), e["name"])
             for e in merged["traceEvents"]

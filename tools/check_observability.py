@@ -1,43 +1,44 @@
 #!/usr/bin/env python3
-"""Validate the observability artifacts emitted by an instrumented run.
+"""Validate the artifacts of an instrumented run, driven by its manifest.
 
 Usage::
 
-    python tools/check_observability.py trace.json metrics.prom [diagnostics.csv]
-        [--manifest RUNDIR] [--require-overhead-gauge]
+    python tools/check_observability.py DIR [--require KEY[,KEY...]]
 
-Checks that
+A *DIR* holding ``sweep.json`` is validated as a ``repro-sweep/1`` sweep
+(its totals account for every scenario, every successful scenario's run
+directory passes the manifest check, the sweep-level ``metrics.prom``
+carries the queue-depth/throughput/scenario-count families).  Any other
+*DIR* is a run directory: its ``manifest.json`` must be a complete
+``repro-run/1`` document whose listed artifacts all exist, and every
+artifact it lists that has a validator in :data:`VALIDATORS` is checked:
 
-* ``trace.json`` is valid Chrome-trace JSON with a non-empty
-  ``traceEvents`` list, every event carries the required keys (duration
-  ``"X"`` spans and counter ``"C"`` tracks are both accepted), and the
-  span categories cover the paper's five pipeline layers (functional,
-  pde, discretization, simplification, ir, backend is folded into the
-  generation layer) plus the runtime loop;
-* ``metrics.prom`` parses as Prometheus text format 0.0.4 and contains
-  the core kernel/cache/throughput families;
-* ``diagnostics.csv`` (optional) is a physics-diagnostics time series
-  with a monotonically non-increasing ``free_energy`` column — the
-  variational-structure invariant for isothermal noise-free runs;
-* with ``--manifest RUNDIR``: the run directory's ``manifest.json`` is a
-  complete ``repro-run/1`` document (schema, status, git/host/config
-  blocks) and every artifact it lists actually exists on disk;
-* with ``--require-overhead-gauge``: ``metrics.prom`` carries the
-  flight recorder's self-measured
-  ``repro_observability_overhead_seconds`` gauge;
-* with ``--require-perf``: the run directory (``--manifest RUNDIR``)
-  carries a ``perf/perf.jsonl`` ledger with at least one valid
-  ``repro-perf/1`` record, listed in the manifest inventory;
-* with ``--require-fingerprints``: the run directory carries a
-  ``fingerprints.jsonl`` determinism ledger whose records validate
-  against the ``repro-fingerprint/1`` schema with strictly increasing
-  step numbers, listed in the manifest inventory;
-* with ``--require-sweep SWEEPDIR``: ``SWEEPDIR/sweep.json`` is a
-  complete ``repro-sweep/1`` manifest whose totals account for every
-  scenario, every successful scenario's run directory passes the
-  manifest check, and the sweep-level ``metrics.prom`` carries the
-  queue-depth/throughput/scenario-count families (may be used alone,
-  without the positional trace/metrics arguments).
+``trace``
+    valid Chrome-trace JSON, every event carries the required keys
+    (duration ``"X"`` spans and counter ``"C"`` tracks), process/thread
+    metadata is present and the span categories cover the seven pipeline
+    layers (functional … backend, plus the runtime loop);
+``metrics_prom``
+    parses as Prometheus text format 0.0.4 with the core
+    kernel/cache/throughput families;
+``diagnostics``
+    a physics-diagnostics series with a monotonically non-increasing
+    ``free_energy`` column — the variational-structure invariant for
+    isothermal noise-free runs;
+``perf``
+    ``perf/perf.jsonl`` holds at least one valid ``repro-perf/1`` record;
+``fingerprints``
+    ``fingerprints.jsonl`` validates against ``repro-fingerprint/1`` with
+    strictly increasing step numbers;
+``journal``
+    ``journal.jsonl`` is a flight-recorder event stream with strictly
+    increasing sequence numbers.
+
+``--require`` names the keys that must be present (an artifact that is
+merely absent is otherwise not an error); ``overhead_gauge`` additionally
+requires the flight recorder's self-measured
+``repro_observability_overhead_seconds`` gauge in ``metrics.prom``.  A new
+artifact is one more entry of the table, not a new flag.
 
 Exits non-zero with a message on the first violation, so it can gate CI.
 """
@@ -52,18 +53,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.observability import parse_prometheus  # noqa: E402
-from repro.observability.recorder import OVERHEAD_GAUGE  # noqa: E402
+from repro.observability.recorder import (  # noqa: E402
+    OVERHEAD_GAUGE,
+    PIPELINE_LAYERS,
+    load_journal,
+)
 from repro.observability.rundir import load_manifest  # noqa: E402
 
-REQUIRED_CATEGORIES = {
-    "functional",
-    "pde",
-    "discretization",
-    "simplification",
-    "ir",
-    "backend",
-    "runtime",
-}
+REQUIRED_CATEGORIES = set(PIPELINE_LAYERS)
 REQUIRED_EVENT_KEYS = {"name", "cat", "ph", "ts", "pid", "tid"}
 REQUIRED_FAMILIES = {
     "repro_kernel_cache_misses_total",
@@ -125,10 +122,11 @@ def check_trace(path: Path) -> None:
     missing = REQUIRED_CATEGORIES - seen
     if missing:
         fail(f"{path}: span categories missing: {sorted(missing)} (saw {sorted(seen)})")
+    tracks = sorted(ev["args"].get("name") for ev in meta if ev["name"] == "process_name")
     print(
         f"check_observability: {path}: {len(events)} events "
         f"({counters} counters, +{len(meta)} metadata), "
-        f"categories {sorted(seen)}"
+        f"process tracks {tracks}, categories {sorted(seen)}"
     )
 
 
@@ -158,7 +156,8 @@ REQUIRED_MANIFEST_KEYS = {
 }
 
 
-def check_manifest(rundir: Path) -> None:
+def check_manifest(rundir: Path) -> dict:
+    """Require a complete repro-run/1 manifest whose artifacts exist; returns it."""
     try:
         manifest = load_manifest(rundir)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -190,6 +189,7 @@ def check_manifest(rundir: Path) -> None:
         f"{len(manifest['artifacts'])} artifacts, "
         f"wall {manifest['wall_seconds']:.2f}s)"
     )
+    return manifest
 
 
 def check_perf(rundir: Path) -> None:
@@ -199,19 +199,13 @@ def check_perf(rundir: Path) -> None:
     base = rundir if rundir.is_dir() else rundir.parent
     path = base / "perf" / "perf.jsonl"
     if not path.exists():
-        fail(f"{rundir}: perf/perf.jsonl missing (--require-perf)")
+        fail(f"{rundir}: perf/perf.jsonl missing")
     try:
         records = PerfLedger(path).load(strict=True)
     except PerfSchemaError as exc:
         fail(f"{path}: invalid repro-perf/1 ledger ({exc})")
     if not records:
         fail(f"{path}: perf ledger holds no records")
-    try:
-        manifest = load_manifest(rundir)
-    except (OSError, ValueError, json.JSONDecodeError):
-        manifest = None
-    if manifest is not None and "perf" not in manifest.get("artifacts", {}):
-        fail(f"{rundir}: perf artifact not listed in the manifest inventory")
     sources = {r["measured"].get("counter_source") for r in records}
     print(
         f"check_observability: {path}: {len(records)} repro-perf/1 record(s), "
@@ -229,7 +223,7 @@ def check_fingerprints(rundir: Path) -> None:
     base = rundir if rundir.is_dir() else rundir.parent
     path = base / "fingerprints.jsonl"
     if not path.exists():
-        fail(f"{rundir}: fingerprints.jsonl missing (--require-fingerprints)")
+        fail(f"{rundir}: fingerprints.jsonl missing")
     try:
         records = FingerprintLedger(path).load(strict=True)
     except FingerprintSchemaError as exc:
@@ -239,14 +233,6 @@ def check_fingerprints(rundir: Path) -> None:
     steps = [r["step"] for r in records]
     if any(b <= a for a, b in zip(steps, steps[1:])):
         fail(f"{path}: step numbers are not strictly increasing")
-    try:
-        manifest = load_manifest(rundir)
-    except (OSError, ValueError, json.JSONDecodeError):
-        manifest = None
-    if manifest is not None and "fingerprints" not in manifest.get(
-        "artifacts", {}
-    ):
-        fail(f"{rundir}: fingerprints artifact not in the manifest inventory")
     fields = sorted(records[0]["fields"])
     print(
         f"check_observability: {path}: {len(records)} repro-fingerprint/1 "
@@ -344,50 +330,63 @@ def check_diagnostics(path: Path) -> None:
     )
 
 
+def check_journal(path: Path) -> None:
+    """Require a non-empty event stream with strictly increasing seq."""
+    try:
+        events = load_journal(path).events
+    except (OSError, KeyError, TypeError) as exc:
+        fail(f"{path}: not a flight-recorder journal ({exc!r})")
+    if not events:
+        fail(f"{path}: journal holds no events")
+    if any(b.seq <= a.seq for a, b in zip(events, events[1:])):
+        fail(f"{path}: event sequence numbers are not strictly increasing")
+    kinds = sorted({e.kind for e in events})
+    print(f"check_observability: {path}: {len(events)} events, kinds {kinds}")
+
+
+#: manifest artifact key -> validator(rundir, required keys); a key without
+#: an entry (checkpoints, report, …) is covered by check_manifest's
+#: existence check alone
+VALIDATORS = {
+    "trace": lambda rundir, require: check_trace(rundir / "trace.json"),
+    "metrics_prom": lambda rundir, require: check_metrics(
+        rundir / "metrics.prom", require_overhead="overhead_gauge" in require
+    ),
+    "diagnostics": lambda rundir, require: check_diagnostics(rundir / "diagnostics.csv"),
+    "perf": lambda rundir, require: check_perf(rundir),
+    "fingerprints": lambda rundir, require: check_fingerprints(rundir),
+    "journal": lambda rundir, require: check_journal(rundir / "journal.jsonl"),
+}
+
+
+def check_rundir(rundir: Path, require: set[str]) -> None:
+    """Validate every artifact the manifest lists; *require* must be among them."""
+    needed = {"metrics_prom" if key == "overhead_gauge" else key for key in require}
+    unknown = needed - set(VALIDATORS)
+    if unknown:
+        fail(f"--require {sorted(unknown)}: no such validator (have "
+             f"{sorted(VALIDATORS)} and overhead_gauge)")
+    artifacts = check_manifest(rundir)["artifacts"]
+    missing = needed - set(artifacts)
+    if missing:
+        fail(f"{rundir}: required artifacts not in the manifest inventory: {sorted(missing)}")
+    for key in artifacts:
+        if key in VALIDATORS:
+            VALIDATORS[key](rundir, require)
+
+
 def main(argv: list[str]) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    parser.add_argument("trace", nargs="?", help="Chrome-trace JSON to validate")
-    parser.add_argument("metrics", nargs="?",
-                        help="Prometheus text-format snapshot")
-    parser.add_argument("diagnostics", nargs="?",
-                        help="optional physics-diagnostics CSV")
-    parser.add_argument("--manifest", metavar="RUNDIR",
-                        help="also validate RUNDIR/manifest.json completeness")
-    parser.add_argument("--require-sweep", metavar="SWEEPDIR",
-                        help="validate SWEEPDIR/sweep.json (repro-sweep/1) and "
-                             "every successful scenario's run directory")
-    parser.add_argument("--require-overhead-gauge", action="store_true",
-                        help=f"require the {OVERHEAD_GAUGE} gauge in the metrics")
-    parser.add_argument("--require-perf", action="store_true",
-                        help="require a valid perf/perf.jsonl in the rundir "
-                             "(needs --manifest)")
-    parser.add_argument("--require-fingerprints", action="store_true",
-                        help="require a valid fingerprints.jsonl determinism "
-                             "ledger in the rundir (needs --manifest)")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir", type=Path,
+                        help="run directory (manifest.json) or sweep directory (sweep.json)")
+    parser.add_argument("--require", default="", metavar="KEY[,KEY...]",
+                        help=f"artifacts that must be present: {', '.join(VALIDATORS)}, "
+                             f"overhead_gauge (the {OVERHEAD_GAUGE} gauge)")
     args = parser.parse_args(argv)
-    if args.require_perf and not args.manifest:
-        parser.error("--require-perf needs --manifest RUNDIR")
-    if args.require_fingerprints and not args.manifest:
-        parser.error("--require-fingerprints needs --manifest RUNDIR")
-    if not args.trace and not args.require_sweep:
-        parser.error("positional trace/metrics required unless --require-sweep")
-    if bool(args.trace) != bool(args.metrics):
-        parser.error("trace and metrics must be given together")
-    if args.trace:
-        check_trace(Path(args.trace))
-        check_metrics(
-            Path(args.metrics), require_overhead=args.require_overhead_gauge
-        )
-    if args.diagnostics:
-        check_diagnostics(Path(args.diagnostics))
-    if args.manifest:
-        check_manifest(Path(args.manifest))
-    if args.require_perf:
-        check_perf(Path(args.manifest))
-    if args.require_fingerprints:
-        check_fingerprints(Path(args.manifest))
-    if args.require_sweep:
-        check_sweep(Path(args.require_sweep))
+    if (args.dir / "sweep.json").exists():
+        check_sweep(args.dir)
+    else:
+        check_rundir(args.dir, {key for key in args.require.split(",") if key})
     print("check_observability: OK")
 
 

@@ -9,13 +9,13 @@ Every section renders only when its artifact exists, so the same tool
 covers a minimal trace-only run and a full multi-rank bundle:
 
 * run summary (status, config, git rev, host, backend, ranks, wall time)
-* step-time sparkline from the flight-recorder journal (``step_end``
-  events; falls back to Chrome-trace ``step`` spans)
+* step-time sparkline from the flight-recorder journals (``step_end``
+  events; falls back to the ``step`` spans of a trace-only bundle)
 * physics diagnostics series (``diagnostics.csv``) as inline SVG charts
 * model-accuracy closure (predicted vs measured MLUP/s gauges from
   ``metrics.prom``)
 * communication matrix (``comm_matrix.json``)
-* health events (``health.jsonl``)
+* health events (the ``health`` events of the journals)
 * crash post-mortems (``postmortem.json``) — rank, step, last kernel,
   field stats, traceback
 
@@ -36,7 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.observability.metrics import find_sample, parse_prometheus  # noqa: E402
-from repro.observability.rundir import load_manifest  # noqa: E402
+from repro.observability.rundir import RunDir, load_manifest  # noqa: E402
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -116,22 +116,15 @@ def svg_line_chart(series, width=640, height=120, label="") -> str:
 # -- artifact loaders (every one returns None when the artifact is absent) -------
 
 
-def load_step_seconds(rundir: Path, manifest: dict) -> list[float] | None:
-    """Per-step wall times: journal ``step_end`` events, else trace spans."""
-    journals = [rundir / "journal.jsonl"]
-    journals += sorted(rundir.glob("journal.rank*.jsonl"))
+def load_step_seconds(journals, rundir: Path) -> list[float] | None:
+    """Per-step wall times: ``step_end`` events of the first journal that has
+    any, else the ``step`` spans of ``trace.json``."""
     for journal in journals:
-        if not journal.exists():
-            continue
-        seconds = []
-        with open(journal) as fh:
-            for line in fh:
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # a crash can truncate the final line
-                if event.get("kind") == "step_end" and "seconds" in event.get("data", {}):
-                    seconds.append(float(event["data"]["seconds"]))
+        seconds = [
+            float(e.data["seconds"])
+            for e in journal.events
+            if e.kind == "step_end" and "seconds" in e.data
+        ]
         if seconds:
             return seconds
     trace = rundir / "trace.json"
@@ -190,18 +183,16 @@ def load_json(path: Path):
         return None
 
 
-def load_health(rundir: Path) -> list[dict] | None:
-    path = rundir / "health.jsonl"
-    if not path.exists():
+def load_health(journals) -> list[dict] | None:
+    """The ``health`` events of every journal (``None``: nothing journaled)."""
+    if not journals:
         return None
-    events = []
-    with open(path) as fh:
-        for line in fh:
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return events
+    return [
+        {"check": e.name, **e.data}
+        for journal in journals
+        for e in journal.events
+        if e.kind == "health"
+    ]
 
 
 # -- sections --------------------------------------------------------------------
@@ -497,8 +488,8 @@ def section_determinism(records, divergence) -> str:
 def section_health(events) -> str:
     out = ["<h2>Health events</h2>"]
     if events is None:
-        out.append('<p class="section-missing">(no health.jsonl — '
-                   "watchdog disabled or no events)</p>")
+        out.append('<p class="section-missing">(no journal — health events '
+                   "are journal lines)</p>")
         return "".join(out)
     if not events:
         out.append('<p class="ok">no failed health checks</p>')
@@ -575,10 +566,11 @@ def section_postmortem(postmortem) -> str:
 
 def render_report(rundir: Path, manifest: dict) -> str:
     metrics = load_metrics(rundir)
+    journals = RunDir(rundir, create=False).journals()
     title = f"run report — {rundir.name}"
     sections = [
         section_summary(manifest),
-        section_steps(load_step_seconds(rundir, manifest)),
+        section_steps(load_step_seconds(journals, rundir)),
         section_overhead(metrics),
         section_diagnostics(load_diagnostics(rundir)),
         section_accuracy(metrics),
@@ -587,7 +579,7 @@ def render_report(rundir: Path, manifest: dict) -> str:
         section_determinism(
             load_fingerprints(rundir), load_json(rundir / "divergence.json")
         ),
-        section_health(load_health(rundir)),
+        section_health(load_health(journals)),
         section_postmortem(load_json(rundir / "postmortem.json")),
     ]
     artifacts = manifest.get("artifacts") or {}

@@ -12,7 +12,7 @@ rooted inside the output directory:
 
 Both sweep directories get merged HTML reports; CI uploads them and then
 cross-checks the warm manifest with
-``tools/check_observability.py --require-sweep``.
+``tools/check_observability.py SWEEPDIR/warm``.
 
 Usage::
 
