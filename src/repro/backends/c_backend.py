@@ -17,6 +17,11 @@ renamed into place so no process can ever ``dlopen`` a partial ``.so``.
 Results are bitwise equal to the NumPy backend's (binary and P1 models,
 verified in tests): no fast-math flag, and both printers lower small integer
 powers to the same multiplication chains.
+
+Calling a compiled kernel validates and marshals an array set once and
+serves repeat calls from that binding; :class:`CompiledCKernel` says what
+is checked when, what invalidates a binding and why it holds its arrays
+weakly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
-from dataclasses import dataclass
+import weakref
 from functools import reduce
 from pathlib import Path
 
@@ -35,7 +40,11 @@ from sympy.printing.c import C99CodePrinter
 
 from ..ir.kernel import Kernel
 from ..ir.loops import classify_hoist_levels
-from ..observability.hwcounters import attribute_dispatch, get_counter_harness
+from ..observability.hwcounters import (
+    attribute_dispatch,
+    attribution_open,
+    get_counter_harness,
+)
 from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
@@ -471,17 +480,127 @@ def _build_shared_object(
     return so_path
 
 
-@dataclass
-class CompiledCKernel:
-    """A compiled, callable C kernel with the NumPy-backend calling convention."""
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
-    kernel: Kernel
-    source: str
-    _func: object
+#: the binding of an array set never seen: nothing to check, nothing to pass
+_UNBOUND = ((), (), None)
+
+
+class CompiledCKernel:
+    """A compiled, callable C kernel with the NumPy-backend calling convention.
+
+    The native loop nest trusts the extents it is passed, so every array is
+    validated (shape against the first field's spatial extent and the
+    field's index shape, C-contiguity, ``float64``, a ghost width the
+    stencil fits in) before its address reaches C.  That validation runs
+    once per *array set*: the first call on a set — the arrays of the
+    kernel's fields as objects, together with ``ghost_layers``,
+    ``block_offset`` and ``origin`` — marshals them into an immutable
+    argument prefix, the *binding*; a later call that finds the same set
+    passes that prefix plus the scalars of the call (spacing, parameters,
+    ``time_step``, ``seed``) and validates nothing.
+
+    A binding is served only while every array of the set is the same live
+    object with the shape it was bound with; anything else — another array
+    under the same name (a swap is simply a second set), a reshaped or
+    resized array, a different ghost width or offset — takes the full
+    validation again.  Arrays are held by weak reference and a binding is
+    dropped when one of them dies: compiled kernels live in the
+    process-wide :func:`repro.profiling.compile_cached` table and outlive
+    every solver, so a strong reference would pin a dead solver's fields,
+    and the table needs no size limit.  Bindings are never written after
+    they are built (the output of a reduction is allocated per call), so
+    threads that share one compiled kernel — simulated ranks — do not
+    share call state.
+    """
+
+    def __init__(self, kernel: Kernel, source: str, func):
+        self.kernel = kernel
+        self.source = source
+        self._func = func
+        dim = kernel.dim
+        self._fields = tuple((f.name, tuple(f.index_shape)) for f in kernel.fields)
+        self._min_gl = max(kernel.ghost_layers, int(kernel.has_staggered_writes))
+        self._required = tuple(
+            p.name for p in kernel.parameters if p.name not in ("time_step", "seed")
+        )
+        # the doubles of a call, in signature order behind the bound prefix,
+        # each with the value passed when the caller names none.  A spacing
+        # folded at compile time is a literal in the source; its argument
+        # is not read.
+        spacing = [kernel.folded_value(f"dx_{d}") for d in range(dim)]
+        self._doubles = (
+            *((f"dx_{d}", 1.0 if h is None else float(h)) for d, h in enumerate(spacing)),
+            *((name, None) for name in self._required),
+        )
+        n_extents = (3 if kernel.subspace is not None else 1) * dim + 1  # n, gl, [sub]
+        func.restype = None
+        func.argtypes = (
+            [_PTR] * len(self._fields)
+            + [_I64] * (n_extents + dim)                # ..., block offset
+            + [_F64] * (2 * dim + len(self._required))  # origin, spacing, parameters
+            + [_I64, _I64]                              # time_step, seed
+            + [_PTR] * kernel.is_reduction
+        )
+        #: (ghost_layers, block_offset, origin, *id(array)) -> (weakrefs, shapes, prefix)
+        self._bindings: dict[tuple, tuple] = {}
 
     @property
     def name(self) -> str:
         return self.kernel.name
+
+    def _bind(self, key: tuple, held: list) -> tuple:
+        """Validate the array set *held* under *key*, marshal and remember it.
+
+        Returns the argument prefix; it is never written again.
+        """
+        k = self.kernel
+        dim = k.dim
+        gl, block_offset, origin = key[:3]
+        gl = int(gl)
+        if gl < self._min_gl:
+            raise ValueError(
+                f"kernel {k.name} needs at least {self._min_gl} ghost layers, got {gl}"
+            )
+        spatial = held[0].shape[:dim]
+        for (name, index_shape), a in zip(self._fields, held):
+            # the native loop nest trusts these extents: a mis-shaped array
+            # would be read and written out of bounds
+            if len(spatial) != dim or a.shape != spatial + index_shape:
+                raise ValueError(
+                    f"array {name} has shape {a.shape}, expected "
+                    f"{spatial + index_shape} ({dim} spatial axes)"
+                )
+            if not a.flags["C_CONTIGUOUS"]:
+                raise ValueError(f"array {name} must be C-contiguous")
+            if a.dtype != np.float64:
+                raise ValueError(f"array {name} must be float64")
+            if any(n < 2 * gl + 1 for n in spatial):
+                raise ValueError(f"array {name} too small for {gl} ghost layers")
+        interior = tuple(n - 2 * gl for n in spatial)
+        extents = [*interior, gl]
+        if k.subspace is not None:
+            sub = k.subspace.offsets(interior)
+            extents += [lo for lo, _ in sub] + [hi for _, hi in sub]
+        prefix = (
+            *(_PTR(a.ctypes.data) for a in held),
+            *map(_I64, extents),
+            *(_I64(int(block_offset[d])) for d in range(dim)),
+            *(_F64(float(origin[d])) for d in range(dim)),
+        )
+
+        def drop(_ref, table=self._bindings):
+            # an array that dies takes the binding with it: no binding
+            # outlives (or, through a recycled id, aliases) the memory its
+            # prefix points into
+            table.pop(key, None)
+
+        self._bindings[key] = (
+            tuple(weakref.ref(a, drop) for a in held),
+            tuple(a.shape for a in held),
+            prefix,
+        )
+        return prefix
 
     def __call__(
         self,
@@ -492,7 +611,6 @@ class CompiledCKernel:
         tile_shape: tuple[int, ...] | None = None,
         **params,
     ):
-        k = self.kernel
         if tile_shape is not None:
             # OpenMP reduction order is fixed by the thread count, not by a
             # tile decomposition; bit-reproducible sums are the NumPy
@@ -501,59 +619,44 @@ class CompiledCKernel:
                 "tile_shape is not supported by the C backend; use the "
                 "numpy backend for partition-invariant reductions"
             )
-        dim = k.dim
-        gl = k.ghost_layers if ghost_layers is None else int(ghost_layers)
-        spatial = arrays[k.fields[0].name].shape[:dim]
-        interior = [n - 2 * gl for n in spatial]
-        argv: list = []
-        for f in k.fields:
-            a = arrays[f.name]
-            # the native loop nest trusts these extents: a mis-shaped array
-            # would be read and written out of bounds
-            if a.shape != spatial + f.index_shape:
-                raise ValueError(
-                    f"array {f.name} has shape {a.shape}, expected "
-                    f"{spatial + f.index_shape}"
-                )
-            if not a.flags["C_CONTIGUOUS"]:
-                raise ValueError(f"array {f.name} must be C-contiguous")
-            if a.dtype != np.float64:
-                raise ValueError(f"array {f.name} must be float64")
-            argv.append(a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
-        argv += [ctypes.c_int64(n) for n in interior]
-        argv.append(ctypes.c_int64(gl))
-        if k.subspace is not None:
-            sub = k.subspace.offsets(tuple(interior))
-            argv += [ctypes.c_int64(lo) for lo, _ in sub]
-            argv += [ctypes.c_int64(hi) for _, hi in sub]
-        argv += [ctypes.c_int64(int(block_offset[d])) for d in range(dim)]
-        argv += [ctypes.c_double(float(origin[d])) for d in range(dim)]
-        for d in range(dim):
-            folded = k.folded_value(f"dx_{d}")
-            h = folded if folded is not None else params.get(f"dx_{d}", 1.0)
-            argv.append(ctypes.c_double(float(h)))
-        for p in k.parameters:
-            if p.name in ("time_step", "seed"):
-                continue
-            if p.name not in params:
-                raise KeyError(f"missing kernel parameter {p.name!r}")
-            argv.append(ctypes.c_double(float(params[p.name])))
-        argv.append(ctypes.c_int64(int(params.get("time_step", 0))))
-        argv.append(ctypes.c_int64(int(params.get("seed", 0))))
-        # bracket the native call with counter samples so the profiler's
-        # attribution excludes the Python-side argument marshaling above
-        harness = get_counter_harness()
-        if k.is_reduction:
-            out = np.zeros(len(k.reductions), dtype=np.float64)
-            argv.append(out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+        k = self.kernel
+        gl = k.ghost_layers if ghost_layers is None else ghost_layers
+        held = [arrays[name] for name, _ in self._fields]
+        key = (gl, tuple(block_offset), tuple(origin), *map(id, held))
+        refs, shapes, prefix = self._bindings.get(key, _UNBOUND)
+        for ref, shape, a in zip(refs, shapes, held):
+            if ref() is not a or a.shape != shape:
+                prefix = None
+                break
+        if prefix is None:
+            prefix = self._bind(key, held)
+        for name in self._required:
+            if name not in params:
+                raise KeyError(f"missing kernel parameter {name!r}")
+        argv = [
+            *prefix,
+            *[params.get(name, default) for name, default in self._doubles],
+            int(params.get("time_step", 0)),
+            int(params.get("seed", 0)),
+        ]
+        out = None
+        if k.reductions:
+            # per call, not per binding: threads may reduce one array set
+            out = np.zeros(len(k.reductions))
+            argv.append(out.__array_interface__["data"][0])
+        # counter samples bracket the native call alone, so the profiler's
+        # attribution excludes the Python above; with no measured block open
+        # nobody takes the delta and nothing is sampled
+        if attribution_open():
+            harness = get_counter_harness()
             s0 = harness.sample()
             self._func(*argv)
             attribute_dispatch(harness.delta(s0, harness.sample()))
-            return {name: float(v) for name, v in zip(k.reductions, out)}
-        s0 = harness.sample()
-        self._func(*argv)
-        attribute_dispatch(harness.delta(s0, harness.sample()))
-        return None
+        else:
+            self._func(*argv)
+        if out is None:
+            return None
+        return {name: float(v) for name, v in zip(k.reductions, out)}
 
 
 def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
@@ -587,7 +690,6 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
         )
         lib = ctypes.CDLL(str(so_path))
         func = getattr(lib, func_name)
-        func.restype = None
         span["disk_cache"] = "hit" if hit else "miss"
         get_logger("backends.c").info(
             kv(

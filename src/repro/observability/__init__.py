@@ -60,6 +60,7 @@ from .hwcounters import (
     CounterHarness,
     CounterSample,
     attribute_dispatch,
+    attribution_open,
     attribution_scope,
     counter_provenance_line,
     get_counter_harness,
@@ -127,6 +128,7 @@ __all__ = [
     "RecorderEvent",
     "RunDir",
     "attribute_dispatch",
+    "attribution_open",
     "attribution_scope",
     "block_key",
     "capture_postmortem",

@@ -37,9 +37,11 @@ cost (:attr:`CounterHarness.overhead_seconds`) is gated per sample
 (10 µs) by the tier-1 tests.
 
 Tight dispatch attribution: backends bracket the *native* kernel call with
-:func:`attribute_dispatch` inside the profiler's :func:`attribution_scope`,
-so counter deltas exclude Python-side argument marshaling.  Backends that
-do not attribute (NumPy) fall back to the profiler's outer delta.
+:func:`attribute_dispatch` inside the profiler's :func:`attribution_scope`
+(a ``measure`` block is one), so counter deltas exclude Python-side
+argument handling; they ask :func:`attribution_open` first, and a kernel
+called outside any measured block samples nothing.  Backends that do not
+attribute (NumPy) fall back to the profiler's outer delta.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import os
 import platform
 import struct
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from time import perf_counter
 
@@ -59,6 +60,7 @@ __all__ = [
     "CounterHarness",
     "PerfEventGroup",
     "attribute_dispatch",
+    "attribution_open",
     "attribution_scope",
     "counter_provenance_line",
     "get_counter_harness",
@@ -263,6 +265,10 @@ def perf_events_available() -> tuple[bool, str]:
 # -- samples -------------------------------------------------------------------
 
 
+def _difference(a: float | None, b: float | None) -> float | None:
+    return None if a is None or b is None else b - a
+
+
 @dataclass(slots=True)
 class CounterSample:
     """One cumulative counter reading; ``None`` marks an unavailable field.
@@ -289,12 +295,19 @@ class CounterSample:
 
     def delta(self, later: "CounterSample") -> "CounterSample":
         """Field-wise ``later - self``; ``None`` wherever either side is."""
-        kw = {}
-        for name in self._FIELDS:
-            a, b = getattr(self, name), getattr(later, name)
-            kw[name] = (b - a) if a is not None and b is not None else None
-        kw["wall_seconds"] = later.wall_seconds - self.wall_seconds
-        return CounterSample(**kw)
+        # written out: taken once per measured operation, where building
+        # keyword arguments name by name cost more than the two samples
+        d = _difference
+        return CounterSample(
+            later.wall_seconds - self.wall_seconds,
+            d(self.cpu_seconds, later.cpu_seconds),
+            d(self.page_faults, later.page_faults),
+            d(self.cycles, later.cycles),
+            d(self.instructions, later.instructions),
+            d(self.cache_references, later.cache_references),
+            d(self.cache_misses, later.cache_misses),
+            d(self.stalled_cycles, later.stalled_cycles),
+        )
 
     def add(self, other: "CounterSample") -> "CounterSample":
         """Field-wise sum (accumulating several dispatches in one measure)."""
@@ -592,32 +605,47 @@ def counter_provenance_line(harness: CounterHarness | None = None) -> str:
 
 # -- tight dispatch attribution --------------------------------------------------
 
-_ATTRIBUTION = threading.local()
+
+class _Attribution(threading.local):
+    #: innermost open :class:`attribution_scope` of the calling thread
+    scope = None
 
 
-class _AttributionSlot:
-    __slots__ = ("sample",)
+_ATTRIBUTION = _Attribution()
+
+
+class attribution_scope:
+    """Collect tight backend-side counter deltas for one measured block.
+
+    The profiler opens a scope around each measured operation (its
+    ``measure`` block *is* one); a backend that brackets its native call
+    with :func:`attribute_dispatch` narrows the attribution to the dispatch
+    itself (excluding Python marshaling).  ``sample`` is the accumulated
+    delta, ``None`` while nothing reported.  Scopes nest; attribution lands
+    in the innermost one.
+    """
+
+    __slots__ = ("sample", "_outer")
 
     def __init__(self):
         self.sample: CounterSample | None = None
 
+    def __enter__(self):
+        self._outer = _ATTRIBUTION.scope
+        _ATTRIBUTION.scope = self
+        return self
 
-@contextmanager
-def attribution_scope():
-    """Collect tight backend-side counter deltas for one measured block.
+    def __exit__(self, *exc):
+        _ATTRIBUTION.scope = self._outer
 
-    The profiler opens a scope around each measured operation; a backend
-    that brackets its native call with :func:`attribute_dispatch` narrows
-    the attribution to the dispatch itself (excluding Python marshaling).
-    Scopes nest; attribution lands in the innermost one.
+
+def attribution_open() -> bool:
+    """Whether a scope is open on this thread, i.e. a dispatch delta has a taker.
+
+    Backends ask before sampling: a kernel called directly, not via a
+    profiler, would pay two counter samples for a delta that is dropped.
     """
-    slot = _AttributionSlot()
-    previous = getattr(_ATTRIBUTION, "slot", None)
-    _ATTRIBUTION.slot = slot
-    try:
-        yield slot
-    finally:
-        _ATTRIBUTION.slot = previous
+    return _ATTRIBUTION.scope is not None
 
 
 def attribute_dispatch(delta: CounterSample | None) -> None:
@@ -629,6 +657,6 @@ def attribute_dispatch(delta: CounterSample | None) -> None:
     """
     if delta is None:
         return
-    slot = getattr(_ATTRIBUTION, "slot", None)
-    if slot is not None:
-        slot.sample = delta if slot.sample is None else slot.sample.add(delta)
+    scope = _ATTRIBUTION.scope
+    if scope is not None:
+        scope.sample = delta if scope.sample is None else scope.sample.add(delta)

@@ -122,6 +122,22 @@ class TimeLoop:
         # block labels, and is the only kind a tile_shape can be replayed on
         self._whole_domain = self.n_ranks == 1 and len(self._owned) == 1
 
+        # flight-recorder integration: field stats at crash time come from
+        # the live arrays; with a RunDir the event journal (rank-suffixed
+        # under several ranks, so a dead rank leaves its last events on
+        # disk even if the pipe hop fails too) lands in the bundle alongside
+        # checkpoints and diagnostics — health events are journal lines.
+        # Opened before the schedule is lowered: the compile spans of this
+        # solver's kernels belong in its journal
+        self.rundir = rundir
+        recorder = get_recorder()
+        recorder.set_state_provider(self._recorder_state)
+        if rundir is not None:
+            if self.rank == 0:
+                rundir.note(solver=self.kind, **self._note)
+            journal_rank = self.rank if self.n_ranks > 1 else recorder.rank
+            recorder.open_journal(rundir.journal_path(journal_rank))
+
         # lower the schedule once: kernels are compiled through the shared
         # cache (a second solver built from an equal kernel set reuses every
         # binary) and bound to the owned blocks with their cell counts, so
@@ -147,19 +163,6 @@ class TimeLoop:
             "repro_step_seconds", "wall time per solver time step",
             solver=self.kind, **self._tags,
         )
-        # flight-recorder integration: field stats at crash time come from
-        # the live arrays; with a RunDir the event journal (rank-suffixed
-        # under several ranks, so a dead rank leaves its last events on
-        # disk even if the pipe hop fails too) lands in the bundle alongside
-        # checkpoints and diagnostics — health events are journal lines
-        self.rundir = rundir
-        recorder = get_recorder()
-        recorder.set_state_provider(self._recorder_state)
-        if rundir is not None:
-            if self.rank == 0:
-                rundir.note(solver=self.kind, **self._note)
-            journal_rank = self.rank if self.n_ranks > 1 else recorder.rank
-            recorder.open_journal(rundir.journal_path(journal_rank))
         _log.info(
             kv("solver_created", kind=self.kind, blocks=len(self._owned),
                health=health is not None, **self._tags, **self._note)

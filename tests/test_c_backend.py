@@ -18,6 +18,7 @@ from repro.backends.c_backend import (
 )
 from repro.discretization import FiniteDifferenceDiscretization, discretize_system
 from repro.ir import KernelConfig, create_kernel
+from repro.observability import get_recorder
 from repro.symbolic import (
     Assignment,
     AssignmentCollection,
@@ -241,6 +242,254 @@ class TestArgumentValidation:
         arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
         mu(arrays, ghost_layers=1, t=0.0)
         assert np.isfinite(arrays["mu_dst"]).all()
+
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_ghost_width_below_the_stencil_raises(self, binary_mu, backend):
+        """``interior = n - 2*gl``: with too few ghost layers the ``i±1`` loads leave the buffer."""
+        from repro.profiling import compile_cached
+
+        ks, _ = binary_mu
+        (phi,) = ks.phi_kernels
+        assert phi.ghost_layers == 1
+        compiled = compile_cached(phi, backend)
+        arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
+        with pytest.raises(ValueError, match="needs at least 1 ghost layers, got 0"):
+            compiled(arrays, ghost_layers=0, t=0.0)
+        small = create_arrays(ks.fields, (2, 2), 1, fill=0.5)
+        with pytest.raises(ValueError, match="too small for 2 ghost layers"):
+            compiled(small, ghost_layers=2, t=0.0)
+        compiled(arrays, ghost_layers=1, t=0.0)
+
+    def test_too_few_axes_raises(self):
+        """A 1-D array under a 2-D kernel would shorten the argument list."""
+        f, g = Field("f", 2), Field("g", 2)
+        ac = AssignmentCollection([Assignment(g.center(), 2 * f.center())], name="twice")
+        twice = compile_c_kernel(create_kernel(ac))
+        with pytest.raises(ValueError, match="array f has shape"):
+            twice({"f": np.zeros(10), "g": np.zeros(10)}, ghost_layers=1)
+
+
+def _scalar_kernel():
+    """``g = f + t + x_0 + U(0, 1)``: reads every scalar a call can change."""
+    f, g = Field("f", 2), Field("g", 2)
+    t = sp.Symbol("t", real=True)
+    rhs = f.center() + t + x_[0] + random_uniform(0, 1, stream=0)
+    return create_kernel(AssignmentCollection([Assignment(g.center(), rhs)], name="scalars"))
+
+
+def _on_fresh_copies(compiled, arrays, **call):
+    """The call on arrays no binding has seen: validated and marshalled anew."""
+    fresh = {name: a.copy() for name, a in arrays.items()}
+    compiled(fresh, **call)
+    return fresh
+
+
+class TestBinding:
+    """An array set is validated once; the binding never outlives or aliases it.
+
+    A repeat call on the same live arrays passes a pre-marshalled argument
+    prefix.  Everything that must *not* be served from it is here.
+    """
+
+    @pytest.fixture(scope="class")
+    def binary_mu(self, binary2d):
+        (mu_kernel,) = binary2d.mu_kernels
+        return binary2d, compile_c_kernel(mu_kernel)
+
+    @pytest.mark.parametrize(
+        "replacement",
+        [
+            lambda good: np.zeros((6, 6, 1)),
+            lambda good: np.zeros((10, 10)),
+            lambda good: np.zeros((10, 10, 2)),
+            lambda good: np.zeros((10, 20, 1))[:, ::2],
+            lambda good: good.astype(np.float32),
+        ],
+        ids=["smaller", "no_index_axis", "two_components", "strided", "float32"],
+    )
+    def test_replaced_entry_is_validated(self, binary_mu, replacement):
+        ks, mu = binary_mu
+        arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
+        mu(arrays, ghost_layers=1, t=0.0)
+        mu(arrays, ghost_layers=1, t=0.0)
+        arrays["mu_dst"] = replacement(arrays["mu_dst"])
+        with pytest.raises(ValueError, match="mu_dst"):
+            mu(arrays, ghost_layers=1, t=0.0)
+
+    def test_array_reshaped_in_place_is_validated(self, binary_mu):
+        ks, mu = binary_mu
+        arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
+        mu(arrays, ghost_layers=1, t=0.0)
+        arrays["mu_dst"].shape = (5, 20, 1)  # same object, same id
+        with pytest.raises(ValueError, match="mu_dst"):
+            mu(arrays, ghost_layers=1, t=0.0)
+
+    @pytest.mark.parametrize("shapes", [[(8, 8)], [(8, 8), (5, 11), (12, 3)]],
+                             ids=["same_shape", "changing_shape"])
+    def test_reallocated_arrays_are_bound_anew(self, binary_mu, shapes):
+        """A dead array's recycled ``id`` must not serve its binding to the newcomer."""
+        ks, mu = binary_mu
+        reference = compile_numpy_kernel(mu.kernel)
+        seen, reused = set(), 0
+        for round_ in range(60):
+            shape = shapes[round_ % len(shapes)]
+            rng = np.random.default_rng(round_)
+            arrays = create_arrays(ks.fields, shape, 1)
+            for a in arrays.values():
+                a[...] = rng.random(a.shape)
+            ids = {id(a) for a in arrays.values()}
+            reused += bool(ids & seen)
+            seen |= ids
+            expected = {n: a.copy() for n, a in arrays.items()}
+            reference(expected, ghost_layers=1, t=0.0)
+            mu(arrays, ghost_layers=1, t=0.0)
+            np.testing.assert_array_equal(arrays["mu_dst"], expected["mu_dst"])
+            del arrays, a
+        assert reused, "the allocator never recycled an id: the hazard was not exercised"
+        assert not mu._bindings  # every binding died with its arrays
+
+    def test_swapped_entries_are_honoured(self, binary2d):
+        """What ``TimeLoop.step`` does to one persistent dict, six steps long."""
+        from repro.parallel.boundary import fill_ghosts
+        from repro.pfm import planar_front
+        from repro.profiling import compile_cached
+
+        ks = binary2d
+        kernels = [compile_cached(k, "c") for k in ks.all_kernels]
+        shape, gl = (14, 10), 1
+
+        def run(call):
+            arrays = create_arrays(ks.fields, shape, gl)
+            arrays["phi"][gl:-gl, gl:-gl] = planar_front(shape, 2, 0, 1, position=5.0, epsilon=4.0)
+            for name in ("phi", "mu"):
+                fill_ghosts(arrays[name], gl, 2)
+            for step in range(6):
+                for compiled in kernels:
+                    call(compiled, arrays, ghost_layers=gl, t=0.0, time_step=step, seed=3)
+                    for name in ("phi_dst", "mu_dst"):
+                        fill_ghosts(arrays[name], gl, 2)
+                for a, b in ks.swaps:
+                    arrays[a], arrays[b] = arrays[b], arrays[a]
+            return arrays
+
+        def unbound(compiled, arrays, **call):
+            for name, a in _on_fresh_copies(compiled, arrays, **call).items():
+                arrays[name][...] = a
+
+        bound = run(lambda compiled, arrays, **call: compiled(arrays, **call))
+        fresh = run(unbound)
+        for name in ("phi", "mu"):
+            np.testing.assert_array_equal(bound[name], fresh[name])
+
+    def test_changed_scalars_are_honoured(self):
+        """Offset, origin, ghost width, ``t``, ``time_step``, ``seed``: none is served stale."""
+        compiled = compile_c_kernel(_scalar_kernel())
+        rng = np.random.default_rng(0)
+        arrays = create_arrays(compiled.kernel.fields, (6, 6), 2)
+        arrays["f"][...] = rng.random(arrays["f"].shape)
+        base = dict(ghost_layers=2, dx_0=0.5, t=0.0, time_step=0, seed=0)
+        results = []
+        for change in (
+            {}, {}, {"t": 1.5}, {"block_offset": (3, 0)}, {"origin": (2.0, 0.0)},
+            {"ghost_layers": 1}, {"time_step": 4}, {"seed": 9}, {"dx_0": 0.25}, {},
+        ):
+            call = {**base, **change}
+            arrays["g"][...] = 0.0
+            expected = _on_fresh_copies(compiled, arrays, **call)
+            compiled(arrays, **call)
+            np.testing.assert_array_equal(arrays["g"], expected["g"])
+            results.append(arrays["g"].copy())
+        np.testing.assert_array_equal(results[0], results[1])
+        np.testing.assert_array_equal(results[0], results[-1])
+        for changed in results[2:-1]:
+            assert not np.array_equal(changed, results[0])
+
+    def test_missing_parameter_raises_on_a_bound_set(self):
+        compiled = compile_c_kernel(_scalar_kernel())
+        arrays = create_arrays(compiled.kernel.fields, (6, 6), 1)
+        compiled(arrays, t=0.0)
+        with pytest.raises(KeyError, match="missing kernel parameter 't'"):
+            compiled(arrays)
+
+    def test_reductions_return_independent_results(self, binary2d):
+        from repro.diagnostics import DiagnosticsSuite
+
+        suite = DiagnosticsSuite.for_model(binary2d.model, backend="c")
+        compiled = compile_c_kernel(suite.kernel)
+        arrays = create_arrays(suite.kernel.fields, (8, 8), 1, fill=0.25)
+        first = compiled(arrays, ghost_layers=1, t=0.0)
+        kept = dict(first)
+        arrays["phi"][...] = 0.5
+        second = compiled(arrays, ghost_layers=1, t=0.0)
+        assert first == kept and first is not second
+        assert second != first
+        assert second == compiled(arrays, ghost_layers=1, t=0.0)
+
+    def test_bindings_hold_no_strong_references(self, binary2d):
+        """``compile_cached`` outlives every solver; a dead solver's fields must not."""
+        import gc
+        import weakref
+
+        from repro.pfm import SingleBlockSolver, planar_front
+        from repro.profiling import compile_cached
+
+        (phi_kernel,) = binary2d.phi_kernels
+        compiled = compile_cached(phi_kernel, "c")
+        before = set(compiled._bindings)
+        solver = SingleBlockSolver(binary2d, (8, 8), backend="c")
+        solver.set_state(planar_front((8, 8), 2, 0, 1, position=4.0, epsilon=4.0))
+        solver.step(3)
+        bound = set(compiled._bindings) - before
+        assert len(bound) == 2  # the two swap states of the block
+        fields = [weakref.ref(a) for a in solver.arrays.values()]
+        # the recorder's crash-forensics hook is the one other holder
+        get_recorder().set_state_provider(None)
+        del solver
+        gc.collect()
+        assert all(ref() is None for ref in fields)
+        assert compile_cached(phi_kernel, "c") is compiled
+        assert not bound & set(compiled._bindings)
+
+    def test_two_threads_share_one_kernel_set(self, binary2d):
+        """ctypes drops the GIL in the native call: no call state may be shared."""
+        import sys
+        import threading
+
+        from repro.pfm import SingleBlockSolver, planar_front
+
+        def ledger(position, barrier=None):
+            solver = SingleBlockSolver(binary2d, (16, 12), backend="c", seed=int(position))
+            solver.set_state(planar_front((16, 12), 2, 0, 1, position=position, epsilon=4.0))
+            stream = solver.enable_fingerprints(every=1, metrics=False)
+            if barrier is not None:
+                barrier.wait(timeout=60)
+            solver.step(40)
+            return [record["digest"] for record in stream.records]
+
+        sequential = [ledger(5.0), ledger(9.0)]
+        assert sequential[0] != sequential[1]
+        threaded = [None, None]
+        barrier = threading.Barrier(2)
+
+        def work(i, position):
+            threaded[i] = ledger(position, barrier)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i, position))
+                for i, position in enumerate((5.0, 9.0))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == sequential
 
 
 @pytest.fixture(scope="module")

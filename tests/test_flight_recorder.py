@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.backends.c_backend import c_compiler_available
 from repro.observability import (
     HealthMonitor,
     RunDir,
@@ -351,6 +352,24 @@ class TestSolverRunDirIntegration:
         assert any(e["kind"] == "checkpoint" for e in events)
         ends = [e for e in events if e["kind"] == "step_end"]
         assert all(e["data"]["seconds"] >= 0 for e in ends)
+
+    @pytest.mark.skipif(not c_compiler_available(), reason="no C compiler available")
+    def test_journal_holds_the_solvers_own_compile_spans(self, kernel_set, tmp_path):
+        """The journal opens before the schedule is lowered, not after."""
+        from repro.pfm import SingleBlockSolver
+        from repro.profiling import clear_kernel_cache
+
+        clear_kernel_cache()  # in-process tier only: every kernel is loaded anew
+        with RunDir(tmp_path / "run") as rundir:
+            SingleBlockSolver(kernel_set, (8, 8), backend="c", rundir=rundir)
+        (journal,) = rundir.journals()
+        codegen = [
+            e.name for e in journal.events
+            if e.kind == "span_end" and e.name.startswith("codegen:c:")
+        ]
+        assert sorted(codegen) == sorted(
+            f"codegen:c:{k.name}" for k in kernel_set.all_kernels
+        )
 
     def test_journal_renders_the_same_trace_as_the_live_recorder(
         self, kernel_set, tmp_path

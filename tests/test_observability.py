@@ -171,10 +171,19 @@ class TestTracer:
             solver.step(1)
         finally:
             set_recorder(previous)
-        kinds = [e.kind for e in recorder.events]
-        assert len(kinds) == 10
-        assert kinds.count("kernel") == 3 and kinds.count("op") == 5
-        assert kinds[0] == "step_begin" and kinds[-1] == "step_end"
+        # a kernel is named BEFORE its dispatch (a crash is attributed to
+        # it) and its interval follows immediately; a sync is its fill
+        expected = [("step_begin", "0")]
+        for op, arg in kernel_set.schedule:
+            if op == "sweep":
+                for kernel in arg:
+                    expected += [("kernel", kernel.name), ("op", kernel.name)]
+            else:
+                expected.append(("op", f"fill:{arg}"))
+        expected.append(("step_end", "0"))
+        assert [(e.kind, e.name) for e in recorder.events] == expected
+        assert len(expected) == 10
+        assert all(e.data["seconds"] > 0 for e in recorder.events if e.kind == "op")
 
 
 class TestTracedPassCounts:
