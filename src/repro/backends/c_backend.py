@@ -8,6 +8,13 @@ optional approximate math (single-precision div/sqrt paths standing in for
 the AVX-512 ``rsqrt14`` intrinsics).  An embedded scalar Philox-4x32-10
 matches the NumPy backend bit for bit.
 
+Fields are addressed in the structure-of-arrays ("fzyx") layout of
+:meth:`repro.symbolic.field.Field.strides` — one contiguous block per
+component, so every access of the innermost loop is unit-stride.  The
+emitter prints that rule (:func:`_declare_strides`), :func:`create_arrays
+<repro.backends.numpy_backend.create_arrays>` allocates by it and a compiled
+kernel refuses an array that does not follow it.
+
 Generated kernels are compiled on the fly with the system C compiler and
 published into the persistent cross-process cache
 (:mod:`repro.profiling.diskcache`): keyed by the kernel's structural IR
@@ -120,14 +127,13 @@ static inline double _min(double a, double b) {
 class _CPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
     """C expression printer aware of field accesses and fast-math nodes."""
 
-    def __init__(self, access_str, rng_str):
+    def __init__(self, rng_str):
         super().__init__()
-        self._access_str = access_str
         self._rng_str = rng_str
 
     def _print_Symbol(self, expr):
         if isinstance(expr, FieldAccess):
-            return self._access_str(expr)
+            return _access_str(expr)
         return super()._print_Symbol(expr)
 
     def _print_Float(self, expr):
@@ -166,11 +172,33 @@ class _CPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
         return super()._print_Pow(expr)
 
 
-def _flat_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
-    flat = 0
-    for i, s in zip(idx, shape):
-        flat = flat * s + i
-    return flat
+def _declare_strides(fields, dim: int) -> list[str]:
+    """Declarations of the ghosted extents ``m<d>`` and every field's strides.
+
+    ``s_<field>_<k>`` is the stride, in doubles, of logical axis *k* (the
+    spatial axes, then the index axes): the products
+    :meth:`~repro.symbolic.field.Field.strides` forms over the ghosted
+    extents — the one layout rule, printed.  The innermost spatial stride is
+    the literal 1.  Shared by the C and the CUDA emitter.
+    """
+    extents = sp.symbols(f"m:{dim}", integer=True)
+    lines = [f"    const int64_t m{d} = n{d} + 2*gl;" for d in range(dim)]
+    for f in fields:
+        lines += [
+            f"    const int64_t s_{f.name}_{k} = {sp.ccode(stride)};"
+            for k, stride in enumerate(f.strides(extents))
+        ]
+    return lines
+
+
+def _access_str(acc: FieldAccess) -> str:
+    """``f_<field>[...]``: the access's logical index dotted with the strides."""
+    name = acc.field.name
+    terms = [f"(i{d} + gl + {int(o)}) * s_{name}_{d}" for d, o in enumerate(acc.offsets)]
+    terms += [
+        f"{i} * s_{name}_{len(acc.offsets) + k}" for k, i in enumerate(acc.index) if i
+    ]
+    return f"f_{name}[{' + '.join(terms)}]"
 
 
 def _c_func_name(kernel_name: str) -> str:
@@ -215,17 +243,7 @@ def generate_c_source(kernel: Kernel, func_name: str | None = None) -> str:
     lines.append("    " + ",\n    ".join(args) + ")")
     lines.append("{")
 
-    # strides (in doubles) per field, C-contiguous with spatial dims first
-    for f in fields:
-        idx_sz = int(np.prod(f.index_shape)) if f.index_shape else 1
-        strides = []
-        for d in range(dim):
-            inner = " * ".join(
-                [f"(n{dd} + 2*gl)" for dd in range(d + 1, dim)] + [str(idx_sz)]
-            )
-            strides.append(inner)
-        for d in range(dim):
-            lines.append(f"    const int64_t s_{f.name}_{d} = {strides[d]};")
+    lines.extend(_declare_strides(fields, dim))
     lines.append("")
 
     # spacing values folded at compile time or passed as h<d>
@@ -257,21 +275,12 @@ def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
     loop_order = kernel.loop_order
     levels = classify_hoist_levels(ac, loop_order)
 
-    def access_str(acc: FieldAccess) -> str:
-        parts = []
-        for d in range(dim):
-            o = int(acc.offsets[d])
-            parts.append(f"(i{d} + gl + {o}) * s_{acc.field.name}_{d}")
-        flat = _flat_index(acc.index, acc.field.index_shape) if acc.index else 0
-        idx = " + ".join(parts + ([str(flat)] if flat else []))
-        return f"f_{acc.field.name}[{idx}]"
-
     def rng_str(r: RandomValue) -> str:
         lo = [region[d][0] for d in range(dim)]
         g = [f"i{d} + off{d} - {lo[d]}" for d in range(dim)]
         while len(g) < 3:
             g.append("0")
-        printer0 = _CPrinter(access_str, lambda r_: "0")
+        printer0 = _CPrinter(lambda r_: "0")
         low = printer0.doprint(r.low)
         high = printer0.doprint(r.high)
         return (
@@ -280,7 +289,7 @@ def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
             f"{r.stream % 2}, {low}, {high})"
         )
 
-    printer = _CPrinter(access_str, rng_str)
+    printer = _CPrinter(rng_str)
 
     def pr(e: sp.Expr) -> str:
         return printer.doprint(e)
@@ -344,8 +353,11 @@ def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
             bound = f"{bound} + sub_hi{axis}"
         # threads on the outermost loop, vector lanes on the innermost: each
         # iteration writes only its own cell through restrict pointers.  A
-        # reduction stays scalar, "simd reduction" would reorder its sums
-        simd = " simd" if level == dim and not acc_names else ""
+        # reduction stays scalar, "simd reduction" would reorder its sums; a
+        # frontier slab on the face of its innermost axis runs that loop
+        # `margin` times, and the vector prologue costs more than it saves
+        face = restricted and kernel.subspace.intervals[axis].is_face
+        simd = " simd" if level == dim and not acc_names and not face else ""
         if level == 1:
             clause = (
                 " reduction(+:" + ",".join(acc_names.values()) + ")"
@@ -368,7 +380,7 @@ def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
         if acc_names:
             out.append(f"{pad}{acc_names[a.lhs.name]} += {pr(fix(a.rhs))};")
         else:
-            out.append(f"{pad}{access_str(a.lhs)} = {pr(fix(a.rhs))};")
+            out.append(f"{pad}{_access_str(a.lhs)} = {pr(fix(a.rhs))};")
 
     for _ in range(dim):
         pad = pad[:-4]
@@ -489,10 +501,15 @@ _UNBOUND = ((), (), None)
 class CompiledCKernel:
     """A compiled, callable C kernel with the NumPy-backend calling convention.
 
-    The native loop nest trusts the extents it is passed, so every array is
-    validated (shape against the first field's spatial extent and the
-    field's index shape, C-contiguity, ``float64``, a ghost width the
-    stencil fits in) before its address reaches C.  That validation runs
+    The native loop nest trusts the extents it is passed and computes its
+    own addresses, so every array is validated (shape against the first
+    field's spatial extent and the field's index shape, ``float64``, byte
+    strides equal to the layout rule's, a ghost width the stencil fits in)
+    before its address reaches C.  The stride comparison is what keeps an
+    array of the right shape in another layout — ``np.zeros(shape)``, a
+    plain ``copy()``, a Fortran-ordered or sliced array — from being read in
+    bounds as garbage; it names the field and points at ``create_arrays``.
+    That validation runs
     once per *array set*: the first call on a set — the arrays of the
     kernel's fields as objects, together with ``ghost_layers``,
     ``block_offset`` and ``origin`` — marshals them into an immutable
@@ -519,7 +536,7 @@ class CompiledCKernel:
         self.source = source
         self._func = func
         dim = kernel.dim
-        self._fields = tuple((f.name, tuple(f.index_shape)) for f in kernel.fields)
+        self._fields = tuple(kernel.fields)
         self._min_gl = max(kernel.ghost_layers, int(kernel.has_staggered_writes))
         self._required = tuple(
             p.name for p in kernel.parameters if p.name not in ("time_step", "seed")
@@ -563,18 +580,29 @@ class CompiledCKernel:
                 f"kernel {k.name} needs at least {self._min_gl} ghost layers, got {gl}"
             )
         spatial = held[0].shape[:dim]
-        for (name, index_shape), a in zip(self._fields, held):
+        for f, a in zip(self._fields, held):
+            name = f.name
             # the native loop nest trusts these extents: a mis-shaped array
             # would be read and written out of bounds
-            if len(spatial) != dim or a.shape != spatial + index_shape:
+            if len(spatial) != dim or a.shape != spatial + f.index_shape:
                 raise ValueError(
                     f"array {name} has shape {a.shape}, expected "
-                    f"{spatial + index_shape} ({dim} spatial axes)"
+                    f"{spatial + f.index_shape} ({dim} spatial axes)"
                 )
-            if not a.flags["C_CONTIGUOUS"]:
-                raise ValueError(f"array {name} must be C-contiguous")
             if a.dtype != np.float64:
                 raise ValueError(f"array {name} must be float64")
+            # ... and these strides.  An array of the right shape in another
+            # layout (C order of the logical shape, Fortran order, a view) has
+            # the same number of bytes: the kernel would stay in bounds and
+            # compute garbage.  The stride of an axis of extent 1 addresses
+            # nothing and is not compared
+            expected = tuple(8 * s for s in f.strides(spatial))
+            if any(n > 1 and s != e for n, s, e in zip(a.shape, a.strides, expected)):
+                raise ValueError(
+                    f"array {name} has byte strides {a.strides}, the kernel "
+                    f"addresses it with {expected} (one contiguous block per "
+                    f"component): allocate it with create_arrays"
+                )
             if any(n < 2 * gl + 1 for n in spatial):
                 raise ValueError(f"array {name} too small for {gl} ghost layers")
         interior = tuple(n - 2 * gl for n in spatial)
@@ -621,7 +649,7 @@ class CompiledCKernel:
             )
         k = self.kernel
         gl = k.ghost_layers if ghost_layers is None else ghost_layers
-        held = [arrays[name] for name, _ in self._fields]
+        held = [arrays[f.name] for f in self._fields]
         key = (gl, tuple(block_offset), tuple(origin), *map(id, held))
         refs, shapes, prefix = self._bindings.get(key, _UNBOUND)
         for ref, shape, a in zip(refs, shapes, held):

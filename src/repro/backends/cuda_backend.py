@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import sympy as sp
 
 from ..ir.kernel import Kernel
@@ -26,7 +25,7 @@ from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
 from ..symbolic.random import RandomValue
-from .c_backend import _CPrinter, _flat_index
+from .c_backend import _access_str, _CPrinter, _declare_strides
 from .numpy_backend import _needed_subexpressions, _region_of
 
 __all__ = ["generate_cuda_source", "MAPPINGS", "CudaKernelSource"]
@@ -153,13 +152,7 @@ def generate_cuda_source(
     lines.append("    " + ",\n    ".join(args) + ")")
     lines.append("{")
 
-    for f in kernel.fields:
-        idx_sz = int(np.prod(f.index_shape)) if f.index_shape else 1
-        for d in range(dim):
-            inner = " * ".join(
-                [f"(n{dd} + 2*gl)" for dd in range(d + 1, dim)] + [str(idx_sz)]
-            )
-            lines.append(f"    const int64_t s_{f.name}_{d} = {inner};")
+    lines.extend(_declare_strides(kernel.fields, dim))
     lines.append("")
 
     # thread-to-cell mapping: fully separated from the stencil body
@@ -218,28 +211,19 @@ def _emit_cuda_body(
             if not a.is_field_store or a.lhs in wanted
         ]
 
-    def access_str(acc: FieldAccess) -> str:
-        parts = []
-        for d in range(dim):
-            o = int(acc.offsets[d])
-            parts.append(f"(i{d} + gl + {o}) * s_{acc.field.name}_{d}")
-        flat = _flat_index(acc.index, acc.field.index_shape) if acc.index else 0
-        idx = " + ".join(parts + ([str(flat)] if flat else []))
-        return f"f_{acc.field.name}[{idx}]"
-
     def rng_str(r: RandomValue) -> str:
         lo = [region[d][0] for d in range(dim)]
         g = [f"i{d} + off{d} - {lo[d]}" for d in range(dim)]
         while len(g) < 3:
             g.append("0")
-        printer0 = _CPrinter(access_str, lambda r_: "0")
+        printer0 = _CPrinter(lambda r_: "0")
         return (
             f"_philox_uniform({g[0]}, {g[1]}, {g[2]}, {r.stream // 2}u, "
             f"(uint32_t)(time_step & 0xFFFFFFFF), (uint32_t)(seed & 0xFFFFFFFF), "
             f"{r.stream % 2}, {printer0.doprint(r.low)}, {printer0.doprint(r.high)})"
         )
 
-    printer = _CPrinter(access_str, rng_str)
+    printer = _CPrinter(rng_str)
 
     param_names = {p.name for p in kernel.parameters} - {"time_step", "seed"}
     rename = {n: sp.Symbol(f"p_{n}", real=True) for n in param_names}
@@ -283,7 +267,7 @@ def _emit_cuda_body(
             out.append(f"{body_pad}__threadfence_block();")
         rhs = printer.doprint(fix(a.rhs))
         if a.is_field_store:
-            out.append(f"{body_pad}{access_str(a.lhs)} = {rhs};")
+            out.append(f"{body_pad}{_access_str(a.lhs)} = {rhs};")
         else:
             out.append(f"{body_pad}const double {a.lhs.name} = {rhs};")
 

@@ -7,6 +7,12 @@ assignment becomes a whole-array slice expression; temporaries become
 intermediate arrays; staggered (flux) writes use per-assignment regions
 extended by one face layer along the flux axis.
 
+The generated kernels index *logically* (``array[slices, component]``), so
+they take arrays of any strides: the structure-of-arrays views
+:func:`create_arrays` hands out, or plain C-ordered ``spatial + index_shape``
+arrays — with bit-identical results.  Only the C backend, which computes
+addresses itself, depends on the storage order.
+
 The generated source is kept on the compiled object (``.source``) for
 inspection and testing.
 """
@@ -33,12 +39,18 @@ __all__ = ["compile_numpy_kernel", "CompiledNumpyKernel", "create_arrays"]
 def create_arrays(
     fields, interior_shape: tuple[int, ...], ghost_layers: int = 1, fill: float = 0.0
 ) -> dict[str, np.ndarray]:
-    """Allocate ghost-layered arrays for a set of fields."""
-    arrays = {}
-    for f in fields:
-        shape = tuple(s + 2 * ghost_layers for s in interior_shape) + f.index_shape
-        arrays[f.name] = np.full(shape, fill, dtype=np.float64)
-    return arrays
+    """Allocate ghost-layered arrays for a set of fields.
+
+    The only allocation site of field storage: every array is a view of
+    the logical shape ``spatial + index_shape`` over the structure-of-arrays
+    storage of :meth:`repro.symbolic.field.Field.allocate`, which is what a
+    compiled C kernel requires.  A plain ``copy()`` of such an array is
+    C-ordered in the logical shape, i.e. a different layout; use
+    ``copy(order="K")`` (or assign into a fresh ``create_arrays`` result) to
+    keep it.
+    """
+    spatial = tuple(s + 2 * ghost_layers for s in interior_shape)
+    return {f.name: f.allocate(spatial, fill) for f in fields}
 
 
 class _Printer(CanonicalTermOrder, SmallPowersAsProducts, NumPyPrinter):

@@ -1,7 +1,9 @@
 """Loop construction: ordering and loop-invariant code motion (paper §3.4).
 
-Arrays are stored C-contiguously with the *last* spatial axis fastest, so
-the innermost loop should iterate that axis for spatial locality.  Analytic
+Every component of a field is one contiguous block with the spatial axes in
+C order (:meth:`repro.symbolic.field.Field.strides`): the *last* spatial
+axis has stride 1, so the innermost loop should iterate that axis — every
+access of the loop body is then unit-stride.  Analytic
 dependencies (e.g. a temperature ``T(x_0, t)`` that varies along a single
 coordinate) are exploited by making their axes the *outermost* loops and
 hoisting every subexpression that only depends on outer-loop state out of
@@ -67,6 +69,11 @@ class AxisInterval:
         return (self.start, self.stop, self.start_from_end, self.stop_from_end) == (
             0, 0, False, True,
         )
+
+    @property
+    def is_face(self) -> bool:
+        """Both endpoints count from the same end: ``stop - start`` cells at any extent."""
+        return self.start_from_end == self.stop_from_end
 
 
 FULL_AXIS = AxisInterval(0, 0, False, True)
@@ -167,9 +174,11 @@ def analytic_axes(ac: AssignmentCollection) -> set[int]:
 def choose_loop_order(ac: AssignmentCollection, dim: int) -> tuple[int, ...]:
     """Loop order (outermost → innermost) for a kernel.
 
-    The fastest-varying axis (``dim-1``, contiguous in memory) is placed
-    innermost whenever possible; axes carrying analytic coordinate
-    dependencies are pushed outward so their subexpressions can be hoisted.
+    The unit-stride axis (``dim-1`` under the layout rule of
+    :meth:`~repro.symbolic.field.Field.strides`, for every component of
+    every field) is placed innermost whenever possible; axes carrying
+    analytic coordinate dependencies are pushed outward so their
+    subexpressions can be hoisted.
     """
     analytic = analytic_axes(ac)
     inner_candidates = [a for a in range(dim) if a not in analytic]

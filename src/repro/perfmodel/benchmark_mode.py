@@ -14,6 +14,7 @@ combines these measurements with the ECM model to choose kernel variants.
 from __future__ import annotations
 
 import subprocess
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,14 @@ def generate_benchmark_source(
     iterations: int = 5,
     repeats: int = 3,
 ) -> str:
-    """Standalone C program that times sweeps of *kernel* on random data."""
+    """Standalone C program that times sweeps of *kernel* on random data.
+
+    Every field is one flat ``malloc`` of its total size filled by flat
+    index, and the kernel computes its own addresses from ``n<d>`` and
+    ``gl``: the driver is independent of the field layout
+    (:meth:`repro.symbolic.field.Field.strides`) and needs no edit when the
+    rule changes.
+    """
     dim = kernel.dim
     if len(interior_shape) != dim:
         raise ValueError(f"shape must have {dim} entries")
@@ -96,12 +104,15 @@ def generate_benchmark_source(
     for f in kernel.fields:
         comps = int(np.prod(f.index_shape)) if f.index_shape else 1
         total = " * ".join([f"(n{d} + 2*gl)" for d in range(dim)] + [str(comps)])
+        # crc32, not hash(): str hashes are salted per process, and the data,
+        # the checksum and the source digest (the cache key) must not be
+        shift = zlib.crc32(f.name.encode()) % 97
         alloc_lines.append(
             f"    double *f_{f.name} = (double*)malloc(sizeof(double) * ({total}));"
         )
         alloc_lines.append(
             f"    for (int64_t i = 0; i < ({total}); ++i) "
-            f"f_{f.name}[i] = 0.25 + 0.5 * ((double)((1103515245 * (i + {hash(f.name) % 97}) + 12345) & 0xffff) / 65536.0);"
+            f"f_{f.name}[i] = 0.25 + 0.5 * ((double)((1103515245 * (i + {shift}) + 12345) & 0xffff) / 65536.0);"
         )
         checksum_lines.append(
             f"    for (int64_t i = 0; i < ({total}); i += 97) checksum += f_{f.name}[i];"

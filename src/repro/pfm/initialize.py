@@ -1,7 +1,8 @@
 """Initial conditions for phase-field simulations.
 
 All helpers operate on interior-shaped arrays with the phase index last,
-``phi[..., α]``, matching the field layout of the generated kernels.
+``phi[..., α]`` — the logical index order of every field array, whatever
+its storage order (:meth:`repro.symbolic.field.Field.strides`).
 The interface profile is the obstacle-potential equilibrium
 ``φ(d) = ½(1 − sin(d/ε))`` clamped to [0, 1] (interface width πε).
 """

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+import numpy as np
 import sympy as sp
 
 __all__ = ["Field", "FieldAccess", "fields"]
@@ -127,6 +128,41 @@ class Field:
             return
         for idx in itertools.product(*(range(s) for s in self.index_shape)):
             yield self.center(*idx)
+
+    # -- memory layout ------------------------------------------------------
+
+    def strides(self, spatial_shape: Sequence) -> tuple:
+        """Element strides of the array of this field, per *logical* axis.
+
+        The one layout rule of the package — structure of arrays, the
+        paper's "fzyx": every component is one contiguous block holding the
+        (ghosted) *spatial_shape* in C order, and the blocks follow each
+        other in C order of the index shape.  Arrays are handed around as
+        views of the logical shape ``spatial_shape + index_shape``, so the
+        result lists the spatial strides first (the last one is 1) and the
+        index strides behind them (the last one is the cell count).
+
+        The extents may be integers (allocation, bind-time validation) or
+        symbols (the C and CUDA emitters print the products).
+        """
+        strides, step = [], 1
+        for extent in reversed((*self.index_shape, *spatial_shape)):
+            strides.append(step)
+            step = step * extent
+        strides.reverse()
+        n = self.index_dimensions
+        return (*strides[n:], *strides[:n])
+
+    def allocate(self, spatial_shape: Sequence[int], fill: float = 0.0) -> np.ndarray:
+        """A ``float64`` array laid out by :meth:`strides`, as its logical view.
+
+        Indexing, slicing and assignment work on ``spatial_shape +
+        index_shape`` as on any NumPy array; only a compiled kernel, which
+        computes addresses itself, depends on the storage order underneath.
+        """
+        storage = np.full((*self.index_shape, *spatial_shape), fill, dtype=np.float64)
+        n = self.index_dimensions
+        return np.moveaxis(storage, range(n), range(-n, 0))
 
     # -- misc ---------------------------------------------------------------
 

@@ -8,6 +8,8 @@ import subprocess
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import compile_numpy_kernel, create_arrays
 from repro.backends.c_backend import (
@@ -48,13 +50,18 @@ def _heat_kernel(dim, variant="full"):
     return [create_kernel(res.flux_kernel), create_kernel(res.main_kernel)]
 
 
+def _copies(arrays):
+    """Copies in the kernels' layout (a plain ``a.copy()`` is C-ordered in the logical shape)."""
+    return {name: a.copy(order="K") for name, a in arrays.items()}
+
+
 def _run_both(kernels, shape, gl=1, seed=0, **params):
     rng = np.random.default_rng(seed)
     fields = sorted(set().union(*(k.fields for k in kernels)), key=lambda f: f.name)
     a_np = create_arrays(fields, shape, gl)
     for name in a_np:
         a_np[name][...] = rng.random(a_np[name].shape)
-    a_c = {n: v.copy() for n, v in a_np.items()}
+    a_c = _copies(a_np)
     for k in kernels:
         compile_numpy_kernel(k)(a_np, ghost_layers=gl, **params)
         compile_c_kernel(k)(a_c, ghost_layers=gl, **params)
@@ -280,7 +287,7 @@ def _scalar_kernel():
 
 def _on_fresh_copies(compiled, arrays, **call):
     """The call on arrays no binding has seen: validated and marshalled anew."""
-    fresh = {name: a.copy() for name, a in arrays.items()}
+    fresh = _copies(arrays)
     compiled(fresh, **call)
     return fresh
 
@@ -298,23 +305,29 @@ class TestBinding:
         return binary2d, compile_c_kernel(mu_kernel)
 
     @pytest.mark.parametrize(
-        "replacement",
+        "name, replacement",
         [
-            lambda good: np.zeros((6, 6, 1)),
-            lambda good: np.zeros((10, 10)),
-            lambda good: np.zeros((10, 10, 2)),
-            lambda good: np.zeros((10, 20, 1))[:, ::2],
-            lambda good: good.astype(np.float32),
+            ("mu_dst", lambda good: np.zeros((6, 6, 1))),
+            ("mu_dst", lambda good: np.zeros((10, 10))),
+            ("mu_dst", lambda good: np.zeros((10, 10, 2))),
+            ("mu_dst", lambda good: np.zeros((10, 20, 1))[:, ::2]),
+            ("mu_dst", lambda good: good.astype(np.float32)),
+            # right shape, right size, wrong layout: in bounds, so only the
+            # stride comparison stands between these and a wrong answer
+            ("phi_dst", lambda good: np.zeros(good.shape)),
+            ("mu_dst", lambda good: np.asfortranarray(good)),
+            ("phi_dst", lambda good: np.moveaxis(np.zeros((10, 2, 10)), 1, -1)),
         ],
-        ids=["smaller", "no_index_axis", "two_components", "strided", "float32"],
+        ids=["smaller", "no_index_axis", "two_components", "strided", "float32",
+             "aos_two_components", "fortran_order", "moved_axis_view"],
     )
-    def test_replaced_entry_is_validated(self, binary_mu, replacement):
+    def test_replaced_entry_is_validated(self, binary_mu, name, replacement):
         ks, mu = binary_mu
         arrays = create_arrays(ks.fields, (8, 8), 1, fill=0.5)
         mu(arrays, ghost_layers=1, t=0.0)
         mu(arrays, ghost_layers=1, t=0.0)
-        arrays["mu_dst"] = replacement(arrays["mu_dst"])
-        with pytest.raises(ValueError, match="mu_dst"):
+        arrays[name] = replacement(arrays[name])
+        with pytest.raises(ValueError, match=f"array {name} "):
             mu(arrays, ghost_layers=1, t=0.0)
 
     def test_array_reshaped_in_place_is_validated(self, binary_mu):
@@ -492,6 +505,103 @@ class TestBinding:
         assert threaded == sequential
 
 
+class TestLayoutSafety:
+    """One layout rule (``Field.strides``): what allocates by it, what a kernel refuses.
+
+    An array in another layout has the shape and the byte size of the right
+    one, so a kernel reading it stays in bounds: the failure the bind-time
+    stride comparison prevents is a wrong answer, not a crash.
+    """
+
+    @given(
+        dim=st.integers(1, 3),
+        index_shape=st.sampled_from([(), (1,), (4,), (3, 2)]),
+        ghost_layers=st.integers(1, 2),
+        interior=st.tuples(*[st.integers(1, 5)] * 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_create_arrays_follows_the_rule(self, dim, index_shape, ghost_layers, interior):
+        f = Field("f", dim, index_shape=index_shape)
+        a = create_arrays([f], interior[:dim], ghost_layers, fill=1.5)["f"]
+        spatial = tuple(n + 2 * ghost_layers for n in interior[:dim])
+        assert a.shape == spatial + index_shape and a.dtype == np.float64
+        assert a.strides == tuple(8 * s for s in f.strides(spatial))
+        assert a.strides[dim - 1] == 8                      # unit stride innermost
+        # one block per component, the blocks back to back: nothing is padded
+        storage = a.base
+        assert storage.flags["C_CONTIGUOUS"] and storage.base is None
+        assert storage.shape == index_shape + spatial and storage.size == a.size
+        assert (a == 1.5).all()
+
+    def test_wrong_layout_is_refused_on_a_first_call_of_every_kernel(self, binary2d):
+        """No kernel of a step takes an AoS array, bound before or not."""
+        for kernel in binary2d.all_kernels:
+            compiled = compile_c_kernel(kernel)
+            arrays = create_arrays(binary2d.fields, (8, 8), 1, fill=0.5)
+            victim = next(f.name for f in kernel.fields if f.index_shape == (2,))
+            arrays[victim] = np.full(arrays[victim].shape, 0.5)
+            with pytest.raises(ValueError) as error:
+                compiled(arrays, ghost_layers=1, t=0.0)
+            message = str(error.value)
+            assert f"array {victim} has byte strides (160, 16, 8)" in message
+            assert "(80, 8, 800)" in message and "create_arrays" in message
+
+    def test_one_component_field_is_the_same_bytes_in_both_layouts(self, binary2d):
+        """``mu`` of the binary model: ``np.zeros(spatial + (1,))`` stays accepted."""
+        (mu_kernel,) = binary2d.mu_kernels
+        mu = compile_c_kernel(mu_kernel)
+        rng = np.random.default_rng(5)
+        arrays = create_arrays(binary2d.fields, (8, 13), 1)
+        for a in arrays.values():
+            a[...] = rng.random(a.shape)
+        plain = dict(arrays)
+        for name in ("mu", "mu_dst"):
+            plain[name] = np.zeros((10, 15, 1))
+            plain[name][...] = arrays[name]
+            assert plain[name].strides != arrays[name].strides
+        mu(arrays, ghost_layers=1, t=0.0)
+        mu(plain, ghost_layers=1, t=0.0)
+        assert np.array_equal(
+            plain["mu_dst"].view(np.uint64), arrays["mu_dst"].view(np.uint64)
+        )
+        assert np.ptp(arrays["mu_dst"][1:-1, 1:-1]) > 0
+
+    @pytest.mark.parametrize(
+        "model, shape, steps",
+        [("binary2d", (30, 37), 25), ("p1", (20, 18, 21), 40)],
+        ids=["binary2d", "p1"],
+    )
+    def test_ledgers_are_equal_across_layouts(self, request, model, shape, steps):
+        """C on the kernels' layout == NumPy on plain C-ordered logical arrays.
+
+        The NumPy kernels index logically and take any strides; equal ledgers
+        over a run show the storage order changes addresses, not arithmetic.
+        """
+        from repro.pfm import SingleBlockSolver, planar_front
+
+        ks = request.getfixturevalue(model)
+        n = ks.model.params.n_phases
+        rng = np.random.default_rng(0)
+        phi0 = planar_front(shape, n, 0, 1, position=shape[0] / 2.3, epsilon=4.0)
+        phi0 = phi0 + 0.05 * rng.random(phi0.shape)
+        phi0 /= phi0.sum(axis=-1, keepdims=True)
+
+        ledgers = {}
+        for backend in ("c", "numpy"):
+            solver = SingleBlockSolver(ks, shape, backend=backend, boundary="neumann", seed=3)
+            if backend == "numpy":
+                for name, a in solver.arrays.items():
+                    solver.arrays[name] = np.ascontiguousarray(a)
+                    assert solver.arrays[name].strides != a.strides or a.shape[-1] == 1
+            solver.set_state(phi0, mu=0.0)
+            stream = solver.enable_fingerprints(every=1, metrics=False)
+            solver.step(steps)
+            ledgers[backend] = [record["fields"] for record in stream.records]
+        assert len(ledgers["c"]) == steps + 1
+        assert ledgers["c"] == ledgers["numpy"]
+        assert ledgers["c"][0] != ledgers["c"][-1]
+
+
 @pytest.fixture(scope="module")
 def binary2d():
     from repro.pfm import GrandPotentialModel, make_two_phase_binary
@@ -600,7 +710,7 @@ class TestMinMaxLowering:
         cells += [tuple(np.roll((np.nan, 1.0, 2.0), s)) for s in range(3)]
         a_np = create_arrays(k.fields, (len(cells),), 1)
         a_np["f"][1:-1] = cells
-        a_c = {n: v.copy() for n, v in a_np.items()}
+        a_c = _copies(a_np)
         with np.errstate(invalid="ignore"):
             compile_numpy_kernel(k)(a_np, ghost_layers=1)
         compile_c_kernel(k)(a_c, ghost_layers=1)
@@ -654,18 +764,12 @@ class TestNoLibmMinMax:
 class TestVectorized:
     """Compiler level: gcc reports the innermost loop of every kernel vectorized.
 
-    The P1 µ loop needs both halves of the backend's recipe: without
-    ``-fno-math-errno`` gcc stops at "control flow in loop" (the errno branch
-    of ``sqrt``), without ``#pragma omp simd`` at "complicated access
-    pattern" (its cost model on the stride-4 φ / stride-2 µ accesses).
+    Every access of the innermost loop is unit-stride (one contiguous block
+    per component), so no kernel is exempt.  The P1 loops still need both
+    halves of the backend's recipe: without ``-fno-math-errno`` gcc stops at
+    "control flow in loop" (the errno branch of ``sqrt``), without ``#pragma
+    omp simd`` it finds no vector type for the φ and µ loop bodies.
     """
-
-    #: gcc 12 has no lane permutation for an interleaved group of 6 or 12
-    #: doubles — the staggered flux field of a 3-D split kernel, read whole
-    #: per cell: "the size of the group of accesses is not a power of 2 or
-    #: not equal to 3".  A pragma cannot help; a structure-of-arrays layout
-    #: would (ROADMAP 3b).  Not asserted scalar: a newer gcc may do better.
-    NOT_VECTORIZABLE = {("binary3d", "phi_main"), ("p1", "phi_main"), ("p1", "mu_main")}
 
     @pytest.fixture(
         scope="class",
@@ -706,8 +810,6 @@ class TestVectorized:
             lines = [line.strip() for line in source.splitlines()]
             simd = [i for i, line in enumerate(lines) if line == "#pragma omp simd"]
             assert len(simd) == source.count("/* region"), kernel.name
-            if (model, kernel.name) in self.NOT_VECTORIZABLE:
-                continue
             reported = self._vectorized_lines(source, tmp_path)
             for at in simd:
                 # the innermost body holds no brace: the loop ends at the next

@@ -134,6 +134,33 @@ class TestBenchmarkMode:
         assert "seconds_per_sweep=" in src
         assert "clock_gettime" in src
 
+    def test_source_is_independent_of_hash_seed(self):
+        """The initial data's per-field shift was ``hash(name) % 97``: salted per process."""
+        import os
+        import subprocess
+        import sys
+
+        program = (
+            "import hashlib\n"
+            "from repro.ir import create_kernel\n"
+            "from repro.perfmodel import generate_benchmark_source\n"
+            "from repro.symbolic import Assignment, AssignmentCollection, Field\n"
+            "f, g = Field('f_bm', 2), Field('f_bm_dst', 2)\n"
+            "ac = AssignmentCollection([Assignment(g.center(), 2 * f.center())], name='bm')\n"
+            "src = generate_benchmark_source(create_kernel(ac), (8, 8))\n"
+            "print(hashlib.sha256(src.encode()).hexdigest())\n"
+        )
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", program],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+                check=True, capture_output=True, text=True, timeout=300,
+            ).stdout.strip()
+            for seed in ("1", "2")
+        ]
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
     def test_measurement_runs(self, heat_kernel):
         from repro.backends.c_backend import c_compiler_available
         from repro.perfmodel import measure_kernel

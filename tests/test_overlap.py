@@ -84,8 +84,9 @@ class TestIterationSubspaces:
                 base = create_arrays(kernels.fields, shape, gl)
                 for arr in base.values():
                     arr[...] = rng.random(arr.shape)
-                full = {k: v.copy() for k, v in base.items()}
-                split = {k: v.copy() for k, v in base.items()}
+                # order="K" keeps the kernels' layout; a plain copy() is another one
+                full = {k: v.copy(order="K") for k, v in base.items()}
+                split = {k: v.copy(order="K") for k, v in base.items()}
                 kw = dict(
                     ghost_layers=gl, block_offset=(0,) * kernel.dim,
                     t=0.0, time_step=0, seed=1,
@@ -96,6 +97,20 @@ class TestIterationSubspaces:
                     compile_cached(part, backend)(split, **kw)
                 for name in base:
                     np.testing.assert_array_equal(split[name], full[name])
+
+    def test_slab_on_a_face_of_the_innermost_axis_carries_no_simd(self, kernels):
+        """Its innermost loop runs ``margin`` times: lanes would stay empty."""
+        from repro.backends.c_backend import generate_c_source
+
+        for kernel in kernels.mu_kernels:
+            innermost = kernel.loop_order[-1]
+            interior, frontiers = split_interior_frontier(kernel)
+            for part in (kernel, interior, *frontiers):
+                on_inner_face = part.name.startswith(
+                    f"{kernel.name}:frontier_a{innermost}"
+                )
+                has_simd = "#pragma omp simd" in generate_c_source(part)
+                assert has_simd != on_inner_face, part.name
 
 
 class TestGhostExchange:

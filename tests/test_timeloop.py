@@ -103,6 +103,60 @@ class TestPostStepOrder:
         assert recorded == digest_array(arrays["phi"][cut])
 
 
+@pytest.mark.parametrize("make", [_single, _distributed])
+class TestFieldLayout:
+    """Nothing in the loop rebinds a block's entry to an array of another layout."""
+
+    BACKEND = "c" if c_compiler_available() else "numpy"
+
+    @staticmethod
+    def _blocks(solver):
+        return [block.arrays for block in solver._owned]
+
+    def _assert_rule(self, kernels, solver):
+        for arrays in self._blocks(solver):
+            assert sorted(arrays) == sorted(f.name for f in kernels.fields)
+            for f in kernels.fields:
+                a = arrays[f.name]
+                assert a.strides == tuple(8 * s for s in f.strides(a.shape[:2])), f.name
+
+    def test_state_access_swaps_and_checkpoints_keep_the_arrays(self, kernels, make, tmp_path):
+        solver, _, _ = make(kernels, backend=self.BACKEND)   # set_state / set_state_from
+        self._assert_rule(kernels, solver)
+        before = [{name: id(a) for name, a in arrays.items()} for arrays in self._blocks(solver)]
+        solver.step(3)                                       # an odd number of swaps
+        self._assert_rule(kernels, solver)
+        solver.save_checkpoint(tmp_path / "state")
+        saved = [{n: a.copy() for n, a in arrays.items()} for arrays in self._blocks(solver)]
+        solver.step(2)
+        solver.load_checkpoint(tmp_path / "state")
+        self._assert_rule(kernels, solver)
+        after = [{name: id(a) for name, a in arrays.items()} for arrays in self._blocks(solver)]
+        for ids_before, ids_after in zip(before, after):     # swapped, never replaced
+            assert sorted(ids_before.values()) == sorted(ids_after.values())
+        # the round trip is bitwise, ghost frame included
+        for arrays, expected in zip(self._blocks(solver), saved):
+            for name in solver.state_fields:
+                assert np.array_equal(
+                    arrays[name].view(np.uint64), expected[name].view(np.uint64)
+                ), name
+        solver.step(1)
+
+    def test_checkpoint_members_are_c_ordered_logical_arrays(self, kernels, make, tmp_path):
+        solver, _, _ = make(kernels, backend=self.BACKEND)
+        solver.step(1)
+        written = solver.save_checkpoint(tmp_path / "state")
+        paths = written if isinstance(written, list) else [written]
+        blocks = sorted(solver._owned, key=lambda b: b.coords)
+        assert len(paths) == len(blocks)
+        for path, block in zip(paths, blocks):
+            with np.load(path) as data:
+                for name in ("phi", "mu"):
+                    member = data[name]
+                    assert member.flags["C_CONTIGUOUS"]
+                    assert np.array_equal(member, block.arrays[name][solver._cut])
+
+
 class TestCallbacksDistributed:
     def test_fires_on_every_rank_on_its_cadence(self, kernels):
         def program(comm):
