@@ -37,16 +37,17 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import tempfile
 import weakref
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
 import sympy as sp
 from sympy.printing.c import C99CodePrinter
 
-from ..ir.kernel import Kernel
-from ..ir.loops import classify_hoist_levels
+from ..ir.kernel import ARRAY_SET_ROLES, Argument, Kernel
+from ..ir.loops import analytic_axes
 from ..observability.hwcounters import (
     attribute_dispatch,
     attribution_open,
@@ -58,7 +59,16 @@ from ..symbolic.field import FieldAccess
 from ..symbolic.ordering import CanonicalTermOrder, SmallPowersAsProducts
 from ..symbolic.random import RandomValue
 
-__all__ = ["generate_c_source", "compile_c_kernel", "CompiledCKernel", "c_compiler_available"]
+__all__ = [
+    "generate_c_source",
+    "compile_c_kernel",
+    "CompiledCKernel",
+    "c_compiler_available",
+    "CStatementPrinter",
+    "function_head",
+    "CODEGEN_FLAGS",
+    "compile_attempts",
+]
 
 _PHILOX_C = r"""
 #include <math.h>
@@ -124,12 +134,31 @@ static inline double _min(double a, double b) {
 """
 
 
-class _CPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
-    """C expression printer aware of field accesses and fast-math nodes."""
+class CStatementPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
+    """Prints the statements of one write region of a kernel as C.
 
-    def __init__(self, rng_str):
+    What a field access, an RNG call, a kernel parameter, a spacing and a
+    cell-centre coordinate look like in the generated source is decided
+    here, once; the C emitter adds the loop nest and the hoist levels, the
+    CUDA emitter the thread mapping, guards and fences.
+    """
+
+    def __init__(self, kernel: Kernel, region):
         super().__init__()
-        self._rng_str = rng_str
+        self._region_lo = [lo for lo, _ in region]
+        # per axis: a spacing folded at compile time is a literal, else the
+        # argument h<d>
+        self._spacing = [
+            a.name if (h := kernel.folded_value(a.key)) is None else repr(float(h))
+            for a in kernel.signature
+            if a.role == "spacing"
+        ]
+        # a parameter is read through its argument, p_<name>
+        self._rename = {
+            a.key: sp.Symbol(a.name, real=True)
+            for a in kernel.signature
+            if a.role == "parameter"
+        }
 
     def _print_Symbol(self, expr):
         if isinstance(expr, FieldAccess):
@@ -141,8 +170,16 @@ class _CPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
         # so this is bit-identical to the Python value
         return repr(float(expr))
 
-    def _print_RandomValue(self, expr):
-        return self._rng_str(expr)
+    def _print_RandomValue(self, r: RandomValue):
+        # counter = global cell index: Philox streams do not depend on the
+        # block decomposition or on the write region's extension
+        g = [f"i{d} + off{d} - {lo}" for d, lo in enumerate(self._region_lo)]
+        g += ["0"] * (3 - len(g))
+        return (
+            f"_philox_uniform({g[0]}, {g[1]}, {g[2]}, {r.stream // 2}u, "
+            f"(uint32_t)(time_step & 0xFFFFFFFF), (uint32_t)(seed & 0xFFFFFFFF), "
+            f"{r.stream % 2}, {self._print(r.low)}, {self._print(r.high)})"
+        )
 
     def _print_fast_division(self, expr):
         return f"_fast_div({self._print(expr.args[0])}, {self._print(expr.args[1])})"
@@ -171,6 +208,30 @@ class _CPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
             return f"(1.0/sqrt({self._print(base)}))"
         return super()._print_Pow(expr)
 
+    def rhs(self, a: Assignment) -> str:
+        """Right-hand side of *a* with parameters read through their arguments."""
+        e = a.rhs
+        mapping = {
+            s: self._rename[s.name]
+            for s in e.free_symbols
+            if not isinstance(s, (FieldAccess, CoordinateSymbol)) and s.name in self._rename
+        }
+        return self.doprint(e.xreplace(mapping) if mapping else e)
+
+    def statement(self, a: Assignment) -> str:
+        """A field store, or the definition of a temporary."""
+        if a.is_field_store:
+            return f"{_access_str(a.lhs)} = {self.rhs(a)};"
+        return f"const double {a.lhs.name} = {self.rhs(a)};"
+
+    def coordinate(self, axis: int) -> str:
+        """Definition of ``x_<axis>``: the global cell-centre position."""
+        h = self._spacing[axis]
+        return (
+            f"const double x_{axis} = origin{axis} + "
+            f"(double)(i{axis} + off{axis} - {self._region_lo[axis]}) * {h} + 0.5 * {h};"
+        )
+
 
 def _declare_strides(fields, dim: int) -> list[str]:
     """Declarations of the ghosted extents ``m<d>`` and every field's strides.
@@ -179,7 +240,7 @@ def _declare_strides(fields, dim: int) -> list[str]:
     spatial axes, then the index axes): the products
     :meth:`~repro.symbolic.field.Field.strides` forms over the ghosted
     extents — the one layout rule, printed.  The innermost spatial stride is
-    the literal 1.  Shared by the C and the CUDA emitter.
+    the literal 1.
     """
     extents = sp.symbols(f"m:{dim}", integer=True)
     lines = [f"    const int64_t m{d} = n{d} + 2*gl;" for d in range(dim)]
@@ -201,113 +262,32 @@ def _access_str(acc: FieldAccess) -> str:
     return f"f_{name}[{' + '.join(terms)}]"
 
 
-def _c_func_name(kernel_name: str) -> str:
-    """Valid C identifier for a kernel (restricted names contain ':')."""
-    import re
+def function_head(kernel: Kernel, prefix: str = "void", restrict: str = "restrict") -> list[str]:
+    """Prototype (``kernel.signature``, printed), opening brace, stride declarations."""
+    return [
+        f"{prefix} {kernel.c_name}(",
+        "    " + ",\n    ".join(a.declaration(restrict) for a in kernel.signature) + ")",
+        "{",
+        *_declare_strides(kernel.fields, kernel.dim),
+        "",
+    ]
 
-    return "kernel_" + re.sub(r"[^0-9A-Za-z_]", "_", kernel_name)
 
-
-def generate_c_source(kernel: Kernel, func_name: str | None = None) -> str:
+def generate_c_source(kernel: Kernel) -> str:
     """Emit the complete C99 translation unit for *kernel*."""
-    ac = kernel.ac
-    dim = kernel.dim
-    func_name = func_name or _c_func_name(kernel.name)
-    fields = kernel.fields
-    params = kernel.parameters
-
-    lines: list[str] = [f"/* generated C kernel: {kernel.name} */", _PHILOX_C, ""]
-
-    args = []
-    for f in fields:
-        args.append(f"double * restrict f_{f.name}")
-    args += [f"const int64_t n{d}" for d in range(dim)]
-    args.append("const int64_t gl")
-    if kernel.subspace is not None:
-        # subspace range offsets: loop runs [sub_lo, n + sub_hi) per axis
-        args += [f"const int64_t sub_lo{d}" for d in range(dim)]
-        args += [f"const int64_t sub_hi{d}" for d in range(dim)]
-    args += [f"const int64_t off{d}" for d in range(dim)]
-    args += [f"const double origin{d}" for d in range(dim)]
-    args += [f"const double h{d}" for d in range(dim)]
-    for p in params:
-        if p.name in ("time_step", "seed"):
-            continue
-        args.append(f"const double p_{p.name}")
-    args.append("const int64_t time_step")
-    args.append("const int64_t seed")
-    if kernel.is_reduction:
-        args.append("double * restrict reduce_out")
-
-    lines.append(f"void {func_name}(")
-    lines.append("    " + ",\n    ".join(args) + ")")
-    lines.append("{")
-
-    lines.extend(_declare_strides(fields, dim))
-    lines.append("")
-
-    # spacing values folded at compile time or passed as h<d>
-    h_expr = {}
-    for d in range(dim):
-        folded = kernel.folded_value(f"dx_{d}")
-        h_expr[d] = repr(float(folded)) if folded is not None else f"h{d}"
-
-    # group main assignments by write region (flux kernels)
-    from .numpy_backend import _region_of
-
-    groups: dict[tuple, list[Assignment]] = {}
-    for a in ac.main_assignments:
-        groups.setdefault(_region_of(a, dim), []).append(a)
-
-    for region, assignments in sorted(groups.items()):
-        lines.extend(
-            _emit_c_loop_nest(kernel, region, assignments, h_expr, dim)
-        )
+    lines = [f"/* generated C kernel: {kernel.name} */", _PHILOX_C, ""]
+    lines += function_head(kernel)
+    for region, assignments, sub in kernel.regions:
+        lines += _emit_c_loop_nest(kernel, region, assignments, sub)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
-    ac = kernel.ac
-    from .numpy_backend import _needed_subexpressions
-
-    sub = _needed_subexpressions(ac, assignments)
+def _emit_c_loop_nest(kernel, region, assignments, sub) -> list[str]:
+    dim = kernel.dim
     loop_order = kernel.loop_order
-    levels = classify_hoist_levels(ac, loop_order)
-
-    def rng_str(r: RandomValue) -> str:
-        lo = [region[d][0] for d in range(dim)]
-        g = [f"i{d} + off{d} - {lo[d]}" for d in range(dim)]
-        while len(g) < 3:
-            g.append("0")
-        printer0 = _CPrinter(lambda r_: "0")
-        low = printer0.doprint(r.low)
-        high = printer0.doprint(r.high)
-        return (
-            f"_philox_uniform({g[0]}, {g[1]}, {g[2]}, {r.stream // 2}u, "
-            f"(uint32_t)(time_step & 0xFFFFFFFF), (uint32_t)(seed & 0xFFFFFFFF), "
-            f"{r.stream % 2}, {low}, {high})"
-        )
-
-    printer = _CPrinter(rng_str)
-
-    def pr(e: sp.Expr) -> str:
-        return printer.doprint(e)
-
-    # rename params: plain symbols that are parameters get the p_ prefix
-    param_names = {p.name for p in kernel.parameters} - {"time_step", "seed"}
-    rename = {
-        sp.Symbol(n, real=True): sp.Symbol(f"p_{n}", real=True) for n in param_names
-    }
-
-    def fix(e: sp.Expr) -> sp.Expr:
-        mapping = {
-            s: rename[sp.Symbol(s.name, real=True)]
-            for s in e.free_symbols
-            if not isinstance(s, (FieldAccess, CoordinateSymbol))
-            and sp.Symbol(s.name, real=True) in rename
-        }
-        return e.xreplace(mapping) if mapping else e
+    levels = kernel.hoist_levels
+    printer = CStatementPrinter(kernel, region)
 
     # organize subexpressions by hoist level (position in loop order)
     by_level: dict[int, list[Assignment]] = {}
@@ -317,25 +297,12 @@ def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
     out: list[str] = [f"    /* region {region} */", "    {"]
     indent = "    "
 
-    def emit_coord_defs(level: int, pad: str):
-        # coordinate of the axis looped at this level-1
-        axis = loop_order[level - 1]
-        lo = region[axis][0]
-        out.append(
-            f"{pad}const double x_{axis} = origin{axis} + "
-            f"(double)(i{axis} + off{axis} - {lo}) * {h_expr[axis]} + 0.5 * {h_expr[axis]};"
-        )
-
     # level 0 subexpressions (pure parameter math)
     for a in by_level.get(0, []):
-        out.append(f"{indent}    const double {a.lhs.name} = {pr(fix(a.rhs))};")
+        out.append(f"{indent}    {printer.statement(a)}")
 
     pad = indent + "    "
-    coords_needed = {
-        c.axis
-        for a in sub + assignments
-        for c in a.rhs.atoms(CoordinateSymbol)
-    }
+    coords_needed = analytic_axes(sub + assignments)
     # reduction kernels accumulate into per-output scalars instead of storing
     reductions = kernel.reductions if kernel.is_reduction else ()
     acc_names = {}
@@ -372,15 +339,15 @@ def _emit_c_loop_nest(kernel, region, assignments, h_expr, dim) -> list[str]:
         )
         pad += "    "
         if axis in coords_needed:
-            emit_coord_defs(level, pad)
+            out.append(pad + printer.coordinate(axis))
         for a in by_level.get(level, []):
-            out.append(f"{pad}const double {a.lhs.name} = {pr(fix(a.rhs))};")
+            out.append(pad + printer.statement(a))
 
     for a in assignments:
         if acc_names:
-            out.append(f"{pad}{acc_names[a.lhs.name]} += {pr(fix(a.rhs))};")
+            out.append(f"{pad}{acc_names[a.lhs.name]} += {printer.rhs(a)};")
         else:
-            out.append(f"{pad}{_access_str(a.lhs)} = {pr(fix(a.rhs))};")
+            out.append(pad + printer.statement(a))
 
     for _ in range(dim):
         pad = pad[:-4]
@@ -402,40 +369,48 @@ def c_compiler_available() -> bool:
     return which(os.environ.get("CC", "cc")) is not None
 
 
-#: what decides the machine code of a loop nest (the benchmark-mode harness
-#: builds its executables with the same set).  -fno-math-errno is the one
+#: what decides the machine code of a loop nest, and all an executable (the
+#: benchmark-mode harness) is built with.  -fno-math-errno is the one
 #: math flag: no generated kernel reads errno, and without its branch
 #: ``sqrt`` is one instruction with the same value, so the loop around it
 #: can be vectorized.  It is not a fast-math flag.
-_CODEGEN_FLAGS = ("-O3", "-march=native", "-std=c99", "-fno-math-errno")
+CODEGEN_FLAGS = ("-O3", "-march=native", "-std=c99", "-fno-math-errno")
 
 #: flag basis every shared-object build uses (the -fopenmp variant is
-#: tried first); folded into the cache key so a flag change rebuilds
-_BASE_FLAGS = (*_CODEGEN_FLAGS, "-shared", "-fPIC", "-lm")
+#: tried first, libm is linked last); folded into the cache key so a flag
+#: change rebuilds
+_BASE_FLAGS = (*CODEGEN_FLAGS, "-shared", "-fPIC")
 
 
-def _compile_attempts(tmp_path: Path, c_path: Path) -> None:
-    """Compile *c_path* to *tmp_path*: ``-fopenmp`` first, serial fallback.
+def compile_attempts(
+    tmp_path: Path, source: str, flags: tuple[str, ...] = _BASE_FLAGS
+) -> None:
+    """Compile *source* to *tmp_path*: ``-fopenmp`` first, serial fallback.
 
-    Each failed attempt unlinks whatever the compiler left at *tmp_path*,
-    so the retry (and the caller) never sees a partial artifact.
+    The one place a compiler is run.  Each failed attempt unlinks whatever
+    the compiler left at *tmp_path*, so the retry (and the caller) never
+    sees a partial artifact.  libm is named behind the source: a linker
+    that keeps only needed libraries drops one named before the object
+    that needs it, and an executable then does not link.
     """
-    cc = os.environ.get("CC", "cc")
-    base = [cc, *_BASE_FLAGS]
+    base = [os.environ.get("CC", "cc"), *flags]
     last = None
-    # -fopenmp-simd honours "#pragma omp simd" without linking libgomp, so a
-    # host without OpenMP still gets the vector loop
-    for flags in ([*base, "-fopenmp"], [*base, "-fopenmp-simd"]):
-        try:
-            subprocess.run(
-                [*flags, "-o", str(tmp_path), str(c_path)],
-                check=True,
-                capture_output=True,
-            )
-            return
-        except subprocess.CalledProcessError as err:
-            tmp_path.unlink(missing_ok=True)
-            last = err
+    with tempfile.TemporaryDirectory() as td:
+        c_path = Path(td) / "kernel.c"
+        c_path.write_text(source)
+        # -fopenmp-simd honours "#pragma omp simd" without linking libgomp,
+        # so a host without OpenMP still gets the vector loop
+        for omp in ("-fopenmp", "-fopenmp-simd"):
+            try:
+                subprocess.run(
+                    [*base, omp, "-o", str(tmp_path), str(c_path), "-lm"],
+                    check=True,
+                    capture_output=True,
+                )
+                return
+            except subprocess.CalledProcessError as err:
+                tmp_path.unlink(missing_ok=True)
+                last = err
     raise RuntimeError(
         f"C compilation failed:\n{last.stderr.decode(errors='replace')}"
     )
@@ -468,17 +443,9 @@ def _build_shared_object(
         digest = hashlib.sha256(source.encode()).hexdigest()
         key = cache_key(digest, flags=_BASE_FLAGS, backend="c")
 
-    def build(tmp_path: Path) -> None:
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as td:
-            c_path = Path(td) / f"{func_name}.c"
-            c_path.write_text(source)
-            _compile_attempts(tmp_path, c_path)
-
     so_path, _hit = cache.get_or_build(
         key,
-        build,
+        partial(compile_attempts, source=source),
         source=source,
         meta={
             "func_name": func_name,
@@ -492,7 +459,12 @@ def _build_shared_object(
     return so_path
 
 
-_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+def _ctype(arg: Argument):
+    """The ctypes type ``func.argtypes`` holds for one signature argument."""
+    if arg.is_pointer:
+        return ctypes.c_void_p
+    return ctypes.c_int64 if arg.type.is_int else ctypes.c_double
+
 
 #: the binding of an array set never seen: nothing to check, nothing to pass
 _UNBOUND = ((), (), None)
@@ -535,29 +507,22 @@ class CompiledCKernel:
         self.kernel = kernel
         self.source = source
         self._func = func
-        dim = kernel.dim
         self._fields = tuple(kernel.fields)
-        self._min_gl = max(kernel.ghost_layers, int(kernel.has_staggered_writes))
-        self._required = tuple(
-            p.name for p in kernel.parameters if p.name not in ("time_step", "seed")
-        )
-        # the doubles of a call, in signature order behind the bound prefix,
-        # each with the value passed when the caller names none.  A spacing
-        # folded at compile time is a literal in the source; its argument
-        # is not read.
-        spacing = [kernel.folded_value(f"dx_{d}") for d in range(dim)]
-        self._doubles = (
-            *((f"dx_{d}", 1.0 if h is None else float(h)) for d, h in enumerate(spacing)),
-            *((name, None) for name in self._required),
-        )
-        n_extents = (3 if kernel.subspace is not None else 1) * dim + 1  # n, gl, [sub]
+        signature = kernel.signature
         func.restype = None
-        func.argtypes = (
-            [_PTR] * len(self._fields)
-            + [_I64] * (n_extents + dim)                # ..., block offset
-            + [_F64] * (2 * dim + len(self._required))  # origin, spacing, parameters
-            + [_I64, _I64]                              # time_step, seed
-            + [_PTR] * kernel.is_reduction
+        func.argtypes = [_ctype(a) for a in signature]
+        #: what a binding marshals, by role; the rest are the scalars of a call
+        self._bound = tuple((a, _ctype(a)) for a in signature if a.role in ARRAY_SET_ROLES)
+        self._required = kernel.required_parameters
+        # the doubles of a call, in signature order behind the bound prefix,
+        # each with the value passed when the caller names none.  Only a
+        # spacing may go unnamed: folded at compile time it is a literal in
+        # the source, and unless a coordinate needs it (then it is required,
+        # like every parameter) nothing reads the argument.
+        self._doubles = tuple(
+            (a.key, 1.0 if a.role == "spacing" else None)
+            for a in signature
+            if a.role in ("spacing", "parameter")
         )
         #: (ghost_layers, block_offset, origin, *id(array)) -> (weakrefs, shapes, prefix)
         self._bindings: dict[tuple, tuple] = {}
@@ -575,10 +540,7 @@ class CompiledCKernel:
         dim = k.dim
         gl, block_offset, origin = key[:3]
         gl = int(gl)
-        if gl < self._min_gl:
-            raise ValueError(
-                f"kernel {k.name} needs at least {self._min_gl} ghost layers, got {gl}"
-            )
+        k.check_ghost_layers(gl)
         spatial = held[0].shape[:dim]
         for f, a in zip(self._fields, held):
             name = f.name
@@ -606,16 +568,18 @@ class CompiledCKernel:
             if any(n < 2 * gl + 1 for n in spatial):
                 raise ValueError(f"array {name} too small for {gl} ghost layers")
         interior = tuple(n - 2 * gl for n in spatial)
-        extents = [*interior, gl]
-        if k.subspace is not None:
-            sub = k.subspace.offsets(interior)
-            extents += [lo for lo, _ in sub] + [hi for _, hi in sub]
-        prefix = (
-            *(_PTR(a.ctypes.data) for a in held),
-            *map(_I64, extents),
-            *(_I64(int(block_offset[d])) for d in range(dim)),
-            *(_F64(float(origin[d])) for d in range(dim)),
-        )
+        sub = k.subspace.offsets(interior) if k.subspace is not None else ()
+        # per role, the values its arguments select from by key
+        values = {
+            "field": {f.name: a.ctypes.data for f, a in zip(self._fields, held)},
+            "extent": interior,
+            "ghost_layers": {None: gl},
+            "sub_lo": [lo for lo, _ in sub],
+            "sub_hi": [hi for _, hi in sub],
+            "block_offset": [int(o) for o in block_offset[:dim]],
+            "origin": [float(o) for o in origin[:dim]],
+        }
+        prefix = tuple(ctype(values[a.role][a.key]) for a, ctype in self._bound)
 
         def drop(_ref, table=self._bindings):
             # an array that dies takes the binding with it: no binding
@@ -660,7 +624,7 @@ class CompiledCKernel:
             prefix = self._bind(key, held)
         for name in self._required:
             if name not in params:
-                raise KeyError(f"missing kernel parameter {name!r}")
+                k.check_parameters(params)  # raises, naming every missing one
         argv = [
             *prefix,
             *[params.get(name, default) for name, default in self._doubles],
@@ -695,21 +659,18 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
     from ..profiling.cache import kernel_fingerprint
     from ..profiling.diskcache import KernelDiskCache, cache_key
 
-    func_name = _c_func_name(kernel.name)
+    func_name = kernel.c_name
     with get_recorder().span(f"codegen:c:{kernel.name}", category="backend") as span:
         fingerprint = kernel_fingerprint(kernel)
         key = cache_key(fingerprint, flags=_BASE_FLAGS, backend="c")
         cache = KernelDiskCache()
         hit = cache.lookup(key) is not None
-        if hit:
-            # warm start: the key pins fingerprint + codegen revision +
-            # compiler identity, so the stored source is exactly what we
-            # would regenerate — skip sympy→C emission entirely
-            source = cache.load_source(key)
-            if source is None:
-                source = generate_c_source(kernel, func_name)
-        else:
-            source = generate_c_source(kernel, func_name)
+        # warm start: the key pins fingerprint + codegen revision + compiler
+        # identity, so the stored source is exactly what we would
+        # regenerate — skip sympy→C emission entirely
+        source = cache.load_source(key) if hit else None
+        if source is None:
+            source = generate_c_source(kernel)
         so_path = _build_shared_object(
             source,
             func_name,

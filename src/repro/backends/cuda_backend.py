@@ -18,15 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy as sp
-
 from ..ir.kernel import Kernel
+from ..ir.loops import analytic_axes
 from ..symbolic.assignment import Assignment
-from ..symbolic.coordinates import CoordinateSymbol
-from ..symbolic.field import FieldAccess
-from ..symbolic.random import RandomValue
-from .c_backend import _access_str, _CPrinter, _declare_strides
-from .numpy_backend import _needed_subexpressions, _region_of
+from .c_backend import CStatementPrinter, function_head
 
 __all__ = ["generate_cuda_source", "MAPPINGS", "CudaKernelSource"]
 
@@ -123,37 +118,25 @@ def generate_cuda_source(
     """
     if mapping not in MAPPINGS:
         raise ValueError(f"unknown thread mapping {mapping!r}; choose from {MAPPINGS}")
-    ac = kernel.ac
+    # one thread per cell of the full block, every thread stores its own
+    # cells: neither a sub-range nor a sum over cells can be expressed
+    if kernel.subspace is not None:
+        raise ValueError(
+            f"the CUDA backend does not lower restricted kernels ({kernel.name!r}): "
+            "the thread mappings cover the full block"
+        )
+    if kernel.is_reduction:
+        raise ValueError(
+            f"the CUDA backend does not lower reduction kernels ({kernel.name!r}): "
+            "no thread mapping sums over cells"
+        )
     dim = kernel.dim
-    func_name = f"kernel_{kernel.name}"
-
-    groups: dict[tuple, list[Assignment]] = {}
-    for a in ac.main_assignments:
-        groups.setdefault(_region_of(a, dim), []).append(a)
-    if len(groups) > 1 and mapping == "z_loop":
+    if len(kernel.regions) > 1 and mapping == "z_loop":
         raise ValueError("z_loop mapping does not support multi-region (flux) kernels")
 
     lines: list[str] = [f"/* generated CUDA kernel: {kernel.name} ({mapping}) */"]
     lines.append(_CUDA_PREAMBLE)
-
-    args = [f"double * __restrict__ f_{f.name}" for f in kernel.fields]
-    args += [f"const int64_t n{d}" for d in range(dim)]
-    args.append("const int64_t gl")
-    args += [f"const int64_t off{d}" for d in range(dim)]
-    args += [f"const double origin{d}" for d in range(dim)]
-    args += [f"const double h{d}" for d in range(dim)]
-    for p in kernel.parameters:
-        if p.name in ("time_step", "seed"):
-            continue
-        args.append(f"const double p_{p.name}")
-    args += ["const int64_t time_step", "const int64_t seed"]
-
-    lines.append(f'extern "C" __global__ void {func_name}(')
-    lines.append("    " + ",\n    ".join(args) + ")")
-    lines.append("{")
-
-    lines.extend(_declare_strides(kernel.fields, dim))
-    lines.append("")
+    lines += function_head(kernel, 'extern "C" __global__ void', "__restrict__")
 
     # thread-to-cell mapping: fully separated from the stencil body
     axes = list(range(dim))
@@ -171,18 +154,14 @@ def generate_cuda_source(
                 f"    const int64_t i{axis} = (int64_t)blockIdx.{c} * blockDim.{c} + threadIdx.{c};"
             )
 
-    h_expr = {}
-    for d in range(dim):
-        folded = kernel.folded_value(f"dx_{d}")
-        h_expr[d] = repr(float(folded)) if folded is not None else f"h{d}"
-
-    for region, assignments in sorted(groups.items()):
-        lines.extend(
-            _emit_cuda_body(
-                kernel, region, assignments, h_expr, dim, mapping,
-                order=order, fence_positions=fence_positions,
-            )
-        )
+    for region, assignments, sub in kernel.regions:
+        if order is None:
+            stmts = sub + assignments
+        else:
+            # external schedule: filter to this region's statements
+            wanted = {a.lhs for a in assignments}
+            stmts = [a for a in order if not a.is_field_store or a.lhs in wanted]
+        lines += _emit_cuda_body(kernel, region, stmts, mapping, fence_positions)
     lines.append("}")
     return CudaKernelSource(
         kernel=kernel,
@@ -192,49 +171,9 @@ def generate_cuda_source(
     )
 
 
-def _emit_cuda_body(
-    kernel, region, assignments, h_expr, dim, mapping, order, fence_positions
-) -> list[str]:
-    ac = kernel.ac
-
-    if order is None:
-        sub = _needed_subexpressions(ac, assignments)
-        stmts = sub + assignments
-    else:
-        # external schedule: filter to this region's statements
-        wanted = set()
-        for a in assignments:
-            wanted.add(a.lhs)
-        stmts = [
-            a
-            for a in order
-            if not a.is_field_store or a.lhs in wanted
-        ]
-
-    def rng_str(r: RandomValue) -> str:
-        lo = [region[d][0] for d in range(dim)]
-        g = [f"i{d} + off{d} - {lo[d]}" for d in range(dim)]
-        while len(g) < 3:
-            g.append("0")
-        printer0 = _CPrinter(lambda r_: "0")
-        return (
-            f"_philox_uniform({g[0]}, {g[1]}, {g[2]}, {r.stream // 2}u, "
-            f"(uint32_t)(time_step & 0xFFFFFFFF), (uint32_t)(seed & 0xFFFFFFFF), "
-            f"{r.stream % 2}, {printer0.doprint(r.low)}, {printer0.doprint(r.high)})"
-        )
-
-    printer = _CPrinter(rng_str)
-
-    param_names = {p.name for p in kernel.parameters} - {"time_step", "seed"}
-    rename = {n: sp.Symbol(f"p_{n}", real=True) for n in param_names}
-
-    def fix(e: sp.Expr) -> sp.Expr:
-        mapping_ = {
-            s: rename[s.name]
-            for s in e.free_symbols
-            if not isinstance(s, (FieldAccess, CoordinateSymbol)) and s.name in rename
-        }
-        return e.xreplace(mapping_) if mapping_ else e
+def _emit_cuda_body(kernel, region, stmts, mapping, fence_positions) -> list[str]:
+    dim = kernel.dim
+    printer = CStatementPrinter(kernel, region)
 
     out = [f"    /* region {region} */"]
     def bound(a: int) -> str:
@@ -251,25 +190,14 @@ def _emit_cuda_body(
         out.append(f"    for (int64_t i0 = 0; i0 < {bound(0)}; ++i0) {{")
         body_pad = "        "
 
-    coords_needed = {
-        c.axis for a in stmts for c in a.rhs.atoms(CoordinateSymbol)
-    }
-    for axis in sorted(coords_needed):
-        lo = region[axis][0]
-        out.append(
-            f"{body_pad}const double x_{axis} = origin{axis} + "
-            f"(double)(i{axis} + off{axis} - {lo}) * {h_expr[axis]} + 0.5 * {h_expr[axis]};"
-        )
+    for axis in sorted(analytic_axes(stmts)):
+        out.append(body_pad + printer.coordinate(axis))
 
     fence_set = set(fence_positions)
     for i, a in enumerate(stmts):
         if i in fence_set:
             out.append(f"{body_pad}__threadfence_block();")
-        rhs = printer.doprint(fix(a.rhs))
-        if a.is_field_store:
-            out.append(f"{body_pad}{_access_str(a.lhs)} = {rhs};")
-        else:
-            out.append(f"{body_pad}const double {a.lhs.name} = {rhs};")
+        out.append(body_pad + printer.statement(a))
 
     if mapping == "z_loop":
         out.append("    }")

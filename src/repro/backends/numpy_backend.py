@@ -26,7 +26,7 @@ import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 
 from ..ir.kernel import Kernel
-from ..symbolic.assignment import Assignment, AssignmentCollection
+from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
 from ..symbolic.ordering import CanonicalTermOrder, SmallPowersAsProducts
@@ -98,21 +98,6 @@ def _slice_str(offset: int, lo_ext: int, hi_ext: int, axis: int | None = None) -
     )
 
 
-def _region_of(assignment: Assignment, dim: int) -> tuple[tuple[int, int], ...]:
-    """Write region of a main assignment: interior, extended for flux fields."""
-    ext = [(0, 0)] * dim
-    lhs = assignment.lhs
-    if isinstance(lhs, FieldAccess) and lhs.field.staggered:
-        slot_axes = getattr(lhs.field, "slot_axes", None)
-        if slot_axes is None:
-            raise ValueError(
-                f"staggered field {lhs.field.name} lacks slot_axes metadata"
-            )
-        axis = slot_axes[lhs.index[0]]
-        ext[axis] = (0, 1)
-    return tuple(ext)
-
-
 @dataclass
 class CompiledNumpyKernel:
     """A generated, executable NumPy kernel."""
@@ -120,16 +105,6 @@ class CompiledNumpyKernel:
     kernel: Kernel
     source: str
     _func: callable
-
-    @property
-    def _needs_upper_ext(self) -> int:
-        """1 if any staggered write extends one layer past the interior."""
-        return int(
-            any(
-                isinstance(a.lhs, FieldAccess) and a.lhs.field.staggered
-                for a in self.kernel.ac.main_assignments
-            )
-        )
 
     @property
     def name(self) -> str:
@@ -159,11 +134,7 @@ class CompiledNumpyKernel:
         partition-invariant (see :func:`repro.backends.runtime.tile_sum`).
         """
         gl = self.kernel.ghost_layers if ghost_layers is None else int(ghost_layers)
-        min_gl = max(self.kernel.ghost_layers, self._needs_upper_ext)
-        if gl < min_gl:
-            raise ValueError(
-                f"kernel {self.name} needs at least {min_gl} ghost layers, got {gl}"
-            )
+        self.kernel.check_ghost_layers(gl)
         missing = [f.name for f in self.kernel.fields if f.name not in arrays]
         if missing:
             raise KeyError(f"missing arrays for fields: {missing}")
@@ -179,13 +150,7 @@ class CompiledNumpyKernel:
                 )
             if any(dim_len < 2 * gl + 1 for dim_len in s):
                 raise ValueError(f"array {f.name} too small for {gl} ghost layers")
-        needed = {p.name for p in self.kernel.parameters} - {"time_step", "seed"}
-        for d in self.kernel.coordinate_axes:
-            if self.kernel.folded_value(f"dx_{d}") is None:
-                needed.add(f"dx_{d}")
-        missing_params = needed - set(params)
-        if missing_params:
-            raise KeyError(f"missing kernel parameters: {sorted(missing_params)}")
+        self.kernel.check_parameters(params)
         if self.kernel.is_reduction:
             tiles = tuple(int(t) for t in tile_shape) if tile_shape else None
             return self._func(
@@ -227,13 +192,6 @@ def compile_numpy_kernel(kernel: Kernel) -> CompiledNumpyKernel:
 def generate_numpy_source(kernel: Kernel) -> str:
     """Produce the Python source of the vectorized kernel."""
     ac = kernel.ac
-    dim = kernel.dim
-
-    # group main assignments by write region (flux kernels have per-axis regions)
-    groups: dict[tuple, list[Assignment]] = {}
-    for a in ac.main_assignments:
-        groups.setdefault(_region_of(a, dim), []).append(a)
-
     param_names = sorted(p.name for p in kernel.parameters)
     body: list[str] = []
     body.append(f"# generated NumPy kernel: {kernel.name}")
@@ -264,33 +222,19 @@ def generate_numpy_source(kernel: Kernel) -> str:
         body.extend(_emit_reduction_block(kernel, ind))
         return "\n".join(body) + "\n"
 
-    for gid, (region, assignments) in enumerate(sorted(groups.items())):
+    for gid, (region, assignments, sub) in enumerate(kernel.regions):
         body.extend(
-            _emit_region_block(kernel, region, assignments, gid, ind)
+            _emit_region_block(kernel, region, assignments, sub, gid, ind)
         )
     body.append(ind + "return None")
     return "\n".join(body) + "\n"
-
-
-def _needed_subexpressions(
-    ac: AssignmentCollection, targets: list[Assignment]
-) -> list[Assignment]:
-    """Subset of subexpressions (in order) feeding the given main assignments."""
-    needed: set[sp.Symbol] = set()
-    for a in targets:
-        needed |= a.rhs.free_symbols
-    chosen: list[Assignment] = []
-    for a in reversed(ac.subexpressions):
-        if a.lhs in needed:
-            chosen.append(a)
-            needed |= a.rhs.free_symbols
-    return list(reversed(chosen))
 
 
 def _emit_bindings(
     kernel: Kernel,
     region: tuple[tuple[int, int], ...],
     assignments: list[Assignment],
+    sub: list[Assignment],
     gid: int,
     ind: str,
 ):
@@ -300,7 +244,6 @@ def _emit_bindings(
     with all renames applied and ``region_shape`` is the source string of
     the region's spatial shape tuple.
     """
-    ac = kernel.ac
     dim = kernel.dim
     restricted = kernel.subspace is not None
 
@@ -313,7 +256,6 @@ def _emit_bindings(
     def sub_extent(d: int) -> str:
         return f" + __sub[{d}][1] - __sub[{d}][0]" if restricted else ""
 
-    sub = _needed_subexpressions(ac, assignments)
     exprs = [a.rhs for a in sub + assignments]
 
     # gather atoms
@@ -411,12 +353,13 @@ def _emit_region_block(
     kernel: Kernel,
     region: tuple[tuple[int, int], ...],
     assignments: list[Assignment],
+    sub: list[Assignment],
     gid: int,
     ind: str,
 ) -> list[str]:
     dim = kernel.dim
     restricted = kernel.subspace is not None
-    lines, pr, _ = _emit_bindings(kernel, region, assignments, gid, ind)
+    lines, pr, _ = _emit_bindings(kernel, region, assignments, sub, gid, ind)
 
     # main stores
     for a in assignments:
@@ -444,9 +387,8 @@ def _emit_reduction_block(kernel: Kernel, ind: str) -> list[str]:
     order is the fixed block-tiled tree documented in
     :func:`repro.backends.runtime.tile_sum`.
     """
-    region = ((0, 0),) * kernel.dim
-    outputs = kernel.ac.reduction_outputs
-    lines, pr, region_shape = _emit_bindings(kernel, region, outputs, 0, ind)
+    ((region, outputs, sub),) = kernel.regions
+    lines, pr, region_shape = _emit_bindings(kernel, region, outputs, sub, 0, ind)
     lines.append(ind + "__out = {}")
     for a in outputs:
         lines.append(

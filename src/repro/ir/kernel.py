@@ -5,11 +5,20 @@ structural decisions of the IR layer: loop order, hoist levels, ghost-layer
 width, typing and the target architecture.  :func:`create_kernel` is the
 single entry point used by applications (paper Fig. 1, "intermediate
 representation layer").
+
+The kernel also *declares* its interface, once, for every backend: the
+argument list of the native function (:attr:`Kernel.signature`), what a
+call has to supply (:attr:`Kernel.required_parameters`,
+:attr:`Kernel.min_ghost_layers`) and which statements are lowered over
+which write region (:attr:`Kernel.regions`).  Backends print, bind and
+check these; none of them assembles an argument list of its own.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
 from typing import Mapping
 
 import sympy as sp
@@ -20,15 +29,56 @@ from ..symbolic.field import Field, FieldAccess
 from .approximations import insert_approximations
 from .loops import (
     IterationSpace,
+    analytic_axes,
     choose_loop_order,
     classify_hoist_levels,
     extract_invariant_subexpressions,
     frontier_spaces,
     interior_space,
+    needed_subexpressions,
+    write_region,
 )
-from .types import BasicType, infer_types, kernel_parameters
+from .types import DOUBLE, INT64, BasicType, infer_types, kernel_parameters
 
-__all__ = ["Kernel", "create_kernel", "KernelConfig", "split_interior_frontier"]
+__all__ = [
+    "Argument",
+    "ARRAY_SET_ROLES",
+    "Kernel",
+    "create_kernel",
+    "KernelConfig",
+    "split_interior_frontier",
+]
+
+#: roles whose value follows from the array set and where it sits (the
+#: ``arrays``, ``ghost_layers``, ``block_offset`` and ``origin`` of a call).
+#: They form a prefix of every signature, so a compiled kernel may marshal
+#: them once per array set; the arguments behind them are the scalars of a
+#: call (``**params``) and, for a reduction, its output buffer.
+ARRAY_SET_ROLES = (
+    "field", "extent", "ghost_layers", "sub_lo", "sub_hi", "block_offset", "origin",
+)
+
+
+@dataclass(frozen=True)
+class Argument:
+    """One argument of the native kernel function, C and CUDA alike."""
+
+    role: str          # what the caller passes, see :attr:`Kernel.signature`
+    name: str          # identifier in the generated source
+    type: BasicType
+    #: selects the value among those of its role: the field's name, the
+    #: axis, or the name the parameter has in ``**params``
+    key: str | int | None = None
+
+    @property
+    def is_pointer(self) -> bool:
+        return self.role in ("field", "reduce_out")
+
+    def declaration(self, restrict: str = "restrict") -> str:
+        """The argument as spelled in a prototype (CUDA says ``__restrict__``)."""
+        if self.is_pointer:
+            return f"{self.type.c_name} * {restrict} {self.name}"
+        return f"const {self.type.c_name} {self.name}"
 
 
 @dataclass
@@ -40,7 +90,6 @@ class KernelConfig:
     cse: bool = True
     parameter_values: Mapping | None = None  # compile-time constants
     loop_order: tuple | None = None          # override automatic choice
-    vector_width: int = 8                    # doubles per SIMD register (AVX-512)
 
 
 @dataclass
@@ -99,25 +148,22 @@ class Kernel:
             raise ValueError(f"kernel {self.name!r} is already restricted")
         return replace(self, name=f"{self.name}:{subspace.name}", subspace=subspace)
 
-    @property
+    @cached_property
     def parameters(self) -> list[sp.Symbol]:
-        # memoized: backends enumerate the parameters on every kernel call,
-        # and the sympy free-symbol traversal would otherwise dominate the
-        # per-call cost of small (e.g. frontier-restricted) kernels
-        cached = self.__dict__.get("_parameters")
-        if cached is None:
-            cached = self.__dict__["_parameters"] = kernel_parameters(self.ac)
-        return cached
+        # memoized, like everything below that is derived from the (never
+        # mutated) assignment collection: backends read these on every
+        # kernel call, and a sympy traversal would dominate the per-call
+        # cost of small (e.g. frontier-restricted) kernels
+        return kernel_parameters(self.ac)
 
-    @property
-    def coordinate_axes(self) -> set[int]:
+    @cached_property
+    def fields(self) -> list[Field]:
+        return sorted(self.ac.fields, key=lambda f: f.name)
+
+    @cached_property
+    def coordinate_axes(self) -> frozenset[int]:
         """Spatial axes whose coordinate symbol occurs in the kernel body."""
-        from ..symbolic.coordinates import CoordinateSymbol
-
-        axes: set[int] = set()
-        for a in self.ac.all_assignments:
-            axes |= {s.axis for s in a.rhs.atoms(CoordinateSymbol)}
-        return axes
+        return frozenset(analytic_axes(self.ac))
 
     def folded_value(self, name: str):
         """Compile-time constant for *name*, or None if it stayed symbolic."""
@@ -128,14 +174,106 @@ class Kernel:
                 return v
         return None
 
-    @property
-    def fields(self) -> list[Field]:
-        cached = self.__dict__.get("_fields")
-        if cached is None:
-            cached = self.__dict__["_fields"] = sorted(
-                self.ac.fields, key=lambda f: f.name
+    # -- the kernel ABI: declared here, printed / bound / checked by backends ---
+
+    @cached_property
+    def c_name(self) -> str:
+        """The native function's identifier (restricted names contain ':')."""
+        return "kernel_" + re.sub(r"[^0-9A-Za-z_]", "_", self.name)
+
+    @cached_property
+    def signature(self) -> tuple[Argument, ...]:
+        """Ordered, typed argument list of the native kernel function.
+
+        ``field`` pointers (sorted by name), interior ``extent`` ``n<d>``,
+        ``ghost_layers`` ``gl``, for a restricted kernel the ``sub_lo`` /
+        ``sub_hi`` offsets of its loop range ``[sub_lo, n + sub_hi)``, the
+        ``block_offset`` ``off<d>`` and ``origin<d>`` of the block, then the
+        scalars of a call: ``spacing`` ``h<d>``, every free ``parameter``
+        as ``p_<name>``, ``time_step`` and ``seed``; a reduction kernel
+        ends with its output buffer ``reduce_out``.  To give every kernel
+        one more argument, add it here.
+        """
+        axes = range(self.dim)
+
+        def per_axis(role: str, stem: str, type_: BasicType) -> list[Argument]:
+            return [Argument(role, f"{stem}{d}", type_, d) for d in axes]
+
+        args = [Argument("field", f"f_{f.name}", DOUBLE, f.name) for f in self.fields]
+        args += per_axis("extent", "n", INT64)
+        args.append(Argument("ghost_layers", "gl", INT64))
+        if self.subspace is not None:
+            args += per_axis("sub_lo", "sub_lo", INT64)
+            args += per_axis("sub_hi", "sub_hi", INT64)
+        args += per_axis("block_offset", "off", INT64)
+        args += per_axis("origin", "origin", DOUBLE)
+        args += [Argument("spacing", f"h{d}", DOUBLE, f"dx_{d}") for d in axes]
+        args += [
+            Argument("parameter", f"p_{p.name}", DOUBLE, p.name)
+            for p in self.parameters
+            if p.name not in ("time_step", "seed")
+        ]
+        args += [
+            Argument("time_step", "time_step", INT64, "time_step"),
+            Argument("seed", "seed", INT64, "seed"),
+        ]
+        if self.is_reduction:
+            args.append(Argument("reduce_out", "reduce_out", DOUBLE))
+        return tuple(args)
+
+    @cached_property
+    def required_parameters(self) -> tuple[str, ...]:
+        """Names a call must supply in ``**params``, sorted.
+
+        Every free parameter (``time_step`` and ``seed`` default to 0) and
+        the spacing ``dx_<d>`` of every axis whose coordinate the body
+        reads, unless it was folded at compile time.
+        """
+        names = {a.key for a in self.signature if a.role == "parameter"}
+        names |= {
+            f"dx_{d}"
+            for d in self.coordinate_axes
+            if self.folded_value(f"dx_{d}") is None
+        }
+        return tuple(sorted(names))
+
+    @cached_property
+    def min_ghost_layers(self) -> int:
+        """Narrowest ghost width of the arrays the kernel may be called on.
+
+        The stencil reach; a staggered (flux) write extends one layer past
+        the interior even where no read does.
+        """
+        return max(self.ghost_layers, int(self.has_staggered_writes))
+
+    def check_ghost_layers(self, ghost_layers: int) -> None:
+        if ghost_layers < self.min_ghost_layers:
+            raise ValueError(
+                f"kernel {self.name} needs at least {self.min_ghost_layers} "
+                f"ghost layers, got {ghost_layers}"
             )
-        return cached
+
+    def check_parameters(self, params: Mapping) -> None:
+        """The call check of every backend: *params* names what is required."""
+        missing = [n for n in self.required_parameters if n not in params]
+        if missing:
+            raise KeyError("missing kernel parameter " + ", ".join(map(repr, missing)))
+
+    @cached_property
+    def regions(self) -> tuple[tuple[tuple, list, list], ...]:
+        """The region plan: ``(write region, main assignments, subexpressions)``.
+
+        Main assignments grouped by write region (flux kernels write one
+        region per staggered axis, everything else the interior), regions
+        in sorted order, each with the subexpressions its assignments need.
+        """
+        groups: dict[tuple, list] = {}
+        for a in self.ac.main_assignments:
+            groups.setdefault(write_region(a, self.dim), []).append(a)
+        return tuple(
+            (region, assignments, needed_subexpressions(self.ac, assignments))
+            for region, assignments in sorted(groups.items())
+        )
 
     @property
     def hoisted(self) -> set[sp.Symbol]:

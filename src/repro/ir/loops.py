@@ -14,6 +14,7 @@ of the inner loops".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import sympy as sp
 
@@ -27,6 +28,8 @@ __all__ = [
     "IterationSpace",
     "interior_space",
     "frontier_spaces",
+    "write_region",
+    "needed_subexpressions",
     "choose_loop_order",
     "classify_hoist_levels",
     "extract_invariant_subexpressions",
@@ -163,10 +166,43 @@ def frontier_spaces(dim: int, margin: int) -> tuple[IterationSpace, ...]:
     return tuple(spaces)
 
 
-def analytic_axes(ac: AssignmentCollection) -> set[int]:
-    """Spatial axes on which analytic (coordinate) expressions depend."""
+def write_region(assignment: Assignment, dim: int) -> tuple[tuple[int, int], ...]:
+    """Write region of a main assignment: interior, extended for flux fields.
+
+    Per axis ``(lo, hi)``: the cells ``[-lo, n + hi)`` are written.
+    """
+    ext = [(0, 0)] * dim
+    lhs = assignment.lhs
+    if isinstance(lhs, FieldAccess) and lhs.field.staggered:
+        slot_axes = getattr(lhs.field, "slot_axes", None)
+        if slot_axes is None:
+            raise ValueError(
+                f"staggered field {lhs.field.name} lacks slot_axes metadata"
+            )
+        axis = slot_axes[lhs.index[0]]
+        ext[axis] = (0, 1)
+    return tuple(ext)
+
+
+def needed_subexpressions(
+    ac: AssignmentCollection, targets: list[Assignment]
+) -> list[Assignment]:
+    """Subset of subexpressions (in order) feeding the given main assignments."""
+    needed: set[sp.Symbol] = set()
+    for a in targets:
+        needed |= a.rhs.free_symbols
+    chosen: list[Assignment] = []
+    for a in reversed(ac.subexpressions):
+        if a.lhs in needed:
+            chosen.append(a)
+            needed |= a.rhs.free_symbols
+    return list(reversed(chosen))
+
+
+def analytic_axes(assignments: Iterable[Assignment]) -> set[int]:
+    """Spatial axes whose coordinate symbol the assignments (or a collection) read."""
     axes: set[int] = set()
-    for a in ac.all_assignments:
+    for a in assignments:
         axes |= {s.axis for s in a.rhs.atoms(CoordinateSymbol)}
     return axes
 

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..backends.c_backend import _CODEGEN_FLAGS, generate_c_source
+from ..backends.c_backend import CODEGEN_FLAGS, compile_attempts, generate_c_source
 from ..ir.kernel import Kernel
+from ..ir.loops import IterationSpace
 
 __all__ = ["MeasuredPerformance", "measure_kernel", "generate_benchmark_source"]
 
@@ -36,7 +37,7 @@ class MeasuredPerformance:
     mlups: float
 
     def cycles_per_lup(self, clock_ghz: float) -> float:
-        return self.seconds_per_sweep * clock_ghz * 1e9 / np.prod(self.interior_shape)
+        return clock_ghz * 1e3 / self.mlups
 
 
 _MAIN_TEMPLATE = r"""
@@ -92,9 +93,7 @@ def generate_benchmark_source(
     dim = kernel.dim
     if len(interior_shape) != dim:
         raise ValueError(f"shape must have {dim} entries")
-    gl = max(kernel.ghost_layers, 1)
-
-    src = generate_c_source(kernel, func_name=f"kernel_{kernel.name}")
+    gl = max(kernel.min_ghost_layers, 1)
 
     size_defs = "\n".join(
         f"    const int64_t n{d} = {int(interior_shape[d])};" for d in range(dim)
@@ -117,22 +116,30 @@ def generate_benchmark_source(
         checksum_lines.append(
             f"    for (int64_t i = 0; i < ({total}); i += 97) checksum += f_{f.name}[i];"
         )
+    if kernel.is_reduction:
+        # a reduction stores nothing: its sums are what keeps the sweep alive
+        n_out = len(kernel.reductions)
+        alloc_lines.append(f"    double reduce_out[{n_out}];")
+        checksum_lines.append(
+            f"    for (int i = 0; i < {n_out}; ++i) checksum += reduce_out[i];"
+        )
 
-    call_args = [f"f_{f.name}" for f in kernel.fields]
-    call_args += [f"n{d}" for d in range(dim)]
-    call_args.append("gl")
-    call_args += ["0"] * dim                       # offsets
-    call_args += ["0.0"] * dim                     # origins
-    for d in range(dim):
-        folded = kernel.folded_value(f"dx_{d}")
-        call_args.append(repr(float(folded)) if folded is not None else "1.0")
-    for p in kernel.parameters:
-        if p.name in ("time_step", "seed"):
-            continue
-        call_args.append("0.0" if p.name == "t" else "1.0")
-    call_args += ["0", "0"]                        # time_step, seed
+    # the call, argument by argument of the kernel's signature: pointers,
+    # extents and gl are the locals of main() that carry the argument's
+    # name, the block sits at the origin, every spacing and parameter is 1
+    # (the time 0; a spacing folded at compile time is not read)
+    sub = kernel.subspace.offsets(interior_shape) if kernel.subspace is not None else ()
+    fixed = {"block_offset": "0", "origin": "0.0", "time_step": "0", "seed": "0"}
+
+    def value(arg) -> str:
+        if arg.role in ("sub_lo", "sub_hi"):
+            return str(sub[arg.key][arg.role == "sub_hi"])
+        if arg.role in ("spacing", "parameter"):
+            return "0.0" if arg.key == "t" else "1.0"
+        return fixed.get(arg.role, arg.name)
+
     kernel_call = (
-        f"            kernel_{kernel.name}({', '.join(call_args)});"
+        f"            {kernel.c_name}({', '.join(map(value, kernel.signature))});"
     )
 
     main = _MAIN_TEMPLATE % {
@@ -144,7 +151,7 @@ def generate_benchmark_source(
         "repeats": repeats,
         "checksum": "\n".join(checksum_lines),
     }
-    return src + "\n" + main
+    return generate_c_source(kernel) + "\n" + main
 
 
 def measure_kernel(
@@ -156,52 +163,27 @@ def measure_kernel(
 ) -> MeasuredPerformance:
     """Compile and run the benchmark harness; parse the measured sweep time."""
     import hashlib
-    import os
-    import tempfile
-    from pathlib import Path
+    from functools import partial
 
     from ..profiling.diskcache import KernelDiskCache, cache_key
 
     source = generate_benchmark_source(kernel, interior_shape, iterations, repeats)
-    bench_flags = (*_CODEGEN_FLAGS, "-lm")
     digest = hashlib.sha256(source.encode()).hexdigest()
-    key = cache_key(digest, flags=bench_flags, backend="c-bench")
-    cache = KernelDiskCache()
-
-    def build(tmp_path: Path) -> None:
-        with tempfile.TemporaryDirectory() as td:
-            c_path = Path(td) / f"bench_{kernel.name}.c"
-            c_path.write_text(source)
-            cc = os.environ.get("CC", "cc")
-            base = [cc, *_CODEGEN_FLAGS]
-            last = None
-            for flags in ([*base, "-fopenmp"], [*base, "-fopenmp-simd"]):
-                try:
-                    subprocess.run(
-                        [*flags, "-o", str(tmp_path), str(c_path), "-lm"],
-                        check=True,
-                        capture_output=True,
-                    )
-                    return
-                except subprocess.CalledProcessError as err:
-                    tmp_path.unlink(missing_ok=True)
-                    last = err
-            raise RuntimeError(
-                f"benchmark compilation failed:\n{last.stderr.decode(errors='replace')}"
-            )
-
-    exe, _hit = cache.get_or_build(
+    key = cache_key(digest, flags=CODEGEN_FLAGS, backend="c-bench")
+    exe, _hit = KernelDiskCache().get_or_build(
         key,
-        build,
+        partial(compile_attempts, source=source, flags=CODEGEN_FLAGS),
         source=source,
-        meta={"kernel": kernel.name, "flags": list(bench_flags), "artifact": "bench"},
+        meta={"kernel": kernel.name, "flags": list(CODEGEN_FLAGS), "artifact": "bench"},
         artifact="bench",
     )
     out = subprocess.run(
         [str(exe)], capture_output=True, text=True, timeout=timeout, check=True
     ).stdout
     seconds = float(out.split("seconds_per_sweep=")[1].split()[0])
-    cells = int(np.prod(interior_shape))
+    # a restricted kernel updates the cells of its subspace only
+    space = kernel.subspace or IterationSpace.full(kernel.dim)
+    cells = int(np.prod([hi - lo for lo, hi in space.concrete(tuple(interior_shape))]))
     return MeasuredPerformance(
         kernel_name=kernel.name,
         interior_shape=tuple(interior_shape),

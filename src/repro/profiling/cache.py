@@ -69,7 +69,7 @@ def kernel_fingerprint(kernel: Kernel) -> str:
     Covers everything the backends consume: the SSA program (``srepr`` of
     every assignment), loop order, ghost layers, hoist levels, types, field
     metadata (staggering decides write regions) and the codegen-relevant
-    config (target, approximations, folded parameter values, vector width).
+    config (target, approximations, folded parameter values).
     Two independently generated kernel sets from identical model parameters
     hash equal, so the cache also deduplicates across regenerations.
     """
@@ -106,7 +106,7 @@ def kernel_fingerprint(kernel: Kernel) -> str:
         (k.name if isinstance(k, sp.Symbol) else str(k), repr(v))
         for k, v in values.items()
     )
-    put(f"{cfg.target}|{cfg.approximations}|{cfg.vector_width}|{folded}")
+    put(f"{cfg.target}|{cfg.approximations}|{folded}")
     digest = h.hexdigest()
     kernel._fingerprint = digest
     return digest

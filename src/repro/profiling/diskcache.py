@@ -81,14 +81,15 @@ __all__ = [
 
 CACHE_SCHEMA = "repro-kernel-cache/1"
 
-#: backend source files whose bytes define the codegen revision: any edit
-#: to the emitted C (or to the loop/CSE machinery both backends share)
-#: changes the hash and invalidates every cached binary automatically
+#: source files whose bytes define the codegen revision: any edit to the
+#: emitted C or to what the kernel IR declares for it (signature, region
+#: plan, loop order, argument types) changes the hash and invalidates every
+#: cached binary automatically
 _CODEGEN_SOURCES = (
     "backends/c_backend.py",
-    "backends/numpy_backend.py",
     "ir/kernel.py",
     "ir/loops.py",
+    "ir/types.py",
 )
 
 _log = get_logger("profiling.diskcache")
@@ -173,9 +174,9 @@ def compiler_identity(cc: str | None = None) -> dict:
 def codegen_revision() -> str:
     """Hash of the codegen sources — bumps automatically on any edit.
 
-    Covers the C emitter, the NumPy lowering helpers it shares, and the
-    kernel IR: a change to any of them may change the emitted program, so
-    every cached binary built under the old revision is invalidated.
+    Covers the C emitter and the kernel IR it prints: a change to either
+    may change the emitted program, so every cached binary built under the
+    old revision is invalidated.
     """
     global _REVISION
     if _REVISION is not None:

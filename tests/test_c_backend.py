@@ -1,5 +1,6 @@
 """C backend tests: bitwise parity with the NumPy backend."""
 
+import ctypes
 import os
 import re
 import shutil
@@ -421,9 +422,9 @@ class TestBinding:
     def test_missing_parameter_raises_on_a_bound_set(self):
         compiled = compile_c_kernel(_scalar_kernel())
         arrays = create_arrays(compiled.kernel.fields, (6, 6), 1)
-        compiled(arrays, t=0.0)
+        compiled(arrays, t=0.0, dx_0=1.0)
         with pytest.raises(KeyError, match="missing kernel parameter 't'"):
-            compiled(arrays)
+            compiled(arrays, dx_0=1.0)
 
     def test_reductions_return_independent_results(self, binary2d):
         from repro.diagnostics import DiagnosticsSuite
@@ -905,3 +906,96 @@ class TestP1Parity:
         solver.step(self.STEPS)
         for got, ref in zip((solver.gather("phi"), solver.gather("mu")), c_single):
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+class TestKernelABI:
+    """One declaration: prototype, ctypes binding and call check follow ``Kernel.signature``."""
+
+    #: how the C spelling of an argument's type has to reach ctypes
+    CTYPES = {
+        "double * restrict": ctypes.c_void_p,
+        "const int64_t": ctypes.c_int64,
+        "const double": ctypes.c_double,
+    }
+
+    @pytest.fixture(scope="class")
+    def families(self, binary2d, p1):
+        """name -> (kernel, whether CUDA lowers it), every kind of kernel the repo builds."""
+        from repro.diagnostics import DiagnosticsSuite
+        from repro.ir import split_interior_frontier
+        from repro.lbm import LBMethod, create_lbm_update
+
+        split = binary2d.model.create_kernels(variant_phi="split", variant_mu="split")
+        (mu,) = binary2d.mu_kernels
+        interior, frontiers = split_interior_frontier(mu)
+        lbm, _, _ = create_lbm_update(LBMethod(relaxation_rate=1.5))
+        out = {f"binary2d/{k.name}": (k, True) for k in binary2d.all_kernels}
+        out |= {f"p1/{k.name}": (k, True) for k in p1.all_kernels}
+        out |= {
+            f"split/{k.name}": (k, True) for k in split.phi_kernels + split.mu_kernels
+        }
+        out |= {k.name: (k, False) for k in (interior, *frontiers)}
+        out["diagnostics"] = (DiagnosticsSuite.for_model(binary2d.model).kernel, False)
+        out["lbm"] = (create_kernel(lbm), True)
+        assert len(out) == 3 + 3 + 4 + 5 + 1 + 1
+        return out
+
+    @staticmethod
+    def _prototype(source, head):
+        """``(function name, [declaration, ...])`` parsed out of an emitted source."""
+        m = re.search(re.escape(head) + r" (\w+)\(\n(.*?)\)\n\{", source, re.S)
+        return m.group(1), [line.strip() for line in m.group(2).split(",\n")]
+
+    def test_c_prototype_and_argtypes_are_the_signature(self, families):
+        for label, (kernel, _) in families.items():
+            compiled = compile_c_kernel(kernel)
+            name, declared = self._prototype(compiled.source, "void")
+            assert name == kernel.c_name and name.isidentifier(), label
+            assert declared == [a.declaration() for a in kernel.signature], label
+            argtypes = compiled._func.argtypes
+            assert len(argtypes) == len(kernel.signature), label
+            for decl, ctype in zip(declared, argtypes):
+                c_type, _, arg_name = decl.rpartition(" ")
+                assert ctype is self.CTYPES[c_type], (label, arg_name)
+
+    def test_signature_shape_follows_the_kind_of_kernel(self, families):
+        roles = {label: [a.role for a in k.signature] for label, (k, _) in families.items()}
+        assert "sub_lo" in roles["mu:interior"] and "sub_hi" in roles["mu:frontier_a0lo"]
+        assert roles["diagnostics"][-1] == "reduce_out"
+        for label in ("binary2d/mu", "p1/phi", "split/mu_flux", "lbm"):
+            assert not {"sub_lo", "sub_hi", "reduce_out"} & set(roles[label]), label
+            assert roles[label][-2:] == ["time_step", "seed"], label
+
+    def test_cuda_prototype_names_the_same_arguments(self, families):
+        from repro.backends.cuda_backend import MAPPINGS, generate_cuda_source
+
+        for label, (kernel, lowered) in families.items():
+            if not lowered:
+                continue
+            for mapping in MAPPINGS:
+                if mapping == "z_loop" and len(kernel.regions) > 1:
+                    continue
+                source = generate_cuda_source(kernel, mapping).source
+                name, declared = self._prototype(source, 'extern "C" __global__ void')
+                assert name == kernel.c_name, label
+                assert [d.rpartition(" ")[2] for d in declared] == [
+                    a.name for a in kernel.signature
+                ], (label, mapping)
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_unfolded_spacing_of_a_coordinate_is_required(self, backend):
+        """``f_dst = f + x_0``: C computed with ``h = 1.0`` where NumPy raised."""
+        from repro.profiling import compile_cached
+
+        f, f_dst = Field("f", 1), Field("f_dst", 1)
+        ac = AssignmentCollection(
+            [Assignment(f_dst.center(), f.center() + x_[0])], name="coordinate"
+        )
+        kernel = create_kernel(ac)
+        assert kernel.required_parameters == ("dx_0",)
+        compiled = compile_cached(kernel, backend)
+        arrays = create_arrays(kernel.fields, (4,), ghost_layers=0)
+        with pytest.raises(KeyError, match="missing kernel parameter 'dx_0'"):
+            compiled(arrays)
+        compiled(arrays, dx_0=0.5)
+        np.testing.assert_array_equal(arrays["f_dst"], [0.25, 0.75, 1.25, 1.75])

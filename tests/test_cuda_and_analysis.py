@@ -88,6 +88,26 @@ class TestCudaBackend:
         b = generate_cuda_source(_kernel()).source
         assert a == b
 
+    def test_restricted_kernel_is_refused(self):
+        """It printed ``kernel_cuda_t:interior(`` and swept the full block."""
+        from repro.ir import split_interior_frontier
+
+        interior, frontiers = split_interior_frontier(_kernel())
+        for k in (interior, *frontiers):
+            with pytest.raises(ValueError, match="does not lower restricted kernels"):
+                generate_cuda_source(k)
+
+    def test_reduction_kernel_is_refused(self):
+        """It printed a kernel that computed the densities and stored nothing."""
+        import sympy as sp
+
+        from repro.symbolic import Assignment, AssignmentCollection
+
+        total = Assignment(sp.Symbol("red_total", real=True), Field("f", 3).center())
+        ac = AssignmentCollection([total], name="total", reduction_symbols=["red_total"])
+        with pytest.raises(ValueError, match="does not lower reduction kernels"):
+            generate_cuda_source(create_kernel(ac))
+
 
 class TestMetrics:
     def test_phase_fractions(self):

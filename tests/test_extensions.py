@@ -172,6 +172,41 @@ class TestBenchmarkMode:
         assert perf.seconds_per_sweep > 0
         assert perf.cycles_per_lup(2.3) > 0
 
+    @pytest.fixture(scope="class", params=["restricted", "reduction"])
+    def non_plain_kernel(self, request):
+        """Kernels whose argument list is not the plain one: sub-range, output buffer."""
+        from repro.diagnostics import DiagnosticsSuite
+        from repro.ir import split_interior_frontier
+        from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+        model = GrandPotentialModel(make_two_phase_binary(dim=2))
+        if request.param == "reduction":
+            return DiagnosticsSuite.for_model(model).kernel
+        (mu,) = model.create_kernels().mu_kernels
+        return split_interior_frontier(mu)[0]
+
+    def test_driver_calls_a_non_plain_kernel_by_its_signature(self, non_plain_kernel, tmp_path):
+        """The call site was a hand-written list: ``kernel_mu:interior(`` and too few arguments."""
+        import os
+        import subprocess
+
+        from repro.backends.c_backend import c_compiler_available
+        from repro.perfmodel import generate_benchmark_source, measure_kernel
+
+        if not c_compiler_available():
+            pytest.skip("no C compiler")
+        source = generate_benchmark_source(non_plain_kernel, (24, 20))
+        assert f"{non_plain_kernel.c_name}(f_" in source
+        c_path = tmp_path / "bench.c"
+        c_path.write_text(source)
+        check = subprocess.run(
+            [os.environ.get("CC", "cc"), "-std=c99", "-fsyntax-only", "-fopenmp", str(c_path)],
+            capture_output=True, text=True,
+        )
+        assert check.returncode == 0, check.stderr
+        perf = measure_kernel(non_plain_kernel, (24, 20), iterations=3, repeats=2)
+        assert perf.mlups > 0 and perf.cycles_per_lup(2.3) > 0
+
 
 class TestVariantSelection:
     def test_model_based_selection(self):

@@ -119,7 +119,7 @@ class TestErrorHandling:
         kernels, _ = make_heat_kernels()
         comp = compile_numpy_kernel(kernels[0])
         arrays = create_arrays(kernels[0].fields, (5, 5), 1)
-        with pytest.raises(KeyError, match="missing kernel parameters"):
+        with pytest.raises(KeyError, match="missing kernel parameter 'dx_0', 'dx_1'"):
             comp(arrays, dt=1e-3)
 
     def test_shape_mismatch_raises(self):

@@ -150,3 +150,33 @@ class TestRecompilationWorkflow:
         ks = p1_model.create_kernels(variant_phi="full", fold_constants=False)
         names = {p.name for p in ks.phi_kernels[0].parameters}
         assert "dt" in names and "dx_0" in names
+
+
+class TestReferencePathDispatch:
+    def test_a_repeat_numpy_call_does_no_symbolic_work(self, p1_full, monkeypatch):
+        """The call check re-walked the whole µ body for its coordinate axes: 1.4 ms a call."""
+        import sympy as sp
+
+        from repro.backends import compile_numpy_kernel, create_arrays
+
+        (mu,) = p1_full.mu_kernels
+        compiled = compile_numpy_kernel(mu)
+        gl = p1_full.ghost_layers
+        arrays = create_arrays(p1_full.fields, (4, 4, 4), gl, fill=0.25)
+        compiled(arrays, ghost_layers=gl, t=0.0)
+
+        traversals = []
+        atoms, free_symbols = sp.Basic.atoms, sp.Basic.free_symbols.fget
+        monkeypatch.setattr(
+            sp.Basic, "atoms", lambda self, *t: traversals.append(self) or atoms(self, *t)
+        )
+        monkeypatch.setattr(
+            sp.Basic,
+            "free_symbols",
+            property(lambda self: traversals.append(self) or free_symbols(self)),
+        )
+        rhs = mu.ac.main_assignments[0].rhs
+        assert rhs.free_symbols and rhs.atoms(sp.Symbol) and traversals  # the probe counts
+        traversals.clear()
+        compiled(arrays, ghost_layers=gl, t=0.0)
+        assert not traversals
