@@ -17,7 +17,6 @@ from .metrics import (
     interfacial_area,
     phase_fractions,
     solid_fraction_profile,
-    total_grand_potential_proxy,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "interfacial_area",
     "phase_fractions",
     "solid_fraction_profile",
-    "total_grand_potential_proxy",
 ]

@@ -17,7 +17,6 @@ __all__ = [
     "front_position",
     "front_velocity",
     "solid_fraction_profile",
-    "total_grand_potential_proxy",
 ]
 
 
@@ -72,21 +71,3 @@ def front_velocity(
     if len(p) < 2:
         return np.zeros(0)
     return np.diff(p) / dt_between_samples
-
-
-def total_grand_potential_proxy(phi: np.ndarray, gamma: float = 1.0) -> float:
-    """Monotonicity proxy for the free energy: obstacle + gradient terms.
-
-    Useful for curvature-flow tests where the full functional is overkill:
-    for pure interface motion this quantity must decrease.
-    """
-    n = phi.shape[-1]
-    pair = 0.0
-    for b in range(n):
-        for a in range(b):
-            pair += (phi[..., a] * phi[..., b]).sum()
-    grad = 0.0
-    for a in range(n):
-        for g in np.gradient(phi[..., a]):
-            grad += (g**2).sum()
-    return float(gamma * (16 / np.pi**2 * pair + grad))

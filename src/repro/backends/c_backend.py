@@ -48,11 +48,6 @@ from sympy.printing.c import C99CodePrinter
 
 from ..ir.kernel import ARRAY_SET_ROLES, Argument, Kernel
 from ..ir.loops import analytic_axes
-from ..observability.hwcounters import (
-    attribute_dispatch,
-    attribution_open,
-    get_counter_harness,
-)
 from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
@@ -474,14 +469,14 @@ class CompiledCKernel:
     """A compiled, callable C kernel with the NumPy-backend calling convention.
 
     The native loop nest trusts the extents it is passed and computes its
-    own addresses, so every array is validated (shape against the first
-    field's spatial extent and the field's index shape, ``float64``, byte
-    strides equal to the layout rule's, a ghost width the stencil fits in)
-    before its address reaches C.  The stride comparison is what keeps an
-    array of the right shape in another layout — ``np.zeros(shape)``, a
-    plain ``copy()``, a Fortran-ordered or sliced array — from being read in
-    bounds as garbage; it names the field and points at ``create_arrays``.
-    That validation runs
+    own addresses, so before an address reaches C the call is checked
+    against :meth:`Kernel.check_arrays <repro.ir.kernel.Kernel.check_arrays>`
+    — the check of every backend — and then, the one check that is this
+    backend's own, every array's byte strides against the layout rule.  The
+    stride comparison is what keeps an array of the right shape in another
+    layout — ``np.zeros(shape)``, a plain ``copy()``, a Fortran-ordered or
+    sliced array — from being read in bounds as garbage; it names the field
+    and points at ``create_arrays``.  That validation runs
     once per *array set*: the first call on a set — the arrays of the
     kernel's fields as objects, together with ``ghost_layers``,
     ``block_offset`` and ``origin`` — marshals them into an immutable
@@ -531,8 +526,8 @@ class CompiledCKernel:
     def name(self) -> str:
         return self.kernel.name
 
-    def _bind(self, key: tuple, held: list) -> tuple:
-        """Validate the array set *held* under *key*, marshal and remember it.
+    def _bind(self, key: tuple, arrays) -> tuple:
+        """Validate the array set of *arrays* under *key*, marshal and remember it.
 
         Returns the argument prefix; it is never written again.
         """
@@ -540,33 +535,24 @@ class CompiledCKernel:
         dim = k.dim
         gl, block_offset, origin = key[:3]
         gl = int(gl)
-        k.check_ghost_layers(gl)
-        spatial = held[0].shape[:dim]
+        # the native loop nest trusts the extents it is passed: a mis-shaped
+        # array would be read and written out of bounds
+        spatial = k.check_arrays(arrays, gl, block_offset, origin)
+        held = [arrays[f.name] for f in self._fields]
         for f, a in zip(self._fields, held):
-            name = f.name
-            # the native loop nest trusts these extents: a mis-shaped array
-            # would be read and written out of bounds
-            if len(spatial) != dim or a.shape != spatial + f.index_shape:
-                raise ValueError(
-                    f"array {name} has shape {a.shape}, expected "
-                    f"{spatial + f.index_shape} ({dim} spatial axes)"
-                )
-            if a.dtype != np.float64:
-                raise ValueError(f"array {name} must be float64")
-            # ... and these strides.  An array of the right shape in another
-            # layout (C order of the logical shape, Fortran order, a view) has
-            # the same number of bytes: the kernel would stay in bounds and
-            # compute garbage.  The stride of an axis of extent 1 addresses
-            # nothing and is not compared
+            # ... and it computes addresses by the layout rule.  An array of
+            # the right shape in another layout (C order of the logical
+            # shape, Fortran order, a view) has the same number of bytes:
+            # the kernel would stay in bounds and compute garbage.  The
+            # stride of an axis of extent 1 addresses nothing and is not
+            # compared
             expected = tuple(8 * s for s in f.strides(spatial))
             if any(n > 1 and s != e for n, s, e in zip(a.shape, a.strides, expected)):
                 raise ValueError(
-                    f"array {name} has byte strides {a.strides}, the kernel "
+                    f"array {f.name} has byte strides {a.strides}, the kernel "
                     f"addresses it with {expected} (one contiguous block per "
                     f"component): allocate it with create_arrays"
                 )
-            if any(n < 2 * gl + 1 for n in spatial):
-                raise ValueError(f"array {name} too small for {gl} ghost layers")
         interior = tuple(n - 2 * gl for n in spatial)
         sub = k.subspace.offsets(interior) if k.subspace is not None else ()
         # per role, the values its arguments select from by key
@@ -613,7 +599,8 @@ class CompiledCKernel:
             )
         k = self.kernel
         gl = k.ghost_layers if ghost_layers is None else ghost_layers
-        held = [arrays[f.name] for f in self._fields]
+        # a missing array reads None, which no binding holds: _bind names it
+        held = [arrays.get(f.name) for f in self._fields]
         key = (gl, tuple(block_offset), tuple(origin), *map(id, held))
         refs, shapes, prefix = self._bindings.get(key, _UNBOUND)
         for ref, shape, a in zip(refs, shapes, held):
@@ -621,7 +608,7 @@ class CompiledCKernel:
                 prefix = None
                 break
         if prefix is None:
-            prefix = self._bind(key, held)
+            prefix = self._bind(key, arrays)
         for name in self._required:
             if name not in params:
                 k.check_parameters(params)  # raises, naming every missing one
@@ -636,16 +623,7 @@ class CompiledCKernel:
             # per call, not per binding: threads may reduce one array set
             out = np.zeros(len(k.reductions))
             argv.append(out.__array_interface__["data"][0])
-        # counter samples bracket the native call alone, so the profiler's
-        # attribution excludes the Python above; with no measured block open
-        # nobody takes the delta and nothing is sampled
-        if attribution_open():
-            harness = get_counter_harness()
-            s0 = harness.sample()
-            self._func(*argv)
-            attribute_dispatch(harness.delta(s0, harness.sample()))
-        else:
-            self._func(*argv)
+        self._func(*argv)
         if out is None:
             return None
         return {name: float(v) for name, v in zip(k.reductions, out)}

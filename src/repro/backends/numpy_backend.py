@@ -125,7 +125,9 @@ class CompiledNumpyKernel:
         supplies every free kernel parameter by name (``dt``, ``dx_0``, model
         constants, ``t``, ``time_step``, ``seed`` …).  ``ghost_layers`` is
         the actual ghost width of the arrays (defaults to the kernel's
-        minimum requirement).
+        minimum requirement).  Every call is checked against the kernel's
+        call contract (:meth:`Kernel.check_arrays
+        <repro.ir.kernel.Kernel.check_arrays>`, ``check_parameters``).
 
         Stencil kernels write in place and return ``None``.  Reduction
         kernels leave the arrays untouched and return ``{name: float}`` with
@@ -134,22 +136,7 @@ class CompiledNumpyKernel:
         partition-invariant (see :func:`repro.backends.runtime.tile_sum`).
         """
         gl = self.kernel.ghost_layers if ghost_layers is None else int(ghost_layers)
-        self.kernel.check_ghost_layers(gl)
-        missing = [f.name for f in self.kernel.fields if f.name not in arrays]
-        if missing:
-            raise KeyError(f"missing arrays for fields: {missing}")
-        spatial = None
-        for f in self.kernel.fields:
-            a = arrays[f.name]
-            s = a.shape[: self.kernel.dim]
-            if spatial is None:
-                spatial = s
-            elif s != spatial:
-                raise ValueError(
-                    f"inconsistent spatial shapes: {f.name} has {s}, expected {spatial}"
-                )
-            if any(dim_len < 2 * gl + 1 for dim_len in s):
-                raise ValueError(f"array {f.name} too small for {gl} ghost layers")
+        spatial = self.kernel.check_arrays(arrays, gl, block_offset, origin)
         self.kernel.check_parameters(params)
         if self.kernel.is_reduction:
             tiles = tuple(int(t) for t in tile_shape) if tile_shape else None

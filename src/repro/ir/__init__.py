@@ -15,7 +15,6 @@ from .loops import (
     choose_loop_order,
     classify_hoist_levels,
     frontier_spaces,
-    hoisted_symbols,
     interior_space,
 )
 from .types import DOUBLE, FLOAT, INT64, BasicType, infer_types, kernel_parameters
@@ -37,7 +36,6 @@ __all__ = [
     "analytic_axes",
     "choose_loop_order",
     "classify_hoist_levels",
-    "hoisted_symbols",
     "BasicType",
     "DOUBLE",
     "FLOAT",

@@ -9,9 +9,11 @@ representation layer").
 The kernel also *declares* its interface, once, for every backend: the
 argument list of the native function (:attr:`Kernel.signature`), what a
 call has to supply (:attr:`Kernel.required_parameters`,
-:attr:`Kernel.min_ghost_layers`) and which statements are lowered over
+:attr:`Kernel.min_ghost_layers`, checked by :meth:`Kernel.check_arrays`
+and :meth:`Kernel.check_parameters`) and which statements are lowered over
 which write region (:attr:`Kernel.regions`).  Backends print, bind and
-check these; none of them assembles an argument list of its own.
+check these; none of them assembles an argument list — or a call check —
+of its own.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
 import sympy as sp
 
 from ..simplification.passes import optimize
@@ -87,9 +90,7 @@ class KernelConfig:
 
     target: str = "cpu"                      # "cpu" | "gpu"
     approximations: tuple = ()               # subset of ("division","sqrt","rsqrt")
-    cse: bool = True
     parameter_values: Mapping | None = None  # compile-time constants
-    loop_order: tuple | None = None          # override automatic choice
 
 
 @dataclass
@@ -246,12 +247,66 @@ class Kernel:
         """
         return max(self.ghost_layers, int(self.has_staggered_writes))
 
-    def check_ghost_layers(self, ghost_layers: int) -> None:
-        if ghost_layers < self.min_ghost_layers:
+    def check_arrays(
+        self, arrays: Mapping, ghost_layers: int, block_offset, origin
+    ) -> tuple[int, ...]:
+        """The array check of every backend; returns the ghosted spatial shape.
+
+        One named exception per defect, in this order: a field without an
+        array (``KeyError`` naming all of them); per field, in name order,
+        an object that is no ``ndarray`` (``TypeError``), then ``ValueError``
+        for a shape other than ``dim`` spatial axes + ``Field.index_shape``,
+        spatial extents other than the first field's and a dtype other than
+        ``float64``; then an axis too short to hold one interior cell
+        between its ghost layers, a ghost width below
+        :attr:`min_ghost_layers` and a ``block_offset`` / ``origin`` with
+        fewer than ``dim`` entries.  What is specific to how a backend
+        addresses memory (byte strides) is that backend's to check, after
+        this.
+        """
+        missing = [f.name for f in self.fields if f.name not in arrays]
+        if missing:
+            raise KeyError(f"missing arrays for fields: {missing}")
+        dim, gl = self.dim, ghost_layers
+        first = self.fields[0].name
+        spatial = None
+        for f in self.fields:
+            a = arrays[f.name]
+            if not isinstance(a, np.ndarray):
+                raise TypeError(
+                    f"array {f.name} must be a numpy.ndarray, got {type(a).__name__}"
+                )
+            if a.ndim != dim + len(f.index_shape) or a.shape[dim:] != f.index_shape:
+                raise ValueError(
+                    f"array {f.name} has shape {a.shape}, expected {dim} spatial "
+                    f"axes followed by the index shape {f.index_shape}"
+                )
+            if spatial is None:
+                spatial = a.shape[:dim]
+            elif a.shape[:dim] != spatial:
+                raise ValueError(
+                    f"inconsistent spatial shapes: array {f.name} has shape "
+                    f"{a.shape}, expected the extents {spatial} of array {first}"
+                )
+            if a.dtype != np.float64:
+                raise ValueError(f"array {f.name} must be float64, got {a.dtype}")
+        if any(n < 2 * gl + 1 for n in spatial):
+            raise ValueError(
+                f"array {first} with spatial extents {spatial} too small for "
+                f"{gl} ghost layers"
+            )
+        if gl < self.min_ghost_layers:
             raise ValueError(
                 f"kernel {self.name} needs at least {self.min_ghost_layers} "
-                f"ghost layers, got {ghost_layers}"
+                f"ghost layers, got {gl}"
             )
+        for what, value in (("block_offset", block_offset), ("origin", origin)):
+            if len(value) < dim:
+                raise ValueError(
+                    f"{what} {tuple(value)} of a call to the {dim}D kernel "
+                    f"{self.name} has fewer than {dim} entries"
+                )
+        return spatial
 
     def check_parameters(self, params: Mapping) -> None:
         """The call check of every backend: *params* names what is required."""
@@ -316,15 +371,13 @@ def create_kernel(
     with get_recorder().span(
         f"create_kernel:{name or ac.name}", category="ir", target=config.target
     ) as span:
-        ac = optimize(ac, parameter_values=config.parameter_values, cse=config.cse)
+        ac = optimize(ac, parameter_values=config.parameter_values)
         ac = extract_invariant_subexpressions(ac)
         if config.approximations:
             ac = insert_approximations(ac, config.approximations)
         ac.validate()
 
-        loop_order = config.loop_order or choose_loop_order(ac, dim)
-        if sorted(loop_order) != list(range(dim)):
-            raise ValueError(f"loop_order {loop_order} is not a permutation of axes")
+        loop_order = choose_loop_order(ac, dim)
 
         reductions = tuple(a.lhs.name for a in ac.reduction_outputs)
         if reductions and ac.field_writes:
@@ -337,8 +390,8 @@ def create_kernel(
             ac=ac,
             dim=dim,
             ghost_layers=ac.ghost_layers_required(),
-            loop_order=tuple(loop_order),
-            hoist_levels=classify_hoist_levels(ac, tuple(loop_order)),
+            loop_order=loop_order,
+            hoist_levels=classify_hoist_levels(ac, loop_order),
             types=infer_types(ac),
             config=config,
             reductions=reductions,

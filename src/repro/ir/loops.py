@@ -33,7 +33,6 @@ __all__ = [
     "choose_loop_order",
     "classify_hoist_levels",
     "extract_invariant_subexpressions",
-    "hoisted_symbols",
     "analytic_axes",
 ]
 
@@ -63,7 +62,7 @@ class AxisInterval:
         if not (0 <= lo <= hi <= n):
             raise ValueError(
                 f"interval {self} is empty or out of bounds for extent {n} "
-                f"(resolved to [{lo}, {hi})) — block too small for this margin"
+                f"(resolved to [{lo}, {hi})) — block too small to hold this margin"
             )
         return lo, hi
 
@@ -304,18 +303,3 @@ def extract_invariant_subexpressions(ac: AssignmentCollection) -> AssignmentColl
         return ac
     # invariant temporaries come first: they depend on nothing bound later
     return ac.copy(mains, new_subs + subexpressions)
-
-
-def hoisted_symbols(
-    ac: AssignmentCollection, loop_order: tuple[int, ...] | None = None, dim: int | None = None
-) -> set[sp.Symbol]:
-    """Temporaries that move out of the innermost loop (amortized per line)."""
-    if loop_order is None:
-        if dim is None:
-            dim = max(
-                (acc.field.spatial_dimensions for acc in ac.field_writes), default=3
-            )
-        loop_order = choose_loop_order(ac, dim)
-    depth = len(loop_order)
-    levels = classify_hoist_levels(ac, loop_order)
-    return {s for s, lvl in levels.items() if lvl < depth}

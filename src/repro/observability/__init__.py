@@ -59,9 +59,6 @@ from .health import HealthError, HealthEvent, HealthMonitor
 from .hwcounters import (
     CounterHarness,
     CounterSample,
-    attribute_dispatch,
-    attribution_open,
-    attribution_scope,
     counter_provenance_line,
     get_counter_harness,
     make_harness,
@@ -127,9 +124,6 @@ __all__ = [
     "POSTMORTEM_SCHEMA",
     "RecorderEvent",
     "RunDir",
-    "attribute_dispatch",
-    "attribution_open",
-    "attribution_scope",
     "block_key",
     "capture_postmortem",
     "chrome_trace",

@@ -3,7 +3,7 @@
 The paper validates generated kernels against an ECM model (§5); the model
 side lives in :mod:`repro.perfmodel`.  This module is the *measurement*
 side: per-kernel cycles, instructions and cache traffic, read around every
-kernel dispatch, so the closure table can show measured-vs-predicted
+measured operation, so the closure table can show measured-vs-predicted
 cycles/LUP and bytes/LUP instead of wall clock alone.
 
 Three rungs, probed in order, every one presenting the same
@@ -36,12 +36,11 @@ Every :meth:`CounterHarness.sample` call times itself; the accumulated
 cost (:attr:`CounterHarness.overhead_seconds`) is gated per sample
 (10 µs) by the tier-1 tests.
 
-Tight dispatch attribution: backends bracket the *native* kernel call with
-:func:`attribute_dispatch` inside the profiler's :func:`attribution_scope`
-(a ``measure`` block is one), so counter deltas exclude Python-side
-argument handling; they ask :func:`attribution_open` first, and a kernel
-called outside any measured block samples nothing.  Backends that do not
-attribute (NumPy) fall back to the profiler's outer delta.
+The one caller on the step path is :meth:`SolverProfiler.measure
+<repro.profiling.profiler.SolverProfiler.measure>`, which samples before
+and after the block it times: a delta covers the interval of the seconds
+it is stored beside.  Backends do not sample; a kernel called outside a
+measured block costs no sample.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ __all__ = [
     "CounterSample",
     "CounterHarness",
     "PerfEventGroup",
-    "attribute_dispatch",
-    "attribution_open",
-    "attribution_scope",
     "counter_provenance_line",
     "get_counter_harness",
     "make_harness",
@@ -310,7 +306,7 @@ class CounterSample:
         )
 
     def add(self, other: "CounterSample") -> "CounterSample":
-        """Field-wise sum (accumulating several dispatches in one measure)."""
+        """Field-wise sum; ``None`` only where both sides are."""
         kw = {}
         for name in self._FIELDS:
             a, b = getattr(self, name), getattr(other, name)
@@ -601,62 +597,3 @@ def counter_provenance_line(harness: CounterHarness | None = None) -> str:
     if harness.source in ("rusage", "time"):
         return f"counters: unavailable (fallback={harness.source})"
     return "counters: disabled"
-
-
-# -- tight dispatch attribution --------------------------------------------------
-
-
-class _Attribution(threading.local):
-    #: innermost open :class:`attribution_scope` of the calling thread
-    scope = None
-
-
-_ATTRIBUTION = _Attribution()
-
-
-class attribution_scope:
-    """Collect tight backend-side counter deltas for one measured block.
-
-    The profiler opens a scope around each measured operation (its
-    ``measure`` block *is* one); a backend that brackets its native call
-    with :func:`attribute_dispatch` narrows the attribution to the dispatch
-    itself (excluding Python marshaling).  ``sample`` is the accumulated
-    delta, ``None`` while nothing reported.  Scopes nest; attribution lands
-    in the innermost one.
-    """
-
-    __slots__ = ("sample", "_outer")
-
-    def __init__(self):
-        self.sample: CounterSample | None = None
-
-    def __enter__(self):
-        self._outer = _ATTRIBUTION.scope
-        _ATTRIBUTION.scope = self
-        return self
-
-    def __exit__(self, *exc):
-        _ATTRIBUTION.scope = self._outer
-
-
-def attribution_open() -> bool:
-    """Whether a scope is open on this thread, i.e. a dispatch delta has a taker.
-
-    Backends ask before sampling: a kernel called directly, not via a
-    profiler, would pay two counter samples for a delta that is dropped.
-    """
-    return _ATTRIBUTION.scope is not None
-
-
-def attribute_dispatch(delta: CounterSample | None) -> None:
-    """Report a tight dispatch delta into the enclosing attribution scope.
-
-    No-op outside a scope (a kernel called directly, not via a profiler),
-    so backends can call it unconditionally.  Multiple dispatches within
-    one scope accumulate (a multi-block sweep is one measured operation).
-    """
-    if delta is None:
-        return
-    scope = _ATTRIBUTION.scope
-    if scope is not None:
-        scope.sample = delta if scope.sample is None else scope.sample.add(delta)

@@ -18,7 +18,6 @@ and the health monitor (check/event counts).
 
 from __future__ import annotations
 
-import math
 import re
 import threading
 
@@ -391,21 +390,3 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
 def reset_metrics() -> None:
     """Clear every family in the global registry (used by tests)."""
     _GLOBAL_REGISTRY.reset()
-
-
-def quantile_estimate(hist: Histogram, q: float) -> float:
-    """Crude bucket-interpolated quantile of a histogram (diagnostics)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    if hist.count == 0:
-        return math.nan
-    target = q * hist.count
-    total = 0
-    lo = 0.0
-    for bound, c in zip(hist.bounds, hist.bucket_counts):
-        if total + c >= target and c > 0:
-            frac = (target - total) / c
-            return lo + frac * (bound - lo)
-        total += c
-        lo = bound
-    return hist.bounds[-1]

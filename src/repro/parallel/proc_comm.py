@@ -40,7 +40,7 @@ region — libgomp's thread pool does not survive a fork.
 ``env={"OMP_NUM_THREADS": ...}`` does NOT bound a rank's threads once the
 parent has loaded a compiled kernel: libgomp reads its settings at the
 parent's first ``dlopen``, and the forked workers inherit them (measured,
-ROADMAP item 1b — open; threads as a kernel argument is the planned fix).
+ROADMAP item 2 — open; threads as a kernel argument is the planned fix).
 Until then export ``OMP_NUM_THREADS`` before the parent process starts, as
 ``tests/conftest.py`` and the benchmark workers do.
 """

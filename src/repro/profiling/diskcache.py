@@ -21,9 +21,9 @@ Key schema — a key names the *exact* binary that any conforming process
 would build, so a hit can never hand back a stale or wrong-ISA artifact::
 
     key = sha256(schema | backend | content digest (kernel IR fingerprint
-                 or source digest) | codegen revision (hash of the backend
-                 sources) | compiler identity (path + --version banner) |
-                 flag list)
+                 or source digest) | codegen revision (hash of the emitter
+                 and every module it imports, :func:`codegen_sources`) |
+                 compiler identity (path + --version banner) | flag list)
 
 Publication protocol (concurrent processes compile each kernel at most
 once, and **no** code path can ever load a partial ``.so``):
@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import threading
 import time
@@ -74,6 +75,7 @@ __all__ = [
     "cache_key",
     "cache_root",
     "codegen_revision",
+    "codegen_sources",
     "compiler_identity",
     "disk_cache_stats",
     "reset_disk_cache_stats",
@@ -81,16 +83,14 @@ __all__ = [
 
 CACHE_SCHEMA = "repro-kernel-cache/1"
 
-#: source files whose bytes define the codegen revision: any edit to the
-#: emitted C or to what the kernel IR declares for it (signature, region
-#: plan, loop order, argument types) changes the hash and invalidates every
-#: cached binary automatically
-_CODEGEN_SOURCES = (
-    "backends/c_backend.py",
-    "ir/kernel.py",
-    "ir/loops.py",
-    "ir/types.py",
-)
+#: where the emitted C text is made: the emitter, and the kernel IR it prints
+_CODEGEN_ROOTS = ("backends/c_backend.py", "ir/kernel.py")
+#: ... and how far their imports are followed.  What the other packages do
+#: to a kernel (discretization, simplification) is in its assignments, which
+#: the kernel fingerprint hashes
+_CODEGEN_PACKAGES = ("symbolic", "ir", "backends")
+_SRC_ROOT = Path(__file__).resolve().parents[1]
+_RELATIVE_IMPORT = re.compile(rb"^\s*from (\.+)([\w.]*) import ", re.MULTILINE)
 
 _log = get_logger("profiling.diskcache")
 
@@ -171,25 +171,49 @@ def compiler_identity(cc: str | None = None) -> dict:
     return identity
 
 
+def codegen_sources() -> dict[str, bytes]:
+    """The modules whose bytes define the codegen revision, by relative path.
+
+    Derived, not listed: :data:`_CODEGEN_ROOTS` and every module they
+    import, transitively, inside :data:`_CODEGEN_PACKAGES` — the layout
+    rule the emitter prints (``symbolic/field.py``) and the printer mixins
+    (``symbolic/ordering.py``) are in it because ``c_backend`` imports
+    them.  An import that names a package stands for its ``__init__``.
+    """
+    sources: dict[str, bytes] = {}
+    todo = list(_CODEGEN_ROOTS)
+    while todo:
+        rel = todo.pop()
+        if rel in sources:
+            continue
+        sources[rel] = text = (_SRC_ROOT / rel).read_bytes()
+        package = rel.split("/")[:-1]
+        for dots, module in _RELATIVE_IMPORT.findall(text):
+            # one dot is the module's own package, every further dot one up
+            parts = package[: len(package) + 1 - len(dots)]
+            parts += filter(None, module.decode().split("."))
+            if not parts or parts[0] not in _CODEGEN_PACKAGES:
+                continue
+            target = "/".join(parts)
+            if not (_SRC_ROOT / f"{target}.py").is_file():
+                target += "/__init__"
+            todo.append(f"{target}.py")
+    return dict(sorted(sources.items()))
+
+
 def codegen_revision() -> str:
     """Hash of the codegen sources — bumps automatically on any edit.
 
-    Covers the C emitter and the kernel IR it prints: a change to either
-    may change the emitted program, so every cached binary built under the
-    old revision is invalidated.
+    Covers :func:`codegen_sources`: a change to any of them may change the
+    emitted program, so every cached binary built under the old revision
+    is invalidated.
     """
     global _REVISION
     if _REVISION is not None:
         return _REVISION
     h = hashlib.sha256()
-    src_root = Path(__file__).resolve().parents[1]
-    for rel in _CODEGEN_SOURCES:
-        path = src_root / rel
-        try:
-            h.update(path.read_bytes())
-        except OSError:
-            h.update(rel.encode())
-        h.update(b"\x00")
+    for rel, text in codegen_sources().items():
+        h.update(rel.encode() + b"\x00" + text + b"\x00")
     _REVISION = h.hexdigest()[:16]
     return _REVISION
 

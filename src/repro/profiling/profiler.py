@@ -9,16 +9,17 @@ renders the aggregate — calls, total/mean wall time, MLUP/s, bytes moved —
 in the table style of :mod:`repro.perfmodel.report`.
 
 Profiling is always on, and it is not free: one ``measure`` block costs
-7.5-8 us on a 2.1 GHz Xeon guest (two counter samples, their delta, the
-:class:`TimingRecord` update and the ``op`` event; a C kernel adds the two
-samples around its native call).  That is noise next to a millisecond
-sweep and as much as the native projection sweep of a 64² block —
-``tests/test_distributed_observability.py::TestUnitCostGates`` pins the
-number of samples per step, so it cannot grow unseen.  What it buys: the
-per-kernel MLUP/s table, CPU seconds (with a PMU: cycles, cache misses)
-attributed to the native call alone, and the one event per interval that
-the trace, the journal and a crash post-mortem are made of.  Construct
-with ``enabled=False`` to make ``measure`` a true no-op.
+6.6-7.8 us on a 2.1 GHz Xeon guest (two counter samples of 1.0-1.3 us,
+their delta, the :class:`TimingRecord` update and the ``op`` event), for
+a kernel of either backend as for a fill — the block is the only
+instrument on the step path, no backend samples anything.  That is noise
+next to a millisecond sweep and as much as the native projection sweep of a
+64² block — ``tests/test_distributed_observability.py::TestUnitCostGates``
+pins the number of samples per step, so it cannot grow unseen.  What it
+buys: the per-kernel MLUP/s table, CPU seconds (with a PMU: cycles, cache
+misses) over the very interval the seconds span, and the one event per
+interval that the trace, the journal and a crash post-mortem are made of.
+Construct with ``enabled=False`` to make ``measure`` a true no-op.
 
 Every accepted timing is also recorded as one ``op`` event of the
 :class:`repro.observability.recorder.FlightRecorder` — the profiler is the
@@ -41,11 +42,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..observability.hwcounters import (
-    attribution_scope,
-    counter_provenance_line,
-    get_counter_harness,
-)
+from ..observability.hwcounters import counter_provenance_line, get_counter_harness
 from ..observability.recorder import get_recorder
 from ..perfmodel.report import format_table, report_header
 
@@ -127,40 +124,30 @@ class TimingRecord:
                 setattr(self, field, getattr(self, field) + value)
 
 
-class _Measurement(attribution_scope):
-    """One ``measure`` block: timer, counter samples and attribution scope.
+class _Measurement:
+    """One ``measure`` block: the timer and the two counter samples around it.
 
-    One slotted object per measured operation, no generator frames: the
-    block itself is the open scope, so a backend's tight dispatch delta
-    lands in ``self.sample``.
+    One slotted object per measured operation, no generator frames.
     """
 
     __slots__ = ("_profiler", "_name", "_cells", "_nbytes", "_t0", "_s0")
 
     def __init__(self, profiler, name, cells, nbytes):
-        self.sample = None
         self._profiler = profiler
         self._name = name
         self._cells = cells
         self._nbytes = nbytes
 
     def __enter__(self):
-        attribution_scope.__enter__(self)
         self._s0 = get_counter_harness().sample()
         self._t0 = perf_counter()
 
     def __exit__(self, *exc):
         t1 = perf_counter()
-        attribution_scope.__exit__(self)
-        # prefer the tight dispatch delta (sampled around the native call
-        # by the backend, excluding Python marshaling); fall back to the
-        # whole-block delta when no dispatch reported in
-        delta = self.sample
-        if delta is None:
-            harness = get_counter_harness()
-            delta = harness.delta(self._s0, harness.sample())
+        harness = get_counter_harness()
         self._profiler.record(
-            self._name, t1 - self._t0, self._cells, self._nbytes, counters=delta
+            self._name, t1 - self._t0, self._cells, self._nbytes,
+            counters=harness.delta(self._s0, harness.sample()),
         )
 
 

@@ -8,7 +8,7 @@ The stencil representation is rewritten to reduce floating point work:
   exploitation of special configurations (symmetric diffusivities, isotropy,
   constant temperature, …) that a generic runtime-configured code would have
   to spend FLOPs on.
-* :func:`simplify_terms` — per-term expansion/factoring heuristics.
+* :func:`simplify_terms` — per-term factoring heuristic.
 * :func:`global_cse` — a global common-subexpression elimination across all
   terms, producing the final SSA form.
 """
@@ -57,13 +57,11 @@ def substitute_parameters(
     return ac.transform_rhs(fold)
 
 
-def simplify_terms(ac: AssignmentCollection, aggressive: bool = False) -> AssignmentCollection:
-    """Simplify every assignment individually by expansion or factoring.
+def simplify_terms(ac: AssignmentCollection) -> AssignmentCollection:
+    """Simplify every assignment individually by factoring.
 
-    The cheap default applies :func:`sympy.factor_terms` (pulls common
-    factors out of sums) and keeps whichever of {original, factored} has
-    fewer nodes.  ``aggressive=True`` additionally tries ``expand`` followed
-    by re-factoring, which can merge terms at higher symbolic cost.
+    Applies :func:`sympy.factor_terms` (pulls common factors out of sums)
+    and keeps whichever of {original, factored} has fewer nodes.
     """
 
     def best(expr: sp.Expr) -> sp.Expr:
@@ -72,13 +70,6 @@ def simplify_terms(ac: AssignmentCollection, aggressive: bool = False) -> Assign
             candidates.append(sp.factor_terms(expr))
         except Exception:  # pragma: no cover - sympy edge cases
             pass
-        if aggressive:
-            try:
-                expanded = sp.expand(expr)
-                candidates.append(expanded)
-                candidates.append(sp.factor_terms(expanded))
-            except Exception:  # pragma: no cover
-                pass
         return min(candidates, key=count_nodes)
 
     return ac.transform_rhs(best)
@@ -135,10 +126,7 @@ def _traced_pass(recorder, name: str, fn, ac: AssignmentCollection):
 
 
 def optimize(
-    ac: AssignmentCollection,
-    parameter_values: Mapping | None = None,
-    cse: bool = True,
-    aggressive: bool = False,
+    ac: AssignmentCollection, parameter_values: Mapping | None = None
 ) -> AssignmentCollection:
     """The standard pipeline: fold constants → simplify terms → global CSE."""
     from ..observability.recorder import get_recorder
@@ -150,10 +138,6 @@ def optimize(
                 recorder, "substitute_parameters",
                 lambda a: substitute_parameters(a, parameter_values), ac,
             )
-        ac = _traced_pass(
-            recorder, "simplify_terms",
-            lambda a: simplify_terms(a, aggressive=aggressive), ac,
-        )
-        if cse:
-            ac = _traced_pass(recorder, "global_cse", global_cse, ac)
+        ac = _traced_pass(recorder, "simplify_terms", simplify_terms, ac)
+        ac = _traced_pass(recorder, "global_cse", global_cse, ac)
     return ac

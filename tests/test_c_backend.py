@@ -219,8 +219,143 @@ class TestSourceStructure:
         assert x_def < inner_loop
 
 
+def _replace(name, make):
+    """A call defect: the entry *name* replaced by ``make(good array)``."""
+    return lambda arrays: arrays.__setitem__(name, make(arrays[name]))
+
+
+def _shrink_all(arrays):
+    # C-ordered as well: the size is named first, a layout complaint would mislead
+    arrays.update({name: np.zeros((2, 2) + a.shape[2:]) for name, a in arrays.items()})
+
+
+def _untouched(arrays):
+    pass
+
+
+#: defect -> (what it does to a good array set, call arguments it changes,
+#: exception type, what the message must name).  A good call is the binary
+#: 2-D mu kernel (fields mu, mu_dst, phi, phi_dst) on 10 x 10 arrays at gl=1
+_CALL_DEFECTS = {
+    "missing_array": (lambda arrays: arrays.pop("phi_dst"), {}, KeyError, "phi_dst"),
+    "list_instead_of_array": (
+        _replace("phi", np.ndarray.tolist), {}, TypeError, "array phi must be a numpy.ndarray",
+    ),
+    "too_few_axes": (
+        _replace("mu", lambda a: np.zeros(10)), {}, ValueError, "array mu has shape (10,)",
+    ),
+    "index_axis_missing": (
+        _replace("phi", lambda a: np.zeros((10, 10))), {}, ValueError,
+        "array phi has shape (10, 10),",
+    ),
+    "extent_differs_between_fields": (
+        _replace("mu_dst", lambda a: np.zeros((6, 6, 1))), {}, ValueError,
+        "array mu_dst has shape (6, 6, 1), expected the extents (10, 10) of array mu",
+    ),
+    "wrong_component_count": (
+        _replace("phi_dst", lambda a: np.zeros((10, 10, 3))), {}, ValueError,
+        "array phi_dst has shape (10, 10, 3)",
+    ),
+    "int64": (
+        _replace("phi", lambda a: a.astype(np.int64)), {}, ValueError,
+        "array phi must be float64, got int64",
+    ),
+    "float32": (
+        _replace("mu_dst", lambda a: a.astype(np.float32)), {}, ValueError,
+        "array mu_dst must be float64, got float32",
+    ),
+    "axis_shorter_than_its_ghost_layers": (
+        _shrink_all, {}, ValueError,
+        "array mu with spatial extents (2, 2) too small for 1 ghost layers",
+    ),
+    "ghost_width_below_the_stencil_reach": (
+        _untouched, {"ghost_layers": 0}, ValueError,
+        "kernel mu needs at least 1 ghost layers, got 0",
+    ),
+    "short_block_offset": (_untouched, {"block_offset": (0,)}, ValueError, "block_offset (0,)"),
+    "short_origin": (_untouched, {"origin": (0.5,)}, ValueError, "origin (0.5,)"),
+}
+
+
 class TestArgumentValidation:
-    """The native loop nest trusts its extents: bad arrays must raise, not segfault."""
+    """One call check, ``Kernel.check_arrays``: a bad call raises the same error on
+    both backends — and raises, the native loop nest trusts its extents."""
+
+    @pytest.mark.parametrize("defect", list(_CALL_DEFECTS))
+    def test_a_call_defect_is_the_same_error_on_both_backends(self, binary2d, defect):
+        from repro.profiling import compile_cached
+
+        spoil, call, error, names = _CALL_DEFECTS[defect]
+        (mu,) = binary2d.mu_kernels
+        raised = {}
+        for backend in ("numpy", "c"):
+            compiled = compile_cached(mu, backend)
+            arrays = create_arrays(binary2d.fields, (8, 8), 1, fill=0.5)
+            compiled(arrays, ghost_layers=1, t=0.0)     # a bound set is checked anew
+            spoil(arrays)
+            with pytest.raises(error) as info:
+                compiled(arrays, **{"ghost_layers": 1, "t": 0.0, **call})
+            raised[backend] = (type(info.value), str(info.value))
+        assert raised["numpy"] == raised["c"]
+        assert names in raised["c"][1]
+
+    def test_a_restricted_kernel_refuses_a_block_its_interior_does_not_fit(self, binary2d):
+        from repro.ir import split_interior_frontier
+        from repro.profiling import compile_cached
+
+        interior, _ = split_interior_frontier(binary2d.mu_kernels[0])
+        raised = []
+        for backend in ("numpy", "c"):
+            arrays = create_arrays(binary2d.fields, (1, 1), 1, fill=0.5)
+            with pytest.raises(ValueError, match="block too small to hold this margin") as info:
+                compile_cached(interior, backend)(arrays, ghost_layers=1, t=0.0)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize(
+        "relayout",
+        [
+            lambda a: np.ascontiguousarray(a),
+            lambda a: np.asfortranarray(a),
+            lambda a: np.repeat(a, 2, axis=1)[:, ::2],
+        ],
+        ids=["c_ordered_logical_shape", "fortran_order", "sliced_view"],
+    )
+    def test_another_layout_is_the_c_backends_own_refusal(self, binary2d, relayout):
+        """NumPy indexes logically and takes any strides, bitwise-equal; C computes addresses."""
+        (phi,) = binary2d.phi_kernels
+        rng = np.random.default_rng(3)
+        good = create_arrays(binary2d.fields, (8, 8), 1)
+        for a in good.values():
+            a[...] = rng.random(a.shape)
+        other = {name: relayout(a) for name, a in good.items()}
+        assert other["phi"].strides != good["phi"].strides
+        with pytest.raises(ValueError, match="array (mu|phi) has byte strides"):
+            compile_c_kernel(phi)(other, ghost_layers=1, t=0.0)
+        reference = compile_numpy_kernel(phi)
+        reference(good, ghost_layers=1, t=0.0)
+        reference(other, ghost_layers=1, t=0.0)
+        assert np.array_equal(
+            good["phi_dst"].view(np.uint64), other["phi_dst"].view(np.uint64)
+        )
+
+    def test_a_nan_input_is_not_a_call_error(self, binary2d):
+        """What a field holds is the health monitor's business (PR 14): same bits out."""
+        out = {}
+        for backend, compiler in (("numpy", compile_numpy_kernel), ("c", compile_c_kernel)):
+            arrays = create_arrays(binary2d.fields, (8, 8), 1, fill=0.5)
+            arrays["phi"][4, 4, 0] = np.nan
+            for kernel in binary2d.phi_kernels:
+                compiler(kernel)(arrays, ghost_layers=1, t=0.0)
+            out[backend] = arrays["phi_dst"]
+        poisoned = np.isnan(out["c"])
+        assert poisoned.any() and not poisoned.all()
+        # the same cells are NaN (its sign and payload are the FPU's choice),
+        # every other cell has the same bits
+        assert np.array_equal(np.isnan(out["numpy"]), poisoned)
+        assert np.array_equal(
+            out["numpy"][~poisoned].view(np.uint64), out["c"][~poisoned].view(np.uint64)
+        )
 
     @pytest.fixture(scope="class")
     def binary_mu(self):

@@ -108,6 +108,43 @@ class TestCacheKey:
         assert codegen_revision() == codegen_revision()
         assert len(codegen_revision()) == 16
 
+    def test_codegen_revision_follows_every_module_the_emitter_imports(
+        self, tmp_path, monkeypatch
+    ):
+        """One byte in any module that shapes the emitted C is a cache miss."""
+        import shutil
+
+        import repro.profiling.diskcache as dc
+
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            dc._SRC_ROOT, tree, ignore=shutil.ignore_patterns("__pycache__")
+        )
+
+        def revision():
+            monkeypatch.setattr(dc, "_REVISION", None)
+            return dc.codegen_revision()
+
+        installed = revision()
+        monkeypatch.setattr(dc, "_SRC_ROOT", tree)
+        assert revision() == installed == revision()
+        hashed = list(dc.codegen_sources())
+        # the stride rule the emitter prints, the printer mixins: by name
+        assert {"symbolic/field.py", "symbolic/ordering.py"} <= set(hashed)
+        # ... and all the hand-written list held
+        assert {"backends/c_backend.py", "ir/kernel.py", "ir/loops.py", "ir/types.py"} <= {*hashed}
+        for rel in hashed:
+            original = (tree / rel).read_bytes()
+            (tree / rel).write_bytes(original + b"#")
+            assert revision() != installed, rel
+            (tree / rel).write_bytes(original)
+        assert revision() == installed
+        # ... and no other: what the remaining packages do to a kernel is
+        # in its fingerprint
+        with open(tree / "simplification" / "passes.py", "ab") as fh:
+            fh.write(b"#")
+        assert revision() == installed
+
     def test_fingerprint_survives_analytic_coordinates(self):
         # kernel_fingerprint hashes srepr(); sympy's ReprPrinter dispatches on
         # class NAME, so our CoordinateSymbol used to be routed to the

@@ -446,9 +446,9 @@ class TestUnitCostGates:
 
     @pytest.mark.parametrize(
         "backend, per_step",
-        # one "before" sample per measured block; a fill or a NumPy kernel
-        # adds the "after" sample, a C kernel the two around its native call
-        [("numpy", 3 * 2 + 2 * 2), pytest.param("c", 3 * 3 + 2 * 2, marks=needs_cc)],
+        # the measured block takes two samples, whatever it measures: three
+        # kernels of either backend and two fills.  A backend takes none
+        [("numpy", 3 * 2 + 2 * 2), pytest.param("c", 3 * 2 + 2 * 2, marks=needs_cc)],
     )
     def test_counter_samples_per_step_are_pinned(self, kernel_set, backend, per_step):
         """A count, which repeats exactly: nothing may add samples unseen."""
@@ -463,7 +463,7 @@ class TestUnitCostGates:
             taken = harness.samples_taken
             solver.step(5)
             assert harness.samples_taken - taken == 5 * per_step
-            # outside a profiler scope nobody takes the delta: no samples
+            # a kernel called outside a measured block samples nothing
             taken = harness.samples_taken
             (phi,) = kernel_set.phi_kernels
             compile_cached(phi, backend)(solver.arrays, ghost_layers=1, t=0.0)

@@ -35,8 +35,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.observability.fingerprint import FingerprintLedger  # noqa: E402
 from repro.observability.metrics import find_sample, parse_prometheus  # noqa: E402
 from repro.observability.rundir import RunDir, load_manifest  # noqa: E402
+from repro.perfmodel.ledger import PerfLedger  # noqa: E402
 
 _CSS = """
 body { font-family: -apple-system, 'Segoe UI', Roboto, sans-serif;
@@ -293,21 +295,7 @@ def section_overhead(metrics) -> str:
 
 def load_perf_records(rundir: Path) -> list[dict] | None:
     path = rundir / "perf" / "perf.jsonl"
-    if not path.exists():
-        return None
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail write
-            if rec.get("schema") == "repro-perf/1":
-                records.append(rec)
-    return records
+    return PerfLedger(path).load() if path.exists() else None
 
 
 def section_perf(records) -> str:
@@ -369,19 +357,7 @@ def section_comm(comm) -> str:
 
 def load_fingerprints(rundir: Path) -> list[dict] | None:
     path = rundir / "fingerprints.jsonl"
-    if not path.exists():
-        return None
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-    return records
+    return FingerprintLedger(path).load() if path.exists() else None
 
 
 def svg_heatmap(grid, width=320, label="") -> str:
