@@ -82,6 +82,7 @@ class LBMSimulation(TimeLoop):
         )
         self.arrays = self._owned[0].arrays
         self.arrays[src][...] = np.asarray(equilibrium_pdfs(method))
+        self._fills = {name: self.profiler.measure(f"fill:{name}") for name in self.arrays}
 
     # -- state -----------------------------------------------------------------
 
@@ -119,7 +120,7 @@ class LBMSimulation(TimeLoop):
         """Boundary handling: periodic fill, then bounce-back on the walls."""
         arr = self.arrays[name]
         gl = self.ghost_layers
-        with self.profiler.measure(f"fill:{name}"):
+        with self._fills[name]:
             fill_ghosts(arr, gl, self.lattice.dim, mode="periodic")
             for axis, side in self.walls:
                 apply_bounce_back(arr, self.lattice, axis, side, gl)

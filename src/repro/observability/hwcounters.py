@@ -38,8 +38,9 @@ cost (:attr:`CounterHarness.overhead_seconds`) is gated per sample
 
 The one caller on the step path is :meth:`SolverProfiler.measure
 <repro.profiling.profiler.SolverProfiler.measure>`, which samples before
-and after the block it times: a delta covers the interval of the seconds
-it is stored beside.  Backends do not sample; a kernel called outside a
+and after the block it times and adds the difference of the two samples
+straight into the record: it covers the interval of the seconds it is
+stored beside.  Backends do not sample; a kernel called outside a
 measured block costs no sample.
 """
 
@@ -284,15 +285,8 @@ class CounterSample:
     cache_misses: float | None = None
     stalled_cycles: float | None = None
 
-    _FIELDS = (
-        "wall_seconds", "cpu_seconds", "page_faults", "cycles",
-        "instructions", "cache_references", "cache_misses", "stalled_cycles",
-    )
-
     def delta(self, later: "CounterSample") -> "CounterSample":
         """Field-wise ``later - self``; ``None`` wherever either side is."""
-        # written out: taken once per measured operation, where building
-        # keyword arguments name by name cost more than the two samples
         d = _difference
         return CounterSample(
             later.wall_seconds - self.wall_seconds,
@@ -304,17 +298,6 @@ class CounterSample:
             d(self.cache_misses, later.cache_misses),
             d(self.stalled_cycles, later.stalled_cycles),
         )
-
-    def add(self, other: "CounterSample") -> "CounterSample":
-        """Field-wise sum; ``None`` only where both sides are."""
-        kw = {}
-        for name in self._FIELDS:
-            a, b = getattr(self, name), getattr(other, name)
-            if a is None and b is None:
-                kw[name] = None
-            else:
-                kw[name] = (a or 0.0) + (b or 0.0)
-        return CounterSample(**kw)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -382,12 +365,12 @@ def _select_cpu_reader():
 _CPU_READER = None
 
 
-def _thread_cpu_and_faults() -> tuple[float | None, float | None]:
-    """(CPU seconds, page faults) for the calling thread, best effort."""
+def _cpu_reader():
+    """The process's thread-CPU reader, selected on first use."""
     global _CPU_READER
     if _CPU_READER is None:
         _CPU_READER = _select_cpu_reader()
-    return _CPU_READER()
+    return _CPU_READER
 
 
 class CounterHarness:
@@ -406,6 +389,7 @@ class CounterHarness:
         self._overhead = 0.0
         self._samples = 0
         self._groups = threading.local()
+        self._read_cpu = _cpu_reader() if source in ("perf", "rusage") else None
 
     @property
     def active(self) -> bool:
@@ -444,9 +428,9 @@ class CounterHarness:
         t0 = perf_counter()
         self._samples += 1
         if source == "rusage":
-            # the hot path on counter-less hosts: keep it one getrusage
-            # call plus one positional dataclass construction
-            cpu, faults = _thread_cpu_and_faults()
+            # the hot path on counter-less hosts: keep it one reader call
+            # (one getrusage) plus one positional dataclass construction
+            cpu, faults = self._read_cpu()
             sample = CounterSample(t0, cpu, faults)
             self._overhead += perf_counter() - t0
             return sample
@@ -454,7 +438,7 @@ class CounterHarness:
             sample = CounterSample(t0)
             self._overhead += perf_counter() - t0
             return sample
-        cpu, faults = _thread_cpu_and_faults()
+        cpu, faults = self._read_cpu()
         counts: dict[str, float] = {}
         group = self._group()
         if group is not None:
@@ -521,7 +505,7 @@ def probe_capabilities() -> dict:
     "selected": <rung auto would pick>}``.
     """
     perf_ok, reason = perf_events_available()
-    cpu, _ = _thread_cpu_and_faults()
+    cpu, _ = _cpu_reader()()
     rusage_ok = cpu is not None
     selected = "perf" if perf_ok else ("rusage" if rusage_ok else "time")
     return {

@@ -80,6 +80,7 @@ class SingleBlockSolver(TimeLoop):
         )
         #: the block's ghost-layered arrays by field name
         self.arrays: dict[str, np.ndarray] = self._owned[0].arrays
+        self._fills = {name: self.profiler.measure(f"fill:{name}") for name in self.arrays}
 
     # -- state access ---------------------------------------------------------
 
@@ -109,7 +110,7 @@ class SingleBlockSolver(TimeLoop):
 
     def sync(self, name: str) -> None:
         """Boundary handling: fill the ghost layers of field *name*."""
-        with self.profiler.measure(f"fill:{name}"):
+        with self._fills[name]:
             fill_ghosts(self.arrays[name], self.ghost_layers, self.dim, self.boundary)
 
     def phase_fractions(self) -> np.ndarray:

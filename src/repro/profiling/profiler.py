@@ -8,14 +8,16 @@ solvers wrap every kernel invocation, ghost exchange and boundary fill in a
 renders the aggregate — calls, total/mean wall time, MLUP/s, bytes moved —
 in the table style of :mod:`repro.perfmodel.report`.
 
-Profiling is always on, and it is not free: one ``measure`` block costs
-6.6-7.8 us on a 2.1 GHz Xeon guest (two counter samples of 1.0-1.3 us,
-their delta, the :class:`TimingRecord` update and the ``op`` event), for
-a kernel of either backend as for a fill — the block is the only
-instrument on the step path, no backend samples anything.  That is noise
-next to a millisecond sweep and as much as the native projection sweep of a
-64² block — ``tests/test_distributed_observability.py::TestUnitCostGates``
-pins the number of samples per step, so it cannot grow unseen.  What it
+Profiling is always on, and it is not free.  The time loop makes one
+measurement per scheduled operation when it lowers its schedule, and a
+step enters them: one entry costs 4.6-4.9 us on a 2-vCPU Xeon guest (two
+counter samples of 1.1-1.2 us, the :class:`TimingRecord` update and the
+0.9-1.0 us ``op`` event), for a kernel of either backend as for a fill — the
+block is the only instrument on the step path, no backend samples
+anything.  That is noise next to a millisecond sweep and as much as the
+native projection sweep of a 64² block —
+``tests/test_distributed_observability.py::TestUnitCostGates`` pins the
+number of samples per step, so it cannot grow unseen.  What it
 buys: the per-kernel MLUP/s table, CPU seconds (with a PMU: cycles, cache
 misses) over the very interval the seconds span, and the one event per
 interval that the trace, the journal and a crash post-mortem are made of.
@@ -42,7 +44,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..observability.hwcounters import counter_provenance_line, get_counter_harness
+from ..observability.hwcounters import CounterSample, counter_provenance_line, get_counter_harness
 from ..observability.recorder import get_recorder
 from ..perfmodel.report import format_table, report_header
 
@@ -110,45 +112,73 @@ class TimingRecord:
             return None
         return self.cache_misses * line_bytes / self.cells
 
-    def absorb_counters(self, counters) -> None:
-        """Accumulate one :class:`CounterSample` delta into the aggregates."""
-        if counters is None:
-            return
-        if counters.cpu_seconds is not None:
-            self.cpu_seconds += counters.cpu_seconds
-        if counters.cycles is not None:
+    def absorb_counters(self, start, end) -> None:
+        """Accumulate the counter delta ``end - start`` of two samples.
+
+        Field by field, where both samples carry a value — the fields the
+        harness rung fills; written out, it runs once per measured operation.
+        """
+        if start.cpu_seconds is not None and end.cpu_seconds is not None:
+            self.cpu_seconds += end.cpu_seconds - start.cpu_seconds
+        if start.cycles is not None and end.cycles is not None:
             self.counted_calls += 1
-        for field in self._COUNTER_FIELDS[1:]:
-            value = getattr(counters, field)
-            if value is not None:
-                setattr(self, field, getattr(self, field) + value)
+            self.cycles += end.cycles - start.cycles
+        if start.instructions is not None and end.instructions is not None:
+            self.instructions += end.instructions - start.instructions
+        if start.cache_references is not None and end.cache_references is not None:
+            self.cache_references += end.cache_references - start.cache_references
+        if start.cache_misses is not None and end.cache_misses is not None:
+            self.cache_misses += end.cache_misses - start.cache_misses
+        if start.stalled_cycles is not None and end.stalled_cycles is not None:
+            self.stalled_cycles += end.stalled_cycles - start.stalled_cycles
+
+
+_ZERO = CounterSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # a delta is itself minus zero
 
 
 class _Measurement:
-    """One ``measure`` block: the timer and the two counter samples around it.
+    """A reusable ``measure`` block: the timer and the two counter samples.
 
-    One slotted object per measured operation, no generator frames.
+    Made once per scheduled operation and entered on every step; it holds
+    its :class:`TimingRecord` (resolved on the first exit after a
+    :meth:`SolverProfiler.reset`) and the data of its ``op`` event, so an
+    exit updates fields and records one event, and builds nothing else.
+    Not re-entrant: one operation, one interval at a time.
     """
 
-    __slots__ = ("_profiler", "_name", "_cells", "_nbytes", "_t0", "_s0")
+    __slots__ = ("_profiler", "_name", "_cells", "_nbytes", "_data",
+                 "_record", "_epoch", "_harness", "_t0", "_s0")
 
     def __init__(self, profiler, name, cells, nbytes):
         self._profiler = profiler
         self._name = name
         self._cells = cells
         self._nbytes = nbytes
+        self._data = {k: v for k, v in (("cells", cells), ("bytes", nbytes)) if v}
+        self._epoch = -1    # no record resolved yet
 
     def __enter__(self):
-        self._s0 = get_counter_harness().sample()
+        harness = self._harness = get_counter_harness()
+        self._s0 = harness.sample()
         self._t0 = perf_counter()
 
     def __exit__(self, *exc):
-        t1 = perf_counter()
-        harness = get_counter_harness()
-        self._profiler.record(
-            self._name, t1 - self._t0, self._cells, self._nbytes,
-            counters=harness.delta(self._s0, harness.sample()),
-        )
+        seconds = perf_counter() - self._t0
+        s1 = self._harness.sample()
+        profiler = self._profiler
+        if self._epoch != profiler._epoch:
+            self._record = profiler._record_for(self._name)
+            self._epoch = profiler._epoch
+        rec = self._record
+        rec.calls += 1
+        rec.seconds += seconds
+        rec.cells += self._cells
+        rec.bytes += self._nbytes
+        if s1 is not None:
+            rec.absorb_counters(self._s0, s1)
+        recorder = get_recorder()
+        if recorder.enabled:
+            recorder.record("op", self._name, seconds=seconds, **self._data)
 
 
 class SolverProfiler:
@@ -157,6 +187,13 @@ class SolverProfiler:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.records: dict[str, TimingRecord] = {}
+        self._epoch = 0     # bumped by reset(): a measurement re-resolves its record
+
+    def _record_for(self, name: str) -> TimingRecord:
+        rec = self.records.get(name)
+        if rec is None:
+            rec = self.records[name] = TimingRecord(name)
+        return rec
 
     def record(
         self,
@@ -176,15 +213,14 @@ class SolverProfiler:
         *counters* is a :class:`~repro.observability.hwcounters.CounterSample`
         delta covering the interval (``None`` when sampling is off).
         """
-        rec = self.records.get(name)
-        if rec is None:
-            rec = self.records[name] = TimingRecord(name)
+        rec = self._record_for(name)
         rec.calls += 1
         rec.seconds += seconds
         rec.cells += cells
         rec.bytes += nbytes
         rec.messages += messages
-        rec.absorb_counters(counters)
+        if counters is not None:
+            rec.absorb_counters(_ZERO, counters)
         # the profiler is the single event source for the flight
         # recorder: every kernel sweep, ghost-exchange phase and fill
         # becomes one "op" event in the ring (and the crash post-mortem)
@@ -200,7 +236,12 @@ class SolverProfiler:
             recorder.record("op", name, **data)
 
     def measure(self, name: str, cells: int = 0, nbytes: int = 0):
-        """Time the enclosed ``with`` block and accumulate it under *name*."""
+        """Time the enclosed ``with`` block and accumulate it under *name*.
+
+        The returned measurement may be kept and entered again for every
+        later interval of the same operation — the time loop makes one per
+        scheduled operation when it lowers its schedule.
+        """
         if not self.enabled:
             return nullcontext()
         return _Measurement(self, name, cells, nbytes)
@@ -215,9 +256,7 @@ class SolverProfiler:
         corrupting the records it iterates).
         """
         for rec in list(other.records.values()):
-            mine = self.records.get(rec.name)
-            if mine is None:
-                mine = self.records[rec.name] = TimingRecord(rec.name)
+            mine = self._record_for(rec.name)
             if mine is rec:
                 continue
             mine.calls += rec.calls
@@ -231,6 +270,7 @@ class SolverProfiler:
 
     def reset(self) -> None:
         self.records.clear()
+        self._epoch += 1
 
     @property
     def total_seconds(self) -> float:

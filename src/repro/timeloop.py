@@ -140,8 +140,9 @@ class TimeLoop:
 
         # lower the schedule once: kernels are compiled through the shared
         # cache (a second solver built from an equal kernel set reuses every
-        # binary) and bound to the owned blocks with their cell counts, so
-        # the per-step path does no lookups
+        # binary) and bound to the owned blocks with their measurements, so
+        # the per-step path does no lookups and builds no instrument
+        self.profiler = SolverProfiler()
         self.schedule = list(schedule)
         self.swaps = tuple(swaps)
         self._ops = [
@@ -152,7 +153,6 @@ class TimeLoop:
         self.time_step = 0
         self.time = 0.0
         self.step_seconds = 0.0
-        self.profiler = SolverProfiler()
         self.health = health
         self._after_step: list[tuple[int, int, object]] = []
         if health is not None:
@@ -169,7 +169,7 @@ class TimeLoop:
         )
 
     def _bind(self, kernels, compile) -> list[tuple]:
-        """``(compiled, name, block, cells)`` per owned block and kernel of a sweep."""
+        """``(compiled, name, block, measurement)`` per owned block and kernel of a sweep."""
         compiled = [compile(k, self.backend) for k in kernels]
         calls = []
         for block in self._owned:
@@ -177,7 +177,10 @@ class TimeLoop:
             for kernel, fn in zip(kernels, compiled):
                 space = kernel.subspace
                 bounds = space.concrete(shape) if space else [(0, n) for n in shape]
-                calls.append((fn, kernel.name, block, prod(hi - lo for lo, hi in bounds)))
+                cells = prod(hi - lo for lo, hi in bounds)
+                calls.append(
+                    (fn, kernel.name, block, self.profiler.measure(kernel.name, cells=cells))
+                )
         return calls
 
     def _where(self, block=None) -> str:
@@ -225,13 +228,12 @@ class TimeLoop:
 
     def _sweep(self, calls) -> None:
         record = get_recorder().record
-        measure = self.profiler.measure
         gl, t, step, seed = self.ghost_layers, self.time, self.time_step, self.seed
-        for compiled, name, block, cells in calls:
+        for compiled, name, block, measured in calls:
             # recorded BEFORE the sweep runs, so a kernel that crashes (or
             # wedges) is named by the post-mortem's last event
             record("kernel", name, time_step=step, block=block.coords)
-            with measure(name, cells=cells):
+            with measured:
                 compiled(
                     block.arrays, ghost_layers=gl, block_offset=block.cell_offset,
                     t=t, time_step=step, seed=seed,

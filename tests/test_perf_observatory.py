@@ -140,15 +140,6 @@ class TestDegradationChain:
         assert "rusage" in snapshot
         assert value == harness.overhead_seconds > 0
 
-    def test_counter_sample_add_accumulates(self):
-        a = CounterSample(1.0, 0.5, 2.0, 100.0)
-        b = CounterSample(2.0, 0.25, 1.0, 50.0)
-        total = a.add(b)
-        assert total.wall_seconds == 3.0
-        assert total.cpu_seconds == 0.75
-        assert total.cycles == 150.0
-        assert total.instructions is None
-
 
 # -- provenance ----------------------------------------------------------------
 

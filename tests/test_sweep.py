@@ -9,6 +9,8 @@ import pytest
 
 from repro.backends.c_backend import c_compiler_available
 from repro.pfm.parameters import make_two_phase_binary
+from repro.profiling import clear_kernel_cache
+from repro.profiling.diskcache import reset_disk_cache_stats
 from repro.service.sweep import (
     SWEEP_SCHEMA,
     ScenarioSpec,
@@ -27,8 +29,13 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
+    """A private, cold cache root: the forked workers inherit this process's
+    in-memory kernel cache, so a warm one would build nothing on disk."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kernel-cache"))
+    clear_kernel_cache()
+    reset_disk_cache_stats()
     yield tmp_path / "kernel-cache"
+    reset_disk_cache_stats()
 
 
 def _tiny(name="s0", **kw):
