@@ -61,9 +61,7 @@ from .hwcounters import (
     CounterSample,
     counter_provenance_line,
     get_counter_harness,
-    make_harness,
     perf_events_available,
-    probe_capabilities,
     set_counter_harness,
 )
 from .jsonl import JsonlLedger
@@ -148,13 +146,11 @@ __all__ = [
     "kv",
     "load_journal",
     "load_manifest",
-    "make_harness",
     "model_accuracy_report",
     "model_accuracy_rows",
     "parse_block_key",
     "parse_prometheus",
     "perf_events_available",
-    "probe_capabilities",
     "rank_recorder",
     "reset_metrics",
     "set_counter_harness",

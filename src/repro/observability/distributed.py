@@ -96,17 +96,6 @@ class CommMatrix:
         mean = sent.mean()
         return float(sent.max() / mean) if mean > 0 else float("nan")
 
-    def to_json(self) -> dict:
-        """JSON-safe form for ``comm_matrix.json`` and the HTML run report."""
-        return {
-            "n_ranks": self.n_ranks,
-            "bytes": self.bytes.tolist(),
-            "messages": self.messages.tolist(),
-            "total_bytes": self.total_bytes,
-            "total_messages": self.total_messages,
-            "imbalance": self.imbalance() if self.total_bytes else None,
-        }
-
     # -- rendering -------------------------------------------------------------
 
     def render(self, title: str = "communication matrix") -> str:

@@ -14,7 +14,6 @@ a metrics dump there, checkpoints wherever the caller pointed them.
       journal.jsonl        # flight-recorder event journal: every span,
                            # step, op, counter, fingerprint, health event
       journal.rank3.jsonl  # per-rank journals under launch_ranks
-      comm_matrix.json     # per-(src,dst) bytes/message matrix
       postmortem.json      # crash bundles, when a run dies
       checkpoints/         # solver checkpoints
       perf/                # repro-perf/1 kernel counter/closure records
@@ -68,7 +67,6 @@ _ARTIFACTS = {
     "diagnostics": "diagnostics.csv",
     "fingerprints": "fingerprints.jsonl",
     "journal": "journal.jsonl",
-    "comm_matrix": "comm_matrix.json",
     "postmortem": "postmortem.json",
     "report": "report.html",
 }
@@ -135,10 +133,6 @@ class RunDir:
     def fingerprint_path(self) -> Path:
         """The run's ``repro-fingerprint/1`` determinism ledger."""
         return self.path / _ARTIFACTS["fingerprints"]
-
-    @property
-    def comm_matrix_path(self) -> Path:
-        return self.path / _ARTIFACTS["comm_matrix"]
 
     @property
     def postmortem_path(self) -> Path:

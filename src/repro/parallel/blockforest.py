@@ -103,52 +103,6 @@ class BlockForest:
             pos += count
         return assignment
 
-    def distribute_weighted(
-        self, weights: dict[tuple[int, ...], float], n_ranks: int
-    ) -> dict[int, list[tuple[int, ...]]]:
-        """Weighted (dynamic) load balancing along the Morton curve.
-
-        waLBerla rebalances when per-block costs diverge (e.g. blocks full of
-        interface cells cost more than bulk blocks).  Blocks keep their
-        Morton order (spatial compactness) and the curve is cut into
-        contiguous chunks of approximately equal *total weight*.
-        """
-        order = self.morton_order()
-        if n_ranks < 1 or n_ranks > len(order):
-            raise ValueError(f"invalid rank count {n_ranks} for {len(order)} blocks")
-        w = [max(float(weights.get(c, 1.0)), 0.0) for c in order]
-        total = sum(w)
-        if total <= 0:
-            return self.distribute(n_ranks)
-        assignment: dict[int, list[tuple[int, ...]]] = {r: [] for r in range(n_ranks)}
-        rank, acc = 0, 0.0
-        remaining_weight = total
-        remaining_blocks = len(order)
-        # adaptive target, fixed while filling one rank: the weight still to
-        # place divided by the ranks still to fill
-        rank_target = remaining_weight / n_ranks
-        for i, coords in enumerate(order):
-            ranks_left = n_ranks - rank
-            if (
-                assignment[rank]
-                and rank < n_ranks - 1
-                and acc + w[i] / 2 >= rank_target
-                and remaining_blocks > ranks_left - 1
-            ):
-                rank += 1
-                acc = 0.0
-                rank_target = remaining_weight / (n_ranks - rank)
-            assignment[rank].append(coords)
-            acc += w[i]
-            remaining_weight -= w[i]
-            remaining_blocks -= 1
-        # guarantee every rank owns at least one block
-        for r in range(n_ranks):
-            if not assignment[r]:
-                donor = max(assignment, key=lambda k: len(assignment[k]))
-                assignment[r].append(assignment[donor].pop())
-        return assignment
-
     def owner_map(self, n_ranks: int) -> dict[tuple[int, ...], int]:
         owners: dict[tuple[int, ...], int] = {}
         for rank, coords_list in self.distribute(n_ranks).items():

@@ -9,7 +9,7 @@ single-block boundary fill uses.  For every axis:
 2. deliver them — directly for on-rank neighbours, via (simulated) MPI
    messages for remote neighbours,
 3. unpack into the neighbours' ghost strips; domain walls without a
-   neighbour get the local boundary condition instead.
+   neighbour get a zero-gradient (Neumann) mirror fill instead.
 
 Message tags carry (field, axis, direction); the destination block travels
 inside the payload, so the protocol survives the bounded-integer tag folding
@@ -40,24 +40,20 @@ def _strip(arr: np.ndarray, axis: int, sl: slice) -> tuple:
     return tuple(idx)
 
 
-def _apply_wall(arr: np.ndarray, axis: int, side: int, gl: int, mode: str) -> None:
+def _apply_wall(arr: np.ndarray, axis: int, side: int, gl: int) -> None:
+    """Zero-gradient wall: ghost layer ``layer`` mirrors interior ``2gl-1-layer``.
+
+    The single-block ``fill_ghosts`` Neumann scheme, so distributed and
+    single-block runs agree for every ghost width.  Periodic axes have no
+    wall: the block forest wraps them around.
+    """
     n = arr.shape[axis]
-    if mode == "neumann":
-        # zero-gradient via mirroring (ghost layer `layer` = interior layer
-        # `2gl-1-layer`), identical to the single-block fill_ghosts scheme
-        # so distributed and single-block runs agree for every ghost width
-        if side < 0:
-            src = arr[_strip(arr, axis, slice(gl, 2 * gl))]
-            arr[_strip(arr, axis, slice(0, gl))] = np.flip(src, axis=axis)
-        else:
-            src = arr[_strip(arr, axis, slice(n - 2 * gl, n - gl))]
-            arr[_strip(arr, axis, slice(n - gl, n))] = np.flip(src, axis=axis)
-    elif mode == "periodic":
-        raise RuntimeError(
-            "periodic walls are handled by the block forest wrap-around"
-        )
+    if side < 0:
+        src = arr[_strip(arr, axis, slice(gl, 2 * gl))]
+        arr[_strip(arr, axis, slice(0, gl))] = np.flip(src, axis=axis)
     else:
-        raise ValueError(f"unknown wall mode {mode!r}")
+        src = arr[_strip(arr, axis, slice(n - 2 * gl, n - gl))]
+        arr[_strip(arr, axis, slice(n - gl, n))] = np.flip(src, axis=axis)
 
 
 def exchange_field(
@@ -67,7 +63,6 @@ def exchange_field(
     comm: SimComm | None,
     field_name: str,
     ghost_layers: int,
-    wall_mode: str = "neumann",
     profiler=None,
     comm_matrix=None,
 ) -> int:
@@ -106,7 +101,7 @@ def exchange_field(
             for side in (-1, +1):
                 nb = forest.neighbor(coords, axis, side)
                 if nb is None:
-                    _apply_wall(arr, axis, side, gl, wall_mode)
+                    _apply_wall(arr, axis, side, gl)
                     continue
                 if side < 0:
                     payload = arr[_strip(arr, axis, slice(gl, 2 * gl))]
@@ -335,7 +330,6 @@ class GhostExchange:
         comm: SimComm | None,
         field_name: str,
         ghost_layers: int,
-        wall_mode: str = "neumann",
         profiler=None,
         comm_matrix=None,
         plan: ExchangePlan | None = None,
@@ -346,7 +340,6 @@ class GhostExchange:
         self.comm = comm
         self.field_name = field_name
         self.gl = int(ghost_layers)
-        self.wall_mode = wall_mode
         self.profiler = profiler
         self.comm_matrix = comm_matrix
         self.my_rank = comm.rank if comm is not None else 0
@@ -436,7 +429,7 @@ class GhostExchange:
         # wall fills last, in ascending axis order: later-axis mirrors read
         # earlier-axis ghost corners, exactly like the synchronous relay
         for coords, axis, side in plan.walls:
-            _apply_wall(self.arrays[coords], axis, side, self.gl, self.wall_mode)
+            _apply_wall(self.arrays[coords], axis, side, self.gl)
         t3 = perf_counter()
         if self.profiler is not None:
             self.profiler.record(f"exchange:{self.field_name}:unpack", t3 - t2)

@@ -64,7 +64,6 @@ class DistributedSolver(TimeLoop):
         kernel_set: PhaseFieldKernelSet,
         forest: BlockForest,
         comm: SimComm | None = None,
-        wall_mode: str = "neumann",
         seed: int = 0,
         health: HealthMonitor | None = None,
         overlap: bool = False,
@@ -77,7 +76,6 @@ class DistributedSolver(TimeLoop):
         self.params = self.model.params
         self.forest = forest
         self.comm = comm
-        self.wall_mode = wall_mode
         self.rank = comm.rank if comm is not None else 0
         self.n_ranks = comm.size if comm is not None else 1
         self.overlap = bool(overlap)
@@ -197,8 +195,7 @@ class DistributedSolver(TimeLoop):
     def _exchange(self, primitive, name: str, **extra):
         """``exchange_field`` or ``GhostExchange`` over this rank's blocks."""
         return primitive(
-            self.blocks, self.forest, self.owners, self.comm, name,
-            self.ghost_layers, self.wall_mode,
+            self.blocks, self.forest, self.owners, self.comm, name, self.ghost_layers,
             profiler=self.profiler, comm_matrix=self.comm_matrix, **extra,
         )
 
@@ -339,27 +336,6 @@ class DistributedSolver(TimeLoop):
                 self.scaling_report(step_model, nodes=nodes),
             ]
         )
-
-    def export_comm_matrix(self, path=None) -> str | None:
-        """Write the merged comm matrix as JSON (``comm_matrix.json``).
-
-        Collective under a communicator (allgather of the per-rank
-        matrices); rank 0 writes — to *path*, or the attached RunDir's
-        canonical location — and returns the path, other ranks return
-        ``None``.
-        """
-        import json
-
-        matrix, _ = self._gathered_comm()
-        if self.rank != 0:
-            return None
-        path = self._output_path(
-            path, "export_comm_matrix", lambda rundir: rundir.comm_matrix_path
-        )
-        with open(path, "w") as handle:
-            json.dump(matrix.to_json(), handle, indent=1)
-            handle.write("\n")
-        return str(path)
 
     # -- gathering -----------------------------------------------------------------
 

@@ -20,9 +20,9 @@ Record shape (one JSON object per line)::
       "options": {...},                    # codegen options of the variant
       "host": {... detect_host() stanza ..., "key": "hex16"},
       "measured": {
-        "mlups": ..., "mean_seconds": ..., "cpu_seconds": ...,
+        "mlups": ..., "mean_seconds": ...,
         "cycles_per_lup": null, "ipc": null, "bytes_per_lup": null,
-        "counter_source": "rusage"
+        "counter_source": "unavailable"       # or "perf"
       },
       "predicted": {
         "mlups": ..., "cycles_per_lup": ..., "bytes_per_lup": ...,
@@ -31,10 +31,11 @@ Record shape (one JSON object per line)::
     }
 
 Counter-derived fields are ``null`` (not 0) on hosts without perf_event
-access — the degradation chain keeps the *time-derived* fields populated,
-so the record stays useful on the 1-core CI container.  The host ``key``
-hashes hardware identity only — never the hostname, which CI containers
-refresh every run; see :func:`repro.perfmodel.machine.detect_host`.
+access, where ``counter_source`` is ``"unavailable"``; the *time-derived*
+fields are always populated, so the record stays useful on the 1-core CI
+container.  The host ``key`` hashes hardware identity only — never the
+hostname, which CI containers refresh every run; see
+:func:`repro.perfmodel.machine.detect_host`.
 """
 
 from __future__ import annotations
@@ -162,15 +163,15 @@ def records_from_profiler(
 ) -> list[dict]:
     """One ledger record per cell-counted kernel the profiler timed.
 
-    Joins the measured side (MLUP/s, mean seconds, CPU seconds, and — when
-    hardware counters ran — cycles/LUP, IPC, bytes/LUP) with the ECM
+    Joins the measured side (MLUP/s, mean seconds, and — when hardware
+    counters ran — cycles/LUP, IPC, bytes/LUP) with the ECM
     prediction; counter-less hosts get ``null`` counter fields, never 0.
     """
     from ..observability.hwcounters import get_counter_harness
     from ..observability.report import model_accuracy_rows
     from ..profiling.cache import kernel_fingerprint
 
-    source = get_counter_harness().source
+    source = "unavailable" if get_counter_harness() is None else "perf"
     rows = model_accuracy_rows(
         kernels, profiler, machine=machine, block_shape=block_shape, cores=cores
     )
@@ -182,7 +183,6 @@ def records_from_profiler(
         measured = {
             "mlups": row["measured_mlups"],
             "mean_seconds": rec.mean_seconds,
-            "cpu_seconds": rec.cpu_seconds if rec.cpu_seconds > 0.0 else None,
             "cycles_per_lup": row["measured_cycles_per_lup"],
             "ipc": row["ipc"],
             "bytes_per_lup": row["measured_bytes_per_lup"],

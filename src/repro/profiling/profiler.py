@@ -10,18 +10,19 @@ in the table style of :mod:`repro.perfmodel.report`.
 
 Profiling is always on, and it is not free.  The time loop makes one
 measurement per scheduled operation when it lowers its schedule, and a
-step enters them: one entry costs 4.6-4.9 us on a 2-vCPU Xeon guest (two
-counter samples of 1.1-1.2 us, the :class:`TimingRecord` update and the
-0.9-1.0 us ``op`` event), for a kernel of either backend as for a fill — the
-block is the only instrument on the step path, no backend samples
-anything.  That is noise next to a millisecond sweep and as much as the
-native projection sweep of a 64² block —
-``tests/test_distributed_observability.py::TestUnitCostGates`` pins the
-number of samples per step, so it cannot grow unseen.  What it
-buys: the per-kernel MLUP/s table, CPU seconds (with a PMU: cycles, cache
-misses) over the very interval the seconds span, and the one event per
-interval that the trace, the journal and a crash post-mortem are made of.
-Construct with ``enabled=False`` to make ``measure`` a true no-op.
+step enters them: one entry is a ``perf_counter`` pair, the
+:class:`TimingRecord` update and the 0.9-1.0 us ``op`` event (on a 2-vCPU
+Xeon guest), for a kernel of either backend as for a fill — the block is
+the only instrument on the step path, no backend samples anything.  On a
+host with a PMU it adds two counter-group reads.  That is noise next to a
+millisecond sweep and comparable to the native projection sweep of a 64²
+block — ``tests/test_distributed_observability.py::TestUnitCostGates``
+pins the number of counter samples per step (10 with a PMU, 0 without),
+so it cannot grow unseen.  What it buys: the per-kernel MLUP/s table
+(with a PMU: cycles, instructions, cache misses over the very interval the
+seconds span), and the one event per interval that the trace, the journal
+and a crash post-mortem are made of.  Construct with ``enabled=False`` to
+make ``measure`` a true no-op.
 
 Every accepted timing is also recorded as one ``op`` event of the
 :class:`repro.observability.recorder.FlightRecorder` — the profiler is the
@@ -29,13 +30,14 @@ single event source for the runtime loop, so a kernel sweep is measured
 and stored exactly once; the :class:`TimingRecord` table is the O(1) live
 fold of those events, the Chrome trace a rendering of them.
 
-Hardware counters: :meth:`SolverProfiler.measure` samples the process-wide
+Hardware counters: where ``perf_event_open`` works,
+:meth:`SolverProfiler.measure` samples the process-wide
 :class:`repro.observability.hwcounters.CounterHarness` around every block,
-so each :class:`TimingRecord` accumulates CPU seconds and — on hosts with
-``perf_event`` access — cycles, instructions and cache references/misses.
-The derived rates (cycles/LUP, IPC, measured bytes/LUP from cache-miss
-counts × line size) feed the measured-vs-ECM closure table; on hosts
-without counters the fields stay zero and the report says so explicitly.
+so each :class:`TimingRecord` accumulates cycles, instructions and cache
+references/misses.  The derived rates (cycles/LUP, IPC, measured bytes/LUP
+from cache-miss counts × line size) feed the measured-vs-ECM closure
+table.  Where it does not, there is no harness, a block takes no sample,
+the counter fields stay zero and the report says so explicitly.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..observability.hwcounters import CounterSample, counter_provenance_line, get_counter_harness
+from ..observability.hwcounters import counter_provenance_line, get_counter_harness
 from ..observability.recorder import get_recorder
 from ..perfmodel.report import format_table, report_header
 
@@ -65,8 +67,7 @@ class TimingRecord:
     cells: int = 0
     bytes: int = 0
     messages: int = 0     # MPI messages behind this operation (exchanges)
-    # -- hardware-counter aggregates (0.0 when the rung provides none) --------
-    cpu_seconds: float = 0.0
+    # -- hardware-counter aggregates (0.0 without a PMU) ------------------------
     cycles: float = 0.0
     instructions: float = 0.0
     cache_references: float = 0.0
@@ -75,8 +76,7 @@ class TimingRecord:
     counted_calls: int = 0    # calls that carried hardware counter values
 
     _COUNTER_FIELDS = (
-        "cpu_seconds", "cycles", "instructions",
-        "cache_references", "cache_misses", "stalled_cycles",
+        "cycles", "instructions", "cache_references", "cache_misses", "stalled_cycles",
     )
 
     @property
@@ -115,11 +115,9 @@ class TimingRecord:
     def absorb_counters(self, start, end) -> None:
         """Accumulate the counter delta ``end - start`` of two samples.
 
-        Field by field, where both samples carry a value — the fields the
-        harness rung fills; written out, it runs once per measured operation.
+        Field by field, where both samples carry a value — the events the
+        PMU accepted; written out, it runs once per measured operation.
         """
-        if start.cpu_seconds is not None and end.cpu_seconds is not None:
-            self.cpu_seconds += end.cpu_seconds - start.cpu_seconds
         if start.cycles is not None and end.cycles is not None:
             self.counted_calls += 1
             self.cycles += end.cycles - start.cycles
@@ -133,11 +131,8 @@ class TimingRecord:
             self.stalled_cycles += end.stalled_cycles - start.stalled_cycles
 
 
-_ZERO = CounterSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # a delta is itself minus zero
-
-
 class _Measurement:
-    """A reusable ``measure`` block: the timer and the two counter samples.
+    """A reusable ``measure`` block: the timer and, with a PMU, two counter samples.
 
     Made once per scheduled operation and entered on every step; it holds
     its :class:`TimingRecord` (resolved on the first exit after a
@@ -159,12 +154,13 @@ class _Measurement:
 
     def __enter__(self):
         harness = self._harness = get_counter_harness()
-        self._s0 = harness.sample()
+        self._s0 = None if harness is None else harness.sample()
         self._t0 = perf_counter()
 
     def __exit__(self, *exc):
         seconds = perf_counter() - self._t0
-        s1 = self._harness.sample()
+        s0 = self._s0
+        s1 = None if s0 is None else self._harness.sample()
         profiler = self._profiler
         if self._epoch != profiler._epoch:
             self._record = profiler._record_for(self._name)
@@ -175,7 +171,7 @@ class _Measurement:
         rec.cells += self._cells
         rec.bytes += self._nbytes
         if s1 is not None:
-            rec.absorb_counters(self._s0, s1)
+            rec.absorb_counters(s0, s1)
         recorder = get_recorder()
         if recorder.enabled:
             recorder.record("op", self._name, seconds=seconds, **self._data)
@@ -202,7 +198,6 @@ class SolverProfiler:
         cells: int = 0,
         nbytes: int = 0,
         messages: int = 0,
-        counters=None,
     ) -> None:
         """Accumulate one timed interval under *name*.
 
@@ -210,8 +205,6 @@ class SolverProfiler:
         ``op`` event it becomes stands for its end.  *messages* counts the
         MPI messages behind the interval, so exchange wait time is
         attributable to message count as well as volume.
-        *counters* is a :class:`~repro.observability.hwcounters.CounterSample`
-        delta covering the interval (``None`` when sampling is off).
         """
         rec = self._record_for(name)
         rec.calls += 1
@@ -219,8 +212,6 @@ class SolverProfiler:
         rec.cells += cells
         rec.bytes += nbytes
         rec.messages += messages
-        if counters is not None:
-            rec.absorb_counters(_ZERO, counters)
         # the profiler is the single event source for the flight
         # recorder: every kernel sweep, ghost-exchange phase and fill
         # becomes one "op" event in the ring (and the crash post-mortem)
@@ -309,11 +300,6 @@ class SolverProfiler:
                     "repro_op_messages_total", "MPI messages behind operation",
                     op=rec.name, **labels,
                 ).set(rec.messages)
-            if rec.cpu_seconds:
-                registry.gauge(
-                    "repro_op_cpu_seconds_total", "profiled operation CPU time",
-                    op=rec.name, **labels,
-                ).set(rec.cpu_seconds)
             if rec.cells:
                 registry.gauge(
                     "repro_kernel_mlups", "measured kernel rate",

@@ -1035,7 +1035,7 @@ class TestP1Parity:
 
         forest = BlockForest(self.SHAPE, (6, 10, 13), periodic=False)
         solver = DistributedSolver(
-            p1, forest, backend="c", wall_mode="neumann", seed=3, overlap=True
+            p1, forest, backend="c", seed=3, overlap=True
         )
         solver.set_state_from(init)
         solver.step(self.STEPS)

@@ -258,12 +258,6 @@ class TestDiscretizeSystem:
         (full_a,) = full.main_assignments
         assert sp.expand(recombined - full_a.rhs) == 0
 
-    def test_rejects_wrong_scheme(self):
-        f, f_dst, system = self._heat_system()
-        disc = FiniteDifferenceDiscretization(dim=2)
-        with pytest.raises(NotImplementedError):
-            discretize_system(system, f_dst, disc, scheme="rk4")
-
     def test_relaxation_divides_rhs(self):
         f = Field("f", 2)
         f_dst = Field("f_dst", 2)

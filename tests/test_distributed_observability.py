@@ -8,6 +8,7 @@ timeout, the multi-rank metrics-export round-trip, and the unit-cost
 gates of the flight recorder and the fingerprint stream.
 """
 
+import errno
 import json
 import statistics
 from time import perf_counter
@@ -17,16 +18,19 @@ import pytest
 
 from repro.backends import create_arrays
 from repro.backends.c_backend import c_compiler_available
+import repro.observability.hwcounters as hwcounters
 from repro.observability import (
     CommMatrix,
+    CounterHarness,
+    CounterSample,
     FlightRecorder,
     MetricsRegistry,
     chrome_trace,
     comm_closure_rows,
     find_sample,
+    get_counter_harness,
     get_recorder,
     imbalance_factor,
-    make_harness,
     parse_prometheus,
     rank_recorder,
     reset_metrics,
@@ -446,13 +450,22 @@ class TestUnitCostGates:
 
     @pytest.mark.parametrize(
         "backend, per_step",
-        # the measured block takes two samples, whatever it measures: three
-        # kernels of either backend and two fills.  A backend takes none
+        # with a PMU the measured block takes two samples, whatever it
+        # measures: three kernels of either backend and two fills.  A
+        # backend takes none
         [("numpy", 3 * 2 + 2 * 2), pytest.param("c", 3 * 2 + 2 * 2, marks=needs_cc)],
     )
     def test_counter_samples_per_step_are_pinned(self, kernel_set, backend, per_step):
         """A count, which repeats exactly: nothing may add samples unseen."""
-        harness = make_harness(force="rusage")
+
+        class CountingHarness(CounterHarness):
+            samples = 0
+
+            def sample(self):
+                self.samples += 1
+                return CounterSample(cycles=float(self.samples))
+
+        harness = CountingHarness()
         previous = set_counter_harness(harness)
         try:
             solver = SingleBlockSolver(kernel_set, (8, 8), backend=backend)
@@ -460,13 +473,40 @@ class TestUnitCostGates:
                 planar_front((8, 8), 2, 0, 1, position=4.0, epsilon=4.0), mu=0.0
             )
             solver.step(2)
-            taken = harness.samples_taken
+            taken = harness.samples
             solver.step(5)
-            assert harness.samples_taken - taken == 5 * per_step
+            assert harness.samples - taken == 5 * per_step
             # a kernel called outside a measured block samples nothing
-            taken = harness.samples_taken
+            taken = harness.samples
             (phi,) = kernel_set.phi_kernels
             compile_cached(phi, backend)(solver.arrays, ghost_layers=1, t=0.0)
-            assert harness.samples_taken == taken
+            assert harness.samples == taken
         finally:
             set_counter_harness(previous)
+
+    @pytest.mark.parametrize("backend", ["numpy", pytest.param("c", marks=needs_cc)])
+    def test_without_a_pmu_a_step_takes_no_counter_sample(
+        self, kernel_set, backend, monkeypatch
+    ):
+        samples = []
+        monkeypatch.setattr(
+            hwcounters, "_perf_event_open", lambda config, group_fd: -errno.ENOENT
+        )
+        monkeypatch.setattr(
+            CounterHarness, "sample", lambda self: samples.append(self) or CounterSample()
+        )
+        set_counter_harness(None)
+        try:
+            solver = SingleBlockSolver(kernel_set, (8, 8), backend=backend)
+            solver.set_state(
+                planar_front((8, 8), 2, 0, 1, position=4.0, epsilon=4.0), mu=0.0
+            )
+            solver.step(5)
+            assert get_counter_harness() is None
+            assert samples == []
+            assert solver.profiler.records  # the step was measured all the same
+            assert solver.profile_report().strip().endswith(
+                "counters: unavailable (perf_event_open: ENOENT)"
+            )
+        finally:
+            set_counter_harness(None)

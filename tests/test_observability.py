@@ -480,3 +480,31 @@ class TestGatherShapes:
             s, d = single.profiler.records[k.name], dist.profiler.records[k.name]
             assert s.cells == d.cells  # every cell swept exactly once per step
         np.testing.assert_array_equal(dist.gather("phi"), single.phi)
+
+
+class TestLogging:
+    def test_configure_logging_routes_the_package_log_and_replaces_its_handler(self):
+        """What ``quickstart.py --log-level LEVEL`` switches on."""
+        import io
+        import logging
+
+        from repro.observability import configure_logging, get_logger, kv
+
+        root = logging.getLogger("repro")
+        level, handlers = root.level, list(root.handlers)
+        first, second = io.StringIO(), io.StringIO()
+        try:
+            assert configure_logging("debug", stream=first, fmt="%(name)s %(message)s") is root
+            assert root.level == logging.DEBUG
+            get_logger("pfm.solver").debug(kv("step", n=3, dt=0.5, label="a b"))
+            assert first.getvalue() == 'repro.pfm.solver step n=3 dt=0.5 label="a b"\n'
+            # reconfiguring replaces the handler: one stream, the new level
+            configure_logging(logging.WARNING, stream=second, fmt="%(message)s")
+            get_logger("repro.pfm").info("hidden")
+            get_logger("repro.pfm").warning("shown")
+            assert second.getvalue() == "shown\n"
+            assert first.getvalue().count("\n") == 1
+            assert len(root.handlers) == len(handlers) + 1
+        finally:
+            root.handlers[:] = handlers
+            root.setLevel(level)

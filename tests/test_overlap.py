@@ -244,7 +244,7 @@ class TestNeumannMirror:
         for gl in (None, 2):
             forest = BlockForest(shape, (4, 4), periodic=False)
             dist = DistributedSolver(
-                kernels, forest, wall_mode="neumann", seed=3, ghost_layers=gl
+                kernels, forest, seed=3, ghost_layers=gl
             )
             dist.set_state_from(_initializer(params, shape))
             dist.step(4)
@@ -309,7 +309,7 @@ class TestOverlappedSchedule:
 
         def run(overlap):
             s = DistributedSolver(
-                kernels, forest, wall_mode="neumann", seed=5, overlap=overlap
+                kernels, forest, seed=5, overlap=overlap
             )
             s.set_state_from(_initializer(params, (8, 8)))
             s.step(4)

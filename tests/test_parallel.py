@@ -222,7 +222,7 @@ class TestGhostExchange:
         for c, b in blocks.items():
             off = b.cell_offset
             glob[off[0]:off[0]+4, off[1]:off[1]+4] = b.arrays["u"][1:-1, 1:-1]
-        exchange_field(blocks, forest, owners, None, "u", gl, wall_mode="neumann")
+        exchange_field(blocks, forest, owners, None, "u", gl)
         b00 = blocks[(0, 0)].arrays["u"]
         # low-x ghost of block (0,0) wraps to the last row of block (1,0)
         np.testing.assert_array_equal(b00[0, 1:-1], glob[-1, :])
@@ -235,7 +235,7 @@ class TestGhostExchange:
         gl = 1
         blocks = self._make_blocks(forest, gl)
         owners = {c: 0 for c in blocks}
-        exchange_field(blocks, forest, owners, None, "u", gl, wall_mode="neumann")
+        exchange_field(blocks, forest, owners, None, "u", gl)
         arr = blocks[(0, 0)].arrays["u"]
         np.testing.assert_array_equal(arr[0, 1:-1], arr[1, 1:-1])
         np.testing.assert_array_equal(arr[-1, 1:-1], arr[-2, 1:-1])
@@ -348,7 +348,7 @@ class TestDistributedSolver:
         single.step(3)
 
         forest = BlockForest(shape, (8, 8), periodic=False)
-        dist = DistributedSolver(kernels, forest, comm=None, wall_mode="neumann")
+        dist = DistributedSolver(kernels, forest, comm=None)
         dist.set_state_from(
             lambda off, shp: (
                 phi0[off[0]:off[0]+shp[0], off[1]:off[1]+shp[1]],
@@ -357,35 +357,6 @@ class TestDistributedSolver:
         )
         dist.step(3)
         np.testing.assert_array_equal(dist.gather("phi"), single.phi)
-
-
-class TestWeightedDistribution:
-    def test_balances_total_weight(self):
-        forest = BlockForest((16, 16), (4, 4))  # 16 blocks
-        weights = {c: (5.0 if c[0] == 0 else 1.0) for c in forest.all_block_coords()}
-        dist = forest.distribute_weighted(weights, 4)
-        totals = [sum(weights[c] for c in blocks) for blocks in dist.values()]
-        assert max(totals) <= 2.5 * min(totals)
-        all_blocks = [c for v in dist.values() for c in v]
-        assert sorted(all_blocks) == sorted(forest.all_block_coords())
-
-    def test_every_rank_owns_a_block(self):
-        forest = BlockForest((16, 4), (4, 4))  # 4 blocks
-        weights = {c: 1000.0 if c == (0, 0) else 0.001 for c in forest.all_block_coords()}
-        dist = forest.distribute_weighted(weights, 4)
-        assert all(len(v) >= 1 for v in dist.values())
-
-    def test_uniform_weights_match_static(self):
-        forest = BlockForest((8, 8), (2, 2))
-        uniform = {c: 1.0 for c in forest.all_block_coords()}
-        wd = forest.distribute_weighted(uniform, 4)
-        sizes = sorted(len(v) for v in wd.values())
-        assert sizes == [4, 4, 4, 4]
-
-    def test_zero_total_weight_falls_back(self):
-        forest = BlockForest((8, 8), (4, 4))
-        dist = forest.distribute_weighted({c: 0.0 for c in forest.all_block_coords()}, 2)
-        assert sum(len(v) for v in dist.values()) == forest.n_blocks
 
 
 class TestMPIAdapter:

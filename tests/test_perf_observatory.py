@@ -1,32 +1,38 @@
 """Kernel performance observatory: counters, ledger, trends, detection.
 
-The contract under test: a perf_event_open(2) harness that degrades
-perf -> rusage -> time (each rung forcible, a forced rung never silently
-degrades), per-kernel counter attribution through the profiler with an
-explicit provenance line on every counter-bearing report, the per-run
-``repro-perf/1`` JSONL ledger (a crashed run's torn tail costs no later
-record), and /sys host auto-detection whose key never includes the
-hostname.
+The contract under test: a perf_event_open(2) counter group per thread where
+the host has a PMU and no sampling at all where it has none — driven here
+through :class:`FakePMU`, since a VM rarely exposes one — per-kernel counter
+attribution through the profiler with an explicit provenance line on every
+counter-bearing report, the per-run ``repro-perf/1`` JSONL ledger (a
+crashed run's torn tail costs no later record), and /sys host
+auto-detection whose key never includes the hostname.
 """
 
-import json
+import errno
+import functools
 import math
+import os
+import struct
 import subprocess
+import types
+from time import perf_counter, perf_counter_ns
 
 import pytest
 
+import repro.observability.hwcounters as hwcounters
+from repro.backends.c_backend import c_compiler_available
 from repro.observability.hwcounters import (
-    CHAIN,
+    PERF_EVENTS,
     CounterHarness,
     CounterSample,
+    PerfEventGroup,
     counter_provenance_line,
-    make_harness,
+    get_counter_harness,
     perf_events_available,
-    probe_capabilities,
     set_counter_harness,
 )
 from repro.observability.fingerprint import FingerprintLedger, fingerprint_record
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.rundir import RunDir, git_sha
 from repro.perfmodel.ledger import (
     PerfLedger,
@@ -43,200 +49,285 @@ from repro.perfmodel.machine import (
     detect_physical_cores,
 )
 from repro.profiling import SolverProfiler
+from repro.profiling.profiler import TimingRecord
+
+NO_PMU_LINE = "counters: unavailable (perf_event_open: ENOENT)"
+
+
+class FakePMU:
+    """A PMU in Python: ``perf_event_open``, ``ioctl``, ``read`` and ``close``.
+
+    Every event of ``PERF_EVENTS`` opens, except those whose config is in
+    *reject*.  The n-th read of a group returns the ``PERF_FORMAT_GROUP |
+    TOTAL_TIME_ENABLED | TOTAL_TIME_RUNNING`` words ``nr, enabled, running,
+    value[nr]`` with ``value = n * (config + 1)`` for each open event, in
+    open order.  The fds are far above any descriptor limit, and any other
+    fd goes to the real ``os.read`` / ``os.close``.
+    """
+
+    BASE = 1 << 24
+
+    def __init__(self, monkeypatch, reject=(), enabled=1000, running=1000):
+        self.reject = set(reject)
+        self.enabled, self.running = enabled, running
+        self.groups: dict[int, list[int]] = {}   # leader fd -> configs
+        self.group_reads: dict[int, int] = {}
+        self.reads = 0
+        self._next_fd = self.BASE
+        real_read, real_close = os.read, os.close
+
+        def read(fd, n):
+            return self._read(fd)[:n] if fd in self.groups else real_read(fd, n)
+
+        def close(fd):
+            if fd < self.BASE:
+                real_close(fd)
+
+        monkeypatch.setattr(hwcounters, "_perf_event_open", self._open)
+        monkeypatch.setattr(
+            hwcounters, "_libc", lambda: types.SimpleNamespace(ioctl=lambda *args: 0)
+        )
+        monkeypatch.setattr(os, "read", read)
+        monkeypatch.setattr(os, "close", close)
+
+    def _open(self, config, group_fd):
+        if config in self.reject:
+            return -errno.ENOENT
+        fd = self._next_fd
+        self._next_fd += 1
+        if group_fd == -1:
+            self.groups[fd] = [config]
+            self.group_reads[fd] = 0
+        else:
+            self.groups[group_fd].append(config)
+        return fd
+
+    def _read(self, leader):
+        self.reads += 1
+        self.group_reads[leader] += 1
+        n = self.group_reads[leader]
+        configs = self.groups[leader]
+        words = (len(configs), self.enabled, self.running, *(n * (c + 1) for c in configs))
+        return struct.pack(f"{len(words)}Q", *words)
+
+
+@pytest.fixture(autouse=True)
+def _reprobe_counters():
+    """Every test starts and ends with the harness unprobed."""
+    set_counter_harness(None)
+    yield
+    set_counter_harness(None)
 
 
 @pytest.fixture
-def forced_harness():
-    """Install a forced-rung harness process-wide; restore afterwards."""
-    installed = []
-
-    def install(rung):
-        harness = make_harness(force=rung)
-        installed.append(set_counter_harness(harness))
-        return harness
-
-    yield install
-    while installed:
-        set_counter_harness(installed.pop())
+def no_pmu(monkeypatch):
+    """A host where perf_event_open fails with ENOENT (no PMU exposed)."""
+    monkeypatch.setattr(
+        hwcounters, "_perf_event_open", lambda config, group_fd: -errno.ENOENT
+    )
 
 
-# -- the degradation chain ----------------------------------------------------
+@pytest.fixture
+def fake_pmu(monkeypatch):
+    """A host with a PMU: the harness counts through a :class:`FakePMU`."""
+    pmu = FakePMU(monkeypatch)
+    assert isinstance(get_counter_harness(), CounterHarness)
+    return pmu
+
+
+@functools.cache
+def _binary_kernels():
+    from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+    return GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
+
+
+def _front(shape=(16, 16)):
+    from repro.pfm import planar_front
+
+    return planar_front(shape, 2, 0, 1, position=6.0, epsilon=4.0)
+
+
+def _binary_solver(backend, shape=(16, 16), **options):
+    from repro.pfm import SingleBlockSolver
+
+    if backend == "c" and not c_compiler_available():
+        pytest.skip("no C compiler available")
+    solver = SingleBlockSolver(_binary_kernels(), shape, backend=backend, **options)
+    solver.set_state(_front(shape), mu=0.0)
+    return solver
+
+
+# -- the two states: a perf_event group, or nothing ----------------------------
 
 
 class TestDegradationChain:
-    def test_chain_order(self):
-        assert CHAIN == ("perf", "rusage", "time")
+    """What is left of the chain: a perf_event group, then nothing."""
 
-    def test_force_rusage(self):
-        harness = make_harness(force="rusage")
-        a = harness.sample()
-        sum(range(20000))
-        b = harness.sample()
-        delta = harness.delta(a, b)
-        assert harness.source == "rusage"
-        assert delta.wall_seconds > 0
-        assert delta.cpu_seconds is not None and delta.cpu_seconds >= 0
-        assert delta.cycles is None and delta.instructions is None
-
-    def test_force_time_populates_wall_only(self):
-        harness = make_harness(force="time")
-        delta = harness.delta(harness.sample(), harness.sample())
-        assert delta.wall_seconds >= 0
-        assert delta.cpu_seconds is None and delta.cache_misses is None
-        assert harness.counter_names == ()
-
-    def test_force_off_disables_sampling(self):
-        harness = make_harness(force="off")
-        assert not harness.active
-        assert harness.sample() is None
-        assert harness.delta(None, None) is None
-
-    def test_forced_perf_never_silently_degrades(self):
-        ok, _reason = perf_events_available()
-        if ok:
-            assert make_harness(force="perf").source == "perf"
-        else:
-            with pytest.raises(RuntimeError, match="perf_event_open failed"):
-                make_harness(force="perf")
-
-    def test_unknown_rung_rejected(self):
-        with pytest.raises(ValueError, match="unknown counter source"):
-            make_harness(force="bogus")
-        with pytest.raises(ValueError):
-            CounterHarness("bogus")
-
-    def test_env_var_forces_rung(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HWCOUNTERS", "time")
-        assert make_harness().source == "time"
-        monkeypatch.setenv("REPRO_HWCOUNTERS", "auto")
-        assert make_harness().source in (*CHAIN, "off")
+    def test_chain_order(self, monkeypatch):
+        """perf_event where it opens; where it does not, no harness at all."""
+        FakePMU(monkeypatch)
+        assert isinstance(get_counter_harness(), CounterHarness)
+        monkeypatch.setattr(
+            hwcounters, "_perf_event_open", lambda config, group_fd: -errno.EACCES
+        )
+        set_counter_harness(None)
+        assert get_counter_harness() is None
+        assert counter_provenance_line() == (
+            "counters: unavailable (perf_event_open: EACCES)"
+        )
 
     def test_probe_selects_a_chain_rung(self):
-        caps = probe_capabilities()
-        assert caps["selected"] in CHAIN
-        if not caps["perf"]:
-            assert caps["selected"] in ("rusage", "time")
+        ok, reason = perf_events_available()
+        harness = get_counter_harness()
+        assert (harness is not None) == ok
+        if not ok:
+            assert counter_provenance_line() == (
+                f"counters: unavailable (perf_event_open: {reason})"
+            )
 
-    def test_sample_overhead_is_bounded(self):
-        # 10 us per sample is ~4x what the rusage rung reads on a 2-vCPU
-        # guest (2.2-3.6 us); best of three, a throttled vCPU reads x1.5
+    def test_sample_overhead_is_bounded(self, fake_pmu):
+        # the harness's own share of a sample (group read, unpack, scaling,
+        # CounterSample) against 10 us: the fake's read(2) is timed alone in
+        # the same window and taken off; best of three, a throttled vCPU
+        # reads x1.5
+        harness = get_counter_harness()
+        harness.sample()                    # opens this thread's group
+        leader = max(fake_pmu.groups)       # the group opened last
         n = 2000
         costs = []
         for _ in range(3):
-            harness = make_harness(force="rusage")
+            t0 = perf_counter()
             for _ in range(n):
                 harness.sample()
-            assert harness.samples_taken == n
-            costs.append(harness.overhead_seconds / n)
+            t1 = perf_counter()
+            for _ in range(n):
+                os.read(leader, 64)
+            t2 = perf_counter()
+            costs.append(((t1 - t0) - (t2 - t1)) / n)
         assert min(costs) < 10e-6
 
-    def test_publish_overhead_exports_gauge(self):
-        harness = make_harness(force="rusage")
-        harness.sample()
-        registry = MetricsRegistry()
-        value = harness.publish_overhead(registry)
-        snapshot = json.dumps(registry.to_json())
-        assert "repro_counter_overhead_seconds" in snapshot
-        assert "rusage" in snapshot
-        assert value == harness.overhead_seconds > 0
+
+class TestFakePMU:
+    """The perf_event path, end to end, on a host without a PMU."""
+
+    def test_group_read_scales_multiplexed_counts_and_keeps_sibling_order(
+        self, monkeypatch
+    ):
+        # the PMU rejects cache_references; the group ran half the time
+        FakePMU(monkeypatch, reject={2}, enabled=2000, running=1000)
+        group = PerfEventGroup()
+        assert group.names == (
+            "cycles", "instructions", "cache_misses", "stalled_cycles"
+        )
+        config = dict(PERF_EVENTS)
+        for n in (1, 2):
+            assert group.read() == {
+                name: 2.0 * n * (config[name] + 1) for name in group.names
+            }
+        group.close()
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_a_step_reads_the_group_twice_per_measured_operation(
+        self, fake_pmu, backend
+    ):
+        solver = _binary_solver(backend)
+        solver.step(1)
+        solver.profiler.reset()
+        reads = fake_pmu.reads
+        solver.step(5)
+        # three kernels and two fills, two reads each
+        assert fake_pmu.reads - reads == 5 * 10
+        records = solver.profiler.records.values()
+        assert len(records) == 5
+        for rec in records:
+            # the n-th read counts n cycles, 2n instructions, 4n misses
+            assert rec.cycles == rec.counted_calls == rec.calls == 5
+            assert rec.instructions == 2 * rec.calls
+            assert rec.cache_misses == 4 * rec.calls
+            assert rec.stalled_cycles == 8 * rec.calls
+
+    def test_report_carries_counter_columns_and_perf_provenance(self, fake_pmu):
+        solver = _binary_solver("numpy")
+        solver.step(3)
+        report = solver.profile_report()
+        header = next(line for line in report.splitlines() if "MLUP/s" in line)
+        assert "cy/LUP" in header and "IPC" in header
+        assert " 2.00" in report      # IPC: two instructions per cycle
+        assert report.strip().endswith(
+            "counters: perf_event (cycles, instructions, cache_references, "
+            "cache_misses, stalled_cycles)"
+        )
 
 
 # -- provenance ----------------------------------------------------------------
 
 
 class TestProvenance:
-    def test_fallback_line_is_exact(self):
-        line = counter_provenance_line(make_harness(force="rusage"))
-        assert line == "counters: unavailable (fallback=rusage)"
-        line = counter_provenance_line(make_harness(force="time"))
-        assert line == "counters: unavailable (fallback=time)"
+    def test_fallback_line_is_exact(self, no_pmu):
+        assert counter_provenance_line() == NO_PMU_LINE
 
-    def test_disabled_line(self):
-        assert counter_provenance_line(make_harness(force="off")) == (
-            "counters: disabled"
-        )
-
-    def test_profiler_report_carries_provenance(self, forced_harness):
-        forced_harness("rusage")
+    def test_profiler_report_carries_provenance(self, no_pmu):
         profiler = SolverProfiler()
         with profiler.measure("phi", cells=100):
             sum(range(1000))
         report = profiler.report()
-        assert report.strip().endswith("counters: unavailable (fallback=rusage)")
+        assert "cy/LUP" not in report
+        assert report.strip().endswith(NO_PMU_LINE)
 
 
 # -- per-kernel attribution through the profiler -------------------------------
 
 
 class TestAttribution:
-    def test_measure_absorbs_counters(self, forced_harness):
-        forced_harness("rusage")
+    def test_measure_absorbs_counters(self, fake_pmu):
         profiler = SolverProfiler()
         with profiler.measure("phi", cells=1000):
             sum(range(50000))
         rec = profiler.records["phi"]
-        assert rec.calls == 1
-        assert rec.cpu_seconds >= 0
-        assert rec.counted_calls == 0       # rusage rung has no cycle counts
+        assert rec.calls == rec.counted_calls == 1
+        assert (rec.cycles, rec.instructions, rec.cache_misses) == (1.0, 2.0, 4.0)
+        assert rec.ipc == 2.0
 
     @pytest.mark.parametrize("backend", ["numpy", "c"])
     def test_counters_cover_the_measured_interval(self, backend):
         """One instrument: the block that takes the seconds takes the counters.
 
-        The harness reads the profiler's own clock as CPU time (``getrusage``
-        advances in scheduler ticks, longer than a sweep) and the sample
-        ordinal as cycles.  The samples enclose the timer, nothing samples
-        in between, and a C sweep reads as a NumPy sweep does.
+        The harness reads the profiler's own clock, in nanoseconds, as
+        cycles and the sample ordinal as instructions.  The samples enclose
+        the timer, nothing samples in between, and a C sweep reads as a
+        NumPy sweep does.
         """
-        from time import perf_counter
-
-        from repro.backends.c_backend import c_compiler_available
-        from repro.pfm import (
-            GrandPotentialModel,
-            SingleBlockSolver,
-            make_two_phase_binary,
-            planar_front,
-        )
-
-        if backend == "c" and not c_compiler_available():
-            pytest.skip("no C compiler available")
 
         class ClockHarness(CounterHarness):
-            def sample(self):
-                self._samples += 1
-                now = perf_counter()
-                return CounterSample(now, now, 0.0, float(self._samples))
+            samples = 0
 
-        kernels = GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
-        solver = SingleBlockSolver(kernels, (16, 16), backend=backend)
-        solver.set_state(planar_front((16, 16), 2, 0, 1, position=6.0, epsilon=4.0), mu=0.0)
-        previous = set_counter_harness(ClockHarness("time"))
-        try:
-            solver.step(1)
-            solver.profiler.reset()
-            solver.step(5)
-        finally:
-            set_counter_harness(previous)
+            def sample(self):
+                self.samples += 1
+                return CounterSample(float(perf_counter_ns()), float(self.samples))
+
+        solver = _binary_solver(backend)
+        solver.step(1)
+        solver.profiler.reset()
+        set_counter_harness(ClockHarness())
+        solver.step(5)
         records = solver.profiler.records.values()
         assert sum(1 for rec in records if rec.cells) == 3
         for rec in records:
-            assert rec.calls == 5
-            assert rec.cpu_seconds >= rec.seconds > 0.0
-            assert rec.cycles == rec.counted_calls == rec.calls
+            assert rec.calls == rec.counted_calls == rec.instructions == 5
+            assert rec.cycles >= rec.seconds * 1e9 > 0.0
 
     def test_merge_accumulates_counter_fields(self):
         a, b = SolverProfiler(), SolverProfiler()
         for profiler in (a, b):
-            profiler.record(
-                "phi", 0.1, cells=10, counters=CounterSample(0.1, 0.1, 0.0, 500.0)
+            profiler.records["phi"] = TimingRecord(
+                "phi", calls=1, seconds=0.1, cells=10, cycles=500.0, counted_calls=1
             )
         a.merge(b)
         rec = a.records["phi"]
         assert rec.cycles == 1000.0 and rec.counted_calls == 2
 
     def test_measured_bytes_per_lup_from_misses(self):
-        from repro.profiling.profiler import TimingRecord
-
         rec = TimingRecord("phi", calls=1, seconds=1.0, cells=64)
         rec.cache_misses, rec.cycles = 16.0, 1.0
         assert rec.measured_bytes_per_lup(line_bytes=64) == pytest.approx(16.0)
@@ -283,7 +374,7 @@ def _record(bench="kernels", name="kernels/phi", mlups=10.0,
     return perf_record(
         bench, name,
         measured={"mlups": mlups, "mean_seconds": 1.0 / mlups,
-                  "counter_source": "rusage"},
+                  "counter_source": "unavailable"},
         predicted={"mlups": mlups * 2},
         kernel={"name": "phi", "fingerprint": fingerprint},
         options=options or {"backend": "c"},
@@ -396,8 +487,7 @@ class TestPerfLedger:
 
 
 class TestRecordsFromProfiler:
-    def test_solver_export(self, tmp_path, forced_harness):
-        forced_harness("rusage")
+    def test_solver_export(self, tmp_path, no_pmu):
         from repro.perfmodel.ledger import records_from_profiler
         from repro.pfm import (
             GrandPotentialModel,
@@ -427,12 +517,50 @@ class TestRecordsFromProfiler:
             validate_perf_record(record)
             assert record["kernel"]["fingerprint"]
             assert record["measured"]["mlups"] > 0
-            assert record["measured"]["counter_source"] == "rusage"
+            assert record["measured"]["counter_source"] == "unavailable"
             assert record["measured"]["cycles_per_lup"] is None
+            assert "cpu_seconds" not in record["measured"]
             assert record["predicted"]["mlups"] > 0
         ledger = PerfLedger(tmp_path / "h.jsonl")
         ledger.extend(records)
         assert len(ledger.load(strict=True)) == len(records)
+
+    def test_export_perf_appends_to_the_rundir_ledger(self, tmp_path, fake_pmu):
+        with pytest.raises(ValueError, match="export_perf needs a path"):
+            _binary_solver("numpy").export_perf()
+        rundir = RunDir(tmp_path / "run", config={})
+        solver = _binary_solver("numpy", rundir=rundir)
+        solver.step(3)
+        assert solver.export_perf(bench="unit") == str(rundir.perf_path)
+        assert solver.export_perf(bench="unit") == str(rundir.perf_path)  # appends
+        records = PerfLedger(rundir.perf_path).load(strict=True)
+        kernels = [f"kernels/{k.name}" for k in solver.kernels]
+        assert [r["name"] for r in records] == kernels * 2
+        for record in records:
+            assert record["bench"] == "unit"
+            assert record["options"]["backend"] == "numpy"
+            measured = record["measured"]
+            assert measured["counter_source"] == "perf"
+            assert measured["ipc"] == 2.0     # the fake PMU's 2n instructions
+            assert measured["cycles_per_lup"] == pytest.approx(1 / (16 * 16))
+
+    def test_export_perf_writes_on_rank_0_only(self, tmp_path):
+        from repro.parallel import BlockForest, DistributedSolver, run_ranks
+
+        kernel_set = _binary_kernels()
+        forest = BlockForest((16, 16), (8, 16))
+        path = tmp_path / "perf.jsonl"
+        phi0 = _front()
+
+        def prog(comm):
+            solver = DistributedSolver(kernel_set, forest, comm=comm)
+            solver.set_state_from(lambda offset, shape: (phi0[offset[0]:offset[0] + shape[0]], 0.0))
+            solver.step(2)
+            return solver.export_perf(path)
+
+        assert run_ranks(2, prog) == [str(path), None]
+        records = PerfLedger(path).load(strict=True)
+        assert [r["name"] for r in records] == [f"kernels/{k.name}" for k in kernel_set.all_kernels]
 
 
 # -- host auto-detection -------------------------------------------------------

@@ -165,3 +165,38 @@ class TestModelStructure:
         m = GrandPotentialModel(p)
         system = m.phi_system()
         assert any(eq.rhs.atoms(RandomValue) for eq in system.equations)
+
+
+class TestP2Setup:
+    """Setup P2, as the dendrite example and the sweep's ``p2`` model build it."""
+
+    def test_anisotropic_kernel_set_steps_on_numpy(self):
+        from repro.pfm import make_p2
+
+        params = make_p2(dim=2, delta=0.25, orientations_deg=(0.0, 45.0), undercooling=0.35)
+        assert (params.n_phases, params.n_mu, params.liquid_phase) == (3, 1, 2)
+        for rotation in params.anisotropy.rotations.values():
+            rotation = np.asarray(rotation, dtype=float)
+            np.testing.assert_allclose(rotation @ rotation.T, np.eye(3), atol=1e-12)
+        kernels = GrandPotentialModel(params).create_kernels(
+            variant_phi="split", variant_mu="full"
+        )
+        assert [k.name for k in kernels.all_kernels] == [
+            "phi_flux", "phi_main", "phi_project", "mu"
+        ]
+        shape = (24, 24)
+        phi0 = np.zeros(shape + (3,))
+        phi0[..., 2] = 1.0
+        phi0 = add_seed(phi0, (8.0, 8.0), 5.0, 0, 2, params.epsilon)
+        phi0 = add_seed(phi0, (16.0, 16.0), 5.0, 1, 2, params.epsilon)
+        solver = SingleBlockSolver(kernels, shape, boundary="periodic")
+        solver.set_state(phi0, mu=0.0)
+        before = solver.phase_fractions()
+        assert before[0] == pytest.approx(before[1], rel=1e-14)
+        solver.step(5)
+        solver.check_invariants()
+        after = solver.phase_fractions()
+        # both grains grow into the undercooled melt, at rates set by their
+        # orientations: the same seed grows differently under another rotation
+        assert after[0] > before[0] and after[1] > before[1]
+        assert abs(after[0] - after[1]) > 1e-3 * (after[0] - before[0])

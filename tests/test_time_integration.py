@@ -1,88 +1,50 @@
-"""Time integrator tests: Euler vs Heun temporal convergence order."""
+"""Time integrator tests: the generated Euler step is O(dt); Heun built from it is O(dt²)."""
 
 import numpy as np
-import pytest
 
 from repro.backends import compile_numpy_kernel, create_arrays
 from repro.discretization import FiniteDifferenceDiscretization, discretize_system
-from repro.discretization.time_integration import HeunKernels
 from repro.ir import create_kernel
 from repro.parallel import fill_ghosts
-from repro.symbolic import EvolutionEquation, Field, PDESystem, div, grad, transient
+from repro.symbolic import EvolutionEquation, Field, PDESystem, div, grad
 
 
-def _heat_system(name):
+def _euler(name):
+    """The heat equation's fields and its generated explicit Euler kernel."""
     f = Field(f"u_{name}", 1)
     f_dst = Field(f"u_dst_{name}", 1)
     eq = EvolutionEquation(f.center(), div(grad(f.center())))
-    return f, f_dst, PDESystem([eq], name=name)
+    ac = discretize_system(PDESystem([eq], name=name), f_dst, FiniteDifferenceDiscretization(dim=1))
+    return f, f_dst, compile_numpy_kernel(create_kernel(ac))
 
 
-def _run_euler(n, dt, steps, u0):
-    f, f_dst, system = _heat_system("eul")
-    disc = FiniteDifferenceDiscretization(dim=1)
-    ac = discretize_system(system, f_dst, disc, scheme="euler")
-    k = compile_numpy_kernel(create_kernel(ac))
+def _run(name, n, dt, steps, u0, stages):
+    """*steps* steps of ``u <- (u + E^2(u)) / 2`` (Heun) or ``u <- E(u)`` (Euler).
+
+    With ``s = E(u) = u + dt·f(u)``, ``(u + E(s)) / 2 = u + dt/2·(f(u) + f(s))``:
+    the explicit trapezoidal rule, second order only if the generated kernel
+    is exactly ``u + dt·rhs(u)``.
+    """
+    f, f_dst, kernel = _euler(name)
     arrays = create_arrays([f, f_dst], (n,), 1)
     arrays[f.name][1:-1] = u0
     for _ in range(steps):
-        fill_ghosts(arrays[f.name], 1, 1, mode="periodic")
-        k(arrays, dt=dt, dx_0=1.0)
-        arrays[f.name], arrays[f_dst.name] = arrays[f_dst.name], arrays[f.name]
+        u = arrays[f.name][1:-1].copy()
+        for _ in range(stages):
+            fill_ghosts(arrays[f.name], 1, 1, mode="periodic")
+            kernel(arrays, dt=dt, dx_0=1.0)
+            arrays[f.name], arrays[f_dst.name] = arrays[f_dst.name], arrays[f.name]
+        if stages == 2:
+            arrays[f.name][1:-1] = (u + arrays[f.name][1:-1]) / 2
     return arrays[f.name][1:-1].copy()
+
+
+def _run_euler(n, dt, steps, u0):
+    return _run("eul", n, dt, steps, u0, stages=1)
 
 
 def _run_heun(n, dt, steps, u0):
-    f, f_dst, system = _heat_system("heun")
-    disc = FiniteDifferenceDiscretization(dim=1)
-    kernels = discretize_system(system, f_dst, disc, scheme="heun")
-    assert isinstance(kernels, HeunKernels)
-    stage = compile_numpy_kernel(create_kernel(kernels.stage_kernel))
-    corr = compile_numpy_kernel(create_kernel(kernels.corrector_kernel))
-    sf = kernels.stage_field
-    arrays = create_arrays([f, f_dst, sf], (n,), 1)
-    arrays[f.name][1:-1] = u0
-    for _ in range(steps):
-        fill_ghosts(arrays[f.name], 1, 1, mode="periodic")
-        stage(arrays, dt=dt, dx_0=1.0, ghost_layers=1)
-        fill_ghosts(arrays[sf.name], 1, 1, mode="periodic")
-        corr(arrays, dt=dt, dx_0=1.0, ghost_layers=1)
-        arrays[f.name], arrays[f_dst.name] = arrays[f_dst.name], arrays[f.name]
-    return arrays[f.name][1:-1].copy()
-
-
-class TestHeunStructure:
-    def test_two_kernels_and_stage_field(self):
-        f, f_dst, system = _heat_system("s")
-        disc = FiniteDifferenceDiscretization(dim=1)
-        kernels = discretize_system(system, f_dst, disc, scheme="heun")
-        stage_k, corr_k = kernels
-        assert kernels.stage_field.index_shape == f.index_shape
-        # corrector reads source AND stage fields
-        read_names = {fl.name for fl in corr_k.fields_read}
-        assert f.name in read_names and kernels.stage_field.name in read_names
-
-    def test_split_variant_rejected(self):
-        f, f_dst, system = _heat_system("s2")
-        disc = FiniteDifferenceDiscretization(dim=1)
-        with pytest.raises(NotImplementedError, match="full"):
-            discretize_system(system, f_dst, disc, scheme="heun", variant="split")
-
-    def test_transient_rhs_rejected(self):
-        f = Field("a_tr", 1)
-        f_dst = Field("a_tr_dst", 1)
-        g = Field("b_tr", 1)
-        g_dst = Field("b_tr_dst", 1)
-        eq = EvolutionEquation(f.center(), transient(g.center()))
-        disc = FiniteDifferenceDiscretization(dim=1, dst_map={g: g_dst})
-        with pytest.raises(NotImplementedError, match="Transient"):
-            discretize_system(PDESystem([eq]), f_dst, disc, scheme="heun")
-
-    def test_unknown_scheme_rejected(self):
-        f, f_dst, system = _heat_system("s3")
-        disc = FiniteDifferenceDiscretization(dim=1)
-        with pytest.raises(NotImplementedError, match="rk4"):
-            discretize_system(system, f_dst, disc, scheme="rk4")
+    return _run("heun", n, dt, steps, u0, stages=2)
 
 
 class TestTemporalConvergence:

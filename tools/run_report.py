@@ -14,7 +14,6 @@ covers a minimal trace-only run and a full multi-rank bundle:
 * physics diagnostics series (``diagnostics.csv``) as inline SVG charts
 * model-accuracy closure (predicted vs measured MLUP/s gauges from
   ``metrics.prom``)
-* communication matrix (``comm_matrix.json``)
 * health events (the ``health`` events of the journals)
 * crash post-mortems (``postmortem.json``) — rank, step, last kernel,
   field stats, traceback
@@ -327,34 +326,6 @@ def section_perf(records) -> str:
     return "".join(out)
 
 
-def section_comm(comm) -> str:
-    out = ["<h2>Communication matrix</h2>"]
-    if comm is None:
-        out.append('<p class="section-missing">(no comm_matrix.json)</p>')
-        return "".join(out)
-    n = comm.get("n_ranks", 0)
-    rows = []
-    for src in range(n):
-        row = [f"rank {src}"]
-        for dst in range(n):
-            b = comm["bytes"][src][dst]
-            row.append(f"{b / 1024:.1f}" if b else "·")
-        row.append(f"{sum(comm['bytes'][src]) / 1024:.1f}")
-        row.append(str(sum(comm["messages"][src])))
-        rows.append(row)
-    out.append(table(
-        ["src \\ dst (KiB)"] + [str(d) for d in range(n)] + ["Σ sent", "msgs"], rows
-    ))
-    imbalance = comm.get("imbalance")
-    out.append(
-        f'<p class="muted">total {comm.get("total_bytes", 0) / 1024:.1f} KiB in '
-        f'{comm.get("total_messages", 0)} messages'
-        + (f", byte imbalance max/mean = {imbalance:.3f}" if imbalance else "")
-        + "</p>"
-    )
-    return "".join(out)
-
-
 def load_fingerprints(rundir: Path) -> list[dict] | None:
     path = rundir / "fingerprints.jsonl"
     return FingerprintLedger(path).load() if path.exists() else None
@@ -551,7 +522,6 @@ def render_report(rundir: Path, manifest: dict) -> str:
         section_diagnostics(load_diagnostics(rundir)),
         section_accuracy(metrics),
         section_perf(load_perf_records(rundir)),
-        section_comm(load_json(rundir / "comm_matrix.json")),
         section_determinism(
             load_fingerprints(rundir), load_json(rundir / "divergence.json")
         ),
