@@ -17,19 +17,20 @@ Run:  python examples/quickstart.py
 
 Observability (the paper's production-monitoring story, §4):
 
-    python examples/quickstart.py --trace trace.json --metrics metrics.prom
+    python examples/quickstart.py --trace trace.json
 
 emits a Chrome-trace of the whole pipeline (load ``trace.json`` in
-``chrome://tracing`` or https://ui.perfetto.dev) and a Prometheus
-text-format metrics snapshot; ``--health`` turns on the NaN/bounds
-watchdog, ``--log-level INFO`` shows the structured pipeline log.
+``chrome://tracing`` or https://ui.perfetto.dev); ``--health`` turns on
+the NaN/bounds watchdog, ``--log-level INFO`` shows the structured
+pipeline log.
 
     python examples/quickstart.py --rundir runs/demo
 
-bundles EVERY artifact — metrics (.prom and .json), diagnostics CSV, the
-flight-recorder journal (every span, step, operation, counter sample and
-health event of the run) and the trace rendered from it — under one
-directory with a ``manifest.json``, ready for
+bundles EVERY artifact — diagnostics CSV, fingerprint and perf ledgers,
+the flight-recorder journal (every span, step, operation, counter sample
+and health event of the run) and the trace rendered from it — under one
+directory with a ``manifest.json`` (which also records what the
+recorder's events cost the run), ready for
 ``tools/check_observability.py runs/demo`` to validate and
 ``tools/run_report.py`` to render as a self-contained HTML report.
 """
@@ -54,7 +55,6 @@ from repro.observability import (
     chrome_trace,
     configure_logging,
     get_recorder,
-    get_registry,
     model_accuracy_report,
     set_recorder,
 )
@@ -98,8 +98,6 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trace", metavar="PATH",
                     help="write a Chrome-trace JSON of the whole run")
-    ap.add_argument("--metrics", metavar="PATH",
-                    help="write a Prometheus text-format metrics snapshot")
     ap.add_argument("--health", action="store_true",
                     help="enable the NaN/bounds health watchdog")
     ap.add_argument("--diagnostics", metavar="PATH",
@@ -118,11 +116,10 @@ def parse_args(argv=None):
                          "the first divergent (step, field, block); implies "
                          "--fingerprints")
     ap.add_argument("--rundir", metavar="PATH",
-                    help="bundle every artifact (trace, metrics, diagnostics, "
-                         "journal, fingerprints) under one run "
-                         "directory with a manifest.json; implies --trace/"
-                         "--metrics/--diagnostics/--health/--fingerprints at "
-                         "their canonical paths")
+                    help="bundle every artifact (trace, diagnostics, journal, "
+                         "fingerprints, perf ledger) under one run directory "
+                         "with a manifest.json; implies --trace/--diagnostics/"
+                         "--health/--fingerprints at their canonical paths")
     return ap.parse_args(argv)
 
 
@@ -133,7 +130,6 @@ def main(argv=None):
         rundir = RunDir(args.rundir, config={"example": "quickstart",
                                              "n": 96, "steps": 300})
         args.trace = args.trace or str(rundir.trace_path)
-        args.metrics = args.metrics or str(rundir.metrics_path)
         args.diagnostics = args.diagnostics or str(rundir.diagnostics_path)
         args.fingerprints = args.fingerprints or str(rundir.fingerprint_path)
         args.health = True
@@ -178,9 +174,7 @@ def _run(args, health, rundir):
         suite = DiagnosticsSuite(
             functional_diagnostics(functional, phi_field, dim=2), dim=2, dx=1.0
         )
-        series = DiagnosticsSeries(
-            suite.names, csv_path=args.diagnostics, metrics=bool(args.metrics)
-        )
+        series = DiagnosticsSeries(suite.names, csv_path=args.diagnostics)
 
     n = 96
     arrays = create_arrays(kernel.fields, (n, n), ghost_layers=1)
@@ -204,7 +198,6 @@ def _run(args, health, rundir):
             path=args.fingerprints,
             reference=args.audit_against,
             health=health,
-            metrics=bool(args.metrics),
         )
 
     def record_fingerprint(ts):
@@ -268,27 +261,12 @@ def _run(args, health, rundir):
     print(model_accuracy_report([kernel], profiler, block_shape=(n, n)))
     if health is not None:
         print("\n" + health.summary())
-    if rundir is not None:
-        # the self-measured recorder cost becomes a gauge so the metrics
-        # snapshot (and the CI checker) can see the observability overhead
-        recorder.publish_overhead()
-    if args.metrics:
-        from repro.observability import export_accuracy_metrics, model_accuracy_rows
-
-        profiler.export_metrics(solver="quickstart")
-        export_accuracy_metrics(
-            model_accuracy_rows([kernel], profiler, block_shape=(n, n))
-        )
-        path = get_registry().export_prometheus(args.metrics)
-        print(f"\nmetrics written to {path}")
     if args.trace:
         # the journal is line-buffered: it already holds every event so far
         recorders = rundir.journals() if rundir is not None else [recorder]
         Path(args.trace).write_text(json.dumps(chrome_trace(recorders), indent=1))
         print(f"trace written to {args.trace} (load in chrome://tracing)")
     if rundir is not None:
-        with open(rundir.metrics_json_path, "w") as fh:
-            json.dump(get_registry().to_json(), fh, indent=1)
         # append the measured-vs-predicted kernel record to the run's perf
         # ledger so check_observability.py --require perf can validate it
         from repro.perfmodel.ledger import PerfLedger, records_from_profiler

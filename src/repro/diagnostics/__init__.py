@@ -6,7 +6,7 @@ solute mass, interface area.  This package derives those integrands
 symbolically (:mod:`~repro.diagnostics.derive`), lowers them through the
 standard discretization/IR pipeline into *reduction kernels*
 (:mod:`~repro.diagnostics.suite`) and streams the per-step values into
-CSV, metrics gauges and trace counter tracks
+CSV and trace counter tracks
 (:mod:`~repro.diagnostics.series`).
 """
 

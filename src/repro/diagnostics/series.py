@@ -1,19 +1,16 @@
-"""Time-series sink for diagnostics: rows + CSV + gauges + counter events.
+"""Time-series sink for diagnostics: rows + CSV + counter events.
 
 A :class:`DiagnosticsSeries` keeps every recorded row in memory (tests and
 notebooks), optionally appends to a CSV file
 (:class:`~repro.analysis.io.TimeSeriesWriter` schema: ``time_step,time,
-<diagnostic...>``), mirrors the latest value of each diagnostic into the
-metrics registry as ``repro_diagnostic{name="..."}`` gauges and records
-every row as a ``counter`` event of the flight recorder (rendered by
-``chrome_trace`` as stacked counter tracks in ``chrome://tracing`` /
-Perfetto).
+<diagnostic...>``) and records every row as a ``counter`` event of the
+flight recorder (rendered by ``chrome_trace`` as stacked counter tracks
+in ``chrome://tracing`` / Perfetto).
 """
 
 from __future__ import annotations
 
 from ..analysis.io import TimeSeriesWriter
-from ..observability.metrics import get_registry
 from ..observability.recorder import get_recorder
 
 __all__ = ["DiagnosticsSeries"]
@@ -22,12 +19,7 @@ __all__ = ["DiagnosticsSeries"]
 class DiagnosticsSeries:
     """Ordered record of diagnostic values over a run."""
 
-    def __init__(
-        self,
-        names: list[str],
-        csv_path=None,
-        metrics: bool = True,
-    ):
+    def __init__(self, names: list[str], csv_path=None):
         self.names = list(names)
         self.columns = ["time_step", "time"] + self.names
         self.rows: list[dict] = []
@@ -35,10 +27,9 @@ class DiagnosticsSeries:
         self._writer = (
             TimeSeriesWriter(csv_path, self.columns) if csv_path is not None else None
         )
-        self._metrics = metrics
 
     def record(self, time_step: int, time: float, values: dict[str, float]) -> dict:
-        """Append one row; mirrors into CSV, gauges and the event stream."""
+        """Append one row; mirrors into CSV and the event stream."""
         missing = set(self.names) - set(values)
         if missing:
             raise KeyError(f"missing diagnostics: {sorted(missing)}")
@@ -47,12 +38,6 @@ class DiagnosticsSeries:
         self.rows.append(row)
         if self._writer is not None:
             self._writer.append(**row)
-        if self._metrics:
-            registry = get_registry()
-            for n in self.names:
-                registry.gauge(
-                    "repro_diagnostic", "physics diagnostic value", name=n
-                ).set(row[n])
         get_recorder().counter("diagnostics", {n: row[n] for n in self.names})
         return row
 

@@ -1,4 +1,4 @@
-"""End-to-end observability: one event stream, metrics, health, logging.
+"""End-to-end observability: one event stream, health, logging.
 
 The paper's claim is quantitative — generated kernels run at predicted
 MLUP/s — so the reproduction needs more than a final wall-clock table.
@@ -11,9 +11,6 @@ This subsystem makes every layer observable:
   events are ``(seq, ts, kind, name, data)`` events of a
   :class:`FlightRecorder`; :func:`chrome_trace` renders one or several
   recorders (or their journals) as a Chrome-trace/Perfetto timeline,
-* :mod:`~repro.observability.metrics` — counters/gauges/histograms with
-  JSON and Prometheus text-format export (kernel-cache stats, exchanged
-  bytes, per-kernel MLUP/s, step-latency histograms, health events),
 * :mod:`~repro.observability.health` — NaN/Inf watchdog, phase-sum drift
   and field-bound alarms with a warn/record/raise policy,
 * :mod:`~repro.observability.log` — structured ``key=value`` logging for
@@ -26,9 +23,9 @@ This subsystem makes every layer observable:
   imbalance factor and the comm-model closure against
   :class:`repro.parallel.comm_model.StepTimeModel`.
 
-The recorder and the profiler are always on: an event costs 1.2–2.2 µs
-into the bounded ring (7.5 µs with a journal open), a profiled operation
-one ``perf_counter`` pair plus one such event.  The ring keeps the newest
+The recorder and the profiler are always on: a profiled operation costs
+one ``perf_counter`` pair plus one recorder event, whose price
+:mod:`~repro.observability.recorder` states.  The ring keeps the newest
 1024 events; a run that wants its whole timeline either journals into a
 :class:`RunDir` (``chrome_trace(rundir.journals())``) or installs
 ``set_recorder(FlightRecorder(capacity=None))`` before it starts.
@@ -66,18 +63,6 @@ from .hwcounters import (
 )
 from .jsonl import JsonlLedger
 from .log import configure_logging, get_logger, kv
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    find_sample,
-    get_registry,
-    parse_prometheus,
-    reset_metrics,
-    set_registry,
-)
 from .postmortem import (
     POSTMORTEM_SCHEMA,
     capture_postmortem,
@@ -96,28 +81,23 @@ from .recorder import (
     set_recorder,
     set_thread_recorder,
 )
-from .report import export_accuracy_metrics, model_accuracy_report, model_accuracy_rows
+from .report import model_accuracy_report, model_accuracy_rows
 from .rundir import MANIFEST_SCHEMA, RunDir, get_rundir, load_manifest, set_rundir
 
 __all__ = [
     "CommMatrix",
-    "Counter",
     "CounterHarness",
     "CounterSample",
-    "DEFAULT_BUCKETS",
     "FINGERPRINT_SCHEMA",
     "FingerprintLedger",
     "FingerprintSchemaError",
     "FingerprintStream",
     "FlightRecorder",
-    "Gauge",
     "HealthError",
     "HealthEvent",
     "HealthMonitor",
-    "Histogram",
     "JsonlLedger",
     "MANIFEST_SCHEMA",
-    "MetricsRegistry",
     "PIPELINE_LAYERS",
     "POSTMORTEM_SCHEMA",
     "RecorderEvent",
@@ -131,15 +111,12 @@ __all__ = [
     "configure_logging",
     "counter_provenance_line",
     "digest_array",
-    "export_accuracy_metrics",
     "field_stats",
     "find_mismatches",
-    "find_sample",
     "fingerprint_record",
     "get_counter_harness",
     "get_logger",
     "get_recorder",
-    "get_registry",
     "get_rundir",
     "imbalance_factor",
     "install_excepthook",
@@ -149,13 +126,10 @@ __all__ = [
     "model_accuracy_report",
     "model_accuracy_rows",
     "parse_block_key",
-    "parse_prometheus",
     "perf_events_available",
     "rank_recorder",
-    "reset_metrics",
     "set_counter_harness",
     "set_recorder",
-    "set_registry",
     "set_rundir",
     "set_thread_recorder",
     "tiled_digests",

@@ -44,7 +44,6 @@ from time import perf_counter
 import numpy as np
 
 from .jsonl import JsonlLedger
-from .metrics import get_registry
 from .recorder import get_recorder
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "FingerprintLedger",
     "FingerprintSchemaError",
     "FingerprintStream",
-    "OVERHEAD_GAUGE",
     "block_key",
     "combined_digest",
     "digest_array",
@@ -67,9 +65,6 @@ FINGERPRINT_SCHEMA = "repro-fingerprint/1"
 
 #: 128-bit digests: collision-safe for this purpose at half the ledger size
 DIGEST_SIZE = 16
-
-#: self-measured fingerprint cost; tier-1 gates it at 6 ns per hashed byte
-OVERHEAD_GAUGE = "repro_fingerprint_overhead_seconds"
 
 
 class FingerprintSchemaError(ValueError):
@@ -279,8 +274,7 @@ class FingerprintStream:
     :meth:`record_state` with the live interiors, or
     :meth:`record_digests` with per-block digests already merged across
     ranks.  All self-time — digesting, serializing, auditing — accrues to
-    :attr:`overhead_seconds` and is exported as the
-    ``repro_fingerprint_overhead_seconds`` gauge.
+    :attr:`overhead_seconds` (tier-1 gates it at 6 ns per hashed byte).
 
     Parameters
     ----------
@@ -300,18 +294,9 @@ class FingerprintStream:
         cannot fail is worse than none.
     where:
         Location tag for health events (e.g. ``"rank 2"``).
-    metrics:
-        Export the record/divergence counters and overhead gauge.
     """
 
-    def __init__(
-        self,
-        path=None,
-        reference=None,
-        health=None,
-        where: str = "",
-        metrics: bool = True,
-    ):
+    def __init__(self, path=None, reference=None, health=None, where: str = ""):
         self.path = Path(path) if path is not None else None
         self.ledger = None
         if self.path is not None:
@@ -328,7 +313,6 @@ class FingerprintStream:
             health = HealthMonitor(policy="raise", interval=1)
         self.health = health
         self.where = where
-        self.metrics = metrics
         self.records: list[dict] = []
         self.matched = 0
         self.unmatched = 0
@@ -363,9 +347,9 @@ class FingerprintStream:
 
         Appends to the ledger, records the digest as a ``fingerprint``
         event of the flight recorder (timed: it is an interval of the
-        run's timeline), bumps the counters, and — when auditing — compares
-        against the reference and routes the first mismatch through the
-        health monitor (which may raise).
+        run's timeline), and — when auditing — compares against the
+        reference and routes the first mismatch through the health monitor
+        (which may raise).
         """
         t0 = perf_counter()
         try:
@@ -382,16 +366,9 @@ class FingerprintStream:
                 n_fields=len(record["fields"]),
                 seconds=perf_counter() - t0,
             )
-            if self.metrics:
-                get_registry().counter(
-                    "repro_fingerprint_records_total",
-                    "fingerprint records emitted",
-                ).inc()
             self._audit(record)
         finally:
             self.overhead_seconds += perf_counter() - t0
-            if self.metrics:
-                self.publish_overhead()
         return record
 
     def _audit(self, record: dict) -> None:
@@ -411,26 +388,10 @@ class FingerprintStream:
                 "n_mismatches": len(mismatches),
                 **mismatches[0],
             }
-        if self.metrics:
-            first = mismatches[0]
-            get_registry().counter(
-                "repro_fingerprint_divergence_total",
-                "fingerprint records that diverged from the reference",
-                field=first["field"],
-            ).inc()
         if self.health is not None:
             self.health.check_fingerprint(
                 mismatches, time_step=record["step"], where=self.where
             )
-
-    def publish_overhead(self, registry=None) -> float:
-        """Export the self-measured cost as the overhead gauge."""
-        registry = registry or get_registry()
-        registry.gauge(
-            OVERHEAD_GAUGE,
-            "self-measured fingerprint cost (digest+serialize+audit)",
-        ).set(self.overhead_seconds)
-        return self.overhead_seconds
 
     def summary(self) -> str:
         """One status line for logs and reports."""

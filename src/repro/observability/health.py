@@ -12,9 +12,10 @@ and runs three checks on the live fields:
 * **field bounds** — configurable per-field ``(lo, hi)`` alarms (φ must
   stay in [0, 1]; µ excursions flag a runaway driving force).
 
-Findings become :class:`HealthEvent` records and metrics; the *policy*
-decides what else happens: ``"record"`` only stores them, ``"warn"`` also
-logs, ``"raise"`` aborts the run with :class:`HealthError`.
+Findings become :class:`HealthEvent` records and ``health`` events of the
+flight recorder; the *policy* decides what else happens: ``"record"`` only
+stores them, ``"warn"`` also logs, ``"raise"`` aborts the run with
+:class:`HealthError`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .log import get_logger, kv
-from .metrics import get_registry
 from .recorder import get_recorder
 
 __all__ = ["HealthError", "HealthEvent", "HealthMonitor"]
@@ -130,10 +130,6 @@ class HealthMonitor:
         *phase_sum_of* names the field whose trailing axis holds the phase
         index and must sum to one (skip for scalar order parameters).
         """
-        registry = get_registry()
-        registry.counter(
-            "repro_health_checks_total", "health checks executed"
-        ).inc()
         found: list[HealthEvent] = []
 
         for name, arr in fields.items():
@@ -175,7 +171,7 @@ class HealthMonitor:
                     )
 
         self.n_checks += 1
-        self._record(found, registry)
+        self._record(found)
         return found
 
     def check_diagnostics(
@@ -192,13 +188,9 @@ class HealthMonitor:
         drift against their first recorded value), *energy_name* the total
         free energy (checked for monotonic decay against the previous
         value).  Non-finite values are skipped — the NaN watchdog owns
-        those.  Findings go through the same policy/metrics machinery as
-        the field checks.
+        those.  Findings go through the same policy machinery as the field
+        checks.
         """
-        registry = get_registry()
-        registry.counter(
-            "repro_health_checks_total", "health checks executed"
-        ).inc()
         found: list[HealthEvent] = []
 
         for name in mass_names:
@@ -238,7 +230,7 @@ class HealthMonitor:
                         )
 
         self.n_checks += 1
-        self._record(found, registry)
+        self._record(found)
         return found
 
     def check_fingerprint(
@@ -254,13 +246,9 @@ class HealthMonitor:
         the fixed traversal order, so ``mismatches[0]`` is the most
         upstream divergent pair.  The event names the step, the field and
         the block of that first mismatch and carries the total divergent
-        pair count as its value; it goes through the same policy/metrics
-        machinery as the field checks (check kind ``"divergence"``).
+        pair count as its value; it goes through the same policy machinery
+        as the field checks (check kind ``"divergence"``).
         """
-        registry = get_registry()
-        registry.counter(
-            "repro_health_checks_total", "health checks executed"
-        ).inc()
         found: list[HealthEvent] = []
         if mismatches:
             first = mismatches[0]
@@ -277,11 +265,11 @@ class HealthMonitor:
                 )
             )
         self.n_checks += 1
-        self._record(found, registry)
+        self._record(found)
         return found
 
-    def _record(self, found: list[HealthEvent], registry) -> None:
-        """Shared event handling: store, record, count, log, apply the policy.
+    def _record(self, found: list[HealthEvent]) -> None:
+        """Shared event handling: store, record, log, apply the policy.
 
         The ``kind="health"`` recorder event (``check`` as its name) is the
         durable form: with a journal open it is the run's health log.
@@ -300,12 +288,6 @@ class HealthMonitor:
                 value=event.value,
                 where=event.where,
             )
-            registry.counter(
-                "repro_health_events_total",
-                "failed health checks",
-                check=event.check,
-                field=event.field,
-            ).inc()
             if self.policy in ("warn", "raise"):
                 _log.warning(
                     kv(

@@ -11,19 +11,20 @@ chart of ``tools/run_report.py`` are views of this stream, and a crash
 at step 48 123 of a day-long run is diagnosable from it alone:
 
 * **always on** — the process-wide recorder is enabled by default and
-  bounded (a ``deque(maxlen=...)`` ring), so it costs about 1 µs per
-  event on a 2-vCPU Xeon guest (6.6–6.9 µs with a journal open; the
-  ``step_begin`` + ``step_end`` pair 2.9–3.1 µs) and a fixed amount of memory
-  no matter how long the run is; ``capacity=None`` keeps every event
-  instead, for a run whose whole timeline is wanted without a journal;
+  bounded (a ``deque(maxlen=...)`` ring), so an event costs 0.9 µs on a
+  2-vCPU Xeon guest, 1.5 µs on its throttled vCPU (6.7–7.0 µs with a
+  journal open; the ``step_begin`` + ``step_end`` pair 3.1 µs), and a
+  fixed amount of memory no matter how long the run is; ``capacity=None``
+  keeps every event instead, for a run whose whole timeline is wanted
+  without a journal;
 * **intervals are events that carry** ``seconds`` — ``op`` (recorded by
   the profiler after the interval), ``step_end``, ``fingerprint`` and the
   ``span_end`` closing a :meth:`~FlightRecorder.span`; the interval is
   ``[ts - seconds, ts]``;
 * **self-measured overhead** — every :meth:`~FlightRecorder.record` call
-  times itself; the accumulated cost is exported as the
-  ``repro_observability_overhead_seconds`` gauge and gated per event
-  (12 µs) by the tier-1 tests;
+  times itself; :class:`~repro.observability.rundir.RunDir` writes a run's
+  share of the accumulated cost into its manifest, and the tier-1 tests
+  gate it per event (12 µs);
 * **JSONL journal** — :meth:`~FlightRecorder.open_journal` streams every
   event to a line-buffered ``journal.jsonl`` (one JSON object per line),
   the durable variant of the ring for post-run analysis and the HTML run
@@ -62,9 +63,6 @@ __all__ = [
 #: default ring capacity — enough for several steps of a busy distributed
 #: solver (each step emits ~10–20 events), small enough to pickle cheaply
 DEFAULT_CAPACITY = 1024
-
-#: name of the self-measured overhead gauge
-OVERHEAD_GAUGE = "repro_observability_overhead_seconds"
 
 #: the pipeline layers used as span categories, in stack order; each is one
 #: named thread track of :func:`chrome_trace`
@@ -356,19 +354,6 @@ class FlightRecorder:
         """Number of :meth:`record` calls behind :attr:`overhead_seconds`."""
         return self._seq
 
-    def publish_overhead(self, registry=None) -> float:
-        """Set the ``repro_observability_overhead_seconds`` gauge; returns it."""
-        from .metrics import get_registry
-
-        registry = registry or get_registry()
-        labels = {} if self.rank is None else {"rank": self.rank}
-        registry.gauge(
-            OVERHEAD_GAUGE,
-            "self-measured flight-recorder cost (ring + journal writes)",
-            **labels,
-        ).set(self._overhead)
-        return self._overhead
-
     def reset(self) -> None:
         with self._lock:
             self._ring.clear()
@@ -475,7 +460,9 @@ def rank_recorder(rank: int, capacity: int | None = DEFAULT_CAPACITY, enabled: b
     is unwinding toward the crash-capture handler in ``run_ranks``, which
     runs on this same thread *after* this context exits and must still see
     the rank's ring (not the process-global one).  Rank threads are
-    one-shot, so nothing else ever reuses the thread-local slot.
+    one-shot, so nothing else ever reuses the thread-local slot.  Either
+    way the rank is over: a journal a solver opened on the recorder is
+    closed (its lines are already on disk).
     """
     recorder = FlightRecorder(capacity=capacity, enabled=enabled, rank=rank)
     previous = set_thread_recorder(recorder)
@@ -485,6 +472,8 @@ def rank_recorder(rank: int, capacity: int | None = DEFAULT_CAPACITY, enabled: b
         raise
     else:
         set_thread_recorder(previous)
+    finally:
+        recorder.close_journal()
 
 
 # -- views of the event stream ----------------------------------------------------

@@ -19,12 +19,9 @@ instruments are below :mod:`repro.perfmodel` in the import graph).
 
 from __future__ import annotations
 
-import math
-
 from .hwcounters import counter_provenance_line
-from .metrics import get_registry
 
-__all__ = ["model_accuracy_rows", "model_accuracy_report", "export_accuracy_metrics"]
+__all__ = ["model_accuracy_rows", "model_accuracy_report"]
 
 
 def model_accuracy_rows(
@@ -129,28 +126,3 @@ def model_accuracy_report(
     )
     lines.append(counter_provenance_line())
     return "\n".join(lines)
-
-
-def export_accuracy_metrics(rows: list[dict], registry=None) -> None:
-    """Publish the joined rows as gauges (per-kernel predicted/measured).
-
-    Non-finite values (a NaN ratio from ``predicted_mlups == 0``) are
-    skipped: Prometheus text format renders them as ``nan``, which the
-    parser round-trips but every aggregation silently poisons.
-    """
-    registry = registry or get_registry()
-    gauges = (
-        ("repro_kernel_predicted_mlups", "ECM-predicted kernel rate", "predicted_mlups"),
-        ("repro_kernel_measured_mlups", "measured kernel rate", "measured_mlups"),
-        ("repro_model_accuracy_ratio", "measured/predicted MLUP/s", "ratio"),
-        ("repro_kernel_predicted_cycles_per_lup",
-         "ECM-predicted cycles per LUP", "predicted_cycles_per_lup"),
-        ("repro_kernel_predicted_bytes_per_lup",
-         "layer-condition memory traffic per LUP", "predicted_bytes_per_lup"),
-    )
-    for r in rows:
-        for name, help_, key in gauges:
-            value = r.get(key)
-            if value is None or not math.isfinite(value):
-                continue
-            registry.gauge(name, help_, kernel=r["kernel"]).set(value)

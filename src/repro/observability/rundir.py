@@ -1,14 +1,13 @@
 """Per-run artifact bundles: one directory, one manifest, every artifact.
 
 Every run used to scatter its outputs across ad-hoc paths — a trace here,
-a metrics dump there, checkpoints wherever the caller pointed them.
+a ledger there, checkpoints wherever the caller pointed them.
 :class:`RunDir` gives a run a single home::
 
     run-2026-08-08/
-      manifest.json        # config, git rev, host, backend, ranks, wall
+      manifest.json        # config, git rev, host, backend, ranks, wall,
+                           # recorder overhead
       trace.json           # Chrome-trace rendering of the journals
-      metrics.prom         # Prometheus text-format metrics snapshot
-      metrics.json         # same registry, JSON form
       diagnostics.csv      # in-situ physics diagnostics series
       fingerprints.jsonl   # repro-fingerprint/1 determinism ledger
       journal.jsonl        # flight-recorder event journal: every span,
@@ -21,9 +20,9 @@ a metrics dump there, checkpoints wherever the caller pointed them.
 
 ``manifest.json`` (schema ``repro-run/1``) is the index: what the run
 was (config, git sha, host, backend, ranks), how it went (status,
-wall-clock), and which artifacts exist.  ``tools/run_report.py`` renders
-a manifest into a self-contained HTML report; the sweep driver
-(ROADMAP item 3) will treat a directory of RunDirs as its job store.
+wall-clock, what the flight recorder's events cost it), and which
+artifacts exist.  ``tools/run_report.py`` renders a manifest into a
+self-contained HTML report.
 
 Use it as a context manager for automatic status tracking::
 
@@ -62,8 +61,6 @@ MANIFEST_SCHEMA = "repro-run/1"
 #: canonical artifact names, also the manifest's inventory keys
 _ARTIFACTS = {
     "trace": "trace.json",
-    "metrics_prom": "metrics.prom",
-    "metrics_json": "metrics.json",
     "diagnostics": "diagnostics.csv",
     "fingerprints": "fingerprints.jsonl",
     "journal": "journal.jsonl",
@@ -103,6 +100,7 @@ class RunDir:
         self._notes: dict = {}
         self._lock = threading.Lock()
         self._previous_rundir = None
+        self._recorder_at_enter = None
         if create:
             self.path.mkdir(parents=True, exist_ok=True)
             self.checkpoint_dir.mkdir(exist_ok=True)
@@ -116,14 +114,6 @@ class RunDir:
     @property
     def trace_path(self) -> Path:
         return self.path / _ARTIFACTS["trace"]
-
-    @property
-    def metrics_path(self) -> Path:
-        return self.path / _ARTIFACTS["metrics_prom"]
-
-    @property
-    def metrics_json_path(self) -> Path:
-        return self.path / _ARTIFACTS["metrics_json"]
 
     @property
     def diagnostics_path(self) -> Path:
@@ -235,10 +225,21 @@ class RunDir:
 
     def __enter__(self):
         self._previous_rundir = set_rundir(self)
+        recorder = get_recorder()
+        self._recorder_at_enter = (
+            recorder, recorder.overhead_seconds, recorder.events_recorded
+        )
         self.write_manifest(status="running")
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        # what the recorder's events cost this run: the process's recorder
+        # also holds the cost of every earlier run
+        entered, seconds, events = self._recorder_at_enter
+        overhead = {
+            "seconds": entered.overhead_seconds - seconds,
+            "events": entered.events_recorded - events,
+        }
         # the run is over: left open, its journal would keep receiving the
         # events of every later run in this process, at the journal price
         recorder = get_recorder()
@@ -259,9 +260,12 @@ class RunDir:
                         write_postmortem(bundle, self.postmortem_path)
                     except Exception:
                         pass  # forensics must not mask the original exception
-                self.write_manifest(status="crashed", error=f"{exc_type.__name__}: {exc}")
+                self.write_manifest(
+                    status="crashed", error=f"{exc_type.__name__}: {exc}",
+                    recorder_overhead=overhead,
+                )
             else:
-                self.write_manifest(status="ok")
+                self.write_manifest(status="ok", recorder_overhead=overhead)
         finally:
             set_rundir(self._previous_rundir)
         return False

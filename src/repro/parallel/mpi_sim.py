@@ -24,6 +24,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..observability.recorder import FlightRecorder, get_recorder, set_thread_recorder
+
 __all__ = ["CollectiveOps", "SimComm", "Request", "run_ranks", "RankError"]
 
 #: default deadline for a blocking receive — a rank waiting longer than
@@ -265,6 +267,10 @@ def run_ranks(
     (stuck outside a receive, e.g. in user code) raises a :class:`RankError`
     naming the stuck rank instead of silently returning ``None`` for it.
 
+    Every rank thread records into a recorder of its own, as a forked rank
+    does into its copy of the process recorder (same capacity, same
+    switch); a rank program that installs
+    :func:`~repro.observability.recorder.rank_recorder` keeps that one.
     Crash forensics match the process backend: a failing rank's flight
     recorder is snapshotted into a post-mortem bundle, the bundles are
     attached to the raised :class:`RankError` as ``exc.postmortems``, and
@@ -275,8 +281,15 @@ def run_ranks(
     results: list = [None] * size
     errors: list = []
     postmortems: dict[int, dict] = {}
+    launcher = get_recorder()
 
     def worker(rank: int):
+        # sharing the launcher's recorder, the ranks would share its journal
+        # too: each rank's open_journal closes the one the rank before opened
+        recorder = FlightRecorder(
+            capacity=launcher.capacity, enabled=launcher.enabled, rank=launcher.rank
+        )
+        set_thread_recorder(recorder)
         comm = SimComm(rank, router)
         try:
             results[rank] = func(comm, *args, **kwargs)
@@ -292,6 +305,8 @@ def run_ranks(
                 postmortems[rank] = capture_postmortem(exc, rank=rank)
             except Exception:
                 pass
+        finally:
+            recorder.close_journal()
 
     threads = [
         threading.Thread(target=worker, args=(r,), name=f"simrank-{r}", daemon=True)

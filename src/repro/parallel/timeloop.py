@@ -25,7 +25,6 @@ import numpy as np
 from ..ir.kernel import split_interior_frontier
 from ..observability.distributed import CommMatrix
 from ..observability.health import HealthMonitor
-from ..observability.metrics import get_registry
 from ..pfm.model import PhaseFieldKernelSet
 from ..profiling import compile_cached
 from ..timeloop import TimeLoop
@@ -88,10 +87,6 @@ class DistributedSolver(TimeLoop):
         }
         self.bytes_sent = 0
         self.comm_matrix = CommMatrix(self.n_ranks)
-        self._bytes_counter = get_registry().counter(
-            "repro_exchange_bytes_total", "ghost-layer bytes sent to remote ranks",
-            rank=self.rank,
-        )
         self._in_flight: dict[str, GhostExchange] = {}
         self._exchange_plan: ExchangePlan | None = None
         super().__init__(
@@ -187,11 +182,6 @@ class DistributedSolver(TimeLoop):
 
     # -- ghost synchronization ------------------------------------------------------
 
-    def _count_sent(self, nbytes: int) -> None:
-        self.bytes_sent += nbytes
-        if nbytes:
-            self._bytes_counter.inc(nbytes)
-
     def _exchange(self, primitive, name: str, **extra):
         """``exchange_field`` or ``GhostExchange`` over this rank's blocks."""
         return primitive(
@@ -201,7 +191,7 @@ class DistributedSolver(TimeLoop):
 
     def sync(self, name: str) -> None:
         """Blocking ghost-layer exchange of field *name* over all blocks."""
-        self._count_sent(self._exchange(exchange_field, name))
+        self.bytes_sent += self._exchange(exchange_field, name)
 
     def start(self, name: str) -> None:
         """Post the asynchronous exchange of field *name*."""
@@ -219,7 +209,7 @@ class DistributedSolver(TimeLoop):
         ex = self._in_flight.pop(name, None)
         if ex is not None:
             ex.finish()
-            self._count_sent(ex.bytes_sent)
+            self.bytes_sent += ex.bytes_sent
 
     def _drain(self) -> None:
         for name in list(self._in_flight):

@@ -27,7 +27,6 @@ from sympy.printing.repr import ReprPrinter
 
 from ..ir.kernel import Kernel
 from ..observability.log import get_logger, kv
-from ..observability.metrics import get_registry
 from ..observability.recorder import get_recorder
 from ..symbolic.ordering import CanonicalTermOrder
 
@@ -133,7 +132,6 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
     before invoking the toolchain — a warm process compiles nothing.
     """
     global _HITS, _MISSES
-    registry = get_registry()
     with get_recorder().span(
         f"compile:{kernel.name}", category="backend", backend=backend
     ) as span:
@@ -142,9 +140,6 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
             compiled = _CACHE.get(key)
             if compiled is not None:
                 _HITS += 1
-                registry.counter(
-                    "repro_kernel_cache_hits_total", "kernel cache hits"
-                ).inc()
                 span["cache"] = "hit"
                 _log.debug(kv("cache_hit", kernel=kernel.name, backend=backend))
                 return compiled
@@ -155,12 +150,6 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
             winner = _CACHE.setdefault(key, compiled)
             _MISSES += 1
             size = len(_CACHE)
-        registry.counter(
-            "repro_kernel_cache_misses_total", "kernel cache misses (compiles)"
-        ).inc()
-        registry.gauge(
-            "repro_kernel_cache_size", "compiled kernels held by the cache"
-        ).set(size)
         span["cache"] = "miss"
         _log.info(
             kv(

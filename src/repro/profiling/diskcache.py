@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..observability.log import get_logger, kv
-from ..observability.metrics import get_registry
 
 try:  # pragma: no cover - fcntl exists on every POSIX platform we target
     import fcntl
@@ -354,17 +353,16 @@ class KernelDiskCache:
         readers either see the complete artifact or none at all.
         """
         global _HITS, _MISSES, _BUILDS
-        registry = get_registry()
         final = self.artifact_path(key, artifact)
         if final.exists():
-            self._count_hit(registry)
+            self._count_hit()
             return final, True
         entry = self.entry_dir(key)
         entry.mkdir(parents=True, exist_ok=True)
         with _FileLock(entry / "lock", timeout=self.lock_timeout):
             if final.exists():
                 # a racer published while we waited for the lock
-                self._count_hit(registry)
+                self._count_hit()
                 return final, True
             self._sweep_orphans(entry)
             tmp = entry / f".tmp.{os.getpid()}.{uuid.uuid4().hex[:8]}"
@@ -394,14 +392,6 @@ class KernelDiskCache:
         with _LOCK:
             _MISSES += 1
             _BUILDS += 1
-        registry.counter(
-            "repro_kernel_cache_disk_misses_total",
-            "persistent kernel-cache misses (artifact built)",
-        ).inc()
-        registry.gauge(
-            "repro_kernel_cache_disk_bytes",
-            "total bytes of published artifacts in the persistent cache",
-        ).set(self.total_bytes())
         _log.info(
             kv(
                 "disk_cache_built",
@@ -412,14 +402,11 @@ class KernelDiskCache:
         )
         return final, False
 
-    def _count_hit(self, registry) -> None:
+    @staticmethod
+    def _count_hit() -> None:
         global _HITS
         with _LOCK:
             _HITS += 1
-        registry.counter(
-            "repro_kernel_cache_disk_hits_total",
-            "persistent kernel-cache hits (compile skipped)",
-        ).inc()
 
     @staticmethod
     def _write_atomic(path: Path, text: str) -> None:
@@ -465,10 +452,6 @@ class KernelDiskCache:
         for entry in self.entries():
             shutil.rmtree(entry, ignore_errors=True)
             dropped += 1
-        get_registry().gauge(
-            "repro_kernel_cache_disk_bytes",
-            "total bytes of published artifacts in the persistent cache",
-        ).set(0)
         if dropped:
             _log.info(kv("disk_cache_purged", entries=dropped, root=str(self.root)))
         return dropped

@@ -267,63 +267,6 @@ class SolverProfiler:
     def total_seconds(self) -> float:
         return sum(r.seconds for r in self.records.values())
 
-    # -- metrics export --------------------------------------------------------
-
-    def export_metrics(self, registry=None, **labels) -> None:
-        """Publish every record into a :class:`MetricsRegistry`.
-
-        Per operation: ``repro_op_calls_total``, ``repro_op_seconds_total``,
-        ``repro_op_bytes_total`` counters-as-gauges plus a
-        ``repro_kernel_mlups`` gauge for cell-counted records.  Extra
-        *labels* (e.g. ``solver="distributed"``, ``rank=0``) are attached to
-        every sample.
-        """
-        from ..observability.metrics import get_registry
-
-        registry = registry or get_registry()
-        for rec in self.records.values():
-            registry.gauge(
-                "repro_op_calls_total", "profiled operation invocations",
-                op=rec.name, **labels,
-            ).set(rec.calls)
-            registry.gauge(
-                "repro_op_seconds_total", "profiled operation wall time",
-                op=rec.name, **labels,
-            ).set(rec.seconds)
-            if rec.bytes:
-                registry.gauge(
-                    "repro_op_bytes_total", "bytes moved by operation",
-                    op=rec.name, **labels,
-                ).set(rec.bytes)
-            if rec.messages:
-                registry.gauge(
-                    "repro_op_messages_total", "MPI messages behind operation",
-                    op=rec.name, **labels,
-                ).set(rec.messages)
-            if rec.cells:
-                registry.gauge(
-                    "repro_kernel_mlups", "measured kernel rate",
-                    kernel=rec.name, **labels,
-                ).set(rec.mlups)
-                if rec.cycles_per_lup is not None:
-                    registry.gauge(
-                        "repro_kernel_cycles_per_lup",
-                        "measured cycles per lattice-site update",
-                        kernel=rec.name, **labels,
-                    ).set(rec.cycles_per_lup)
-                if rec.ipc is not None:
-                    registry.gauge(
-                        "repro_kernel_ipc", "instructions retired per cycle",
-                        kernel=rec.name, **labels,
-                    ).set(rec.ipc)
-                measured_bpl = rec.measured_bytes_per_lup()
-                if measured_bpl is not None:
-                    registry.gauge(
-                        "repro_kernel_measured_bytes_per_lup",
-                        "memory traffic per LUP from cache-miss counts",
-                        kernel=rec.name, **labels,
-                    ).set(measured_bpl)
-
     # -- reporting -------------------------------------------------------------
 
     def report(self, title: str = "solver profile") -> str:

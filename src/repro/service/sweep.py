@@ -11,9 +11,8 @@ runs the solver with diagnostics + health monitoring into a per-scenario
 :class:`~repro.observability.rundir.RunDir`, and reports a summary.
 
 The parent process never runs a kernel (libgomp does not survive a fork
-from a process that already entered an OpenMP region), aggregates worker
-cache/throughput statistics into the :class:`MetricsRegistry`, samples
-the task-queue depth, and writes one merged ``sweep.json`` manifest
+from a process that already entered an OpenMP region), samples the
+task-queue depth, and writes one merged ``sweep.json`` manifest
 (schema ``repro-sweep/1``) that ``tools/run_report.py`` renders as a
 sweep report and ``tools/check_observability.py SWEEPDIR`` validates in
 CI.
@@ -37,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from ..observability.log import get_logger, kv
-from ..observability.metrics import get_registry
 
 __all__ = [
     "SWEEP_SCHEMA",
@@ -189,7 +187,6 @@ def run_scenario(spec: ScenarioSpec, rundir_path, backend: str | None = None) ->
         t1 = time.perf_counter()
         solver.step(spec.steps)
         step_seconds = time.perf_counter() - t1
-        get_registry().export_prometheus(rundir.metrics_path)
         rundir.note(sweep_scenario=spec.name)
     mem1, disk1 = kernel_cache_stats(), disk_cache_stats()
     cells = int(np.prod(spec.shape))
@@ -248,9 +245,9 @@ def run_sweep(
     """Run *specs* across a forked worker pool; returns the sweep manifest.
 
     Scenario RunDirs land under ``<sweep_dir>/runs/<name>``; the merged
-    manifest is written to ``<sweep_dir>/sweep.json`` and sweep-level
-    metrics (queue depth, cache hits, throughput) to
-    ``<sweep_dir>/metrics.prom``.  Workers fork *before* any kernel runs
+    manifest — per-scenario summaries, this sweep's totals (outcomes, cache
+    hits and builds, throughput) and the queue-depth samples — is written
+    to ``<sweep_dir>/sweep.json``.  Workers fork *before* any kernel runs
     in the parent, so OpenMP state never crosses the fork.  A worker that
     dies mid-scenario (OOM, kill) is detected and its scenario recorded
     as failed; remaining scenarios keep flowing to the surviving workers.
@@ -356,7 +353,6 @@ def run_sweep(
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle, indent=2, default=repr)
         handle.write("\n")
-    _export_sweep_metrics(manifest, sweep_dir / "metrics.prom")
     _log.info(
         kv(
             "sweep_finished",
@@ -424,37 +420,6 @@ def _merge(specs, results, errors, queue_depth_samples, wall, workers, backend) 
         "totals": totals,
         "queue_depth_samples": queue_depth_samples,
     }
-
-
-def _export_sweep_metrics(manifest: dict, path) -> None:
-    """Fold the workers' aggregated stats into this process's registry."""
-    registry = get_registry()
-    totals = manifest["totals"]
-    for status in ("ok", "failed"):
-        counter = registry.counter(
-            "repro_sweep_scenarios_total", "sweep scenarios by outcome",
-            status=status,
-        )
-        if totals[status]:
-            counter.inc(totals[status])
-    if totals["disk_hits"]:
-        registry.counter(
-            "repro_kernel_cache_disk_hits_total",
-            "persistent kernel-cache hits (compile skipped)",
-        ).inc(totals["disk_hits"])
-    if totals["disk_misses"]:
-        registry.counter(
-            "repro_kernel_cache_disk_misses_total",
-            "persistent kernel-cache misses (artifact built)",
-        ).inc(totals["disk_misses"])
-    registry.gauge(
-        "repro_sweep_queue_depth", "scenario tasks waiting in the sweep queue"
-    ).set(manifest["queue_depth_samples"][-1]["depth"] if manifest["queue_depth_samples"] else 0)
-    registry.gauge(
-        "repro_sweep_throughput_mlups",
-        "aggregate sweep throughput (million cell updates / s)",
-    ).set(totals["throughput_mlups"])
-    registry.export_prometheus(path)
 
 
 def load_sweep_manifest(path) -> dict:

@@ -30,7 +30,6 @@ from time import perf_counter
 
 from .backends.numpy_backend import create_arrays
 from .observability.log import get_logger, kv
-from .observability.metrics import get_registry
 from .observability.recorder import get_recorder
 from .profiling import SolverProfiler
 
@@ -59,8 +58,8 @@ class TimeLoop:
     requirement, performance reports), *blocks* the geometry of the blocks
     this process owns (their arrays are allocated here), *compile* the
     ``compile_cached``-style callable every scheduled kernel goes through.
-    *tags* identify this loop among its peers (``rank=…``) on metrics and
-    recorder events; *note* describes the run in the RunDir
+    *tags* identify this loop among its peers (``rank=…``) on recorder
+    events and log lines; *note* describes the run in the RunDir
     manifest and the perf ledger.
 
     Checkpoints, the default diagnostics suite and the phase-sum health
@@ -159,10 +158,6 @@ class TimeLoop:
             self._register(_HEALTH, 1, self._check_health)
         self._diag_series = None
         self._fp_stream = None
-        self._step_latency = get_registry().histogram(
-            "repro_step_seconds", "wall time per solver time step",
-            solver=self.kind, **self._tags,
-        )
         _log.info(
             kv("solver_created", kind=self.kind, blocks=len(self._owned),
                health=health is not None, **self._tags, **self._note)
@@ -260,7 +255,6 @@ class TimeLoop:
             seconds = perf_counter() - t0
             recorder.step_end(begin_step, seconds)
             self.step_seconds += seconds
-            self._step_latency.observe(seconds)
 
     def _register(self, stage: int, every: int, fn) -> None:
         """Queue post-step work; enabling a stage again replaces it."""
@@ -374,14 +368,13 @@ class TimeLoop:
         csv_path=None,
         tile_shape: tuple[int, ...] | None = None,
         check_invariants: bool = True,
-        metrics: bool = True,
     ):
         """Evaluate a :class:`~repro.diagnostics.DiagnosticsSuite` in-situ.
 
         Every *every* steps (and once immediately, establishing the
         conservation reference) the suite's reduction kernel runs on the
         live fields; rows stream into the returned
-        :class:`~repro.diagnostics.DiagnosticsSeries` (CSV/gauges/counter
+        :class:`~repro.diagnostics.DiagnosticsSeries` (CSV and counter
         events).  With *check_invariants* and a :class:`HealthMonitor`
         attached, solute-mass drift and free-energy decay violations go
         through the monitor's policy *before* the per-field watchdogs run.
@@ -390,8 +383,8 @@ class TimeLoop:
         blocks' partial sums, the partials are allgathered and merged in
         sorted block-coordinate order (a fixed sequence of scalar adds), so
         every rank — and a single-process run over the same forest —
-        computes the bit-identical global series.  CSV and metrics gauges
-        are emitted on rank 0 only; invariant checks run on all ranks
+        computes the bit-identical global series.  CSV rows are written on
+        rank 0 only; invariant checks run on all ranks
         (same merged values) so a policy-"raise" monitor aborts every rank.
         On a single block, *tile_shape* selects the fixed-order tiled sum —
         pass a distributed run's block shape to reproduce its series bit
@@ -409,7 +402,6 @@ class TimeLoop:
         series = self._diag_series = DiagnosticsSeries(
             suite.names,
             csv_path=csv_path if self.rank == 0 else None,
-            metrics=metrics and self.rank == 0,
         )
         mass, energy = (
             invariant_names(suite.names, self.params) if check_invariants else ((), None)
@@ -452,7 +444,6 @@ class TimeLoop:
         reference=None,
         path=None,
         tile_shape: tuple[int, ...] | None = None,
-        metrics: bool = True,
     ):
         """Stream ``repro-fingerprint/1`` state digests every *every* steps.
 
@@ -493,7 +484,6 @@ class TimeLoop:
             reference=reference,
             health=self.health,
             where=self._where(),
-            metrics=metrics and self.rank == 0,
         )
 
         def evaluate() -> None:
@@ -549,10 +539,6 @@ class TimeLoop:
         if self.health is not None:
             parts += ["", self.health.summary()]
         return "\n".join(parts)
-
-    def export_metrics(self, registry=None) -> None:
-        """Publish this solver's (rank's) profile into the metrics registry."""
-        self.profiler.export_metrics(registry, solver=self.kind, **self._tags)
 
     def export_perf(self, path=None, machine=None, bench: str = "solver") -> str | None:
         """Append this run's ``repro-perf/1`` records (``perf/perf.jsonl``).

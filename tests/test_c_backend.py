@@ -610,7 +610,7 @@ class TestBinding:
         def ledger(position, barrier=None):
             solver = SingleBlockSolver(binary2d, (16, 12), backend="c", seed=int(position))
             solver.set_state(planar_front((16, 12), 2, 0, 1, position=position, epsilon=4.0))
-            stream = solver.enable_fingerprints(every=1, metrics=False)
+            stream = solver.enable_fingerprints(every=1)
             if barrier is not None:
                 barrier.wait(timeout=60)
             solver.step(40)
@@ -730,7 +730,7 @@ class TestLayoutSafety:
                     solver.arrays[name] = np.ascontiguousarray(a)
                     assert solver.arrays[name].strides != a.strides or a.shape[-1] == 1
             solver.set_state(phi0, mu=0.0)
-            stream = solver.enable_fingerprints(every=1, metrics=False)
+            stream = solver.enable_fingerprints(every=1)
             solver.step(steps)
             ledgers[backend] = [record["fields"] for record in stream.records]
         assert len(ledgers["c"]) == steps + 1

@@ -33,10 +33,6 @@ from repro.observability import (
     HealthError,
     HealthMonitor,
     chrome_trace,
-    parse_prometheus,
-    find_sample,
-    reset_metrics,
-    get_registry,
     set_recorder,
 )
 from repro.parallel import BlockForest, run_ranks
@@ -50,13 +46,6 @@ from repro.pfm import (
 from repro.symbolic import fields
 from repro.symbolic.assignment import Assignment, AssignmentCollection
 from repro.symbolic.operators import Diff
-
-
-@pytest.fixture(autouse=True)
-def _clean_metrics():
-    reset_metrics()
-    yield
-    reset_metrics()
 
 
 @pytest.fixture(scope="module")
@@ -288,13 +277,10 @@ class TestSolverDiagnostics:
         solver.set_state(_front_state(params, (16, 16)), mu=0.0)
         solver.enable_diagnostics(every=1)
         solver.step(5)
-        checks = {e.check for e in monitor.events}
-        assert "conservation" in checks
-        parsed = parse_prometheus(get_registry().to_prometheus())
-        assert find_sample(
-            parsed, "repro_health_events_total",
-            check="conservation", field="solute_mass_0",
-        ) >= 1
+        assert any(
+            e.check == "conservation" and e.field == "solute_mass_0"
+            for e in monitor.events
+        )
 
     def test_dt_blowup_trips_energy_decay_before_nan(self, binary_model):
         params = dataclasses.replace(binary_model.params, dt=2.0)
@@ -397,9 +383,7 @@ class TestDistributedDiagnostics:
 class TestDiagnosticsSeries:
     def test_csv_and_columns(self, tmp_path):
         path = tmp_path / "series.csv"
-        series = DiagnosticsSeries(
-            ["free_energy"], csv_path=path, metrics=False
-        )
+        series = DiagnosticsSeries(["free_energy"], csv_path=path)
         series.record(0, 0.0, {"free_energy": 2.0})
         series.record(1, 0.1, {"free_energy": 1.5})
         assert series.column("free_energy") == [2.0, 1.5]
@@ -420,10 +404,11 @@ class TestDiagnosticsSeries:
             series.record(0, 0.0, {"free_energy": 3.0, "interface_area": 7.0})
         finally:
             set_recorder(previous)
-        parsed = parse_prometheus(get_registry().to_prometheus())
-        assert find_sample(
-            parsed, "repro_diagnostic", name="free_energy"
-        ) == 3.0
+        assert series.rows == [
+            {"time_step": 0, "time": 0.0, "free_energy": 3.0, "interface_area": 7.0}
+        ]
+        (event,) = [e for e in recorder.events if e.kind == "counter"]
+        assert event.data == {"free_energy": 3.0, "interface_area": 7.0}
         doc = chrome_trace([recorder])
         counters = [
             ev for ev in doc["traceEvents"] if ev.get("ph") == "C"

@@ -4,8 +4,8 @@ Covers the scaling layer end to end: rank-tagged recorders rendering as one
 multi-track Chrome trace, the per-(src, dst) communication matrix fed by
 the ghost exchange, the λ imbalance factor and the comm-model closure in
 ``DistributedSolver.profile_report()``, the ``SimComm.recv`` deadlock
-timeout, the multi-rank metrics-export round-trip, and the unit-cost
-gates of the flight recorder and the fingerprint stream.
+timeout, one journal per simulated rank, and the unit-cost gates of the
+flight recorder and the fingerprint stream.
 """
 
 import errno
@@ -24,20 +24,18 @@ from repro.observability import (
     CounterHarness,
     CounterSample,
     FlightRecorder,
-    MetricsRegistry,
+    RunDir,
     chrome_trace,
     comm_closure_rows,
-    find_sample,
     get_counter_harness,
     get_recorder,
     imbalance_factor,
-    parse_prometheus,
+    load_journal,
     rank_recorder,
-    reset_metrics,
     set_counter_harness,
     set_thread_recorder,
 )
-from repro.parallel import BlockForest, RankError, run_ranks
+from repro.parallel import BlockForest, RankError, launch_ranks, run_ranks
 from repro.parallel.timeloop import DistributedSolver
 from repro.pfm import (
     GrandPotentialModel,
@@ -45,7 +43,7 @@ from repro.pfm import (
     make_two_phase_binary,
     planar_front,
 )
-from repro.profiling import SolverProfiler, compile_cached
+from repro.profiling import compile_cached
 
 needs_cc = pytest.mark.skipif(not c_compiler_available(), reason="no C compiler available")
 
@@ -53,7 +51,6 @@ needs_cc = pytest.mark.skipif(not c_compiler_available(), reason="no C compiler 
 @pytest.fixture(autouse=True)
 def _clean_observability_state():
     yield
-    reset_metrics()
     set_thread_recorder(None)
 
 
@@ -328,49 +325,54 @@ class TestRecvTimeout:
         assert run_ranks(2, program, recv_timeout=5.0) == [10, 0]
 
 
-# -- multi-rank metrics export -------------------------------------------------
+# -- one recorder, one journal per simulated rank -----------------------------
 
 
-class TestMultiRankMetrics:
-    def test_rank_labels_survive_prometheus_roundtrip(self):
-        registry = MetricsRegistry()
-        profilers = []
+class TestThreadRankJournals:
+    def _run(self, kernel_set, rundir, program_wrapper=None):
+        params = kernel_set.model.params
+        forest = BlockForest((16, 16), (8, 8), periodic=True)
+
+        def program(comm):
+            solver = DistributedSolver(kernel_set, forest, comm=comm, rundir=rundir)
+            solver.set_state_from(_init((16, 16), params))
+            solver.step(3)
+            return get_recorder()
+
+        return launch_ranks(2, program_wrapper(program) if program_wrapper else program,
+                            backend="sim")
+
+    def test_each_rank_journals_its_own_steps(self, kernel_set, tmp_path):
+        with RunDir(tmp_path / "run") as rundir:
+            recorders = self._run(kernel_set, rundir)
+        assert recorders[0] is not recorders[1]
+        assert all(r is not get_recorder() for r in recorders)
         for rank in range(2):
-            prof = SolverProfiler()
-            prof.record("kernel", 0.5 + rank, cells=1000, nbytes=64)
-            prof.export_metrics(registry, solver="distributed", rank=rank)
-            profilers.append(prof)
-        parsed = parse_prometheus(registry.to_prometheus())
-        for rank in range(2):
-            value = find_sample(
-                parsed, "repro_op_seconds_total",
-                op="kernel", rank=str(rank), solver="distributed",
-            )
-            assert value == pytest.approx(0.5 + rank)
-        merged = SolverProfiler()
-        for prof in profilers:
-            merged.merge(prof)
-        assert merged.records["kernel"].seconds == pytest.approx(2.0)
+            events = load_journal(rundir.journal_path(rank)).events
+            steps = [e.data for e in events if e.kind == "step_begin"]
+            assert [(s["time_step"], s["rank"]) for s in steps] == [
+                (0, rank), (1, rank), (2, rank)
+            ]
+            # the journal holds the rank's whole run, not the tail after the
+            # other rank re-opened a shared handle
+            assert sum(e.kind == "step_end" for e in events) == 3
+            assert any(e.kind == "span_end" for e in events)
+        assert not rundir.journal_path().exists()
 
-    def test_merged_histograms_sum_counts(self):
-        registry = MetricsRegistry()
-        for rank in range(3):
-            h = registry.histogram(
-                "repro_step_seconds", "per-step latency",
-                solver="distributed", rank=rank,
-            )
-            for _ in range(4):
-                h.observe(0.01 * (rank + 1))
-        parsed = parse_prometheus(registry.to_prometheus())
-        total = 0.0
-        for rank in range(3):
-            count = find_sample(
-                parsed, "repro_step_seconds", "repro_step_seconds_count",
-                solver="distributed", rank=str(rank),
-            )
-            assert count == 4.0
-            total += count
-        assert total == 12.0
+    def test_a_rank_recorder_installed_by_the_program_is_kept(self, kernel_set, tmp_path):
+        def with_rank_recorder(program):
+            def wrapped(comm):
+                with rank_recorder(comm.rank, capacity=None) as recorder:
+                    assert program(comm) is recorder
+                return recorder
+
+            return wrapped
+
+        with RunDir(tmp_path / "run") as rundir:
+            recorders = self._run(kernel_set, rundir, with_rank_recorder)
+        for rank, recorder in enumerate(recorders):
+            assert recorder.rank == rank
+            assert sum(e.kind == "step_begin" for e in recorder.events) == 3
 
 
 # -- unit-cost gates: one recorder event, one fingerprinted byte ---------------

@@ -2,8 +2,8 @@
 
 Covers the shared JSONL ledger base, the BLAKE2b digest primitives and
 their fixed lexicographic traversal order, the ``repro-fingerprint/1``
-record schema, the live :class:`FingerprintStream` (ledger + metrics +
-online audit), solver integration on both the single-block and
+record schema, the live :class:`FingerprintStream` (ledger + recorder
+events + online audit), solver integration on both the single-block and
 distributed solvers — including the headline invariance claims (1 vs N
 sim ranks, sim vs process backend, overlap on/off, diagnostics on/off)
 and the single-ulp perturbation localization — plus the offline
@@ -25,16 +25,11 @@ from repro.observability import (
     HealthMonitor,
     JsonlLedger,
     RunDir,
-    find_sample,
-    parse_prometheus,
-    get_registry,
-    reset_metrics,
 )
 from repro.observability.fingerprint import (
     FingerprintLedger,
     FingerprintSchemaError,
     FingerprintStream,
-    OVERHEAD_GAUGE,
     block_key,
     combined_digest,
     digest_array,
@@ -52,13 +47,6 @@ from repro.pfm import (
     make_two_phase_binary,
     planar_front,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_metrics():
-    reset_metrics()
-    yield
-    reset_metrics()
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +255,7 @@ class TestFingerprintStream:
     def test_reruns_produce_byte_identical_ledgers(self, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
-            stream = FingerprintStream(path=path, metrics=False)
+            stream = FingerprintStream(path=path)
             for step in range(3):
                 stream.record_state(
                     step, step * 0.05, self._state(), dim=2, tile_shape=(4, 4)
@@ -278,19 +266,18 @@ class TestFingerprintStream:
     def test_construction_truncates_stale_ledger(self, tmp_path):
         path = tmp_path / "fp.jsonl"
         path.write_text('{"stale": true}\n')
-        stream = FingerprintStream(path=path, metrics=False)
+        stream = FingerprintStream(path=path)
         stream.record_state(0, 0.0, self._state(), dim=2)
         records = FingerprintLedger(path).load(strict=True)
         assert len(records) == 1 and records[0]["step"] == 0
 
     def test_audit_counts_matched_and_unmatched_steps(self, tmp_path):
         ref_path = tmp_path / "ref.jsonl"
-        ref = FingerprintStream(path=ref_path, metrics=False)
+        ref = FingerprintStream(path=ref_path)
         for step in (0, 1):
             ref.record_state(step, step * 0.05, self._state(), dim=2)
         stream = FingerprintStream(
-            reference=ref_path, health=HealthMonitor(policy="record"),
-            metrics=False,
+            reference=ref_path, health=HealthMonitor(policy="record")
         )
         for step in (0, 1, 7):  # 7 has no reference record
             stream.record_state(step, step * 0.05, self._state(), dim=2)
@@ -301,13 +288,13 @@ class TestFingerprintStream:
 
     def test_divergence_names_step_field_block_and_raises(self, tmp_path):
         ref_path = tmp_path / "ref.jsonl"
-        ref = FingerprintStream(path=ref_path, metrics=False)
+        ref = FingerprintStream(path=ref_path)
         for step in range(3):
             ref.record_state(
                 step, step * 0.05, self._state(), dim=2, tile_shape=(4, 4)
             )
         # default health monitor is policy="raise"
-        stream = FingerprintStream(reference=ref_path, metrics=False)
+        stream = FingerprintStream(reference=ref_path)
         state = self._state()
         stream.record_state(0, 0.0, state, dim=2, tile_shape=(4, 4))
         state["mu"][6, 2] = np.nextafter(state["mu"][6, 2], np.inf)
@@ -320,19 +307,16 @@ class TestFingerprintStream:
 
     def test_record_policy_and_divergence_counter(self, tmp_path):
         ref_path = tmp_path / "ref.jsonl"
-        ref = FingerprintStream(path=ref_path, metrics=False)
+        ref = FingerprintStream(path=ref_path)
         ref.record_state(0, 0.0, self._state(seed=1), dim=2)
         mon = HealthMonitor(policy="record")
         stream = FingerprintStream(reference=ref_path, health=mon)
         stream.record_state(0, 0.0, self._state(seed=2), dim=2)
         events = [e for e in mon.events if e.check == "divergence"]
-        assert events and events[0].time_step == 0
-        parsed = parse_prometheus(get_registry().to_prometheus())
-        assert find_sample(
-            parsed, "repro_fingerprint_divergence_total", field="mu"
-        ) == 1
-        assert find_sample(parsed, "repro_fingerprint_records_total") == 1
-        assert find_sample(parsed, OVERHEAD_GAUGE) > 0
+        assert len(events) == 1 and events[0].time_step == 0
+        assert stream.first_divergence["field"] == events[0].field == "mu"
+        assert len(stream.records) == 1
+        assert stream.overhead_seconds > 0
 
     def test_empty_reference_refused(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing or empty"):
@@ -506,7 +490,7 @@ class TestDivergenceTool:
             {"phi": rng.random((8, 8)), "mu": rng.random((8, 8))}
             for _ in range(n_steps)
         ]
-        stream = FingerprintStream(path=path, metrics=False)
+        stream = FingerprintStream(path=path)
         for step, state in enumerate(states):
             if step == perturb_step:
                 state = {k: v.copy() for k, v in state.items()}
@@ -652,9 +636,7 @@ class TestReportingSurfaces:
 
         divergence = _tools("divergence")
         other = RunDir(tmp_path / "other")
-        stream = FingerprintStream(
-            path=other.fingerprint_path, metrics=False
-        )
+        stream = FingerprintStream(path=other.fingerprint_path)
         rng = np.random.default_rng(11)
         for step in range(3):
             stream.record_state(

@@ -1,7 +1,7 @@
 """Flight recorder, crash post-mortems, RunDir bundles and the HTML report.
 
 The forensics contract under test: an always-on bounded event ring whose
-self-measured overhead is exported as a gauge, a post-mortem bundle that
+self-measured overhead lands in the run manifest, a post-mortem bundle that
 survives the worker -> parent pickle hop when a process-backed rank dies
 (naming the rank, the step and the last dispatched kernel), a per-run
 artifact directory whose ``manifest.json`` tracks status and inventory,
@@ -33,19 +33,14 @@ from repro.observability import (
     set_rundir,
     write_postmortem,
 )
-from repro.observability.metrics import (
-    MetricsRegistry,
-    find_sample,
-    parse_prometheus,
-)
 from repro.observability.recorder import (
-    OVERHEAD_GAUGE,
     FlightRecorder,
     chrome_trace,
     set_recorder,
 )
 from repro.observability.rundir import MANIFEST_SCHEMA
 from repro.parallel import launch_ranks
+from repro.perfmodel.ledger import PerfLedger, perf_record
 from repro.parallel.mpi_sim import RankError, run_ranks
 from repro.parallel.proc_comm import process_backend_available, run_ranks_processes
 
@@ -83,24 +78,24 @@ class TestFlightRecorder:
         assert rec.step_begin(1) is None
         assert len(rec) == 0 and rec.overhead_seconds == 0.0
 
-    def test_overhead_is_measured_and_published(self):
+    def test_overhead_is_measured_and_published(self, tmp_path):
+        """The manifest holds the cost of its own run, not the process's."""
         rec = FlightRecorder()
-        for i in range(50):
-            rec.record("op", "x", i=i)
-        assert rec.overhead_seconds > 0.0
-        reg = MetricsRegistry()
-        value = rec.publish_overhead(registry=reg)
-        assert value == rec.overhead_seconds
-        parsed = parse_prometheus(reg.to_prometheus())
-        assert find_sample(parsed, OVERHEAD_GAUGE) == pytest.approx(value)
-
-    def test_overhead_gauge_carries_rank_label(self):
-        rec = FlightRecorder(rank=3)
-        rec.record("op", "x")
-        reg = MetricsRegistry()
-        rec.publish_overhead(registry=reg)
-        parsed = parse_prometheus(reg.to_prometheus())
-        assert find_sample(parsed, OVERHEAD_GAUGE, rank=3) is not None
+        previous = set_recorder(rec)
+        try:
+            for i in range(20):
+                rec.record("op", "before", i=i)
+            before = rec.overhead_seconds
+            assert before > 0.0 and rec.events_recorded == 20
+            with RunDir(tmp_path / "run") as rundir:
+                for i in range(50):
+                    rec.record("op", "x", i=i)
+        finally:
+            set_recorder(previous)
+        overhead = load_manifest(rundir.path)["recorder_overhead"]
+        assert overhead["events"] == 50
+        assert overhead["seconds"] == pytest.approx(rec.overhead_seconds - before)
+        assert overhead["seconds"] > 0.0
 
     def test_journal_is_valid_jsonl(self, tmp_path):
         rec = FlightRecorder()
@@ -477,9 +472,9 @@ class TestCrashForensics:
         assert json.loads(rundir.postmortem_path.read_text())["ranks"]["2"]
 
 
-def _load_run_report():
-    path = Path(__file__).resolve().parents[1] / "tools" / "run_report.py"
-    spec = importlib.util.spec_from_file_location("run_report", path)
+def _load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -499,25 +494,25 @@ class TestRunReport:
             "time_step,time,free_energy,phase_fraction\n"
             "0,0.0,10.0,0.5\n1,0.05,9.5,0.49\n2,0.10,9.1,0.48\n"
         )
-        reg = MetricsRegistry()
-        reg.gauge("repro_kernel_predicted_mlups", "p", kernel="stencil").set(100.0)
-        reg.gauge("repro_kernel_measured_mlups", "m", kernel="stencil").set(80.0)
-        reg.gauge("repro_model_accuracy_ratio", "r", kernel="stencil").set(0.8)
-        reg.gauge(OVERHEAD_GAUGE, "overhead").set(0.001)
-        rundir.metrics_path.write_text(reg.to_prometheus())
+        PerfLedger(rundir.perf_path).append(perf_record(
+            "test", "kernels/stencil", {"mlups": 80.0}, predicted={"mlups": 100.0}
+        ))
         return rundir
 
     def test_report_renders_all_sections(self, tmp_path):
         rundir = self._make_rundir(tmp_path)
-        rundir.write_manifest(status="ok")
-        run_report = _load_run_report()
+        rundir.write_manifest(
+            status="ok", recorder_overhead={"seconds": 0.001, "events": 6}
+        )
+        run_report = _load_tool("run_report")
         assert run_report.main([str(rundir.path)]) == 0
         html = rundir.report_path.read_text()
         assert "Run summary" in html and ">ok<" in html
         assert "step wall time" in html and "<svg" in html
         assert "free_energy" in html
-        assert "stencil" in html and "predicted MLUP/s" in html
-        assert "flight-recorder overhead" in html
+        assert "kernels/stencil" in html and "pred MLUP/s" in html
+        assert "measured/predicted" in html and "<td>0.800</td>" in html
+        assert "flight-recorder overhead" in html and "over 6 events" in html
         assert "no post-mortems" in html
         assert "journal.jsonl" in html  # artifact inventory
         assert "no failed health checks" in html
@@ -536,7 +531,7 @@ class TestRunReport:
             recorder.close_journal()
         rundir.write_manifest(status="ok")
         assert not (rundir.path / "health.jsonl").exists()
-        run_report = _load_run_report()
+        run_report = _load_tool("run_report")
         assert run_report.main([str(rundir.path)]) == 0
         html = rundir.report_path.read_text()
         assert "Health events" in html and "1 non-finite values" in html
@@ -556,7 +551,7 @@ class TestRunReport:
             rundir.postmortem_path,
         )
         rundir.write_manifest(status="crashed", error="RuntimeError: kaboom")
-        run_report = _load_run_report()
+        run_report = _load_tool("run_report")
         out = tmp_path / "crash_report.html"
         assert run_report.main([str(rundir.path), "--out", str(out)]) == 0
         html = out.read_text()
@@ -567,50 +562,78 @@ class TestRunReport:
     def test_report_survives_missing_artifacts(self, tmp_path):
         rundir = RunDir(tmp_path / "bare")
         rundir.write_manifest(status="ok")
-        run_report = _load_run_report()
+        run_report = _load_tool("run_report")
         assert run_report.main([str(rundir.path)]) == 0
         html = rundir.report_path.read_text()
         assert "no step timings recorded" in html
         assert "no diagnostics.csv" in html
 
 
+class TestCheckObservability:
+    """``tools/check_observability.py`` on a solver run: journal and overhead."""
+
+    @pytest.fixture
+    def rundir(self, kernel_set, tmp_path):
+        from repro.pfm import SingleBlockSolver, planar_front
+
+        with RunDir(tmp_path / "run") as rundir:
+            solver = SingleBlockSolver(kernel_set, (8, 8), rundir=rundir)
+            p = solver.params
+            solver.set_state(
+                planar_front((8, 8), p.n_phases, 0, 1, position=4.0, epsilon=p.epsilon),
+                mu=0.0,
+            )
+            solver.step(3)
+        return rundir
+
+    def _exit_code(self, rundir, require):
+        with pytest.raises(SystemExit) as exc:
+            _load_tool("check_observability").main(
+                [str(rundir.path), "--require", require]
+            )
+        return exc.value.code
+
+    def test_a_solver_run_passes_journal_and_overhead(self, rundir, capsys):
+        _load_tool("check_observability").main(
+            [str(rundir.path), "--require", "journal,overhead"]
+        )
+        out = capsys.readouterr().out
+        assert "kinds ['kernel', 'op', 'span_begin', 'span_end'" in out
+        assert "us/event" in out and out.endswith("check_observability: OK\n")
+
+    def test_a_repeated_seq_fails(self, rundir):
+        journal = rundir.journal_path()
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines + lines[-1:]) + "\n")
+        assert self._exit_code(rundir, "journal") == 1
+
+    def test_a_manifest_without_the_overhead_fails(self, rundir):
+        manifest = load_manifest(rundir.path)
+        del manifest["recorder_overhead"]
+        rundir.manifest_path.write_text(json.dumps(manifest))
+        assert self._exit_code(rundir, "overhead") == 1
+
+
 class TestSatelliteFixes:
-    def test_accuracy_export_skips_nonfinite(self):
-        from repro.observability import export_accuracy_metrics
-
-        reg = MetricsRegistry()
-        rows = [
-            {"kernel": "good", "predicted_mlups": 100.0,
-             "measured_mlups": 80.0, "ratio": 0.8},
-            {"kernel": "bad", "predicted_mlups": 0.0,
-             "measured_mlups": 80.0, "ratio": float("nan")},
-        ]
-        export_accuracy_metrics(rows, registry=reg)
-        parsed = parse_prometheus(reg.to_prometheus())
-        assert find_sample(parsed, "repro_model_accuracy_ratio", kernel="good") == 0.8
-        # the NaN ratio is dropped; the finite gauges of the same row stay
-        assert find_sample(parsed, "repro_model_accuracy_ratio", kernel="bad") is None
-        assert find_sample(parsed, "repro_kernel_measured_mlups", kernel="bad") == 80.0
-        text = reg.to_prometheus()
-        assert "nan" not in text.lower()
-
-    def test_histogram_json_reports_mean_with_count(self):
-        reg = MetricsRegistry()
-        hist = reg.histogram("repro_step_seconds", "step wall", solver="t")
-        for v in (0.1, 0.2, 0.3):
-            hist.observe(v)
-        sample = reg.to_json()["repro_step_seconds"]["samples"][0]
-        assert sample["count"] == 3
-        assert sample["mean"] == pytest.approx(0.2)
-        empty = reg.histogram("repro_step_seconds", "step wall", solver="empty")
-        assert empty is not hist
-        sample_empty = [
-            s for s in reg.to_json()["repro_step_seconds"]["samples"]
-            if s["labels"].get("solver") == "empty"
-        ][0]
-        # a zero mean from zero observations is distinguishable from a
-        # true zero mean exactly because count rides along
-        assert sample_empty["count"] == 0 and sample_empty["mean"] == 0.0
+    def test_accuracy_export_skips_nonfinite(self, tmp_path):
+        """A zero prediction leaves the ratio cell empty, never ``nan``."""
+        rundir = RunDir(tmp_path / "run")
+        ledger = PerfLedger(rundir.perf_path)
+        for name, predicted in (("good", 100.0), ("bad", 0.0)):
+            ledger.append(perf_record(
+                "test", f"kernels/{name}", {"mlups": 80.0},
+                predicted={"mlups": predicted},
+            ))
+        rundir.write_manifest(status="ok")
+        run_report = _load_tool("run_report")
+        assert run_report.main([str(rundir.path)]) == 0
+        html = rundir.report_path.read_text()
+        good, bad = (html[html.index(f"kernels/{n}"):].split("</tr>")[0]
+                     for n in ("good", "bad"))
+        assert "<td>80.000</td><td>100.000</td><td>0.800</td>" in good
+        # measured, predicted, measured/predicted: the finite cells stay
+        assert "<td>80.000</td><td>0</td><td>-</td>" in bad
+        assert "nan" not in html.lower()
 
     def test_tracer_pickle_preserves_counters_and_tids(self):
         recorder = FlightRecorder(rank=1, capacity=None)

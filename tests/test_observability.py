@@ -1,10 +1,10 @@
-"""End-to-end observability: tracing, metrics export, health monitoring.
+"""End-to-end observability: tracing, kernel records, health monitoring.
 
 Covers :mod:`repro.observability` — recorder spans, their Chrome-trace
-rendering and span-nesting determinism across pipeline rebuilds, the Prometheus text-format
-round-trip, the NaN/drift/bounds health watchdog on live solver runs —
-plus the profiler-merge and distributed-gather regressions fixed in the
-same change.
+rendering and span-nesting determinism across pipeline rebuilds, the
+per-kernel records a solver exports, the NaN/drift/bounds health watchdog
+on live solver runs — plus the profiler-merge and distributed-gather
+regressions fixed in the same change.
 """
 
 import json
@@ -16,17 +16,13 @@ from repro.observability import (
     FlightRecorder,
     HealthError,
     HealthMonitor,
-    MetricsRegistry,
     chrome_trace,
-    find_sample,
-    get_registry,
     model_accuracy_rows,
-    parse_prometheus,
-    reset_metrics,
     set_recorder,
 )
 from repro.parallel import BlockForest
 from repro.parallel.timeloop import DistributedSolver
+from repro.perfmodel.ledger import PerfLedger
 from repro.pfm import (
     GrandPotentialModel,
     SingleBlockSolver,
@@ -34,13 +30,6 @@ from repro.pfm import (
     planar_front,
 )
 from repro.profiling import SolverProfiler, clear_kernel_cache, compile_cached
-
-
-@pytest.fixture(autouse=True)
-def _clean_observability_state():
-    """Keep the process-wide registry out of other test modules."""
-    yield
-    reset_metrics()
 
 
 @pytest.fixture(scope="module")
@@ -223,90 +212,23 @@ class TestTracedPassCounts:
             assert e.data["ops_before"] > 0 and e.data["ops_after"] > 0
 
 
-# -- metrics -------------------------------------------------------------------
+# -- kernel records ------------------------------------------------------------
 
 
 class TestMetrics:
-    def test_prometheus_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_widgets_total", "widgets built", kind="φ").inc(3)
-        reg.gauge("repro_queue_depth", "queued items").set(7.5)
-        h = reg.histogram("repro_latency_seconds", "latency", buckets=(0.1, 1.0))
-        for v in (0.05, 0.5, 5.0):
-            h.observe(v)
-
-        parsed = parse_prometheus(reg.to_prometheus())
-        assert parsed["repro_widgets_total"]["type"] == "counter"
-        assert find_sample(parsed, "repro_widgets_total", kind="φ") == 3
-        assert find_sample(parsed, "repro_queue_depth") == 7.5
-        assert parsed["repro_latency_seconds"]["type"] == "histogram"
-        assert find_sample(
-            parsed, "repro_latency_seconds", "repro_latency_seconds_count"
-        ) == 3
-        assert find_sample(
-            parsed, "repro_latency_seconds", "repro_latency_seconds_bucket", le="+Inf"
-        ) == 3
-        assert find_sample(
-            parsed, "repro_latency_seconds", "repro_latency_seconds_bucket", le="1"
-        ) == 2  # cumulative buckets
-
-    def test_prometheus_values_round_trip_exactly(self):
-        """``:g`` kept six digits: a 9-digit counter and a gauge came back rounded."""
-        reg = MetricsRegistry()
-        reg.counter("repro_cache_bytes_total", "bytes").inc(123456789)
-        reg.gauge("repro_overhead_seconds", "overhead").set(3.42449638992548e-05)
-        h = reg.histogram("repro_latency_seconds", "latency", buckets=(2.5e6,))
-        h.observe(1234567.125)
-
-        text = reg.to_prometheus()
-        assert "repro_cache_bytes_total 123456789\n" in text   # integers as integers
-        parsed = parse_prometheus(text)
-        assert find_sample(parsed, "repro_cache_bytes_total") == 123456789
-        assert find_sample(parsed, "repro_overhead_seconds") == 3.42449638992548e-05
-        assert find_sample(
-            parsed, "repro_latency_seconds", "repro_latency_seconds_sum"
-        ) == 1234567.125
-        assert find_sample(
-            parsed, "repro_latency_seconds", "repro_latency_seconds_bucket", le="2500000"
-        ) == 1
-
-    def test_json_export(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_things_total", "things", solver="single").inc()
-        doc = reg.to_json()
-        sample = doc["repro_things_total"]["samples"][0]
-        assert sample["labels"] == {"solver": "single"}
-        assert sample["value"] == 1
-
-    def test_kind_conflict_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_x_total")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("repro_x_total")
-
-    def test_counter_monotonic(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError, match="increase"):
-            reg.counter("repro_x_total").inc(-1)
-
-    def test_solver_exports_kernel_metrics(self, kernel_set):
-        reset_metrics()
+    def test_solver_exports_kernel_metrics(self, kernel_set, keep_all, tmp_path):
         solver = SingleBlockSolver(kernel_set, (8, 8), boundary="periodic")
         solver.set_state(_front((8, 8), kernel_set.model.params))
         solver.step(2)
-        solver.export_metrics()
+        path = solver.export_perf(tmp_path / "perf.jsonl")
 
-        parsed = parse_prometheus(get_registry().to_prometheus())
         phi_name = kernel_set.phi_kernels[0].name
-        assert find_sample(
-            parsed, "repro_op_calls_total", op=phi_name, solver="single"
-        ) == 2
-        assert find_sample(
-            parsed, "repro_kernel_mlups", kernel=phi_name, solver="single"
-        ) > 0
-        assert find_sample(
-            parsed, "repro_step_seconds", "repro_step_seconds_count", solver="single"
-        ) == 2
+        assert solver.profiler.records[phi_name].calls == 2
+        records = {r["kernel"]["name"]: r for r in PerfLedger(path).load(strict=True)}
+        assert records[phi_name]["measured"]["mlups"] > 0
+        assert records[phi_name]["options"]["backend"] == "numpy"
+        steps = [e for e in keep_all.events if e.kind == "step_end"]
+        assert len(steps) == 2 and all(e.data["seconds"] > 0 for e in steps)
 
 
 # -- health monitoring ---------------------------------------------------------

@@ -1,10 +1,9 @@
 """Observability hardening riding along with the diagnostics PR (tier-1).
 
 Edge cases of the multi-recorder timeline (empty input, span-less ranks,
-duplicate rank ids), Prometheus exposition-format escaping round-trips
-with pathological label values, per-check health event counters carrying
-the rank-bearing ``where``, and counter events flowing into single- and
-multi-rank Chrome traces.
+duplicate rank ids), per-check health events carrying the rank-bearing
+``where`` into the event stream, and counter events flowing into single-
+and multi-rank Chrome traces.
 """
 
 import numpy as np
@@ -13,20 +12,23 @@ import pytest
 from repro.observability import (
     FlightRecorder,
     HealthMonitor,
-    MetricsRegistry,
     chrome_trace,
-    find_sample,
-    get_registry,
-    parse_prometheus,
-    reset_metrics,
+    set_recorder,
 )
 
 
-@pytest.fixture(autouse=True)
-def _clean_metrics():
-    reset_metrics()
-    yield
-    reset_metrics()
+@pytest.fixture
+def recorder():
+    """A private process-wide recorder: the health events of one test."""
+    recorder = FlightRecorder()
+    previous = set_recorder(recorder)
+    yield recorder
+    set_recorder(previous)
+
+
+def _health_events(recorder) -> list[tuple]:
+    return [(e.name, e.data["field"], e.data["where"])
+            for e in recorder.events if e.kind == "health"]
 
 
 # -- chrome_trace over several recorders: edge cases --------------------------
@@ -75,55 +77,19 @@ class TestMergeRankTraces:
         assert all(e["ts"] >= 0 and "free_energy" in e["args"] for e in counters)
 
 
-# -- prometheus escaping ------------------------------------------------------
-
-
-class TestPrometheusEscaping:
-    def test_pathological_label_round_trip(self):
-        registry = MetricsRegistry()
-        # a generated-kernel name with every character that needs escaping
-        evil = 'mu_sweep\\v2\n"D3C7"'
-        registry.counter("repro_op_calls_total", "ops", op=evil).inc(3)
-        registry.gauge("repro_kernel_mlups", "rate", kernel=evil).set(1.5)
-        text = registry.to_prometheus()
-        assert "\n\n" not in text.strip()  # escaped newline must not split lines
-        parsed = parse_prometheus(text)
-        assert find_sample(parsed, "repro_op_calls_total", op=evil) == 3
-        assert find_sample(parsed, "repro_kernel_mlups", kernel=evil) == 1.5
-
-    def test_label_keys_shadowing_parameters(self):
-        registry = MetricsRegistry()
-        # "name" and "help" are valid Prometheus label keys and must not
-        # collide with the method parameters
-        registry.gauge("repro_diagnostic", "value", name="free_energy").set(2.0)
-        parsed = parse_prometheus(registry.to_prometheus())
-        assert find_sample(parsed, "repro_diagnostic", name="free_energy") == 2.0
-
-    def test_unknown_escape_kept_verbatim(self):
-        text = (
-            "# TYPE f counter\n"
-            'f{a="x\\qy"} 1\n'
-        )
-        parsed = parse_prometheus(text)
-        (_, labels, value) = parsed["f"]["samples"][0]
-        assert labels["a"] == "x\\qy" and value == 1
-
-
-# -- health events: per-check counter + where --------------------------------
+# -- health events: per-check event + where ----------------------------------
 
 
 class TestHealthEventAttribution:
-    def test_counter_and_where_for_field_checks(self):
+    def test_counter_and_where_for_field_checks(self, recorder):
         monitor = HealthMonitor(policy="record")
         bad = np.array([[1.0, np.nan]])
         monitor.check({"phi": bad}, 7, where="rank 3 block (0, 1)")
         assert monitor.events[0].where == "rank 3 block (0, 1)"
-        parsed = parse_prometheus(get_registry().to_prometheus())
-        assert find_sample(
-            parsed, "repro_health_events_total", check="nan", field="phi"
-        ) == 1
+        assert monitor.n_checks == 1
+        assert _health_events(recorder) == [("nan", "phi", "rank 3 block (0, 1)")]
 
-    def test_counter_and_where_for_invariant_checks(self):
+    def test_counter_and_where_for_invariant_checks(self, recorder):
         monitor = HealthMonitor(policy="record", conservation_tol=1e-12)
         monitor.check_diagnostics(
             {"solute_mass_0": 1.0}, 0,
@@ -135,11 +101,8 @@ class TestHealthEventAttribution:
         )
         (event,) = monitor.events
         assert event.check == "conservation" and event.where == "rank 1"
-        parsed = parse_prometheus(get_registry().to_prometheus())
-        assert find_sample(
-            parsed, "repro_health_events_total",
-            check="conservation", field="solute_mass_0",
-        ) == 1
+        assert monitor.n_checks == 2
+        assert _health_events(recorder) == [("conservation", "solute_mass_0", "rank 1")]
 
     def test_energy_decay_ignores_nonfinite(self):
         monitor = HealthMonitor(policy="raise")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.backends.c_backend import c_compiler_available
+from repro.observability import load_journal, load_manifest
 from repro.pfm.parameters import make_two_phase_binary
 from repro.profiling import clear_kernel_cache
 from repro.profiling.diskcache import reset_disk_cache_stats
@@ -93,7 +94,10 @@ class TestRunScenario:
         assert manifest["status"] == "ok"
         assert manifest["config"]["name"] == spec.name
         assert (rundir / "diagnostics.csv").exists()
-        assert (rundir / "metrics.prom").exists()
+        # the recorder's cost of this run: at least every journaled event
+        journaled = len(load_journal(rundir / "journal.jsonl").events)
+        assert manifest["recorder_overhead"]["events"] >= journaled > 0
+        assert manifest["recorder_overhead"]["seconds"] > 0
 
 
 @needs_fork
@@ -115,8 +119,29 @@ class TestRunSweep:
         # the merged manifest is on disk and loadable
         again = load_sweep_manifest(tmp_path / "sweep")
         assert again["totals"]["ok"] == 3
-        assert (tmp_path / "sweep" / "metrics.prom").exists()
         assert manifest["queue_depth_samples"]
+
+    def test_a_second_sweep_counts_only_its_own_run(self, tmp_path, cache_dir):
+        """Totals and overheads are per run, not per process."""
+        specs = [_tiny("a"), _tiny("b")]
+        sweeps = [
+            run_sweep(specs, tmp_path / tag, workers=1) for tag in ("one", "two")
+        ]
+        for tag, manifest in zip(("one", "two"), sweeps):
+            totals = manifest["totals"]
+            assert (totals["ok"], totals["failed"]) == (2, 0)
+            for key in ("memory_hits", "memory_misses", "disk_hits", "disk_builds"):
+                assert totals[key] == sum(e["cache"][key] for e in manifest["scenarios"])
+            events = {}
+            for entry in manifest["scenarios"]:
+                rundir = tmp_path / tag / entry["rundir"]
+                overhead = load_manifest(rundir)["recorder_overhead"]
+                journaled = len(load_journal(rundir / "journal.jsonl").events)
+                assert overhead["events"] >= journaled > 0
+                events[entry["name"]] = overhead["events"]
+            # one worker runs "b" after "a": counted since "a" began, "b"
+            # would hold a's events too; "b" hits the kernel cache "a" filled
+            assert events["b"] <= events["a"]
 
     def test_failing_scenario_recorded_not_fatal(self, tmp_path, cache_dir):
         specs = [

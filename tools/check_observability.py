@@ -6,9 +6,9 @@ Usage::
     python tools/check_observability.py DIR [--require KEY[,KEY...]]
 
 A *DIR* holding ``sweep.json`` is validated as a ``repro-sweep/1`` sweep
-(its totals account for every scenario, every successful scenario's run
-directory passes the manifest check, the sweep-level ``metrics.prom``
-carries the queue-depth/throughput/scenario-count families).  Any other
+(its totals account for every scenario and equal the sum of the
+scenarios' own cache counts, and every successful scenario's run
+directory passes the manifest check).  Any other
 *DIR* is a run directory: its ``manifest.json`` must be a complete
 ``repro-run/1`` document whose listed artifacts all exist, and every
 artifact it lists that has a validator in :data:`VALIDATORS` is checked:
@@ -18,9 +18,6 @@ artifact it lists that has a validator in :data:`VALIDATORS` is checked:
     (duration ``"X"`` spans and counter ``"C"`` tracks), process/thread
     metadata is present and the span categories cover the seven pipeline
     layers (functional … backend, plus the runtime loop);
-``metrics_prom``
-    parses as Prometheus text format 0.0.4 with the core
-    kernel/cache/throughput families;
 ``diagnostics``
     a physics-diagnostics series with a monotonically non-increasing
     ``free_energy`` column — the variational-structure invariant for
@@ -32,13 +29,15 @@ artifact it lists that has a validator in :data:`VALIDATORS` is checked:
     strictly increasing step numbers;
 ``journal``
     ``journal.jsonl`` is a flight-recorder event stream with strictly
-    increasing sequence numbers.
+    increasing sequence numbers;
+``overhead``
+    the manifest's ``recorder_overhead`` — what the flight recorder's
+    events cost this run, measured by the recorder itself — counts at
+    least one event and a positive cost.
 
 ``--require`` names the keys that must be present (an artifact that is
-merely absent is otherwise not an error); ``overhead_gauge`` additionally
-requires the flight recorder's self-measured
-``repro_observability_overhead_seconds`` gauge in ``metrics.prom``.  A new
-artifact is one more entry of the table, not a new flag.
+merely absent is otherwise not an error).  A new artifact is one more
+entry of the table, not a new flag.
 
 Exits non-zero with a message on the first violation, so it can gate CI.
 """
@@ -52,22 +51,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.observability import parse_prometheus  # noqa: E402
-from repro.observability.recorder import (  # noqa: E402
-    OVERHEAD_GAUGE,
-    PIPELINE_LAYERS,
-    load_journal,
-)
+from repro.observability.recorder import PIPELINE_LAYERS, load_journal  # noqa: E402
 from repro.observability.rundir import load_manifest  # noqa: E402
 
 REQUIRED_CATEGORIES = set(PIPELINE_LAYERS)
 REQUIRED_EVENT_KEYS = {"name", "cat", "ph", "ts", "pid", "tid"}
-REQUIRED_FAMILIES = {
-    "repro_kernel_cache_misses_total",
-    "repro_kernel_mlups",
-    "repro_op_calls_total",
-    "repro_op_seconds_total",
-}
 
 
 def fail(msg: str) -> None:
@@ -128,25 +116,6 @@ def check_trace(path: Path) -> None:
         f"({counters} counters, +{len(meta)} metadata), "
         f"process tracks {tracks}, categories {sorted(seen)}"
     )
-
-
-def check_metrics(path: Path, require_overhead: bool = False) -> None:
-    try:
-        parsed = parse_prometheus(path.read_text())
-    except (OSError, ValueError) as exc:
-        fail(f"{path}: does not parse as Prometheus text format ({exc})")
-    if not parsed:
-        fail(f"{path}: no metric families found")
-    missing = REQUIRED_FAMILIES - set(parsed)
-    if missing:
-        fail(f"{path}: metric families missing: {sorted(missing)}")
-    if require_overhead and OVERHEAD_GAUGE not in parsed:
-        fail(
-            f"{path}: {OVERHEAD_GAUGE} gauge missing — the flight recorder "
-            f"did not publish its self-measured overhead"
-        )
-    n_samples = sum(len(f["samples"]) for f in parsed.values())
-    print(f"check_observability: {path}: {len(parsed)} families, {n_samples} samples")
 
 
 #: manifest keys a complete repro-run/1 document must carry
@@ -280,17 +249,12 @@ def check_sweep(sweep_dir: Path) -> None:
             check_manifest(rundir)
         elif "error" not in entry:
             fail(f"{sweep_dir}: failed scenario {name} carries no error")
-    metrics_path = sweep_dir / "metrics.prom"
-    if not metrics_path.exists():
-        fail(f"{sweep_dir}: sweep metrics.prom missing")
-    try:
-        parsed = parse_prometheus(metrics_path.read_text())
-    except (OSError, ValueError) as exc:
-        fail(f"{metrics_path}: does not parse ({exc})")
-    for family in ("repro_sweep_scenarios_total", "repro_sweep_queue_depth",
-                   "repro_sweep_throughput_mlups"):
-        if family not in parsed:
-            fail(f"{metrics_path}: sweep metric family {family} missing")
+    # the totals are this sweep's own: the sum of its scenarios' counts
+    for key in ("disk_hits", "disk_builds"):
+        own = sum(e["cache"][key] for e in scenarios if e.get("status") == "ok")
+        if totals[key] != own:
+            fail(f"{sweep_dir}: totals[{key!r}] = {totals[key]}, but its "
+                 f"scenarios count {own}")
     print(
         f"check_observability: {sweep_dir}: sweep manifest ok "
         f"({totals['ok']} ok / {totals['failed']} failed, "
@@ -344,35 +308,48 @@ def check_journal(path: Path) -> None:
     print(f"check_observability: {path}: {len(events)} events, kinds {kinds}")
 
 
-#: manifest artifact key -> validator(rundir, required keys); a key without
-#: an entry (checkpoints, report, …) is covered by check_manifest's
-#: existence check alone
+def check_overhead(rundir: Path, overhead) -> None:
+    """Require the recorder's self-measured cost of this run in the manifest."""
+    if not isinstance(overhead, dict) or not {"seconds", "events"} <= set(overhead):
+        fail(f"{rundir}: manifest recorder_overhead malformed ({overhead!r})")
+    if overhead["events"] <= 0 or overhead["seconds"] <= 0:
+        fail(f"{rundir}: the flight recorder measured no cost "
+             f"({overhead['events']} events, {overhead['seconds']} s)")
+    print(
+        f"check_observability: {rundir}: recorder overhead "
+        f"{overhead['seconds'] * 1e3:.3f} ms over {overhead['events']} events "
+        f"({overhead['seconds'] / overhead['events'] * 1e6:.2f} us/event)"
+    )
+
+
+#: key -> validator(rundir, manifest); a key without an entry (checkpoints,
+#: report, …) is covered by check_manifest's existence check alone
 VALIDATORS = {
-    "trace": lambda rundir, require: check_trace(rundir / "trace.json"),
-    "metrics_prom": lambda rundir, require: check_metrics(
-        rundir / "metrics.prom", require_overhead="overhead_gauge" in require
+    "trace": lambda rundir, manifest: check_trace(rundir / "trace.json"),
+    "diagnostics": lambda rundir, manifest: check_diagnostics(rundir / "diagnostics.csv"),
+    "perf": lambda rundir, manifest: check_perf(rundir),
+    "fingerprints": lambda rundir, manifest: check_fingerprints(rundir),
+    "journal": lambda rundir, manifest: check_journal(rundir / "journal.jsonl"),
+    "overhead": lambda rundir, manifest: check_overhead(
+        rundir, manifest["recorder_overhead"]
     ),
-    "diagnostics": lambda rundir, require: check_diagnostics(rundir / "diagnostics.csv"),
-    "perf": lambda rundir, require: check_perf(rundir),
-    "fingerprints": lambda rundir, require: check_fingerprints(rundir),
-    "journal": lambda rundir, require: check_journal(rundir / "journal.jsonl"),
 }
 
 
 def check_rundir(rundir: Path, require: set[str]) -> None:
-    """Validate every artifact the manifest lists; *require* must be among them."""
-    needed = {"metrics_prom" if key == "overhead_gauge" else key for key in require}
-    unknown = needed - set(VALIDATORS)
+    """Validate everything the manifest holds; *require* must be among it."""
+    unknown = require - set(VALIDATORS)
     if unknown:
-        fail(f"--require {sorted(unknown)}: no such validator (have "
-             f"{sorted(VALIDATORS)} and overhead_gauge)")
-    artifacts = check_manifest(rundir)["artifacts"]
-    missing = needed - set(artifacts)
+        fail(f"--require {sorted(unknown)}: no such validator (have {sorted(VALIDATORS)})")
+    manifest = check_manifest(rundir)
+    present = set(manifest["artifacts"])
+    if "recorder_overhead" in manifest:
+        present.add("overhead")
+    missing = require - present
     if missing:
-        fail(f"{rundir}: required artifacts not in the manifest inventory: {sorted(missing)}")
-    for key in artifacts:
-        if key in VALIDATORS:
-            VALIDATORS[key](rundir, require)
+        fail(f"{rundir}: required but not in the manifest: {sorted(missing)}")
+    for key in sorted(present & set(VALIDATORS)):
+        VALIDATORS[key](rundir, manifest)
 
 
 def main(argv: list[str]) -> None:
@@ -380,8 +357,7 @@ def main(argv: list[str]) -> None:
     parser.add_argument("dir", type=Path,
                         help="run directory (manifest.json) or sweep directory (sweep.json)")
     parser.add_argument("--require", default="", metavar="KEY[,KEY...]",
-                        help=f"artifacts that must be present: {', '.join(VALIDATORS)}, "
-                             f"overhead_gauge (the {OVERHEAD_GAUGE} gauge)")
+                        help=f"keys that must be present: {', '.join(VALIDATORS)}")
     args = parser.parse_args(argv)
     if (args.dir / "sweep.json").exists():
         check_sweep(args.dir)

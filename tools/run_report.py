@@ -12,8 +12,9 @@ covers a minimal trace-only run and a full multi-rank bundle:
 * step-time sparkline from the flight-recorder journals (``step_end``
   events; falls back to the ``step`` spans of a trace-only bundle)
 * physics diagnostics series (``diagnostics.csv``) as inline SVG charts
-* model-accuracy closure (predicted vs measured MLUP/s gauges from
-  ``metrics.prom``)
+* model-accuracy closure and counters (measured vs predicted per kernel,
+  from ``perf/perf.jsonl``) and the flight recorder's self-measured cost
+  (``manifest.json``)
 * health events (the ``health`` events of the journals)
 * crash post-mortems (``postmortem.json``) — rank, step, last kernel,
   field stats, traceback
@@ -35,7 +36,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.observability.fingerprint import FingerprintLedger  # noqa: E402
-from repro.observability.metrics import find_sample, parse_prometheus  # noqa: E402
 from repro.observability.rundir import RunDir, load_manifest  # noqa: E402
 from repro.perfmodel.ledger import PerfLedger  # noqa: E402
 
@@ -165,16 +165,6 @@ def load_diagnostics(rundir: Path) -> tuple[list[str], dict] | None:
     return names, columns
 
 
-def load_metrics(rundir: Path) -> dict | None:
-    path = rundir / "metrics.prom"
-    if not path.exists():
-        return None
-    try:
-        return parse_prometheus(path.read_text())
-    except ValueError:
-        return None
-
-
 def load_json(path: Path):
     if not path.exists():
         return None
@@ -257,38 +247,13 @@ def section_diagnostics(diag) -> str:
     return "".join(out)
 
 
-def section_accuracy(metrics) -> str:
-    out = ["<h2>Model accuracy (predicted vs measured)</h2>"]
-    if metrics is None or "repro_kernel_measured_mlups" not in metrics:
-        out.append('<p class="section-missing">(no model-accuracy gauges '
-                   "in metrics.prom)</p>")
-        return "".join(out)
-    kernels = sorted({
-        labels.get("kernel")
-        for _, labels, _ in metrics["repro_kernel_measured_mlups"]["samples"]
-        if labels.get("kernel")
-    })
-    rows = []
-    for kernel in kernels:
-        predicted = find_sample(metrics, "repro_kernel_predicted_mlups", kernel=kernel)
-        measured = find_sample(metrics, "repro_kernel_measured_mlups", kernel=kernel)
-        ratio = find_sample(metrics, "repro_model_accuracy_ratio", kernel=kernel)
-        rows.append((kernel, fmt(predicted), fmt(measured), fmt(ratio)))
-    out.append(table(
-        ["kernel", "predicted MLUP/s", "measured MLUP/s", "measured/predicted"], rows
-    ))
-    return "".join(out)
-
-
-def section_overhead(metrics) -> str:
-    if metrics is None:
-        return ""
-    overhead = find_sample(metrics, "repro_observability_overhead_seconds")
-    if overhead is None:
+def section_overhead(manifest: dict) -> str:
+    overhead = manifest.get("recorder_overhead")
+    if not overhead:
         return ""
     return (
         f'<p class="muted">flight-recorder overhead (self-measured): '
-        f"{overhead * 1e3:.3f} ms total</p>"
+        f"{overhead['seconds'] * 1e3:.3f} ms over {overhead['events']} events</p>"
     )
 
 
@@ -298,7 +263,7 @@ def load_perf_records(rundir: Path) -> list[dict] | None:
 
 
 def section_perf(records) -> str:
-    out = ["<h2>Kernel performance counters</h2>"]
+    out = ["<h2>Model accuracy and counters (measured vs predicted)</h2>"]
     if not records:
         out.append('<p class="section-missing">(no perf/perf.jsonl — '
                    "run with a RunDir and call export_perf)</p>")
@@ -312,15 +277,16 @@ def section_perf(records) -> str:
     for r in records:
         m = r.get("measured", {})
         p = r.get("predicted") or {}
+        ratio = m["mlups"] / p["mlups"] if m.get("mlups") and p.get("mlups") else None
         rows.append((
             r.get("name", "-"),
-            fmt(m.get("mlups")), fmt(p.get("mlups")),
+            fmt(m.get("mlups")), fmt(p.get("mlups")), fmt(ratio),
             fmt(m.get("cycles_per_lup")), fmt(p.get("cycles_per_lup")),
             fmt(m.get("bytes_per_lup")), fmt(p.get("bytes_per_lup")),
             fmt(m.get("ipc")),
         ))
     out.append(table(
-        ["series", "MLUP/s", "pred MLUP/s", "cy/LUP", "pred cy/LUP",
+        ["series", "MLUP/s", "pred MLUP/s", "measured/predicted", "cy/LUP", "pred cy/LUP",
          "B/LUP", "pred B/LUP", "IPC"], rows
     ))
     return "".join(out)
@@ -512,15 +478,13 @@ def section_postmortem(postmortem) -> str:
 
 
 def render_report(rundir: Path, manifest: dict) -> str:
-    metrics = load_metrics(rundir)
     journals = RunDir(rundir, create=False).journals()
     title = f"run report — {rundir.name}"
     sections = [
         section_summary(manifest),
         section_steps(load_step_seconds(journals, rundir)),
-        section_overhead(metrics),
+        section_overhead(manifest),
         section_diagnostics(load_diagnostics(rundir)),
-        section_accuracy(metrics),
         section_perf(load_perf_records(rundir)),
         section_determinism(
             load_fingerprints(rundir), load_json(rundir / "divergence.json")
