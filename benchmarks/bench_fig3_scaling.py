@@ -264,8 +264,7 @@ def test_fig3_real_parallel_measured():
             return perf_counter() - t0
 
         results = run_ranks_processes(
-            size, prog, recv_timeout=120.0, join_timeout=600.0,
-            env={"OMP_NUM_THREADS": "1"},
+            size, prog, recv_timeout=120.0, join_timeout=600.0
         )
         return max(results) / steps
 

@@ -122,9 +122,10 @@ def exchange_field(
                     # the destination block, so matching stays correct even
                     # when tags are folded to bounded MPI integers
                     tag = (field_name, axis, side)
-                    # explicit copy: the strip is a view that later axes of
-                    # this very exchange will overwrite (ghost corners)
-                    outgoing.append((owner, tag, (nb, payload.copy()), payload.nbytes))
+                    # the strip is a view that later axes of this very
+                    # exchange overwrite (ghost corners); the send below, in
+                    # this axis, copies it (the communicator's value semantics)
+                    outgoing.append((owner, tag, (nb, payload), payload.nbytes))
         # receive strips destined for my blocks: count expected messages per
         # (source rank, sender side) channel, then dispatch by block coords
         expected: dict[tuple[int, int], int] = {}
@@ -380,9 +381,10 @@ class GhostExchange:
         for owner in sorted(plan.sends_by_rank):
             # aggregate every strip bound for *owner* into one message; each
             # entry names its destination block and the sender-side offset so
-            # the receiver can place it without per-strip tags
+            # the receiver can place it without per-strip tags.  The strips
+            # are views: isend copies them (the communicator's value semantics)
             bundle = [
-                (dst_coords, off, arrays[src_coords][src_region].copy())
+                (dst_coords, off, arrays[src_coords][src_region])
                 for src_coords, src_region, off, dst_coords
                 in plan.sends_by_rank[owner]
             ]

@@ -2,8 +2,10 @@
 
 :func:`repro.parallel.mpi_sim.run_ranks` executes the SPMD protocol on
 rank-stepped *threads* of one GIL-bound process — perfect for correctness,
-useless for wall-clock scaling.  This module graduates the same communicator
-interface to real OS processes:
+useless for wall-clock scaling.  This module runs the same communicator
+contract (:class:`~repro.parallel.mpi_sim.Communicator`: value semantics,
+receive deadlines, barrier, failure propagation, collectives) on real OS
+processes; only the transport differs:
 
 * every rank is a forked ``multiprocessing`` worker (true cores, private
   GIL, inherited closures/compiled-kernel cache — no pickling of the rank
@@ -17,15 +19,12 @@ interface to real OS processes:
   per-pair duplex pipes, which also carry the slab acknowledgements and —
   crucially — provide the happens-before edge: a receiver only reads a slab
   region after the descriptor naming it arrived through the pipe;
-* collectives come from :class:`~repro.parallel.mpi_sim.CollectiveOps`, so
-  the message pattern and rank-ordered reduction are *identical* to the
-  simulator — distributed diagnostics stay bit-identical across backends.
+* a receive on a peer that has exited, with nothing left in its pipe, fails
+  at once instead of at the deadline.
 
-Failure semantics mirror the simulator: blocking receives carry a deadline
-and raise :class:`~repro.parallel.mpi_sim.RankError` naming the
-``(source, dest, tag)`` channel; a failed rank sets a shared event that
-unblocks every other rank's receive; the parent bounds the whole run with
-*join_timeout* and terminates + names stuck ranks instead of hanging.
+Per-rank outcomes go through the same collector as the simulator's, so a
+failed run is named the same way on both: stuck ranks (terminated here),
+else the originating failure, with post-mortem bundles attached.
 
 :func:`launch_ranks` is the uniform front-end over the three runtimes::
 
@@ -36,21 +35,18 @@ unblocks every other rank's receive; the parent bounds the whole run with
 Caveats of the process backend: it requires the ``fork`` start method
 (rank programs may be closures over unpicklable kernel objects), and ranks
 must be launched *before* the parent process runs any OpenMP parallel
-region — libgomp's thread pool does not survive a fork.
-``env={"OMP_NUM_THREADS": ...}`` does NOT bound a rank's threads once the
-parent has loaded a compiled kernel: libgomp reads its settings at the
-parent's first ``dlopen``, and the forked workers inherit them (measured,
-ROADMAP item 2 — open; threads as a kernel argument is the planned fix).
-Until then export ``OMP_NUM_THREADS`` before the parent process starts, as
-``tests/conftest.py`` and the benchmark workers do.
+region — libgomp's thread pool does not survive a fork.  A rank's OpenMP
+thread count is the parent's: libgomp reads ``OMP_NUM_THREADS`` at the
+parent's first ``dlopen`` and the forked workers inherit that state, so
+export it before the parent process starts, as ``tests/conftest.py`` and
+the benchmark workers do.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import queue
 import threading
-import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
@@ -59,7 +55,17 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .mpi_sim import _JOIN_TIMEOUT, _RECV_TIMEOUT, CollectiveOps, RankError, Request, run_ranks
+from .mpi_sim import (
+    _JOIN_TIMEOUT,
+    _RECV_TIMEOUT,
+    Communicator,
+    RankError,
+    _collect,
+    _failure,
+    _map_leaves,
+    _Run,
+    run_ranks,
+)
 
 __all__ = [
     "ProcComm",
@@ -142,8 +148,7 @@ class _SlabWriter:
             self.offset = 0
         return got
 
-    def alloc(self, nbytes: int) -> int | None:
-        need = (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
+    def alloc(self, need: int) -> int | None:
         if need > self.capacity:
             return None
         self._consume_acks()
@@ -162,78 +167,35 @@ class _SlabWriter:
         self.in_use += need
         return off
 
-    def write(self, arr: np.ndarray) -> _ShmRef | None:
-        data = np.ascontiguousarray(arr)
-        off = self.alloc(data.nbytes)
+    def park(self, arr: np.ndarray) -> _ShmRef | np.ndarray:
+        """Copy *arr* into the slab and return its descriptor.
+
+        A small array, or one the slab has no room for, gets a private copy
+        instead, which the pipe pickles later: either way the values are
+        fixed now, at send time.
+        """
+        need = (arr.nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
+        off = self.alloc(need) if arr.nbytes >= _SHM_MIN_BYTES else None
         if off is None:
-            return None
-        view = np.frombuffer(
-            self.shm.buf, dtype=data.dtype, count=data.size, offset=off
-        ).reshape(data.shape)
-        view[...] = data
-        need = (data.nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
-        return _ShmRef(off, data.shape, data.dtype.str, need)
-
-
-def _pack(obj: Any, slab: _SlabWriter | None) -> Any:
-    """Copy large ndarrays in *obj* into the slab, returning the template.
-
-    Recurses through tuples/lists/dicts (the shapes the exchange protocol
-    sends); anything else passes through and is pickled by the pipe.  Small
-    arrays are copied (value semantics) and pickled.
-    """
-    if isinstance(obj, np.ndarray):
-        if slab is not None and obj.nbytes >= _SHM_MIN_BYTES:
-            ref = slab.write(obj)
-            if ref is not None:
-                return ref
-        # a real copy, not ascontiguousarray (which aliases contiguous
-        # input): the pipe pickles on the sender thread, after send() has
-        # returned — value semantics must be fixed at send time
-        return np.array(obj, order="C", copy=True)
-    if isinstance(obj, tuple):
-        return tuple(_pack(v, slab) for v in obj)
-    if isinstance(obj, list):
-        return [_pack(v, slab) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _pack(v, slab) for k, v in obj.items()}
-    return obj
+            return arr.copy()
+        view = np.frombuffer(self.shm.buf, dtype=arr.dtype, count=arr.size, offset=off)
+        view.reshape(arr.shape)[...] = arr
+        return _ShmRef(off, arr.shape, arr.dtype.str, need)
 
 
 def _materialize(template: Any, shm) -> tuple[Any, int]:
-    """Rebuild the object, copying slab-parked arrays out; returns freed bytes."""
+    """Rebuild the message, copying slab-parked arrays out; returns freed bytes."""
     freed = 0
 
-    def walk(x):
+    def read(ref: _ShmRef) -> np.ndarray:
         nonlocal freed
-        if isinstance(x, _ShmRef):
-            freed += x.reserved
-            dtype = np.dtype(x.dtype)
-            count = int(np.prod(x.shape, dtype=np.int64)) if x.shape else 1
-            src = np.frombuffer(shm.buf, dtype=dtype, count=count, offset=x.offset)
-            return src.reshape(x.shape).copy()
-        if isinstance(x, tuple):
-            return tuple(walk(v) for v in x)
-        if isinstance(x, list):
-            return [walk(v) for v in x]
-        if isinstance(x, dict):
-            return {k: walk(v) for k, v in x.items()}
-        return x
+        freed += ref.reserved
+        src = np.frombuffer(
+            shm.buf, dtype=np.dtype(ref.dtype), count=math.prod(ref.shape), offset=ref.offset
+        )
+        return src.reshape(ref.shape).copy()
 
-    return walk(template), freed
-
-
-def _copy_value(obj: Any) -> Any:
-    """Value semantics for self-transfers (arrays copied, rest shared)."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, tuple):
-        return tuple(_copy_value(v) for v in obj)
-    if isinstance(obj, list):
-        return [_copy_value(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _copy_value(v) for k, v in obj.items()}
-    return obj
+    return _map_leaves(template, _ShmRef, read), freed
 
 
 #: sentinel closing a communicator's sender thread
@@ -254,21 +216,16 @@ class _Peer:
     #                     a receive wants a message that never arrived)
 
 
-class ProcComm(CollectiveOps):
-    """``SimComm``-compatible communicator over processes + shared memory."""
+class ProcComm(Communicator):
+    """A forked rank's communicator: messages move through pipes and slabs."""
 
-    def __init__(self, rank, size, peers, barrier, failed, recv_timeout):
-        self.rank = int(rank)
-        self._size = int(size)
-        self._peers: dict[int, _Peer] = peers
-        self._barrier = barrier
-        self._failed = failed
-        self._recv_timeout = float(recv_timeout)
-        self._self_queues: dict[Any, deque] = {}
+    def __init__(self, rank: int, run: _Run, peers: dict[int, _Peer]):
+        super().__init__(rank, run)
+        self._peers = peers
         #: per-source buffered messages whose tag did not match a pending recv
         self._inbox: dict[int, dict[Any, deque]] = {j: {} for j in peers}
         # pipe writes happen on a dedicated thread so `send` is buffered and
-        # never blocks the rank program, matching SimComm semantics — two
+        # never blocks the rank program, as the contract requires — two
         # ranks sending large pipe-fallback payloads head-to-head must not
         # deadlock on the kernel pipe buffer.  Slab packing stays in the
         # caller: the slab write completes before the descriptor is queued,
@@ -280,18 +237,6 @@ class ProcComm(CollectiveOps):
         )
         self._sender.start()
 
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def Get_rank(self) -> int:
-        return self.rank
-
-    def Get_size(self) -> int:
-        return self.size
-
-    # -- point to point --------------------------------------------------------
-
     def _sender_loop(self) -> None:
         while True:
             item = self._outq.get()
@@ -301,7 +246,7 @@ class ProcComm(CollectiveOps):
             try:
                 self._peers[dest].data_out.send(payload)
             except (BrokenPipeError, OSError) as exc:
-                self._failed.set()
+                self._run.failed.set()
                 self._send_failures.append((dest, exc))
 
     def _flush_sends(self, timeout: float) -> bool:
@@ -310,17 +255,8 @@ class ProcComm(CollectiveOps):
         self._sender.join(timeout=timeout)
         return not self._sender.is_alive()
 
-    def _check_rank(self, rank: int, role: str) -> None:
-        if not 0 <= rank < self._size:
-            raise ValueError(f"invalid {role} rank {rank}")
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest, "destination")
-        if dest == self.rank:
-            self._self_queues.setdefault(tag, deque()).append(_copy_value(obj))
-            return
-        peer = self._peers[dest]
-        template = _pack(obj, peer.slab)
+    def _put(self, dest: int, tag: Any, obj: Any) -> None:
+        template = _map_leaves(obj, np.ndarray, self._peers[dest].slab.park)
         if self._send_failures:
             lost, exc = self._send_failures[0]
             raise RankError(
@@ -356,124 +292,32 @@ class ProcComm(CollectiveOps):
             inbox.setdefault(tag, deque()).append(value)
             block_s = 0.0
 
-    def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        """Non-blocking probe for a matching message; never waits."""
-        if source == self.rank:
-            q = self._self_queues.get(tag)
-            if q:
-                return True, q.popleft()
-            return False, None
-        self._drain(source)
-        q = self._inbox[source].get(tag)
+    def _take(self, source: int, tag: Any, wait_s: float) -> tuple[bool, Any]:
+        # inbox first: the wanted message may have been drained already
+        # (while receiving an earlier tag) — a blocking poll here would wait
+        # a full period for *new* pipe data that never needs to come
+        inbox = self._inbox[source]
+        if not inbox.get(tag):
+            self._drain(source, block_s=wait_s)
+        q = inbox.get(tag)
         if q:
             return True, q.popleft()
-        return False, None
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_rank(source, "source")
-        if source == self.rank:
-            q = self._self_queues.get(tag)
-            if not q:
-                raise RankError(
-                    f"recv from self with no buffered send "
-                    f"(source={source}, dest={self.rank}, tag={tag!r}) — "
-                    f"immediate deadlock"
-                )
-            return q.popleft()
-        timeout = self._recv_timeout
-        deadline = monotonic() + timeout
-        poll = min(0.2, max(timeout / 20.0, 0.005))
-        inbox = self._inbox[source]
-        first = True
-        while True:
-            # inbox first: the wanted message may have been drained already
-            # (while receiving an earlier tag) — a blocking poll here would
-            # wait a full period for *new* pipe data that never needs to come
-            q = inbox.get(tag)
-            if q:
-                return q.popleft()
-            self._drain(source, block_s=0.0 if first else poll)
-            first = False
-            q = inbox.get(tag)
-            if q:
-                return q.popleft()
-            if self._peers[source].gone:
-                # the sender exited and every buffered message was drained:
-                # this message can never arrive — same diagnosis as a
-                # timeout, just known immediately
-                self._failed.set()
-                raise RankError(
-                    f"rank {source} exited with no matching send "
-                    f"(source={source}, dest={self.rank}, tag={tag!r}) — "
-                    f"likely deadlock or protocol mismatch"
-                )
-            if self._failed.is_set():
-                raise RankError("another rank failed during recv")
-            if monotonic() >= deadline:
-                self._failed.set()
-                try:
-                    self._barrier.abort()
-                except Exception:
-                    pass
-                raise RankError(
-                    f"recv timed out after {timeout:g} s "
-                    f"(source={source}, dest={self.rank}, tag={tag!r}) — "
-                    f"no matching send; likely deadlock"
-                )
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        self.send(obj, dest, tag)  # slab/pipe-buffered: completes immediately
-        return Request(lambda: None, _done=True)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        return Request(
-            lambda: self.recv(source, tag),
-            _poll=lambda: self._try_recv(source, tag),
-        )
-
-    # -- collectives (pattern inherited from CollectiveOps) --------------------
-
-    def barrier(self) -> None:
-        try:
-            self._barrier.wait(timeout=self._recv_timeout)
-        except threading.BrokenBarrierError:
-            self._failed.set()
+        if self._peers[source].gone and not self._run.failed.is_set():
+            # the sender exited and every buffered message was drained: this
+            # message can never arrive — the timeout's diagnosis, known now
+            self._fail()
             raise RankError(
-                f"barrier broken on rank {self.rank} — another rank failed "
-                f"or timed out"
-            ) from None
+                f"rank {source} exited with no matching send "
+                f"(source={source}, dest={self.rank}, tag={tag!r}) — "
+                f"likely deadlock or protocol mismatch"
+            )
+        return False, None
 
 
 # -- the SPMD process runner ------------------------------------------------------
 
 
-def _write_postmortems(postmortems: dict, rundir=None) -> str | None:
-    """Write the combined multi-rank ``postmortem.json``; never raises.
-
-    Targets *rundir* (explicit), else the ambient run directory, else
-    nothing.  The document wraps per-rank bundles:
-    ``{"schema": "repro-postmortem/1", "ranks": {"3": {...}}}``.
-    """
-    try:
-        from ..observability.postmortem import POSTMORTEM_SCHEMA, write_postmortem
-        from ..observability.rundir import get_rundir
-
-        rundir = rundir if rundir is not None else get_rundir()
-        if rundir is None:
-            return None
-        document = {
-            "schema": POSTMORTEM_SCHEMA,
-            "ranks": {str(rank): bundle for rank, bundle in sorted(postmortems.items())},
-        }
-        return write_postmortem(document, rundir.postmortem_path)
-    except Exception:
-        return None  # forensics must never mask the RankError being raised
-
-
-def _worker(rank, size, func, args, kwargs, pipes, shms, result_pipes,
-            barrier, failed, recv_timeout, env):
-    if env:
-        os.environ.update({k: str(v) for k, v in env.items()})
+def _worker(rank, func, args, kwargs, run, pipes, shms, result_pipes):
     # close inherited endpoints that belong to other ranks (or the parent):
     # without this, a dead rank's pipes never reach EOF because every
     # sibling still holds a copy of its file descriptors
@@ -482,7 +326,6 @@ def _worker(rank, size, func, args, kwargs, pipes, shms, result_pipes,
         parent_end.close()
         if r != rank:
             child_end.close()
-    peers: dict[int, _Peer] = {}
     for (i, j), (end_i, end_j) in pipes.items():
         if i == rank:
             end_j.close()
@@ -491,51 +334,36 @@ def _worker(rank, size, func, args, kwargs, pipes, shms, result_pipes,
         else:
             end_i.close()
             end_j.close()
-    for j in range(size):
+    peers: dict[int, _Peer] = {}
+    for j in range(run.size):
         if j == rank:
             continue
         peers[j] = _Peer(
             data_out=pipes[(rank, j)][0],
             data_in=pipes[(j, rank)][1],
             slab=_SlabWriter(
-                shms[(rank, j)], ack_conn=pipes[(rank, j)][0], timeout=recv_timeout
+                shms[(rank, j)], ack_conn=pipes[(rank, j)][0], timeout=run.recv_timeout
             ),
             shm_in=shms[(j, rank)],
         )
-    comm = ProcComm(rank, size, peers, barrier, failed, recv_timeout)
+    comm = ProcComm(rank, run, peers)
     try:
-        result = func(comm, *args, **kwargs)
-        status = ("ok", result)
-    except BaseException as exc:  # noqa: BLE001 - serialized to the parent
-        failed.set()
-        try:
-            barrier.abort()
-        except Exception:
-            pass
-        # the dying rank's forensics ride the result pipe to the parent:
-        # a bare "rank 3 failed" becomes a bundle naming the step, the
-        # last kernel dispatched and the field state at death
-        try:
-            from ..observability.postmortem import capture_postmortem
-
-            bundle = capture_postmortem(exc, rank=rank)
-        except Exception:
-            bundle = None
-        status = (
-            "error", f"{type(exc).__name__}: {exc}", traceback.format_exc(), bundle
-        )
+        outcome = (True, func(comm, *args, **kwargs))
+    except BaseException as exc:  # noqa: BLE001 - reported by the parent
+        # the post-mortem rides the result pipe to the parent: a bare
+        # "rank 3 failed" becomes a bundle naming the step, the last kernel
+        # dispatched and the field state at death
+        outcome = _failure(comm, exc)
     # buffered sends a peer has not yet consumed must survive this rank's
     # exit (MPI buffered-send semantics): drain the sender thread before
     # reporting — socketpair data stays readable after the writer exits
-    comm._flush_sends(timeout=min(recv_timeout, 30.0))
+    comm._flush_sends(timeout=min(run.recv_timeout, 30.0))
     try:
-        result_conn.send(status)
+        result_conn.send(outcome)
     except Exception:
-        failed.set()
+        run.failed.set()
         try:
-            result_conn.send(
-                ("error", f"rank {rank} produced an unsendable result", "")
-            )
+            result_conn.send((False, "produced a result that cannot be pickled", None))
         except Exception:
             pass
     finally:
@@ -556,28 +384,19 @@ def run_ranks_processes(
     *args,
     recv_timeout: float = _RECV_TIMEOUT,
     join_timeout: float = _JOIN_TIMEOUT,
-    slab_bytes: int = _DEFAULT_SLAB_BYTES,
-    env: dict | None = None,
     rundir=None,
     **kwargs,
 ) -> list:
     """Run ``func(comm, *args, **kwargs)`` on *size* real-process ranks.
 
     The drop-in counterpart of :func:`repro.parallel.mpi_sim.run_ranks`
-    with true multi-core execution: returns the per-rank results, re-raises
-    the first rank failure as a :class:`RankError`, and terminates + names
-    ranks still running after *join_timeout*.  *slab_bytes* sizes each
-    directed shared-memory ghost-buffer slab; *env* is applied inside every
-    worker before the rank program runs (too late for ``OMP_NUM_THREADS``
-    once the parent has loaded a kernel, see the module docstring).
-
-    Crash forensics: a dying worker captures a post-mortem bundle (last
-    events, open spans, field stats — see
-    :mod:`repro.observability.postmortem`) and pickles it back over its
-    result pipe.  The bundles are attached to the raised
-    :class:`RankError` as ``exc.postmortems`` (``{rank: bundle}``) and —
-    when *rundir* or the ambient :func:`repro.observability.rundir.get_rundir`
-    is set — written as a combined ``postmortem.json``.
+    with true multi-core execution: the same communicator contract, the
+    same return value, and a failed run raises the same :class:`RankError`
+    — ranks still running after *join_timeout* are terminated and named.
+    A dying worker captures its post-mortem bundle (last events, open
+    spans, field stats — see :mod:`repro.observability.postmortem`) and
+    pickles it back over its result pipe; the bundles are attached to the
+    error and written to *rundir*, as on the simulator.
 
     Requires the ``fork`` start method: rank programs are typically
     closures over kernel sets and forests that never need to pickle, and a
@@ -605,15 +424,13 @@ def run_ranks_processes(
                 if i != j:
                     pipes[(i, j)] = ctx.Pipe(duplex=True)
                     shms[(i, j)] = shared_memory.SharedMemory(
-                        create=True, size=int(slab_bytes)
+                        create=True, size=_DEFAULT_SLAB_BYTES
                     )
-        barrier = ctx.Barrier(size)
-        failed = ctx.Event()
+        run = _Run(size, recv_timeout, ctx)
         procs = [
             ctx.Process(
                 target=_worker,
-                args=(rank, size, func, args, kwargs, pipes, shms,
-                      result_pipes, barrier, failed, recv_timeout, env),
+                args=(rank, func, args, kwargs, run, pipes, shms, result_pipes),
                 name=f"procrank-{rank}",
                 daemon=True,
             )
@@ -629,9 +446,7 @@ def run_ranks_processes(
         for _parent_end, child_end in result_pipes:
             child_end.close()
 
-        results: list = [None] * size
-        errors: list[tuple[int, RankError]] = []
-        postmortems: dict[int, dict] = {}
+        outcomes: list = [None] * size
         remaining = {result_pipes[r][0]: r for r in range(size)}
         deadline = monotonic() + join_timeout
         while remaining:
@@ -644,46 +459,16 @@ def run_ranks_processes(
             for conn in ready:
                 r = remaining.pop(conn)
                 try:
-                    msg = conn.recv()
+                    outcomes[r] = conn.recv()
                 except (EOFError, OSError):
-                    errors.append(
-                        (r, RankError(f"rank {r} exited without a result"))
-                    )
-                    continue
-                if msg[0] == "ok":
-                    results[r] = msg[1]
-                else:
-                    detail = msg[1] + (f"\n{msg[2]}" if msg[2] else "")
-                    errors.append((r, RankError(detail)))
-                    # the 4th element (when present) is the worker's
-                    # post-mortem bundle; older 3-tuples stay accepted
-                    if len(msg) > 3 and isinstance(msg[3], dict):
-                        postmortems[r] = msg[3]
+                    outcomes[r] = (False, "exited without a result", None)
         if remaining:
-            failed.set()
-            stuck = sorted(remaining.values())
-            for r in stuck:
+            run.failed.set()
+            for r in remaining.values():
                 procs[r].terminate()
-            raise RankError(
-                f"rank(s) {', '.join(map(str, stuck))} still running after "
-                f"{join_timeout:g} s — stuck or deadlocked; terminated"
-            )
         for p in procs:
             p.join(timeout=30)
-        if errors:
-            errors.sort(key=lambda e: e[0])
-            # prefer the originating failure over sympathetic
-            # "another rank failed" unwinds
-            rank, exc = next(
-                (e for e in errors if "another rank failed" not in str(e[1])),
-                errors[0],
-            )
-            if postmortems:
-                _write_postmortems(postmortems, rundir)
-            failure = RankError(f"rank {rank} failed: {exc}")
-            failure.postmortems = postmortems
-            raise failure from exc
-        return results
+        return _collect(outcomes, join_timeout, rundir)
     finally:
         for p in procs:
             if p.is_alive():
@@ -712,16 +497,13 @@ def launch_ranks(
     backend: str = "sim",
     recv_timeout: float = _RECV_TIMEOUT,
     join_timeout: float = _JOIN_TIMEOUT,
-    slab_bytes: int = _DEFAULT_SLAB_BYTES,
-    env: dict | None = None,
     rundir=None,
     **kwargs,
 ) -> list:
     """Run an SPMD rank program on the chosen runtime; one call, three backends.
 
     * ``backend="sim"`` — rank-stepped threads in this process
-      (:func:`~repro.parallel.mpi_sim.run_ranks`); *slab_bytes*/*env* are
-      ignored.
+      (:func:`~repro.parallel.mpi_sim.run_ranks`).
     * ``backend="process"`` — real OS processes with shared-memory ghost
       buffers (:func:`run_ranks_processes`); true multi-core wall clock.
     * ``backend="mpi4py"`` — the already-running MPI world: the script must
@@ -747,7 +529,7 @@ def launch_ranks(
         return run_ranks_processes(
             size, func, *args,
             recv_timeout=recv_timeout, join_timeout=join_timeout,
-            slab_bytes=slab_bytes, env=env, rundir=rundir, **kwargs,
+            rundir=rundir, **kwargs,
         )
     if backend == "mpi4py":
         from .mpi_adapter import MPI4PyComm, mpi4py_available

@@ -332,8 +332,10 @@ class DistributedSolver(TimeLoop):
     def gather(self, name: str) -> np.ndarray | None:
         """Assemble the global interior field on rank 0 (None elsewhere)."""
         self._drain()
+        # views: the gather's sends copy them (the communicator's value
+        # semantics), and without a communicator they are only read below
         local = {
-            coords: block.arrays[name][self._cut].copy()
+            coords: block.arrays[name][self._cut]
             for coords, block in self.blocks.items()
         }
         pieces = [local] if self.comm is None else self.comm.gather(local, root=0)

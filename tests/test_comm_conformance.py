@@ -1,9 +1,10 @@
 """Communicator conformance: one behavioral contract, every backend.
 
 The distributed stack is written against one communicator interface; these
-tests pin its *semantics* — value-copying sends, self-transfers, sendrecv,
-the collectives, and deadlock diagnosis — and run the identical programs on
-the thread-backed simulator and the process-backed runtime.  A backend that
+tests pin its *semantics* — value-copying sends at any nesting depth,
+self-transfers, sendrecv, the collectives, the barrier, deadlock diagnosis
+and how a failed run is named — and run the identical programs on the
+thread-backed simulator and the process-backed runtime.  A backend that
 passes this suite can be swapped under :class:`DistributedSolver` without
 re-validating the solver.
 
@@ -12,6 +13,9 @@ mpi4py is installed (a plain pytest process is a one-rank MPI world; the
 multi-rank subset needs ``mpirun`` and is covered by the adapter's design
 instead).
 """
+
+import re
+import time
 
 import numpy as np
 import pytest
@@ -41,17 +45,73 @@ def run_spmd(backend, size, prog, **kwargs):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestPointToPoint:
     def test_send_recv_copies_values(self, backend):
+        # a small array and one large enough for the process backend's
+        # shared-memory slab: either way the send fixes the values
         def prog(comm):
             if comm.rank == 0:
-                data = np.arange(8, dtype=np.float64)
-                comm.send(data, 1, tag=0)
-                data[:] = -1.0  # receiver must see the values at send time
+                small = np.arange(8, dtype=np.float64)
+                large = np.ones(2048)
+                comm.send(small, 1, tag=0)
+                comm.send(large, 1, tag=1)
+                small[:] = -1.0  # receiver must see the values at send time
+                large[:] = -1.0
                 comm.barrier()
                 return None
             comm.barrier()
-            return comm.recv(0, tag=0).tolist()
+            return comm.recv(0, tag=0).tolist(), float(comm.recv(0, tag=1).min())
 
-        assert run_spmd(backend, 2, prog)[1] == list(range(8))
+        assert run_spmd(backend, 2, prog)[1] == (list(range(8)), 1.0)
+
+    def test_nested_arrays_have_value_semantics(self, backend):
+        # arrays inside a list and a dict, sent to the peer and to self and
+        # overwritten right after the send: every receiver sees the values
+        # the arrays held when send() was called
+        def prog(comm):
+            small = np.arange(4.0)
+            large = np.arange(512.0)  # 4 KiB: slab-sized on the process backend
+            for dest in sorted({1 - comm.rank, comm.rank}):
+                comm.send([small, ("x", large)], dest, tag="list")
+                comm.send({"small": small, "large": large}, dest, tag="dict")
+            small[:] = -1.0
+            large[:] = -1.0
+            comm.barrier()
+            got = []
+            for source in sorted({1 - comm.rank, comm.rank}):
+                as_list = comm.recv(source, tag="list")
+                as_dict = comm.recv(source, tag="dict")
+                got.append((
+                    as_list[0].tolist(), as_list[1][0], float(as_list[1][1].sum()),
+                    as_dict["small"].tolist(), float(as_dict["large"].sum()),
+                ))
+            return got
+
+        expected = ([0.0, 1.0, 2.0, 3.0], "x", float(sum(range(512))),
+                    [0.0, 1.0, 2.0, 3.0], float(sum(range(512))))
+        assert run_spmd(backend, 2, prog) == [[expected, expected]] * 2
+
+    def test_nested_payload_with_arrays(self, backend):
+        # the exchange protocol ships bundles: lists of (coords, offset,
+        # strip) tuples — arrays nested inside containers must arrive intact
+        # and in place
+        def prog(comm):
+            if comm.rank == 0:
+                bundle = [
+                    ((0, 1), (-1, 0), np.arange(20000, dtype=np.float64)),
+                    ((1, 1), (0, +1), np.full((64, 64), 7.0)),
+                ]
+                comm.send({"bundle": bundle, "step": 3}, 1, tag=("phi", "ghosts"))
+                return None
+            msg = comm.recv(0, tag=("phi", "ghosts"))
+            (c0, o0, a0), (c1, o1, a1) = msg["bundle"]
+            return (
+                msg["step"] == 3
+                and c0 == (0, 1)
+                and o1 == (0, +1)
+                and float(a0[19999]) == 19999.0
+                and np.all(a1 == 7.0)
+            )
+
+        assert bool(run_spmd(backend, 2, prog)[1])
 
     def test_self_transfer_buffers_in_order(self, backend):
         def prog(comm):
@@ -236,6 +296,58 @@ class TestBarrier:
             return True
 
         assert run_spmd(backend, 3, prog) == [True] * 3
+
+    def test_rank_missing_from_barrier_is_named(self, backend):
+        def prog(comm):
+            if comm.rank == 1:
+                return None  # never reaches the barrier
+            comm.barrier()
+            return True
+
+        recv_timeout = 0.5
+        t0 = time.monotonic()
+        with pytest.raises(RankError, match=r"rank\(s\) 1 never arrived"):
+            run_spmd(backend, 3, prog, recv_timeout=recv_timeout, join_timeout=60.0)
+        assert time.monotonic() - t0 < recv_timeout + 2.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestFailures:
+    def test_worker_exception_propagates_with_rank(self, backend):
+        def prog(comm):
+            if comm.rank == 2:
+                raise ValueError("boom on rank 2")
+            comm.barrier()
+            return comm.rank
+
+        with pytest.raises(RankError, match="rank 2"):
+            run_spmd(backend, 3, prog, recv_timeout=30.0)
+
+    @pytest.mark.parametrize("culprit", [0, 1])
+    def test_failing_rank_is_named_not_the_unwind(self, backend, culprit):
+        # the other rank is blocked in recv when the culprit raises: its
+        # "another rank failed" unwind must not be what the run reports
+        def prog(comm):
+            if comm.rank == culprit:
+                time.sleep(0.2)
+                raise ValueError(f"boom on rank {culprit}")
+            return comm.recv(culprit, tag=1)
+
+        with pytest.raises(RankError) as err:
+            run_spmd(backend, 2, prog, recv_timeout=30.0)
+        first_line = str(err.value).splitlines()[0]
+        assert re.match(rf"rank {culprit} failed: .*ValueError.*boom on rank {culprit}", first_line)
+
+    def test_stuck_rank_is_named(self, backend):
+        def prog(comm):
+            if comm.rank == 1:
+                time.sleep(10)  # stuck outside any receive
+            return comm.rank
+
+        t0 = time.monotonic()
+        with pytest.raises(RankError, match=r"rank\(s\) 1"):
+            run_spmd(backend, 2, prog, recv_timeout=5.0, join_timeout=1.5)
+        assert time.monotonic() - t0 < 8.0
 
 
 @pytest.mark.skipif(not mpi4py_available(), reason="mpi4py not installed")
