@@ -49,6 +49,19 @@ class TestProcessRuntime:
 
         assert run_ranks_processes(2, prog) == [True, True]
 
+    def test_send_has_value_semantics(self):
+        def prog(comm):
+            if comm.rank == 0:
+                data = np.ones(2048)
+                comm.send(data, 1, tag=0)
+                data[:] = -1.0  # mutation after send must not reach rank 1
+                comm.barrier()
+                return None
+            comm.barrier()
+            return float(comm.recv(0, tag=0)[0])
+
+        assert run_ranks_processes(2, prog)[1] == 1.0
+
     def test_pipe_fallback_when_slab_too_small(self, monkeypatch):
         # a 512 KiB payload cannot fit a 4 KiB slab: it must fall back to
         # the pickle pipe and still arrive intact (and not deadlock on the
