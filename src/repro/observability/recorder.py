@@ -501,6 +501,32 @@ def load_journal(path, rank: int | None = None) -> FlightRecorder:
     return recorder
 
 
+def _lanes(intervals):
+    """``(lane, event)`` for ``(start, end, event)`` intervals, lanes per ``cat``.
+
+    Within a category, the intervals of one lane nest: each goes to the first
+    lane whose innermost still-open interval encloses it (or that has none
+    open), else to a new lane.  The intervals one thread records nest, so a
+    single-threaded recording keeps a category on lane 0 — except where an
+    interval's ``seconds`` reaches a few µs before its enclosing one's start
+    (the two are timed by different clock reads), which a lane of its own
+    renders correctly too.
+    """
+    open_ends: dict[str, list[list[float]]] = {}
+    for start, end, event in sorted(intervals, key=lambda i: (i[0], -i[1])):
+        lanes = open_ends.setdefault(event["cat"], [])
+        for lane, stack in enumerate(lanes):
+            while stack and stack[-1] <= start:
+                stack.pop()
+            if not stack or end <= stack[-1]:
+                break
+        else:
+            lane, stack = len(lanes), []
+            lanes.append(stack)
+        stack.append(end)
+        yield lane, event
+
+
 def chrome_trace(recorders) -> dict:
     """The events of one or several recorders as ONE Chrome/Perfetto document.
 
@@ -516,7 +542,10 @@ def chrome_trace(recorders) -> dict:
     ``perf_counter`` clock; timestamps are relative to the earliest
     event).  Every event that carries ``seconds`` becomes a complete
     (``"X"``) event over ``[ts - seconds, ts]``, every ``counter`` event a
-    ``"C"`` sample.  Write it with ``json.dump``; load the file in
+    ``"C"`` sample.  Complete events on one thread must nest, so spans of
+    one layer that overlap without nesting — kernels a solver compiles side
+    by side on worker threads — go to extra tracks of that layer
+    (``backend #2``, …; see :func:`_lanes`).  Write it with ``json.dump``; load the file in
     ``chrome://tracing`` or https://ui.perfetto.dev.
     """
     recorders = [r for r in recorders if r is not None]
@@ -544,7 +573,7 @@ def chrome_trace(recorders) -> dict:
         metadata.append(
             meta("process_sort_index", pid, 0, sort_index=-1 if rank is None else rank)
         )
-        used: dict[int, str] = {}
+        intervals: list[tuple[float, float, dict]] = []
         for _seq, ts, kind, name, data in recorder.events:
             event = {"name": name, "cat": "runtime", "ts": ts, "pid": pid, "tid": 0}
             if kind == "counter":
@@ -559,14 +588,20 @@ def chrome_trace(recorders) -> dict:
                 # step_end, fingerprint: the kind names the interval and the
                 # event's name identifies it (the step number, the digest)
                 event["name"], args["name"] = kind.removesuffix("_end"), name
-            tid = layer_tids.setdefault(event["cat"], len(layer_tids))
-            used[tid] = event["cat"]
             event.update(
                 ph="X", ts=ts - data["seconds"], dur=round(data["seconds"] * 1e6, 3),
-                tid=tid, args=_plain(args),
+                args=_plain(args),
             )
+            intervals.append((ts - data["seconds"], ts, event))
+        used: dict[int, str] = {}
+        for lane, event in _lanes(intervals):
+            track = event["cat"] if lane == 0 else f"{event['cat']} #{lane + 1}"
+            event["tid"] = layer_tids.setdefault(track, len(layer_tids))
+            used[event["tid"]] = track
             spans.append(event)
-        metadata += [meta("thread_name", pid, tid, name=cat) for tid, cat in sorted(used.items())]
+        metadata += [
+            meta("thread_name", pid, tid, name=track) for tid, track in sorted(used.items())
+        ]
     epoch = min((e["ts"] for e in spans + counters), default=0.0)
     for event in spans + counters:
         event["ts"] = round((event["ts"] - epoch) * 1e6, 3)

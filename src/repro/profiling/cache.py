@@ -143,7 +143,8 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
                 span["cache"] = "hit"
                 _log.debug(kv("cache_hit", kernel=kernel.name, backend=backend))
                 return compiled
-        # compile outside the lock: codegen is slow and reentrant-safe
+        # compile outside the lock: codegen is slow and reentrant-safe, and
+        # a solver compiles its kernels concurrently (TimeLoop lowering)
         t0 = perf_counter()
         compiled = _compile(kernel, backend)
         with _LOCK:

@@ -24,13 +24,15 @@ defined here, once, for all of them.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from math import prod
 from time import perf_counter
 
 from .backends.numpy_backend import create_arrays
 from .observability.log import get_logger, kv
-from .observability.recorder import get_recorder
+from .observability.recorder import get_recorder, set_thread_recorder
 from .profiling import SolverProfiler
 
 __all__ = ["TimeLoop"]
@@ -49,6 +51,37 @@ def _positive(every: int) -> int:
     if every < 1:
         raise ValueError("every must be >= 1")
     return int(every)
+
+
+def _compile_all(kernels: list, compile, backend: str) -> list:
+    """``[compile(k, backend) for k in kernels]``, the compilations side by side.
+
+    One worker thread per usable CPU (at most one per kernel): a C build is
+    a compiler process, which releases the GIL, so two kernels' gcc runs
+    overlap each other and the next kernel's source emission.  The disk
+    tier's per-entry lock makes concurrent builders safe.  Every worker
+    records into the caller's recorder (a simulated rank's own journal),
+    and no worker outlives the call — a later fork sees a single-threaded
+    process.  The first failing kernel, in *kernels* order, raises.
+    """
+    # sched_getaffinity (the CPUs this process may run on) is Linux-only
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    recorder = get_recorder()
+
+    def one(kernel):
+        set_thread_recorder(recorder)
+        return compile(kernel, backend)
+
+    with ThreadPoolExecutor(max(min(len(kernels), cpus), 1)) as pool:
+        futures = [pool.submit(one, k) for k in kernels]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
 
 
 class TimeLoop:
@@ -144,8 +177,11 @@ class TimeLoop:
         self.profiler = SolverProfiler()
         self.schedule = list(schedule)
         self.swaps = tuple(swaps)
+        sweeps = {id(k): k for op, arg in self.schedule if op == "sweep" for k in arg}
+        compiled = dict(zip(sweeps, _compile_all(list(sweeps.values()), compile, backend)))
         self._ops = [
-            (self._sweep, self._bind(arg, compile)) if op == "sweep" else (getattr(self, op), arg)
+            (self._sweep, self._bind(arg, [compiled[id(k)] for k in arg]))
+            if op == "sweep" else (getattr(self, op), arg)
             for op, arg in self.schedule
         ]
 
@@ -163,9 +199,8 @@ class TimeLoop:
                health=health is not None, **self._tags, **self._note)
         )
 
-    def _bind(self, kernels, compile) -> list[tuple]:
+    def _bind(self, kernels, compiled) -> list[tuple]:
         """``(compiled, name, block, measurement)`` per owned block and kernel of a sweep."""
-        compiled = [compile(k, self.backend) for k in kernels]
         calls = []
         for block in self._owned:
             shape = block.interior_shape

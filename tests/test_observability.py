@@ -8,6 +8,8 @@ regressions fixed in the same change.
 """
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -56,6 +58,22 @@ def _span_tree(events) -> list[tuple]:
         elif e.kind == "span_end":
             stack.pop()
     return out
+
+
+def _assert_tracks_nest(doc):
+    """Chrome/Perfetto's rule: the complete events of one thread nest."""
+    tracks = {}
+    for e in doc["traceEvents"]:
+        if e["ph"] == "X":
+            tracks.setdefault((e["pid"], e["tid"]), []).append(e)
+    for track in tracks.values():
+        ends = []
+        for e in sorted(track, key=lambda e: (e["ts"], -e["dur"])):
+            while ends and ends[-1] <= e["ts"]:
+                ends.pop()
+            # timestamps and durations are rounded to 1 ns
+            assert not ends or e["ts"] + e["dur"] <= ends[-1] + 0.002, e
+            ends.append(e["ts"] + e["dur"])
 
 
 @pytest.fixture
@@ -137,6 +155,45 @@ class TestTracer:
             steps[0]["ts"] <= ev["ts"] <= steps[0]["ts"] + steps[0]["dur"]
             for ev in sweeps
         )
+
+    def test_overlapping_spans_of_one_layer_get_their_own_track(self):
+        """Spans that overlap without nesting never share a Chrome thread."""
+        recorder = FlightRecorder(capacity=None)
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+
+        def a():
+            with recorder.span("compile:a", category="backend"):
+                with recorder.span("codegen:c:a", category="backend"):
+                    a_open.set()
+                    b_open.wait()
+            a_closed.set()
+
+        def b():
+            a_open.wait()
+            with recorder.span("compile:b", category="backend"):
+                b_open.set()
+                a_closed.wait()
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        doc = chrome_trace([recorder])
+        tids = {e["name"]: e["tid"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert tids["compile:a"] == tids["codegen:c:a"] != tids["compile:b"]
+        names = {e["tid"]: e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"
+                 and e["name"] == "thread_name"}
+        assert (names[tids["compile:a"]], names[tids["compile:b"]]) == ("backend", "backend #2")
+        _assert_tracks_nest(doc)
+
+    def test_concurrent_lowering_renders_nested_tracks(self, kernel_set, keep_all, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        clear_kernel_cache()  # every compile span does the work
+        DistributedSolver(kernel_set, BlockForest((8, 8), (4, 4)), overlap=True)
+        doc = chrome_trace([keep_all])
+        assert sum(e["name"].startswith("compile:") for e in doc["traceEvents"]) == 7
+        _assert_tracks_nest(doc)
 
     def test_profiler_feeds_trace_once(self, kernel_set, keep_all):
         """Runtime spans come from the profiler — same counts, no doubles."""

@@ -12,6 +12,7 @@ from repro.simplification import (
     simplify_terms,
     substitute_parameters,
 )
+from repro.simplification.passes import MemoizedFactorTerms
 from repro.symbolic import Assignment, AssignmentCollection, Field
 
 
@@ -117,6 +118,77 @@ class TestSemanticPreservation:
         ac = AssignmentCollection([Assignment(g.center(), expr)])
         out = simplify_terms(ac)
         assert count_nodes(out.main_assignments[0].rhs) <= count_nodes(expr)
+
+
+def _model_right_hand_sides(params, monkeypatch) -> list[list[sp.Expr]]:
+    """The right-hand sides ``simplify_terms`` factors, per collection."""
+    from repro.pfm import GrandPotentialModel
+    from repro.simplification import passes
+
+    seen = []
+
+    def capture(ac):
+        seen.append([a.rhs for a in (*ac.main_assignments, *ac.subexpressions)])
+        return simplify_terms(ac)
+
+    monkeypatch.setattr(passes, "simplify_terms", capture)
+    GrandPotentialModel(params).create_kernels()
+    return seen
+
+
+def _assert_factors_like_sympy(collections) -> None:
+    for rhs in collections:
+        factor = MemoizedFactorTerms()  # one memo per collection, as in the pass
+        for expr in rhs:
+            assert sp.srepr(factor(expr)) == sp.srepr(sp.factor_terms(expr))
+
+
+@st.composite
+def shared_subtree_sums(draw):
+    """Sums over one shared random subtree: negative, exp(-(x+2)) and nested terms."""
+    f, _ = _fields2()
+    x, y = sp.symbols("x y")
+    shared = draw(random_exprs())
+    atoms = [x, y, f.center(), shared, sp.exp(-(x + 2)), sp.exp(-2 * (shared + y))]
+    exprs = []
+    for _ in range(draw(st.integers(1, 4))):
+        negative = draw(st.booleans())
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            coeff = draw(st.sampled_from([1, 2, 3, sp.Rational(1, 2), sp.Rational(3, 4)]))
+            term = coeff * draw(st.sampled_from(atoms)) * draw(st.sampled_from(atoms))
+            if draw(st.booleans()):
+                term *= sp.Add(shared, draw(st.sampled_from(atoms)))
+            terms.append(-term if negative else term)
+        exprs.append(sp.Add(*terms))
+    return exprs
+
+
+class TestMemoizedFactorTerms:
+    """The memoized copy factors exactly as ``sympy.factor_terms`` does."""
+
+    def test_binary_right_hand_sides(self, monkeypatch):
+        from repro.pfm import make_two_phase_binary
+
+        _assert_factors_like_sympy(
+            _model_right_hand_sides(make_two_phase_binary(dim=3), monkeypatch)
+        )
+
+    @pytest.mark.slow
+    def test_p1_right_hand_sides(self, monkeypatch):
+        from repro.pfm import make_p1
+
+        _assert_factors_like_sympy(_model_right_hand_sides(make_p1(dim=3), monkeypatch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs=shared_subtree_sums())
+    def test_shared_subtrees(self, exprs):
+        _assert_factors_like_sympy([exprs])
+
+    def test_special_exponent_and_common_negative(self):
+        x, y = sp.symbols("x y")
+        exprs = [-2 * x * sp.exp(-(x + 2)) - 4 * y, sp.exp(-(x + 2)) + x * sp.exp(-(x + 2))]
+        _assert_factors_like_sympy([exprs, exprs[::-1]])
 
 
 class TestAssignmentCollection:

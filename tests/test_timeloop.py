@@ -7,6 +7,12 @@ between them is the business of ``test_fingerprints`` / ``test_overlap`` /
 for all of them.
 """
 
+import json
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +20,7 @@ from repro.backends.c_backend import c_compiler_available
 from repro.lbm import LBMethod, LBMSimulation
 from repro.observability import HealthMonitor
 from repro.observability.fingerprint import digest_array
+from repro.observability.recorder import rank_recorder
 from repro.parallel import BlockForest, DistributedSolver, run_ranks
 from repro.pfm import (
     GrandPotentialModel,
@@ -22,6 +29,8 @@ from repro.pfm import (
     planar_front,
 )
 from repro.profiling import clear_kernel_cache, kernel_cache_stats
+from repro.profiling.diskcache import KernelDiskCache, disk_cache_stats, reset_disk_cache_stats
+from repro import timeloop
 from repro.timeloop import TimeLoop
 
 SHAPE = (8, 8)
@@ -194,6 +203,110 @@ class TestSchedules:
         solver, _, _ = _distributed(kernels)
         with pytest.raises(ValueError, match="tile_shape"):
             solver.enable_fingerprints(tile_shape=(4, 4))
+
+
+@pytest.fixture
+def four_workers(monkeypatch):
+    """Lower every schedule on a pool of four threads, whatever this host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.fixture
+def cold_cache(tmp_path, monkeypatch):
+    """An empty private disk tier and an empty in-memory kernel cache."""
+    root = tmp_path / "kernel-cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+    clear_kernel_cache()
+    reset_disk_cache_stats()
+    yield root
+    clear_kernel_cache()
+    reset_disk_cache_stats()
+
+
+def _sweep_kernels(solver):
+    """Distinct kernels of the solver's sweeps, in schedule order."""
+    distinct = {id(k): k for op, arg in solver.schedule if op == "sweep" for k in arg}
+    return list(distinct.values())
+
+
+@pytest.mark.usefixtures("four_workers")
+class TestConcurrentLowering:
+    @pytest.mark.skipif(not c_compiler_available(), reason="no C compiler available")
+    def test_cold_cache_builds_each_kernel_once_and_binds_in_order(self, kernels, cold_cache):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' shared counters
+        try:
+            solver, _, _ = _distributed(kernels, overlap=True, backend="c")
+        finally:
+            sys.setswitchinterval(interval)
+        distinct = _sweep_kernels(solver)
+        assert len(distinct) > 4  # more kernels than workers
+        stats = kernel_cache_stats()
+        assert (stats.hits, stats.misses, stats.size) == (0, len(distinct), len(distinct))
+        assert disk_cache_stats().builds == len(distinct)
+        entries = KernelDiskCache(cold_cache).entries()
+        assert len(entries) == len(distinct)
+        assert all((entry / "builds.jsonl").read_text().count("\n") == 1 for entry in entries)
+        for (op, arg), (_, calls) in zip(solver.schedule, solver._ops):
+            if op == "sweep":  # block by block, each block's kernels in order
+                expected = list(arg) * len(solver.blocks)
+                assert len(calls) == len(expected)
+                assert all(fn.kernel is k for (fn, *_), k in zip(calls, expected))
+
+    @pytest.mark.skipif(not c_compiler_available(), reason="no C compiler available")
+    def test_failing_compile_raises_on_the_caller_and_publishes_nothing(
+        self, kernels, cold_cache, tmp_path, monkeypatch
+    ):
+        # a compiler that refuses the µ kernel and builds everything else
+        cc = tmp_path / "cc-refusing-mu"
+        cc.write_text(
+            "#!/bin/sh\n"
+            'for a in "$@"; do case "$a" in *.c) if grep -q kernel_mu "$a"; then\n'
+            '  echo "refusing the mu kernel" >&2; exit 1; fi;; esac; done\n'
+            f'exec {os.environ.get("CC", "cc")} "$@"\n'
+        )
+        cc.chmod(0o755)
+        monkeypatch.setenv("CC", str(cc))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="C compilation failed:\nrefusing the mu kernel"):
+            SingleBlockSolver(kernels, SHAPE, backend="c")
+        assert time.monotonic() - t0 < 60
+        assert not list(cold_cache.rglob(".tmp.*"))
+        built = [json.loads(m.read_text())["kernel"] for m in cold_cache.rglob("meta.json")]
+        assert "mu" not in built
+        assert len(list(cold_cache.rglob("kernel.so"))) == len(built)
+
+    def test_compile_spans_land_in_the_rank_recorder(self, kernels):
+        forest = BlockForest(SHAPE, (4, 4), periodic=True)
+
+        def program(comm):
+            with rank_recorder(comm.rank, capacity=None) as recorder:
+                solver = DistributedSolver(kernels, forest, comm=comm)
+            names = {k.name for k in _sweep_kernels(solver)}
+            spans = [
+                e.name for e in recorder.events
+                if e.kind == "span_end" and e.name.startswith("compile:")
+            ]
+            return names, spans
+
+        for names, spans in run_ranks(2, program):
+            assert sorted(spans) == sorted(f"compile:{name}" for name in names)
+
+    def test_no_thread_outlives_the_lowering(self, kernels):
+        before = threading.active_count()
+        _distributed(kernels, overlap=True)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+    def test_width_without_sched_getaffinity(self, kernels, monkeypatch, cpu_count, cpus):
+        """Where the affinity call is missing (macOS), the CPU count sizes the pool."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        widths = []
+        pool = timeloop.ThreadPoolExecutor
+        monkeypatch.setattr(timeloop, "ThreadPoolExecutor", lambda n: widths.append(n) or pool(n))
+        solver, _, _ = _distributed(kernels, overlap=True)
+        assert widths == [min(len(_sweep_kernels(solver)), cpus)]
 
 
 class TestLBMOnTheSharedLoop:
