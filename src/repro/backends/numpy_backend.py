@@ -3,9 +3,22 @@
 This is the reference execution engine of the pipeline (the paper's
 interactive workflow, §4.2: "generated kernels ... operate on objects
 implementing the Python buffer protocol, e.g. numpy arrays").  Every stencil
-assignment becomes a whole-array slice expression; temporaries become
+assignment becomes a slice expression over the block; temporaries become
 intermediate arrays; staggered (flux) writes use per-assignment regions
 extended by one face layer along the flux axis.
+
+A call evaluates the generated function slab by slab: rows ``[r0, r1)`` of
+the outermost axis, ``_SLAB_CELLS`` cells at a time, each slab handed over
+as the smaller ghost-layered block of rows ``[r0, r1 + 2·gl)`` with its
+``block_offset`` shifted by ``r0``.  Temporaries are therefore slab-sized
+and stay in cache.  Coordinates and Philox values are keyed on global
+cells, so they follow the shift; a restricted kernel is cut into slabs of
+its own rows.  Every cell computes the same operations on the same inputs
+as in one whole-block call — :func:`repro.ir.kernel.create_kernel` refuses
+a kernel that reads a field it writes at a non-zero offset — so the slab
+size changes no bit.  A reduction returns its density values per slab;
+the call gathers them into one interior-sized array per output and sums
+that once.
 
 The generated kernels index *logically* (``array[slices, component]``), so
 they take arrays of any strides: the structure-of-arrays views
@@ -19,6 +32,7 @@ inspection and testing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +45,14 @@ from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
 from ..symbolic.ordering import CanonicalTermOrder, SmallPowersAsProducts
 from ..symbolic.random import RandomValue
-from .runtime import RUNTIME_NAMESPACE
+from .runtime import RUNTIME_NAMESPACE, tile_sum
 
 __all__ = ["compile_numpy_kernel", "CompiledNumpyKernel", "create_arrays"]
+
+#: Cells of one slab (see :func:`_slabs`), 32 rows of a 1024² block: a
+#: temporary is 256 KiB, so the operands and the result of one elementwise
+#: operation stay in a core's L2 cache for the next operation that reads them.
+_SLAB_CELLS = 32768
 
 
 def create_arrays(
@@ -129,31 +148,54 @@ class CompiledNumpyKernel:
         call contract (:meth:`Kernel.check_arrays
         <repro.ir.kernel.Kernel.check_arrays>`, ``check_parameters``).
 
+        The generated function runs once per slab of rows of the outermost
+        axis (:func:`_slabs`), each slab a smaller ghost-layered block.
+
         Stencil kernels write in place and return ``None``.  Reduction
         kernels leave the arrays untouched and return ``{name: float}`` with
-        one raw (unscaled) interior sum per reduction output; ``tile_shape``
-        selects the fixed-order tiled summation that makes the result
-        partition-invariant (see :func:`repro.backends.runtime.tile_sum`).
+        one raw (unscaled) interior sum per reduction output: the slabs'
+        density values are gathered into one interior-sized array per
+        output, summed once by :func:`repro.backends.runtime.tile_sum`;
+        ``tile_shape`` selects its fixed-order tiled summation, which makes
+        the result partition-invariant.
         """
-        gl = self.kernel.ghost_layers if ghost_layers is None else int(ghost_layers)
-        spatial = self.kernel.check_arrays(arrays, gl, block_offset, origin)
-        self.kernel.check_parameters(params)
-        if self.kernel.is_reduction:
-            tiles = tuple(int(t) for t in tile_shape) if tile_shape else None
-            return self._func(
-                arrays, params, tuple(block_offset), tuple(origin), gl, tiles
-            )
-        if tile_shape is not None:
+        kernel = self.kernel
+        gl = kernel.ghost_layers if ghost_layers is None else int(ghost_layers)
+        spatial = kernel.check_arrays(arrays, gl, block_offset, origin)
+        kernel.check_parameters(params)
+        if tile_shape is not None and not kernel.is_reduction:
             raise ValueError(
                 f"tile_shape only applies to reduction kernels, not {self.name}"
             )
-        if self.kernel.subspace is not None:
-            interior = tuple(int(s) - 2 * gl for s in spatial)
-            sub = self.kernel.subspace.offsets(interior)
-            self._func(arrays, params, tuple(block_offset), tuple(origin), gl, sub)
-            return None
-        self._func(arrays, params, tuple(block_offset), tuple(origin), gl)
+        interior = tuple(int(s) - 2 * gl for s in spatial)
+        origin = tuple(origin)
+        rows, sub = (0, interior[0]), ()
+        if kernel.subspace is not None:
+            (lo, hi), *rest = kernel.subspace.offsets(interior)
+            # slabs hold only the restricted rows: axis 0 is whole in each
+            rows, sub = (lo, interior[0] + hi), (((0, 0), *rest),)
+        values = {name: np.empty(interior) for name in kernel.reductions}
+        for r0, r1 in _slabs(*rows, interior):
+            views = {f.name: arrays[f.name][r0 : r1 + 2 * gl] for f in kernel.fields}
+            offset = (block_offset[0] + r0, *block_offset[1:])
+            out = self._func(views, params, offset, origin, gl, *sub)
+            for name, v in values.items():
+                v[r0:r1] = out[name]
+        if kernel.is_reduction:
+            tiles = tuple(int(t) for t in tile_shape) if tile_shape else None
+            return {name: tile_sum(v, tiles) for name, v in values.items()}
         return None
+
+
+def _slabs(lo: int, hi: int, interior: tuple[int, ...]):
+    """``(r0, r1)`` row ranges of axis 0 that tile ``[lo, hi)`` in order.
+
+    Each holds ``_SLAB_CELLS`` cells of *interior* (at least one row; the
+    last slab may be shorter).
+    """
+    rows = max(1, _SLAB_CELLS // math.prod(interior[1:]))
+    for r0 in range(lo, hi, rows):
+        yield r0, min(r0 + rows, hi)
 
 
 def compile_numpy_kernel(kernel: Kernel) -> CompiledNumpyKernel:
@@ -182,12 +224,7 @@ def generate_numpy_source(kernel: Kernel) -> str:
     param_names = sorted(p.name for p in kernel.parameters)
     body: list[str] = []
     body.append(f"# generated NumPy kernel: {kernel.name}")
-    if kernel.is_reduction:
-        body.append(
-            "def _kernel(__arrays, __params, __block_offset, __origin, __gl,"
-            " __tiles=None):"
-        )
-    elif kernel.subspace is not None:
+    if kernel.subspace is not None:
         body.append(
             "def _kernel(__arrays, __params, __block_offset, __origin, __gl,"
             " __sub):"
@@ -368,21 +405,15 @@ def _emit_region_block(
 def _emit_reduction_block(kernel: Kernel, ind: str) -> list[str]:
     """Emit the body of a sum-reduction kernel (interior region only).
 
-    Each reduction output's density expression is evaluated vectorized over
-    the interior, broadcast to the full region shape (constants reduce to
-    NumPy scalars otherwise) and summed via ``_tile_sum`` so the operation
-    order is the fixed block-tiled tree documented in
-    :func:`repro.backends.runtime.tile_sum`.
+    The function returns each reduction output's density values over the
+    cells it was called on (an array, or a scalar where the density is
+    constant); :meth:`CompiledNumpyKernel.__call__` gathers them into one
+    interior-sized array per output and sums that once.
     """
     ((region, outputs, sub),) = kernel.regions
-    lines, pr, region_shape = _emit_bindings(kernel, region, outputs, sub, 0, ind)
+    lines, pr, _ = _emit_bindings(kernel, region, outputs, sub, 0, ind)
     lines.append(ind + "__out = {}")
     for a in outputs:
-        lines.append(
-            ind
-            + f"__out[{a.lhs.name!r}] = _tile_sum(numpy.broadcast_to("
-            + f"numpy.asarray({pr(a.rhs)}, dtype=numpy.float64), "
-            + f"{region_shape}), __tiles)"
-        )
+        lines.append(ind + f"__out[{a.lhs.name!r}] = {pr(a.rhs)}")
     lines.append(ind + "return __out")
     return lines

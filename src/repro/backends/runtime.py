@@ -103,5 +103,4 @@ RUNTIME_NAMESPACE = {
     "_fast_sqrt": fast_sqrt,
     "_fast_rsqrt": fast_rsqrt,
     "_rng_uniform": rng_uniform,
-    "_tile_sum": tile_sum,
 }

@@ -385,6 +385,7 @@ def create_kernel(
                 "a kernel cannot mix field stores with reduction outputs: "
                 f"{ac.name}"
             )
+        _check_no_neighbour_reads_of_written_fields(ac, name or ac.name)
         kernel = Kernel(
             name=name or ac.name,
             ac=ac,
@@ -401,6 +402,32 @@ def create_kernel(
             loop_order=str(kernel.loop_order),
         )
         return kernel
+
+
+def _check_no_neighbour_reads_of_written_fields(
+    ac: AssignmentCollection, name: str
+) -> None:
+    """Refuse a kernel that reads a field it writes at a non-zero offset.
+
+    A C loop sweeping such a kernel in place reads neighbours it has already
+    updated, a whole-block NumPy evaluation reads the old values and a slab
+    evaluation a mixture: the result would depend on the backend.  A read
+    at offset zero involves only the cell being computed, whose statements
+    every backend runs in program order.
+    """
+    written = {acc.field for acc in ac.field_writes}
+    shifted = [
+        acc
+        for a in ac.all_assignments
+        for acc in a.rhs.atoms(FieldAccess)
+        if acc.field in written and any(acc.offsets)
+    ]
+    if shifted:
+        acc = min(shifted, key=lambda acc: acc.name)
+        raise ValueError(
+            f"kernel {name} reads field {acc.field.name} at offset "
+            f"{acc.offsets} while writing it; write the result to another field"
+        )
 
 
 def split_interior_frontier(
