@@ -12,11 +12,17 @@ This module performs the paper's full vertical assembly (Fig. 1):
 4. discretize (full or split variants) and produce backend-ready kernels,
    including the Gibbs-simplex projection that realizes the obstacle part
    of the potential.
+
+Steps 1–4 run once per model and host: the derived kernel set is pickled
+into the IR tier of the kernel disk cache (:mod:`repro.profiling.diskcache`),
+and every later :meth:`GrandPotentialModel.create_kernels` with equal
+parameters and arguments, in any process, loads it without sympy work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import sympy as sp
@@ -29,6 +35,8 @@ from ..discretization import (
 from ..ir import Kernel, KernelConfig, create_kernel
 from ..observability.log import get_logger, kv
 from ..observability.recorder import get_recorder
+from ..profiling.cache import canonical_srepr
+from ..profiling.diskcache import KernelDiskCache, ir_cache_key
 from ..symbolic import (
     Assignment,
     AssignmentCollection,
@@ -53,6 +61,51 @@ __all__ = ["GrandPotentialModel", "PhaseFieldKernelSet"]
 
 _TAU_EPS = sp.Float(1e-9)
 _log = get_logger("pfm.model")
+#: what a pickled kernel set holds; the calling model and variants are added
+_KERNEL_SET_PARTS = ("phi_kernels", "projection_kernel", "mu_kernels")
+
+
+def _canonical(value) -> str:
+    """Text of a parameter value that equal values print alike, in any process.
+
+    Dataclasses field by field, arrays by dtype, shape and bytes, sympy
+    objects by a hash-seed-independent ``srepr``; a type without a known
+    canonical form is refused rather than keyed by a ``repr`` that may hold
+    an address.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        inner = ", ".join(
+            f"{f.name}={_canonical(getattr(value, f.name))}" for f in fields(value)
+        )
+        return f"{type(value).__qualname__}({inner})"
+    if isinstance(value, np.ndarray):
+        return f"ndarray({value.dtype.str}, {value.shape}, {value.tobytes().hex()})"
+    if isinstance(value, (sp.Basic, sp.MatrixBase)):
+        return canonical_srepr(value)
+    if isinstance(value, dict):
+        items = sorted(f"{_canonical(k)}: {_canonical(v)}" for k, v in value.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return f"{type(value).__name__}({', '.join(map(_canonical, value))})"
+    if value is None or isinstance(value, (bool, int, float, str, np.generic)):
+        return repr(value)
+    raise TypeError(f"no canonical form for a parameter of type {type(value).__name__}")
+
+
+def _kernel_set_parts(value) -> dict:
+    """*value* if it is the parts of a pickled kernel set, else ``TypeError``."""
+    ok = (
+        isinstance(value, dict)
+        and tuple(value) == _KERNEL_SET_PARTS
+        and isinstance(value["projection_kernel"], Kernel)
+        and all(
+            isinstance(ks, list) and ks and all(isinstance(k, Kernel) for k in ks)
+            for ks in (value["phi_kernels"], value["mu_kernels"])
+        )
+    )
+    if not ok:
+        raise TypeError(f"not the parts of a kernel set: {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -329,7 +382,62 @@ class GrandPotentialModel:
         ``variant_*`` select the full (recompute) or split (staggered
         pre-computation) kernel forms — the µ-full / µ-split / φ-full /
         φ-split variants of Table 1 and Algorithm 1.
+
+        The set is derived once: it is published to the kernel disk cache
+        under :meth:`_kernel_set_key`, and a later call with equal
+        parameters and arguments, in this or any process, loads it.
         """
+        options = dict(
+            variant_phi=variant_phi,
+            variant_mu=variant_mu,
+            target=target,
+            approximations=approximations,
+            fold_constants=fold_constants,
+        )
+        with get_recorder().span(
+            "create_kernels",
+            category="pipeline",
+            variant_phi=variant_phi,
+            variant_mu=variant_mu,
+            target=target,
+        ) as span:
+            parts, hit = KernelDiskCache().load_or_derive(
+                self._kernel_set_key(**options),
+                lambda: self._derive_kernels(**options),
+                check=_kernel_set_parts,
+                meta={"model": self.params.name, **options},
+            )
+            span["cache"] = "hit" if hit else "derived"
+        kernel_set = PhaseFieldKernelSet(
+            model=self, **parts, variant_phi=variant_phi, variant_mu=variant_mu
+        )
+        _log.info(
+            kv(
+                "kernel_set_created",
+                kernels=len(kernel_set.all_kernels),
+                variant_phi=variant_phi,
+                variant_mu=variant_mu,
+                target=target,
+                ghost_layers=kernel_set.ghost_layers,
+                cache="hit" if hit else "derived",
+            )
+        )
+        return kernel_set
+
+    def _kernel_set_key(
+        self, variant_phi, variant_mu, target, approximations, fold_constants
+    ) -> str:
+        """IR-tier cache key: every parameter field and every argument."""
+        digest = hashlib.sha256(_canonical(self.params).encode()).hexdigest()
+        return ir_cache_key(
+            digest, variant_phi, variant_mu, target, repr(approximations),
+            repr(fold_constants),
+        )
+
+    def _derive_kernels(
+        self, variant_phi, variant_mu, target, approximations, fold_constants
+    ) -> dict:
+        """The sympy derivation of a kernel set (steps 1–4), as its parts."""
         disc = self.discretizer()
         config = KernelConfig(
             target=target,
@@ -348,36 +456,11 @@ class GrandPotentialModel:
                 ]
             return [create_kernel(result, config)]
 
-        with get_recorder().span(
-            "create_kernels",
-            category="pipeline",
-            variant_phi=variant_phi,
-            variant_mu=variant_mu,
-            target=target,
-        ):
-            phi_kernels = build(
-                self.phi_system(), self.phi_dst, variant_phi, "phi_flux"
-            )
-            mu_kernels = build(self.mu_system(), self.mu_dst, variant_mu, "mu_flux")
-            projection = create_kernel(
-                self.projection_collection(), KernelConfig(target=target)
-            )
-        kernel_set = PhaseFieldKernelSet(
-            model=self,
-            phi_kernels=phi_kernels,
-            projection_kernel=projection,
-            mu_kernels=mu_kernels,
-            variant_phi=variant_phi,
-            variant_mu=variant_mu,
+        phi_kernels = build(self.phi_system(), self.phi_dst, variant_phi, "phi_flux")
+        mu_kernels = build(self.mu_system(), self.mu_dst, variant_mu, "mu_flux")
+        projection = create_kernel(
+            self.projection_collection(), KernelConfig(target=target)
         )
-        _log.info(
-            kv(
-                "kernel_set_created",
-                kernels=len(kernel_set.all_kernels),
-                variant_phi=variant_phi,
-                variant_mu=variant_mu,
-                target=target,
-                ghost_layers=kernel_set.ghost_layers,
-            )
+        return dict(
+            phi_kernels=phi_kernels, projection_kernel=projection, mu_kernels=mu_kernels
         )
-        return kernel_set

@@ -33,6 +33,7 @@ from ..symbolic.ordering import CanonicalTermOrder
 _log = get_logger("profiling.cache")
 
 __all__ = [
+    "canonical_srepr",
     "kernel_fingerprint",
     "compile_cached",
     "kernel_cache_stats",
@@ -60,6 +61,11 @@ class CacheStats:
 
 class _Repr(CanonicalTermOrder, ReprPrinter):
     """``srepr`` whose sums do not reorder with ``PYTHONHASHSEED``."""
+
+
+def canonical_srepr(expr) -> str:
+    """``sympy.srepr`` of *expr*, the same text under any ``PYTHONHASHSEED``."""
+    return _Repr().doprint(expr)
 
 
 def kernel_fingerprint(kernel: Kernel) -> str:

@@ -209,6 +209,8 @@ def run_scenario(spec: ScenarioSpec, rundir_path, backend: str | None = None) ->
             "disk_hits": disk1.hits - disk0.hits,
             "disk_misses": disk1.misses - disk0.misses,
             "disk_builds": disk1.builds - disk0.builds,
+            "ir_hits": disk1.ir_hits - disk0.ir_hits,
+            "ir_derivations": disk1.ir_derivations - disk0.ir_derivations,
         },
         "health_events": len(health.events),
         "diagnostics_rows": len(series),
@@ -388,6 +390,8 @@ def _merge(specs, results, errors, queue_depth_samples, wall, workers, backend) 
         "disk_hits": 0,
         "disk_misses": 0,
         "disk_builds": 0,
+        "ir_hits": 0,
+        "ir_derivations": 0,
         "health_events": 0,
     }
     for idx, spec in enumerate(specs):
@@ -400,7 +404,7 @@ def _merge(specs, results, errors, queue_depth_samples, wall, workers, backend) 
             totals["cell_updates"] += summary["cell_updates"]
             totals["health_events"] += summary["health_events"]
             for k in ("memory_hits", "memory_misses", "disk_hits",
-                      "disk_misses", "disk_builds"):
+                      "disk_misses", "disk_builds", "ir_hits", "ir_derivations"):
                 totals[k] += summary["cache"][k]
         else:
             entry["name"] = spec.name

@@ -7,22 +7,28 @@ here, not silently in a new ``.so``.  The ledger covers the binary 2-D and
 3-D kernel sets, full and split, the overlapped schedule's restricted µ units
 (``split_interior_frontier``), and — in the ``slow`` case — the P1 3-D set.
 
-Each group is generated in a fresh interpreter under two string-hash seeds:
-seed 0 is the one the benchmark pins, seed 3 the one that once produced a
-different 3-D µ kernel.  Both must print the pinned text.
+Each group is derived in a fresh interpreter, on an empty kernel disk cache,
+under two string-hash seeds: seed 0 is the one the benchmark pins, seed 3
+the one that once produced a different 3-D µ kernel.  Both must print the
+pinned text, and both must derive kernels of equal ``kernel_fingerprint``:
+the IR tier's cache key carries no hash seed, so a kernel set pickled under
+one seed is loaded under any other.
 
-Run a group by hand (prints ``{kernel: sha256}`` as JSON)::
+Run a group by hand (prints ``{"source": {kernel: sha256}, "fingerprint":
+{kernel: fingerprint}, "loaded": …, "ir": …}`` as JSON, see :func:`ledger`)::
 
     PYTHONPATH=src python tests/test_codegen_ledger.py binary
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -30,11 +36,19 @@ import pytest
 SEEDS = ("0", "3")
 
 
-def ledger(group: str) -> dict[str, str]:
-    """``{"<set>/<variant>/<kernel>": sha256(generate_c_source)}`` of *group*."""
+def ledger(group: str) -> dict:
+    """Per ``"<set>/<variant>/<kernel>"`` of *group*: the SHA-256 of its
+    ``generate_c_source`` (``"source"``) and its ``kernel_fingerprint``.
+
+    Each set is created twice, by two models of equal parameters: the
+    second is the first one's IR-tier entry loaded back (or both are loaded
+    from a warm cache).  ``"loaded"`` holds the second's digests, and
+    ``"ir"`` the process's IR-tier counters.
+    """
     from repro.backends.c_backend import generate_c_source
     from repro.ir.kernel import split_interior_frontier
     from repro.pfm import GrandPotentialModel, make_p1, make_two_phase_binary
+    from repro.profiling import disk_cache_stats, kernel_fingerprint
 
     if group == "binary":
         models = {f"binary{d}d": make_two_phase_binary(dim=d) for d in (2, 3)}
@@ -42,31 +56,40 @@ def ledger(group: str) -> dict[str, str]:
         models = {"p1_3d": make_p1(dim=3)}
     else:
         raise ValueError(f"unknown ledger group {group!r}")
-    out = {}
+    out = {"source": {}, "fingerprint": {}}
+    out["loaded"] = {"source": {}, "fingerprint": {}}
     for label, params in models.items():
-        model = GrandPotentialModel(params)
         for variant in ("full", "split"):
-            kernels = model.create_kernels(variant_phi=variant, variant_mu=variant)
-            units = list(kernels.all_kernels)
-            if variant == "full":
-                # the overlapped schedule's µ: one interior unit, 2·dim slabs
-                for mu in kernels.mu_kernels:
-                    interior, frontiers = split_interior_frontier(mu)
-                    units += [interior, *frontiers]
-            for kernel in units:
-                source = generate_c_source(kernel).encode()
-                out[f"{label}/{variant}/{kernel.name}"] = hashlib.sha256(source).hexdigest()
+            for into in (out, out["loaded"]):
+                model = GrandPotentialModel(params)
+                kernels = model.create_kernels(variant_phi=variant, variant_mu=variant)
+                units = list(kernels.all_kernels)
+                if variant == "full":
+                    # the overlapped schedule's µ: one interior unit, 2·dim slabs
+                    for mu in kernels.mu_kernels:
+                        interior, frontiers = split_interior_frontier(mu)
+                        units += [interior, *frontiers]
+                for kernel in units:
+                    name = f"{label}/{variant}/{kernel.name}"
+                    source = generate_c_source(kernel).encode()
+                    into["source"][name] = hashlib.sha256(source).hexdigest()
+                    into["fingerprint"][name] = kernel_fingerprint(kernel)
+    stats = disk_cache_stats()
+    out["ir"] = {"derived": stats.ir_derivations, "loaded": stats.ir_hits}
     return out
 
 
-def _generate(group: str, seed: str) -> dict[str, str]:
+@functools.cache
+def _generate(group: str, seed: str) -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONHASHSEED": seed}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
-    done = subprocess.run(
-        [sys.executable, __file__, group], env=env, capture_output=True, text=True,
-        timeout=600,
-    )
+    with tempfile.TemporaryDirectory() as cache:
+        # an empty kernel disk cache: the subject is the derivation
+        env = {**os.environ, "PYTHONHASHSEED": seed, "REPRO_CACHE_DIR": cache}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, __file__, group], env=env, capture_output=True, text=True,
+            timeout=600,
+        )
     assert done.returncode == 0, done.stderr[-3000:]
     return json.loads(done.stdout)
 
@@ -168,9 +191,18 @@ PINNED: dict[str, dict[str, str]] = {
 def _check(group: str, seed: str) -> None:
     got = _generate(group, seed)
     pinned = PINNED[group]
-    assert sorted(got) == sorted(pinned), "kernel list changed"
-    changed = sorted(name for name in pinned if got[name] != pinned[name])
+    assert sorted(got["source"]) == sorted(pinned), "kernel list changed"
+    changed = sorted(name for name in pinned if got["source"][name] != pinned[name])
     assert not changed, f"emitted C changed under PYTHONHASHSEED={seed}: {changed}"
+    # on the empty cache every set is derived once and loaded once, bit for bit
+    sets = {"binary": 4, "p1": 2}[group]  # models × variants
+    assert got["ir"] == {"derived": sets, "loaded": sets}
+    assert got["loaded"] == {"source": got["source"], "fingerprint": got["fingerprint"]}
+    reference = _generate(group, SEEDS[0])["fingerprint"]
+    moved = sorted(name for name in reference if got["fingerprint"][name] != reference[name])
+    assert not moved, (
+        f"kernel_fingerprint differs between PYTHONHASHSEED={SEEDS[0]} and {seed}: {moved}"
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)

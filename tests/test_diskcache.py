@@ -10,11 +10,29 @@ The ISSUE-10 soundness claims under test:
   ``builds.jsonl`` sentinel) and produce bit-identical results;
 * a worker killed mid-compile releases the lock (kernel-side flock
   semantics) and the next builder recovers cleanly.
+
+And for the IR tier (a model's pickled kernel set):
+
+* its key changes with one byte of any module that derives a kernel set,
+  with any field of ``ModelParameters`` and any ``create_kernels``
+  argument, and equal parameters key equally in two processes;
+* an entry that does not unpickle to a kernel set is logged, derived again
+  and republished, never loaded half-way; two processes racing on one set
+  derive it once;
+* a process that loads a set does no sympy work and gets the derived
+  kernels bit for bit.
 """
 
+import dataclasses
+import inspect
+import json
+import logging
 import multiprocessing as mp
 import os
+import pickle
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -31,6 +49,7 @@ from repro.profiling.diskcache import (
     codegen_revision,
     compiler_identity,
     disk_cache_stats,
+    ir_cache_key,
     reset_disk_cache_stats,
 )
 
@@ -40,16 +59,6 @@ needs_cc = pytest.mark.skipif(
 needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="needs fork start method"
 )
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """A private cache root for this test, selected via the env override."""
-    root = tmp_path / "kernel-cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    reset_disk_cache_stats()
-    yield root
-    reset_disk_cache_stats()
 
 
 def _touch_builder(payload: bytes = b"artifact-bytes"):
@@ -145,6 +154,52 @@ class TestCacheKey:
             fh.write(b"#")
         assert revision() == installed
 
+    def test_ir_revision_follows_every_module_the_model_imports(
+        self, tmp_path, monkeypatch
+    ):
+        """One byte in any module that derives a kernel set is an IR-tier miss."""
+        import shutil
+
+        import repro.profiling.diskcache as dc
+
+        tree = tmp_path / "repro"
+        shutil.copytree(
+            dc._SRC_ROOT, tree, ignore=shutil.ignore_patterns("__pycache__")
+        )
+
+        def key():
+            monkeypatch.setattr(dc, "_IR_REVISION", None)
+            return ir_cache_key("params", "full", "full")
+
+        installed = key()
+        monkeypatch.setattr(dc, "_SRC_ROOT", tree)
+        assert key() == installed == key()
+        hashed = set(dc.codegen_sources(dc._IR_ROOTS, dc._IR_PACKAGES))
+        # the passes, every discretization module, the model's physics
+        assert "simplification/passes.py" in hashed
+        assert {
+            f"discretization/{p.name}" for p in (tree / "discretization").glob("*.py")
+        } <= hashed
+        assert {
+            f"pfm/{name}.py"
+            for name in (
+                "model", "parameters", "driving_force", "gradient_energy",
+                "antitrapping", "interpolation", "potentials", "temperature",
+            )
+        } <= hashed
+        assert {"ir/kernel.py", "symbolic/field.py", "symbolic/operators.py"} <= hashed
+        for rel in sorted(hashed):
+            original = (tree / rel).read_bytes()
+            (tree / rel).write_bytes(original + b"#")
+            assert key() != installed, rel
+            (tree / rel).write_bytes(original)
+        assert key() == installed
+        # ... and no module that only runs or compiles a derived set
+        for rel in ("pfm/solver.py", "backends/c_backend.py"):
+            with open(tree / rel, "ab") as fh:
+                fh.write(b"#")
+        assert key() == installed
+
     def test_fingerprint_survives_analytic_coordinates(self):
         # kernel_fingerprint hashes srepr(); sympy's ReprPrinter dispatches on
         # class NAME, so our CoordinateSymbol used to be routed to the
@@ -176,7 +231,7 @@ class TestCacheKey:
 
 
 class TestGetOrBuild:
-    def test_build_publishes_and_hits(self, cache_dir):
+    def test_build_publishes_and_hits(self, cold_cache):
         cache = KernelDiskCache()
         key = cache_key("content-1")
         path, hit = cache.get_or_build(
@@ -189,7 +244,7 @@ class TestGetOrBuild:
         stats = disk_cache_stats()
         assert (stats.hits, stats.misses, stats.builds) == (1, 1, 1)
 
-    def test_source_and_meta_stored(self, cache_dir):
+    def test_source_and_meta_stored(self, cold_cache):
         cache = KernelDiskCache()
         key = cache_key("content-2")
         cache.get_or_build(key, _touch_builder(), source="int y;", meta={"a": 1})
@@ -199,7 +254,7 @@ class TestGetOrBuild:
         assert meta["a"] == 1 and meta["key"] == key
         assert meta["size_bytes"] == len(b"artifact-bytes")
 
-    def test_failed_build_publishes_nothing(self, cache_dir):
+    def test_failed_build_publishes_nothing(self, cold_cache):
         cache = KernelDiskCache()
         key = cache_key("content-3")
 
@@ -216,12 +271,12 @@ class TestGetOrBuild:
         _, hit = cache.get_or_build(key, _touch_builder())
         assert not hit and cache.lookup(key) is not None
 
-    def test_builder_without_artifact_rejected(self, cache_dir):
+    def test_builder_without_artifact_rejected(self, cold_cache):
         cache = KernelDiskCache()
         with pytest.raises(RuntimeError, match="no artifact"):
             cache.get_or_build(cache_key("content-4"), lambda tmp: None)
 
-    def test_purge_and_bytes(self, cache_dir):
+    def test_purge_and_bytes(self, cold_cache):
         cache = KernelDiskCache()
         for i in range(3):
             cache.get_or_build(cache_key(f"c{i}"), _touch_builder())
@@ -230,7 +285,7 @@ class TestGetOrBuild:
         assert cache.purge() == 3
         assert cache.entries() == [] and cache.total_bytes() == 0
 
-    def test_clear_kernel_cache_disk_tier(self, cache_dir):
+    def test_clear_kernel_cache_disk_tier(self, cold_cache):
         cache = KernelDiskCache()
         cache.get_or_build(cache_key("c-clear"), _touch_builder())
         assert len(cache.entries()) == 1
@@ -242,7 +297,7 @@ class TestGetOrBuild:
 
 @needs_cc
 class TestCompilerFallback:
-    def test_openmp_failure_falls_back_to_plain(self, cache_dir, tmp_path, monkeypatch):
+    def test_openmp_failure_falls_back_to_plain(self, cold_cache, tmp_path, monkeypatch):
         # a cc wrapper that refuses -fopenmp: the retry must still publish
         wrapper = tmp_path / "cc_no_omp.sh"
         wrapper.write_text(
@@ -260,7 +315,7 @@ class TestCompilerFallback:
 
         assert ctypes.CDLL(str(so)).the_answer() == 42
 
-    def test_total_compile_failure_leaves_no_artifact(self, cache_dir, monkeypatch):
+    def test_total_compile_failure_leaves_no_artifact(self, cold_cache, monkeypatch):
         monkeypatch.setenv("CC", "/bin/false")
         from repro.backends.c_backend import _build_shared_object
 
@@ -320,7 +375,7 @@ def _race_worker(cache_root_path, result_queue):
 @needs_cc
 @needs_fork
 class TestMultiProcess:
-    def test_race_compiles_exactly_once_bit_identical(self, cache_dir, tmp_path):
+    def test_race_compiles_exactly_once_bit_identical(self, cold_cache, tmp_path):
         """Satellite 4: >=4 workers race; one build; results match cold run."""
         # the cold single-process reference uses its own private cache
         ref_root = tmp_path / "ref-cache"
@@ -334,7 +389,7 @@ class TestMultiProcess:
 
         queue = ctx.Queue()
         workers = [
-            ctx.Process(target=_race_worker, args=(cache_dir, queue))
+            ctx.Process(target=_race_worker, args=(cold_cache, queue))
             for _ in range(4)
         ]
         for w in workers:
@@ -347,7 +402,7 @@ class TestMultiProcess:
         assert digests == {ref_digest}  # bit-identical across every process
         # exactly-once: the builds.jsonl sentinels across all entries sum to
         # the number of distinct kernels, regardless of how many racers ran
-        cache = KernelDiskCache(cache_dir)
+        cache = KernelDiskCache(cold_cache)
         entries = cache.entries()
         assert entries, "race published no cache entries"
         for entry in entries:
@@ -357,7 +412,7 @@ class TestMultiProcess:
         total_builds = sum(builds for *_, builds in results)
         assert total_builds == len(entries)
 
-    def test_killed_builder_releases_lock(self, cache_dir):
+    def test_killed_builder_releases_lock(self, cold_cache):
         """A SIGKILLed compile never blocks or corrupts the entry."""
         cache = KernelDiskCache()
         key = cache_key("kill-me")
@@ -391,7 +446,7 @@ class TestMultiProcess:
 
 @needs_cc
 class TestCompileCKernelDiskTier:
-    def test_second_process_equivalent_hit_skips_codegen(self, cache_dir):
+    def test_second_process_equivalent_hit_skips_codegen(self, cold_cache):
         """compile_c_kernel round-trips through the disk tier."""
         from repro.backends.c_backend import compile_c_kernel
 
@@ -408,7 +463,7 @@ class TestCompileCKernelDiskTier:
         assert warm.source == cold.source  # served from the stored kernel.c
         assert _run_heat(warm, kernel) == _run_heat(cold, kernel)
 
-    def test_meta_records_provenance(self, cache_dir):
+    def test_meta_records_provenance(self, cold_cache):
         from repro.backends.c_backend import _BASE_FLAGS, compile_c_kernel
 
         kernel = _heat_kernel()
@@ -420,3 +475,292 @@ class TestCompileCKernelDiskTier:
         assert meta["fingerprint"] == kernel_fingerprint(kernel)
         assert meta["codegen_revision"] == codegen_revision()
         assert meta["compiler"]["cc"] == os.environ.get("CC", "cc")
+
+
+# -- the IR tier: a model's pickled kernel set ------------------------------------
+
+
+def _binary(dim=2):
+    from repro.pfm import make_two_phase_binary
+
+    return make_two_phase_binary(dim=dim)
+
+
+def _create_kernels(params=None, **options):
+    from repro.pfm import GrandPotentialModel
+
+    return GrandPotentialModel(params or _binary()).create_kernels(**options)
+
+
+def _fingerprints(kernel_set) -> dict[str, str]:
+    return {k.name: kernel_fingerprint(k) for k in kernel_set.all_kernels}
+
+
+def _ir_entry(cache: KernelDiskCache) -> Path:
+    (entry,) = [e for e in cache.entries() if (e / cache.IR_ARTIFACT).exists()]
+    return entry
+
+
+def _create_kernels_defaults() -> dict:
+    from repro.pfm import GrandPotentialModel
+
+    parameters = inspect.signature(GrandPotentialModel.create_kernels).parameters
+    return {n: p.default for n, p in parameters.items() if n != "self"}
+
+
+def _kernel_set_key(params, **options) -> str:
+    from repro.pfm import GrandPotentialModel
+
+    return GrandPotentialModel(params)._kernel_set_key(
+        **{**_create_kernels_defaults(), **options}
+    )
+
+
+class TestKernelSetKey:
+    def test_every_parameter_field_changes_the_key(self):
+        from repro.pfm import ModelParameters, make_p2
+        from repro.pfm.gradient_energy import CubicAnisotropy
+        from repro.pfm.temperature import constant_temperature
+
+        base = _binary()
+        gamma = base.gamma.copy()
+        gamma[0, 1] = gamma[1, 0] = 1.5
+        phases = [dataclasses.replace(base.phases[0], c1=0.25), base.phases[1]]
+        changes = {
+            "name": "binary2-renamed",
+            "dim": 3,
+            "phases": phases,
+            "gamma": gamma,
+            "tau": base.tau * 2.0,
+            "diffusivities": base.diffusivities + 0.1,
+            "temperature": constant_temperature(0.75),
+            "epsilon": 5.0,
+            "dx": 0.5,
+            "dt": 2e-3,
+            "gamma_triple": 10.0,
+            "anisotropy": CubicAnisotropy(delta=0.2),
+            "liquid_phase": 0,
+            "fluctuation_amplitude": 0.1,
+            "anti_trapping": True,
+        }
+        # a field added to ModelParameters must be added here too
+        assert set(changes) == {f.name for f in dataclasses.fields(ModelParameters)}
+        key = _kernel_set_key(base)
+        assert _kernel_set_key(_binary()) == key
+        keys = {
+            name: _kernel_set_key(dataclasses.replace(base, **{name: value}))
+            for name, value in changes.items()
+        }
+        assert key not in keys.values()
+        assert len(set(keys.values())) == len(keys)
+        # inside an array, a phase and a rotation: one entry is enough
+        b0 = base.phases[0].b0.copy()
+        b0[0] += 1e-12
+        one_entry = [dataclasses.replace(base.phases[0], b0=b0), base.phases[1]]
+        assert _kernel_set_key(dataclasses.replace(base, phases=one_entry)) != key
+        p2, turned = make_p2(), make_p2(orientations_deg=(10.0, 40.5))
+        assert _kernel_set_key(p2) != _kernel_set_key(turned)
+
+    def test_every_create_kernels_argument_changes_the_key(self):
+        changes = {
+            "variant_phi": "split",
+            "variant_mu": "split",
+            "target": "gpu",
+            "approximations": ("division",),
+            "fold_constants": False,
+        }
+        assert set(changes) == set(_create_kernels_defaults())
+        key = _kernel_set_key(_binary())
+        keys = {
+            name: _kernel_set_key(_binary(), **{name: value})
+            for name, value in changes.items()
+        }
+        assert key not in keys.values()
+        assert len(set(keys.values())) == len(keys)
+        # the same approximations as a list print another config: another key
+        assert _kernel_set_key(_binary(), approximations=["division"]) != keys[
+            "approximations"
+        ]
+
+    @pytest.mark.parametrize("seed", ["0", "123"])
+    def test_equal_parameters_key_equally_in_another_process(self, seed):
+        from repro.pfm import make_p1, make_p2
+
+        script = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_diskcache import _kernel_set_key\n"
+            "from repro.pfm import make_p1, make_p2, make_two_phase_binary\n"
+            "for params in (make_two_phase_binary(), make_p1(), make_p2()):\n"
+            "    print(_kernel_set_key(params))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr[-3000:]
+        here = [_kernel_set_key(p) for p in (_binary(), make_p1(), make_p2())]
+        assert done.stdout.split() == here
+
+
+class TestIRTier:
+    def test_a_second_call_loads_the_derived_set(self, cold_cache):
+        from repro.backends.c_backend import generate_c_source
+        from repro.pfm import GrandPotentialModel
+
+        derived = _create_kernels()
+        stats = disk_cache_stats()
+        assert (stats.ir_hits, stats.ir_derivations) == (0, 1)
+        model = GrandPotentialModel(_binary())
+        loaded = model.create_kernels()
+        stats = disk_cache_stats()
+        assert (stats.ir_hits, stats.ir_derivations) == (1, 1)
+        # the compiled-artifact counters count compiled artifacts only
+        assert (stats.hits, stats.misses, stats.builds) == (0, 0, 0)
+        assert loaded.model is model
+        assert _fingerprints(loaded) == _fingerprints(derived)
+        assert [generate_c_source(k) for k in loaded.all_kernels] == [
+            generate_c_source(k) for k in derived.all_kernels
+        ]
+        entry = _ir_entry(KernelDiskCache())
+        assert KernelDiskCache().build_count(entry.name) == 1
+        meta = KernelDiskCache().load_meta(entry.name)
+        assert meta["model"] == "binary2" and meta["variant_phi"] == "full"
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda data: data[: len(data) // 2], id="truncated"),
+            pytest.param(lambda data: bytes(b ^ 0x5A for b in data), id="garbled"),
+            pytest.param(lambda data: pickle.dumps({"phi_kernels": []}), id="wrong_shape"),
+            pytest.param(lambda data: pickle.dumps(["not", "a", "set"]), id="a_list"),
+        ],
+    )
+    def test_an_unusable_entry_is_derived_again_and_republished(
+        self, cold_cache, caplog, damage
+    ):
+        reference = _fingerprints(_create_kernels())
+        cache = KernelDiskCache()
+        entry = _ir_entry(cache)
+        artifact = entry / cache.IR_ARTIFACT
+        artifact.write_bytes(damage(artifact.read_bytes()))
+        reset_disk_cache_stats()
+        with caplog.at_level(logging.WARNING, logger="repro.profiling.diskcache"):
+            again = _create_kernels()
+        assert _fingerprints(again) == reference
+        assert disk_cache_stats().ir_derivations == 1
+        (warning,) = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert warning.getMessage().startswith("disk_cache_entry_unusable")
+        assert entry.name[:12] in warning.getMessage()
+        # republished under the same key, and loaded from there next time
+        assert cache.build_count(entry.name) == 2
+        assert _fingerprints(_create_kernels()) == reference
+        assert disk_cache_stats().ir_hits == 1
+        assert not list(entry.glob(".tmp.*"))
+
+    def test_a_failed_derivation_publishes_nothing(self, cold_cache):
+        with pytest.raises(Exception):
+            _create_kernels(variant_phi="no-such-variant")
+        cache = KernelDiskCache()
+        assert not any((e / cache.IR_ARTIFACT).exists() for e in cache.entries())
+        assert disk_cache_stats().ir_derivations == 0
+
+    def test_maintenance_covers_both_kinds(self, cold_cache):
+        cache = KernelDiskCache()
+        _create_kernels()
+        cache.get_or_build(cache_key("so-entry"), _touch_builder())
+        assert len(cache.entries()) == 2
+        pickled = (_ir_entry(cache) / cache.IR_ARTIFACT).stat().st_size
+        assert cache.total_bytes() == pickled + len(b"artifact-bytes")
+        assert cache.purge() == 2
+        assert cache.entries() == [] and cache.total_bytes() == 0
+
+
+def _derive_worker(cache_root_path, start, result_queue):
+    os.environ["REPRO_CACHE_DIR"] = str(cache_root_path)
+    reset_disk_cache_stats()
+    start.wait(timeout=60)
+    try:
+        stats_before = disk_cache_stats()
+        fingerprints = _fingerprints(_create_kernels())
+        stats = disk_cache_stats()
+        result_queue.put((
+            "ok", fingerprints,
+            stats.ir_derivations - stats_before.ir_derivations,
+            stats.ir_hits - stats_before.ir_hits,
+        ))
+    except Exception as exc:  # pragma: no cover - diagnostic path
+        result_queue.put(("error", repr(exc), -1, -1))
+
+
+@needs_fork
+class TestIRMultiProcess:
+    def test_a_race_derives_once(self, cold_cache):
+        """Two processes derive one set at once: it is published once."""
+        ctx = mp.get_context("fork")
+        start, queue = ctx.Event(), ctx.Queue()
+        workers = [
+            ctx.Process(target=_derive_worker, args=(cold_cache, start, queue))
+            for _ in range(2)
+        ]
+        for w in workers:
+            w.start()
+        start.set()
+        results = [queue.get(timeout=300) for _ in workers]
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive()
+        assert all(kind == "ok" for kind, *_ in results), results
+        (first, derived_a, hit_a), (second, derived_b, hit_b) = [r[1:] for r in results]
+        assert first == second
+        assert sorted([derived_a, derived_b]) == [0, 1]
+        assert hit_a + hit_b == 1
+        cache = KernelDiskCache(cold_cache)
+        assert cache.build_count(_ir_entry(cache).name) == 1
+
+    def test_a_second_process_loads_what_the_first_derived(self, tmp_path):
+        """No sympy work in the second process, and the same kernels bit for bit."""
+        script = (
+            "import hashlib, json\n"
+            "from repro.backends.c_backend import generate_c_source\n"
+            "from repro.observability import FlightRecorder, set_recorder\n"
+            "from repro.pfm import GrandPotentialModel, make_two_phase_binary\n"
+            "from repro.profiling import disk_cache_stats, kernel_fingerprint\n"
+            "recorder = FlightRecorder(capacity=None)\n"
+            "set_recorder(recorder)\n"
+            "model = GrandPotentialModel(make_two_phase_binary(dim=2))\n"
+            "kernels = {}\n"
+            "for variant in ('full', 'split'):\n"
+            "    for k in model.create_kernels(variant, variant).all_kernels:\n"
+            "        source = generate_c_source(k).encode()\n"
+            "        kernels[variant + '/' + k.name] = [\n"
+            "            kernel_fingerprint(k), hashlib.sha256(source).hexdigest()]\n"
+            "stats = disk_cache_stats()\n"
+            "passes = [e.name for e in recorder.events\n"
+            "          if e.kind == 'span_begin' and e.name.startswith('pass:')]\n"
+            "print(json.dumps({'kernels': kernels, 'ir_hits': stats.ir_hits,\n"
+            "                  'ir_derivations': stats.ir_derivations,\n"
+            "                  'pass_spans': len(passes)}))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path / "shared-cache")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+
+        def run():
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr[-3000:]
+            return json.loads(done.stdout)
+
+        first = run()
+        second = run()
+        assert (first["ir_derivations"], first["ir_hits"]) == (2, 0)
+        assert first["pass_spans"] > 0
+        assert (second["ir_derivations"], second["ir_hits"]) == (0, 2)
+        assert second["pass_spans"] == 0
+        assert second["kernels"] == first["kernels"]

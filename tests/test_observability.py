@@ -110,11 +110,12 @@ class TestTracer:
         assert spans["inner"]["args"] == {"ops": 7} and spans["inner"]["cat"] == "ir"
         assert spans["outer"]["args"] == {"n": 3}
 
-    def test_pipeline_span_tree_deterministic(self, keep_all):
+    def test_pipeline_span_tree_deterministic(self, keep_all, cold_cache):
         """Rebuilding the same model yields the identical span hierarchy."""
         trees = []
         for _ in range(2):
-            clear_kernel_cache()  # identical compile spans on both rounds
+            # identical compile spans on both rounds, and both derive the set
+            clear_kernel_cache(disk=True)
             keep_all.reset()
             ks = GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
             compile_cached(ks.projection_kernel, "numpy")

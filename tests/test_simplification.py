@@ -133,6 +133,7 @@ def _model_right_hand_sides(params, monkeypatch) -> list[list[sp.Expr]]:
 
     monkeypatch.setattr(passes, "simplify_terms", capture)
     GrandPotentialModel(params).create_kernels()
+    assert seen, "the kernel set was loaded, not derived"
     return seen
 
 
@@ -167,7 +168,8 @@ def shared_subtree_sums(draw):
 class TestMemoizedFactorTerms:
     """The memoized copy factors exactly as ``sympy.factor_terms`` does."""
 
-    def test_binary_right_hand_sides(self, monkeypatch):
+    # the model cases capture what a derivation factors: on an empty cache
+    def test_binary_right_hand_sides(self, monkeypatch, cold_cache):
         from repro.pfm import make_two_phase_binary
 
         _assert_factors_like_sympy(
@@ -175,7 +177,7 @@ class TestMemoizedFactorTerms:
         )
 
     @pytest.mark.slow
-    def test_p1_right_hand_sides(self, monkeypatch):
+    def test_p1_right_hand_sides(self, monkeypatch, cold_cache):
         from repro.pfm import make_p1
 
         _assert_factors_like_sympy(_model_right_hand_sides(make_p1(dim=3), monkeypatch))

@@ -10,8 +10,6 @@ import pytest
 from repro.backends.c_backend import c_compiler_available
 from repro.observability import load_journal, load_manifest
 from repro.pfm.parameters import make_two_phase_binary
-from repro.profiling import clear_kernel_cache
-from repro.profiling.diskcache import reset_disk_cache_stats
 from repro.service.sweep import (
     SWEEP_SCHEMA,
     ScenarioSpec,
@@ -26,17 +24,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """A private, cold cache root: the forked workers inherit this process's
-    in-memory kernel cache, so a warm one would build nothing on disk."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kernel-cache"))
-    clear_kernel_cache()
-    reset_disk_cache_stats()
-    yield tmp_path / "kernel-cache"
-    reset_disk_cache_stats()
 
 
 def _tiny(name="s0", **kw):
@@ -81,7 +68,7 @@ class TestScenarioSpec:
 
 
 class TestRunScenario:
-    def test_single_scenario_produces_rundir(self, tmp_path, cache_dir):
+    def test_single_scenario_produces_rundir(self, tmp_path, cold_cache):
         spec = _tiny(steps=3)
         summary = run_scenario(spec, tmp_path / "run")
         assert summary["status"] == "ok"
@@ -102,7 +89,7 @@ class TestRunScenario:
 
 @needs_fork
 class TestRunSweep:
-    def test_sweep_merges_scenarios(self, tmp_path, cache_dir):
+    def test_sweep_merges_scenarios(self, tmp_path, cold_cache):
         specs = [_tiny(f"s{i}", seed=i) for i in range(3)]
         manifest = run_sweep(specs, tmp_path / "sweep", workers=2)
         assert manifest["schema"] == SWEEP_SCHEMA
@@ -121,7 +108,7 @@ class TestRunSweep:
         assert again["totals"]["ok"] == 3
         assert manifest["queue_depth_samples"]
 
-    def test_a_second_sweep_counts_only_its_own_run(self, tmp_path, cache_dir):
+    def test_a_second_sweep_counts_only_its_own_run(self, tmp_path, cold_cache):
         """Totals and overheads are per run, not per process."""
         specs = [_tiny("a"), _tiny("b")]
         sweeps = [
@@ -143,7 +130,7 @@ class TestRunSweep:
             # would hold a's events too; "b" hits the kernel cache "a" filled
             assert events["b"] <= events["a"]
 
-    def test_failing_scenario_recorded_not_fatal(self, tmp_path, cache_dir):
+    def test_failing_scenario_recorded_not_fatal(self, tmp_path, cold_cache):
         specs = [
             _tiny("good"),
             _tiny("bad", overrides={"not_a_field": 1}),
@@ -164,7 +151,7 @@ class TestRunSweep:
     @pytest.mark.skipif(
         not c_compiler_available(), reason="no C compiler available"
     )
-    def test_workers_share_the_disk_cache(self, tmp_path, cache_dir):
+    def test_workers_share_the_disk_cache(self, tmp_path, cold_cache):
         """A warm second sweep compiles nothing in any worker."""
         specs = [_tiny(f"c{i}", backend="c", seed=i) for i in range(2)]
         cold = run_sweep(specs, tmp_path / "cold", workers=2)
@@ -193,7 +180,7 @@ class TestManifestValidation:
 @needs_fork
 class TestSweepTools:
     @pytest.fixture
-    def sweep_dir(self, tmp_path, cache_dir):
+    def sweep_dir(self, tmp_path, cold_cache):
         run_sweep([_tiny(f"s{i}") for i in range(2)], tmp_path / "sw", workers=1)
         return tmp_path / "sw"
 

@@ -29,7 +29,7 @@ from repro.pfm import (
     planar_front,
 )
 from repro.profiling import clear_kernel_cache, kernel_cache_stats
-from repro.profiling.diskcache import KernelDiskCache, disk_cache_stats, reset_disk_cache_stats
+from repro.profiling.diskcache import KernelDiskCache, disk_cache_stats
 from repro import timeloop
 from repro.timeloop import TimeLoop
 
@@ -209,18 +209,6 @@ class TestSchedules:
 def four_workers(monkeypatch):
     """Lower every schedule on a pool of four threads, whatever this host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-
-
-@pytest.fixture
-def cold_cache(tmp_path, monkeypatch):
-    """An empty private disk tier and an empty in-memory kernel cache."""
-    root = tmp_path / "kernel-cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    clear_kernel_cache()
-    reset_disk_cache_stats()
-    yield root
-    clear_kernel_cache()
-    reset_disk_cache_stats()
 
 
 def _sweep_kernels(solver):

@@ -8,7 +8,8 @@ rooted inside the output directory:
   C compiler is present) and finish every scenario;
 * pass 2 (warm) must compile **nothing** — ``disk_builds == 0`` and
   ``disk_hits > 0`` in its own ``sweep.json`` totals, i.e. every kernel
-  of every worker process came off disk.
+  of every worker process came off disk — and derive nothing:
+  ``ir_derivations == 0``, every kernel set was loaded from the IR tier.
 
 Both sweep directories get merged HTML reports; CI uploads them and then
 cross-checks the warm manifest with
@@ -56,21 +57,30 @@ def main(argv=None) -> int:
     ct = cold["totals"]
     print(
         f"sweep_smoke: cold pass: {ct['ok']} ok / {ct['failed']} failed, "
-        f"{ct['disk_builds']} builds, {ct['disk_hits']} hits"
+        f"{ct['disk_builds']} builds, {ct['disk_hits']} hits, "
+        f"{ct['ir_derivations']} kernel sets derived, {ct['ir_hits']} loaded"
     )
     if ct["failed"]:
         failures.append(f"cold pass: {ct['failed']} scenario(s) failed")
     if backend == "c" and ct["disk_builds"] == 0:
         failures.append("cold pass compiled nothing — cache dir not fresh?")
+    if ct["ir_derivations"] == 0:
+        failures.append("cold pass derived no kernel set — cache dir not fresh?")
 
     warm = run_sweep(specs, out / "warm", workers=args.workers, backend=backend)
     wt = warm["totals"]
     print(
         f"sweep_smoke: warm pass: {wt['ok']} ok / {wt['failed']} failed, "
-        f"{wt['disk_builds']} builds, {wt['disk_hits']} hits"
+        f"{wt['disk_builds']} builds, {wt['disk_hits']} hits, "
+        f"{wt['ir_derivations']} kernel sets derived, {wt['ir_hits']} loaded"
     )
     if wt["failed"]:
         failures.append(f"warm pass: {wt['failed']} scenario(s) failed")
+    if wt["ir_derivations"] != 0:
+        failures.append(
+            f"warm pass derived {wt['ir_derivations']} kernel set(s) — the IR "
+            f"tier failed to serve them"
+        )
     if backend == "c":
         if wt["disk_builds"] != 0:
             failures.append(
