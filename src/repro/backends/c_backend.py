@@ -28,7 +28,13 @@ powers to the same multiplication chains.
 Calling a compiled kernel validates and marshals an array set once and
 serves repeat calls from that binding; :class:`CompiledCKernel` says what
 is checked when, what invalidates a binding and why it holds its arrays
-weakly.
+weakly.  Every kernel's translation unit also holds a *packed* entry
+(:func:`packed_entry`), which takes the arguments from two blocks a binding
+fills once, so a repeat call is one two-argument foreign call.
+
+The ghost fill of :mod:`repro.parallel.boundary` has a native form too: one
+routine for any array (:func:`compile_c_fill`), which runs the fill's slice
+plan as lowered for each array by :class:`CompiledCFill`.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import threading
 import weakref
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +63,11 @@ from ..symbolic.random import RandomValue
 
 __all__ = [
     "generate_c_source",
+    "packed_entry",
     "compile_c_kernel",
     "CompiledCKernel",
+    "compile_c_fill",
+    "CompiledCFill",
     "c_compiler_available",
     "CStatementPrinter",
     "function_head",
@@ -278,6 +288,35 @@ def generate_c_source(kernel: Kernel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int_slot(arg: Argument) -> bool:
+    """Whether the packed entry reads *arg* from its integer block."""
+    return arg.is_pointer or arg.type.is_int
+
+
+def packed_entry(kernel: Kernel) -> str:
+    """``<c_name>_packed(ia, da)``: the kernel called with its arguments unpacked.
+
+    Pointers and integers are read from ``ia``, doubles from ``da``, each
+    block in ``kernel.signature`` order.  Appended to
+    :func:`generate_c_source`'s text when the kernel is built, so the
+    emitted source — and everything hashed from it — is unchanged.
+    """
+    taken = {True: 0, False: 0}
+    args = []
+    for a in kernel.signature:
+        is_int = _is_int_slot(a)
+        read = f"{'ia' if is_int else 'da'}[{taken[is_int]}]"
+        taken[is_int] += 1
+        args.append(f"(double *)(intptr_t){read}" if a.is_pointer else read)
+    return "\n".join([
+        f"void {kernel.c_name}_packed(const int64_t *ia, const double *da)",
+        "{",
+        f"    {kernel.c_name}(" + ", ".join(args) + ");",
+        "}",
+        "",
+    ])
+
+
 def _emit_c_loop_nest(kernel, region, assignments, sub) -> list[str]:
     dim = kernel.dim
     loop_order = kernel.loop_order
@@ -416,12 +455,15 @@ def _build_shared_object(
     func_name: str,
     key: str | None = None,
     extra_meta: dict | None = None,
+    entry: str = "",
 ) -> Path:
     """Publish the compiled ``.so`` for *source* into the persistent cache.
 
     *key* defaults to a source-digest cache key; :func:`compile_c_kernel`
     passes the structural kernel-IR fingerprint instead so a disk hit can
-    skip source generation entirely.  Compilation happens under the
+    skip source generation entirely, and the kernel's packed *entry*, which
+    is compiled behind *source* but not stored with it (a hit hands back
+    the emitted source as it was).  Compilation happens under the
     entry's file lock into a unique temp name and is published with an
     atomic rename — concurrent or killed compiles can never leave a
     loadable partial artifact.
@@ -440,7 +482,7 @@ def _build_shared_object(
 
     so_path, _hit = cache.get_or_build(
         key,
-        partial(compile_attempts, source=source),
+        partial(compile_attempts, source=source + entry),
         source=source,
         meta={
             "func_name": func_name,
@@ -462,7 +504,7 @@ def _ctype(arg: Argument):
 
 
 #: the binding of an array set never seen: nothing to check, nothing to pass
-_UNBOUND = ((), (), None)
+_UNBOUND = ((), (), None, None, None)
 
 
 class CompiledCKernel:
@@ -479,10 +521,13 @@ class CompiledCKernel:
     and points at ``create_arrays``.  That validation runs
     once per *array set*: the first call on a set — the arrays of the
     kernel's fields as objects, together with ``ghost_layers``,
-    ``block_offset`` and ``origin`` — marshals them into an immutable
-    argument prefix, the *binding*; a later call that finds the same set
-    passes that prefix plus the scalars of the call (spacing, parameters,
-    ``time_step``, ``seed``) and validates nothing.
+    ``block_offset`` and ``origin`` — marshals them into the two argument
+    blocks of the kernel's packed entry (:func:`packed_entry`), the
+    *binding*; a later call that finds the same set writes the scalars of
+    the call (spacing, parameters, ``time_step``, ``seed``, a reduction's
+    output) into those blocks, validates nothing and makes one foreign call
+    with two arguments.  The plain entry keeps the prototype of
+    :func:`generate_c_source` and its ``argtypes``.
 
     A binding is served only while every array of the set is the same live
     object with the shape it was bound with; anything else — another array
@@ -492,34 +537,46 @@ class CompiledCKernel:
     dropped when one of them dies: compiled kernels live in the
     process-wide :func:`repro.profiling.compile_cached` table and outlive
     every solver, so a strong reference would pin a dead solver's fields,
-    and the table needs no size limit.  Bindings are never written after
-    they are built (the output of a reduction is allocated per call), so
-    threads that share one compiled kernel — simulated ranks — do not
-    share call state.
+    and the table needs no size limit.  A binding's blocks are written by
+    the thread that made it; a call from any other thread writes copies
+    (the native call drops the GIL), so threads that share one compiled
+    kernel — simulated ranks — do not share call state.
     """
 
-    def __init__(self, kernel: Kernel, source: str, func):
+    def __init__(self, kernel: Kernel, source: str, lib):
         self.kernel = kernel
         self.source = source
-        self._func = func
         self._fields = tuple(kernel.fields)
         signature = kernel.signature
+        func = getattr(lib, kernel.c_name)
         func.restype = None
         func.argtypes = [_ctype(a) for a in signature]
+        self._func = func
+        #: the packed entry's two blocks, each in signature order
+        ints = [a for a in signature if _is_int_slot(a)]
+        doubles = [a for a in signature if not _is_int_slot(a)]
+        self._Ints = ctypes.c_int64 * len(ints)
+        self._Doubles = ctypes.c_double * len(doubles)
+        self._packed = getattr(lib, f"{kernel.c_name}_packed")
+        self._packed.restype = None
+        self._packed.argtypes = (self._Ints, self._Doubles)
         #: what a binding marshals, by role; the rest are the scalars of a call
-        self._bound = tuple((a, _ctype(a)) for a in signature if a.role in ARRAY_SET_ROLES)
+        self._bound = tuple(a for a in signature if a.role in ARRAY_SET_ROLES)
         self._required = kernel.required_parameters
-        # the doubles of a call, in signature order behind the bound prefix,
-        # each with the value passed when the caller names none.  Only a
-        # spacing may go unnamed: folded at compile time it is a literal in
-        # the source, and unless a coordinate needs it (then it is required,
-        # like every parameter) nothing reads the argument.
+        # the doubles of a call — their slot, name and the value passed when
+        # the caller names none.  Only a spacing may go unnamed: folded at
+        # compile time it is a literal in the source, and unless a
+        # coordinate needs it (then it is required, like every parameter)
+        # nothing reads the argument.
         self._doubles = tuple(
-            (a.key, 1.0 if a.role == "spacing" else None)
-            for a in signature
+            (slot, a.key, 1.0 if a.role == "spacing" else None)
+            for slot, a in enumerate(doubles)
             if a.role in ("spacing", "parameter")
         )
-        #: (ghost_layers, block_offset, origin, *id(array)) -> (weakrefs, shapes, prefix)
+        #: time_step, then seed, then a reduction's output: the last integers
+        self._step_slot = [a.role for a in ints].index("time_step")
+        #: (ghost_layers, block_offset, origin, *id(array))
+        #: -> (weakrefs, shapes, ints, doubles, binding thread)
         self._bindings: dict[tuple, tuple] = {}
 
     @property
@@ -529,7 +586,7 @@ class CompiledCKernel:
     def _bind(self, key: tuple, arrays) -> tuple:
         """Validate the array set of *arrays* under *key*, marshal and remember it.
 
-        Returns the argument prefix; it is never written again.
+        Returns the binding's two argument blocks and the binding thread.
         """
         k = self.kernel
         dim = k.dim
@@ -565,20 +622,26 @@ class CompiledCKernel:
             "block_offset": [int(o) for o in block_offset[:dim]],
             "origin": [float(o) for o in origin[:dim]],
         }
-        prefix = tuple(ctype(values[a.role][a.key]) for a, ctype in self._bound)
+        # the array-set arguments lead both blocks
+        ints = self._Ints(*(values[a.role][a.key] for a in self._bound if _is_int_slot(a)))
+        doubles = self._Doubles(
+            *(values[a.role][a.key] for a in self._bound if not _is_int_slot(a))
+        )
 
         def drop(_ref, table=self._bindings):
             # an array that dies takes the binding with it: no binding
             # outlives (or, through a recycled id, aliases) the memory its
-            # prefix points into
+            # blocks point into
             table.pop(key, None)
 
-        self._bindings[key] = (
+        binding = self._bindings[key] = (
             tuple(weakref.ref(a, drop) for a in held),
             tuple(a.shape for a in held),
-            prefix,
+            ints,
+            doubles,
+            threading.get_ident(),
         )
-        return prefix
+        return binding[2:]
 
     def __call__(
         self,
@@ -602,28 +665,30 @@ class CompiledCKernel:
         # a missing array reads None, which no binding holds: _bind names it
         held = [arrays.get(f.name) for f in self._fields]
         key = (gl, tuple(block_offset), tuple(origin), *map(id, held))
-        refs, shapes, prefix = self._bindings.get(key, _UNBOUND)
+        refs, shapes, ints, doubles, thread = self._bindings.get(key, _UNBOUND)
         for ref, shape, a in zip(refs, shapes, held):
             if ref() is not a or a.shape != shape:
-                prefix = None
+                ints = None
                 break
-        if prefix is None:
-            prefix = self._bind(key, arrays)
+        if ints is None:
+            ints, doubles, thread = self._bind(key, arrays)
         for name in self._required:
             if name not in params:
                 k.check_parameters(params)  # raises, naming every missing one
-        argv = [
-            *prefix,
-            *[params.get(name, default) for name, default in self._doubles],
-            int(params.get("time_step", 0)),
-            int(params.get("seed", 0)),
-        ]
+        if thread != threading.get_ident():
+            ints = self._Ints.from_buffer_copy(ints)
+            doubles = self._Doubles.from_buffer_copy(doubles)
+        for slot, name, default in self._doubles:
+            doubles[slot] = params.get(name, default)
+        step = self._step_slot
+        ints[step] = int(params.get("time_step", 0))
+        ints[step + 1] = int(params.get("seed", 0))
         out = None
         if k.reductions:
             # per call, not per binding: threads may reduce one array set
             out = np.zeros(len(k.reductions))
-            argv.append(out.__array_interface__["data"][0])
-        self._func(*argv)
+            ints[step + 2] = out.__array_interface__["data"][0]
+        self._packed(ints, doubles)
         if out is None:
             return None
         return {name: float(v) for name, v in zip(k.reductions, out)}
@@ -654,9 +719,9 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
             func_name,
             key=key,
             extra_meta={"kernel": kernel.name, "fingerprint": fingerprint},
+            entry=packed_entry(kernel),
         )
         lib = ctypes.CDLL(str(so_path))
-        func = getattr(lib, func_name)
         span["disk_cache"] = "hit" if hit else "miss"
         get_logger("backends.c").info(
             kv(
@@ -666,4 +731,219 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
                 disk_cache="hit" if hit else "miss",
             )
         )
-        return CompiledCKernel(kernel, source, func)
+        return CompiledCKernel(kernel, source, lib)
+
+
+# ---------------------------------------------------------------------------
+# the ghost fill
+
+#: most loops one copy of the native fill nests (the array's axes but one;
+#: the size of ``index`` in :data:`_FILL_C`)
+_FILL_LOOPS = 8
+
+_FILL_C = r"""/* native ghost fill: the slice plan of repro.parallel.boundary */
+#include <stdint.h>
+
+/* ops = {array address, copies, loops, then per copy: ghost offset, source
+   offset, value offset (-1: a plain copy), then `loops` x (extent, stride,
+   value stride), outermost first}; offsets and strides count doubles.
+   Copies run in plan order, which later copies depend on (edge and corner
+   ghosts).  A Dirichlet copy stores 2 * value - source.  Serial: it opens
+   no OpenMP region. */
+void repro_fill_ghosts(const int64_t *ops, const double *values)
+{
+    double *a = (double *)(intptr_t)ops[0];
+    const int64_t copies = ops[1], loops = ops[2];
+    const int64_t *op = ops + 3;
+    for (int64_t c = 0; c < copies; ++c, op += 3 + 3 * loops) {
+        const int64_t *loop = op + 3;
+        const int64_t *inner = loop + 3 * (loops - 1);
+        const int64_t n = inner[0], s = inner[1], vs = inner[2];
+        int64_t index[8] = {0};
+        int64_t at = 0, vat = op[2];
+        for (;;) {
+            double *g = a + op[0] + at;
+            const double *src = a + op[1] + at;
+            if (op[2] < 0) {
+                for (int64_t i = 0; i < n; ++i)
+                    g[i * s] = src[i * s];
+            } else {
+                const double *v = values + vat;
+                for (int64_t i = 0; i < n; ++i)
+                    g[i * s] = 2.0 * v[i * vs] - src[i * s];
+            }
+            /* the next row: an odometer over the outer loops */
+            int64_t k = loops - 2;
+            for (; k >= 0; --k) {
+                const int64_t *l = loop + 3 * k;
+                at += l[1];
+                vat += l[2];
+                if (++index[k] < l[0])
+                    break;
+                at -= l[0] * l[1];
+                vat -= l[0] * l[2];
+                index[k] = 0;
+            }
+            if (k < 0)
+                break;
+        }
+    }
+}
+"""
+
+#: the binding of an array never seen: a dead reference
+_UNFILLED = (lambda: None, None, None, None, None, ())
+
+
+def _dirichlet_values(value, index_shape: tuple) -> np.ndarray | None:
+    """*value* as one double per component, or ``None`` where C cannot match NumPy.
+
+    NumPy computes ``2.0 * np.asarray(value)`` in the value's own dtype
+    (float32 stays float32), so only values it promotes to float64 —
+    float64 and integer ones — are the same bits in C; and only a scalar
+    or a per-component vector has one value per component.
+    """
+    v = np.asarray(value)
+    if v.dtype != np.float64 and v.dtype.kind not in "biu":
+        return None
+    try:
+        return np.broadcast_to(v, index_shape).astype(np.float64).ravel()
+    except ValueError:
+        return None
+
+
+def _overlaps_itself(shape: tuple, strides: tuple) -> bool:
+    """Whether two index tuples of a strided array can address one element."""
+    step = 1
+    for n, s in sorted(zip(shape, map(abs, strides)), key=lambda e: e[1]):
+        if n > 1 and s < step:
+            return True
+        step = max(step, s * n)
+    return False
+
+
+class CompiledCFill:
+    """The ghost fill as one native call per array, bound once per array.
+
+    The first fill of an array lowers the slice plan
+    (:func:`repro.parallel.boundary._fill_plan`) of its shape to the copy
+    list :data:`_FILL_C` walks — per plan entry and ghost layer, the
+    offsets of the ghost and source layers and the loops over the other
+    axes (any strides; innermost the one of smallest stride) — and keeps
+    it, behind the array's address, as the array's *binding* under
+    ``(id(array), ghost_layers, dim, modes)``.  A later fill of the same
+    live array with the shape it was bound with is one foreign call on two
+    pre-filled blocks; a Dirichlet value is read again on every fill, as
+    the NumPy fill reads it.  Arrays are held by weak reference and a
+    binding dies with its array, like a kernel's.
+
+    An array the routine cannot address like NumPy — not ``float64``,
+    read-only, misaligned, overlapping itself, too many axes, or a
+    Dirichlet value that is neither a scalar nor one value per component
+    of a float64 or integer dtype — is declined: :meth:`__call__` returns
+    ``False`` and the caller fills it with NumPy.
+    """
+
+    def __init__(self, func):
+        # called through one prototype per binding, typed exactly by the
+        # binding's two blocks; holding *func* keeps its library loaded
+        self._func = func
+        self._address = ctypes.cast(func, ctypes.c_void_p).value
+        #: (id(array), ghost_layers, dim, modes) -> (weakref, shape, call, ops, values, dirichlet)
+        self._bindings: dict[tuple, tuple] = {}
+
+    def __call__(self, arr: np.ndarray, gl: int, dim: int, modes: tuple) -> bool:
+        """Fill the ghost frame of *arr*; ``False`` if it is NumPy's to fill."""
+        key = (id(arr), gl, dim, modes)
+        ref, shape, call, ops, values, dirichlet = self._bindings.get(key, _UNFILLED)
+        if ref() is not arr or arr.shape != shape:
+            call, ops, values, dirichlet = self._bind(key, arr)
+        if call is None:
+            return False
+        for offset, mode in dirichlet:
+            v = _dirichlet_values(mode.value, arr.shape[dim:])
+            if v is None:
+                return False
+            values[offset:offset + v.size] = v.tolist()
+        call(ops, values)
+        return True
+
+    def _bind(self, key: tuple, arr: np.ndarray) -> tuple:
+        from ..parallel.boundary import _fill_plan
+
+        _, gl, dim, modes = key
+        plan = _fill_plan(arr.shape, gl, dim, modes)  # raises for a too-short axis
+        binding = self._lower(arr, plan, dim)
+
+        def drop(_ref, table=self._bindings):
+            table.pop(key, None)
+
+        self._bindings[key] = (weakref.ref(arr, drop), arr.shape, *binding)
+        return binding
+
+    def _lower(self, arr: np.ndarray, plan: tuple, dim: int) -> tuple:
+        """``(call, ops, values, dirichlet)`` of *plan* on *arr*; *call* ``None`` declines.
+
+        *ops* and *values* are the routine's two blocks, and *call* the
+        routine declared with exactly their types; *dirichlet* lists the
+        ``(slot, DirichletValue)`` whose value a fill writes into *values*.
+        """
+        declined = (None, None, None, ())
+        if (
+            arr.dtype != np.float64
+            or not arr.dtype.isnative
+            or not arr.flags.writeable
+            or arr.ndim > _FILL_LOOPS + 1
+            or arr.ctypes.data % 8
+            or any(s % 8 for s in arr.strides)
+            or _overlaps_itself(arr.shape, arr.strides)
+        ):
+            return declined
+        index_shape = arr.shape[dim:]
+        components = int(np.prod(index_shape))
+        strides = [s // 8 for s in arr.strides]
+        # a component axis steps through a per-component value vector
+        value_strides = [0] * dim + [
+            int(np.prod(index_shape[k + 1:])) for k in range(len(index_shape))
+        ]
+        slots: dict[int, int] = {}  # id(DirichletValue) -> its slot in values
+        dirichlet = []
+        copies = []
+        for ghost, source, mode in plan:
+            if mode is not None and id(mode) not in slots:
+                if _dirichlet_values(mode.value, index_shape) is None:
+                    return declined
+                slots[id(mode)] = components * len(slots)
+                dirichlet.append((slots[id(mode)], mode))
+            axis = len(ghost) - 1
+            others = sorted(
+                (d for d in range(arr.ndim) if d != axis), key=lambda d: -abs(strides[d])
+            )
+            loops = [v for d in others for v in (arr.shape[d], strides[d], value_strides[d])]
+            n = arr.shape[axis]
+            for g, s in zip(range(*ghost[axis].indices(n)), range(*source[axis].indices(n))):
+                copies += [
+                    g * strides[axis], s * strides[axis],
+                    -1 if mode is None else slots[id(mode)], *(loops or (1, 0, 0)),
+                ]
+        n_copies = len(copies) // (3 + 3 * max(arr.ndim - 1, 1))
+        if arr.size == 0:
+            n_copies = 0  # an empty axis: there is nothing to copy
+        ops = (ctypes.c_int64 * (3 + len(copies)))(
+            arr.ctypes.data, n_copies, max(arr.ndim - 1, 1), *copies
+        )
+        values = (ctypes.c_double * max(components * len(slots), 1))()
+        call = ctypes.CFUNCTYPE(None, type(ops), type(values))(self._address)
+        return call, ops, values, tuple(dirichlet)
+
+
+@cache
+def compile_c_fill() -> CompiledCFill:
+    """The native ghost fill, built through the disk cache once per process."""
+    from ..observability.recorder import get_recorder
+
+    with get_recorder().span("compile:fill_ghosts", category="backend"):
+        so_path = _build_shared_object(
+            _FILL_C, "repro_fill_ghosts", extra_meta={"kernel": "fill_ghosts"}
+        )
+        return CompiledCFill(ctypes.CDLL(str(so_path)).repro_fill_ghosts)

@@ -47,6 +47,7 @@ class LBMSimulation(TimeLoop):
     """
 
     kind = "lbm"
+    fills_ghosts = True
 
     def __init__(
         self,
@@ -121,7 +122,7 @@ class LBMSimulation(TimeLoop):
         arr = self.arrays[name]
         gl = self.ghost_layers
         with self._fills[name]:
-            fill_ghosts(arr, gl, self.lattice.dim, mode="periodic")
+            fill_ghosts(arr, gl, self.lattice.dim, mode="periodic", native=self._native_fill)
             for axis, side in self.walls:
                 apply_bounce_back(arr, self.lattice, axis, side, gl)
 

@@ -3,6 +3,11 @@
 Filling ghost layers axis by axis also populates edge/corner ghosts
 correctly (each later axis copies already-filled ghost strips), which the
 wide D3C19 stencils of the µ kernel rely on.
+
+The fill of an array shape is planned once, as a list of slice copies
+(:func:`_fill_plan`), and lowered two ways: replayed as NumPy slice
+assignments, the reference, or — under the C backend — walked by one
+native routine per call (:class:`repro.backends.c_backend.CompiledCFill`).
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ class DirichletValue:
     (e.g. a per-component vector for a phase field).
     """
 
-    def __init__(self, value, axis: int | None = None):
+    def __init__(self, value):
         self.value = value
-        self.axis = axis
 
     def __repr__(self):
         return f"DirichletValue({self.value!r})"
@@ -88,18 +92,25 @@ def fill_ghosts(
     ghost_layers: int,
     dim: int,
     mode: str | tuple[str, ...] = PERIODIC,
+    native=None,
 ) -> None:
     """Fill the ghost frame of *arr* in place.
 
     ``mode`` is a single mode or a per-axis tuple; supported modes are
-    ``"periodic"`` (wrap-around) and ``"neumann"`` (zero-gradient,
-    replicating the outermost interior layer).  The copies are planned
-    once per ``(shape, ghost_layers, dim, mode)`` and replayed after.
+    ``"periodic"`` (wrap-around), ``"neumann"`` (zero-gradient,
+    replicating the outermost interior layer) and a :class:`DirichletValue`.
+    The copies are planned once per ``(shape, ghost_layers, dim, mode)``
+    and replayed after.  *native* is the compiled fill of the C backend
+    (:func:`repro.backends.c_backend.compile_c_fill`), which runs the same
+    plan as one native call on every array it can address; NumPy slice
+    copies fill the rest, and every array when *native* is ``None``.
     """
     gl = int(ghost_layers)
     if gl == 0:
         return
     modes = (mode,) * dim if isinstance(mode, str) else tuple(mode)
+    if native is not None and native(arr, gl, dim, modes):
+        return
     for ghost, source, dirichlet in _fill_plan(arr.shape, gl, dim, modes):
         if dirichlet is None:
             arr[ghost] = arr[source]

@@ -40,6 +40,7 @@ class SingleBlockSolver(TimeLoop):
 
     kind = "single"
     checkpoint_per_block = False
+    fills_ghosts = True
 
     def __init__(
         self,
@@ -111,7 +112,10 @@ class SingleBlockSolver(TimeLoop):
     def sync(self, name: str) -> None:
         """Boundary handling: fill the ghost layers of field *name*."""
         with self._fills[name]:
-            fill_ghosts(self.arrays[name], self.ghost_layers, self.dim, self.boundary)
+            fill_ghosts(
+                self.arrays[name], self.ghost_layers, self.dim, self.boundary,
+                native=self._native_fill,
+            )
 
     def phase_fractions(self) -> np.ndarray:
         """Volume fraction of every phase."""

@@ -7,10 +7,11 @@ instance — a parameter study with S solvers paid S× the code-generation
 cost.  This module fixes that: compiled kernels are cached per process,
 keyed on ``(backend, structural fingerprint of the Kernel IR)``, so two
 solvers built from the same (or a structurally identical) kernel set share
-one compiled object.  Compiled kernels keep no call state — all arrays and
-parameters arrive per call, and what a C kernel remembers of an array set
-it has validated is immutable and held by weak reference — which makes the
-sharing safe, between solvers and between threads.
+one compiled object.  Compiled kernels keep no call state shared between
+threads — all arrays and parameters arrive per call, and what a C kernel
+remembers of an array set it has validated is held by weak reference and
+written only by the thread that bound it — which makes the sharing safe,
+between solvers and between threads.
 
 Hit/miss counters make the behaviour observable (and testable).
 """

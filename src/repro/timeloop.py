@@ -30,6 +30,7 @@ from functools import partial
 from math import prod
 from time import perf_counter
 
+from .backends.c_backend import compile_c_fill
 from .backends.numpy_backend import create_arrays
 from .observability.log import get_logger, kv
 from .observability.recorder import get_recorder, set_thread_recorder
@@ -53,16 +54,16 @@ def _positive(every: int) -> int:
     return int(every)
 
 
-def _compile_all(kernels: list, compile, backend: str) -> list:
-    """``[compile(k, backend) for k in kernels]``, the compilations side by side.
+def _compile_all(jobs: list) -> list:
+    """``[job() for job in jobs]``, the compilations side by side.
 
-    One worker thread per usable CPU (at most one per kernel): a C build is
+    One worker thread per usable CPU (at most one per job): a C build is
     a compiler process, which releases the GIL, so two kernels' gcc runs
     overlap each other and the next kernel's source emission.  The disk
     tier's per-entry lock makes concurrent builders safe.  Every worker
     records into the caller's recorder (a simulated rank's own journal),
     and no worker outlives the call — a later fork sees a single-threaded
-    process.  The first failing kernel, in *kernels* order, raises.
+    process.  The first failing job, in *jobs* order, raises.
     """
     # sched_getaffinity (the CPUs this process may run on) is Linux-only
     if hasattr(os, "sched_getaffinity"):
@@ -71,12 +72,12 @@ def _compile_all(kernels: list, compile, backend: str) -> list:
         cpus = os.cpu_count() or 1
     recorder = get_recorder()
 
-    def one(kernel):
+    def one(job):
         set_thread_recorder(recorder)
-        return compile(kernel, backend)
+        return job()
 
-    with ThreadPoolExecutor(max(min(len(kernels), cpus), 1)) as pool:
-        futures = [pool.submit(one, k) for k in kernels]
+    with ThreadPoolExecutor(max(min(len(jobs), cpus), 1)) as pool:
+        futures = [pool.submit(one, job) for job in jobs]
         try:
             return [f.result() for f in futures]
         finally:
@@ -107,6 +108,9 @@ class TimeLoop:
     #: one ``.npz`` per owned block, named after its coordinates; a solver
     #: whose one block *is* the domain writes the given path itself
     checkpoint_per_block = True
+    #: a solver whose ``sync`` is a boundary fill sets this: under the C
+    #: backend the native fill is then built beside the kernels
+    fills_ghosts = False
 
     def __init__(
         self,
@@ -178,7 +182,14 @@ class TimeLoop:
         self.schedule = list(schedule)
         self.swaps = tuple(swaps)
         sweeps = {id(k): k for op, arg in self.schedule if op == "sweep" for k in arg}
-        compiled = dict(zip(sweeps, _compile_all(list(sweeps.values()), compile, backend)))
+        jobs = [partial(compile, k, backend) for k in sweeps.values()]
+        native_fill = self.fills_ghosts and backend == "c"
+        if native_fill:
+            jobs.append(compile_c_fill)
+        built = _compile_all(jobs)
+        #: what ``sync`` passes to ``fill_ghosts`` as its native fill (or None)
+        self._native_fill = built.pop() if native_fill else None
+        compiled = dict(zip(sweeps, built))
         self._ops = [
             (self._sweep, self._bind(arg, [compiled[id(k)] for k in arg]))
             if op == "sweep" else (getattr(self, op), arg)

@@ -18,6 +18,7 @@ from repro.backends.c_backend import (
     c_compiler_available,
     compile_c_kernel,
     generate_c_source,
+    packed_entry,
 )
 from repro.discretization import FiniteDifferenceDiscretization, discretize_system
 from repro.ir import KernelConfig, create_kernel
@@ -1092,6 +1093,66 @@ class TestKernelABI:
             for decl, ctype in zip(declared, argtypes):
                 c_type, _, arg_name = decl.rpartition(" ")
                 assert ctype is self.CTYPES[c_type], (label, arg_name)
+
+    def test_the_packed_entry_unpacks_in_signature_order(self, families):
+        """Integers and pointers from ``ia``, doubles from ``da``, each block in order."""
+        for label, (kernel, _) in families.items():
+            m = re.fullmatch(
+                rf"void {kernel.c_name}_packed\(const int64_t \*ia, const double \*da\)\n"
+                rf"\{{\n    {kernel.c_name}\((.*)\);\n\}}\n",
+                packed_entry(kernel),
+            )
+            expected, taken = [], {"ia": 0, "da": 0}
+            for a in kernel.signature:
+                block = "ia" if a.is_pointer or a.type.is_int else "da"
+                read = f"{block}[{taken[block]}]"
+                taken[block] += 1
+                expected.append(f"(double *)(intptr_t){read}" if a.is_pointer else read)
+            assert m and m.group(1).split(", ") == expected, label
+
+    def test_a_packed_call_writes_what_a_plain_call_writes(self, families):
+        rng = np.random.default_rng(11)
+        for label, (kernel, _) in families.items():
+            compiled = compile_c_kernel(kernel)
+            gl, dim = kernel.min_ghost_layers, kernel.dim
+            offset, origin = (3, 5, 7)[:dim], (0.25, -0.5, 2.0)[:dim]
+            arrays = create_arrays(kernel.fields, (9, 8, 7)[:dim], gl)
+            for a in arrays.values():
+                a[...] = rng.random(a.shape)
+            spatial = kernel.check_arrays(arrays, gl, offset, origin)
+            interior = tuple(n - 2 * gl for n in spatial)
+            sub = kernel.subspace.offsets(interior) if kernel.subspace is not None else ()
+            scalars = {"dx_0": 0.9, "dx_1": 1.1, "dx_2": 1.3, "time_step": 7, "seed": 3}
+            scalars |= {name: 0.5 for name in kernel.required_parameters if name not in scalars}
+            runs = []
+            for entry in ("plain", "packed"):
+                copies = _copies(arrays)
+                out = np.zeros(max(len(kernel.reductions), 1))
+                by_role = {
+                    "field": {name: a.ctypes.data for name, a in copies.items()},
+                    "extent": interior,
+                    "ghost_layers": {None: gl},
+                    "sub_lo": [lo for lo, _ in sub],
+                    "sub_hi": [hi for _, hi in sub],
+                    "block_offset": offset,
+                    "origin": origin,
+                    "spacing": scalars,
+                    "parameter": scalars,
+                    "time_step": scalars,
+                    "seed": scalars,
+                    "reduce_out": {None: out.ctypes.data},
+                }
+                values = [by_role[a.role][a.key] for a in kernel.signature]
+                if entry == "plain":
+                    compiled._func(*values)
+                else:
+                    is_int = [a.is_pointer or a.type.is_int for a in kernel.signature]
+                    compiled._packed(
+                        compiled._Ints(*(v for v, i in zip(values, is_int) if i)),
+                        compiled._Doubles(*(v for v, i in zip(values, is_int) if not i)),
+                    )
+                runs.append([a.tobytes() for a in (*copies.values(), out)])
+            assert runs[0] == runs[1], label
 
     def test_signature_shape_follows_the_kind_of_kernel(self, families):
         roles = {label: [a.role for a in k.signature] for label, (k, _) in families.items()}

@@ -3,10 +3,11 @@
 The schedule is lowered once, and so are its instruments: every scheduled
 kernel call and every boundary fill owns one reusable
 ``SolverProfiler.measure`` block made when the solver is built, and a fill
-replays a slice plan made once per array shape.  A step reads clocks and
-counters, updates records and records events — it builds no instrument and
-no plan.  The plan must fill exactly what the per-axis algorithm it
-replaced filled.
+replays a slice plan made once per array shape — as NumPy slice copies, or
+under the C backend as one native call bound once per array.  A step reads
+clocks and counters, updates records and records events — it builds no
+instrument, no plan and no fill binding.  Both fills must fill exactly
+what the per-axis algorithm they replaced filled.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.pfm.solver as pfm_solver
-from repro.backends.c_backend import c_compiler_available
+from repro.backends.c_backend import CompiledCFill, c_compiler_available, compile_c_fill
 from repro.lbm import LBMethod, LBMSimulation
 from repro.observability import capture_postmortem
 from repro.observability.recorder import FlightRecorder, set_recorder
@@ -22,6 +23,7 @@ from repro.parallel import BlockForest, DirichletValue, DistributedSolver, fill_
 from repro.parallel.boundary import _fill_plan
 from repro.pfm import GrandPotentialModel, SingleBlockSolver, make_two_phase_binary, planar_front
 from repro.profiling import SolverProfiler, compile_cached
+from repro.symbolic import Field
 
 needs_cc = pytest.mark.skipif(not c_compiler_available(), reason="no C compiler available")
 
@@ -53,8 +55,10 @@ def _forest(kernel_set):
     return solver
 
 
-def _lbm(_kernel_set):
-    return LBMSimulation(LBMethod(relaxation_rate=1.6), (10, 8), walls=[(1, -1), (1, 1)])
+def _lbm(_kernel_set, backend="numpy"):
+    return LBMSimulation(
+        LBMethod(relaxation_rate=1.6), (10, 8), walls=[(1, -1), (1, 1)], backend=backend
+    )
 
 
 def _expected_records(kernel_set, steps, cells):
@@ -80,22 +84,36 @@ class TestStepBuildsNoInstrument:
             pytest.param(lambda ks: _single(ks, backend="c"), marks=needs_cc),
             _forest,
             _lbm,
+            pytest.param(lambda ks: _lbm(ks, backend="c"), marks=needs_cc),
         ],
-        ids=["single-numpy", "single-c", "forest-2x2", "lbm"],
+        ids=["single-numpy", "single-c", "forest-2x2", "lbm", "lbm-c"],
     )
     def test_a_step_makes_no_measurement_and_no_fill_plan(self, kernel_set, make, monkeypatch):
         solver = make(kernel_set)
-        measured = []
+        native = solver._native_fill
+        assert (native is not None) == (solver.fills_ghosts and solver.backend == "c")
+        measured, bound = [], []
         real = SolverProfiler.measure
         monkeypatch.setattr(
             SolverProfiler, "measure",
             lambda self, *args, **kw: measured.append(args) or real(self, *args, **kw),
         )
-        solver.step(1)  # a fill plan is made once per array shape, on first use
+        real_bind = CompiledCFill._bind
+        monkeypatch.setattr(
+            CompiledCFill, "_bind",
+            lambda self, key, arr: bound.append(key) or real_bind(self, key, arr),
+        )
+        # a fill plan is made once per array shape, and a native fill bound
+        # once per array, on first use: both states of every swapped pair
+        # are filled by the end of the first step (set_state fills one of
+        # them), the LBM's by the end of its second (it has no set_state)
+        solver.step(2 if isinstance(solver, LBMSimulation) else 1)
         plans = _fill_plan.cache_info().misses
+        del bound[:]
         solver.step(5)
         assert measured == []
         assert _fill_plan.cache_info().misses == plans
+        assert bound == []
         assert solver.profiler.records  # and the step was measured
 
     def test_reset_starts_every_record_over(self, kernel_set):
@@ -201,17 +219,47 @@ def _fill_cases(draw):
     return rng.standard_normal(spatial + index_shape), gl, dim, mode
 
 
+def _modes(mode, dim):
+    return (mode,) * dim if isinstance(mode, str) else tuple(mode)
+
+
+def _laid_out(arr, dim, layout):
+    """A copy of *arr*: C-ordered (``plain``) or structure-of-arrays (``allocate``)."""
+    if layout == "plain":
+        return arr.copy()
+    out = Field("f", dim, arr.shape[dim:]).allocate(arr.shape[:dim])
+    out[...] = arr
+    return out
+
+
 class TestFillPlan:
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(case=_fill_cases())
-    def test_fills_the_same_bits_as_the_per_axis_algorithm(self, case):
+    @staticmethod
+    def _fills_like_the_oracle(case, fill):
         arr, gl, dim, mode = case
         expected = arr.copy()
         _oracle_fill(expected, gl, dim, mode)
-        for _ in range(2):  # the first call makes the plan, the second replays it
-            filled = arr.copy()
-            fill_ghosts(filled, gl, dim, mode)
-            assert filled.tobytes() == expected.tobytes()
+        for layout in ("plain", "allocate"):
+            filled = _laid_out(arr, dim, layout)
+            for _ in range(2):  # the first call plans (and binds), the second replays
+                filled[...] = arr
+                fill(filled, gl, dim, mode)
+                assert filled.tobytes() == expected.tobytes()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_fill_cases())
+    def test_fills_the_same_bits_as_the_per_axis_algorithm(self, case):
+        self._fills_like_the_oracle(case, fill_ghosts)
+
+    @needs_cc
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=_fill_cases())
+    def test_the_native_fill_fills_the_same_bits(self, case):
+        native = compile_c_fill()
+
+        def fill(arr, gl, dim, mode):
+            assert native(arr, gl, dim, _modes(mode, dim))  # filled, not declined
+
+        self._fills_like_the_oracle(case, fill)
 
     def test_alternating_shapes_each_get_their_own_plan(self):
         rng = np.random.default_rng(7)
@@ -230,3 +278,72 @@ class TestFillPlan:
         for _ in range(3):
             with pytest.raises(ValueError, match=r"axis 0 too small \(5\) for ghost width 2"):
                 fill_ghosts(arr, 2, 2, "periodic")
+
+
+@needs_cc
+class TestNativeFill:
+    """The C fill's bindings: one per live array, never served to another."""
+
+    def test_a_replaced_array_is_bound_again(self, kernel_set, monkeypatch):
+        bound = []
+        real_bind = CompiledCFill._bind
+        monkeypatch.setattr(
+            CompiledCFill, "_bind",
+            lambda self, key, arr: bound.append(key[0]) or real_bind(self, key, arr),
+        )
+        solvers = {backend: _single(kernel_set, backend) for backend in ("numpy", "c")}
+        rng = np.random.default_rng(5)
+        kept = []
+        for round_ in range(12):
+            for backend, solver in solvers.items():
+                solver.step(1)
+                old = solver.arrays["mu"]
+                solver.arrays["mu"] = new = old.copy(order="K")
+                # the replaced array stays alive every other round (its
+                # address cannot be reused) and dies otherwise (it can)
+                if round_ % 2:
+                    kept.append(old)
+                    old[...] = rng.standard_normal(old.shape)
+                    before = old.copy()
+                expected = new.copy()
+                _oracle_fill(expected, solver.ghost_layers, solver.dim, solver.boundary)
+                del bound[:]
+                solver.sync("mu")
+                assert new.tobytes() == expected.tobytes()
+                if round_ % 2:
+                    assert old.tobytes() == before.tobytes()  # no fill reached it
+                if backend == "c":
+                    assert bound == [id(new)]
+                del old, new
+        for name in ("phi", "mu"):
+            assert solvers["c"].arrays[name].tobytes() == solvers["numpy"].arrays[name].tobytes()
+
+    def test_an_array_reshaped_in_place_is_bound_again(self):
+        native = compile_c_fill()
+        arr = np.random.default_rng(3).standard_normal((10, 8, 2))
+        assert native(arr, 1, 2, ("periodic", "neumann"))
+        arr.shape = (8, 10, 2)  # same object, same id, another plan
+        expected = arr.copy()
+        _oracle_fill(expected, 1, 2, ("periodic", "neumann"))
+        assert native(arr, 1, 2, ("periodic", "neumann"))
+        assert arr.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "arr, mode",
+        [
+            (np.arange(80, dtype=np.float32).reshape(8, 10), "periodic"),
+            (np.arange(80.0).reshape(8, 10), (DirichletValue(np.float32(0.1)), "neumann")),
+            # one value per boundary cell, not per component
+            (np.arange(160.0).reshape(8, 10, 2), (DirichletValue(np.ones((10, 1))), "periodic")),
+        ],
+        ids=["float32_array", "float32_value", "per_cell_value"],
+    )
+    def test_what_it_cannot_address_numpy_fills(self, arr, mode):
+        native = compile_c_fill()
+        expected = arr.copy()
+        _oracle_fill(expected, 1, 2, mode)
+        assert not native(arr.copy(), 1, 2, _modes(mode, 2))
+        for _ in range(2):
+            filled = arr.copy()
+            fill_ghosts(filled, 1, 2, mode, native=native)
+            assert filled.tobytes() == expected.tobytes()
