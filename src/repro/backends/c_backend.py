@@ -504,7 +504,7 @@ def _ctype(arg: Argument):
 
 
 #: the binding of an array set never seen: nothing to check, nothing to pass
-_UNBOUND = ((), (), None, None, None)
+_UNBOUND = ((), (), None, None)
 
 
 class CompiledCKernel:
@@ -537,10 +537,10 @@ class CompiledCKernel:
     dropped when one of them dies: compiled kernels live in the
     process-wide :func:`repro.profiling.compile_cached` table and outlive
     every solver, so a strong reference would pin a dead solver's fields,
-    and the table needs no size limit.  A binding's blocks are written by
-    the thread that made it; a call from any other thread writes copies
-    (the native call drops the GIL), so threads that share one compiled
-    kernel — simulated ranks — do not share call state.
+    and the table needs no size limit.  The calling thread is part of a
+    set, so threads that share one compiled kernel — simulated ranks — each
+    bind their own blocks and never write another thread's call state (the
+    native call drops the GIL).
     """
 
     def __init__(self, kernel: Kernel, source: str, lib):
@@ -575,8 +575,8 @@ class CompiledCKernel:
         )
         #: time_step, then seed, then a reduction's output: the last integers
         self._step_slot = [a.role for a in ints].index("time_step")
-        #: (ghost_layers, block_offset, origin, *id(array))
-        #: -> (weakrefs, shapes, ints, doubles, binding thread)
+        #: (ghost_layers, block_offset, origin, thread, *id(array))
+        #: -> (weakrefs, shapes, ints, doubles)
         self._bindings: dict[tuple, tuple] = {}
 
     @property
@@ -586,7 +586,7 @@ class CompiledCKernel:
     def _bind(self, key: tuple, arrays) -> tuple:
         """Validate the array set of *arrays* under *key*, marshal and remember it.
 
-        Returns the binding's two argument blocks and the binding thread.
+        Returns the binding's two argument blocks.
         """
         k = self.kernel
         dim = k.dim
@@ -639,7 +639,6 @@ class CompiledCKernel:
             tuple(a.shape for a in held),
             ints,
             doubles,
-            threading.get_ident(),
         )
         return binding[2:]
 
@@ -664,20 +663,17 @@ class CompiledCKernel:
         gl = k.ghost_layers if ghost_layers is None else ghost_layers
         # a missing array reads None, which no binding holds: _bind names it
         held = [arrays.get(f.name) for f in self._fields]
-        key = (gl, tuple(block_offset), tuple(origin), *map(id, held))
-        refs, shapes, ints, doubles, thread = self._bindings.get(key, _UNBOUND)
+        key = (gl, tuple(block_offset), tuple(origin), threading.get_ident(), *map(id, held))
+        refs, shapes, ints, doubles = self._bindings.get(key, _UNBOUND)
         for ref, shape, a in zip(refs, shapes, held):
             if ref() is not a or a.shape != shape:
                 ints = None
                 break
         if ints is None:
-            ints, doubles, thread = self._bind(key, arrays)
+            ints, doubles = self._bind(key, arrays)
         for name in self._required:
             if name not in params:
                 k.check_parameters(params)  # raises, naming every missing one
-        if thread != threading.get_ident():
-            ints = self._Ints.from_buffer_copy(ints)
-            doubles = self._Doubles.from_buffer_copy(doubles)
         for slot, name, default in self._doubles:
             doubles[slot] = params.get(name, default)
         step = self._step_slot
@@ -685,7 +681,7 @@ class CompiledCKernel:
         ints[step + 1] = int(params.get("seed", 0))
         out = None
         if k.reductions:
-            # per call, not per binding: threads may reduce one array set
+            # a fresh output per call: the returned sums are read from it
             out = np.zeros(len(k.reductions))
             ints[step + 2] = out.__array_interface__["data"][0]
         self._packed(ints, doubles)
@@ -737,12 +733,14 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
 # ---------------------------------------------------------------------------
 # the ghost fill
 
-#: most loops one copy of the native fill nests (the array's axes but one;
-#: the size of ``index`` in :data:`_FILL_C`)
+#: most loops one copy of the native fill nests (the array's axes but one);
+#: :data:`_FILL_C` sizes its loop counters by it
 _FILL_LOOPS = 8
 
 _FILL_C = r"""/* native ghost fill: the slice plan of repro.parallel.boundary */
 #include <stdint.h>
+
+#define FILL_LOOPS %d
 
 /* ops = {array address, copies, loops, then per copy: ghost offset, source
    offset, value offset (-1: a plain copy), then `loops` x (extent, stride,
@@ -759,7 +757,7 @@ void repro_fill_ghosts(const int64_t *ops, const double *values)
         const int64_t *loop = op + 3;
         const int64_t *inner = loop + 3 * (loops - 1);
         const int64_t n = inner[0], s = inner[1], vs = inner[2];
-        int64_t index[8] = {0};
+        int64_t index[FILL_LOOPS] = {0};
         int64_t at = 0, vat = op[2];
         for (;;) {
             double *g = a + op[0] + at;
@@ -789,7 +787,7 @@ void repro_fill_ghosts(const int64_t *ops, const double *values)
         }
     }
 }
-"""
+""" % _FILL_LOOPS
 
 #: the binding of an array never seen: a dead reference
 _UNFILLED = (lambda: None, None, None, None, None, ())
