@@ -19,6 +19,9 @@ from typing import Mapping
 
 import sympy as sp
 from sympy.core.exprtools import _factor_sum_int, _keep_coeff, gcd_terms
+from sympy.core.function import Derivative, _coeff_isneg
+from sympy.core.operations import LatticeOp
+from sympy.simplify.radsimp import fraction
 from sympy.utilities.iterables import iterable
 
 from ..symbolic.assignment import Assignment, AssignmentCollection
@@ -59,6 +62,78 @@ def substitute_parameters(
     return ac.transform_rhs(fold)
 
 
+class MemoizedContentPrimitive:
+    """``expr.as_content_primitive(radical=False, clear=False)``, once per subtree.
+
+    Sympy's ``Add`` / ``Mul`` / ``Pow`` methods, copied with those flags
+    fixed, each recursing through this memo instead of into the sympy
+    method of its arguments; every other node type is sympy's own (a leaf:
+    ``Rational`` splits off its value, ``Expr`` returns ``(1, self)``).
+    :class:`MemoizedFactorTerms` splits a subtree at every level of its
+    recursion, so sympy's recursion would split every deeper level again.
+    ``tests/test_simplification.py`` checks it ``srepr``-equal to sympy's.
+    """
+
+    def __init__(self):
+        self.memo: dict[sp.Basic, tuple[sp.Expr, sp.Expr]] = {}
+
+    def __call__(self, expr) -> tuple[sp.Expr, sp.Expr]:
+        done = self.memo.get(expr)
+        if done is None:
+            done = self.memo[expr] = self._split(expr)
+        return done
+
+    def _split(self, expr):
+        if isinstance(expr, sp.Add):
+            con, prim = expr.func(*[_keep_coeff(*self(a)) for a in expr.args]).primitive()
+            if not con.is_Integer and prim.is_Add:
+                con, d = con.as_numer_denom()
+                _p = prim / d
+                if any(a.as_coeff_Mul()[0].is_Integer for a in _p.args):
+                    prim = _p
+                else:
+                    con /= d
+            return con, prim
+        if isinstance(expr, sp.Mul):
+            coef = sp.S.One
+            args = []
+            for a in expr.args:
+                c, p = self(a)
+                coef *= c
+                if p is not sp.S.One:
+                    args.append(p)
+            # not _from_args: identical args must combine, (2+2x)(3+3x) -> 6(1+x)**2
+            return coef, expr.func(*args)
+        if isinstance(expr, sp.Pow):
+            return self._split_pow(expr)
+        return expr.as_content_primitive(radical=False, clear=False)
+
+    def _split_pow(self, expr):
+        b, e = expr.as_base_exp()
+        b = _keep_coeff(*self(b))
+        ce, pe = self(e)
+        if b.is_Rational:
+            # b**(ce*(h + t)) = b**(integer part of ce*h) * b**(ce*t + remainder)
+            h, t = pe.as_coeff_Add()
+            if h.is_Rational and b != sp.S.Zero:
+                ceh = ce * h
+                c = expr.func(b, ceh)
+                r = sp.S.Zero
+                if not c.is_Rational:
+                    iceh, r = divmod(ceh.p, ceh.q)
+                    c = expr.func(b, iceh)
+                return c, expr.func(b, _keep_coeff(ce, t + r / ce / ceh.q))
+        e = _keep_coeff(ce, pe)
+        # b**e = (h*t)**e = h**e*t**e = c*m*t**e
+        if e.is_Rational and b.is_Mul:
+            h, t = self(b)
+            c, m = expr.func(h, e).as_coeff_Mul()
+            m, me = m.as_base_exp()
+            if m is sp.S.One or me == e:
+                return c, expr.func(_keep_coeff(m, t), e)
+        return sp.S.One, expr.func(b, e)
+
+
 class MemoizedFactorTerms:
     """:func:`sympy.factor_terms` (default flags) that factors each subtree once.
 
@@ -67,16 +142,18 @@ class MemoizedFactorTerms:
     fraction=False, sign=True``) and its result memoized per sub-expression:
     a subtree shared by several right-hand sides (the Lagrange multiplier in
     every φ equation) or several terms is factored the first time it is met
-    and looked up after that.  The memo lives as long as the instance — an
-    object, not a closure, so reference counting frees it (closures calling
-    each other form a cycle that only a full garbage collection reclaims).
-    ``tests/test_simplification.py`` checks it ``srepr``-equal to
-    ``sympy.factor_terms``, so a sympy upgrade that changes the original
-    fails there instead of changing the emitted C.
+    and looked up after that.  The content/primitive split each level makes
+    is a :class:`MemoizedContentPrimitive` with the same lifetime.  The memo
+    lives as long as the instance — an object, not a closure, so reference
+    counting frees it (closures calling each other form a cycle that only a
+    full garbage collection reclaims).  ``tests/test_simplification.py``
+    checks it ``srepr``-equal to ``sympy.factor_terms``, so a sympy upgrade
+    that changes the original fails there instead of changing the emitted C.
     """
 
     def __init__(self):
         self.memo: dict[sp.Basic, sp.Basic] = {}
+        self.content_primitive = MemoizedContentPrimitive()
 
     def __call__(self, expr) -> sp.Expr:
         return self.do(sp.sympify(expr))
@@ -99,7 +176,7 @@ class MemoizedFactorTerms:
             return expr if newargs == args else expr.func(*newargs)
         if isinstance(expr, (sp.Sum, sp.Integral)):
             return _factor_sum_int(expr, radical=False, clear=False, fraction=False, sign=True)
-        cont, p = expr.as_content_primitive(radical=False, clear=False)
+        cont, p = self.content_primitive(expr)
         if p.is_Add:
             list_args = [do(a) for a in sp.Add.make_args(p)]
             # get a common negative (if there) which gcd_terms does not remove
@@ -122,31 +199,106 @@ class MemoizedFactorTerms:
         return _keep_coeff(cont, p, clear=False, sign=True)
 
 
+class NodeCounter:
+    """The node count — ``count_ops(visual=False) + len(atoms(Symbol))`` — per subtree once.
+
+    ``count_ops`` walks a stack and adds up one weight per node it pops,
+    each depending on that node alone, so the walk is a sum over subtrees:
+    :meth:`ops` is one step of sympy's loop, recursing through a memo
+    instead of pushing.  A node's symbols are the union of its arguments'.
+    Both memos live as long as the instance, so a subtree shared by several
+    expressions (both candidates of :func:`simplify_terms`, every
+    right-hand side of a collection) is counted once.
+    ``tests/test_simplification.py`` checks it equal to sympy's count.
+    """
+
+    def __init__(self):
+        self.ops_memo: dict[sp.Basic, int] = {}
+        self.symbols_memo: dict[sp.Basic, frozenset] = {}
+
+    def __call__(self, expr) -> int:
+        expr = sp.sympify(expr)
+        if not isinstance(expr, sp.Expr) or expr.is_Relational:
+            return expr.count_ops(visual=False) + len(expr.atoms(sp.Symbol))
+        return self.ops(expr) + len(self.symbols(expr))
+
+    def symbols(self, expr) -> frozenset:
+        done = self.symbols_memo.get(expr)
+        if done is None:
+            done = self.symbols_memo[expr] = self._symbols(expr)
+        return done
+
+    def _symbols(self, expr) -> frozenset:
+        found = frozenset().union(*map(self.symbols, expr.args))
+        return found | {expr} if isinstance(expr, sp.Symbol) else found
+
+    def ops(self, expr) -> int:
+        done = self.ops_memo.get(expr)
+        if done is None:
+            done = self.ops_memo[expr] = self._ops(expr)
+        return done
+
+    def _ops(self, a) -> int:
+        # one pass of sympy's count_ops loop: its op weights, then its pushes
+        n_ops = 0
+        if a.is_Rational:
+            if a is not sp.S.One:
+                return (a.p < 0) + (a.q != 1)  # NEG, DIV
+        elif a.is_Mul or a.is_MatMul:
+            if _coeff_isneg(a):
+                n_ops += 1  # NEG
+                a = a.as_two_terms()[1] if a.args[0] is sp.S.NegativeOne else -a
+            n, d = fraction(a)
+            if n.is_Integer:
+                return n_ops + 1 + bool(n < 0) + self.ops(d)  # DIV, NEG
+            if d is not sp.S.One:
+                return n_ops + 1 + (0 if d.is_Integer else self.ops(d)) + self.ops(n)
+        elif a.is_Add or a.is_MatAdd:
+            # one ADD or SUB per term after the first (-x + y records SUB - ADD,
+            # i.e. nothing, on top), NEG if every term is negative
+            n_ops = len(a.args) - 1
+            negs = 0
+            for ai in a.args:
+                if _coeff_isneg(ai):
+                    negs += 1
+                    ai = -ai
+                n_ops += self.ops(ai)
+            return n_ops + (negs == len(a.args))
+        if a.is_Pow and a.exp is sp.S.NegativeOne:
+            return n_ops + 1 + self.ops(a.base)  # DIV
+        if a == sp.S.Exp1:
+            return n_ops + 1  # EXP
+        if a.is_Pow and a.base == sp.S.Exp1:
+            return n_ops + 1 + self.ops(a.exp)  # EXP
+        if a.is_Mul or isinstance(a, LatticeOp):
+            n_ops += len(a.args) - 1
+        elif a.args and (
+            a.is_Pow or a.is_Function or isinstance(a, (Derivative, sp.Integral, sp.Sum))
+        ):
+            n_ops += 1
+        if not a.is_Symbol:
+            n_ops += sum(map(self.ops, a.args))
+        return n_ops
+
+
 def simplify_terms(ac: AssignmentCollection) -> AssignmentCollection:
     """Simplify every assignment individually by factoring.
 
     Factors every right-hand side as :func:`sympy.factor_terms` would (pulls
     common factors out of sums) and keeps whichever of {original, factored}
-    has fewer nodes.  The factoring is one :class:`MemoizedFactorTerms` for
-    the whole collection, so a subtree that several right-hand sides share
-    is factored once.
+    has fewer nodes.  The factoring is one :class:`MemoizedFactorTerms` and
+    the count one :class:`NodeCounter` for the whole collection, so a
+    subtree that several right-hand sides share is factored and counted
+    once.
     """
     factor_terms = MemoizedFactorTerms()
-
-    def best(expr: sp.Expr) -> sp.Expr:
-        candidates = [expr]
-        try:
-            candidates.append(factor_terms(expr))
-        except Exception:  # pragma: no cover - sympy edge cases
-            pass
-        return min(candidates, key=count_nodes)
-
-    return ac.transform_rhs(best)
+    count = NodeCounter()
+    return ac.transform_rhs(lambda expr: min((expr, factor_terms(expr)), key=count))
 
 
 def count_nodes(expr: sp.Expr) -> int:
     """Total number of nodes in the expression tree (simplicity metric)."""
-    return expr.count_ops(visual=False) + len(expr.atoms(sp.Symbol))
+    return NodeCounter()(expr)
 
 
 def global_cse(ac: AssignmentCollection, symbol_prefix: str = "xi") -> AssignmentCollection:
@@ -172,7 +324,8 @@ def global_cse(ac: AssignmentCollection, symbol_prefix: str = "xi") -> Assignmen
 
 def total_nodes(ac: AssignmentCollection) -> int:
     """Node count over all assignments (the pass-level progress metric)."""
-    return sum(count_nodes(a.rhs) for a in ac.all_assignments)
+    count = NodeCounter()
+    return sum(count(a.rhs) for a in ac.all_assignments)
 
 
 def _traced_pass(recorder, name: str, fn, ac: AssignmentCollection):
@@ -180,8 +333,8 @@ def _traced_pass(recorder, name: str, fn, ac: AssignmentCollection):
 
     Before/after node counts are only computed for a recorder that keeps
     every event (``capacity=None``: someone wants the whole timeline) —
-    counting a large SSA program is not free (1.1–1.2 s for the 16 counts
-    of the 8 passes of the P1 3-D kernel set, 12–13 % of its cold set-up
+    counting a large SSA program is not free (0.67–0.71 s for the 16 counts
+    of the 8 passes of the P1 3-D kernel set, 8–9 % of its cold set-up
     with C kernels, on a 2-vCPU KVM guest).
     """
     with recorder.span(f"pass:{name}", category="simplification") as span:

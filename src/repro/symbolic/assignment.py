@@ -167,6 +167,7 @@ class AssignmentCollection:
 
     def validate(self) -> None:
         seen: set[sp.Symbol] = set()
+        temporaries = self.defined_temporaries
         for a in self.subexpressions:
             if a.is_field_store:
                 raise ValueError(f"field store {a.lhs} among subexpressions")
@@ -176,7 +177,7 @@ class AssignmentCollection:
                 s
                 for s in a.rhs.free_symbols
                 if not isinstance(s, FieldAccess)
-                and s in self.defined_temporaries
+                and s in temporaries
                 and s not in seen
             }
             if undefined:

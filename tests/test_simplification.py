@@ -1,5 +1,7 @@
 """Simplification passes: constant folding, CSE, with property-based checks."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -12,7 +14,11 @@ from repro.simplification import (
     simplify_terms,
     substitute_parameters,
 )
-from repro.simplification.passes import MemoizedFactorTerms
+from repro.simplification.passes import (
+    MemoizedContentPrimitive,
+    MemoizedFactorTerms,
+    NodeCounter,
+)
 from repro.symbolic import Assignment, AssignmentCollection, Field
 
 
@@ -120,15 +126,15 @@ class TestSemanticPreservation:
         assert count_nodes(out.main_assignments[0].rhs) <= count_nodes(expr)
 
 
-def _model_right_hand_sides(params, monkeypatch) -> list[list[sp.Expr]]:
-    """The right-hand sides ``simplify_terms`` factors, per collection."""
+def _model_collections(params, monkeypatch) -> list[AssignmentCollection]:
+    """The collections ``simplify_terms`` is given while a kernel set is derived."""
     from repro.pfm import GrandPotentialModel
     from repro.simplification import passes
 
     seen = []
 
     def capture(ac):
-        seen.append([a.rhs for a in (*ac.main_assignments, *ac.subexpressions)])
+        seen.append(ac)
         return simplify_terms(ac)
 
     monkeypatch.setattr(passes, "simplify_terms", capture)
@@ -137,11 +143,35 @@ def _model_right_hand_sides(params, monkeypatch) -> list[list[sp.Expr]]:
     return seen
 
 
+def _model_right_hand_sides(params, monkeypatch) -> list[list[sp.Expr]]:
+    """The right-hand sides ``simplify_terms`` factors, per collection."""
+    return [
+        [a.rhs for a in (*ac.main_assignments, *ac.subexpressions)]
+        for ac in _model_collections(params, monkeypatch)
+    ]
+
+
 def _assert_factors_like_sympy(collections) -> None:
     for rhs in collections:
         factor = MemoizedFactorTerms()  # one memo per collection, as in the pass
         for expr in rhs:
             assert sp.srepr(factor(expr)) == sp.srepr(sp.factor_terms(expr))
+
+
+def _assert_splits_like_sympy(collections) -> None:
+    for rhs in collections:
+        split = MemoizedContentPrimitive()  # one memo per collection, as in the pass
+        for expr in rhs:
+            expected = expr.as_content_primitive(radical=False, clear=False)
+            assert sp.srepr(split(expr)) == sp.srepr(expected)
+
+
+def _assert_counts_like_sympy(collections) -> None:
+    for rhs in collections:
+        # both candidates of every right-hand side share one counter, as in the pass
+        count, factor = NodeCounter(), MemoizedFactorTerms()
+        for expr in (*rhs, *map(factor, rhs)):
+            assert count(expr) == expr.count_ops(visual=False) + len(expr.atoms(sp.Symbol))
 
 
 @st.composite
@@ -191,6 +221,131 @@ class TestMemoizedFactorTerms:
         x, y = sp.symbols("x y")
         exprs = [-2 * x * sp.exp(-(x + 2)) - 4 * y, sp.exp(-(x + 2)) + x * sp.exp(-(x + 2))]
         _assert_factors_like_sympy([exprs, exprs[::-1]])
+
+
+class TestMemoizedContentPrimitive:
+    """The memoized split equals ``as_content_primitive(radical=False, clear=False)``."""
+
+    def test_binary_right_hand_sides(self, monkeypatch, cold_cache):
+        from repro.pfm import make_two_phase_binary
+
+        _assert_splits_like_sympy(
+            _model_right_hand_sides(make_two_phase_binary(dim=3), monkeypatch)
+        )
+
+    @pytest.mark.slow
+    def test_p1_right_hand_sides(self, monkeypatch, cold_cache):
+        from repro.pfm import make_p1
+
+        _assert_splits_like_sympy(_model_right_hand_sides(make_p1(dim=3), monkeypatch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs=shared_subtree_sums())
+    def test_shared_subtrees(self, exprs):
+        _assert_splits_like_sympy([exprs])
+
+    def test_powers(self):
+        x, y = sp.symbols("x y")
+        exprs = [
+            (2 * x + 2) ** 2, sp.sqrt(4 + 4 * sp.sqrt(2)), 4 ** ((1 + y) / 2),
+            3 ** ((5 + y) / 2), 3 ** (2 + 2 * x), (2 + 2 * x) ** y, (6 * x * y) ** 3,
+        ]
+        _assert_splits_like_sympy([exprs])
+
+
+class TestNodeCounter:
+    """The memoized count equals ``count_ops(visual=False) + len(atoms(Symbol))``."""
+
+    def test_binary_right_hand_sides(self, monkeypatch, cold_cache):
+        from repro.pfm import make_two_phase_binary
+
+        _assert_counts_like_sympy(
+            _model_right_hand_sides(make_two_phase_binary(dim=3), monkeypatch)
+        )
+
+    @pytest.mark.slow
+    def test_p1_right_hand_sides(self, monkeypatch, cold_cache):
+        from repro.pfm import make_p1
+
+        _assert_counts_like_sympy(_model_right_hand_sides(make_p1(dim=3), monkeypatch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs=shared_subtree_sums())
+    def test_shared_subtrees(self, exprs):
+        _assert_counts_like_sympy([exprs])
+
+    def test_every_op_kind(self):
+        x, y = sp.symbols("x y")
+        exprs = [
+            -x - y, -x + y, x - y, -sp.Rational(1, 3), 1 / x / y, -2 / x, x / (2 * y),
+            -(x + y), sp.E, sp.exp(x + 1), sp.Max(x, y, 1), sp.sin(x) ** 2 + x,
+            sp.Piecewise((x, x < y), (y, True)), sp.Integer(1), sp.Integer(0),
+        ]
+        _assert_counts_like_sympy([exprs])
+        assert count_nodes(-x - y) == (-x - y).count_ops() + 2
+
+
+class TestOncePerSubtree:
+    """Counts calls, not time, so it holds on any host.
+
+    Within one collection the content/primitive split and the node count of
+    a subtree are each computed at most once: by the memo on a miss, or by
+    sympy (its ``as_content_primitive`` methods, a ``count_ops`` walk or an
+    ``atoms(Symbol)`` walk, which compute every subtree they visit).  A
+    factoring that splits its whole subtree again at every level, or a node
+    count that walks both candidates from the top, fails here.
+    """
+
+    def _record(self, monkeypatch) -> dict[str, Counter]:
+        import sympy.core.function
+
+        done = {"split": Counter(), "ops": Counter(), "symbols": Counter()}
+
+        def memo_miss(kind, method):
+            def wrapper(self, expr):
+                done[kind][expr] += 1
+                return method(self, expr)
+            return wrapper
+
+        def sympy_split(method):
+            def wrapper(self, *args, **kwargs):
+                done["split"][self] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        def walk(kind, fn):
+            def wrapper(expr, *args, **kwargs):
+                done[kind].update(sp.preorder_traversal(expr))
+                return fn(expr, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            MemoizedContentPrimitive, "_split",
+            memo_miss("split", MemoizedContentPrimitive._split),
+        )
+        monkeypatch.setattr(NodeCounter, "_ops", memo_miss("ops", NodeCounter._ops))
+        monkeypatch.setattr(NodeCounter, "_symbols", memo_miss("symbols", NodeCounter._symbols))
+        for cls in (sp.Add, sp.Mul, sp.Pow):
+            monkeypatch.setattr(cls, "as_content_primitive", sympy_split(cls.as_content_primitive))
+        monkeypatch.setattr(
+            sympy.core.function, "count_ops", walk("ops", sympy.core.function.count_ops)
+        )
+        monkeypatch.setattr(sp.Basic, "atoms", walk("symbols", sp.Basic.atoms))
+        return done
+
+    def test_binary_collections(self, monkeypatch, cold_cache):
+        from repro.pfm import make_two_phase_binary
+
+        collections = _model_collections(make_two_phase_binary(dim=3), monkeypatch)
+        done = self._record(monkeypatch)
+        for ac in collections:
+            for counter in done.values():
+                counter.clear()
+            simplify_terms(ac)
+            for kind, counter in done.items():
+                assert counter, f"no {kind} computed for {ac.name}"
+                subtree, times = counter.most_common(1)[0]
+                assert times == 1, f"{kind} of {subtree} computed {times} times in {ac.name}"
 
 
 class TestAssignmentCollection:
@@ -246,6 +401,16 @@ class TestAssignmentCollection:
             subexpressions=[Assignment(x, 1), Assignment(x, 2)],
         )
         with pytest.raises(ValueError, match="SSA"):
+            ac.validate()
+
+    def test_validate_rejects_use_before_definition(self):
+        f, g = _fields2()
+        x, y = sp.symbols("x y")
+        ac = AssignmentCollection(
+            [Assignment(g.center(), y)],
+            subexpressions=[Assignment(y, x + 1), Assignment(x, f.center())],
+        )
+        with pytest.raises(ValueError, match=r"^y uses temporaries before definition: \{x\}$"):
             ac.validate()
 
     def test_ghost_layer_requirement(self):
