@@ -34,7 +34,9 @@ fills once, so a repeat call is one two-argument foreign call.
 
 The ghost fill of :mod:`repro.parallel.boundary` has a native form too: one
 routine for any array (:func:`compile_c_fill`), which runs the fill's slice
-plan as lowered for each array by :class:`CompiledCFill`.
+plan as lowered for each array by :class:`CompiledCFill`.  Its translation
+unit also holds ``repro_run``, which runs *n* time steps of a schedule
+lowered to packed entries (:mod:`repro.timeloop`).
 """
 
 from __future__ import annotations
@@ -560,6 +562,7 @@ class CompiledCKernel:
         self._packed = getattr(lib, f"{kernel.c_name}_packed")
         self._packed.restype = None
         self._packed.argtypes = (self._Ints, self._Doubles)
+        self._entry = ctypes.cast(self._packed, ctypes.c_void_p).value
         #: what a binding marshals, by role; the rest are the scalars of a call
         self._bound = tuple(a for a in signature if a.role in ARRAY_SET_ROLES)
         self._required = kernel.required_parameters
@@ -575,6 +578,8 @@ class CompiledCKernel:
         )
         #: time_step, then seed, then a reduction's output: the last integers
         self._step_slot = [a.role for a in ints].index("time_step")
+        #: where the parameter ``t`` goes among the doubles (-1: none)
+        self._t_slot = next((slot for slot, key, _ in self._doubles if key == "t"), -1)
         #: (ghost_layers, block_offset, origin, thread, *id(array))
         #: -> (weakrefs, shapes, ints, doubles)
         self._bindings: dict[tuple, tuple] = {}
@@ -659,6 +664,20 @@ class CompiledCKernel:
                 "tile_shape is not supported by the C backend; use the "
                 "numpy backend for partition-invariant reductions"
             )
+        ints, doubles = self._blocks(arrays, block_offset, origin, ghost_layers, params)
+        k = self.kernel
+        out = None
+        if k.reductions:
+            # a fresh output per call: the returned sums are read from it
+            out = np.zeros(len(k.reductions))
+            ints[self._step_slot + 2] = out.__array_interface__["data"][0]
+        self._packed(ints, doubles)
+        if out is None:
+            return None
+        return {name: float(v) for name, v in zip(k.reductions, out)}
+
+    def _blocks(self, arrays, block_offset, origin, ghost_layers, params) -> tuple:
+        """The packed entry's two blocks for a call, its scalars written."""
         k = self.kernel
         gl = k.ghost_layers if ghost_layers is None else ghost_layers
         # a missing array reads None, which no binding holds: _bind names it
@@ -679,15 +698,29 @@ class CompiledCKernel:
         step = self._step_slot
         ints[step] = int(params.get("time_step", 0))
         ints[step + 1] = int(params.get("seed", 0))
-        out = None
-        if k.reductions:
-            # a fresh output per call: the returned sums are read from it
-            out = np.zeros(len(k.reductions))
-            ints[step + 2] = out.__array_interface__["data"][0]
-        self._packed(ints, doubles)
-        if out is None:
-            return None
-        return {name: float(v) for name, v in zip(k.reductions, out)}
+        return ints, doubles
+
+    def lower(
+        self, arrays, block_offset=(0, 0, 0), origin=(0.0, 0.0, 0.0),
+        ghost_layers=None, **params,
+    ) -> tuple | None:
+        """A call on *arrays* as one op of ``repro_run``, or ``None`` for a reduction.
+
+        ``(entry, ints, doubles, time_step slot, t slot)``: the packed
+        entry's address and a copy of the set's binding, checked and with
+        the call's scalars written as :meth:`__call__` writes them.  The
+        runner writes ``time_step`` and ``t`` (slot -1: no parameter
+        ``t``) before every call.  A copy, so a later direct call on the
+        set (another ``seed``) cannot change the op; its addresses stay
+        valid while the arrays live.
+        """
+        if self.kernel.reductions:
+            return None  # each call needs a fresh output
+        ints, doubles = self._blocks(arrays, block_offset, origin, ghost_layers, params)
+        return (
+            self._entry, self._Ints.from_buffer_copy(ints),
+            self._Doubles.from_buffer_copy(doubles), self._step_slot, self._t_slot,
+        )
 
 
 def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
@@ -731,7 +764,53 @@ def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
 
 
 # ---------------------------------------------------------------------------
-# the ghost fill
+# the op-list runner and the ghost fill: one translation unit
+
+_RUN_C = r"""/* the op-list runner of repro.timeloop: n time steps of a lowered schedule */
+#define _POSIX_C_SOURCE 199309L
+#include <stdint.h>
+#include <time.h>
+
+typedef void (*repro_entry)(const int64_t *, const double *);
+
+/* ops = two halves of nops records {entry, int64 block, double block,
+   time_step slot, t slot} (slot -1: the op reads none), one half per
+   parity of the array set: the swaps of a step are disjoint pairs, so step
+   s of the batch runs half (parity + s) & 1.  Before each call the op's
+   blocks get time_step and t, the breadcrumb (time_step, op index); after
+   it, clock[op] gets the call's CLOCK_MONOTONIC seconds.  t advances by
+   repeated += dt, as the Python loop's does. */
+void repro_run(int64_t n, const int64_t *ops, int64_t nops, int64_t parity,
+               int64_t *time_step, double *t, double dt,
+               double *clock, volatile int64_t *crumb)
+{
+    int64_t step = *time_step;
+    double now = *t;
+    for (int64_t s = 0; s < n; ++s) {
+        const int64_t *op = ops + 5 * nops * ((parity + s) & 1);
+        for (int64_t i = 0; i < nops; ++i, op += 5) {
+            int64_t *ia = (int64_t *)(intptr_t)op[1];
+            double *da = (double *)(intptr_t)op[2];
+            if (op[3] >= 0)
+                ia[op[3]] = step;
+            if (op[4] >= 0)
+                da[op[4]] = now;
+            crumb[0] = step;
+            crumb[1] = i;
+            struct timespec a, b;
+            clock_gettime(CLOCK_MONOTONIC, &a);
+            ((repro_entry)(intptr_t)op[0])(ia, da);
+            clock_gettime(CLOCK_MONOTONIC, &b);
+            clock[i] += (double)(b.tv_sec - a.tv_sec) + 1e-9 * (double)(b.tv_nsec - a.tv_nsec);
+        }
+        ++step;
+        now += dt;
+    }
+    *time_step = step;
+    *t = now;
+}
+
+"""
 
 #: most loops one copy of the native fill nests (the array's axes but one);
 #: :data:`_FILL_C` sizes its loop counters by it
@@ -840,31 +919,54 @@ class CompiledCFill:
     Dirichlet value that is neither a scalar nor one value per component
     of a float64 or integer dtype — is declined: :meth:`__call__` returns
     ``False`` and the caller fills it with NumPy.
+
+    The library also holds the op-list runner, ``repro_run``: :attr:`run`,
+    and :attr:`address` is the fill's entry as one op of it.
     """
 
-    def __init__(self, func):
+    def __init__(self, func, run):
         # called through one prototype per binding, typed exactly by the
         # binding's two blocks; holding *func* keeps its library loaded
         self._func = func
-        self._address = ctypes.cast(func, ctypes.c_void_p).value
+        self.address = ctypes.cast(func, ctypes.c_void_p).value
+        i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        run.restype = None
+        run.argtypes = (
+            ctypes.c_int64, i64, ctypes.c_int64, ctypes.c_int64,
+            i64, f64, ctypes.c_double, f64, i64,
+        )
+        self.run = run
         #: (id(array), ghost_layers, dim, modes) -> (weakref, shape, call, ops, values, dirichlet)
         self._bindings: dict[tuple, tuple] = {}
 
     def __call__(self, arr: np.ndarray, gl: int, dim: int, modes: tuple) -> bool:
         """Fill the ghost frame of *arr*; ``False`` if it is NumPy's to fill."""
+        blocks = self.prepare(arr, gl, dim, modes)
+        if blocks is None:
+            return False
+        call, ops, values = blocks
+        call(ops, values)
+        return True
+
+    def prepare(self, arr: np.ndarray, gl: int, dim: int, modes: tuple) -> tuple | None:
+        """``(call, ops, values)`` of the fill of *arr*, values written; ``None`` declines.
+
+        The binding's own blocks: the same objects on every call while the
+        array lives with its shape, so an op of ``repro_run`` can point at
+        them.
+        """
         key = (id(arr), gl, dim, modes)
         ref, shape, call, ops, values, dirichlet = self._bindings.get(key, _UNFILLED)
         if ref() is not arr or arr.shape != shape:
             call, ops, values, dirichlet = self._bind(key, arr)
         if call is None:
-            return False
+            return None
         for offset, mode in dirichlet:
             v = _dirichlet_values(mode.value, arr.shape[dim:])
             if v is None:
-                return False
+                return None
             values[offset:offset + v.size] = v.tolist()
-        call(ops, values)
-        return True
+        return call, ops, values
 
     def _bind(self, key: tuple, arr: np.ndarray) -> tuple:
         from ..parallel.boundary import _fill_plan
@@ -931,17 +1033,18 @@ class CompiledCFill:
             arr.ctypes.data, n_copies, max(arr.ndim - 1, 1), *copies
         )
         values = (ctypes.c_double * max(components * len(slots), 1))()
-        call = ctypes.CFUNCTYPE(None, type(ops), type(values))(self._address)
+        call = ctypes.CFUNCTYPE(None, type(ops), type(values))(self.address)
         return call, ops, values, tuple(dirichlet)
 
 
 @cache
 def compile_c_fill() -> CompiledCFill:
-    """The native ghost fill, built through the disk cache once per process."""
+    """The native ghost fill and op-list runner, built through the disk cache once per process."""
     from ..observability.recorder import get_recorder
 
     with get_recorder().span("compile:fill_ghosts", category="backend"):
         so_path = _build_shared_object(
-            _FILL_C, "repro_fill_ghosts", extra_meta={"kernel": "fill_ghosts"}
+            _RUN_C + _FILL_C, "repro_fill_ghosts", extra_meta={"kernel": "fill_ghosts"}
         )
-        return CompiledCFill(ctypes.CDLL(str(so_path)).repro_fill_ghosts)
+        lib = ctypes.CDLL(str(so_path))
+        return CompiledCFill(lib.repro_fill_ghosts, lib.repro_run)

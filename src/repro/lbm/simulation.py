@@ -83,7 +83,6 @@ class LBMSimulation(TimeLoop):
         )
         self.arrays = self._owned[0].arrays
         self.arrays[src][...] = np.asarray(equilibrium_pdfs(method))
-        self._fills = {name: self.profiler.measure(f"fill:{name}") for name in self.arrays}
 
     # -- state -----------------------------------------------------------------
 
@@ -125,6 +124,12 @@ class LBMSimulation(TimeLoop):
             fill_ghosts(arr, gl, self.lattice.dim, mode="periodic", native=self._native_fill)
             for axis, side in self.walls:
                 apply_bounce_back(arr, self.lattice, axis, side, gl)
+
+    def _native_sync(self, arrays: dict, name: str) -> tuple | None:
+        if self.walls:
+            return None  # bounce-back runs in NumPy after the fill
+        dim = self.lattice.dim
+        return self._native_fill.prepare(arrays[name], self.ghost_layers, dim, ("periodic",) * dim)
 
     def total_mass(self) -> float:
         return float(self.density().sum())

@@ -68,7 +68,8 @@ class HealthMonitor:
         ``"record"`` (store events), ``"warn"`` (store + log warning) or
         ``"raise"`` (store + log + raise :class:`HealthError`).
     interval:
-        Check cadence in time steps (the solvers call :meth:`due` each step).
+        Check cadence in time steps; a solver reads it when the monitor is
+        attached and checks after every step that :meth:`due` accepts.
     nan_check:
         Enable the non-finite watchdog.
     phase_sum_tol:

@@ -8,7 +8,8 @@ ring (plus whatever field state the solver registered) into a JSON
 * the exception (type, message, traceback),
 * the rank and run position (current time step),
 * the open span stack and the last-N recorder events,
-* the last kernel dispatched before death,
+* the last kernel dispatched before death (inside a native batch of the
+  time loop: the op and step its breadcrumb holds),
 * per-field numeric forensics — finite min/max/mean, NaN/Inf counts —
   computed at the moment of capture.
 
@@ -59,6 +60,29 @@ POSTMORTEM_SCHEMA = "repro-postmortem/1"
 
 #: events whose kind marks a kernel dispatch — the "last kernel" of a bundle
 _KERNEL_KINDS = ("kernel", "op")
+
+
+def _batch_kernel(recorder, begin) -> dict | None:
+    """The op a native batch opened by *begin* was in: its breadcrumb, named.
+
+    The live breadcrumb of *recorder*, else (a journal read back) the
+    ``<rundir>/breadcrumb`` file its ``lowering`` event names.
+    """
+    lowering = recorder.last_of("lowering")
+    if lowering is None:
+        return None
+    crumb = getattr(recorder, "breadcrumb", None)
+    if crumb is None and "breadcrumb" in lowering.data:
+        crumb = np.fromfile(lowering.data["breadcrumb"], dtype=np.int64, count=2)
+    if crumb is None:
+        return None
+    time_step, index = (int(v) for v in crumb)
+    return {
+        "name": lowering.data["ops"][index],
+        "kind": "batch",
+        "seq": begin.seq,
+        "data": {"time_step": time_step, "op": index, "steps": begin.data["steps"]},
+    }
 
 
 def field_stats(arrays: dict) -> dict:
@@ -132,8 +156,11 @@ def capture_postmortem(
         bundle["position"] = recorder.position
         bundle["open_spans"] = recorder.open_spans()
         bundle["last_events"] = recorder.last_events(last_n)
-        last_kernel = recorder.last_of(*_KERNEL_KINDS)
-        if last_kernel is not None:
+        last = recorder.last_of("step_begin", *_KERNEL_KINDS)
+        if last is not None and last.kind == "step_begin" and "steps" in last.data:
+            # inside a native batch: no event names the op, its breadcrumb does
+            bundle["last_kernel"] = _batch_kernel(recorder, last)
+        elif (last_kernel := recorder.last_of(*_KERNEL_KINDS)) is not None:
             bundle["last_kernel"] = {
                 "name": last_kernel.name,
                 "kind": last_kernel.kind,

@@ -181,6 +181,10 @@ class FlightRecorder:
         self._journal = None
         self._journal_path: str | None = None
         self._state_provider = None
+        #: the live ``(time_step, op index)`` of the native batch a time
+        #: loop runs (``None`` until one is lowered): a ``lowering`` event
+        #: names the ops
+        self.breadcrumb = None
         self._lock = threading.Lock()
 
     # -- recording -------------------------------------------------------------
@@ -261,11 +265,13 @@ class FlightRecorder:
         thread.open.append(event)
         return event
 
-    def step_end(self, time_step: int, seconds: float | None = None) -> RecorderEvent | None:
+    def step_end(
+        self, time_step: int, seconds: float | None = None, **data
+    ) -> RecorderEvent | None:
         """Close the current time-step span, recording its wall time."""
         if not self.enabled:
             return None
-        data = {"time_step": int(time_step)}
+        data = {"time_step": int(time_step), **data}
         if seconds is not None:
             data["seconds"] = float(seconds)
         event = self.record("step_end", str(time_step), **data)
@@ -369,7 +375,7 @@ class FlightRecorder:
     def __getstate__(self) -> dict:
         # recorders cross the proc_comm worker -> parent hop (crash
         # post-mortems, and rank recorders returned for chrome_trace); the
-        # journal handle, state provider and lock are per-process and
+        # journal handle, state provider, breadcrumb and lock are per-process and
         # rebuilt (empty) on the other side.  On Linux perf_counter is
         # CLOCK_MONOTONIC — system-wide — so the events of several
         # processes still align on one timeline.
@@ -398,6 +404,7 @@ class FlightRecorder:
         self._journal = None
         self._journal_path = None
         self._state_provider = None
+        self.breadcrumb = None
         self._lock = threading.Lock()
 
 

@@ -14,6 +14,7 @@ a ledger there, checkpoints wherever the caller pointed them.
                            # step, op, counter, fingerprint, health event
       journal.rank3.jsonl  # per-rank journals under launch_ranks
       postmortem.json      # crash bundles, when a run dies
+      breadcrumb           # (time_step, op) of a native batch, two int64
       checkpoints/         # solver checkpoints
       perf/                # repro-perf/1 kernel counter/closure records
       report.html          # tools/run_report.py output
@@ -65,6 +66,7 @@ _ARTIFACTS = {
     "fingerprints": "fingerprints.jsonl",
     "journal": "journal.jsonl",
     "postmortem": "postmortem.json",
+    "breadcrumb": "breadcrumb",
     "report": "report.html",
 }
 
@@ -127,6 +129,11 @@ class RunDir:
     @property
     def postmortem_path(self) -> Path:
         return self.path / _ARTIFACTS["postmortem"]
+
+    @property
+    def breadcrumb_path(self) -> Path:
+        """Where a native batch of the time loop keeps ``(time_step, op index)``."""
+        return self.path / _ARTIFACTS["breadcrumb"]
 
     @property
     def report_path(self) -> Path:

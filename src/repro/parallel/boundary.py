@@ -87,6 +87,11 @@ def _fill_plan(shape: tuple[int, ...], gl: int, dim: int, modes: tuple) -> tuple
     return tuple(plan)
 
 
+def fill_modes(mode, dim: int) -> tuple:
+    """*mode* as one mode per axis (a single mode applies to every axis)."""
+    return (mode,) * dim if isinstance(mode, str) else tuple(mode)
+
+
 def fill_ghosts(
     arr: np.ndarray,
     ghost_layers: int,
@@ -108,7 +113,7 @@ def fill_ghosts(
     gl = int(ghost_layers)
     if gl == 0:
         return
-    modes = (mode,) * dim if isinstance(mode, str) else tuple(mode)
+    modes = fill_modes(mode, dim)
     if native is not None and native(arr, gl, dim, modes):
         return
     for ghost, source, dirichlet in _fill_plan(arr.shape, gl, dim, modes):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..observability.health import HealthMonitor
 from ..parallel.blockforest import Block
-from ..parallel.boundary import fill_ghosts
+from ..parallel.boundary import fill_ghosts, fill_modes
 from ..profiling import compile_cached
 from ..timeloop import TimeLoop
 from .model import GrandPotentialModel, PhaseFieldKernelSet
@@ -81,7 +81,6 @@ class SingleBlockSolver(TimeLoop):
         )
         #: the block's ghost-layered arrays by field name
         self.arrays: dict[str, np.ndarray] = self._owned[0].arrays
-        self._fills = {name: self.profiler.measure(f"fill:{name}") for name in self.arrays}
 
     # -- state access ---------------------------------------------------------
 
@@ -116,6 +115,11 @@ class SingleBlockSolver(TimeLoop):
                 self.arrays[name], self.ghost_layers, self.dim, self.boundary,
                 native=self._native_fill,
             )
+
+    def _native_sync(self, arrays: dict, name: str) -> tuple | None:
+        return self._native_fill.prepare(
+            arrays[name], self.ghost_layers, self.dim, fill_modes(self.boundary, self.dim)
+        )
 
     def phase_fractions(self) -> np.ndarray:
         """Volume fraction of every phase."""

@@ -22,7 +22,10 @@ so it cannot grow unseen.  What it buys: the per-kernel MLUP/s table
 (with a PMU: cycles, instructions, cache misses over the very interval the
 seconds span), and the one event per interval that the trace, the journal
 and a crash post-mortem are made of.  Construct with ``enabled=False`` to
-make ``measure`` a true no-op.
+make ``measure`` a true no-op.  A native batch of the time loop (no PMU
+harness) enters no block: its runner clocks every call in C, and the
+batch adds the sums to the same measurements (``_Measurement.add``), one
+``op`` event per operation and batch.
 
 Every accepted timing is also recorded as one ``op`` event of the
 :class:`repro.observability.recorder.FlightRecorder` — the profiler is the
@@ -161,11 +164,7 @@ class _Measurement:
         seconds = perf_counter() - self._t0
         s0 = self._s0
         s1 = None if s0 is None else self._harness.sample()
-        profiler = self._profiler
-        if self._epoch != profiler._epoch:
-            self._record = profiler._record_for(self._name)
-            self._epoch = profiler._epoch
-        rec = self._record
+        rec = self._resolve()
         rec.calls += 1
         rec.seconds += seconds
         rec.cells += self._cells
@@ -175,6 +174,30 @@ class _Measurement:
         recorder = get_recorder()
         if recorder.enabled:
             recorder.record("op", self._name, seconds=seconds, **self._data)
+
+    def _resolve(self) -> TimingRecord:
+        profiler = self._profiler
+        if self._epoch != profiler._epoch:
+            self._record = profiler._record_for(self._name)
+            self._epoch = profiler._epoch
+        return self._record
+
+    def add(self, calls: int, seconds: float) -> None:
+        """Account *calls* intervals timed elsewhere, *seconds* in all.
+
+        A native batch of the time loop clocks its calls itself; they land
+        in the same record, and as one ``op`` event that carries ``calls``
+        and the batch's totals.
+        """
+        rec = self._resolve()
+        rec.calls += calls
+        rec.seconds += seconds
+        rec.cells += self._cells * calls
+        rec.bytes += self._nbytes * calls
+        recorder = get_recorder()
+        if recorder.enabled:
+            totals = {k: v * calls for k, v in self._data.items()}
+            recorder.record("op", self._name, seconds=seconds, calls=calls, **totals)
 
 
 class SolverProfiler:

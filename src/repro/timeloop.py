@@ -20,18 +20,29 @@ differs (how blocks are made, the ``sync`` primitive, state access); time
 state, kernel dispatch, flight-recorder / RunDir wiring, callbacks,
 checkpoints, diagnostics, fingerprints, health checks and the reports are
 defined here, once, for all of them.
+
+A schedule of one block whose sweeps are all compiled C kernels and whose
+syncs are all native ghost fills runs as *batches*: the schedule is lowered
+once to an op list of packed entries (:class:`_Batch`) and ``repro_run``
+executes the steps up to the next due post-step stage in one foreign call,
+clocking every op.  Any other schedule — NumPy, several blocks or ranks, a
+wrapped kernel, an LBM wall, a hardware-counter harness — runs op by op
+in Python.
 """
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from math import prod
 from time import perf_counter
 
-from .backends.c_backend import compile_c_fill
+from .backends.c_backend import CompiledCKernel, compile_c_fill
 from .backends.numpy_backend import create_arrays
+from .observability.hwcounters import get_counter_harness
 from .observability.log import get_logger, kv
 from .observability.recorder import get_recorder, set_thread_recorder
 from .profiling import SolverProfiler
@@ -83,6 +94,73 @@ def _compile_all(jobs: list) -> list:
         finally:
             for f in futures:
                 f.cancel()
+
+
+class _Batch:
+    """A one-block schedule lowered to ``repro_run``'s op list, for both parities.
+
+    *halves* holds, per parity of the array set (as it is, then with every
+    swap applied), the arrays dict it was lowered on, its ops' names and
+    measurements, their records ``(entry, ints, doubles, time_step slot,
+    t slot)`` and its fills ``(field, ops block)``.  The batch is current
+    while the live arrays dict holds the arrays of its parity, with their
+    shapes, and every fill still prepares into the block the op list
+    points at.
+    """
+
+    def __init__(self, run, halves, crumb, seed):
+        self._run = run
+        named = halves[0][1]
+        self.names = tuple(name for name, _ in named)
+        self.measured = tuple(measured for _, measured in named)
+        self.nops = len(named)
+        self.ops = (ctypes.c_int64 * (10 * self.nops))(*(
+            v
+            for _, _, records, _ in halves
+            for entry, ints, doubles, step, t in records
+            for v in (entry, ctypes.addressof(ints), ctypes.addressof(doubles), step, t)
+        ))
+        #: the arrays (and so the blocks) the op list points into, kept alive
+        self._halves = halves
+        self._held = [
+            tuple((name, a, a.shape) for name, a in arrays.items()) for arrays, *_ in halves
+        ]
+        self.parity = 0
+        self.seed = seed
+        self.clock = (ctypes.c_double * self.nops)()
+        self._step = (ctypes.c_int64 * 1)()
+        self._t = (ctypes.c_double * 1)()
+        self._crumb = crumb
+
+    def current(self, loop) -> bool:
+        arrays = loop._owned[0].arrays
+        held = self._held[self.parity]
+        if loop.seed != self.seed or len(arrays) != len(held):
+            return False
+        for name, a, shape in held:
+            if arrays.get(name) is not a or a.shape != shape:
+                return False
+        # a fill writes its Dirichlet values now, as the per-op fill does
+        # on every call; a callback may have changed them
+        for arrays, _, _, fills in self._halves:
+            for name, ops in fills:
+                blocks = loop._native_sync(arrays, name)
+                if blocks is None or blocks[1] is not ops:
+                    return False
+        return True
+
+    def __call__(self, n: int, time_step: int, t: float, dt: float) -> tuple[int, float]:
+        """Run *n* steps from ``(time_step, t)``; account the ops; the new pair."""
+        clock = self.clock
+        ctypes.memset(clock, 0, ctypes.sizeof(clock))
+        self._step[0], self._t[0] = time_step, t
+        self._run(
+            n, self.ops, self.nops, self.parity, self._step, self._t, dt, clock, self._crumb
+        )
+        self.parity ^= n & 1
+        for measured, seconds in zip(self.measured, clock):
+            measured.add(n, seconds)
+        return self._step[0], self._t[0]
 
 
 class TimeLoop:
@@ -154,6 +232,11 @@ class TimeLoop:
         self._owned = tuple(blocks)
         for block in self._owned:
             block.arrays = create_arrays(fields, block.interior_shape, self.ghost_layers)
+        self.profiler = SolverProfiler()
+        if self.fills_ghosts:
+            self._fills = {
+                name: self.profiler.measure(f"fill:{name}") for name in self._owned[0].arrays
+            }
         # a loop that owns the whole domain as one block needs no rank or
         # block labels, and is the only kind a tile_shape can be replayed on
         self._whole_domain = self.n_ranks == 1 and len(self._owned) == 1
@@ -178,7 +261,6 @@ class TimeLoop:
         # cache (a second solver built from an equal kernel set reuses every
         # binary) and bound to the owned blocks with their measurements, so
         # the per-step path does no lookups and builds no instrument
-        self.profiler = SolverProfiler()
         self.schedule = list(schedule)
         self.swaps = tuple(swaps)
         sweeps = {id(k): k for op, arg in self.schedule if op == "sweep" for k in arg}
@@ -196,13 +278,17 @@ class TimeLoop:
             for op, arg in self.schedule
         ]
 
+        #: the native batch (lowered on the first step that can run one)
+        self._batch = None
+        self._crumb = None
+
         self.time_step = 0
         self.time = 0.0
         self.step_seconds = 0.0
         self.health = health
         self._after_step: list[tuple[int, int, object]] = []
         if health is not None:
-            self._register(_HEALTH, 1, self._check_health)
+            self._register(_HEALTH, health.interval, self._check_health)
         self._diag_series = None
         self._fp_stream = None
         _log.info(
@@ -265,6 +351,15 @@ class TimeLoop:
         """Union of every rank's per-block *local* dict (all ranks get it)."""
         return local
 
+    def _native_sync(self, arrays: dict, name: str) -> tuple | None:
+        """``sync(name)`` on *arrays* as a native fill's prepared blocks, or ``None``.
+
+        Asked only under a native fill; a solver whose ``sync`` is exactly
+        that fill returns :meth:`CompiledCFill.prepare
+        <repro.backends.c_backend.CompiledCFill.prepare>`'s answer.
+        """
+        return None
+
     # -- stepping ---------------------------------------------------------------------
 
     def _sweep(self, calls) -> None:
@@ -281,7 +376,34 @@ class TimeLoop:
                 )
 
     def step(self, n_steps: int = 1) -> None:
-        """Advance the solution by *n_steps* passes over the schedule."""
+        """Advance the solution by *n_steps* passes over the schedule.
+
+        In native batches where the schedule allows one (see the module
+        docstring), each ending where a post-step stage is due; else op by
+        op.  The recorder gets a ``step_begin`` / ``step_end`` pair per
+        batch (``steps``) or step, and one ``op`` event per op and batch
+        (``calls``) or call.
+        """
+        if n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+        while n_steps > 0:
+            batch = self._native()
+            if batch is None:
+                self._step_per_op(n_steps)
+                return
+            n = min(
+                [n_steps] + [every - self.time_step % every for _, every, _ in self._after_step]
+            )
+            t0 = perf_counter()
+            begin_step = self.time_step
+            get_recorder().step_begin(begin_step, steps=n, **self._tags)
+            self.time_step, self.time = batch(n, begin_step, self.time, self.dt)
+            if n % 2:
+                self._swap()
+            self._after(begin_step, t0, steps=n)
+            n_steps -= n
+
+    def _step_per_op(self, n_steps: int) -> None:
         recorder = get_recorder()
         for _ in range(n_steps):
             t0 = perf_counter()
@@ -289,18 +411,108 @@ class TimeLoop:
             recorder.step_begin(begin_step, **self._tags)
             for op, arg in self._ops:
                 op(arg)
-            for block in self._owned:
-                arrays = block.arrays
-                for a, b in self.swaps:
-                    arrays[a], arrays[b] = arrays[b], arrays[a]
+            self._swap()
             self.time_step += 1
             self.time += self.dt
-            for _stage, every, fn in self._after_step:
-                if self.time_step % every == 0:
-                    fn()
-            seconds = perf_counter() - t0
-            recorder.step_end(begin_step, seconds)
-            self.step_seconds += seconds
+            self._after(begin_step, t0)
+
+    def _swap(self) -> None:
+        for block in self._owned:
+            arrays = block.arrays
+            for a, b in self.swaps:
+                arrays[a], arrays[b] = arrays[b], arrays[a]
+
+    def _after(self, begin_step: int, t0: float, **data) -> None:
+        """The due post-step stages, then the step's (or batch's) ``step_end``."""
+        for _stage, every, fn in self._after_step:
+            if self.time_step % every == 0:
+                fn()
+        seconds = perf_counter() - t0
+        get_recorder().step_end(begin_step, seconds, **data)
+        self.step_seconds += seconds
+
+    def _native(self) -> _Batch | None:
+        """The batch for the live array set, lowered anew if it changed; ``None``: per op."""
+        if self._native_fill is None or get_counter_harness() is not None:
+            return None  # a harness samples every op
+        batch = self._batch
+        if batch is None or not batch.current(self):
+            batch = self._batch = self._lower()
+        return batch
+
+    def _lower(self) -> _Batch | None:
+        """The schedule as a :class:`_Batch`, or ``None`` if an op has no native form."""
+        if len(self._owned) != 1:
+            return None
+        (block,) = self._owned
+        current = dict(block.arrays)
+        swapped = dict(current)
+        for a, b in self.swaps:
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+        call = dict(
+            ghost_layers=self.ghost_layers, block_offset=block.cell_offset,
+            t=self.time, time_step=self.time_step, seed=self.seed,
+        )
+        halves = []
+        for arrays in (current, swapped):
+            ops = self._lower_ops(arrays, call)
+            if ops is None:
+                return None
+            halves.append((arrays, *ops))
+        crumb, path = self._breadcrumb()
+        batch = _Batch(self._native_fill.run, halves, crumb, self.seed)
+        recorder = get_recorder()
+        recorder.breadcrumb = crumb
+        # once per lowering, so a journal names the op of every breadcrumb
+        recorder.record(
+            "lowering", self.kind, ops=list(batch.names),
+            **({"breadcrumb": path} if path else {}),
+        )
+        return batch
+
+    def _lower_ops(self, arrays: dict, call: dict) -> tuple | None:
+        """``([(name, measurement)], [op record], [(field, fill block)])`` on *arrays*."""
+        named, records, fills = [], [], []
+        for (op, arg), (_, bound) in zip(self.schedule, self._ops):
+            if op == "sweep":
+                for compiled, name, _block, measured in bound:
+                    # a wrapper (a trace, an injected fault) must see every call
+                    if type(compiled) is not CompiledCKernel:
+                        return None
+                    record = compiled.lower(arrays, **call)
+                    if record is None:
+                        return None
+                    named.append((name, measured))
+                    records.append(record)
+            elif op == "sync":
+                blocks = self._native_sync(arrays, arg)
+                if blocks is None:
+                    return None
+                _, ops, values = blocks
+                named.append((f"fill:{arg}", self._fills[arg]))
+                records.append((self._native_fill.address, ops, values, -1, -1))
+                fills.append((arg, ops))
+            else:
+                return None  # start / finish: an exchange in flight
+        return named, records, fills
+
+    def _breadcrumb(self) -> tuple:
+        """``(int64[2], path)``: in ``<rundir>/breadcrumb`` with a RunDir, else in memory."""
+        if self._crumb is None:
+            path = None
+            if self.rundir is None:
+                crumb = (ctypes.c_int64 * 2)()
+            else:
+                # MAP_SHARED: the page cache holds the last write of a
+                # process that dies inside a native call
+                path = str(self.rundir.breadcrumb_path)
+                with open(path, "w+b") as handle:
+                    handle.write(bytes(16))
+                    handle.flush()
+                    mapped = mmap.mmap(handle.fileno(), 16)
+                crumb = (ctypes.c_int64 * 2).from_buffer(mapped)
+            self._crumb = (crumb, path)
+        return self._crumb
 
     def _register(self, stage: int, every: int, fn) -> None:
         """Queue post-step work; enabling a stage again replaces it."""
@@ -319,8 +531,6 @@ class TimeLoop:
         self._register(_CALLBACK, _positive(every), partial(fn, self))
 
     def _check_health(self) -> None:
-        if not self.health.due(self.time_step):
-            return
         for block in self._owned:
             self.health.check(
                 {name: block.arrays[name][self._cut] for name in self.state_fields},

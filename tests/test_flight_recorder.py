@@ -517,6 +517,20 @@ class TestRunReport:
         assert "journal.jsonl" in html  # artifact inventory
         assert "no failed health checks" in html
 
+    def test_a_batch_step_end_counts_as_its_steps(self, tmp_path):
+        rundir = RunDir(tmp_path / "run")
+        rec = FlightRecorder()
+        rec.open_journal(rundir.journal_path())
+        rec.step_begin(0)
+        rec.step_end(0, seconds=0.5)
+        rec.step_begin(1, steps=5)
+        rec.step_end(1, seconds=2.0, steps=5)
+        rec.close_journal()
+        run_report = _load_tool("run_report")
+        assert run_report.load_step_seconds(rundir.journals(), rundir.path) == [
+            0.5, 0.4, 0.4, 0.4, 0.4, 0.4,
+        ]
+
     def test_health_section_renders_from_the_journal(self, tmp_path):
         rundir = RunDir(tmp_path / "run")
         recorder = FlightRecorder(rank=1)

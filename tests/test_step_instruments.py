@@ -7,8 +7,15 @@ replays a slice plan made once per array shape — as NumPy slice copies, or
 under the C backend as one native call bound once per array.  A step reads
 clocks and counters, updates records and records events — it builds no
 instrument, no plan and no fill binding.  Both fills must fill exactly
-what the per-axis algorithm they replaced filled.
+what the per-axis algorithm they replaced filled.  A one-block C solver
+runs its steps as native batches, which must equal the per-op path bit
+for bit and account the same records.
 """
+
+import signal
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -17,8 +24,9 @@ from hypothesis import given, settings, strategies as st
 import repro.pfm.solver as pfm_solver
 from repro.backends.c_backend import CompiledCFill, c_compiler_available, compile_c_fill
 from repro.lbm import LBMethod, LBMSimulation
-from repro.observability import capture_postmortem
-from repro.observability.recorder import FlightRecorder, set_recorder
+from repro.observability import HealthMonitor, capture_postmortem
+from repro.observability.hwcounters import CounterHarness, CounterSample, set_counter_harness
+from repro.observability.recorder import FlightRecorder, load_journal, set_recorder
 from repro.parallel import BlockForest, DirichletValue, DistributedSolver, fill_ghosts
 from repro.parallel.boundary import _fill_plan
 from repro.pfm import GrandPotentialModel, SingleBlockSolver, make_two_phase_binary, planar_front
@@ -349,3 +357,293 @@ class TestNativeFill:
             filled = arr.copy()
             fill_ghosts(filled, 1, 2, mode, native=native)
             assert filled.tobytes() == expected.tobytes()
+
+
+# -- the native batch ----------------------------------------------------------
+
+
+def _per_op(monkeypatch, module, make):
+    """*make()* with every kernel behind a plain Python callable: the per-op path."""
+    real = module.compile_cached
+
+    def compile_wrapped(kernel, backend):
+        compiled = real(kernel, backend)
+        return lambda *args, **kwargs: compiled(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "compile_cached", compile_wrapped)
+        return make()
+
+
+@pytest.fixture(scope="module")
+def binary3d():
+    return GrandPotentialModel(make_two_phase_binary(dim=3)).create_kernels()
+
+
+@pytest.fixture(scope="module")
+def philox2d():
+    """Binary 2-D with fluctuations: the kernels read ``time_step`` and ``seed``."""
+    params = make_two_phase_binary(dim=2)
+    params.fluctuation_amplitude = 0.02
+    return GrandPotentialModel(params).create_kernels()
+
+
+def _boundary(name):
+    # a fresh DirichletValue per solver: a callback steers each one's own
+    return {
+        "periodic": "periodic",
+        "neumann": "neumann",
+        "dirichlet": (DirichletValue(np.array([0.25])), "periodic"),
+    }[name]
+
+
+def _nudge(solver):
+    """Steering between batches: one interior cell, and a Dirichlet value."""
+    if isinstance(solver, LBMSimulation):
+        solver.pdf[(1,) * solver.dim] *= 1.001
+        return
+    solver.mu[(1,) * solver.dim] += 1e-3
+    if isinstance(solver.boundary, tuple):
+        solver.boundary[0].value += 0.01
+
+
+@needs_cc
+class TestNativeBatch:
+    """``step(n)`` of a one-block C solver as one ``repro_run`` call per batch."""
+
+    @staticmethod
+    def _pfm(kernels, shape, boundary, seed=0):
+        params = kernels.model.params
+
+        def make():
+            solver = SingleBlockSolver(
+                kernels, shape, boundary=_boundary(boundary), backend="c", seed=seed
+            )
+            phi = planar_front(shape, params.n_phases, 0, 1, position=shape[0] / 2 + 0.3,
+                               epsilon=params.epsilon)
+            rng = np.random.default_rng(1)
+            phi = phi + 0.05 * rng.random(phi.shape)
+            solver.set_state(phi / phi.sum(axis=-1, keepdims=True), mu=0.0)
+            return solver
+
+        return make
+
+    @staticmethod
+    def _lbm():
+        sim = LBMSimulation(LBMethod(relaxation_rate=1.6), (10, 8), backend="c")
+        sim.pdf[...] *= 1 + 0.01 * np.random.default_rng(2).random(sim.pdf.shape)
+        return sim
+
+    def _pair(self, monkeypatch, case, kernels):
+        if case == "lbm-periodic":
+            import repro.lbm.simulation as module
+
+            make = self._lbm
+        else:
+            module = pfm_solver
+            model, boundary = case.split("-")
+            make = self._pfm(
+                kernels[model], (8, 6, 5) if model == "binary3d" else SHAPE, boundary, seed=7
+            )
+        return make(), _per_op(monkeypatch, module, make)
+
+    @staticmethod
+    def _assert_same(native, reference):
+        assert native._batch is not None and reference._batch is None
+        assert native.arrays.keys() == reference.arrays.keys()
+        for name in native.arrays:
+            assert native.arrays[name].tobytes() == reference.arrays[name].tobytes(), name
+        assert (native.time, native.time_step) == (reference.time, reference.time_step)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["binary2d-periodic", "binary2d-neumann", "binary2d-dirichlet",
+         "binary3d-periodic", "philox2d-periodic", "lbm-periodic"],
+    )
+    @pytest.mark.parametrize("n, every", [(7, None), (10, 3)], ids=["odd", "callback"])
+    def test_a_batch_equals_the_per_op_path(
+        self, kernel_set, binary3d, philox2d, monkeypatch, case, n, every
+    ):
+        kernels = {"binary2d": kernel_set, "binary3d": binary3d, "philox2d": philox2d}
+        solvers = self._pair(monkeypatch, case, kernels)
+        seen = {}
+        for solver in solvers:
+            log = seen[id(solver)] = []
+            if every:
+                solver.add_callback(
+                    lambda s, log=log: log.append((s.time_step, s.time)) or _nudge(s), every
+                )
+            solver.step(n)
+            lowered = solver._batch
+            solver.step(2)  # and on, from the other parity, without lowering again
+            assert solver._batch is lowered
+        native, reference = solvers
+        self._assert_same(native, reference)
+        assert seen[id(native)] == seen[id(reference)]
+        assert len(seen[id(native)]) == (12 // every if every else 0)
+
+    @pytest.mark.slow
+    def test_p1_with_t_in_its_signature(self, monkeypatch):
+        from repro.pfm import make_p1
+
+        p1 = GrandPotentialModel(make_p1(dim=3)).create_kernels()
+        assert any(
+            a.key == "t" for k in p1.all_kernels for a in k.signature if a.role == "parameter"
+        )
+        make = self._pfm(p1, (6, 5, 7), "neumann", seed=3)
+        native, reference = make(), _per_op(monkeypatch, pfm_solver, make)
+        for solver in (native, reference):
+            solver.step(5)
+        self._assert_same(native, reference)
+
+    def test_records_and_events_per_batch(self, kernel_set):
+        recorder = FlightRecorder(capacity=None)
+        previous = set_recorder(recorder)
+        try:
+            solver = _single(kernel_set, backend="c")
+            solver.profiler.reset()
+            recorder.reset()
+            solver.step(5)
+        finally:
+            set_recorder(previous)
+        assert _records(solver.profiler) == _expected_records(kernel_set, 5, 64)
+        batch = solver._batch
+        ops = [(e.name, e.data["calls"], e.data.get("cells", 0)) for e in recorder.events
+               if e.kind == "op"]
+        assert ops == [(name, 5, cells) for name, (_, cells) in
+                       _expected_records(kernel_set, 5, 64).items()]
+        assert [(e.kind, e.name) for e in recorder.events] == [
+            ("lowering", "single"), ("step_begin", "0"),
+            *[("op", name) for name in batch.names], ("step_end", "0"),
+        ]
+        begin, end = recorder.events[1], recorder.events[-1]
+        assert begin.data["steps"] == end.data["steps"] == 5
+        assert end.data["seconds"] >= sum(e.data["seconds"] for e in recorder.events
+                                          if e.kind == "op")
+
+    def test_a_direct_call_does_not_change_the_batch(self, philox2d, monkeypatch):
+        """The ops hold copies: a call on the solver's arrays with another seed."""
+        make = self._pfm(philox2d, SHAPE, "periodic", seed=7)
+        native, reference = make(), _per_op(monkeypatch, pfm_solver, make)
+        phi = philox2d.phi_kernels[0]
+        for solver in (native, reference):
+            solver.step(3)
+            # the array set of the loop's own calls: the binding it lowered
+            compile_cached(phi, "c")(solver.arrays, ghost_layers=solver.ghost_layers,
+                                     block_offset=(0, 0), t=0.0, time_step=99, seed=0)
+            solver.step(3)
+        self._assert_same(native, reference)
+
+    def test_a_replaced_array_is_lowered_again(self, kernel_set, monkeypatch):
+        make = self._pfm(kernel_set, SHAPE, "periodic")
+        native, reference = make(), _per_op(monkeypatch, pfm_solver, make)
+        kept = []
+        for solver in (native, reference):
+            solver.step(3)
+            old = solver.arrays["mu"]
+            solver.arrays["mu"] = old.copy(order="K")
+            old[...] = 7.0
+            kept.append((old, old.copy()))
+        first = native._batch
+        for solver in (native, reference):
+            solver.step(4)
+        assert native._batch is not first
+        for old, before in kept:
+            assert old.tobytes() == before.tobytes()  # no step reached it
+        self._assert_same(native, reference)
+
+    def test_a_wrapped_kernel_or_a_harness_takes_the_per_op_path(
+        self, kernel_set, monkeypatch
+    ):
+        wrapped = _per_op(monkeypatch, pfm_solver, lambda: _single(kernel_set, backend="c"))
+        wrapped.step(3)
+        assert wrapped._batch is None
+
+        class CountingHarness(CounterHarness):
+            samples = 0
+
+            def sample(self):
+                self.samples += 1
+                return CounterSample(cycles=float(self.samples))
+
+        solver = _single(kernel_set, backend="c")
+        solver.step(1)
+        assert solver._batch is not None
+        harness = CountingHarness()
+        set_counter_harness(harness)
+        try:
+            solver.step(2)
+        finally:
+            set_counter_harness(None)
+        assert harness.samples == 2 * 10  # every op of both steps, two each
+        calls = solver.profiler.records[kernel_set.phi_kernels[0].name].calls
+        assert calls == 3
+
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_negative_n_raises_and_zero_is_a_no_op(self, kernel_set, backend):
+        solver = _single(kernel_set, backend=backend)
+        recorder = FlightRecorder(capacity=None)
+        previous = set_recorder(recorder)
+        try:
+            with pytest.raises(ValueError, match="n_steps must be >= 0, got -1"):
+                solver.step(-1)
+            solver.step(0)
+        finally:
+            set_recorder(previous)
+        assert recorder.events == []
+        assert (solver.time_step, solver.time) == (0, 0.0)
+
+    def test_health_runs_on_its_interval_and_ends_the_batches(self, kernel_set):
+        steps = {}
+        for backend in ("numpy", "c"):
+            recorder = FlightRecorder(capacity=None)
+            previous = set_recorder(recorder)
+            try:
+                # bounds every state breaks: one event per check
+                health = HealthMonitor(policy="record", interval=10, bounds={"phi": (0.5, 0.5)})
+                solver = SingleBlockSolver(kernel_set, SHAPE, backend=backend, health=health)
+                solver.set_state(_phi0(kernel_set), mu=0.0)
+                solver.step(50)
+            finally:
+                set_recorder(previous)
+            steps[backend] = [e.time_step for e in health.events]
+            batches = [e.data.get("steps") for e in recorder.events if e.kind == "step_begin"]
+            assert health.n_checks == 5
+            if backend == "c":
+                assert batches == [10] * 5
+            else:
+                assert batches == [None] * 50
+        assert steps["c"] == steps["numpy"] == [10, 20, 30, 40, 50]
+
+    def test_a_native_crash_names_its_op_and_step(self, kernel_set, tmp_path):
+        child = textwrap.dedent("""
+            import ctypes, resource, sys
+            from repro.observability import RunDir
+            from repro.pfm import (
+                GrandPotentialModel, SingleBlockSolver, make_two_phase_binary, planar_front,
+            )
+
+            resource.setrlimit(resource.RLIMIT_CORE, (0, 0))  # abort leaves no core file
+            ks = GrandPotentialModel(make_two_phase_binary(dim=2)).create_kernels()
+            with RunDir(sys.argv[1]) as rundir:
+                solver = SingleBlockSolver(ks, (8, 8), backend="c", rundir=rundir)
+                solver.set_state(planar_front((8, 8), 2, 0, 1, position=4.0, epsilon=4.0))
+                solver.step(3)
+                batch = solver._batch
+                (mu,) = ks.mu_kernels
+                abort = ctypes.cast(ctypes.CDLL(None).abort, ctypes.c_void_p).value
+                for half in (0, 1):
+                    batch.ops[5 * (half * batch.nops + batch.names.index(mu.name))] = abort
+                solver.step(4)
+        """)
+        rundir = tmp_path / "run"
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(rundir)], capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == -signal.SIGABRT, done.stderr
+        bundle = capture_postmortem(recorder=load_journal(rundir / "journal.jsonl"))
+        (mu,) = kernel_set.mu_kernels
+        assert bundle["last_kernel"]["name"] == mu.name
+        assert bundle["last_kernel"]["data"]["time_step"] == 3
+        assert bundle["last_kernel"]["data"]["steps"] == 4

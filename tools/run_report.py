@@ -119,12 +119,14 @@ def svg_line_chart(series, width=640, height=120, label="") -> str:
 
 def load_step_seconds(journals, rundir: Path) -> list[float] | None:
     """Per-step wall times: ``step_end`` events of the first journal that has
-    any, else the ``step`` spans of ``trace.json``."""
+    any, else the ``step`` spans of ``trace.json``.  One that closes a
+    native batch of ``steps`` steps counts as that many equal steps."""
     for journal in journals:
         seconds = [
-            float(e.data["seconds"])
+            per_step
             for e in journal.events
             if e.kind == "step_end" and "seconds" in e.data
+            for per_step in _split(e.data["seconds"], e.data.get("steps", 1))
         ]
         if seconds:
             return seconds
@@ -135,13 +137,18 @@ def load_step_seconds(journals, rundir: Path) -> list[float] | None:
         except json.JSONDecodeError:
             return None
         seconds = [
-            e["dur"] / 1e6
+            per_step
             for e in doc.get("traceEvents", [])
             if e.get("ph") == "X" and e.get("name") == "step"
+            for per_step in _split(e["dur"] / 1e6, e.get("args", {}).get("steps", 1))
         ]
         if seconds:
             return seconds
     return None
+
+
+def _split(seconds: float, steps: int) -> list[float]:
+    return [float(seconds) / steps] * steps
 
 
 def load_diagnostics(rundir: Path) -> tuple[list[str], dict] | None:
