@@ -94,27 +94,19 @@ class DiagnosticsSuite:
         cls,
         model,
         backend: str = "numpy",
-        extra_specs: tuple = (),
-        name: str = "diagnostics",
     ) -> "DiagnosticsSuite":
         """Standard suite (free energy, fractions, solute mass, interface)."""
-        specs = model_diagnostics(model) + list(extra_specs)
         return cls(
-            specs,
+            model_diagnostics(model),
             dim=model.params.dim,
             dx=model.params.dx,
             backend=backend,
-            name=name,
             parameter_values=model.compile_time_constants(),
         )
 
     @property
     def names(self) -> list[str]:
         return [s.name for s in self.specs]
-
-    @property
-    def ghost_layers(self) -> int:
-        return self.kernel.ghost_layers
 
     def partial(
         self,

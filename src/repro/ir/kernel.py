@@ -430,19 +430,17 @@ def _check_no_neighbour_reads_of_written_fields(
         )
 
 
-def split_interior_frontier(
-    kernel: Kernel, margin: int | None = None
-) -> tuple[Kernel, tuple[Kernel, ...]]:
+def split_interior_frontier(kernel: Kernel) -> tuple[Kernel, tuple[Kernel, ...]]:
     """Split *kernel* into an interior variant and per-face frontier variants.
 
-    *margin* defaults to the kernel's stencil reach (``kernel.ghost_layers``):
-    a cell at distance ≥ reach from every block face reads no ghost data, so
-    the interior variant can run while a ghost exchange is in flight; the
-    frontier variants sweep the remaining shell once the exchange finished.
+    The margin is the kernel's stencil reach (``kernel.ghost_layers``, at
+    least 1): a cell at distance ≥ reach from every block face reads no
+    ghost data, so the interior variant can run while a ghost exchange is in
+    flight; the frontier variants sweep the remaining shell once the
+    exchange finished.
     Interior ∪ frontiers tiles the block exactly once.
     """
-    m = kernel.ghost_layers if margin is None else int(margin)
-    m = max(m, 1)
+    m = max(kernel.ghost_layers, 1)
     interior = kernel.restricted(interior_space(kernel.dim, m))
     frontiers = tuple(
         kernel.restricted(space) for space in frontier_spaces(kernel.dim, m)

@@ -67,12 +67,6 @@ class AxisInterval:
         return lo, hi
 
     @property
-    def is_full(self) -> bool:
-        return (self.start, self.stop, self.start_from_end, self.stop_from_end) == (
-            0, 0, False, True,
-        )
-
-    @property
     def is_face(self) -> bool:
         """Both endpoints count from the same end: ``stop - start`` cells at any extent."""
         return self.start_from_end == self.stop_from_end
@@ -99,10 +93,6 @@ class IterationSpace:
     @property
     def dim(self) -> int:
         return len(self.intervals)
-
-    @property
-    def is_full(self) -> bool:
-        return all(iv.is_full for iv in self.intervals)
 
     def concrete(self, interior_shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """Absolute per-axis ``(lo, hi)`` interior index ranges."""

@@ -54,19 +54,15 @@ class LBMethod:
         )
 
 
-def create_lbm_update(
-    method: LBMethod,
-    src_name: str = "pdf",
-    dst_name: str = "pdf_dst",
-) -> tuple[AssignmentCollection, Field, Field]:
+def create_lbm_update(method: LBMethod) -> tuple[AssignmentCollection, Field, Field]:
     """Build the fused stream-collide assignment collection.
 
-    Returns ``(assignments, src_field, dst_field)``; the fields carry one
-    inner index per lattice direction.
+    Returns ``(assignments, src_field, dst_field)``, the fields ``pdf`` and
+    ``pdf_dst`` with one inner index per lattice direction.
     """
     lat = method.lattice
-    src = Field(src_name, lat.dim, (lat.q,))
-    dst = Field(dst_name, lat.dim, (lat.q,))
+    src = Field("pdf", lat.dim, (lat.q,))
+    dst = Field("pdf_dst", lat.dim, (lat.q,))
 
     pulled = []
     subexpressions = []

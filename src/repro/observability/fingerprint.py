@@ -319,9 +319,6 @@ class FingerprintStream:
         self.first_divergence: dict | None = None
         self.overhead_seconds = 0.0
 
-    def __len__(self):
-        return len(self.records)
-
     @property
     def auditing(self) -> bool:
         return self._reference is not None

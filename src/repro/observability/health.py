@@ -68,8 +68,10 @@ class HealthMonitor:
         ``"record"`` (store events), ``"warn"`` (store + log warning) or
         ``"raise"`` (store + log + raise :class:`HealthError`).
     interval:
-        Check cadence in time steps; a solver reads it when the monitor is
-        attached and checks after every step that :meth:`due` accepts.
+        Check cadence in time steps.  A solver reads it once, when the
+        monitor is attached (and refuses one below 1), and checks after
+        every step whose number is a multiple of it; :meth:`due` is the same
+        test for a caller that drives the monitor itself.
     nan_check:
         Enable the non-finite watchdog.
     phase_sum_tol:

@@ -123,8 +123,6 @@ def capture_postmortem(
     exc: BaseException | None = None,
     recorder=None,
     rank: int | None = None,
-    last_n: int = 100,
-    extra: dict | None = None,
 ) -> dict:
     """Snapshot the current recorder (and registered field state) as a bundle.
 
@@ -155,7 +153,7 @@ def capture_postmortem(
     try:
         bundle["position"] = recorder.position
         bundle["open_spans"] = recorder.open_spans()
-        bundle["last_events"] = recorder.last_events(last_n)
+        bundle["last_events"] = recorder.last_events(100)
         last = recorder.last_of("step_begin", *_KERNEL_KINDS)
         if last is not None and last.kind == "step_begin" and "steps" in last.data:
             # inside a native batch: no event names the op, its breadcrumb does
@@ -175,8 +173,6 @@ def capture_postmortem(
             bundle["fields"] = field_stats(provider())
         except Exception as inner:
             bundle["fields"] = {"error": f"{type(inner).__name__}: {inner}"}
-    if extra:
-        bundle.update(extra)
     return bundle
 
 

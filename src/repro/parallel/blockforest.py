@@ -17,11 +17,11 @@ import numpy as np
 __all__ = ["Block", "BlockForest", "morton_key"]
 
 
-def morton_key(coords: tuple[int, ...], bits: int = 21) -> int:
-    """Interleave the bits of the block coordinates (Z-order curve)."""
+def morton_key(coords: tuple[int, ...]) -> int:
+    """Interleave the low 21 bits of the block coordinates (Z-order curve)."""
     key = 0
     dim = len(coords)
-    for bit in range(bits):
+    for bit in range(21):
         for d, c in enumerate(coords):
             key |= ((c >> bit) & 1) << (bit * dim + d)
     return key
@@ -35,10 +35,6 @@ class Block:
     interior_shape: tuple[int, ...]
     cell_offset: tuple[int, ...]   # global cell index of the first interior cell
     arrays: dict[str, np.ndarray] = dc_field(default_factory=dict)
-
-    @property
-    def id(self) -> tuple[int, ...]:
-        return self.coords
 
 
 class BlockForest:

@@ -96,7 +96,6 @@ class ClusterModel:
         self,
         global_shape: tuple[int, ...],
         rank_counts: list[int],
-        simd_width: int = 8,
     ) -> list[StrongScalingPoint]:
         """Fixed total domain split over growing rank counts (Fig. 3 right).
 
@@ -111,9 +110,9 @@ class ClusterModel:
             cells_per_rank = total_cells / ranks
             edge = max(2.0, cells_per_rank ** (1.0 / len(global_shape)))
             block_shape = (int(round(edge)),) * len(global_shape)
-            # SIMD remainder of the contiguous dimension
+            # SIMD remainder of the contiguous dimension (8 lanes)
             inner = block_shape[-1]
-            simd_eff = inner / (simd_width * np.ceil(inner / simd_width))
+            simd_eff = inner / (8 * np.ceil(inner / 8))
             # cubic-block bonus is implicit; penalize tiny blocks' ghost share
             mlups = self.rank_compute_mlups * (0.6 + 0.4 * simd_eff)
             nodes = max(1, ranks // self.ranks_per_node)

@@ -1,6 +1,6 @@
 """Automatic performance modeling: op counts, layer conditions, ECM, roofline."""
 
-from .ecm import ECMModel, ECMPrediction, combine_kernels_mlups
+from .ecm import ECMModel, ECMPrediction
 from .flops import SKYLAKE_WEIGHTS, OperationCount, count_operations
 from .layer_condition import TrafficAnalysis, analyze_traffic, blocking_factor
 from .ledger import (
@@ -29,7 +29,6 @@ from .selection import SelectionReport, VariantRating, select_variants
 __all__ = [
     "ECMModel",
     "ECMPrediction",
-    "combine_kernels_mlups",
     "SKYLAKE_WEIGHTS",
     "OperationCount",
     "count_operations",

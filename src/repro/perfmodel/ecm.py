@@ -24,7 +24,7 @@ from ..ir.kernel import Kernel
 from .layer_condition import TrafficAnalysis, analyze_traffic
 from .machine import MachineModel
 
-__all__ = ["ECMPrediction", "ECMModel", "combine_kernels_mlups"]
+__all__ = ["ECMPrediction", "ECMModel"]
 
 _LUPS_PER_UNIT = 8  # one cache line of double results
 
@@ -134,13 +134,3 @@ class ECMModel:
             t_mem=t_mem,
             machine=m,
         )
-
-
-def combine_kernels_mlups(predictions, cores: int) -> float:
-    """Aggregate MLUP/s of several kernels run back to back per time step.
-
-    1 LUP of the combined sweep requires the per-LUP time of every kernel,
-    so the rates combine harmonically.
-    """
-    total_time = sum(1.0 / p.mlups(cores) for p in predictions)
-    return 1.0 / total_time

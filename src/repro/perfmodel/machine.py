@@ -80,10 +80,6 @@ class MachineModel:
         """
         return self.simd_doubles * self.fma_ports
 
-    @property
-    def cores_per_node(self) -> int:
-        return self.cores_per_socket * self.sockets_per_node
-
     def mem_bandwidth_bytes_per_cycle(self) -> float:
         """Per-socket memory bandwidth expressed in bytes/cycle."""
         return self.mem_bandwidth_gbs / self.clock_ghz

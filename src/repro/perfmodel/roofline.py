@@ -27,9 +27,6 @@ class RooflinePoint:
     attainable_mflops: float
     bound: str                  # "compute" | "memory"
 
-    def attainable_mlups(self, flops_per_lup: float) -> float:
-        return self.attainable_mflops / flops_per_lup
-
 
 def roofline(
     kernel: Kernel,

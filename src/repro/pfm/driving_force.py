@@ -111,10 +111,6 @@ class GrandPotentialDrivingForce:
         self.h = h
 
     @property
-    def n_phases(self) -> int:
-        return len(self.phases)
-
-    @property
     def n_mu(self) -> int:
         return self.phases[0].n_mu
 
@@ -149,7 +145,3 @@ class GrandPotentialDrivingForce:
         for a, p in enumerate(self.phases):
             total += p.susceptibility(T) * self.h(phi.center(a))
         return total
-
-    def parameter_count(self) -> int:
-        """Total driving-force configuration parameters (paper §5.1)."""
-        return sum(p.parameter_count() for p in self.phases)

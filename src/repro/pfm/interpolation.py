@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sympy as sp
 
-__all__ = ["h_interp", "h_interp_prime", "g_interp", "h_quintic", "h_quintic_prime"]
+__all__ = ["h_interp", "h_interp_prime", "g_interp", "h_quintic"]
 
 
 def h_interp(x: sp.Expr) -> sp.Expr:
@@ -34,12 +34,6 @@ def h_quintic(x: sp.Expr) -> sp.Expr:
     """Quintic interpolation ``x³(10 − 15x + 6x²)`` (also h''(0)=h''(1)=0)."""
     x = sp.sympify(x)
     return x**3 * (10 - 15 * x + 6 * x**2)
-
-
-def h_quintic_prime(x: sp.Expr) -> sp.Expr:
-    """Derivative ``30x²(1 − x)²`` of the quintic interpolation."""
-    x = sp.sympify(x)
-    return 30 * x**2 * (1 - x) ** 2
 
 
 def g_interp(x: sp.Expr) -> sp.Expr:

@@ -16,7 +16,7 @@ literature (interface width ≈ 4Δx, parabolic free energies concave in µ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class ModelParameters:
     @property
     def n_mu(self) -> int:
         return self.phases[0].n_mu
-
-    @property
-    def n_components(self) -> int:
-        return self.n_mu + 1
 
     def configuration_parameter_count(self) -> int:
         """Scalar values fixed at compile time (paper §5.1's counting).

@@ -42,9 +42,6 @@ class TemperatureField:
     def time_derivative(self) -> sp.Expr:
         return sp.diff(self.expr, t_symbol)
 
-    def __call__(self) -> sp.Expr:
-        return self.expr
-
 
 def constant_temperature(T0: float) -> TemperatureField:
     """Spatially and temporally constant temperature."""

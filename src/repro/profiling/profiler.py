@@ -21,8 +21,7 @@ pins the number of counter samples per step (10 with a PMU, 0 without),
 so it cannot grow unseen.  What it buys: the per-kernel MLUP/s table
 (with a PMU: cycles, instructions, cache misses over the very interval the
 seconds span), and the one event per interval that the trace, the journal
-and a crash post-mortem are made of.  Construct with ``enabled=False`` to
-make ``measure`` a true no-op.  A native batch of the time loop (no PMU
+and a crash post-mortem are made of.  A native batch of the time loop (no PMU
 harness) enters no block: its runner clocks every call in C, and the
 batch adds the sums to the same measurements (``_Measurement.add``), one
 ``op`` event per operation and batch.
@@ -45,7 +44,6 @@ the counter fields stay zero and the report says so explicitly.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -203,8 +201,7 @@ class _Measurement:
 class SolverProfiler:
     """Collects named wall-clock timings with cell and byte counters."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.records: dict[str, TimingRecord] = {}
         self._epoch = 0     # bumped by reset(): a measurement re-resolves its record
 
@@ -256,8 +253,6 @@ class SolverProfiler:
         later interval of the same operation — the time loop makes one per
         scheduled operation when it lowers its schedule.
         """
-        if not self.enabled:
-            return nullcontext()
         return _Measurement(self, name, cells, nbytes)
 
     # -- aggregation -----------------------------------------------------------

@@ -8,21 +8,3 @@ specs (params × geometry × model), execute them across worker processes
 that share the warm on-disk kernel cache, and merge every run's
 diagnostics, health events and RunDir artifacts into one sweep report.
 """
-
-__all__ = [
-    "SWEEP_SCHEMA",
-    "ScenarioSpec",
-    "load_sweep_manifest",
-    "run_scenario",
-    "run_sweep",
-]
-
-
-def __getattr__(name):
-    # lazy re-export so `python -m repro.service.sweep` does not import
-    # the submodule twice (runpy's double-import warning)
-    if name in __all__:
-        from . import sweep
-
-        return getattr(sweep, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -242,7 +242,6 @@ def run_sweep(
     sweep_dir,
     workers: int = 2,
     backend: str | None = None,
-    queue_sample_seconds: float = 0.1,
 ) -> dict:
     """Run *specs* across a forked worker pool; returns the sweep manifest.
 
@@ -301,7 +300,7 @@ def run_sweep(
 
     while accounted() < len(specs):
         now = time.perf_counter()
-        if now - last_sample >= queue_sample_seconds:
+        if now - last_sample >= 0.1:  # one queue-depth sample per 0.1 s
             try:
                 depth = task_queue.qsize()
             except NotImplementedError:  # pragma: no cover - macOS

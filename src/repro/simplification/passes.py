@@ -301,16 +301,16 @@ def count_nodes(expr: sp.Expr) -> int:
     return NodeCounter()(expr)
 
 
-def global_cse(ac: AssignmentCollection, symbol_prefix: str = "xi") -> AssignmentCollection:
+def global_cse(ac: AssignmentCollection) -> AssignmentCollection:
     """Global common-subexpression elimination across all assignments.
 
     Existing subexpressions are inlined first so that repeated runs converge
-    to the same canonical SSA form.
+    to the same canonical SSA form.  Temporaries are named ``xi_0, xi_1, …``.
     """
     inlined = ac.inline_subexpressions()
     rhs_list = [a.rhs for a in inlined.main_assignments]
     replacements, reduced = sp.cse(
-        rhs_list, symbols=sp.numbered_symbols(symbol_prefix + "_", real=True), order="none"
+        rhs_list, symbols=sp.numbered_symbols("xi_", real=True), order="none"
     )
     subexpressions = [Assignment(lhs, rhs) for lhs, rhs in replacements]
     main = [

@@ -208,9 +208,6 @@ class AssignmentCollection:
             [a.transform_rhs(f) for a in self.subexpressions],
         )
 
-    def subs(self, mapping: dict) -> "AssignmentCollection":
-        return self.transform_rhs(lambda e: e.xreplace(mapping))
-
     def inline_subexpressions(self) -> "AssignmentCollection":
         """Substitute all temporaries back into the main assignments."""
         table: dict[sp.Symbol, sp.Expr] = {}

@@ -20,7 +20,6 @@ __all__ = [
     "dt",
     "dx",
     "spacing",
-    "all_coordinates",
 ]
 
 
@@ -94,8 +93,3 @@ def spacing(axis: int) -> sp.Symbol:
 
 #: Convenience tuple of the three spacing symbols.
 dx = (spacing(0), spacing(1), spacing(2))
-
-
-def all_coordinates(expr: sp.Expr) -> set[int]:
-    """Return the set of spatial axes whose coordinate symbol occurs in *expr*."""
-    return {s.axis for s in expr.atoms(CoordinateSymbol)}

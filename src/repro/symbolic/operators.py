@@ -122,10 +122,6 @@ class Divergence(sp.Expr):
     def flux(self) -> tuple:
         return self.args
 
-    @property
-    def dim(self) -> int:
-        return len(self.args)
-
     def as_diff_sum(self) -> sp.Expr:
         return sp.Add(*[Diff(f, i) for i, f in enumerate(self.args)])
 

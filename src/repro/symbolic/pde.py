@@ -13,12 +13,11 @@ potential components).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import sympy as sp
 
 from .field import Field, FieldAccess
-from .operators import Transient
 
 __all__ = ["EvolutionEquation", "PDESystem"]
 
@@ -38,17 +37,6 @@ class EvolutionEquation:
     @property
     def field(self) -> Field:
         return self.unknown.field
-
-    def as_residual(self) -> sp.Expr:
-        """``relaxation * ∂t u − rhs`` — the paper's ``φ_pdes`` form."""
-        return self.relaxation * Transient(self.unknown) - self.rhs
-
-    def subs(self, mapping) -> "EvolutionEquation":
-        return EvolutionEquation(
-            self.unknown,
-            self.rhs.xreplace(mapping),
-            self.relaxation.xreplace(mapping),
-        )
 
     def __repr__(self):
         r = "" if self.relaxation == 1 else f"{self.relaxation} * "
@@ -77,16 +65,6 @@ class PDESystem:
     @property
     def field(self) -> Field:
         return self.equations[0].field
-
-    @property
-    def unknowns(self) -> list[FieldAccess]:
-        return [eq.unknown for eq in self.equations]
-
-    def subs(self, mapping) -> "PDESystem":
-        return PDESystem([eq.subs(mapping) for eq in self.equations], name=self.name)
-
-    def __iter__(self) -> Iterable[EvolutionEquation]:
-        return iter(self.equations)
 
     def __len__(self):
         return len(self.equations)

@@ -218,6 +218,10 @@ class TimeLoop:
                 f"ghost_layers={ghost_layers} below the kernel set's "
                 f"requirement of {required_gl}"
             )
+        # the monitor checks its interval only when constructed; it is the
+        # health stage's cadence (a modulus) from here on
+        if health is not None and health.interval < 1:
+            raise ValueError(f"health interval must be >= 1, got {health.interval}")
         self._cut = (slice(self.ghost_layers, -self.ghost_layers),) * self.dim
         self.block_shape = tuple(block_shape)
         self.dt = dt
@@ -623,7 +627,6 @@ class TimeLoop:
         every: int = 1,
         csv_path=None,
         tile_shape: tuple[int, ...] | None = None,
-        check_invariants: bool = True,
     ):
         """Evaluate a :class:`~repro.diagnostics.DiagnosticsSuite` in-situ.
 
@@ -631,9 +634,9 @@ class TimeLoop:
         conservation reference) the suite's reduction kernel runs on the
         live fields; rows stream into the returned
         :class:`~repro.diagnostics.DiagnosticsSeries` (CSV and counter
-        events).  With *check_invariants* and a :class:`HealthMonitor`
-        attached, solute-mass drift and free-energy decay violations go
-        through the monitor's policy *before* the per-field watchdogs run.
+        events).  With a :class:`HealthMonitor` attached, solute-mass drift
+        and free-energy decay violations go through the monitor's policy
+        *before* the per-field watchdogs run.
 
         Collective under a communicator: every rank evaluates its own
         blocks' partial sums, the partials are allgathered and merged in
@@ -659,9 +662,7 @@ class TimeLoop:
             suite.names,
             csv_path=csv_path if self.rank == 0 else None,
         )
-        mass, energy = (
-            invariant_names(suite.names, self.params) if check_invariants else ((), None)
-        )
+        mass, energy = invariant_names(suite.names, self.params)
 
         def evaluate() -> None:
             self._drain()

@@ -141,6 +141,33 @@ class TestParity:
         assert np.array_equal(a_np["g"].view(np.uint64), a_c["g"].view(np.uint64))
 
 
+class TestApproximationParity:
+    """Every approximate operation rounds through float32 the same way in C and NumPy."""
+
+    def test_sqrt_rsqrt_and_division_are_bitwise_equal(self):
+        from repro.backends.numpy_backend import generate_numpy_source
+
+        f, g = Field("f", 2), Field("g", 2)
+        c = f.center()
+        ac = AssignmentCollection(
+            [Assignment(g.center(), sp.sqrt(c + 3) + 1 / sp.sqrt(c + 2) + 3 / (c + 1))],
+            name="approx",
+        )
+        k = create_kernel(ac, KernelConfig(approximations=("division", "sqrt", "rsqrt")))
+        ops = ("_fast_sqrt(", "_fast_rsqrt(", "_fast_div(")
+        assert all(op in generate_numpy_source(k) for op in ops)
+        # the C source defines each helper once and calls it once
+        assert all(generate_c_source(k).count(op) == 2 for op in ops)
+        assert compile_c_kernel(k).name == "approx"
+        a_np, a_c = _run_both([k], (9, 13))
+        assert np.array_equal(a_np["g"].view(np.uint64), a_c["g"].view(np.uint64))
+        # the approximation is visible: float32 rounding, not the exact value
+        x = a_np["f"][1:-1, 1:-1]
+        exact = np.sqrt(x + 3) + 1 / np.sqrt(x + 2) + 3 / (x + 1)
+        np.testing.assert_allclose(a_np["g"][1:-1, 1:-1], exact, rtol=1e-6)
+        assert not np.array_equal(a_np["g"][1:-1, 1:-1], exact)
+
+
 class TestBinaryModelParity:
     def test_full_time_step(self):
         """One full Algorithm-1 step of the binary model: C == NumPy."""

@@ -8,19 +8,26 @@ thread-backed simulator and the process-backed runtime.  A backend that
 passes this suite can be swapped under :class:`DistributedSolver` without
 re-validating the solver.
 
-``MPI4PyComm`` joins for the single-rank subset on ``COMM_SELF`` when
-mpi4py is installed (a plain pytest process is a one-rank MPI world; the
-multi-rank subset needs ``mpirun`` and is covered by the adapter's design
-instead).
+``MPI4PyComm`` runs the communicator cases (not the runner's deadlock,
+timeout and failure diagnostics, which ``mpirun`` owns, nor the
+rank-ordered reduction, which MPI does not promise) on ``run_ranks``
+threads through :class:`FakeMPIComm`, a stand-in for ``mpi4py.MPI.Comm``
+injected into ``sys.modules``.  With mpi4py installed it also joins for the
+single-rank subset on a real ``COMM_SELF``.
 """
 
+import operator
+import pickle
 import re
+import sys
 import time
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.parallel.mpi_adapter import mpi4py_available
+from repro.parallel.mpi_adapter import MPI4PyComm, mpi4py_available
 from repro.parallel.mpi_sim import RankError, run_ranks
 from repro.parallel.proc_comm import process_backend_available, run_ranks_processes
 
@@ -36,14 +43,129 @@ BACKENDS = [
 ]
 
 
+class FakeMPIException(RuntimeError):
+    """``mpi4py.MPI.Exception``."""
+
+
+class FakeMPIComm:
+    """``mpi4py.MPI.Comm``'s lower-case API, carried by a simulated rank.
+
+    What mpi4py checks, this checks: a payload travels pickled (so a
+    receiver never shares an object with its sender); a tag is converted
+    as a C ``int`` (a tuple is a ``TypeError``, ``True`` is tag 1) and must
+    lie in ``[0, TAG_UB]``; and a non-blocking receive completes into the
+    buffer it was posted with — a pickled message longer than that buffer
+    is a truncation error, as under MPI.
+    """
+
+    TAG_UB = 32767
+
+    def __init__(self, sim):
+        self._sim = sim
+
+    def Get_rank(self):
+        return self._sim.rank
+
+    def Get_size(self):
+        return self._sim.size
+
+    def _tag(self, tag):
+        tag = operator.index(tag)
+        if not 0 <= tag <= self.TAG_UB:
+            raise FakeMPIException(f"MPI_ERR_TAG: invalid tag {tag}")
+        return tag
+
+    def send(self, obj, dest, tag=0):
+        self._sim.send(pickle.dumps(obj), dest, tag=self._tag(tag))
+
+    def recv(self, source, tag=0):
+        return pickle.loads(self._sim.recv(source, tag=self._tag(tag)))
+
+    def isend(self, obj, dest, tag=0):
+        return _FakeRequest(self._sim.isend(pickle.dumps(obj), dest, tag=self._tag(tag)))
+
+    def irecv(self, buf, source, tag=0):
+        return _FakeRequest(self._sim.irecv(source, tag=self._tag(tag)), len(buf))
+
+    def sendrecv(self, obj, dest, sendtag=0, source=0, recvtag=0):
+        self.send(obj, dest, sendtag)
+        return self.recv(source, recvtag)
+
+    def Barrier(self):
+        self._sim.barrier()
+
+    def bcast(self, obj, root=0):
+        return pickle.loads(self._sim.bcast(pickle.dumps(obj), root=root))
+
+    def gather(self, obj, root=0):
+        data = self._sim.gather(pickle.dumps(obj), root=root)
+        return None if data is None else [pickle.loads(d) for d in data]
+
+    def allgather(self, obj):
+        return [pickle.loads(d) for d in self._sim.allgather(pickle.dumps(obj))]
+
+    def allreduce(self, value, op):
+        return self._sim.allreduce(value, op=op)
+
+
+class _FakeRequest:
+    """``mpi4py.MPI.Request``: ``wait()`` -> object, ``test()`` -> ``(flag, object)``."""
+
+    def __init__(self, posted, capacity=None):
+        self._posted, self._capacity = posted, capacity
+
+    def _unpack(self, payload):
+        if payload is None:  # a send
+            return None
+        if len(payload) > self._capacity:
+            raise FakeMPIException(
+                f"MPI_ERR_TRUNCATE: message of {len(payload)} bytes, buffer of {self._capacity}"
+            )
+        return pickle.loads(payload)
+
+    def wait(self):
+        return self._unpack(self._posted.wait())
+
+    def test(self):
+        done, payload = self._posted.test()
+        return (True, self._unpack(payload)) if done else (False, None)
+
+
+def fake_mpi4py():
+    """``{"mpi4py": ..., "mpi4py.MPI": ...}`` for ``sys.modules``."""
+    mpi = types.ModuleType("mpi4py.MPI")
+    mpi.SUM, mpi.MAX, mpi.MIN = "sum", "max", "min"
+    mpi.Exception = FakeMPIException
+    package = types.ModuleType("mpi4py")
+    package.MPI = mpi
+    return {"mpi4py": package, "mpi4py.MPI": mpi}
+
+
+def run_mpi4py(size, prog, irecv_buffer_bytes=16 * 2**20, **kwargs):
+    """*prog* on ``MPI4PyComm`` over :class:`FakeMPIComm`, one thread per rank."""
+    with mock.patch.dict(sys.modules, fake_mpi4py()):
+        return run_ranks(
+            size,
+            lambda sim: prog(MPI4PyComm(FakeMPIComm(sim), irecv_buffer_bytes)),
+            **kwargs,
+        )
+
+
 def run_spmd(backend, size, prog, **kwargs):
     if backend == "sim":
         return run_ranks(size, prog, **kwargs)
+    if backend == "mpi4py":
+        return run_mpi4py(size, prog, **kwargs)
     return run_ranks_processes(size, prog, **kwargs)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+#: every backend plus MPI4PyComm over the fake mpi4py, for the cases whose
+#: semantics MPI itself guarantees
+WITH_MPI4PY = [*BACKENDS, "mpi4py"]
+
+
 class TestPointToPoint:
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_send_recv_copies_values(self, backend):
         # a small array and one large enough for the process backend's
         # shared-memory slab: either way the send fixes the values
@@ -62,6 +184,7 @@ class TestPointToPoint:
 
         assert run_spmd(backend, 2, prog)[1] == (list(range(8)), 1.0)
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_nested_arrays_have_value_semantics(self, backend):
         # arrays inside a list and a dict, sent to the peer and to self and
         # overwritten right after the send: every receiver sees the values
@@ -89,6 +212,7 @@ class TestPointToPoint:
                     [0.0, 1.0, 2.0, 3.0], float(sum(range(512))))
         assert run_spmd(backend, 2, prog) == [[expected, expected]] * 2
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_nested_payload_with_arrays(self, backend):
         # the exchange protocol ships bundles: lists of (coords, offset,
         # strip) tuples — arrays nested inside containers must arrive intact
@@ -113,6 +237,7 @@ class TestPointToPoint:
 
         assert bool(run_spmd(backend, 2, prog)[1])
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_self_transfer_buffers_in_order(self, backend):
         def prog(comm):
             comm.send("first", comm.rank, tag=1)
@@ -125,6 +250,7 @@ class TestPointToPoint:
 
         assert run_spmd(backend, 2, prog) == [("first", "second", 3.0)] * 2
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_self_recv_without_send_is_immediate_deadlock(self, backend):
         def prog(comm):
             if comm.rank == 0:
@@ -134,6 +260,7 @@ class TestPointToPoint:
         with pytest.raises(RankError, match="immediate deadlock"):
             run_spmd(backend, 2, prog, recv_timeout=30.0)
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_sendrecv_exchanges_between_pairs(self, backend):
         def prog(comm):
             other = 1 - comm.rank
@@ -141,6 +268,7 @@ class TestPointToPoint:
 
         assert run_spmd(backend, 2, prog) == ["from-1", "from-0"]
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_rich_tuple_tags_are_distinct_channels(self, backend):
         def prog(comm):
             if comm.rank == 0:
@@ -154,6 +282,7 @@ class TestPointToPoint:
 
         assert run_spmd(backend, 2, prog)[1] == ("mu-msg", "phi-msg")
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_invalid_rank_rejected(self, backend):
         def prog(comm):
             with pytest.raises(ValueError):
@@ -164,6 +293,7 @@ class TestPointToPoint:
 
         assert run_spmd(backend, 2, prog) == [True, True]
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_recv_timeout_error_names_channel(self, backend):
         def prog(comm):
             if comm.rank == 0:
@@ -180,7 +310,7 @@ class TestPointToPoint:
         assert "tag=" in message
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", WITH_MPI4PY)
 class TestNonBlocking:
     def test_isend_completes_immediately(self, backend):
         def prog(comm):
@@ -225,15 +355,17 @@ class TestNonBlocking:
         assert value == "late-payload"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("size", [2, 3])
 class TestCollectives:
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
+    @pytest.mark.parametrize("size", [2, 3])
     def test_bcast(self, backend, size):
         def prog(comm):
             return comm.bcast({"n": 7} if comm.rank == 0 else None, root=0)
 
         assert run_spmd(backend, size, prog) == [{"n": 7}] * size
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
+    @pytest.mark.parametrize("size", [2, 3])
     def test_gather_root_only(self, backend, size):
         def prog(comm):
             return comm.gather(comm.rank**2, root=0)
@@ -242,6 +374,8 @@ class TestCollectives:
         assert results[0] == [r**2 for r in range(size)]
         assert all(r is None for r in results[1:])
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
+    @pytest.mark.parametrize("size", [2, 3])
     def test_allgather(self, backend, size):
         def prog(comm):
             return comm.allgather(chr(ord("a") + comm.rank))
@@ -249,6 +383,8 @@ class TestCollectives:
         expected = [chr(ord("a") + r) for r in range(size)]
         assert run_spmd(backend, size, prog) == [expected] * size
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
+    @pytest.mark.parametrize("size", [2, 3])
     def test_allreduce_ops(self, backend, size):
         def prog(comm):
             return (
@@ -260,6 +396,8 @@ class TestCollectives:
         total = float(sum(range(1, size + 1)))
         assert run_spmd(backend, size, prog) == [(total, size - 1, 0)] * size
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("size", [2, 3])
     def test_allreduce_sum_is_rank_ordered(self, backend, size):
         # the reduction must be the fixed sequence v0 + v1 + ... (not a
         # tree): cross-backend bit-identity of diagnostics depends on it
@@ -275,6 +413,8 @@ class TestCollectives:
         results = run_spmd(backend, size, prog)
         assert all(r == expected for r in results)
 
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
+    @pytest.mark.parametrize("size", [2, 3])
     def test_allreduce_unknown_op_raises(self, backend, size):
         def prog(comm):
             with pytest.raises(ValueError, match="unknown reduction"):
@@ -284,8 +424,8 @@ class TestCollectives:
         assert all(run_spmd(backend, size, prog))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBarrier:
+    @pytest.mark.parametrize("backend", WITH_MPI4PY)
     def test_barrier_synchronizes(self, backend):
         def prog(comm):
             import time
@@ -297,6 +437,7 @@ class TestBarrier:
 
         assert run_spmd(backend, 3, prog) == [True] * 3
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_rank_missing_from_barrier_is_named(self, backend):
         def prog(comm):
             if comm.rank == 1:
@@ -348,6 +489,62 @@ class TestFailures:
         with pytest.raises(RankError, match=r"rank\(s\) 1"):
             run_spmd(backend, 2, prog, recv_timeout=5.0, join_timeout=1.5)
         assert time.monotonic() - t0 < 8.0
+
+
+class TestMPI4PyAdapter:
+    """The two mpi4py sharp edges ``MPI4PyComm`` flattens, on the fake MPI."""
+
+    @staticmethod
+    def _strip_of(nbytes):
+        def prog(comm):
+            other = 1 - comm.rank
+            req = comm.irecv(other, tag=("phi", 0, -1))
+            comm.send(np.full(nbytes // 8, float(comm.rank)), other, tag=("phi", 0, -1))
+            return float(req.wait().sum())
+
+        return prog
+
+    def test_rank_and_size_are_the_worlds(self):
+        def prog(comm):
+            return comm.rank, comm.size, comm.Get_rank(), comm.Get_size()
+
+        assert run_mpi4py(2, prog) == [(0, 2, 0, 2), (1, 2, 1, 2)]
+
+    def test_irecv_is_presized_past_the_mpi4py_default(self):
+        # a 1 MiB ghost strip, far past mpi4py's ~32 KiB default irecv buffer
+        assert run_mpi4py(2, self._strip_of(2**20)) == [2**17, 0.0]
+
+    def test_an_irecv_buffer_below_the_message_is_refused(self):
+        with pytest.raises(RankError, match="MPI_ERR_TRUNCATE"):
+            run_mpi4py(2, self._strip_of(2**16), irecv_buffer_bytes=2**15)
+
+    def test_bool_and_negative_tags_fold_to_distinct_valid_tags(self):
+        # received in the reverse order: a tag that aliased another, or
+        # reached MPI unfolded (negative), would swap or refuse a message
+        tags = [True, 1, False, 0, -1, -2, ("phi", 0, -1)]
+
+        def prog(comm):
+            other = 1 - comm.rank
+            for tag in tags:
+                comm.send(repr(tag), other, tag=tag)
+            return [comm.recv(other, tag=tag) for tag in reversed(tags)]
+
+        expected = [repr(tag) for tag in reversed(tags)]
+        assert run_mpi4py(2, prog) == [expected, expected]
+
+    def test_the_fake_refuses_what_mpi_refuses(self):
+        # so the cases above would fail on an adapter that passed these through
+        def prog(comm):
+            fake = FakeMPIComm(comm)
+            with pytest.raises(FakeMPIException, match="MPI_ERR_TAG"):
+                fake.send("x", 1 - comm.rank, tag=-1)
+            with pytest.raises(TypeError):
+                fake.send("x", 1 - comm.rank, tag=("phi", 0))
+            fake.send("bool", 1 - comm.rank, tag=True)
+            fake.send("int", 1 - comm.rank, tag=1)
+            return fake.recv(1 - comm.rank, tag=1)
+
+        assert run_ranks(2, prog) == ["bool", "bool"]
 
 
 @pytest.mark.skipif(not mpi4py_available(), reason="mpi4py not installed")

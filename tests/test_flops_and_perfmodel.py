@@ -1,6 +1,5 @@
 """Operation counting (Table 1 machinery) and performance models."""
 
-import numpy as np
 import pytest
 import sympy as sp
 
@@ -103,6 +102,16 @@ class TestCountingRules:
         c = a + b
         assert (c.adds, c.muls, c.loads, c.stores) == (1, 3, 2, 1)
 
+    def test_bytes_per_cell_and_as_dict(self):
+        # the heat stencil loads its 7 points once and stores 1: no reuse
+        oc = _heat_kernel_3d().operation_count()
+        assert (oc.loads, oc.stores) == (7, 1)
+        assert oc.bytes_per_cell == 8 * (7 + 1)
+        assert oc.as_dict() == {
+            f: getattr(oc, f) for f in OperationCount._OP_FIELDS + ("loads", "stores")
+        }
+        assert OperationCount(adds=1, stores=2).as_dict()["stores"] == 2
+
 
 def _heat_kernel_3d():
     from repro.discretization import FiniteDifferenceDiscretization, discretize_system
@@ -179,6 +188,14 @@ class TestECM:
         k = _heat_kernel_3d()
         pred = ECMModel(SKYLAKE_8174).predict(k, (60, 60, 60))
         assert "cy/CL" in str(pred)
+
+
+class TestMachineModel:
+    def test_level_by_name(self):
+        l2 = SKYLAKE_8174.level("L2")
+        assert l2.name == "L2" and l2 in SKYLAKE_8174.cache_levels
+        with pytest.raises(KeyError):
+            SKYLAKE_8174.level("L4")
 
 
 class TestRoofline:

@@ -55,6 +55,11 @@ class TestLiveness:
         ac = _chain_kernel(6)
         assert max_live(ac.all_assignments) == 6
 
+    def test_average_live_over_the_statements(self):
+        live = analyze_liveness(_chain_kernel(6).all_assignments)
+        assert live.live_at == [1, 2, 3, 4, 5, 6, 0]
+        assert live.average_live == 3.0
+
     def test_dead_value_not_live(self):
         f, g = Field("df", 2), Field("dg", 2)
         x = sp.Symbol("x")
@@ -185,6 +190,21 @@ class TestRegisterModelAndTuning:
         assert seq_all.registers.demand_registers <= seq_none.registers.demand_registers
         assert seq_all.model.occupancy >= seq_none.model.occupancy
         assert seq_all.time_per_lup_ns <= seq_none.time_per_lup_ns
+
+    def test_describe_names_each_transformation(self):
+        assert TransformationSequence().describe() == "none"
+        seq = TransformationSequence(
+            use_remat=True, remat_max_cost=4, remat_max_uses=3,
+            use_scheduling=True, beam_width=8, fence_interval=16,
+        )
+        assert seq.describe() == "dupl(cost≤4,uses≤3) + sched(beam=8) + fence(every 16)"
+
+    def test_runtime_is_time_per_lup_times_cells(self, kernel):
+        model = apply_sequence(kernel, TransformationSequence()).model
+        assert model.runtime_ms(10**6) == pytest.approx(model.time_per_lup_ns())
+        assert model.runtime_ms(10**6, bytes_per_lup=80.0) == pytest.approx(
+            model.time_per_lup_ns(80.0)
+        )
 
     def test_evolutionary_tuner_beats_baseline(self, kernel):
         baseline = apply_sequence(kernel, TransformationSequence())

@@ -20,6 +20,12 @@ from repro.symbolic.operators import diff_depth
 
 
 class TestDiff:
+    def test_free_symbols_are_those_of_the_argument(self):
+        f = Field("f", 2)
+        a = sp.Symbol("a")
+        d = Diff(a * f.center(), 1)
+        assert d.free_symbols == {a, f.center()}
+
     def test_of_number_is_zero(self):
         assert Diff(5, 0) == 0
         assert Diff(sp.Rational(1, 2), 2) == 0

@@ -615,6 +615,14 @@ class TestNativeBatch:
                 assert batches == [None] * 50
         assert steps["c"] == steps["numpy"] == [10, 20, 30, 40, 50]
 
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_a_health_interval_below_one_is_refused_at_attach(self, kernel_set, backend):
+        # the monitor validates its interval only when constructed
+        health = HealthMonitor(policy="record", interval=10)
+        health.interval = 0
+        with pytest.raises(ValueError, match="interval must be >= 1, got 0"):
+            SingleBlockSolver(kernel_set, SHAPE, backend=backend, health=health)
+
     def test_a_native_crash_names_its_op_and_step(self, kernel_set, tmp_path):
         child = textwrap.dedent("""
             import ctypes, resource, sys

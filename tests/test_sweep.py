@@ -15,6 +15,7 @@ from repro.service.sweep import (
     ScenarioSpec,
     demo_specs,
     load_sweep_manifest,
+    main,
     run_scenario,
     run_sweep,
 )
@@ -175,6 +176,27 @@ class TestManifestValidation:
         assert len({s.name for s in specs}) == 4
         for spec in specs:
             spec.build_parameters()
+
+
+class TestCommandLine:
+    """``python -m repro.service.sweep``."""
+
+    @pytest.mark.parametrize("argv", [[], ["--demo", "2", "--specs", "specs.json"]])
+    def test_specs_and_demo_exclude_each_other(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "exactly one of --specs / --demo is required" in capsys.readouterr().err
+
+    @needs_fork
+    def test_a_two_scenario_demo(self, tmp_path, cold_cache, capsys):
+        out = tmp_path / "demo"
+        argv = ["--demo", "2", "--steps", "2", "--workers", "1", "--backend", "numpy"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("sweep: 2 ok, 0 failed")
+        manifest = load_sweep_manifest(out)
+        assert [e["name"] for e in manifest["scenarios"]] == ["dT0.1", "dT0.2"]
+        assert manifest["totals"]["cell_updates"] == 2 * 24 * 24 * 2
 
 
 @needs_fork
