@@ -8,8 +8,12 @@ regenerated and re-optimized for a sweep of undercoolings, each a fully
 specialized kernel set, and the resulting front velocities are compared
 (they must grow with the undercooling).
 
-Also demonstrates the alternative §5.1 escape hatch: keeping dt/dx symbolic
-(``fold_constants=False``) so one kernel serves several runs.
+It then shows what makes the workflow cheap: two more solvers built from a
+repeated specialization are hits of the process-wide kernel cache, a rerun
+of the script finds every kernel in the persistent disk cache, and the last
+solver's profile report closes the run.  (The other §5.1 escape hatch,
+keeping parameters symbolic with ``fold_constants=False`` so one kernel
+serves several runs, is not run here.)
 
 Run:  python examples/parameter_study.py
 """

@@ -498,15 +498,49 @@ def _build_shared_object(
     return so_path
 
 
-def _ctype(arg: Argument):
-    """The ctypes type ``func.argtypes`` holds for one signature argument."""
-    if arg.is_pointer:
-        return ctypes.c_void_p
-    return ctypes.c_int64 if arg.type.is_int else ctypes.c_double
+#: the ctypes prototype of a packed entry, ``(const int64_t *, const double *)``:
+#: every generated kernel's (:func:`packed_entry`) and the ghost fill's
+_PACKED_ARGTYPES = (ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double))
 
 
-#: the binding of an array set never seen: nothing to check, nothing to pass
-_UNBOUND = ((), (), None, None)
+def _packed_function(func):
+    """*func*, a packed entry of a loaded library, typed to be called through ctypes."""
+    func.restype = None
+    func.argtypes = _PACKED_ARGTYPES
+    return func
+
+
+class _Bindings(dict):
+    """Bindings of array sets, each served only while its arrays live unchanged.
+
+    An entry holds its arrays by weak reference, with their shapes, and
+    dies with any of them: compiled code lives in process-wide caches and
+    outlives every solver, so a strong reference would pin a dead solver's
+    fields, and no binding may outlive (or, through a recycled ``id``,
+    alias) the memory it points into.  So the table needs no size limit.
+    """
+
+    def find(self, key: tuple, arrays):
+        """The binding of *arrays* under *key*, or ``None`` if it is not live."""
+        entry = self.get(key)
+        if entry is None:
+            return None
+        refs, shapes, binding = entry
+        for ref, shape, a in zip(refs, shapes, arrays):
+            if ref() is not a or a.shape != shape:
+                return None
+        return binding
+
+    def keep(self, key: tuple, arrays, binding):
+        """Remember *binding* of *arrays* under *key*; returns it."""
+
+        def drop(_ref, table=self):
+            table.pop(key, None)
+
+        self[key] = (
+            tuple(weakref.ref(a, drop) for a in arrays), tuple(a.shape for a in arrays), binding,
+        )
+        return binding
 
 
 class CompiledCKernel:
@@ -528,21 +562,19 @@ class CompiledCKernel:
     *binding*; a later call that finds the same set writes the scalars of
     the call (spacing, parameters, ``time_step``, ``seed``, a reduction's
     output) into those blocks, validates nothing and makes one foreign call
-    with two arguments.  The plain entry keeps the prototype of
-    :func:`generate_c_source` and its ``argtypes``.
+    with two arguments.  The plain entry, with the prototype of
+    :func:`generate_c_source`, stays in the library (:attr:`_lib`) uncalled.
 
     A binding is served only while every array of the set is the same live
     object with the shape it was bound with; anything else — another array
     under the same name (a swap is simply a second set), a reshaped or
     resized array, a different ghost width or offset — takes the full
     validation again.  Arrays are held by weak reference and a binding is
-    dropped when one of them dies: compiled kernels live in the
-    process-wide :func:`repro.profiling.compile_cached` table and outlive
-    every solver, so a strong reference would pin a dead solver's fields,
-    and the table needs no size limit.  The calling thread is part of a
-    set, so threads that share one compiled kernel — simulated ranks — each
-    bind their own blocks and never write another thread's call state (the
-    native call drops the GIL).
+    dropped when one of them dies (:class:`_Bindings`): compiled kernels
+    live in the process-wide :func:`repro.profiling.compile_cached` table.
+    The calling thread is part of a set, so threads that share one compiled
+    kernel — simulated ranks — each bind their own blocks and never write
+    another thread's call state (the native call drops the GIL).
     """
 
     def __init__(self, kernel: Kernel, source: str, lib):
@@ -550,18 +582,13 @@ class CompiledCKernel:
         self.source = source
         self._fields = tuple(kernel.fields)
         signature = kernel.signature
-        func = getattr(lib, kernel.c_name)
-        func.restype = None
-        func.argtypes = [_ctype(a) for a in signature]
-        self._func = func
+        self._lib = lib
         #: the packed entry's two blocks, each in signature order
         ints = [a for a in signature if _is_int_slot(a)]
         doubles = [a for a in signature if not _is_int_slot(a)]
         self._Ints = ctypes.c_int64 * len(ints)
         self._Doubles = ctypes.c_double * len(doubles)
-        self._packed = getattr(lib, f"{kernel.c_name}_packed")
-        self._packed.restype = None
-        self._packed.argtypes = (self._Ints, self._Doubles)
+        self._packed = _packed_function(getattr(lib, f"{kernel.c_name}_packed"))
         self._entry = ctypes.cast(self._packed, ctypes.c_void_p).value
         #: what a binding marshals, by role; the rest are the scalars of a call
         self._bound = tuple(a for a in signature if a.role in ARRAY_SET_ROLES)
@@ -580,9 +607,8 @@ class CompiledCKernel:
         self._step_slot = [a.role for a in ints].index("time_step")
         #: where the parameter ``t`` goes among the doubles (-1: none)
         self._t_slot = next((slot for slot, key, _ in self._doubles if key == "t"), -1)
-        #: (ghost_layers, block_offset, origin, thread, *id(array))
-        #: -> (weakrefs, shapes, ints, doubles)
-        self._bindings: dict[tuple, tuple] = {}
+        #: (ghost_layers, block_offset, origin, thread, *id(array)) -> (ints, doubles)
+        self._bindings = _Bindings()
 
     @property
     def name(self) -> str:
@@ -632,20 +658,7 @@ class CompiledCKernel:
         doubles = self._Doubles(
             *(values[a.role][a.key] for a in self._bound if not _is_int_slot(a))
         )
-
-        def drop(_ref, table=self._bindings):
-            # an array that dies takes the binding with it: no binding
-            # outlives (or, through a recycled id, aliases) the memory its
-            # blocks point into
-            table.pop(key, None)
-
-        binding = self._bindings[key] = (
-            tuple(weakref.ref(a, drop) for a in held),
-            tuple(a.shape for a in held),
-            ints,
-            doubles,
-        )
-        return binding[2:]
+        return self._bindings.keep(key, held, (ints, doubles))
 
     def __call__(
         self,
@@ -683,13 +696,7 @@ class CompiledCKernel:
         # a missing array reads None, which no binding holds: _bind names it
         held = [arrays.get(f.name) for f in self._fields]
         key = (gl, tuple(block_offset), tuple(origin), threading.get_ident(), *map(id, held))
-        refs, shapes, ints, doubles = self._bindings.get(key, _UNBOUND)
-        for ref, shape, a in zip(refs, shapes, held):
-            if ref() is not a or a.shape != shape:
-                ints = None
-                break
-        if ints is None:
-            ints, doubles = self._bind(key, arrays)
+        ints, doubles = self._bindings.find(key, held) or self._bind(key, arrays)
         for name in self._required:
             if name not in params:
                 k.check_parameters(params)  # raises, naming every missing one
@@ -868,10 +875,6 @@ void repro_fill_ghosts(const int64_t *ops, const double *values)
 }
 """ % _FILL_LOOPS
 
-#: the binding of an array never seen: a dead reference
-_UNFILLED = (lambda: None, None, None, None, None, ())
-
-
 def _dirichlet_values(value, index_shape: tuple) -> np.ndarray | None:
     """*value* as one double per component, or ``None`` where C cannot match NumPy.
 
@@ -910,9 +913,9 @@ class CompiledCFill:
     it, behind the array's address, as the array's *binding* under
     ``(id(array), ghost_layers, dim, modes)``.  A later fill of the same
     live array with the shape it was bound with is one foreign call on two
-    pre-filled blocks; a Dirichlet value is read again on every fill, as
-    the NumPy fill reads it.  Arrays are held by weak reference and a
-    binding dies with its array, like a kernel's.
+    pre-filled blocks, through the packed-entry prototype of every kernel;
+    a Dirichlet value is read again on every fill, as the NumPy fill reads
+    it.  A binding dies with its array, like a kernel's (:class:`_Bindings`).
 
     An array the routine cannot address like NumPy — not ``float64``,
     read-only, misaligned, overlapping itself, too many axes, or a
@@ -925,70 +928,58 @@ class CompiledCFill:
     """
 
     def __init__(self, func, run):
-        # called through one prototype per binding, typed exactly by the
-        # binding's two blocks; holding *func* keeps its library loaded
-        self._func = func
+        self._func = _packed_function(func)
         self.address = ctypes.cast(func, ctypes.c_void_p).value
-        i64, f64 = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+        i64, f64 = _PACKED_ARGTYPES
         run.restype = None
         run.argtypes = (
             ctypes.c_int64, i64, ctypes.c_int64, ctypes.c_int64,
             i64, f64, ctypes.c_double, f64, i64,
         )
         self.run = run
-        #: (id(array), ghost_layers, dim, modes) -> (weakref, shape, call, ops, values, dirichlet)
-        self._bindings: dict[tuple, tuple] = {}
+        #: (id(array), ghost_layers, dim, modes) -> (ops, values, dirichlet)
+        self._bindings = _Bindings()
 
     def __call__(self, arr: np.ndarray, gl: int, dim: int, modes: tuple) -> bool:
         """Fill the ghost frame of *arr*; ``False`` if it is NumPy's to fill."""
         blocks = self.prepare(arr, gl, dim, modes)
         if blocks is None:
             return False
-        call, ops, values = blocks
-        call(ops, values)
+        self._func(*blocks)
         return True
 
     def prepare(self, arr: np.ndarray, gl: int, dim: int, modes: tuple) -> tuple | None:
-        """``(call, ops, values)`` of the fill of *arr*, values written; ``None`` declines.
+        """``(ops, values)`` of the fill of *arr*, values written; ``None`` declines.
 
         The binding's own blocks: the same objects on every call while the
         array lives with its shape, so an op of ``repro_run`` can point at
         them.
         """
         key = (id(arr), gl, dim, modes)
-        ref, shape, call, ops, values, dirichlet = self._bindings.get(key, _UNFILLED)
-        if ref() is not arr or arr.shape != shape:
-            call, ops, values, dirichlet = self._bind(key, arr)
-        if call is None:
+        ops, values, dirichlet = self._bindings.find(key, (arr,)) or self._bind(key, arr)
+        if ops is None:
             return None
         for offset, mode in dirichlet:
             v = _dirichlet_values(mode.value, arr.shape[dim:])
             if v is None:
                 return None
             values[offset:offset + v.size] = v.tolist()
-        return call, ops, values
+        return ops, values
 
     def _bind(self, key: tuple, arr: np.ndarray) -> tuple:
         from ..parallel.boundary import _fill_plan
 
         _, gl, dim, modes = key
         plan = _fill_plan(arr.shape, gl, dim, modes)  # raises for a too-short axis
-        binding = self._lower(arr, plan, dim)
-
-        def drop(_ref, table=self._bindings):
-            table.pop(key, None)
-
-        self._bindings[key] = (weakref.ref(arr, drop), arr.shape, *binding)
-        return binding
+        return self._bindings.keep(key, (arr,), self._lower(arr, plan, dim))
 
     def _lower(self, arr: np.ndarray, plan: tuple, dim: int) -> tuple:
-        """``(call, ops, values, dirichlet)`` of *plan* on *arr*; *call* ``None`` declines.
+        """``(ops, values, dirichlet)`` of *plan* on *arr*; *ops* ``None`` declines.
 
-        *ops* and *values* are the routine's two blocks, and *call* the
-        routine declared with exactly their types; *dirichlet* lists the
-        ``(slot, DirichletValue)`` whose value a fill writes into *values*.
+        *ops* and *values* are the routine's two blocks; *dirichlet* lists
+        the ``(slot, DirichletValue)`` whose value a fill writes into *values*.
         """
-        declined = (None, None, None, ())
+        declined = (None, None, ())
         if (
             arr.dtype != np.float64
             or not arr.dtype.isnative
@@ -1033,8 +1024,7 @@ class CompiledCFill:
             arr.ctypes.data, n_copies, max(arr.ndim - 1, 1), *copies
         )
         values = (ctypes.c_double * max(components * len(slots), 1))()
-        call = ctypes.CFUNCTYPE(None, type(ops), type(values))(self.address)
-        return call, ops, values, tuple(dirichlet)
+        return ops, values, tuple(dirichlet)
 
 
 @cache

@@ -19,6 +19,7 @@ __all__ = [
     "fast_sqrt",
     "fast_rsqrt",
     "rng_uniform",
+    "tile_grid",
     "tile_sum",
     "RUNTIME_NAMESPACE",
 ]
@@ -61,14 +62,25 @@ def rng_uniform(shape, time_step, seed, stream, offset, low, high):
     )
 
 
+def tile_grid(shape, tile_shape):
+    """``(index, slices)`` of the tiles that cut the first axes of *shape*, in lexicographic order.
+
+    Edge tiles may be smaller.  The traversal of :func:`tile_sum` and of
+    :func:`repro.observability.fingerprint.tiled_digests`.
+    """
+    counts = [-(-n // t) for n, t in zip(shape, tile_shape)]
+    for idx in itertools.product(*map(range, counts)):
+        yield idx, tuple(slice(i * t, (i + 1) * t) for i, t in zip(idx, tile_shape))
+
+
 def tile_sum(values, tile_shape=None):
     """Sum *values* with a reproducible, partition-invariant operation order.
 
     ``tile_shape=None`` sums the whole array at once (fastest; the order is
     whatever NumPy's pairwise summation picks for that shape).  With a tile
-    shape, the array is cut into a lexicographically ordered grid of tiles
-    (edge tiles may be smaller) and each tile is summed independently, the
-    per-tile partials being accumulated left to right in plain double adds.
+    shape, the array is cut into the tiles of :func:`tile_grid` and each
+    tile is summed independently, the per-tile partials being accumulated
+    left to right in plain double adds.
 
     This is the fixed-order tree sum used for distributed diagnostics: a
     block-decomposed run sums each block interior separately and merges the
@@ -84,14 +96,8 @@ def tile_sum(values, tile_shape=None):
         raise ValueError(
             f"tile shape {tile_shape} invalid for array of shape {a.shape}"
         )
-    counts = [
-        -(-a.shape[d] // tile_shape[d]) for d in range(len(tile_shape))
-    ]
     total = 0.0
-    for idx in itertools.product(*(range(c) for c in counts)):
-        sl = tuple(
-            slice(i * t, (i + 1) * t) for i, t in zip(idx, tile_shape)
-        )
+    for _, sl in tile_grid(a.shape, tile_shape):
         total += float(np.sum(np.ascontiguousarray(a[sl])))
     return total
 

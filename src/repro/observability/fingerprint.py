@@ -37,7 +37,6 @@ replay and ulp-level field diffs.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from pathlib import Path
 from time import perf_counter
 
@@ -110,11 +109,13 @@ def tiled_digests(interior, dim: int, tile_shape=None) -> dict[str, str]:
 
     ``tile_shape=None`` treats the whole interior as the single block
     ``(0,)*dim``.  With a tile shape, the first *dim* (spatial) axes are
-    cut into a lexicographically ordered grid of tiles — exactly the
-    :func:`repro.backends.runtime.tile_sum` traversal — so a single-block
-    run fingerprinted with ``tile_shape=forest.block_shape`` emits the
-    same per-block digests as the block-decomposed run.
+    cut into the tiles of :func:`repro.backends.runtime.tile_grid` — the
+    traversal of the tiled sum — so a single-block run fingerprinted with
+    ``tile_shape=forest.block_shape`` emits the same per-block digests as
+    the block-decomposed run.
     """
+    from ..backends.runtime import tile_grid
+
     a = np.asarray(interior)
     if dim < 1 or dim > a.ndim:
         raise ValueError(f"dim={dim} invalid for array of shape {a.shape}")
@@ -123,12 +124,9 @@ def tiled_digests(interior, dim: int, tile_shape=None) -> dict[str, str]:
     tile_shape = tuple(int(t) for t in tile_shape)
     if len(tile_shape) != dim or any(t < 1 for t in tile_shape):
         raise ValueError(f"tile shape {tile_shape} invalid for dim={dim}")
-    counts = [-(-a.shape[d] // tile_shape[d]) for d in range(dim)]
-    out: dict[str, str] = {}
-    for idx in itertools.product(*(range(c) for c in counts)):
-        sl = tuple(slice(i * t, (i + 1) * t) for i, t in zip(idx, tile_shape))
-        out[block_key(idx)] = digest_array(a[sl])
-    return out
+    return {
+        block_key(idx): digest_array(a[sl]) for idx, sl in tile_grid(a.shape, tile_shape)
+    }
 
 
 def combined_digest(fields: dict[str, dict[str, str]]) -> str:
@@ -247,11 +245,12 @@ def find_mismatches(record: dict, reference: dict) -> list[dict]:
 
 
 def load_reference(reference) -> tuple[Path, dict[int, dict]]:
-    """Load a reference ledger as a ``{step: record}`` index.
+    """Load a ledger as its path and a ``{step: record}`` index.
 
     *reference* is a ledger file or a run directory (the canonical
     ``fingerprints.jsonl`` inside it).  Raises when empty or absent — an
-    audit against nothing would silently pass.
+    audit against nothing would silently pass.  The one ledger resolution
+    of the online audit and of ``tools/divergence.py``.
     """
     path = Path(reference)
     if path.is_dir():
@@ -259,7 +258,7 @@ def load_reference(reference) -> tuple[Path, dict[int, dict]]:
     records = FingerprintLedger(path).load()
     if not records:
         raise FileNotFoundError(
-            f"reference fingerprint ledger {path} is missing or empty"
+            f"fingerprint ledger {path} is missing or empty"
         )
     return path, {r["step"]: r for r in records}
 

@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["fill_ghosts", "PERIODIC", "NEUMANN", "DIRICHLET", "DirichletValue"]
+__all__ = [
+    "fill_ghosts", "neumann_wall", "PERIODIC", "NEUMANN", "DIRICHLET", "DirichletValue",
+]
 
 PERIODIC = "periodic"
 NEUMANN = "neumann"
@@ -38,6 +40,20 @@ class DirichletValue:
 
     def __repr__(self):
         return f"DirichletValue({self.value!r})"
+
+
+def neumann_wall(n: int, axis: int, side: int, gl: int) -> tuple:
+    """The zero-gradient wall of face *side* (-1, +1) of *axis* as a ``(ghost, source)`` copy.
+
+    Ghost layer ``layer`` mirrors interior layer ``2gl-1-layer`` (the slab
+    read backwards, as :class:`DirichletValue` mirrors) for every ghost
+    width; *n* is the ghosted extent.  The fill plan and the block
+    exchange's domain walls both use it.
+    """
+    lead = (slice(None),) * axis
+    if side < 0:
+        return lead + (slice(0, gl),), lead + (slice(2 * gl - 1, gl - 1, -1),)
+    return lead + (slice(n - gl, n),), lead + (slice(n - gl - 1, n - 2 * gl - 1, -1),)
 
 
 @lru_cache(maxsize=256)
@@ -75,13 +91,8 @@ def _fill_plan(shape: tuple[int, ...], gl: int, dim: int, modes: tuple) -> tuple
             plan.append((at(0, gl), at(n - 2 * gl, n - gl), None))
             plan.append((at(n - gl, n), at(gl, 2 * gl), None))
         elif m == NEUMANN:
-            # zero-gradient via mirroring: ghost layer `layer` mirrors
-            # interior layer `2gl-1-layer` (the interior slab read
-            # backwards), matching the DirichletValue scheme (and the
-            # block-level wall fill) for every ghost width; for gl=1 this
-            # reduces to replicating the edge layer
-            plan.append((at(0, gl), at(2 * gl - 1, gl - 1, -1), None))
-            plan.append((at(n - gl, n), at(n - gl - 1, n - 2 * gl - 1, -1), None))
+            for side in (-1, +1):
+                plan.append((*neumann_wall(n, axis, side, gl), None))
         else:
             raise ValueError(f"unknown boundary mode {m!r}")
     return tuple(plan)

@@ -24,6 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .blockforest import Block, BlockForest
+from .boundary import neumann_wall
 from .mpi_sim import SimComm
 
 __all__ = [
@@ -41,19 +42,9 @@ def _strip(arr: np.ndarray, axis: int, sl: slice) -> tuple:
 
 
 def _apply_wall(arr: np.ndarray, axis: int, side: int, gl: int) -> None:
-    """Zero-gradient wall: ghost layer ``layer`` mirrors interior ``2gl-1-layer``.
-
-    The single-block ``fill_ghosts`` Neumann scheme, so distributed and
-    single-block runs agree for every ghost width.  Periodic axes have no
-    wall: the block forest wraps them around.
-    """
-    n = arr.shape[axis]
-    if side < 0:
-        src = arr[_strip(arr, axis, slice(gl, 2 * gl))]
-        arr[_strip(arr, axis, slice(0, gl))] = np.flip(src, axis=axis)
-    else:
-        src = arr[_strip(arr, axis, slice(n - 2 * gl, n - gl))]
-        arr[_strip(arr, axis, slice(n - gl, n))] = np.flip(src, axis=axis)
+    """:func:`neumann_wall` on a block; periodic axes have none (the forest wraps)."""
+    ghost, source = neumann_wall(arr.shape[axis], axis, side, gl)
+    arr[ghost] = arr[source]
 
 
 def exchange_field(

@@ -15,11 +15,12 @@ ranks).
 Two mpi4py sharp edges are flattened here so the exchange protocol cannot
 silently corrupt a real-parallel run:
 
-* ``irecv`` of a pickled message uses a small default buffer (~32 KiB);
-  any real ghost-layer strip beyond that fails with a truncation error.
-  :meth:`MPI4PyComm.irecv` therefore posts a pre-sized receive buffer
-  (``irecv_buffer_bytes``, default 16 MiB — comfortably above the largest
-  aggregated ghost bundle of the benchmarks).
+* ``irecv`` of a pickled message receives into a buffer sized when it is
+  posted (~32 KiB by default); any real ghost-layer strip beyond that
+  fails with a truncation error.  :meth:`MPI4PyComm.irecv` therefore
+  posts nothing: its request receives the way the simulated one does —
+  ``wait()`` runs a blocking ``recv``, which probes the message and reads
+  its true size, and ``test()`` matches it with ``improbe`` first.
 * ``bool`` is an ``int`` subclass, so a naive passthrough would alias the
   tags ``True``/``1`` and ``False``/``0``; and the negative collective
   tags (``-1``/``-2``) are not valid MPI tags.  :func:`fold_tag` routes
@@ -33,14 +34,12 @@ import pickle
 import zlib
 from typing import Any
 
+from .mpi_sim import Request
+
 __all__ = ["fold_tag", "MPI4PyComm", "mpi4py_available"]
 
 #: Conservative bound below every implementation's MPI_TAG_UB.
 _TAG_MODULUS = 32749  # largest prime below 32768
-
-#: Default pre-sized ``irecv`` buffer (mpi4py's default is ~32 KiB, far
-#: below a realistic aggregated ghost bundle).
-_IRECV_BUFFER_BYTES = 16 * 2**20
 
 
 def fold_tag(tag: Any) -> int:
@@ -74,42 +73,15 @@ def mpi4py_available() -> bool:
         return False
 
 
-class _WrappedRequest:
-    """``SimComm.Request``-shaped facade over an ``mpi4py`` request."""
-
-    __slots__ = ("_req",)
-
-    def __init__(self, req):
-        self._req = req
-
-    def wait(self):
-        return self._req.wait()
-
-    def test(self):
-        result = self._req.test()
-        # mpi4py returns (flag, msg) for pickled requests; normalize to the
-        # (done, value) pair of repro.parallel.mpi_sim.Request.test
-        if isinstance(result, tuple):
-            return bool(result[0]), result[1]
-        return bool(result), None
-
-
 class MPI4PyComm:
-    """``SimComm``-compatible facade over an ``mpi4py.MPI.Comm``.
+    """``SimComm``-compatible facade over an ``mpi4py.MPI.Comm``."""
 
-    *irecv_buffer_bytes* pre-sizes every non-blocking receive: mpi4py's
-    pickled ``irecv`` cannot grow its buffer after posting, so the buffer
-    must bound the largest message the exchange protocol may deliver
-    (blocking ``recv`` probes the true size and needs no buffer).
-    """
-
-    def __init__(self, comm=None, irecv_buffer_bytes: int = _IRECV_BUFFER_BYTES):
+    def __init__(self, comm=None):
         from mpi4py import MPI  # deferred: mpi4py is optional
 
         self._mpi = MPI
         self._comm = comm if comm is not None else MPI.COMM_WORLD
         self.rank = self._comm.Get_rank()
-        self.irecv_buffer_bytes = int(irecv_buffer_bytes)
 
     @property
     def size(self) -> int:
@@ -130,18 +102,20 @@ class MPI4PyComm:
         return self._comm.recv(source=source, tag=fold_tag(tag))
 
     def isend(self, obj, dest: int, tag=0):
-        return _WrappedRequest(
-            self._comm.isend(obj, dest=dest, tag=fold_tag(tag))
-        )
+        # mpi4py's test() of a pickled request is already (flag, value)
+        req = self._comm.isend(obj, dest=dest, tag=fold_tag(tag))
+        return Request(req.wait, _poll=req.test)
 
     def irecv(self, source: int, tag=0):
-        # pre-sized buffer: mpi4py's default (~32 KiB) truncates any real
-        # ghost-layer strip; the buffer is per-request, so concurrent
-        # receives do not share it
-        buf = bytearray(self.irecv_buffer_bytes)
-        return _WrappedRequest(
-            self._comm.irecv(buf, source=source, tag=fold_tag(tag))
-        )
+        # nothing is posted: a blocking recv (wait) or a matched probe
+        # (test) reads the message at its true size, so no buffer bounds it
+        tag = fold_tag(tag)
+
+        def poll():
+            message = self._comm.improbe(source=source, tag=tag)
+            return (False, None) if message is None else (True, message.recv())
+
+        return Request(lambda: self._comm.recv(source=source, tag=tag), _poll=poll)
 
     def sendrecv(self, obj, dest: int, source: int, sendtag=0, recvtag=0):
         return self._comm.sendrecv(

@@ -62,7 +62,6 @@ class MachineModel:
     name: str
     clock_ghz: float                 # sustained clock under AVX load
     cores_per_socket: int
-    sockets_per_node: int
     simd_doubles: int                # SIMD width in doubles
     fma_ports: int                   # superscalar FP pipelines
     cache_levels: tuple[CacheLevel, ...]
@@ -95,7 +94,6 @@ SKYLAKE_8174 = MachineModel(
     name="Intel Xeon Platinum 8174 (SuperMUC-NG)",
     clock_ghz=2.3,                  # AVX-512 sustained clock
     cores_per_socket=24,
-    sockets_per_node=2,
     simd_doubles=8,                 # AVX-512
     fma_ports=2,
     cache_levels=(
@@ -110,7 +108,6 @@ HASWELL_2690V3 = MachineModel(
     name="Intel Xeon E5-2690 v3 (Piz Daint host)",
     clock_ghz=2.6,
     cores_per_socket=12,
-    sockets_per_node=1,
     simd_doubles=4,                 # AVX2
     fma_ports=2,
     cache_levels=(
@@ -280,7 +277,6 @@ def detect_machine(base: MachineModel | None = None) -> MachineModel:
         base,
         name=f"detected: {_cpu_model_name()}",
         cores_per_socket=max(1, cores),
-        sockets_per_node=1,
         cache_levels=cache_levels,
         cache_line_bytes=line_bytes,
     )

@@ -113,6 +113,34 @@ class TimingRecord:
             return None
         return self.cache_misses * line_bytes / self.cells
 
+    def add(self, seconds, calls=1, cells=0, nbytes=0, messages=0) -> None:
+        """Account *calls* intervals that just ended, *seconds* in all, as one ``op`` event.
+
+        The one update of a record, for a ``measure`` block, a native batch
+        and :meth:`SolverProfiler.record`.  The event carries ``calls``
+        where it is not 1, and only the non-zero counts.
+        """
+        self.calls += calls
+        self.seconds += seconds
+        self.cells += cells
+        self.bytes += nbytes
+        self.messages += messages
+        # the profiler is the single event source for the flight
+        # recorder: every kernel sweep, ghost-exchange phase and fill
+        # becomes one "op" event in the ring (and the crash post-mortem)
+        recorder = get_recorder()
+        if recorder.enabled:
+            data = {"seconds": seconds}
+            if calls != 1:
+                data["calls"] = calls
+            if cells:
+                data["cells"] = cells
+            if nbytes:
+                data["bytes"] = nbytes
+            if messages:
+                data["messages"] = messages
+            recorder.record("op", self.name, **data)
+
     def absorb_counters(self, start, end) -> None:
         """Accumulate the counter delta ``end - start`` of two samples.
 
@@ -137,12 +165,12 @@ class _Measurement:
 
     Made once per scheduled operation and entered on every step; it holds
     its :class:`TimingRecord` (resolved on the first exit after a
-    :meth:`SolverProfiler.reset`) and the data of its ``op`` event, so an
-    exit updates fields and records one event, and builds nothing else.
-    Not re-entrant: one operation, one interval at a time.
+    :meth:`SolverProfiler.reset`), so an exit looks nothing up: it hands
+    the interval to :meth:`TimingRecord.add`.  Not re-entrant: one
+    operation, one interval at a time.
     """
 
-    __slots__ = ("_profiler", "_name", "_cells", "_nbytes", "_data",
+    __slots__ = ("_profiler", "_name", "_cells", "_nbytes",
                  "_record", "_epoch", "_harness", "_t0", "_s0")
 
     def __init__(self, profiler, name, cells, nbytes):
@@ -150,7 +178,6 @@ class _Measurement:
         self._name = name
         self._cells = cells
         self._nbytes = nbytes
-        self._data = {k: v for k, v in (("cells", cells), ("bytes", nbytes)) if v}
         self._epoch = -1    # no record resolved yet
 
     def __enter__(self):
@@ -163,15 +190,9 @@ class _Measurement:
         s0 = self._s0
         s1 = None if s0 is None else self._harness.sample()
         rec = self._resolve()
-        rec.calls += 1
-        rec.seconds += seconds
-        rec.cells += self._cells
-        rec.bytes += self._nbytes
         if s1 is not None:
             rec.absorb_counters(s0, s1)
-        recorder = get_recorder()
-        if recorder.enabled:
-            recorder.record("op", self._name, seconds=seconds, **self._data)
+        rec.add(seconds, 1, self._cells, self._nbytes)
 
     def _resolve(self) -> TimingRecord:
         profiler = self._profiler
@@ -187,15 +208,7 @@ class _Measurement:
         in the same record, and as one ``op`` event that carries ``calls``
         and the batch's totals.
         """
-        rec = self._resolve()
-        rec.calls += calls
-        rec.seconds += seconds
-        rec.cells += self._cells * calls
-        rec.bytes += self._nbytes * calls
-        recorder = get_recorder()
-        if recorder.enabled:
-            totals = {k: v * calls for k, v in self._data.items()}
-            recorder.record("op", self._name, seconds=seconds, calls=calls, **totals)
+        self._resolve().add(seconds, calls, self._cells * calls, self._nbytes * calls)
 
 
 class SolverProfiler:
@@ -219,32 +232,12 @@ class SolverProfiler:
         nbytes: int = 0,
         messages: int = 0,
     ) -> None:
-        """Accumulate one timed interval under *name*.
+        """Accumulate one timed interval under *name* (:meth:`TimingRecord.add`).
 
-        The interval ended just before this call: the timestamp of the
-        ``op`` event it becomes stands for its end.  *messages* counts the
-        MPI messages behind the interval, so exchange wait time is
-        attributable to message count as well as volume.
+        *messages* counts the MPI messages behind the interval, so exchange
+        wait time is attributable to message count as well as volume.
         """
-        rec = self._record_for(name)
-        rec.calls += 1
-        rec.seconds += seconds
-        rec.cells += cells
-        rec.bytes += nbytes
-        rec.messages += messages
-        # the profiler is the single event source for the flight
-        # recorder: every kernel sweep, ghost-exchange phase and fill
-        # becomes one "op" event in the ring (and the crash post-mortem)
-        recorder = get_recorder()
-        if recorder.enabled:
-            data = {"seconds": seconds}
-            if cells:
-                data["cells"] = cells
-            if nbytes:
-                data["bytes"] = nbytes
-            if messages:
-                data["messages"] = messages
-            recorder.record("op", name, **data)
+        self._record_for(name).add(seconds, 1, cells, nbytes, messages)
 
     def measure(self, name: str, cells: int = 0, nbytes: int = 0):
         """Time the enclosed ``with`` block and accumulate it under *name*.

@@ -145,7 +145,7 @@ class _Batch:
         for arrays, _, _, fills in self._halves:
             for name, ops in fills:
                 blocks = loop._native_sync(arrays, name)
-                if blocks is None or blocks[1] is not ops:
+                if blocks is None or blocks[0] is not ops:
                     return False
         return True
 
@@ -293,8 +293,8 @@ class TimeLoop:
         self._after_step: list[tuple[int, int, object]] = []
         if health is not None:
             self._register(_HEALTH, health.interval, self._check_health)
-        self._diag_series = None
-        self._fp_stream = None
+        #: the sink of each collective post-step stage: _DIAGNOSTICS, _FINGERPRINTS
+        self._sinks: dict[int, object] = {}
         _log.info(
             kv("solver_created", kind=self.kind, blocks=len(self._owned),
                health=health is not None, **self._tags, **self._note)
@@ -492,7 +492,7 @@ class TimeLoop:
                 blocks = self._native_sync(arrays, arg)
                 if blocks is None:
                     return None
-                _, ops, values = blocks
+                ops, values = blocks
                 named.append((f"fill:{arg}", self._fills[arg]))
                 records.append((self._native_fill.address, ops, values, -1, -1))
                 fills.append((arg, ops))
@@ -561,6 +561,7 @@ class TimeLoop:
         """
         from .analysis.io import save_snapshot, snapshot_path
 
+        self._phase_field_only("save_checkpoint")
         self._drain()
         step = self.time_step
         base = snapshot_path(
@@ -592,6 +593,7 @@ class TimeLoop:
         """
         from .analysis.io import load_snapshot, snapshot_path
 
+        self._phase_field_only("load_checkpoint")
         self._drain()
         base = snapshot_path(path)
         stamps: set[tuple[float, int]] = set()
@@ -611,15 +613,51 @@ class TimeLoop:
         self.sync("mu")
         _log.info(kv("checkpoint_loaded", base=base, step=self.time_step, **self._tags))
 
-    # -- in-situ physics diagnostics --------------------------------------------------
+    # -- collective post-step stages -----------------------------------------------
 
-    def _tiles(self, tile_shape):
+    def _collective_stage(
+        self, stage, every, tile_shape, path, rundir_path, open_sink, per_block, emit
+    ):
+        """Open a collective stage's sink, register the stage and run it once.
+
+        ``open_sink`` gets *path* (default: the RunDir's ``rundir_path``) on
+        rank 0 and ``None`` elsewhere.  An evaluation unions the owned
+        blocks' ``per_block(block, tiles)`` dicts over all ranks
+        (:meth:`_merged`) and calls ``emit(sink, merged, seconds)``.
+        """
+        every = _positive(every)
         if tile_shape and not self._whole_domain:
             raise ValueError(
                 "tile_shape replays a block decomposition on a solver that "
                 "owns the whole domain as one block"
             )
-        return tuple(tile_shape) if tile_shape else None
+        tiles = tuple(tile_shape) if tile_shape else None
+        if path is None and self.rundir is not None:
+            path = rundir_path(self.rundir)
+        sink = self._sinks[stage] = open_sink(path if self.rank == 0 else None)
+
+        def evaluate() -> None:
+            self._drain()
+            t0 = perf_counter()
+            local = {}
+            for block in self._owned:
+                local.update(per_block(block, tiles))
+            emit(sink, self._merged(local), perf_counter() - t0)
+
+        self._register(stage, every, evaluate)
+        evaluate()
+        return sink
+
+    def _phase_field_only(self, what: str) -> None:
+        """Raise unless this loop holds the phase-field state ``phi`` and ``mu``."""
+        missing = [name for name in ("phi", "mu") if name not in self.state_fields]
+        if missing:
+            raise ValueError(
+                f"{what} needs the phase-field state {' and '.join(map(repr, missing))}; "
+                f"this {self.kind} loop holds {', '.join(map(repr, self.state_fields))}"
+            )
+
+    # -- in-situ physics diagnostics --------------------------------------------------
 
     def enable_diagnostics(
         self,
@@ -652,29 +690,22 @@ class TimeLoop:
         from .diagnostics import DiagnosticsSeries, DiagnosticsSuite, invariant_names
         from .diagnostics.suite import merge_partials
 
-        every = _positive(every)
-        tiles = self._tiles(tile_shape)
-        if csv_path is None and self.rundir is not None:
-            csv_path = self.rundir.diagnostics_path
+        self._phase_field_only("enable_diagnostics")
         if suite is None:
             suite = DiagnosticsSuite.for_model(self.model)
-        series = self._diag_series = DiagnosticsSeries(
-            suite.names,
-            csv_path=csv_path if self.rank == 0 else None,
-        )
         mass, energy = invariant_names(suite.names, self.params)
 
-        def evaluate() -> None:
-            self._drain()
-            local = {
+        def partials(block, tiles) -> dict:
+            return {
                 block.coords: suite.partial(
                     block.arrays, ghost_layers=self.ghost_layers,
                     block_offset=block.cell_offset, tile_shape=tiles,
                     t=self.time, time_step=self.time_step, seed=self.seed,
                 )
-                for block in self._owned
             }
-            totals, n_cells = merge_partials(self._merged(local), tuple(suite.names))
+
+        def emit(series, merged, _seconds) -> None:
+            totals, n_cells = merge_partials(merged, tuple(suite.names))
             values = suite.finalize(totals, n_cells)
             series.record(self.time_step, self.time, values)
             if self.health is not None and (mass or energy):
@@ -683,14 +714,15 @@ class TimeLoop:
                     mass_names=mass, energy_name=energy, where=self._where(),
                 )
 
-        self._register(_DIAGNOSTICS, every, evaluate)
-        evaluate()
-        return series
+        return self._collective_stage(
+            _DIAGNOSTICS, every, tile_shape, csv_path, lambda rd: rd.diagnostics_path,
+            lambda path: DiagnosticsSeries(suite.names, csv_path=path), partials, emit,
+        )
 
     @property
     def diagnostics(self):
         """The live :class:`DiagnosticsSeries`, or ``None`` when disabled."""
-        return self._diag_series
+        return self._sinks.get(_DIAGNOSTICS)
 
     # -- determinism fingerprints -----------------------------------------------------
 
@@ -728,47 +760,40 @@ class TimeLoop:
             tiled_digests,
         )
 
-        every = _positive(every)
-        tiles = self._tiles(tile_shape)
         names = tuple(fields) if fields else self.state_fields
         for name in names:
             if any(name not in block.arrays for block in self._owned):
                 raise ValueError(f"unknown field {name!r}")
-        if path is None and self.rundir is not None:
-            path = self.rundir.fingerprint_path
-        stream = self._fp_stream = FingerprintStream(
-            path=path if self.rank == 0 else None,
-            reference=reference,
-            health=self.health,
-            where=self._where(),
-        )
 
-        def evaluate() -> None:
-            self._drain()
-            t0 = perf_counter()
-            local: dict[str, dict[str, str]] = {}  # block key -> field -> digest
-            for block in self._owned:
-                for name in names:
-                    interior = block.arrays[name][self._cut]
-                    if tiles is None:
-                        digests = {block_key(block.coords): digest_array(interior)}
-                    else:
-                        digests = tiled_digests(interior, self.dim, tiles)
-                    for key, digest in digests.items():
-                        local.setdefault(key, {})[name] = digest
-            merged = self._merged(local)
+        def digests(block, tiles) -> dict:
+            out: dict[str, dict[str, str]] = {}  # block key -> field -> digest
+            for name in names:
+                interior = block.arrays[name][self._cut]
+                if tiles is None:
+                    per_key = {block_key(block.coords): digest_array(interior)}
+                else:
+                    per_key = tiled_digests(interior, self.dim, tiles)
+                for key, digest in per_key.items():
+                    out.setdefault(key, {})[name] = digest
+            return out
+
+        def emit(stream, merged, seconds) -> None:
             per_field = {name: {key: merged[key][name] for key in merged} for name in names}
-            stream.add_overhead(perf_counter() - t0)
+            stream.add_overhead(seconds)
             stream.record_digests(self.time_step, self.time, per_field)
 
-        self._register(_FINGERPRINTS, every, evaluate)
-        evaluate()
-        return stream
+        return self._collective_stage(
+            _FINGERPRINTS, every, tile_shape, path, lambda rd: rd.fingerprint_path,
+            lambda path: FingerprintStream(
+                path=path, reference=reference, health=self.health, where=self._where()
+            ),
+            digests, emit,
+        )
 
     @property
     def fingerprints(self):
         """The live :class:`FingerprintStream`, or ``None`` when disabled."""
-        return self._fp_stream
+        return self._sinks.get(_FINGERPRINTS)
 
     # -- reports ----------------------------------------------------------------------
 

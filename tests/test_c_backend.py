@@ -1109,13 +1109,23 @@ class TestKernelABI:
         m = re.search(re.escape(head) + r" (\w+)\(\n(.*?)\)\n\{", source, re.S)
         return m.group(1), [line.strip() for line in m.group(2).split(",\n")]
 
+    @classmethod
+    def _plain_entry(cls, compiled):
+        """The plain entry of *compiled*, typed by ``kernel.signature`` alone."""
+        func = getattr(compiled._lib, compiled.kernel.c_name)
+        func.restype = None
+        func.argtypes = [
+            cls.CTYPES[a.declaration().rpartition(" ")[0]] for a in compiled.kernel.signature
+        ]
+        return func
+
     def test_c_prototype_and_argtypes_are_the_signature(self, families):
         for label, (kernel, _) in families.items():
             compiled = compile_c_kernel(kernel)
             name, declared = self._prototype(compiled.source, "void")
             assert name == kernel.c_name and name.isidentifier(), label
             assert declared == [a.declaration() for a in kernel.signature], label
-            argtypes = compiled._func.argtypes
+            argtypes = self._plain_entry(compiled).argtypes
             assert len(argtypes) == len(kernel.signature), label
             for decl, ctype in zip(declared, argtypes):
                 c_type, _, arg_name = decl.rpartition(" ")
@@ -1171,7 +1181,7 @@ class TestKernelABI:
                 }
                 values = [by_role[a.role][a.key] for a in kernel.signature]
                 if entry == "plain":
-                    compiled._func(*values)
+                    self._plain_entry(compiled)(*values)
                 else:
                     is_int = [a.is_pointer or a.type.is_int for a in kernel.signature]
                     compiled._packed(

@@ -87,6 +87,10 @@ class FakeMPIComm:
     def irecv(self, buf, source, tag=0):
         return _FakeRequest(self._sim.irecv(source, tag=self._tag(tag)), len(buf))
 
+    def improbe(self, source, tag=0):
+        done, payload = self._sim.irecv(source, tag=self._tag(tag)).test()
+        return _FakeMessage(payload) if done else None
+
     def sendrecv(self, obj, dest, sendtag=0, source=0, recvtag=0):
         self.send(obj, dest, sendtag)
         return self.recv(source, recvtag)
@@ -131,6 +135,16 @@ class _FakeRequest:
         return (True, self._unpack(payload)) if done else (False, None)
 
 
+class _FakeMessage:
+    """``mpi4py.MPI.Message``: a matched message, received at its true size."""
+
+    def __init__(self, payload):
+        self._payload = payload
+
+    def recv(self):
+        return pickle.loads(self._payload)
+
+
 def fake_mpi4py():
     """``{"mpi4py": ..., "mpi4py.MPI": ...}`` for ``sys.modules``."""
     mpi = types.ModuleType("mpi4py.MPI")
@@ -141,14 +155,10 @@ def fake_mpi4py():
     return {"mpi4py": package, "mpi4py.MPI": mpi}
 
 
-def run_mpi4py(size, prog, irecv_buffer_bytes=16 * 2**20, **kwargs):
+def run_mpi4py(size, prog, **kwargs):
     """*prog* on ``MPI4PyComm`` over :class:`FakeMPIComm`, one thread per rank."""
     with mock.patch.dict(sys.modules, fake_mpi4py()):
-        return run_ranks(
-            size,
-            lambda sim: prog(MPI4PyComm(FakeMPIComm(sim), irecv_buffer_bytes)),
-            **kwargs,
-        )
+        return run_ranks(size, lambda sim: prog(MPI4PyComm(FakeMPIComm(sim))), **kwargs)
 
 
 def run_spmd(backend, size, prog, **kwargs):
@@ -514,9 +524,10 @@ class TestMPI4PyAdapter:
         # a 1 MiB ghost strip, far past mpi4py's ~32 KiB default irecv buffer
         assert run_mpi4py(2, self._strip_of(2**20)) == [2**17, 0.0]
 
-    def test_an_irecv_buffer_below_the_message_is_refused(self):
-        with pytest.raises(RankError, match="MPI_ERR_TRUNCATE"):
-            run_mpi4py(2, self._strip_of(2**16), irecv_buffer_bytes=2**15)
+    def test_irecv_takes_a_message_of_any_size(self):
+        # past any buffer an irecv could be posted with ahead of the message
+        n = 17 * 2**20 // 8
+        assert run_mpi4py(2, self._strip_of(17 * 2**20)) == [float(n), 0.0]
 
     def test_bool_and_negative_tags_fold_to_distinct_valid_tags(self):
         # received in the reverse order: a tag that aliased another, or

@@ -160,3 +160,17 @@ class TestPhysics:
     def test_wall_shape_validation(self):
         with pytest.raises(ValueError, match="2D shape|needs"):
             LBMSimulation(LBMethod(), (8, 8, 8))
+
+
+class TestPhaseFieldOnlyFeatures:
+    """Checkpoints and diagnostics read φ and µ: an LBM loop is told so by name."""
+
+    @pytest.mark.parametrize("feature", ["save_checkpoint", "load_checkpoint",
+                                         "enable_diagnostics"])
+    def test_refused_naming_the_missing_state(self, feature, tmp_path):
+        sim = LBMSimulation(LBMethod(lattice=D2Q9), (8, 8))
+        args = () if feature == "enable_diagnostics" else (tmp_path / "cp",)
+        with pytest.raises(ValueError, match=rf"{feature} needs the phase-field state "
+                                             r"'phi' and 'mu'; this lbm loop holds"):
+            getattr(sim, feature)(*args)
+        assert not any(tmp_path.iterdir())  # nothing written on the way

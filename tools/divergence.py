@@ -43,10 +43,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.observability.fingerprint import (  # noqa: E402
-    FingerprintLedger,
-    find_mismatches,
-)
+from repro.observability.fingerprint import find_mismatches, load_reference  # noqa: E402
 
 DIVERGENCE_SCHEMA = "repro-divergence/1"
 
@@ -54,23 +51,6 @@ _CHECKPOINT_RE = re.compile(r"^step(\d{8})(?:\.block_[\d_]+)?\.npz$")
 
 
 # -- ledger alignment ----------------------------------------------------------
-
-
-def resolve_ledger(path) -> Path:
-    """A ledger argument: the file itself, or a run directory holding one."""
-    path = Path(path)
-    if path.is_dir():
-        path = path / "fingerprints.jsonl"
-    return path
-
-
-def load_ledger(path) -> list[dict]:
-    records = FingerprintLedger(resolve_ledger(path)).load()
-    if not records:
-        raise FileNotFoundError(
-            f"fingerprint ledger {resolve_ledger(path)} is missing or empty"
-        )
-    return records
 
 
 def first_divergence(records_a, records_b) -> dict | None:
@@ -293,15 +273,15 @@ def divergence_document(
     heatmap_shape=(16, 16),
 ) -> dict:
     """The full ``repro-divergence/1`` analysis of two ledgers."""
-    records_a = load_ledger(path_a)
-    records_b = load_ledger(path_b)
-    steps_a = {r["step"] for r in records_a}
-    steps_b = {r["step"] for r in records_b}
+    ledger_a, by_step_a = load_reference(path_a)
+    ledger_b, by_step_b = load_reference(path_b)
+    records_a, records_b = list(by_step_a.values()), list(by_step_b.values())
+    steps_a, steps_b = set(by_step_a), set(by_step_b)
     div = first_divergence(records_a, records_b)
     doc = {
         "schema": DIVERGENCE_SCHEMA,
-        "a": str(resolve_ledger(path_a)),
-        "b": str(resolve_ledger(path_b)),
+        "a": str(ledger_a),
+        "b": str(ledger_b),
         "records": {"a": len(records_a), "b": len(records_b)},
         "common_steps": len(steps_a & steps_b),
         "only_a": sorted(steps_a - steps_b),
