@@ -203,15 +203,35 @@ class FlightRecorder:
             event = tuple.__new__(RecorderEvent, (self._seq, t0, kind, name, data))
             self._ring.append(event)
             if self._journal is not None:
-                try:
-                    self._journal.write(
-                        json.dumps(event.to_dict(), default=_plain) + "\n"
-                    )
-                except (OSError, ValueError):
-                    # a full disk or closed handle must never kill the run
-                    self._journal = None
+                self._write(event)
             self._overhead += perf_counter() - t0
         return event
+
+    def _write(self, event: RecorderEvent) -> None:
+        """Journal *event* (under the lock); a failing journal is dropped."""
+        try:
+            self._journal.write(json.dumps(event.to_dict(), default=_plain) + "\n")
+        except (OSError, ValueError):
+            # a full disk or closed handle must never kill the run
+            self._journal = None
+
+    def adopt(self, events) -> None:
+        """Append *events* another process recorded, keeping their times.
+
+        They take this recorder's next sequence numbers, in their order, and
+        go to its journal like its own events — a forked child's share of a
+        run (see ``GrandPotentialModel.create_kernels``).  Their timestamps
+        share this process's clock (``perf_counter`` is system-wide on Linux).
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            for _seq, ts, kind, name, data in events:
+                self._seq += 1
+                event = RecorderEvent(self._seq, ts, kind, name, data)
+                self._ring.append(event)
+                if self._journal is not None:
+                    self._write(event)
 
     def begin(self, kind: str, name: str = "", **data) -> RecorderEvent | None:
         """Record a ``<kind>_begin`` event and push it on the open-span stack."""

@@ -14,12 +14,17 @@ written only by the thread that bound it — which makes the sharing safe,
 between solvers and between threads.
 
 Hit/miss counters make the behaviour observable (and testable).
+:func:`compile_all` is the one compile pool: a time loop lowering its
+schedule and a model building the binaries of a kernel set it derives run
+their compilations through it, side by side.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -28,7 +33,7 @@ from sympy.printing.repr import ReprPrinter
 
 from ..ir.kernel import Kernel
 from ..observability.log import get_logger, kv
-from ..observability.recorder import get_recorder
+from ..observability.recorder import get_recorder, set_thread_recorder
 from ..symbolic.ordering import CanonicalTermOrder
 
 _log = get_logger("profiling.cache")
@@ -36,10 +41,12 @@ _log = get_logger("profiling.cache")
 __all__ = [
     "canonical_srepr",
     "kernel_fingerprint",
+    "compile_all",
     "compile_cached",
     "kernel_cache_stats",
     "clear_kernel_cache",
     "CacheStats",
+    "usable_cpus",
 ]
 
 _LOCK = threading.Lock()
@@ -169,6 +176,41 @@ def compile_cached(kernel: Kernel, backend: str = "numpy"):
             )
         )
         return winner
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` where that is unknown)."""
+    # sched_getaffinity (the CPUs this process may run on) is Linux-only
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def compile_all(jobs: list, workers: int | None = None) -> list:
+    """``[job() for job in jobs]``, the compilations side by side.
+
+    On *workers* threads, by default one per usable CPU, and at most one
+    per job: a C build is a compiler process, which releases the GIL, so
+    two kernels' gcc runs overlap each other and the next kernel's source
+    emission.  The disk
+    tier's per-entry lock makes concurrent builders safe.  Every worker
+    records into the caller's recorder (a simulated rank's own journal),
+    and no worker outlives the call — a later fork sees a single-threaded
+    process.  The first failing job, in *jobs* order, raises.
+    """
+    recorder = get_recorder()
+
+    def one(job):
+        set_thread_recorder(recorder)
+        return job()
+
+    with ThreadPoolExecutor(max(min(len(jobs), workers or usable_cpus()), 1)) as pool:
+        futures = [pool.submit(one, job) for job in jobs]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            for f in futures:
+                f.cancel()
 
 
 def kernel_cache_stats() -> CacheStats:

@@ -33,9 +33,10 @@ would build, so a hit can never hand back a stale or wrong-ISA artifact::
                  and every module it imports, :func:`codegen_sources`) |
                  compiler identity (path + --version banner) | flag list)
 
-    ir key = sha256(schema | "ir" | IR revision (hash of ``pfm/model.py``
-                    and every module it imports inside the packages that
-                    shape a kernel's IR, :func:`ir_revision`) | python,
+    ir key = sha256(schema | "ir" | IR revision (hash of ``pfm/model.py``,
+                    ``profiling/cache.py`` and every module they import
+                    inside the packages that shape a kernel's IR,
+                    :func:`ir_revision`) | python,
                     sympy and numpy versions | pickle protocol | the
                     derivation's inputs: parameter digest and arguments)
 
@@ -95,6 +96,7 @@ __all__ = [
     "CACHE_SCHEMA",
     "DiskCacheStats",
     "KernelDiskCache",
+    "add_disk_cache_stats",
     "cache_key",
     "cache_root",
     "codegen_revision",
@@ -114,8 +116,9 @@ _CODEGEN_ROOTS = ("backends/c_backend.py", "ir/kernel.py")
 #: to a kernel (discretization, simplification) is in its assignments, which
 #: the kernel fingerprint hashes
 _CODEGEN_PACKAGES = ("symbolic", "ir", "backends")
-#: where a model's kernel set is derived (the IR tier) ...
-_IR_ROOTS = ("pfm/model.py",)
+#: where a model's kernel set is derived (the IR tier), and the module of
+#: ``kernel_fingerprint``, whose memo a set derived with its binaries carries ...
+_IR_ROOTS = ("pfm/model.py", "profiling/cache.py")
 #: ... and the packages whose modules shape it: the model's physics, the
 #: symbolic layer, discretization, the simplification passes and the IR
 _IR_PACKAGES = ("pfm", "symbolic", "discretization", "simplification", "ir")
@@ -169,6 +172,17 @@ def disk_cache_stats() -> DiskCacheStats:
         )
 
 
+def add_disk_cache_stats(stats: DiskCacheStats) -> None:
+    """Count *stats* — another process's, a forked child's — as this process's too."""
+    global _HITS, _MISSES, _BUILDS, _IR_HITS, _IR_DERIVATIONS
+    with _LOCK:
+        _HITS += stats.hits
+        _MISSES += stats.misses
+        _BUILDS += stats.builds
+        _IR_HITS += stats.ir_hits
+        _IR_DERIVATIONS += stats.ir_derivations
+
+
 def reset_disk_cache_stats() -> None:
     global _HITS, _MISSES, _BUILDS, _IR_HITS, _IR_DERIVATIONS
     with _LOCK:
@@ -193,6 +207,7 @@ def cache_root() -> Path:
 def compiler_identity(cc: str | None = None) -> dict:
     """Identity of the compiler a build would use: path + version banner.
 
+    ``gcc`` says whether it is GCC (see ``c_backend._GCC_FLAGS``).
     Cached per compiler path for the life of the process; folded into
     every cache key so switching ``CC``, upgrading the toolchain, or
     moving a shared cache to a host with a different compiler never
@@ -207,12 +222,13 @@ def compiler_identity(cc: str | None = None) -> dict:
         out = subprocess.run(
             [cc, "--version"], capture_output=True, text=True, timeout=30
         )
-        version = (out.stdout or out.stderr).splitlines()[0].strip() if (
-            out.stdout or out.stderr
-        ) else "unknown"
-    except (OSError, subprocess.TimeoutExpired, IndexError):
-        version = "unavailable"
-    identity = {"cc": cc, "version": version}
+        banner = out.stdout or out.stderr
+        version = banner.splitlines()[0].strip() if banner else "unknown"
+    except (OSError, subprocess.TimeoutExpired):
+        banner, version = "", "unavailable"
+    # GCC's banner, under any name it is installed as, carries its
+    # copyright line; clang's and other compilers' do not
+    identity = {"cc": cc, "version": version, "gcc": "Free Software Foundation" in banner}
     _IDENTITY_CACHE[cc] = identity
     return identity
 
@@ -275,10 +291,11 @@ def codegen_revision() -> str:
 def ir_revision() -> str:
     """Hash of the modules that derive a kernel set — bumps on any edit.
 
-    Covers ``pfm/model.py`` and every module it imports inside
-    :data:`_IR_PACKAGES`: a change to any of them may change the derived
-    IR (or the classes a pickled set names), so every kernel set pickled
-    under the old revision is invalidated.
+    Covers ``pfm/model.py``, ``profiling/cache.py`` (the memoized
+    ``kernel_fingerprint`` a pickled kernel holds) and every module they
+    import inside :data:`_IR_PACKAGES`: a change to any of them may change
+    the derived IR (or the classes a pickled set names), so every kernel
+    set pickled under the old revision is invalidated.
     """
     global _IR_REVISION
     if _IR_REVISION is None:

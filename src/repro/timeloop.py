@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from math import prod
 from time import perf_counter
@@ -44,8 +42,9 @@ from .backends.c_backend import CompiledCKernel, compile_c_fill
 from .backends.numpy_backend import create_arrays
 from .observability.hwcounters import get_counter_harness
 from .observability.log import get_logger, kv
-from .observability.recorder import get_recorder, set_thread_recorder
+from .observability.recorder import get_recorder
 from .profiling import SolverProfiler
+from .profiling.cache import compile_all
 
 __all__ = ["TimeLoop"]
 
@@ -63,37 +62,6 @@ def _positive(every: int) -> int:
     if every < 1:
         raise ValueError("every must be >= 1")
     return int(every)
-
-
-def _compile_all(jobs: list) -> list:
-    """``[job() for job in jobs]``, the compilations side by side.
-
-    One worker thread per usable CPU (at most one per job): a C build is
-    a compiler process, which releases the GIL, so two kernels' gcc runs
-    overlap each other and the next kernel's source emission.  The disk
-    tier's per-entry lock makes concurrent builders safe.  Every worker
-    records into the caller's recorder (a simulated rank's own journal),
-    and no worker outlives the call — a later fork sees a single-threaded
-    process.  The first failing job, in *jobs* order, raises.
-    """
-    # sched_getaffinity (the CPUs this process may run on) is Linux-only
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    recorder = get_recorder()
-
-    def one(job):
-        set_thread_recorder(recorder)
-        return job()
-
-    with ThreadPoolExecutor(max(min(len(jobs), cpus), 1)) as pool:
-        futures = [pool.submit(one, job) for job in jobs]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            for f in futures:
-                f.cancel()
 
 
 class _Batch:
@@ -272,7 +240,7 @@ class TimeLoop:
         native_fill = self.fills_ghosts and backend == "c"
         if native_fill:
             jobs.append(compile_c_fill)
-        built = _compile_all(jobs)
+        built = compile_all(jobs)
         #: what ``sync`` passes to ``fill_ghosts`` as its native fill (or None)
         self._native_fill = built.pop() if native_fill else None
         compiled = dict(zip(sweeps, built))

@@ -10,6 +10,11 @@ explicit value in the caller's environment wins.
 Every other test shares the user's kernel disk cache, so a second run of
 the suite loads each kernel set and ``.so`` the first one published.  A
 test whose subject is a derivation or a build takes ``cold_cache``.
+
+No test may leave a journal open on the process-wide recorder: it would
+receive every later test's events, at the journal's price per event, and a
+cost gate that runs later would measure that price.  A ``RunDir`` closes
+the journal a solver opened in it when its ``with`` block ends.
 """
 
 import os
@@ -35,3 +40,16 @@ def cold_cache(tmp_path, monkeypatch):
     yield root
     clear_kernel_cache()
     reset_disk_cache_stats()
+
+
+@pytest.fixture(autouse=True)
+def no_journal_left_open():
+    """Fail the test that leaves a journal open on the process-wide recorder."""
+    yield
+    from repro.observability.recorder import get_recorder
+
+    recorder = get_recorder()
+    journal = recorder.journal_path
+    if journal is not None:
+        recorder.close_journal()
+        pytest.fail(f"the test left its journal {journal} open on the process-wide recorder")

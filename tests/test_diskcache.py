@@ -614,12 +614,14 @@ class TestIRTier:
         derived = _create_kernels()
         stats = disk_cache_stats()
         assert (stats.ir_hits, stats.ir_derivations) == (0, 1)
+        built = (stats.hits, stats.misses, stats.builds)
         model = GrandPotentialModel(_binary())
         loaded = model.create_kernels()
         stats = disk_cache_stats()
         assert (stats.ir_hits, stats.ir_derivations) == (1, 1)
-        # the compiled-artifact counters count compiled artifacts only
-        assert (stats.hits, stats.misses, stats.builds) == (0, 0, 0)
+        # the compiled-artifact counters count compiled artifacts only: a
+        # derivation builds the set's binaries, a load neither builds nor loads one
+        assert (stats.hits, stats.misses, stats.builds) == built
         assert loaded.model is model
         assert _fingerprints(loaded) == _fingerprints(derived)
         assert [generate_c_source(k) for k in loaded.all_kernels] == [
@@ -668,7 +670,9 @@ class TestIRTier:
         assert not any((e / cache.IR_ARTIFACT).exists() for e in cache.entries())
         assert disk_cache_stats().ir_derivations == 0
 
-    def test_maintenance_covers_both_kinds(self, cold_cache):
+    def test_maintenance_covers_both_kinds(self, cold_cache, monkeypatch):
+        # a set derived without its binaries: one IR entry
+        monkeypatch.setattr("repro.pfm.model.c_compiler_available", lambda: False)
         cache = KernelDiskCache()
         _create_kernels()
         cache.get_or_build(cache_key("so-entry"), _touch_builder())

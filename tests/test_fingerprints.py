@@ -348,15 +348,15 @@ class TestSolverFingerprints:
     ):
         params = binary_kernels.model.params
         phi0, _ = _front_init(params)
-        rundir = RunDir(tmp_path / "run")
-        solver = SingleBlockSolver(
-            binary_kernels, (16, 8), boundary="periodic", rundir=rundir
-        )
-        solver.set_state(phi0, mu=0.0)
-        solver.enable_fingerprints(every=1)
-        solver.step(2)
+        with RunDir(tmp_path / "run") as rundir:
+            solver = SingleBlockSolver(
+                binary_kernels, (16, 8), boundary="periodic", rundir=rundir
+            )
+            solver.set_state(phi0, mu=0.0)
+            solver.enable_fingerprints(every=1)
+            solver.step(2)
         assert rundir.fingerprint_path.exists()
-        manifest = rundir.write_manifest(status="complete")
+        manifest = json.loads(rundir.manifest_path.read_text())
         assert "fingerprints" in manifest["artifacts"]
 
     def test_stream_invariant_across_ranks_tiling_and_overlap(
@@ -592,14 +592,13 @@ class TestReportingSurfaces:
     def _audited_rundir(self, binary_kernels, tmp_path):
         params = binary_kernels.model.params
         phi0, _ = _front_init(params)
-        rundir = RunDir(tmp_path / "run")
-        solver = SingleBlockSolver(
-            binary_kernels, (16, 8), boundary="periodic", rundir=rundir
-        )
-        solver.set_state(phi0, mu=0.0)
-        solver.enable_fingerprints(every=1)
-        solver.step(2)
-        rundir.write_manifest(status="complete")
+        with RunDir(tmp_path / "run") as rundir:
+            solver = SingleBlockSolver(
+                binary_kernels, (16, 8), boundary="periodic", rundir=rundir
+            )
+            solver.set_state(phi0, mu=0.0)
+            solver.enable_fingerprints(every=1)
+            solver.step(2)
         return rundir
 
     def test_check_fingerprints_accepts_a_live_rundir(

@@ -528,11 +528,11 @@ class TestRecordsFromProfiler:
     def test_export_perf_appends_to_the_rundir_ledger(self, tmp_path, fake_pmu):
         with pytest.raises(ValueError, match="export_perf needs a path"):
             _binary_solver("numpy").export_perf()
-        rundir = RunDir(tmp_path / "run", config={})
-        solver = _binary_solver("numpy", rundir=rundir)
-        solver.step(3)
-        assert solver.export_perf(bench="unit") == str(rundir.perf_path)
-        assert solver.export_perf(bench="unit") == str(rundir.perf_path)  # appends
+        with RunDir(tmp_path / "run", config={}) as rundir:
+            solver = _binary_solver("numpy", rundir=rundir)
+            solver.step(3)
+            assert solver.export_perf(bench="unit") == str(rundir.perf_path)
+            assert solver.export_perf(bench="unit") == str(rundir.perf_path)  # appends
         records = PerfLedger(rundir.perf_path).load(strict=True)
         kernels = [f"kernels/{k.name}" for k in solver.kernels]
         assert [r["name"] for r in records] == kernels * 2

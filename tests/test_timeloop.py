@@ -30,7 +30,7 @@ from repro.pfm import (
 )
 from repro.profiling import clear_kernel_cache, kernel_cache_stats
 from repro.profiling.diskcache import KernelDiskCache, disk_cache_stats
-from repro import timeloop
+from repro.profiling import cache
 from repro.timeloop import TimeLoop
 
 SHAPE = (8, 8)
@@ -291,8 +291,8 @@ class TestConcurrentLowering:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         widths = []
-        pool = timeloop.ThreadPoolExecutor
-        monkeypatch.setattr(timeloop, "ThreadPoolExecutor", lambda n: widths.append(n) or pool(n))
+        pool = cache.ThreadPoolExecutor
+        monkeypatch.setattr(cache, "ThreadPoolExecutor", lambda n: widths.append(n) or pool(n))
         solver, _, _ = _distributed(kernels, overlap=True)
         assert widths == [min(len(_sweep_kernels(solver)), cpus)]
 
