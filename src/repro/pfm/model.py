@@ -18,8 +18,8 @@ into the IR tier of the kernel disk cache (:mod:`repro.profiling.diskcache`),
 and every later :meth:`GrandPotentialModel.create_kernels` with equal
 parameters and arguments, in any process, loads it without sympy work.
 The φ and µ systems are derived independently, on two CPUs where there
-are two (:class:`_Child`), and the binaries of a CPU set are built as
-part of its derivation.
+are two (:class:`_Child`); such a forked derivation of a CPU set also
+builds the set's binaries.
 """
 
 from __future__ import annotations
@@ -159,11 +159,16 @@ class _Child:
             self._serve(work, write, parent)
         os.close(write)
         self._pipe = os.fdopen(read, "rb")
+        try:  # also in the child, whichever runs first: a group :meth:`_reap` kills
+            os.setpgid(self.pid, self.pid)
+        except OSError:  # the child has done it, or has exited
+            pass
 
     @staticmethod
     def _serve(work, write: int, parent: FlightRecorder):
         status = 1
         try:
+            os.setpgid(0, 0)
             recorder = FlightRecorder(capacity=None, enabled=parent.enabled, rank=parent.rank)
             set_thread_recorder(recorder)
             reset_disk_cache_stats()
@@ -187,8 +192,11 @@ class _Child:
         """The child's value, once it has exited; its failure as a named error."""
         with self._pipe:
             data = self._pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        pid, self.pid = self.pid, None
+        pid, status, usage = self._reap()
+        _log.info(
+            kv("derivation_child_exited", system=self.system, pid=pid,
+               peak_rss_mb=round(usage.ru_maxrss / 1024.0, 1))
+        )
         failed = f"deriving the {self.system!r} kernels in child process {pid} failed"
         try:
             outcome, value, stats, events = pickle.loads(data)
@@ -207,10 +215,23 @@ class _Child:
     def reap(self) -> None:
         """Kill and wait for a child that was not joined (the caller failed)."""
         if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
             self._pipe.close()
-            os.waitpid(self.pid, 0)
-            self.pid = None
+            self._reap()
+
+    def _reap(self):
+        """Kill what is left of the child's process group, then wait for the child.
+
+        The group is the child and its compiler runs: after a reply nothing
+        but the exited child is in it, after a failure nothing of it is left
+        running.  Returns the pid, the wait status and the child's usage.
+        """
+        pid, self.pid = self.pid, None
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except ProcessLookupError:  # no group was made: the child alone
+            os.kill(pid, signal.SIGKILL)
+        _, status, usage = os.wait4(pid, 0)
+        return pid, status, usage
 
 
 @dataclass
@@ -546,7 +567,9 @@ class GrandPotentialModel:
 
         The two systems share nothing but the model: where :func:`_may_fork`,
         a forked child lowers µ and the projection while this process lowers
-        φ, and both have returned before this does.
+        φ, each building its share's binaries, and both have returned before
+        this does.  Otherwise both are lowered here and build nothing: the
+        time loop builds what it runs on its own pool, as a warm set's does.
         """
         config = KernelConfig(
             target=target,
@@ -554,33 +577,33 @@ class GrandPotentialModel:
             parameter_values=self.compile_time_constants() if fold_constants else None,
         )
         lower = partial(self._lower_system, config=config)
-        workers = usable_cpus() if target == "cpu" and c_compiler_available() else 0
-        if _may_fork():
-            # each process builds on one worker: the other CPU is the other's
-            workers = min(workers, 1)
-            child = _Child("mu", partial(lower, "mu", variant_mu, workers=workers))
+        if not _may_fork():
+            phi = lower("phi", variant_phi, build=False)
+            mu = lower("mu", variant_mu, build=False)
+        else:
+            build = target == "cpu" and c_compiler_available()
+            child = _Child("mu", partial(lower, "mu", variant_mu, build=build))
             try:
-                phi = lower("phi", variant_phi, workers=workers)
+                phi = lower("phi", variant_phi, build=build)
                 mu = child.join()
             finally:
                 child.reap()
-        else:
-            phi = lower("phi", variant_phi, workers=workers)
-            mu = lower("mu", variant_mu, workers=workers)
         return dict(phi_kernels=phi, projection_kernel=mu[-1], mu_kernels=mu[:-1])
 
     def _lower_system(
-        self, system: str, variant: str, config: KernelConfig, workers: int
+        self, system: str, variant: str, config: KernelConfig, build: bool
     ) -> list[Kernel]:
         """The *variant* kernels of one *system*: ``"phi"``, or ``"mu"`` and the projection.
 
         The projection goes with µ: deriving it takes no time, and its build
         evens out the two shares (P1: φ is 3.3 s of sympy and 1.4 s of gcc,
-        µ 2.2 s and 1.7 s on a 2-vCPU Xeon guest).  With *workers* > 0,
-        each kernel's C binary is compiled on that many threads
-        (:func:`~repro.profiling.cache.compile_all`) and published to the
-        disk cache, and with µ the native ghost fill, so a solver's lowering
-        finds every binary in memory or on disk.
+        µ 2.2 s and 1.7 s on a 2-vCPU Xeon guest).  With *build*, each
+        kernel's C binary is compiled (:func:`~repro.profiling.cache.compile_all`,
+        on one worker: the other CPU is the other process's) and published
+        to the disk cache, and with µ the native ghost fill, so a solver's
+        lowering finds every binary in memory or on disk.  A failed build
+        is logged and leaves the kernels usable: a C solver builds them
+        again and reports the failure.
         """
         if system == "phi":
             equations, dst = self.phi_system(), self.phi_dst
@@ -599,9 +622,12 @@ class GrandPotentialModel:
             kernels.append(
                 create_kernel(self.projection_collection(), KernelConfig(target=config.target))
             )
-        if workers:
+        if build:
             jobs = [partial(compile_cached, k, "c") for k in kernels]
             if system == "mu":
                 jobs.append(compile_c_fill)  # what a C block solver builds beside them
-            compile_all(jobs, workers)
+            try:
+                compile_all(jobs, workers=1)
+            except Exception as err:  # noqa: BLE001 - the set does not need its binaries
+                _log.warning(kv("kernel_prebuild_failed", system=system, error=repr(err)))
         return kernels

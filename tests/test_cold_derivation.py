@@ -5,13 +5,15 @@ forks one child that derives the µ system and the projection and publishes
 their binaries (and the native fill's) while the caller derives φ and
 builds its binary.
 On one CPU, or beside another thread, the same per-system function runs in
-process.  Either way the emitted C and the kernel fingerprints are the
-same, the child's failure is a named error, and nothing outlives the call.
+process and builds nothing.  Either way the emitted C and the kernel
+fingerprints are the same, the child's failure is a named error, a
+compiler that fails leaves the set usable, and nothing outlives the call.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -20,6 +22,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backends.c_backend import (
@@ -31,6 +34,7 @@ from repro.backends.c_backend import (
 from repro.observability.recorder import FlightRecorder, set_recorder
 from repro.pfm import GrandPotentialModel, SingleBlockSolver, make_two_phase_binary
 from repro.pfm import model as model_module
+from repro.pfm.initialize import planar_front
 from repro.pfm.model import KernelDerivationError
 from repro.profiling import disk_cache_stats
 from repro.profiling.cache import usable_cpus
@@ -134,20 +138,25 @@ def test_another_thread_keeps_the_derivation_in_process(cold_cache, forks, monke
     assert forks == []
     assert systems == [("phi", os.getpid()), ("mu", os.getpid())]
     assert [k.name for k in kernels.all_kernels] == ["phi", "phi_project", "mu"]
+    assert disk_cache_stats().builds == 0  # the time loop builds what it runs
 
 
 @needs_fork
 @needs_cc
-def test_the_childs_builds_and_spans_are_counted_here(cold_cache, forks):
+def test_the_childs_builds_and_spans_are_counted_here(cold_cache, forks, caplog):
     compile_c_fill.cache_clear()  # built once per process: here, by the child
     recorder = FlightRecorder(capacity=None)
     previous = set_recorder(recorder)
     try:
         before = threading.active_count()
-        kernels = _binary().create_kernels()
+        with caplog.at_level(logging.INFO, logger="repro.pfm.model"):
+            kernels = _binary().create_kernels()
         assert threading.active_count() == before
         (pid,) = forks
         _assert_reaped(pid)
+        (exited,) = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("derivation_child_exited")]
+        assert f"pid={pid}" in exited and "peak_rss_mb=" in exited
         stats = disk_cache_stats()
         # φ (here), µ, the projection and the native fill (in the child)
         assert (stats.builds, stats.misses, stats.ir_derivations) == (4, 4, 1)
@@ -194,21 +203,72 @@ def test_a_failing_child_is_a_named_error(cold_cache, forks, monkeypatch, failur
     assert not list(cold_cache.rglob("kernels.pickle"))
 
 
+def _running(pid: int) -> bool:
+    """Whether *pid*, not necessarily a child of this process, runs (a zombie does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
 @needs_fork
-def test_a_failure_here_kills_and_reaps_the_child(cold_cache, forks, monkeypatch):
-    lower = GrandPotentialModel._lower_system
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_failure_here_kills_the_child_and_its_compiler_runs(
+    cold_cache, forks, monkeypatch, tmp_path
+):
+    """The caller fails while the child waits for a compiler: neither is left."""
+    started = tmp_path / "compiler.pid"
     parent = os.getpid()
+    lower = GrandPotentialModel._lower_system
+
+    def compiling(jobs, workers=None):  # the child's builds: one long compiler run
+        run = subprocess.Popen(["sleep", "120"])
+        started.write_text(str(run.pid))
+        run.wait()
 
     def failing(self, system, *args, **kwargs):
         if system == "phi" and os.getpid() == parent:
+            deadline = time.monotonic() + 60
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             raise ValueError("no phi today")
         return lower(self, system, *args, **kwargs)
 
+    monkeypatch.setattr(model_module, "c_compiler_available", lambda: True)
+    monkeypatch.setattr(model_module, "compile_all", compiling)
     monkeypatch.setattr(GrandPotentialModel, "_lower_system", failing)
     with pytest.raises(ValueError, match="no phi today"):
         _binary().create_kernels()
     (pid,) = forks
     _assert_reaped(pid)
+    compiler = int(started.read_text())
+    deadline = time.monotonic() + 10
+    while _running(compiler) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(compiler)
+
+
+@needs_fork
+def test_a_failing_compiler_leaves_the_set_usable(cold_cache, forks, tmp_path, monkeypatch):
+    """A failed build is not a failed derivation: the set is published, NumPy runs it."""
+    broken = tmp_path / "cc-broken"
+    broken.write_text("#!/bin/sh\nexit 1\n")
+    broken.chmod(0o755)
+    monkeypatch.setenv("CC", str(broken))
+    compile_c_fill.cache_clear()
+    kernels = _binary().create_kernels()
+    (pid,) = forks
+    _assert_reaped(pid)
+    assert disk_cache_stats().ir_derivations == 1
+    assert len(list(cold_cache.rglob("kernels.pickle"))) == 1
+    solver = SingleBlockSolver(kernels, (8, 8), backend="numpy")
+    solver.set_state(planar_front((8, 8), 2, 0, 1, position=4.0, epsilon=4.0))
+    solver.step(2)
+    assert np.isfinite(solver.phi).all()
+    # the C solver builds again and reports the compiler's failure
+    with pytest.raises(RuntimeError, match="C compilation failed"):
+        SingleBlockSolver(kernels, (8, 8), backend="c")
 
 
 @pytest.mark.parametrize("reason", ["gpu target", "no compiler"])
