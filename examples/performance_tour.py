@@ -25,7 +25,8 @@ def main():
     full = model.create_kernels(variant_phi="full", variant_mu="full")
     split = model.create_kernels(variant_phi="split", variant_mu="split")
     for ks, label in ((full, "full"), (split, "split")):
-        for k in ks.phi_kernels + ks.mu_kernels:
+        # a split system is one contracted kernel; its stages are the paper's two
+        for k in [stage for k in ks.phi_kernels + ks.mu_kernels for stage in k.stages]:
             oc = k.operation_count()
             print(
                 f"  {k.name:10s} [{label:5s}]  norm FLOPs {oc.normalized_flops():7.0f}"
@@ -42,7 +43,7 @@ def main():
     print("\n=== ECM model: µ-split vs µ-full per-core scaling (Fig. 2 left) ===")
     ecm = ECMModel(SKYLAKE_8174)
     p_full = ecm.predict(mu_full, (60, 60, 60))
-    p_split = [ecm.predict(k, (60, 60, 60)) for k in split.mu_kernels]
+    p_split = [ecm.predict(k, (60, 60, 60)) for k in split.mu_kernels[0].stages]
     print(f"  {p_full}")
     for p in p_split:
         print(f"  {p}")

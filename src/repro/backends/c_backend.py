@@ -169,8 +169,12 @@ class CStatementPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinte
 
     def _print_Symbol(self, expr):
         if isinstance(expr, FieldAccess):
-            return _access_str(expr)
+            return self.access(expr)
         return super()._print_Symbol(expr)
+
+    def access(self, acc: FieldAccess) -> str:
+        """The element a field access reads or writes."""
+        return _access_str(acc)
 
     def _print_Float(self, expr):
         # shortest round-trip decimal; C strtod parses to the nearest double,
@@ -228,7 +232,7 @@ class CStatementPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinte
     def statement(self, a: Assignment) -> str:
         """A field store, or the definition of a temporary."""
         if a.is_field_store:
-            return f"{_access_str(a.lhs)} = {self.rhs(a)};"
+            return f"{self.access(a.lhs)} = {self.rhs(a)};"
         return f"const double {a.lhs.name} = {self.rhs(a)};"
 
     def coordinate(self, axis: int) -> str:
@@ -283,9 +287,14 @@ def function_head(kernel: Kernel, prefix: str = "void", restrict: str = "restric
 def generate_c_source(kernel: Kernel) -> str:
     """Emit the complete C99 translation unit for *kernel*."""
     lines = [f"/* generated C kernel: {kernel.name} */", _PHILOX_C, ""]
+    if kernel.flux_field is not None:
+        lines += ["#include <stdlib.h>", ""]
     lines += function_head(kernel)
-    for region, assignments, sub in kernel.regions:
-        lines += _emit_c_loop_nest(kernel, region, assignments, sub)
+    if kernel.flux_field is not None:
+        lines += _emit_contracted(kernel)
+    else:
+        for region, assignments, sub in kernel.regions:
+            lines += _emit_c_loop_nest(kernel, region, assignments, sub)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -319,6 +328,15 @@ def packed_entry(kernel: Kernel) -> str:
     ])
 
 
+def _loop_range(kernel: Kernel, region, axis: int) -> tuple[str, str]:
+    """Start and bound of the loop over *axis* writing *region*, restricted or not."""
+    lo, hi = region[axis]
+    bound = f"n{axis} + {lo + hi}" if (lo or hi) else f"n{axis}"
+    if kernel.subspace is None:
+        return "0", bound
+    return f"sub_lo{axis}", f"{bound} + sub_hi{axis}"
+
+
 def _emit_c_loop_nest(kernel, region, assignments, sub) -> list[str]:
     dim = kernel.dim
     loop_order = kernel.loop_order
@@ -349,11 +367,7 @@ def _emit_c_loop_nest(kernel, region, assignments, sub) -> list[str]:
 
     restricted = kernel.subspace is not None
     for level, axis in enumerate(loop_order, start=1):
-        lo, hi = region[axis]
-        bound = f"n{axis} + {lo + hi}" if (lo or hi) else f"n{axis}"
-        start = f"sub_lo{axis}" if restricted else "0"
-        if restricted:
-            bound = f"{bound} + sub_hi{axis}"
+        start, bound = _loop_range(kernel, region, axis)
         # threads on the outermost loop, vector lanes on the innermost: each
         # iteration writes only its own cell through restrict pointers.  A
         # reduction stays scalar, "simd reduction" would reorder its sums; a
@@ -392,6 +406,149 @@ def _emit_c_loop_nest(kernel, region, assignments, sub) -> list[str]:
         for i, a in enumerate(assignments):
             out.append(f"{pad}reduce_out[{i}] = __acc_{i};")
     out.append("    }")
+    return out
+
+
+class _BufferPrinter(CStatementPrinter):
+    """A contracted kernel's printer: its flux field is the thread's buffer ``buf``.
+
+    The buffer holds one *plane* per slot — the cells of every axis but the
+    outermost loop's, one more along each for the upper faces — in C
+    order over the loop's inner axes.  Slots whose faces are normal to the
+    outermost axis have a ring of two planes, the lower faces of plane
+    ``i`` at ``i & 1``; every other slot has the current plane's.
+    """
+
+    def __init__(self, kernel: Kernel, region):
+        super().__init__(kernel, region)
+        self._kernel = kernel
+        self._ring, self._rest = _buffer_slots(kernel)
+
+    def access(self, acc: FieldAccess) -> str:
+        k = self._kernel
+        if acc.field != k.flux_field:
+            return _access_str(acc)
+        outer, *inner = k.loop_order
+        (slot,) = acc.index
+        off = [int(o) for o in acc.offsets]
+        if slot in self._ring:
+            ring = len(self._ring)
+            plane = f"((i{outer} + {off[outer]}) & 1) * {ring} + {self._ring.index(slot)}"
+        else:
+            plane = str(2 * len(self._ring) + self._rest.index(slot))
+        cell = "0"
+        for d in inner:
+            at = f"i{d}" + (f" - sub_lo{d}" if k.subspace is not None else "")
+            at += f" + {off[d]}" if off[d] else ""
+            cell = at if cell == "0" else f"({cell}) * buf_e{d} + {at}"
+        return f"buf[({plane}) * buf_plane + {cell}]"
+
+
+def _buffer_slots(kernel: Kernel) -> tuple[list[int], list[int]]:
+    """A contracted kernel's flux slots: the ring's (normal to the outer loop axis), the rest."""
+    outer = kernel.loop_order[0]
+    axes = kernel.flux_field.slot_axes
+    return (
+        [s for s, a in enumerate(axes) if a == outer],
+        [s for s, a in enumerate(axes) if a != outer],
+    )
+
+
+def _emit_contracted(kernel: Kernel) -> list[str]:
+    """The loop nest of a contracted split kernel (:func:`repro.ir.kernel.contract`).
+
+    One parallel loop over the outermost axis.  Per plane it runs the flux
+    stage's regions into the thread's buffer (:class:`_BufferPrinter`),
+    then the update, which reads them: each face flux is computed once —
+    twice only for the lower faces of the first plane of a thread's chunk.
+    """
+    outer, *inner = kernel.loop_order
+    restricted = kernel.subspace is not None
+    ring, rest = _buffer_slots(kernel)
+    planes = 2 * len(ring) + len(rest)
+    lines = [
+        f"    /* contracted flux field {kernel.flux_field.name}: per thread, {len(ring)} slot(s) "
+        f"of axis {outer} in a ring of two planes, {len(rest)} in one plane */"
+    ]
+    for d in inner:
+        lines.append(
+            f"    const int64_t buf_e{d} = n{d} + 1"
+            + (f" + sub_hi{d} - sub_lo{d};" if restricted else ";")
+        )
+    lines.append(
+        "    const int64_t buf_plane = " + (" * ".join(f"buf_e{d}" for d in inner) or "1") + ";"
+    )
+    lines += [
+        "    #pragma omp parallel",
+        "    {",
+        "        double * restrict buf = "
+        f"(double *)malloc(sizeof(double) * {planes} * buf_plane);",
+        "        if (buf == NULL)",
+        "            abort();",
+        "        /* the plane after the last one this thread updated: its lower faces are"
+        " in the ring */",
+        "        int64_t buf_next = -1;",
+        "        #pragma omp for schedule(static)",
+    ]
+    start, bound = _loop_range(kernel, ((0, 0),) * kernel.dim, outer)
+    lines.append(f"        for (int64_t i{outer} = {start}; i{outer} < {bound}; ++i{outer}) {{")
+    pad = " " * 12
+    for region, assignments, sub in kernel.regions:
+        nest = _plane_nest(kernel, region, assignments, sub)
+        if region[outer][1]:
+            # the ring: the upper faces of this plane, and its lower ones
+            # unless the previous iteration computed them
+            lines += [
+                f"{pad}for (int64_t buf_i = i{outer} == buf_next ? i{outer} + 1 : i{outer}; "
+                f"buf_i <= i{outer} + 1; ++buf_i) {{",
+                f"{pad}    const int64_t i{outer} = buf_i;",
+                *(f"{pad}    {line}" for line in nest),
+                f"{pad}}}",
+                f"{pad}buf_next = i{outer} + 1;",
+            ]
+        else:
+            lines += [pad + line for line in nest]
+    lines += ["        }", "        free(buf);", "    }"]
+    return lines
+
+
+def _plane_nest(kernel: Kernel, region, assignments, sub) -> list[str]:
+    """One region of a contracted kernel over the current plane of its outermost loop.
+
+    The loops over the inner axes of :func:`_emit_c_loop_nest` for plane
+    ``i<outer>``, with the statements of hoist levels 0 and 1 and the
+    outermost axis' coordinate at its top.
+    """
+    outer, *inner = kernel.loop_order
+    levels = kernel.hoist_levels
+    printer = _BufferPrinter(kernel, region)
+    restricted = kernel.subspace is not None
+    coords = analytic_axes(sub + assignments)
+    by_level: dict[int, list[Assignment]] = {}
+    for a in sub:
+        by_level.setdefault(levels.get(a.lhs, kernel.dim), []).append(a)
+    out = [f"/* region {region} */", "{"]
+    pad = "    "
+    out += [pad + printer.statement(a) for a in by_level.get(0, [])]
+    if outer in coords:
+        out.append(pad + printer.coordinate(outer))
+    out += [pad + printer.statement(a) for a in by_level.get(1, [])]
+    for level, axis in enumerate(inner, start=2):
+        start, bound = _loop_range(kernel, region, axis)
+        # as in _emit_c_loop_nest: no lanes for a frontier slab's face axis
+        face = restricted and kernel.subspace.intervals[axis].is_face
+        if level == kernel.dim and not face:
+            out.append(f"{pad}#pragma omp simd")
+        out.append(f"{pad}for (int64_t i{axis} = {start}; i{axis} < {bound}; ++i{axis}) {{")
+        pad += "    "
+        if axis in coords:
+            out.append(pad + printer.coordinate(axis))
+        out += [pad + printer.statement(a) for a in by_level.get(level, [])]
+    out += [pad + printer.statement(a) for a in assignments]
+    for _ in inner:
+        pad = pad[:-4]
+        out.append(f"{pad}}}")
+    out.append("}")
     return out
 
 

@@ -130,6 +130,11 @@ def generate_cuda_source(
             f"the CUDA backend does not lower reduction kernels ({kernel.name!r}): "
             "no thread mapping sums over cells"
         )
+    if kernel.flux_field is not None:
+        raise ValueError(
+            f"the CUDA backend does not lower contracted split kernels ({kernel.name!r}): "
+            "lower the system for target='gpu', which keeps its two kernels"
+        )
     dim = kernel.dim
     if len(kernel.regions) > 1 and mapping == "z_loop":
         raise ValueError("z_loop mapping does not support multi-region (flux) kernels")

@@ -5,7 +5,9 @@ interactive workflow, §4.2: "generated kernels ... operate on objects
 implementing the Python buffer protocol, e.g. numpy arrays").  Every stencil
 assignment becomes a slice expression over the block; temporaries become
 intermediate arrays; staggered (flux) writes use per-assignment regions
-extended by one face layer along the flux axis.
+extended by one face layer along the flux axis.  A contracted split
+kernel's flux field (:func:`repro.ir.kernel.contract`) is an array the
+call allocates per slab: its flux regions fill it, its update reads it.
 
 A call evaluates the generated function slab by slab: rows ``[r0, r1)`` of
 the outermost axis, ``_SLAB_CELLS`` cells at a time, each slab handed over
@@ -220,7 +222,6 @@ def compile_numpy_kernel(kernel: Kernel) -> CompiledNumpyKernel:
 
 def generate_numpy_source(kernel: Kernel) -> str:
     """Produce the Python source of the vectorized kernel."""
-    ac = kernel.ac
     param_names = sorted(p.name for p in kernel.parameters)
     body: list[str] = []
     body.append(f"# generated NumPy kernel: {kernel.name}")
@@ -234,8 +235,14 @@ def generate_numpy_source(kernel: Kernel) -> str:
             "def _kernel(__arrays, __params, __block_offset, __origin, __gl):"
         )
     ind = "    "
-    ref_field = sorted(ac.fields, key=lambda f: f.name)[0]
-    body.append(ind + f"__shape = __arrays[{ref_field.name!r}].shape")
+    body.append(ind + f"__shape = __arrays[{kernel.fields[0].name!r}].shape")
+    if kernel.flux_field is not None:
+        # a contracted flux field: an array of the slab's cells, this call's own
+        flux = kernel.flux_field
+        body.append(
+            ind + f"__arrays = {{**__arrays, {flux.name!r}: "
+            f"numpy.empty(__shape[:{kernel.dim}] + {flux.index_shape!r})}}"
+        )
     for p in param_names:
         if p in ("time_step", "seed"):
             body.append(ind + f"{p} = __params.get({p!r}, 0)")

@@ -2,10 +2,14 @@
 
 The paper's "µ-split"/"φ-split" kernel variants avoid computing every flux
 twice (the left face value of a cell is the right face value of its left
-neighbour) by a first sweep writing all lower-face fluxes into a staggered
-temporary field, followed by the main sweep that only differences them.
-This trades FLOPs for memory traffic; which variant wins is machine- and
-model-dependent (Fig. 2) and is decided by the ECM model.
+neighbour): a flux stage writes all lower-face fluxes into a staggered
+field, an update stage only differences them.  The paper runs the stages as
+two sweeps and trades FLOPs for the flux field's memory traffic (Fig. 2).
+On the CPU the IR contracts the field instead
+(:func:`repro.ir.kernel.contract`): one kernel runs both stages plane by
+plane through per-thread buffers, so the split form saves the FLOPs without
+the traffic.  Whether it is worth it is decided per system, before any
+CSE, by :meth:`SplitKernels.fluxes_dominate`.
 """
 
 from __future__ import annotations
@@ -38,6 +42,21 @@ class SplitKernels:
 
     def __iter__(self):
         return iter((self.flux_kernel, self.main_kernel))
+
+    def fluxes_dominate(self) -> bool:
+        """The selection rule: the collected fluxes cost more than the rest of the update.
+
+        Both sides in normalized FLOPs (:func:`repro.perfmodel.flops.count_operations`)
+        of the collections as discretized, before any simplification or
+        CSE: the full form computes every flux twice, so it spends the flux
+        side once more per cell, the split form buffers it.  P1's µ (9 778
+        against 442) is split; its φ (5 208 against 11 608) and every
+        binary system are full.
+        """
+        from ..perfmodel.flops import count_operations
+
+        flux = count_operations(self.flux_kernel).normalized_flops()
+        return flux > count_operations(self.main_kernel).normalized_flops()
 
 
 def materialize_fluxes(

@@ -5,7 +5,7 @@ Implements the explicit Euler scheme used by the paper (§3.3, Algorithm 1):
 .. math::  u^{n+1} = u^n + \\Delta t \\cdot \\mathrm{rhs}(u^n) / r(u^n)
 
 producing either a single "full" kernel or, via flux collection, the
-"split" variant with a staggered pre-computation kernel.
+"split" variant: a staggered flux stage and the update that reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ def discretize_system(
     ----------
     variant:
         ``"full"`` recomputes staggered fluxes at both faces in one sweep;
-        ``"split"`` caches them in a staggered field (two sweeps).
+        ``"split"`` collects them into a staggered field written by a flux
+        stage and read by the update (:class:`SplitKernels`).
     """
     if variant not in ("full", "split"):
         raise ValueError("variant must be 'full' or 'split'")

@@ -7,7 +7,7 @@ from .approximations import (
     fast_sqrt,
     insert_approximations,
 )
-from .kernel import Kernel, KernelConfig, create_kernel, split_interior_frontier
+from .kernel import Kernel, KernelConfig, contract, create_kernel, split_interior_frontier
 from .loops import (
     AxisInterval,
     IterationSpace,
@@ -27,6 +27,7 @@ __all__ = [
     "insert_approximations",
     "Kernel",
     "KernelConfig",
+    "contract",
     "create_kernel",
     "split_interior_frontier",
     "AxisInterval",

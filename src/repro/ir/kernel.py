@@ -27,7 +27,7 @@ import numpy as np
 import sympy as sp
 
 from ..simplification.passes import optimize
-from ..symbolic.assignment import AssignmentCollection
+from ..symbolic.assignment import Assignment, AssignmentCollection
 from ..symbolic.field import Field, FieldAccess
 from .approximations import insert_approximations
 from .loops import (
@@ -47,6 +47,7 @@ __all__ = [
     "Argument",
     "ARRAY_SET_ROLES",
     "Kernel",
+    "contract",
     "create_kernel",
     "KernelConfig",
     "split_interior_frontier",
@@ -109,6 +110,11 @@ class Kernel:
     reductions: tuple[str, ...] = ()
     #: optional iteration-space restriction (None = the full interior)
     subspace: IterationSpace | None = None
+    #: the staggered field of a contracted split kernel (:func:`contract`):
+    #: written by its flux stage and read by its update stage, it is held
+    #: in per-thread planes (C) or per-slab arrays (NumPy) and is never an
+    #: argument
+    flux_field: Field | None = None
 
     @property
     def is_reduction(self) -> bool:
@@ -121,13 +127,41 @@ class Kernel:
             for a in self.ac.main_assignments
         )
 
+    @cached_property
+    def stages(self) -> tuple[Kernel, ...]:
+        """The kernel as the paper's sweeps: ``(flux, update)`` if contracted, else itself.
+
+        The two stages of a contracted kernel are the two-sweep split
+        kernels ``<name>_flux`` (writing the staggered field) and
+        ``<name>_main`` (reading it) with the statements, loop order and
+        hoisting of this kernel: what the paper's Table 1 counts and its
+        Fig. 2 rates.
+        """
+        if self.flux_field is None:
+            return (self,)
+        name = self.flux_field.name
+        flux = [a for a in self.ac.main_assignments if a.lhs.field.name == name]
+        update = [a for a in self.ac.main_assignments if a.lhs.field.name != name]
+
+        def stage(suffix: str, mains: list) -> Kernel:
+            sub = needed_subexpressions(self.ac, mains)
+            bound = {a.lhs for a in sub}
+            ac = AssignmentCollection(mains, sub, name=f"{self.ac.name}_{suffix}")
+            return replace(
+                self, name=f"{self.name}_{suffix}", ac=ac, flux_field=None,
+                hoist_levels={s: v for s, v in self.hoist_levels.items() if s in bound},
+            )
+
+        return stage("flux", flux), stage("main", update)
+
     def restricted(self, subspace: IterationSpace) -> Kernel:
         """The same kernel, lowered over *subspace* instead of the full interior.
 
         The restricted kernel shares assignments, loop order, hoisting and
         typing with the original — only the loop bounds / slice ranges the
         backends emit change, so each cell it does visit computes bit-identical
-        values (Philox counters and coordinates stay global).
+        values (Philox counters and coordinates stay global).  A contracted
+        split kernel's unit computes the faces of its own range.
         """
         if subspace.dim != self.dim:
             raise ValueError(
@@ -139,7 +173,7 @@ class Kernel:
                 f"reduction kernel {self.name!r} cannot be restricted: partial "
                 "sums over subspaces would change the fixed summation order"
             )
-        if self.has_staggered_writes:
+        if self.has_staggered_writes and self.flux_field is None:
             raise ValueError(
                 f"kernel {self.name!r} has staggered (flux) writes whose "
                 "per-assignment regions cannot be composed with an iteration "
@@ -159,7 +193,10 @@ class Kernel:
 
     @cached_property
     def fields(self) -> list[Field]:
-        return sorted(self.ac.fields, key=lambda f: f.name)
+        """The fields of the arrays a call takes, by name: a contracted one is none."""
+        return sorted(
+            (f for f in self.ac.fields if f != self.flux_field), key=lambda f: f.name
+        )
 
     @cached_property
     def coordinate_axes(self) -> frozenset[int]:
@@ -318,16 +355,21 @@ class Kernel:
     def regions(self) -> tuple[tuple[tuple, list, list], ...]:
         """The region plan: ``(write region, main assignments, subexpressions)``.
 
-        Main assignments grouped by write region (flux kernels write one
-        region per staggered axis, everything else the interior), regions
-        in sorted order, each with the subexpressions its assignments need.
+        Main assignments grouped by write region (flux stores one region
+        per staggered axis, everything else the interior), regions in
+        sorted order with the interior last — a contracted kernel's update
+        reads what its flux regions wrote — each with the subexpressions
+        its assignments need.
         """
         groups: dict[tuple, list] = {}
         for a in self.ac.main_assignments:
             groups.setdefault(write_region(a, self.dim), []).append(a)
+        interior = ((0, 0),) * self.dim
         return tuple(
             (region, assignments, needed_subexpressions(self.ac, assignments))
-            for region, assignments in sorted(groups.items())
+            for region, assignments in sorted(
+                groups.items(), key=lambda g: (g[0] == interior, g[0])
+            )
         )
 
     @property
@@ -335,11 +377,15 @@ class Kernel:
         return {s for s, lvl in self.hoist_levels.items() if lvl < self.dim}
 
     def operation_count(self, include_hoisted: bool = False):
-        """Per-cell operation count (hoisted assignments amortized away)."""
+        """Per-cell operation count (hoisted assignments amortized away).
+
+        A contracted kernel counts each flux once per cell and moves no
+        flux-field data: its staggered field lives in cache-sized buffers.
+        """
         from ..perfmodel.flops import count_operations
 
         skip = () if include_hoisted else self.hoisted
-        return count_operations(self.ac, skip_symbols=skip)
+        return count_operations(self.ac, skip_symbols=skip, contracted=self.flux_field)
 
     def __repr__(self):
         return (
@@ -402,6 +448,63 @@ def create_kernel(
             loop_order=str(kernel.loop_order),
         )
         return kernel
+
+
+def contract(flux: Kernel, update: Kernel, name: str) -> Kernel:
+    """The two-sweep split pair as one kernel, its flux field contracted.
+
+    *flux* writes every face flux of a split system into a staggered field
+    (:func:`repro.discretization.staggered.materialize_fluxes`), *update*
+    reads them from there; both are lowered by :func:`create_kernel`.  The
+    contracted kernel runs both per plane of its outermost loop, so each
+    face flux is computed once and the staggered field never leaves the
+    kernel (:attr:`Kernel.flux_field`): the emitters give it per-thread
+    planes (C) or per-slab arrays (NumPy).  The statements are the pair's,
+    the flux stage's temporaries renamed ``flux_<name>``, so every cell
+    computes bitwise what the two sweeps compute.  Loop order and hoisting
+    are chosen once for both stages; the ghost width is the reach of the
+    update's reads and of the flux reads at the faces of the last cell.
+    """
+    written = {acc.field for acc in flux.ac.field_writes}
+    if len(written) != 1 or not next(iter(written)).staggered:
+        raise ValueError(f"kernel {flux.name} does not write one staggered field")
+    (field,) = written
+    if field not in update.ac.fields_read or update.dim != flux.dim:
+        raise ValueError(f"kernel {update.name} does not read {field.name} of {flux.name}")
+    taken = {s.name for s in update.ac.bound_symbols | update.ac.free_symbols}
+    renamed = {a.lhs: sp.Symbol(f"flux_{a.lhs.name}", **a.lhs.assumptions0)
+               for a in flux.ac.subexpressions}
+    if taken & {s.name for s in renamed.values()}:
+        raise ValueError(f"kernel {update.name} binds a name of the form flux_<name>")
+    stage = flux.ac.transform_rhs(lambda e: e.xreplace(renamed))
+    ac = AssignmentCollection(
+        stage.main_assignments + update.ac.main_assignments,
+        [Assignment(renamed[a.lhs], a.rhs) for a in stage.subexpressions]
+        + update.ac.subexpressions,
+        name=name,
+    )
+    ac.validate()
+    dim = flux.dim
+    reach = max(
+        (acc.max_abs_offset for acc in update.ac.field_reads if acc.field != field), default=0
+    )
+    for region, mains, sub in flux.regions:
+        # a flux region is extended by one face along its axis
+        (axis,) = [d for d, (_, hi) in enumerate(region) if hi]
+        for acc in AssignmentCollection(mains, sub).field_reads:
+            reach = max(reach, acc.max_abs_offset, int(acc.offsets[axis]) + 1)
+    loop_order = choose_loop_order(ac, dim)
+    return Kernel(
+        name=name,
+        ac=ac,
+        dim=dim,
+        ghost_layers=reach,
+        loop_order=loop_order,
+        hoist_levels=classify_hoist_levels(ac, loop_order),
+        types=infer_types(ac),
+        config=update.config,
+        flux_field=field,
+    )
 
 
 def _check_no_neighbour_reads_of_written_fields(

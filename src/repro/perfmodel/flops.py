@@ -22,7 +22,7 @@ import sympy as sp
 
 from ..ir.approximations import fast_division, fast_rsqrt, fast_sqrt
 from ..symbolic.assignment import AssignmentCollection
-from ..symbolic.field import FieldAccess
+from ..symbolic.field import Field, FieldAccess
 from ..symbolic.random import RandomValue
 
 __all__ = ["OperationCount", "count_operations", "SKYLAKE_WEIGHTS"]
@@ -239,6 +239,7 @@ class _Counter:
 def count_operations(
     ac: AssignmentCollection,
     skip_symbols: Iterable[sp.Symbol] = (),
+    contracted: Field | None = None,
 ) -> OperationCount:
     """Count per-cell operations and memory accesses of a kernel.
 
@@ -246,7 +247,9 @@ def count_operations(
     loops (loop-invariant code motion, §3.4); their defining assignments are
     amortized over a whole line of cells and therefore excluded from the
     per-cell count — this is how the pipeline automatically "exploits the
-    special functional form of the temperature".
+    special functional form of the temperature".  Accesses of the
+    *contracted* field (a contracted split kernel's flux buffers,
+    :func:`repro.ir.kernel.contract`) are no loads or stores.
     """
     skip = set(skip_symbols)
     counter = _Counter()
@@ -254,6 +257,6 @@ def count_operations(
         if a.lhs in skip:
             continue
         counter.visit(a.rhs)
-    counter.c.loads = len(ac.field_reads)
-    counter.c.stores = len(ac.field_writes)
+    counter.c.loads = sum(acc.field != contracted for acc in ac.field_reads)
+    counter.c.stores = sum(acc.field != contracted for acc in ac.field_writes)
     return counter.c

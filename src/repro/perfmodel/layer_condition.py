@@ -67,13 +67,14 @@ def analyze_traffic(kernel: Kernel, block_shape: tuple[int, ...]) -> TrafficAnal
     ``block_shape`` is the per-core iteration space in loop order
     (outermost first).  Only the inner two dimensions enter the working
     sets: the plane condition requires all accessed planes of every field,
-    the row condition all accessed rows.
+    the row condition all accessed rows.  A contracted split kernel's flux
+    field is no traffic: it lives in per-thread planes.
     """
     dim = kernel.dim
     order = kernel.loop_order
 
-    reads = kernel.ac.field_reads
-    writes = kernel.ac.field_writes
+    reads = [acc for acc in kernel.ac.field_reads if acc.field != kernel.flux_field]
+    writes = [acc for acc in kernel.ac.field_writes if acc.field != kernel.flux_field]
 
     per_field: dict[str, dict] = {}
     for acc in reads:

@@ -9,9 +9,11 @@ This module performs the paper's full vertical assembly (Fig. 1):
    fluctuations (Eq. 7),
 3. construct the K−1 chemical-potential equations non-variationally
    (Eq. 8) with mobility (Eq. 9) and anti-trapping current (Eq. 10),
-4. discretize (full or split variants) and produce backend-ready kernels,
-   including the Gibbs-simplex projection that realizes the obstacle part
-   of the potential.
+4. discretize (the full or the split form of each system, by default
+   chosen by :meth:`SplitKernels.fluxes_dominate
+   <repro.discretization.staggered.SplitKernels.fluxes_dominate>`) and
+   produce backend-ready kernels, including the Gibbs-simplex projection
+   that realizes the obstacle part of the potential.
 
 Steps 1–4 run once per model and host: the derived kernel set is pickled
 into the IR tier of the kernel disk cache (:mod:`repro.profiling.diskcache`),
@@ -42,7 +44,7 @@ from ..discretization import (
     SplitKernels,
     discretize_system,
 )
-from ..ir import Kernel, KernelConfig, create_kernel
+from ..ir import Kernel, KernelConfig, contract, create_kernel
 from ..observability.log import get_logger, kv
 from ..observability.recorder import FlightRecorder, get_recorder, set_thread_recorder
 from ..profiling.cache import canonical_srepr, compile_all, compile_cached, usable_cpus
@@ -122,6 +124,12 @@ def _kernel_set_parts(value) -> dict:
     if not ok:
         raise TypeError(f"not the parts of a kernel set: {type(value).__name__}")
     return value
+
+
+def _form(kernels: list[Kernel]) -> str:
+    """``"split"`` or ``"full"``: the form a system's kernels were lowered in."""
+    split = len(kernels) > 1 or kernels[0].flux_field is not None
+    return "split" if split else "full"
 
 
 class KernelDerivationError(RuntimeError):
@@ -497,8 +505,8 @@ class GrandPotentialModel:
 
     def create_kernels(
         self,
-        variant_phi: str = "full",
-        variant_mu: str = "full",
+        variant_phi: str | None = None,
+        variant_mu: str | None = None,
         target: str = "cpu",
         approximations: tuple = (),
         fold_constants: bool = True,
@@ -507,7 +515,14 @@ class GrandPotentialModel:
 
         ``variant_*`` select the full (recompute) or split (staggered
         pre-computation) kernel forms — the µ-full / µ-split / φ-full /
-        φ-split variants of Table 1 and Algorithm 1.
+        φ-split variants of Table 1 and Algorithm 1; unset, each system
+        takes the form :meth:`SplitKernels.fluxes_dominate
+        <repro.discretization.staggered.SplitKernels.fluxes_dominate>`
+        chooses (P1: φ-full, µ-split; the binary model: full, full).  On
+        the CPU a split system is one kernel named after it, its flux field
+        contracted (:func:`~repro.ir.kernel.contract`); ``target="gpu"``
+        keeps the paper's two kernels, ``<system>_flux`` and
+        ``<system>_main``.  The set's ``variant_*`` name the forms taken.
 
         The set is derived once: it is published to the kernel disk cache
         under :meth:`_kernel_set_key`, and a later call with equal
@@ -535,14 +550,15 @@ class GrandPotentialModel:
             )
             span["cache"] = "hit" if hit else "derived"
         kernel_set = PhaseFieldKernelSet(
-            model=self, **parts, variant_phi=variant_phi, variant_mu=variant_mu
+            model=self, **parts, variant_phi=_form(parts["phi_kernels"]),
+            variant_mu=_form(parts["mu_kernels"]),
         )
         _log.info(
             kv(
                 "kernel_set_created",
                 kernels=len(kernel_set.all_kernels),
-                variant_phi=variant_phi,
-                variant_mu=variant_mu,
+                variant_phi=kernel_set.variant_phi,
+                variant_mu=kernel_set.variant_mu,
                 target=target,
                 ghost_layers=kernel_set.ghost_layers,
                 cache="hit" if hit else "derived",
@@ -553,10 +569,10 @@ class GrandPotentialModel:
     def _kernel_set_key(
         self, variant_phi, variant_mu, target, approximations, fold_constants
     ) -> str:
-        """IR-tier cache key: every parameter field and every argument."""
+        """IR-tier cache key: every parameter field and every argument (unset: ``"None"``)."""
         digest = hashlib.sha256(_canonical(self.params).encode()).hexdigest()
         return ir_cache_key(
-            digest, variant_phi, variant_mu, target, repr(approximations),
+            digest, str(variant_phi), str(variant_mu), target, repr(approximations),
             repr(fold_constants),
         )
 
@@ -591,15 +607,19 @@ class GrandPotentialModel:
         return dict(phi_kernels=phi, projection_kernel=mu[-1], mu_kernels=mu[:-1])
 
     def _lower_system(
-        self, system: str, variant: str, config: KernelConfig, build: bool
+        self, system: str, variant: str | None, config: KernelConfig, build: bool
     ) -> list[Kernel]:
         """The *variant* kernels of one *system*: ``"phi"``, or ``"mu"`` and the projection.
 
-        The projection goes with µ: deriving it takes no time, and its build
-        evens out the two shares (P1: φ is 3.3 s of sympy and 1.4 s of gcc,
-        µ 2.2 s and 1.7 s on a 2-vCPU Xeon guest).  With *build*, each
-        kernel's C binary is compiled (:func:`~repro.profiling.cache.compile_all`,
-        on one worker: the other CPU is the other process's) and published
+        An unset *variant* is the one :meth:`SplitKernels.fluxes_dominate`
+        chooses from the split discretization; choosing full costs a
+        second, full discretization.  The projection goes with µ: deriving
+        it takes no time, and its build evens out the two shares (P1, φ-full
+        and the contracted µ-split: φ is 2.0–3.0 s of sympy and 1.7 s of
+        gcc, µ 1.1 s and 2.2 s with the native fill, on a 2-vCPU Xeon
+        guest).  With *build*, each kernel's C binary is compiled
+        (:func:`~repro.profiling.cache.compile_all`, on one worker: the
+        other CPU is the other process's) and published
         to the disk cache, and with µ the native ghost fill, so a solver's
         lowering finds every binary in memory or on disk.  A failed build
         is logged and leaves the kernels usable: a C solver builds them
@@ -609,13 +629,17 @@ class GrandPotentialModel:
             equations, dst = self.phi_system(), self.phi_dst
         else:
             equations, dst = self.mu_system(), self.mu_dst
-        result = discretize_system(
-            equations, dst, self.discretizer(), variant=variant,
+        discretize = partial(
+            discretize_system, equations, dst, self.discretizer(),
             flux_field_name=f"{system}_flux",
         )
+        result = discretize(variant=variant or "split")
+        if variant is None and not result.fluxes_dominate():
+            result = discretize(variant="full")
         if isinstance(result, SplitKernels):
-            kernels = [create_kernel(result.flux_kernel, config),
-                       create_kernel(result.main_kernel, config)]
+            flux = create_kernel(result.flux_kernel, config)
+            update = create_kernel(result.main_kernel, config)
+            kernels = [flux, update] if config.target == "gpu" else [contract(flux, update, system)]
         else:
             kernels = [create_kernel(result, config)]
         if system == "mu":

@@ -81,8 +81,9 @@ def kernel_fingerprint(kernel: Kernel) -> str:
 
     Covers everything the backends consume: the SSA program (``srepr`` of
     every assignment), loop order, ghost layers, hoist levels, types, field
-    metadata (staggering decides write regions) and the codegen-relevant
-    config (target, approximations, folded parameter values).
+    metadata (staggering decides write regions, a contracted flux field
+    the buffers) and the codegen-relevant config (target, approximations,
+    folded parameter values).
     Two independently generated kernel sets from identical model parameters
     hash equal, so the cache also deduplicates across regenerations.
     """
@@ -113,6 +114,9 @@ def kernel_fingerprint(kernel: Kernel) -> str:
             f"{f.name}|{f.spatial_dimensions}|{f.index_shape}|{f.staggered}"
             f"|{getattr(f, 'slot_axes', None)}"
         )
+    flux = getattr(kernel, "flux_field", None)
+    if flux is not None:
+        put(f"contracted|{flux.name}|{flux.index_shape}|{flux.slot_axes}")
     cfg = kernel.config
     values = cfg.parameter_values or {}
     folded = sorted(

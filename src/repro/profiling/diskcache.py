@@ -116,9 +116,10 @@ _CODEGEN_ROOTS = ("backends/c_backend.py", "ir/kernel.py")
 #: to a kernel (discretization, simplification) is in its assignments, which
 #: the kernel fingerprint hashes
 _CODEGEN_PACKAGES = ("symbolic", "ir", "backends")
-#: where a model's kernel set is derived (the IR tier), and the module of
-#: ``kernel_fingerprint``, whose memo a set derived with its binaries carries ...
-_IR_ROOTS = ("pfm/model.py", "profiling/cache.py")
+#: where a model's kernel set is derived (the IR tier), the module of
+#: ``kernel_fingerprint``, whose memo a set derived with its binaries carries,
+#: and the operation weights the choice of a system's kernel form reads ...
+_IR_ROOTS = ("pfm/model.py", "profiling/cache.py", "perfmodel/flops.py")
 #: ... and the packages whose modules shape it: the model's physics, the
 #: symbolic layer, discretization, the simplification passes and the IR
 _IR_PACKAGES = ("pfm", "symbolic", "discretization", "simplification", "ir")

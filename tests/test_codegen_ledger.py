@@ -6,6 +6,10 @@ the compiled kernel, and with it every result.  Such a change must show up
 here, not silently in a new ``.so``.  The ledger covers the binary 2-D and
 3-D kernel sets, full and split, the overlapped schedule's restricted µ units
 (``split_interior_frontier``), and — in the ``slow`` case — the P1 3-D set.
+A split system is one contracted kernel per system (``<set>/split/phi``,
+``<set>/split/mu``), pinned since the two-sweep pair ``<system>_flux`` /
+``<system>_main`` was folded into it with bitwise equal results
+(``tests/test_contracted_split.py``).
 
 Each group is derived in a fresh interpreter, on an empty kernel disk cache,
 under two string-hash seeds: seed 0 is the one the benchmark pins, seed 3
@@ -112,14 +116,10 @@ PINNED: dict[str, dict[str, str]] = {
             "366953d927d39b32493b0a03c430632b64a5275efd16b561358c787e308a6a02",
         "binary2d/full/phi_project":
             "b5fa75a26bc133ae1d271a067b274740421862632f09eee898291ac5e0112231",
-        "binary2d/split/mu_flux":
-            "dba905cc7773e31319fef3fadfdc2411220bd1ce1af41b1d8c57df897617be49",
-        "binary2d/split/mu_main":
-            "0d314cd252f80f5fe765efc0503a3d9669bc7adf7e431f1b87dffa0b1db32dcd",
-        "binary2d/split/phi_flux":
-            "9b4b9c981912d01845009a4d506b9ffb579da19089e9baf3438251714dbce0a8",
-        "binary2d/split/phi_main":
-            "4866134f2d3d4862cb0ba31608091b5c452903cca0f2a3f03a51e313e815cdcd",
+        "binary2d/split/mu":
+            "c4ef3fec92fee803bc69daf572bfcf009b1af427078f699e71086a2f27f40a24",
+        "binary2d/split/phi":
+            "6a8ce3faff09d56cf80cc4f6f827c92df15f1b18deaabcaf6a3a6c91d46013c4",
         "binary2d/split/phi_project":
             "b5fa75a26bc133ae1d271a067b274740421862632f09eee898291ac5e0112231",
         "binary3d/full/mu":
@@ -142,14 +142,10 @@ PINNED: dict[str, dict[str, str]] = {
             "61060b1f4ac89f1e0ca25e50bd1f8fbff11e5043f99347c5aa6be8aee90ff4e4",
         "binary3d/full/phi_project":
             "9a67cfc5ca2e4ab04df1af50d4e984ee760478f73723146650062d6b4709c164",
-        "binary3d/split/mu_flux":
-            "15dab9f397410f92454dc2e798bfe14ea5e61f49ddf18e230486e63093416000",
-        "binary3d/split/mu_main":
-            "f2e097ee3ce53d72c1506e51f29c8e5abcb6f3881157f9c97978894a448cfdb7",
-        "binary3d/split/phi_flux":
-            "f167c17a3ddb15db18685060dc6a8831c7cc0ae9079608be8270e20725003ac6",
-        "binary3d/split/phi_main":
-            "96b23e97c1c3dbb5bfcbb3a7abdc30575608da74b2fb65915af56cf9d7c12244",
+        "binary3d/split/mu":
+            "07d056d96725f44c6df7ad25512970da26e2ce21d56e4d1b4f726357302f236b",
+        "binary3d/split/phi":
+            "22e8f4cb1d1814184cb142dbeeee792313e7e88b01f6d4b2bf45e269c52f7caf",
         "binary3d/split/phi_project":
             "9a67cfc5ca2e4ab04df1af50d4e984ee760478f73723146650062d6b4709c164",
     },
@@ -174,14 +170,10 @@ PINNED: dict[str, dict[str, str]] = {
             "a8899e60fb0af777414f6bdf57b44561ad663a2d4260225426f0f7f8c75b13db",
         "p1_3d/full/phi_project":
             "aeb704ca97788440a2135a40aabd6b9e87cdb913461e456f5bae7d42f481a15a",
-        "p1_3d/split/mu_flux":
-            "fc7059a23ffc88b45f01430d4e739593484ca98e34eeb6cb72a58089efd1acee",
-        "p1_3d/split/mu_main":
-            "046a6a68c42754579b9253ac4c42091eaf4da7549c464d45ab0c12f85a7f7497",
-        "p1_3d/split/phi_flux":
-            "f8b1f4f5089e283dd48bcbcf90438d43ca0d136e038041e59abe8812f31063ba",
-        "p1_3d/split/phi_main":
-            "cf21e1cad42d2b5fc6bd6e409699caa967733cd1066baeb172b1ec5e42c24792",
+        "p1_3d/split/mu":
+            "8b3b8cfcefc48d73e616c4beb05a777a7568ad1213ec51607545306b6489eded",
+        "p1_3d/split/phi":
+            "1f82707ea0d412661198c12c7c44d375d7096f44237a2ae81b61b4d06e4ea475",
         "p1_3d/split/phi_project":
             "aeb704ca97788440a2135a40aabd6b9e87cdb913461e456f5bae7d42f481a15a",
     },

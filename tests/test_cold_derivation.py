@@ -111,7 +111,7 @@ def test_forked_and_in_process_derivations_emit_the_same_kernels(tmp_path):
     forked = _derive("all-cpus", tmp_path / "forked")
     in_process = _derive("one-cpu", tmp_path / "in-process")
     assert (forked["forked"], in_process["forked"]) == (True, False)
-    assert len(forked["source"]) == 3 + 5  # full: φ, projection, µ; split: φ and µ in two
+    assert len(forked["source"]) == 3 + 3  # φ, projection, µ: full, and split (contracted)
     assert forked["source"] == in_process["source"]
     assert forked["fingerprint"] == in_process["fingerprint"]
 

@@ -36,18 +36,19 @@ class TestTable1Claims:
         assert (oc.loads, oc.stores) == (30, 4)
 
     def test_mu_split_loads_stores_exact(self, p1_split):
-        pairs = [
-            (k.operation_count().loads, k.operation_count().stores)
-            for k in p1_split.mu_kernels
-        ]
+        """Per stage, as the paper's two kernels; contracted, no flux traffic."""
+        (mu,) = p1_split.mu_kernels
+        pairs = [(s.operation_count().loads, s.operation_count().stores) for s in mu.stages]
         assert pairs == [(84, 6), (22, 2)]
+        oc = mu.operation_count()
+        assert (oc.loads, oc.stores) == (85, 2)
 
     def test_phi_split_loads_stores_exact(self, p1_split):
-        pairs = [
-            (k.operation_count().loads, k.operation_count().stores)
-            for k in p1_split.phi_kernels
-        ]
+        (phi,) = p1_split.phi_kernels
+        pairs = [(s.operation_count().loads, s.operation_count().stores) for s in phi.stages]
         assert pairs == [(16, 12), (54, 4)]
+        oc = phi.operation_count()
+        assert (oc.loads, oc.stores) == (30, 4)  # the φ-full traffic
 
     def test_mu_split_halves_flops(self, p1_full, p1_split):
         """'The µ-split kernel requires almost only half of the operations'"""
@@ -129,7 +130,9 @@ class TestBlockingClaim:
 
         ecm = ECMModel(SKYLAKE_8174)
         p_full = [ecm.predict(k, (60, 60, 60)) for k in p1_full.mu_kernels]
-        p_split = [ecm.predict(k, (60, 60, 60)) for k in p1_split.mu_kernels]
+        # the paper's two-sweep µ-split: the contracted kernel's stages
+        (mu,) = p1_split.mu_kernels
+        p_split = [ecm.predict(s, (60, 60, 60)) for s in mu.stages]
 
         def combined(preds, n):
             return 1.0 / sum(1.0 / p.mlups(n) for p in preds)

@@ -181,9 +181,10 @@ class TestP2Setup:
         kernels = GrandPotentialModel(params).create_kernels(
             variant_phi="split", variant_mu="full"
         )
-        assert [k.name for k in kernels.all_kernels] == [
-            "phi_flux", "phi_main", "phi_project", "mu"
-        ]
+        # the split φ is one kernel on the CPU, its flux field contracted
+        assert [k.name for k in kernels.all_kernels] == ["phi", "phi_project", "mu"]
+        assert (kernels.variant_phi, kernels.variant_mu) == ("split", "full")
+        assert kernels.phi_kernels[0].flux_field is not None
         shape = (24, 24)
         phi0 = np.zeros(shape + (3,))
         phi0[..., 2] = 1.0
