@@ -12,6 +12,11 @@ Middle panel: φ-split vs φ-full for P1 *and* P2 — the model configuration
 flips the winner (P1 → full, P2 → split), demonstrating why an automatic,
 model-driven variant choice is needed.
 
+Both panels rate the paper's two sweeps on Skylake, as published.  The
+default CPU set of this code takes the contracted split for both P1
+systems (``SplitKernels.buffering_pays``): without the flux field's
+traffic, φ-split wins for P1 too.
+
 The "measurement" side of the original figure ran on real Skylake hardware;
 here the compiled C kernels are *measured* single-core on this machine and
 reported next to the model (absolute numbers differ — scalar C vs AVX-512 —

@@ -20,10 +20,12 @@ from conftest import emit_table
 
 
 def _cpu_core_rate(p1_full, p1_split, contracted=False):
-    """Compute-only MLUP/s of one SKL core: φ-full + µ-split (the P1 choice).
+    """Compute-only MLUP/s of one SKL core: φ-full + µ-split (the paper's P1 choice).
 
     The paper's µ-split is its two sweeps (the stages of the contracted
-    kernel); *contracted* rates the one kernel the CPU runs instead.
+    kernel); *contracted* rates the one kernel the CPU runs instead.  This
+    rates the paper's pair on Skylake, not the default CPU set, which
+    contracts the split form of both P1 systems.
     """
     from repro.perfmodel import ECMModel, SKYLAKE_8174
 

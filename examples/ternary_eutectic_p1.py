@@ -44,9 +44,9 @@ def main():
     params.gamma_triple = 5.0
     model = GrandPotentialModel(params)
 
-    print("building + optimizing kernels (µ-split / φ-full, the P1 winners)...")
+    print("building + optimizing kernels (φ-split / µ-split, the forms the rule takes for P1)...")
     t0 = time.time()
-    kernels = model.create_kernels(variant_phi="full", variant_mu="split")
+    kernels = model.create_kernels()
     print(f"  done in {time.time() - t0:.1f} s")
     for k in kernels.all_kernels:
         oc = k.operation_count()

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 
 from ..ir.kernel import Kernel
@@ -91,6 +90,11 @@ class _Printer(CanonicalTermOrder, SmallPowersAsProducts, NumPyPrinter):
 
     def _print_Symbol(self, expr):
         return self._rename.get(expr.name, expr.name)
+
+    def _print_RandomValue(self, r: RandomValue):
+        # the region's bound array; the expression keeps the RandomValue, so
+        # its terms are ordered as the C printer orders them
+        return self._rename[f"__rng_{r.stream}"]
 
     def _print_fast_division(self, expr):
         return f"_fast_div({self._print(expr.args[0])}, {self._print(expr.args[1])})"
@@ -331,8 +335,7 @@ def _emit_bindings(
         )
 
     # RNG bindings
-    rng_map: dict[RandomValue, sp.Symbol] = {}
-    printer0 = _Printer(rename)
+    printer = _Printer(rename)
     region_shape = (
         "("
         + ", ".join(
@@ -353,24 +356,18 @@ def _emit_bindings(
         + ")"
     )
     for r in sorted(rngs, key=lambda r: r.stream):
-        sym = sp.Symbol(f"__rng_{r.stream}{suffix}", real=True)
-        rng_map[r] = sym
-        low = printer0.doprint(r.low)
-        high = printer0.doprint(r.high)
+        name = rename[f"__rng_{r.stream}"] = f"__rng_{r.stream}{suffix}"
+        low = printer.doprint(r.low)
+        high = printer.doprint(r.high)
         ts = "__params.get('time_step', 0)"
         seed = "__params.get('seed', 0)"
         lines.append(
             ind
-            + f"{sym.name} = _rng_uniform({region_shape}, {ts}, {seed}, "
+            + f"{name} = _rng_uniform({region_shape}, {ts}, {seed}, "
             + f"{r.stream}, {region_offset}, {low}, {high})"
         )
 
-    printer = _Printer(rename)
-
-    def pr(expr: sp.Expr) -> str:
-        if rng_map:
-            expr = expr.xreplace(rng_map)
-        return printer.doprint(expr)
+    pr = printer.doprint
 
     # subexpressions
     for a in sub:

@@ -8,8 +8,11 @@ two sweeps and trades FLOPs for the flux field's memory traffic (Fig. 2).
 On the CPU the IR contracts the field instead
 (:func:`repro.ir.kernel.contract`): one kernel runs both stages plane by
 plane through per-thread buffers, so the split form saves the FLOPs without
-the traffic.  Whether it is worth it is decided per system, before any
-CSE, by :meth:`SplitKernels.fluxes_dominate`.
+the traffic, and costs only the buffered values.  Whether it is worth it is
+decided per system, before any CSE, by :meth:`SplitKernels.buffering_pays`:
+the flux work per buffered face value against
+:data:`SPLIT_FLOPS_PER_VALUE`.  P1 takes φ-split + µ-split, the binary
+model full + full.
 """
 
 from __future__ import annotations
@@ -22,9 +25,35 @@ from ..symbolic.assignment import Assignment, AssignmentCollection
 from ..symbolic.field import Field, FieldAccess
 from .finite_differences import FluxCollector
 
-__all__ = ["materialize_fluxes", "SplitKernels"]
+__all__ = ["materialize_fluxes", "SplitKernels", "SPLIT_FLOPS_PER_VALUE"]
 
 _PLACEHOLDER_RE = re.compile(r"__flux_(\d+)_(\d+)_(\d+)")
+
+
+#: The threshold of :meth:`SplitKernels.buffering_pays`, in pre-CSE
+#: normalized flux FLOPs per buffered face value.  The contracted split form
+#: computes each face flux once instead of twice; what it pays is a store and
+#: a load of every buffered value, so the flux work per value decides.  On a
+#: 2-vCPU Xeon guest (one thread, per-kernel timings, the two forms stepped
+#: in alternation in one process):
+#:
+#: ============== ======== =============== ====================
+#: kernel         FLOPs /  full            contracted split
+#:                value
+#: ============== ======== =============== ====================
+#: binary µ             25 4.29 ms (1024²) 5.22 ms (1.22×)
+#: binary φ            144 5.60 ms (1024²) 6.96 ms (1.24×)
+#: P1 φ                434 4.15 ms (40³)   2.71 ms (0.65×)
+#: P1 µ              1 630 5.06 ms (40³)   3.16 ms (0.62×)
+#: ============== ======== =============== ====================
+#:
+#: Binary φ is 144 in 2-D and 3-D alike; P1 µ's times are the traced
+#: benchmark pass's ``kernel_ms.mu`` of the two forms.  The losing 144 and
+#: the winning 434 are 3× apart, and 256 lies 1.7–1.8× from each.  After
+#: CSE the flux stages do 5.5–7.5 FLOPs per value (binary), 14.5 (P1 φ) and
+#: 69.7 (P1 µ): a gap of 2× only, and counting it would lower forms that
+#: are not used.
+SPLIT_FLOPS_PER_VALUE = 256
 
 
 class SplitKernels:
@@ -43,20 +72,23 @@ class SplitKernels:
     def __iter__(self):
         return iter((self.flux_kernel, self.main_kernel))
 
-    def fluxes_dominate(self) -> bool:
-        """The selection rule: the collected fluxes cost more than the rest of the update.
+    def flops_per_buffered_value(self) -> float:
+        """The flux stage's normalized FLOPs per buffered face value.
 
-        Both sides in normalized FLOPs (:func:`repro.perfmodel.flops.count_operations`)
-        of the collections as discretized, before any simplification or
-        CSE: the full form computes every flux twice, so it spends the flux
-        side once more per cell, the split form buffers it.  P1's µ (9 778
-        against 442) is split; its φ (5 208 against 11 608) and every
-        binary system are full.
+        Counted (:func:`repro.perfmodel.flops.count_operations`) on the
+        collection as discretized, before any simplification or CSE, and
+        divided by the flux field's slots: each cell buffers one value per
+        axis and component, on its lower face.
         """
         from ..perfmodel.flops import count_operations
 
-        flux = count_operations(self.flux_kernel).normalized_flops()
-        return flux > count_operations(self.main_kernel).normalized_flops()
+        flops = count_operations(self.flux_kernel).normalized_flops()
+        return flops / self.flux_field.index_shape[0]
+
+    def buffering_pays(self) -> bool:
+        """The selection rule: split when each buffered value saves more than
+        :data:`SPLIT_FLOPS_PER_VALUE` FLOPs."""
+        return self.flops_per_buffered_value() > SPLIT_FLOPS_PER_VALUE
 
 
 def materialize_fluxes(

@@ -10,8 +10,8 @@ This module performs the paper's full vertical assembly (Fig. 1):
 3. construct the K−1 chemical-potential equations non-variationally
    (Eq. 8) with mobility (Eq. 9) and anti-trapping current (Eq. 10),
 4. discretize (the full or the split form of each system, by default
-   chosen by :meth:`SplitKernels.fluxes_dominate
-   <repro.discretization.staggered.SplitKernels.fluxes_dominate>`) and
+   chosen by :meth:`SplitKernels.buffering_pays
+   <repro.discretization.staggered.SplitKernels.buffering_pays>`) and
    produce backend-ready kernels, including the Gibbs-simplex projection
    that realizes the obstacle part of the potential.
 
@@ -516,9 +516,9 @@ class GrandPotentialModel:
         ``variant_*`` select the full (recompute) or split (staggered
         pre-computation) kernel forms — the µ-full / µ-split / φ-full /
         φ-split variants of Table 1 and Algorithm 1; unset, each system
-        takes the form :meth:`SplitKernels.fluxes_dominate
-        <repro.discretization.staggered.SplitKernels.fluxes_dominate>`
-        chooses (P1: φ-full, µ-split; the binary model: full, full).  On
+        takes the form :meth:`SplitKernels.buffering_pays
+        <repro.discretization.staggered.SplitKernels.buffering_pays>`
+        chooses (P1: split, split; the binary model: full, full).  On
         the CPU a split system is one kernel named after it, its flux field
         contracted (:func:`~repro.ir.kernel.contract`); ``target="gpu"``
         keeps the paper's two kernels, ``<system>_flux`` and
@@ -611,13 +611,15 @@ class GrandPotentialModel:
     ) -> list[Kernel]:
         """The *variant* kernels of one *system*: ``"phi"``, or ``"mu"`` and the projection.
 
-        An unset *variant* is the one :meth:`SplitKernels.fluxes_dominate`
+        An unset *variant* is the one :meth:`SplitKernels.buffering_pays`
         chooses from the split discretization; choosing full costs a
         second, full discretization.  The projection goes with µ: deriving
-        it takes no time, and its build evens out the two shares (P1, φ-full
-        and the contracted µ-split: φ is 2.0–3.0 s of sympy and 1.7 s of
-        gcc, µ 1.1 s and 2.2 s with the native fill, on a 2-vCPU Xeon
-        guest).  With *build*, each kernel's C binary is compiled
+        it takes no time, and its build evens out the two shares (P1, both
+        systems split, each share alone on a 2-vCPU Xeon guest: φ is
+        1.9–2.2 s of sympy and 1.4–1.6 s of gcc, µ 1.1 s and 2.0–2.4 s
+        with the projection and the native fill; forked, either share may
+        end last, and moving the projection or the fill to φ made φ the
+        longer one).  With *build*, each kernel's C binary is compiled
         (:func:`~repro.profiling.cache.compile_all`, on one worker: the
         other CPU is the other process's) and published
         to the disk cache, and with µ the native ghost fill, so a solver's
@@ -634,7 +636,7 @@ class GrandPotentialModel:
             flux_field_name=f"{system}_flux",
         )
         result = discretize(variant=variant or "split")
-        if variant is None and not result.fluxes_dominate():
+        if variant is None and not result.buffering_pays():
             result = discretize(variant="full")
         if isinstance(result, SplitKernels):
             flux = create_kernel(result.flux_kernel, config)

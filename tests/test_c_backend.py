@@ -1,6 +1,7 @@
 """C backend tests: bitwise parity with the NumPy backend."""
 
 import ctypes
+import itertools
 import os
 import re
 import shutil
@@ -199,6 +200,33 @@ class TestBinaryModelParity:
 
         np.testing.assert_allclose(results["c"][0], results["numpy"][0], atol=1e-14)
         np.testing.assert_allclose(results["c"][1], results["numpy"][1], atol=1e-14)
+
+    @pytest.mark.parametrize("variant", ["full", "split"])
+    def test_fluctuating_phi_bitwise(self, variant):
+        """Both printers order a sum with a Philox term alike, so C == NumPy bit for bit."""
+        from repro.pfm import GrandPotentialModel, make_two_phase_binary
+
+        params = make_two_phase_binary(dim=2)
+        params.fluctuation_amplitude = 0.02
+        ks = GrandPotentialModel(params).create_kernels(variant_phi=variant, variant_mu=variant)
+        (phi,) = ks.phi_kernels
+        gl = phi.ghost_layers
+        for offset, time_step, seed in itertools.product(
+            [(0, 0), (5, 2), (16, 0), (3, 11)], [0, 7], [0, 2019]
+        ):
+            rng = np.random.default_rng(7)
+            a_np = create_arrays(ks.fields, (12, 9), gl)
+            for name in sorted(a_np):
+                a_np[name][...] = rng.random(a_np[name].shape)
+            a_c = _copies(a_np)
+            kw = dict(
+                ghost_layers=gl, block_offset=offset, time_step=time_step, seed=seed, t=0.0
+            )
+            compile_numpy_kernel(phi)(a_np, **kw)
+            compile_c_kernel(phi)(a_c, **kw)
+            np.testing.assert_array_equal(
+                a_c["phi_dst"], a_np["phi_dst"], err_msg=f"{offset} {time_step} {seed}"
+            )
 
 
 class TestSourceStructure:

@@ -103,14 +103,48 @@ def p1_default():
     return GrandPotentialModel(make_p1(dim=3)).create_kernels()
 
 
+#: (set, system) -> pre-CSE flux FLOPs per buffered face value, and the form
+#: the rule takes for it against ``SPLIT_FLOPS_PER_VALUE``
+RULE = {
+    ("binary2d", "phi"): (144.0, "full"),
+    ("binary2d", "mu"): (25.0, "full"),
+    ("binary3d", "phi"): (144.0, "full"),
+    ("binary3d", "mu"): (25.0, "full"),
+    ("p1", "phi"): (434.0, "split"),
+    ("p1", "mu"): (9778 / 6, "split"),
+}
+
+
 class TestForms:
-    def test_the_rule_splits_p1_mu_only(self, p1_default):
-        """φ-full + µ-split, the paper's production pair; the µ flux field contracted."""
-        assert (p1_default.variant_phi, p1_default.variant_mu) == ("full", "split")
+    @pytest.mark.parametrize("label, system", sorted(RULE))
+    def test_the_rule_reads_the_flux_work_per_buffered_value(self, label, system):
+        """The rule's input and form per system: only P1's fluxes pay for their buffers."""
+        from repro.discretization import discretize_system
+        from repro.discretization.staggered import SPLIT_FLOPS_PER_VALUE
+
+        model = GrandPotentialModel(SETS[label][0]())
+        equations, dst = (
+            (model.phi_system(), model.phi_dst) if system == "phi"
+            else (model.mu_system(), model.mu_dst)
+        )
+        split = discretize_system(equations, dst, model.discretizer(), variant="split")
+        per_value, form = RULE[(label, system)]
+        assert split.flops_per_buffered_value() == pytest.approx(per_value)
+        assert split.buffering_pays() == (form == "split")
+        # no set lies within 1.6x of the threshold
+        assert not SPLIT_FLOPS_PER_VALUE / 1.6 < per_value < SPLIT_FLOPS_PER_VALUE * 1.6
+
+    def test_the_default_p1_set_is_split_split(self, p1_default, split_sets):
+        """Both P1 systems split, each flux field contracted: the explicit split set."""
+        assert (p1_default.variant_phi, p1_default.variant_mu) == ("split", "split")
         assert [k.name for k in p1_default.all_kernels] == ["phi", "phi_project", "mu"]
-        (mu,) = p1_default.mu_kernels
-        assert mu.flux_field is not None and mu.flux_field.name == "mu_flux"
-        assert "mu_flux" not in {f.name for f in p1_default.fields}
+        for system in ("phi", "mu"):
+            (kernel,) = getattr(p1_default, f"{system}_kernels")
+            assert kernel.flux_field is not None and kernel.flux_field.name == f"{system}_flux"
+        assert not {"phi_flux", "mu_flux"} & {f.name for f in p1_default.fields}
+        assert [kernel_fingerprint(k) for k in p1_default.all_kernels] == [
+            kernel_fingerprint(k) for k in split_sets["p1"].all_kernels
+        ]
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_binary_sets_stay_full(self, dim):
@@ -241,8 +275,9 @@ def test_p1_on_two_ranks_overlap_sync_and_one_block_agree(p1_default):
         np.testing.assert_array_equal(got_sync, ref)
 
 
-#: a few C steps of the P1 default set and of the binary split set on odd
-#: extents, digested; run at several thread counts in fresh interpreters
+#: a few C steps of the P1 default set (both systems contracted) and of the
+#: binary split set on odd extents, digested; run at several thread counts in
+#: fresh interpreters
 _THREADS_PROGRAM = """
 import hashlib, sys
 import numpy as np
