@@ -43,12 +43,15 @@ _PLACEHOLDER_RE = re.compile(r"__flux_(\d+)_(\d+)_(\d+)")
 #: ============== ======== =============== ====================
 #: binary µ             25 4.29 ms (1024²) 5.22 ms (1.22×)
 #: binary φ            144 5.60 ms (1024²) 6.96 ms (1.24×)
-#: P1 φ                434 4.15 ms (40³)   2.71 ms (0.65×)
+#: P1 φ                434 2.03 ms (40³)   1.66 ms (0.81×)
 #: P1 µ              1 630 5.06 ms (40³)   3.16 ms (0.62×)
 #: ============== ======== =============== ====================
 #:
 #: Binary φ is 144 in 2-D and 3-D alike; P1 µ's times are the traced
-#: benchmark pass's ``kernel_ms.mu`` of the two forms.  The losing 144 and
+#: benchmark pass's ``kernel_ms.mu`` of the two forms.  P1 φ's are those of
+#: the rows that read one shared Lagrange multiplier (medians of 6 runs of
+#: 60 alternating calls; the ratio was 0.78–0.82 in each): sharing it made
+#: both forms faster, and full gained more (expanded: 4.15 against 2.71 ms).  The losing 144 and
 #: the winning 434 are 3× apart, and 256 lies 1.7–1.8× from each.  After
 #: CSE the flux stages do 5.5–7.5 FLOPs per value (binary), 14.5 (P1 φ) and
 #: 69.7 (P1 µ): a gap of 2× only, and counting it would lower forms that

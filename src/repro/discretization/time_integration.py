@@ -5,7 +5,9 @@ Implements the explicit Euler scheme used by the paper (§3.3, Algorithm 1):
 .. math::  u^{n+1} = u^n + \\Delta t \\cdot \\mathrm{rhs}(u^n) / r(u^n)
 
 producing either a single "full" kernel or, via flux collection, the
-"split" variant: a staggered flux stage and the update that reads it.
+"split" variant: a staggered flux stage and the update that reads it.  The
+system's shared terms are discretized once each, with the same flux
+collection, and become the collection's subexpressions.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ def discretize_system(
 
         collector = FluxCollector() if variant == "split" else None
 
+        shared = [
+            Assignment(term.lhs, discretizer(term.rhs, collector)) for term in system.shared
+        ]
         main_assignments: list[Assignment] = []
         for eq in system.equations:
             rhs = discretizer(eq.rhs, collector)
@@ -64,7 +69,10 @@ def discretize_system(
             dst_access = FieldAccess(dst_field, eq.unknown.offsets, eq.unknown.index)
             main_assignments.append(Assignment(dst_access, update))
 
-        ac = AssignmentCollection(main_assignments, name=system.name)
+        ac = AssignmentCollection(
+            main_assignments, shared, name=system.name,
+            shared_symbols=[term.lhs for term in shared],
+        )
         if variant == "full":
             return ac
         return materialize_fluxes(

@@ -370,10 +370,45 @@ class GrandPotentialModel:
             return self._phi_system()
 
     def _phi_system(self) -> PDESystem:
+        """The N rows ``rhs_α = −δΨ/δφ_α + Λ`` (+ fluctuations), relaxed by ``τ(φ) ε``.
+
+        For N ≥ 3 every driving term ``d_β = δΨ/δφ_β`` and the multiplier
+        ``Λ = (d_0 + … + d_{N−1})/N`` are shared terms of the system
+        (``dpsi_<β>``, ``lagrange``): the kernel evaluates each once per
+        cell and a row reads ``d_α`` and ``Λ``, so the update is O(N) in the
+        phases.  Expanded into the rows, ``Λ`` makes each row a sum over
+        every phase's terms, each with its own coefficient.  For N = 2 the
+        rows are ± one difference, ``(d_1 − d_0)/2``, which the expanded
+        form computes once, so two phases keep it.  Normalized FLOPs per
+        cell of the φ kernel (:meth:`~repro.ir.kernel.Kernel.operation_count`),
+        rows expanded → shared multiplier:
+
+        ===================== == ============= =============
+        set                   N  φ-full        φ-split
+        ===================== == ============= =============
+        P1, 3-D               4  1 156 → 683   796 → 536
+        P2, 3-D, anisotropic  3  3 768 → 3 582 2 312 → 2 252
+        binary, 2-D           2  101 → 144     87 → 122
+        binary, 3-D           2  138 → 181     117 → 148
+        ===================== == ============= =============
+
+        The default P1 φ kernel (contracted split) reads each of its 24
+        buffered face fluxes once instead of 60 times; alone (40³, one
+        thread, C, 2-vCPU Xeon guest, 5 alternating pairs) it went from
+        2.00–2.69 to 1.25–1.71 ms.
+        """
         p = self.params
         n = p.n_phases
         dpsi = self.variational_derivatives()
-        lam = sp.Add(*dpsi) / n
+        shared = []
+        if n > 2:
+            terms = [sp.Symbol(f"dpsi_{b}", real=True) for b in range(n)]
+            lam = sp.Symbol("lagrange", real=True)
+            shared = [Assignment(t, d) for t, d in zip(terms, dpsi)]
+            shared.append(Assignment(lam, sp.Add(*terms) / n))
+            dpsi = terms
+        else:
+            lam = sp.Add(*dpsi) / n
         relax = self.tau_interpolated() * sp.Float(p.epsilon)
         equations = []
         for a in range(n):
@@ -385,7 +420,7 @@ class GrandPotentialModel:
             equations.append(
                 EvolutionEquation(self.phi.center(a), rhs, relaxation=relax)
             )
-        return PDESystem(equations, name="phi")
+        return PDESystem(equations, name="phi", shared=shared)
 
     def mobility_matrix(self) -> sp.Matrix:
         """Eq. (9): M = Σ_α D_α (∂c_α/∂µ) g_α(φ)."""
@@ -582,10 +617,11 @@ class GrandPotentialModel:
         """The sympy derivation of a kernel set (steps 1–4), as its parts.
 
         The two systems share nothing but the model: where :func:`_may_fork`,
-        a forked child lowers µ and the projection while this process lowers
-        φ, each building its share's binaries, and both have returned before
-        this does.  Otherwise both are lowered here and build nothing: the
-        time loop builds what it runs on its own pool, as a warm set's does.
+        a forked child lowers µ while this process lowers φ and the
+        projection, each building its share's binaries, and both have
+        returned before this does.  Otherwise both are lowered here and
+        build nothing: the time loop builds what it runs on its own pool, as
+        a warm set's does.
         """
         config = KernelConfig(
             target=target,
@@ -604,25 +640,28 @@ class GrandPotentialModel:
                 mu = child.join()
             finally:
                 child.reap()
-        return dict(phi_kernels=phi, projection_kernel=mu[-1], mu_kernels=mu[:-1])
+        return dict(phi_kernels=phi[:-1], projection_kernel=phi[-1], mu_kernels=mu)
 
     def _lower_system(
         self, system: str, variant: str | None, config: KernelConfig, build: bool
     ) -> list[Kernel]:
-        """The *variant* kernels of one *system*: ``"phi"``, or ``"mu"`` and the projection.
+        """The *variant* kernels of one *system*: ``"phi"`` and the projection, or ``"mu"``.
 
         An unset *variant* is the one :meth:`SplitKernels.buffering_pays`
         chooses from the split discretization; choosing full costs a
-        second, full discretization.  The projection goes with µ: deriving
-        it takes no time, and its build evens out the two shares (P1, both
-        systems split, each share alone on a 2-vCPU Xeon guest: φ is
-        1.9–2.2 s of sympy and 1.4–1.6 s of gcc, µ 1.1 s and 2.0–2.4 s
-        with the projection and the native fill; forked, either share may
-        end last, and moving the projection or the fill to φ made φ the
-        longer one).  With *build*, each kernel's C binary is compiled
-        (:func:`~repro.profiling.cache.compile_all`, on one worker: the
-        other CPU is the other process's) and published
-        to the disk cache, and with µ the native ghost fill, so a solver's
+        second, full discretization.  The projection goes with φ and the
+        native fill with µ: deriving the projection takes no time, and the
+        two builds even out the shares (each share alone on an empty cache,
+        2-vCPU Xeon guest, 2 runs: P1 φ 1.0–1.1 s of sympy and 0.9–1.1 s of
+        gcc, µ 0.7–0.9 s and 1.35–1.55 s; binary 2-D φ 0.2–0.25 s and 0.13 s,
+        µ 0.08 s and 0.12 s; the projection 0.1 s and the fill 0.12–0.15 s
+        of gcc).  Against both with µ, alternating cold ``create_kernels``
+        took P1 1.99–3.55 s, median 2.50, against 2.33–3.82 s, median 2.65
+        (13/16 pairs faster), and binary 2-D 0.50–0.58 s against 0.54–0.80 s
+        (8/8); both with φ slowed binary 2-D.  With *build*, each kernel's C
+        binary is compiled (:func:`~repro.profiling.cache.compile_all`, on
+        one worker: the other CPU is the other process's) and published to
+        the disk cache, and with µ the native ghost fill, so a solver's
         lowering finds every binary in memory or on disk.  A failed build
         is logged and leaves the kernels usable: a C solver builds them
         again and reports the failure.
@@ -644,7 +683,7 @@ class GrandPotentialModel:
             kernels = [flux, update] if config.target == "gpu" else [contract(flux, update, system)]
         else:
             kernels = [create_kernel(result, config)]
-        if system == "mu":
+        if system == "phi":
             kernels.append(
                 create_kernel(self.projection_collection(), KernelConfig(target=config.target))
             )

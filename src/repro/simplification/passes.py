@@ -305,19 +305,28 @@ def global_cse(ac: AssignmentCollection) -> AssignmentCollection:
     """Global common-subexpression elimination across all assignments.
 
     Existing subexpressions are inlined first so that repeated runs converge
-    to the same canonical SSA form.  Temporaries are named ``xi_0, xi_1, …``.
+    to the same canonical SSA form — all but the collection's shared terms
+    (``ac.shared_symbols``): inlining a term that several rows read, such as
+    the Lagrange multiplier, would expand it into every row again.  Those
+    stay named values and are CSEd together with the main assignments.
+    Temporaries are named ``xi_0, xi_1, …``.
     """
-    inlined = ac.inline_subexpressions()
-    rhs_list = [a.rhs for a in inlined.main_assignments]
+    table: dict[sp.Symbol, sp.Expr] = {}
+    shared: list[Assignment] = []
+    for a in ac.subexpressions:
+        rhs = a.rhs.xreplace(table)
+        if a.lhs.name in ac.shared_symbols:
+            shared.append(Assignment(a.lhs, rhs))
+        else:
+            table[a.lhs] = rhs
+    targets = shared + [a.subs(table) for a in ac.main_assignments]
     replacements, reduced = sp.cse(
-        rhs_list, symbols=sp.numbered_symbols("xi_", real=True), order="none"
+        [a.rhs for a in targets], symbols=sp.numbered_symbols("xi_", real=True), order="none"
     )
+    reduced = [Assignment(a.lhs, rhs) for a, rhs in zip(targets, reduced)]
     subexpressions = [Assignment(lhs, rhs) for lhs, rhs in replacements]
-    main = [
-        Assignment(a.lhs, new_rhs)
-        for a, new_rhs in zip(inlined.main_assignments, reduced)
-    ]
-    result = ac.copy(main, subexpressions)
+    result = ac.copy(reduced[len(shared):], subexpressions + reduced[: len(shared)])
+    result = result.topological_sort()
     result.validate()
     return result
 

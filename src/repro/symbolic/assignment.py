@@ -64,6 +64,11 @@ class AssignmentCollection:
       listed in ``reduction_symbols``, which marks it as a *reduction
       output*: a scalar accumulated (summed) over the iteration space
       instead of stored per cell.
+
+    A subexpression whose lhs name is in ``shared_symbols`` names a shared
+    term of the discretized PDE system (the Lagrange multiplier of the φ
+    equations, say): :func:`repro.simplification.passes.global_cse` keeps it
+    a value instead of inlining it into every assignment that reads it.
     """
 
     def __init__(
@@ -72,6 +77,7 @@ class AssignmentCollection:
         subexpressions: Sequence[Assignment] = (),
         name: str = "kernel",
         reduction_symbols: Iterable[str] = (),
+        shared_symbols: Iterable[str] = (),
     ):
         self.main_assignments = list(main_assignments)
         self.subexpressions = list(subexpressions)
@@ -82,6 +88,9 @@ class AssignmentCollection:
         self.reduction_symbols = frozenset(
             s.name if isinstance(s, sp.Symbol) else str(s)
             for s in reduction_symbols
+        )
+        self.shared_symbols = frozenset(
+            s.name if isinstance(s, sp.Symbol) else str(s) for s in shared_symbols
         )
 
     # -- construction helpers ------------------------------------------------
@@ -100,6 +109,7 @@ class AssignmentCollection:
             list(self.subexpressions if subexpressions is None else subexpressions),
             name=self.name,
             reduction_symbols=self.reduction_symbols,
+            shared_symbols=self.shared_symbols,
         )
 
     # -- inspection ------------------------------------------------------------

@@ -8,7 +8,10 @@ component to a right-hand side expression:
 with an optional local relaxation prefactor ``r`` (e.g. the ``τ(φ) ε`` of the
 Allen-Cahn equation).  A :class:`PDESystem` groups the equations that one
 compute kernel should update (e.g. all N phase fields, or all K−1 chemical
-potential components).
+potential components).  A system may also name *shared* terms — right-hand
+side parts that several equations read, such as the Lagrange multiplier of
+the Allen-Cahn equations: the equations refer to them by symbol, and the
+discretization evaluates each once per cell.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Sequence
 
 import sympy as sp
 
+from .assignment import Assignment
 from .field import Field, FieldAccess
 
 __all__ = ["EvolutionEquation", "PDESystem"]
@@ -44,10 +48,22 @@ class EvolutionEquation:
 
 
 class PDESystem:
-    """The set of evolution equations updated by one kernel."""
+    """The set of evolution equations updated by one kernel.
 
-    def __init__(self, equations: Sequence[EvolutionEquation], name: str = "pde"):
+    *shared* binds terms that several right-hand sides read, in order (a
+    term may read the ones before it); an equation refers to a term by its
+    symbol.  The discretization keeps each a named value of the kernel
+    instead of expanding it into every equation that reads it.
+    """
+
+    def __init__(
+        self,
+        equations: Sequence[EvolutionEquation],
+        name: str = "pde",
+        shared: Sequence[Assignment] = (),
+    ):
         equations = list(equations)
+        shared = list(shared)
         if not equations:
             raise ValueError("PDESystem needs at least one equation")
         fields = {eq.field for eq in equations}
@@ -59,7 +75,11 @@ class PDESystem:
         unknowns = [eq.unknown for eq in equations]
         if len(set(unknowns)) != len(unknowns):
             raise ValueError("duplicate unknown in PDE system")
+        names = [a.lhs for a in shared]
+        if len(set(names)) != len(names) or any(a.is_field_store for a in shared):
+            raise ValueError("shared terms must bind distinct plain symbols")
         self.equations = equations
+        self.shared = shared
         self.name = name
 
     @property

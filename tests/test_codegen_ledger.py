@@ -9,7 +9,10 @@ here, not silently in a new ``.so``.  The ledger covers the binary 2-D and
 A split system is one contracted kernel per system (``<set>/split/phi``,
 ``<set>/split/mu``), pinned since the two-sweep pair ``<system>_flux`` /
 ``<system>_main`` was folded into it with bitwise equal results
-(``tests/test_contracted_split.py``).
+(``tests/test_contracted_split.py``).  The P1 φ pins (``p1_3d/full/phi``,
+``p1_3d/split/phi``) are those of the rows that read one shared Lagrange
+multiplier (``GrandPotentialModel._phi_system``); the binary φ rows keep
+the expanded form.
 
 Each group is derived in a fresh interpreter, on an empty kernel disk cache,
 under two string-hash seeds: seed 0 is the one the benchmark pins, seed 3
@@ -167,13 +170,13 @@ PINNED: dict[str, dict[str, str]] = {
         "p1_3d/full/mu:interior":
             "eecf6ee1e98b6efb5868b65af62771599e0f8aa60c343e4243e5b0dc7fe642e0",
         "p1_3d/full/phi":
-            "a8899e60fb0af777414f6bdf57b44561ad663a2d4260225426f0f7f8c75b13db",
+            "6894aef751cc9c3637d6142be954fbd82e9d1c8de2e98c59670a0245df7aada2",
         "p1_3d/full/phi_project":
             "aeb704ca97788440a2135a40aabd6b9e87cdb913461e456f5bae7d42f481a15a",
         "p1_3d/split/mu":
             "8b3b8cfcefc48d73e616c4beb05a777a7568ad1213ec51607545306b6489eded",
         "p1_3d/split/phi":
-            "1f82707ea0d412661198c12c7c44d375d7096f44237a2ae81b61b4d06e4ea475",
+            "9ea4880a4638e74add02adc6d631cf7821e4942dd38ab4359b2c0df5536dd826",
         "p1_3d/split/phi_project":
             "aeb704ca97788440a2135a40aabd6b9e87cdb913461e456f5bae7d42f481a15a",
     },

@@ -1,9 +1,9 @@
 """The cold path of ``create_kernels``: two systems, two processes, one result.
 
 On an empty cache, with a second usable CPU and no other thread, a model
-forks one child that derives the µ system and the projection and publishes
-their binaries (and the native fill's) while the caller derives φ and
-builds its binary.
+forks one child that derives the µ system and publishes its binary (and
+the native fill's) while the caller derives φ and the projection and
+builds their binaries.
 On one CPU, or beside another thread, the same per-system function runs in
 process and builds nothing.  Either way the emitted C and the kernel
 fingerprints are the same, the child's failure is a named error, a
@@ -158,7 +158,7 @@ def test_the_childs_builds_and_spans_are_counted_here(cold_cache, forks, caplog)
                      if r.getMessage().startswith("derivation_child_exited")]
         assert f"pid={pid}" in exited and "peak_rss_mb=" in exited
         stats = disk_cache_stats()
-        # φ (here), µ, the projection and the native fill (in the child)
+        # φ and the projection (here), µ and the native fill (in the child)
         assert (stats.builds, stats.misses, stats.ir_derivations) == (4, 4, 1)
         spans = [e.name for e in recorder.events if e.kind == "span_end"]
         for name in ("build_mu_system", "create_kernel:mu", "codegen:c:mu", "compile:mu",
@@ -166,7 +166,7 @@ def test_the_childs_builds_and_spans_are_counted_here(cold_cache, forks, caplog)
             assert spans.count(name) == 1, name
         assert [e.seq for e in recorder.events] == list(range(1, len(recorder) + 1))
 
-        # the time loop builds nothing: φ is in memory, the rest on disk
+        # the time loop builds nothing: φ and the projection are in memory, µ on disk
         seen = len(recorder)
         SingleBlockSolver(kernels, (8, 8), backend="c")
         assert disk_cache_stats().builds == 4
@@ -174,7 +174,7 @@ def test_the_childs_builds_and_spans_are_counted_here(cold_cache, forks, caplog)
             (e.name, e.data["disk_cache"]) for e in recorder.events[seen:]
             if e.kind == "span_end" and e.name.startswith("codegen:c:")
         ]
-        assert sorted(lowered) == [("codegen:c:mu", "hit"), ("codegen:c:phi_project", "hit")]
+        assert lowered == [("codegen:c:mu", "hit")]
     finally:
         set_recorder(previous)
 

@@ -6,8 +6,11 @@ the flux stage into buffers (per-thread planes in C, per-slab arrays in
 NumPy), then the update that reads them.  Its oracle is the two-sweep pair
 it replaced — a flux sweep writing a staggered field, an update sweep
 reading it.  The SHA-256 digests below are that pair's results on fixed
-inputs, taken before the pair was deleted; the contracted kernel must
-reproduce them bitwise, in C and in NumPy, at one and two ghost layers.
+inputs, taken before the pair was deleted from the CPU target; the
+contracted kernel must reproduce them bitwise, in C and in NumPy, at one
+and two ghost layers.  The P1 φ digest is the ``target="gpu"`` pair's, run
+on the CPU backends, taken when the φ rows came to read one shared Lagrange
+multiplier; the pair still reproduces every other digest too.
 The rest checks what the buffers must not change: the restricted units of
 the overlapped schedule, two simulated ranks, two threads, and memory
 safety under AddressSanitizer and UBSan.
@@ -48,7 +51,7 @@ TWO_SWEEP = {
     ("binary2d", "mu"): "0e7a2f3f0de9b46b40470929f1bb001726c99622867c592c4f4c34dce5017627",
     ("binary3d", "phi"): "fc191b92b559dcb1bfd848480d2e3c71043d7ddb44cc69a1fd88f080cd18eb3e",
     ("binary3d", "mu"): "e2807c359b79cab9e1a6942d44ea3279911a56795f82d83067c24788e576af9a",
-    ("p1", "phi"): "256e25cd70064a7373c0e9424514cb21b6cb491dbb4677736f24dafb368d72df",
+    ("p1", "phi"): "cdffc27225624810d17bd70fc61899103e08e6dcbeecbc01ca51f7125fa13c1b",
     ("p1", "mu"): "06fa2455ad6bc61b103ab11e57638ba592cdb9facaec05c75f5c2090235fe7d8",
 }
 
@@ -197,6 +200,27 @@ class TestTwoSweepOracle:
         )
         got = _digest(_interior(arrays[f"{system}_dst"], gl))
         assert got == TWO_SWEEP[(label, system)]
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_the_gpu_pair_gives_the_p1_phi_digest(self, backend):
+        """``phi_flux`` then ``phi_main`` through a staggered field, on the CPU backends."""
+        if backend == "c" and not c_compiler_available():
+            pytest.skip("no C compiler available")
+        make, shape = SETS["p1"]
+        pair = GrandPotentialModel(make()).create_kernels(
+            variant_phi="split", variant_mu="split", target="gpu"
+        ).phi_kernels
+        assert [k.name for k in pair] == ["phi_flux", "phi_main"]
+        flux = [f for f in pair[0].fields if f.staggered]
+        # the contracted kernel's fields draw the inputs; the flux field is extra
+        fields = {f for k in pair for f in k.fields} - set(flux)
+        for gl in (1, 2):
+            arrays = {**_inputs(fields, shape, gl), **create_arrays(flux, shape, gl)}
+            for kernel in pair:
+                compile_cached(kernel, backend)(
+                    arrays, ghost_layers=gl, block_offset=(3,) * kernel.dim, **_CALL
+                )
+            assert _digest(_interior(arrays["phi_dst"], gl)) == TWO_SWEEP[("p1", "phi")]
 
 
 def _units_against_whole(kernel, fields, shape, backend):

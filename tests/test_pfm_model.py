@@ -167,6 +167,55 @@ class TestModelStructure:
         assert any(eq.rhs.atoms(RandomValue) for eq in system.equations)
 
 
+class TestSharedMultiplier:
+    """From three phases on, the φ rows read one Lagrange multiplier per cell."""
+
+    @pytest.fixture(scope="class")
+    def p1_model(self):
+        from repro.pfm import make_p1
+
+        return GrandPotentialModel(make_p1(dim=3))
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_p1_update_conserves_the_phase_sum(self, p1_model, backend):
+        """Σ_α φ_dst_α = Σ_α φ_α to 2 ulp of 1 before the projection, on fixed inputs."""
+        from repro.backends.c_backend import c_compiler_available
+        from repro.backends.numpy_backend import create_arrays
+        from repro.profiling import compile_cached
+
+        if backend == "c" and not c_compiler_available():
+            pytest.skip("no C compiler available")
+        (phi,) = p1_model.create_kernels().phi_kernels
+        gl = phi.ghost_layers
+        arrays = create_arrays(phi.fields, (6, 5, 7), gl)
+        rng = np.random.default_rng(2019)
+        v = rng.random(arrays["phi"].shape) + 0.05
+        arrays["phi"][...] = v / v.sum(axis=-1, keepdims=True)
+        arrays["mu"][...] = 0.1 * rng.standard_normal(arrays["mu"].shape)
+        compile_cached(phi, backend)(
+            arrays, ghost_layers=gl, block_offset=(3, 3, 3), t=0.25, time_step=3, seed=1
+        )
+        inner = (slice(gl, -gl),) * 3
+        before, after = arrays["phi"][inner], arrays["phi_dst"][inner]
+        assert np.abs(after - before).max() > 1e-3  # far more than the bound
+        drift = np.abs(after.sum(axis=-1) - before.sum(axis=-1)).max()
+        assert drift <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("variant, ceiling", [("split", 560), ("full", 720)])
+    def test_p1_phi_flops_stay_linear_in_phases(self, p1_model, variant, ceiling):
+        """Rows that expand the multiplier again cost 796 (split) and 1 156 (full)."""
+        assert p1_model.phi_system().shared
+        ks = p1_model.create_kernels(variant_phi=variant, variant_mu=variant)
+        (phi,) = ks.phi_kernels
+        assert phi.operation_count().normalized_flops() <= ceiling
+
+    def test_binary_phi_keeps_the_expanded_rows(self, binary_model, binary_kernels_full):
+        """Two phases: each row is ± one difference, cheaper than a shared multiplier."""
+        assert binary_model.phi_system().shared == []
+        (phi,) = binary_kernels_full.phi_kernels
+        assert phi.operation_count().normalized_flops() == 101
+
+
 class TestP2Setup:
     """Setup P2, as the dendrite example and the sweep's ``p2`` model build it."""
 

@@ -77,6 +77,26 @@ class TestGlobalCSE:
         assert once.inline_subexpressions().main_assignments[0].rhs == \
                twice.inline_subexpressions().main_assignments[0].rhs
 
+    def test_a_shared_term_stays_a_value(self):
+        """A shared term is CSEd with the rows, not inlined; other temporaries are."""
+        f, g = _fields2()
+        h = Field("h", 2)
+        lam, tmp = sp.symbols("lam tmp", real=True)
+        ac = AssignmentCollection(
+            [
+                Assignment(g.center(), f.center() * lam),
+                Assignment(h.center(), f.center() + lam),
+            ],
+            [Assignment(tmp, (f[1, 0]() + 1) ** 2), Assignment(lam, tmp / 2 + tmp**3)],
+            shared_symbols=[lam],
+        )
+        out = global_cse(ac)
+        assert lam in out.defined_temporaries and tmp not in out.bound_symbols
+        assert all(a.rhs.free_symbols >= {lam} for a in out.main_assignments)
+        assert global_cse(out).all_assignments == out.all_assignments
+        inlined = out.inline_subexpressions()
+        assert inlined.main_assignments == ac.inline_subexpressions().main_assignments
+
 
 @st.composite
 def random_exprs(draw):
