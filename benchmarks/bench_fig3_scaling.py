@@ -16,7 +16,7 @@ efficiency decaying as blocks shrink to a handful of cells.
 import numpy as np
 import pytest
 
-from conftest import emit_table
+from conftest import emit_table, p1_gpu_compute_rate
 
 
 def _cpu_core_rate(p1_full, p1_split, contracted=False):
@@ -95,16 +95,9 @@ def test_fig3_left_weak_scaling_cpu(benchmark, p1_full, p1_split):
 
 
 def test_fig3_middle_weak_scaling_gpu(benchmark, p1_full, p1_split):
-    from repro.gpu import TransformationSequence, apply_sequence
     from repro.parallel import ARIES_DRAGONFLY, ClusterModel, CommOptions
 
-    seq = TransformationSequence(
-        use_remat=True, use_scheduling=True, beam_width=8, fence_interval=32
-    )
-    # the GPU runs the paper's two µ-split kernels: the contracted kernel's stages
-    kernels = p1_full.phi_kernels + list(p1_split.mu_kernels[0].stages)
-    total_ns = sum(apply_sequence(k, seq).time_per_lup_ns for k in kernels)
-    gpu_rate = 1e3 / total_ns
+    gpu_rate = p1_gpu_compute_rate(p1_full, p1_split)
 
     cluster = ClusterModel(
         name="Piz Daint",

@@ -9,7 +9,7 @@ on) and the non-hideable host-staging copies used without GPUDirect.
 
 import pytest
 
-from conftest import emit_table
+from conftest import emit_table, p1_gpu_compute_rate
 
 PAPER = {
     (False, False): 395,
@@ -19,34 +19,12 @@ PAPER = {
 }
 
 
-def _gpu_compute_rate(kernel_set) -> float:
-    """Aggregate MLUP/s of one tuned time step on the P100 model."""
-    from repro.gpu import TransformationSequence, apply_sequence
-
-    seq = TransformationSequence(
-        use_remat=True, use_scheduling=True, beam_width=8, fence_interval=32
-    )
-    total_ns = 0.0
-    for k in kernel_set.phi_kernels + kernel_set.mu_kernels:
-        total_ns += apply_sequence(k, seq).time_per_lup_ns
-    return 1e3 / total_ns
-
-
 def test_table2_communication_options(benchmark, p1_full, p1_split):
     from repro.parallel import ARIES_DRAGONFLY, CommOptions, StepTimeModel
-    from repro.pfm import PhaseFieldKernelSet
 
-    # the production variant choice on Piz Daint: φ-full + µ-split
-    kernel_set = PhaseFieldKernelSet(
-        model=p1_full.model,
-        phi_kernels=p1_full.phi_kernels,
-        projection_kernel=p1_full.projection_kernel,
-        mu_kernels=p1_split.mu_kernels,
-        variant_phi="full",
-        variant_mu="split",
-    )
-    rate = _gpu_compute_rate(kernel_set)
-    params = kernel_set.model.params
+    # the production variant choice on Piz Daint, rated as Fig. 3 middle rates it
+    rate = p1_gpu_compute_rate(p1_full, p1_split)
+    params = p1_full.model.params
     exchanged = params.n_phases + params.n_mu  # φ_dst + µ_dst components
 
     lines = [

@@ -29,6 +29,21 @@ def emit_table(experiment: str, lines: list[str]) -> str:
     return text
 
 
+def p1_gpu_compute_rate(p1_full, p1_split) -> float:
+    """MLUP/s of one tuned P1 time step on the P100 model, without communication.
+
+    The production choice on Piz Daint: φ-full and µ-split, the latter as
+    the paper's two kernels (the stages of the contracted µ kernel).
+    """
+    from repro.gpu import TransformationSequence, apply_sequence
+
+    seq = TransformationSequence(
+        use_remat=True, use_scheduling=True, beam_width=8, fence_interval=32
+    )
+    kernels = p1_full.phi_kernels + list(p1_split.mu_kernels[0].stages)
+    return 1e3 / sum(apply_sequence(k, seq).time_per_lup_ns for k in kernels)
+
+
 @pytest.fixture(scope="session")
 def p1_model():
     from repro.pfm import GrandPotentialModel, make_p1

@@ -133,7 +133,7 @@ def generate_cuda_source(
     if kernel.flux_field is not None:
         raise ValueError(
             f"the CUDA backend does not lower contracted split kernels ({kernel.name!r}): "
-            "lower the system for target='gpu', which keeps its two kernels"
+            "lower its two stages (Kernel.stages), the paper's flux and update kernels"
         )
     dim = kernel.dim
     if len(kernel.regions) > 1 and mapping == "z_loop":

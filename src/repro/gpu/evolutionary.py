@@ -62,7 +62,16 @@ def apply_sequence(
     seq: TransformationSequence,
     spec: GPUSpec = TESLA_P100,
 ) -> TunedKernel:
-    """Run the transformation sequence and evaluate the GPU model."""
+    """Run the transformation sequence and evaluate the GPU model.
+
+    A contracted split kernel is refused, as the CUDA emitter refuses it:
+    the GPU runs its two stages, each of which is rated on its own.
+    """
+    if kernel.flux_field is not None:
+        raise ValueError(
+            f"the GPU model does not rate contracted split kernels ({kernel.name!r}): "
+            "rate its two stages (Kernel.stages), the paper's flux and update kernels"
+        )
     order = list(kernel.ac.all_assignments)
     if seq.use_remat:
         order = rematerialize(

@@ -2,9 +2,8 @@
 
 A :class:`Kernel` bundles the optimized assignment collection with the
 structural decisions of the IR layer: loop order, hoist levels, ghost-layer
-width, typing and the target architecture.  :func:`create_kernel` is the
-single entry point used by applications (paper Fig. 1, "intermediate
-representation layer").
+width and typing.  :func:`create_kernel` is the single entry point used by
+applications (paper Fig. 1, "intermediate representation layer").
 
 The kernel also *declares* its interface, once, for every backend: the
 argument list of the native function (:attr:`Kernel.signature`), what a
@@ -89,7 +88,6 @@ class Argument:
 class KernelConfig:
     """Code-generation options (the per-model, per-machine tuning knobs)."""
 
-    target: str = "cpu"                      # "cpu" | "gpu"
     approximations: tuple = ()               # subset of ("division","sqrt","rsqrt")
     parameter_values: Mapping | None = None  # compile-time constants
 
@@ -135,7 +133,8 @@ class Kernel:
         kernels ``<name>_flux`` (writing the staggered field) and
         ``<name>_main`` (reading it) with the statements, loop order and
         hoisting of this kernel: what the paper's Table 1 counts and its
-        Fig. 2 rates.
+        Fig. 2 rates, and the kernels the CUDA emitter and the GPU model
+        take (both refuse a contracted kernel).
         """
         if self.flux_field is None:
             return (self,)
@@ -390,7 +389,7 @@ class Kernel:
     def __repr__(self):
         return (
             f"Kernel({self.name!r}, {self.dim}D, gl={self.ghost_layers}, "
-            f"{len(self.ac)} assignments, target={self.config.target})"
+            f"{len(self.ac)} assignments)"
         )
 
 
@@ -414,9 +413,7 @@ def create_kernel(
         raise ValueError(f"kernel mixes fields of different dimensionality: {dims}")
     (dim,) = dims
 
-    with get_recorder().span(
-        f"create_kernel:{name or ac.name}", category="ir", target=config.target
-    ) as span:
+    with get_recorder().span(f"create_kernel:{name or ac.name}", category="ir") as span:
         ac = optimize(ac, parameter_values=config.parameter_values)
         ac = extract_invariant_subexpressions(ac)
         if config.approximations:

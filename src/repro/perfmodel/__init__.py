@@ -24,7 +24,6 @@ from .machine import (
 from .benchmark_mode import MeasuredPerformance, generate_benchmark_source, measure_kernel
 from .report import performance_report
 from .roofline import RooflinePoint, roofline
-from .selection import SelectionReport, VariantRating, select_variants
 
 __all__ = [
     "ECMModel",
@@ -55,7 +54,4 @@ __all__ = [
     "MeasuredPerformance",
     "generate_benchmark_source",
     "measure_kernel",
-    "SelectionReport",
-    "VariantRating",
-    "select_variants",
 ]

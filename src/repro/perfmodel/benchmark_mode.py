@@ -7,8 +7,9 @@ back as input for further optimization."
 
 :func:`measure_kernel` wraps a generated C kernel in a standalone timing
 harness (the likwid-bench role), compiles and runs it, and reports MLUP/s
-and cycles per lattice-site update.  :func:`repro.perfmodel.selection`
-combines these measurements with the ECM model to choose kernel variants.
+and cycles per lattice-site update.  The measurements choose no kernel
+form: :meth:`~repro.discretization.staggered.SplitKernels.buffering_pays`
+does.
 """
 
 from __future__ import annotations

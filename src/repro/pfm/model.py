@@ -126,12 +126,6 @@ def _kernel_set_parts(value) -> dict:
     return value
 
 
-def _form(kernels: list[Kernel]) -> str:
-    """``"split"`` or ``"full"``: the form a system's kernels were lowered in."""
-    split = len(kernels) > 1 or kernels[0].flux_field is not None
-    return "split" if split else "full"
-
-
 class KernelDerivationError(RuntimeError):
     """A forked child deriving one system's kernels failed; the message names it."""
 
@@ -250,8 +244,16 @@ class PhaseFieldKernelSet:
     phi_kernels: list[Kernel]
     projection_kernel: Kernel
     mu_kernels: list[Kernel]
-    variant_phi: str
-    variant_mu: str
+
+    @property
+    def variant_phi(self) -> str:
+        """``"split"`` or ``"full"``: the form of the φ kernels."""
+        return "split" if self.phi_kernels[0].flux_field is not None else "full"
+
+    @property
+    def variant_mu(self) -> str:
+        """``"split"`` or ``"full"``: the form of the µ kernels."""
+        return "split" if self.mu_kernels[0].flux_field is not None else "full"
 
     @property
     def all_kernels(self) -> list[Kernel]:
@@ -542,7 +544,6 @@ class GrandPotentialModel:
         self,
         variant_phi: str | None = None,
         variant_mu: str | None = None,
-        target: str = "cpu",
         approximations: tuple = (),
         fold_constants: bool = True,
     ) -> PhaseFieldKernelSet:
@@ -553,11 +554,12 @@ class GrandPotentialModel:
         φ-split variants of Table 1 and Algorithm 1; unset, each system
         takes the form :meth:`SplitKernels.buffering_pays
         <repro.discretization.staggered.SplitKernels.buffering_pays>`
-        chooses (P1: split, split; the binary model: full, full).  On
-        the CPU a split system is one kernel named after it, its flux field
-        contracted (:func:`~repro.ir.kernel.contract`); ``target="gpu"``
-        keeps the paper's two kernels, ``<system>_flux`` and
-        ``<system>_main``.  The set's ``variant_*`` name the forms taken.
+        chooses (P1: split, split; the binary model: full, full).  A split
+        system is one kernel named after it, its flux field contracted
+        (:func:`~repro.ir.kernel.contract`); its
+        :attr:`~repro.ir.kernel.Kernel.stages` are the paper's two kernels,
+        ``<system>_flux`` and ``<system>_main``, which the CUDA emitter and
+        the GPU model take.  The set's ``variant_*`` name the forms taken.
 
         The set is derived once: it is published to the kernel disk cache
         under :meth:`_kernel_set_key`, and a later call with equal
@@ -566,7 +568,6 @@ class GrandPotentialModel:
         options = dict(
             variant_phi=variant_phi,
             variant_mu=variant_mu,
-            target=target,
             approximations=approximations,
             fold_constants=fold_constants,
         )
@@ -575,7 +576,6 @@ class GrandPotentialModel:
             category="pipeline",
             variant_phi=variant_phi,
             variant_mu=variant_mu,
-            target=target,
         ) as span:
             parts, hit = KernelDiskCache().load_or_derive(
                 self._kernel_set_key(**options),
@@ -584,17 +584,13 @@ class GrandPotentialModel:
                 meta={"model": self.params.name, **options},
             )
             span["cache"] = "hit" if hit else "derived"
-        kernel_set = PhaseFieldKernelSet(
-            model=self, **parts, variant_phi=_form(parts["phi_kernels"]),
-            variant_mu=_form(parts["mu_kernels"]),
-        )
+        kernel_set = PhaseFieldKernelSet(model=self, **parts)
         _log.info(
             kv(
                 "kernel_set_created",
                 kernels=len(kernel_set.all_kernels),
                 variant_phi=kernel_set.variant_phi,
                 variant_mu=kernel_set.variant_mu,
-                target=target,
                 ghost_layers=kernel_set.ghost_layers,
                 cache="hit" if hit else "derived",
             )
@@ -602,17 +598,17 @@ class GrandPotentialModel:
         return kernel_set
 
     def _kernel_set_key(
-        self, variant_phi, variant_mu, target, approximations, fold_constants
+        self, variant_phi, variant_mu, approximations, fold_constants
     ) -> str:
         """IR-tier cache key: every parameter field and every argument (unset: ``"None"``)."""
         digest = hashlib.sha256(_canonical(self.params).encode()).hexdigest()
         return ir_cache_key(
-            digest, str(variant_phi), str(variant_mu), target, repr(approximations),
+            digest, str(variant_phi), str(variant_mu), repr(approximations),
             repr(fold_constants),
         )
 
     def _derive_kernels(
-        self, variant_phi, variant_mu, target, approximations, fold_constants
+        self, variant_phi, variant_mu, approximations, fold_constants
     ) -> dict:
         """The sympy derivation of a kernel set (steps 1–4), as its parts.
 
@@ -624,7 +620,6 @@ class GrandPotentialModel:
         a warm set's does.
         """
         config = KernelConfig(
-            target=target,
             approximations=approximations,
             parameter_values=self.compile_time_constants() if fold_constants else None,
         )
@@ -633,7 +628,7 @@ class GrandPotentialModel:
             phi = lower("phi", variant_phi, build=False)
             mu = lower("mu", variant_mu, build=False)
         else:
-            build = target == "cpu" and c_compiler_available()
+            build = c_compiler_available()
             child = _Child("mu", partial(lower, "mu", variant_mu, build=build))
             try:
                 phi = lower("phi", variant_phi, build=build)
@@ -680,13 +675,11 @@ class GrandPotentialModel:
         if isinstance(result, SplitKernels):
             flux = create_kernel(result.flux_kernel, config)
             update = create_kernel(result.main_kernel, config)
-            kernels = [flux, update] if config.target == "gpu" else [contract(flux, update, system)]
+            kernels = [contract(flux, update, system)]
         else:
             kernels = [create_kernel(result, config)]
         if system == "phi":
-            kernels.append(
-                create_kernel(self.projection_collection(), KernelConfig(target=config.target))
-            )
+            kernels.append(create_kernel(self.projection_collection()))
         if build:
             jobs = [partial(compile_cached, k, "c") for k in kernels]
             if system == "mu":

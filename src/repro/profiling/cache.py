@@ -82,8 +82,8 @@ def kernel_fingerprint(kernel: Kernel) -> str:
     Covers everything the backends consume: the SSA program (``srepr`` of
     every assignment), loop order, ghost layers, hoist levels, types, field
     metadata (staggering decides write regions, a contracted flux field
-    the buffers) and the codegen-relevant config (target, approximations,
-    folded parameter values).
+    the buffers) and the codegen-relevant config (approximations, folded
+    parameter values).
     Two independently generated kernel sets from identical model parameters
     hash equal, so the cache also deduplicates across regenerations.
     """
@@ -123,7 +123,7 @@ def kernel_fingerprint(kernel: Kernel) -> str:
         (k.name if isinstance(k, sp.Symbol) else str(k), repr(v))
         for k, v in values.items()
     )
-    put(f"{cfg.target}|{cfg.approximations}|{folded}")
+    put(f"{cfg.approximations}|{folded}")
     digest = h.hexdigest()
     kernel._fingerprint = digest
     return digest

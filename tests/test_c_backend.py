@@ -1115,10 +1115,6 @@ class TestKernelABI:
         from repro.lbm import LBMethod, create_lbm_update
 
         split = binary2d.model.create_kernels(variant_phi="split", variant_mu="split")
-        # the paper's two split kernels per system, which only CUDA targets
-        gpu = binary2d.model.create_kernels(
-            variant_phi="split", variant_mu="split", target="gpu"
-        )
         (mu,) = binary2d.mu_kernels
         interior, frontiers = split_interior_frontier(mu)
         lbm, _, _ = create_lbm_update(LBMethod(relaxation_rate=1.5))
@@ -1126,7 +1122,11 @@ class TestKernelABI:
         # P1's µ is split, its flux field contracted: no CUDA form
         out |= {f"p1/{k.name}": (k, k.flux_field is None) for k in p1.all_kernels}
         out |= {f"split/{k.name}": (k, False) for k in split.phi_kernels + split.mu_kernels}
-        out |= {f"gpu/{k.name}": (k, True) for k in gpu.phi_kernels + gpu.mu_kernels}
+        # the paper's two split kernels per system, the ones CUDA lowers
+        out |= {
+            f"stages/{s.name}": (s, True) for k in split.phi_kernels + split.mu_kernels
+            for s in k.stages
+        }
         out |= {k.name: (k, False) for k in (interior, *frontiers)}
         out["diagnostics"] = (DiagnosticsSuite.for_model(binary2d.model).kernel, False)
         out["lbm"] = (create_kernel(lbm), True)
@@ -1225,7 +1225,7 @@ class TestKernelABI:
         roles = {label: [a.role for a in k.signature] for label, (k, _) in families.items()}
         assert "sub_lo" in roles["mu:interior"] and "sub_hi" in roles["mu:frontier_a0lo"]
         assert roles["diagnostics"][-1] == "reduce_out"
-        for label in ("binary2d/mu", "p1/phi", "split/mu", "gpu/mu_flux", "lbm"):
+        for label in ("binary2d/mu", "p1/phi", "split/mu", "stages/mu_flux", "lbm"):
             assert not {"sub_lo", "sub_hi", "reduce_out"} & set(roles[label]), label
             assert roles[label][-2:] == ["time_step", "seed"], label
 

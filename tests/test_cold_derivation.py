@@ -271,13 +271,11 @@ def test_a_failing_compiler_leaves_the_set_usable(cold_cache, forks, tmp_path, m
         SingleBlockSolver(kernels, (8, 8), backend="c")
 
 
-@pytest.mark.parametrize("reason", ["gpu target", "no compiler"])
+@pytest.mark.parametrize("reason", ["no compiler"])
 def test_only_a_cpu_set_with_a_compiler_builds(cold_cache, monkeypatch, reason):
-    target = "gpu" if reason == "gpu target" else "cpu"
-    if reason == "no compiler":
-        monkeypatch.setattr(model_module, "c_compiler_available", lambda: False)
-    kernels = _binary().create_kernels(target=target)
-    assert all(k.config.target == target for k in kernels.all_kernels)
+    """Without a C compiler a cold derivation derives the set and builds nothing."""
+    monkeypatch.setattr(model_module, "c_compiler_available", lambda: False)
+    _binary().create_kernels()
     stats = disk_cache_stats()
     assert (stats.builds, stats.ir_derivations) == (0, 1)
 

@@ -6,11 +6,11 @@ the flux stage into buffers (per-thread planes in C, per-slab arrays in
 NumPy), then the update that reads them.  Its oracle is the two-sweep pair
 it replaced — a flux sweep writing a staggered field, an update sweep
 reading it.  The SHA-256 digests below are that pair's results on fixed
-inputs, taken before the pair was deleted from the CPU target; the
-contracted kernel must reproduce them bitwise, in C and in NumPy, at one
-and two ghost layers.  The P1 φ digest is the ``target="gpu"`` pair's, run
-on the CPU backends, taken when the φ rows came to read one shared Lagrange
-multiplier; the pair still reproduces every other digest too.
+inputs (P1 φ's re-taken when the φ rows came to read one shared Lagrange
+multiplier).  The contracted kernel must reproduce them bitwise, and so
+must its two stages (:attr:`repro.ir.kernel.Kernel.stages`, the kernels
+the CUDA emitter and the GPU model take) run one after the other through
+a staggered field: in C and in NumPy, at one and two ghost layers.
 The rest checks what the buffers must not change: the restricted units of
 the overlapped schedule, two simulated ranks, two threads, and memory
 safety under AddressSanitizer and UBSan.
@@ -160,15 +160,31 @@ class TestForms:
             kernel_fingerprint(k) for k in full.all_kernels
         ]
 
-    def test_gpu_keeps_the_papers_two_kernels(self):
+    def test_cuda_emits_both_stages_and_refuses_the_contracted_kernel(self, split_sets):
         from repro.backends.cuda_backend import generate_cuda_source
 
-        model = GrandPotentialModel(make_two_phase_binary(dim=2))
-        gpu = model.create_kernels(variant_phi="split", variant_mu="split", target="gpu")
-        assert [k.name for k in gpu.mu_kernels] == ["mu_flux", "mu_main"]
-        cpu = model.create_kernels(variant_phi="split", variant_mu="split")
-        with pytest.raises(ValueError, match="contracted split kernels"):
-            generate_cuda_source(cpu.mu_kernels[0])
+        (mu,) = split_sets["binary2d"].mu_kernels
+        for stage in mu.stages:
+            assert f"void {stage.c_name}(" in generate_cuda_source(stage).source
+        with pytest.raises(ValueError, match=r"contracted split kernels.*Kernel\.stages"):
+            generate_cuda_source(mu)
+
+    def test_the_gpu_model_rates_the_stages_and_refuses_the_contracted_kernel(
+        self, split_sets
+    ):
+        """A contracted kernel gets no GPU rate of its own; the report rates its stages."""
+        from repro.gpu import TransformationSequence, apply_sequence
+        from repro.perfmodel import performance_report
+
+        (mu,) = split_sets["binary2d"].mu_kernels
+        seq = TransformationSequence()
+        assert all(apply_sequence(stage, seq).time_per_lup_ns > 0 for stage in mu.stages)
+        with pytest.raises(ValueError, match=r"contracted split kernels.*Kernel\.stages"):
+            apply_sequence(mu, seq)
+        gpu = performance_report(mu, gpu=True).split("GPU (Tesla P100")[1]
+        assert [line.split()[0] for line in gpu.splitlines() if "modeled rate" in line] == [
+            "mu_flux", "mu_main"
+        ]
 
     def test_stages_are_the_two_sweeps(self, split_sets):
         """``stages`` hands the paper's flux and update kernels to the models."""
@@ -201,26 +217,28 @@ class TestTwoSweepOracle:
         got = _digest(_interior(arrays[f"{system}_dst"], gl))
         assert got == TWO_SWEEP[(label, system)]
 
+    @pytest.mark.parametrize("gl", [1, 2])
     @pytest.mark.parametrize("backend", ["c", "numpy"])
-    def test_the_gpu_pair_gives_the_p1_phi_digest(self, backend):
-        """``phi_flux`` then ``phi_main`` through a staggered field, on the CPU backends."""
+    @pytest.mark.parametrize("system", ["phi", "mu"])
+    @pytest.mark.parametrize("label", sorted(SETS))
+    def test_stages_give_the_digest(self, split_sets, label, system, backend, gl):
+        """``<system>_flux`` then ``<system>_main`` through a staggered field."""
         if backend == "c" and not c_compiler_available():
             pytest.skip("no C compiler available")
-        make, shape = SETS["p1"]
-        pair = GrandPotentialModel(make()).create_kernels(
-            variant_phi="split", variant_mu="split", target="gpu"
-        ).phi_kernels
-        assert [k.name for k in pair] == ["phi_flux", "phi_main"]
-        flux = [f for f in pair[0].fields if f.staggered]
-        # the contracted kernel's fields draw the inputs; the flux field is extra
-        fields = {f for k in pair for f in k.fields} - set(flux)
-        for gl in (1, 2):
-            arrays = {**_inputs(fields, shape, gl), **create_arrays(flux, shape, gl)}
-            for kernel in pair:
-                compile_cached(kernel, backend)(
-                    arrays, ghost_layers=gl, block_offset=(3,) * kernel.dim, **_CALL
-                )
-            assert _digest(_interior(arrays["phi_dst"], gl)) == TWO_SWEEP[("p1", "phi")]
+        ks = split_sets[label]
+        (kernel,) = ks.phi_kernels if system == "phi" else ks.mu_kernels
+        stages = kernel.stages
+        assert [s.name for s in stages] == [f"{system}_flux", f"{system}_main"]
+        shape = SETS[label][1]
+        arrays = {
+            **_inputs(kernel.fields, shape, gl), **create_arrays([kernel.flux_field], shape, gl)
+        }
+        for stage in stages:
+            compile_cached(stage, backend)(
+                arrays, ghost_layers=gl, block_offset=(3,) * kernel.dim, **_CALL
+            )
+        got = _digest(_interior(arrays[f"{system}_dst"], gl))
+        assert got == TWO_SWEEP[(label, system)]
 
 
 def _units_against_whole(kernel, fields, shape, backend):

@@ -38,9 +38,7 @@ def _kernel(dim=3, rng=False, approx=False):
     ac = discretize_system(
         PDESystem([eq], name="cuda_t"), f_dst, FiniteDifferenceDiscretization(dim=dim)
     )
-    cfg = KernelConfig(
-        target="gpu", approximations=("division", "rsqrt") if approx else ()
-    )
+    cfg = KernelConfig(approximations=("division", "rsqrt") if approx else ())
     return create_kernel(ac, cfg)
 
 

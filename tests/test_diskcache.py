@@ -565,7 +565,6 @@ class TestKernelSetKey:
         changes = {
             "variant_phi": "split",
             "variant_mu": "split",
-            "target": "gpu",
             "approximations": ("division",),
             "fold_constants": False,
         }

@@ -1,5 +1,5 @@
 """Tests for the extension features: Dirichlet walls, VTK output,
-benchmark mode and variant selection."""
+benchmark mode and the performance report."""
 
 import numpy as np
 import pytest
@@ -206,28 +206,6 @@ class TestBenchmarkMode:
         assert check.returncode == 0, check.stderr
         perf = measure_kernel(non_plain_kernel, (24, 20), iterations=3, repeats=2)
         assert perf.mlups > 0 and perf.cycles_per_lup(2.3) > 0
-
-
-class TestVariantSelection:
-    def test_model_based_selection(self):
-        from repro.perfmodel import select_variants
-        from repro.pfm import GrandPotentialModel, make_two_phase_binary
-
-        model = GrandPotentialModel(make_two_phase_binary(dim=2))
-        report = select_variants(model, block_shape=(60, 60), mode="model")
-        assert report.chosen_phi in ("full", "split")
-        assert report.chosen_mu in ("full", "split")
-        assert report.kernel_set.variant_phi == report.chosen_phi
-        assert len(report.ratings) == 4
-        assert "variant selection" in report.summary()
-
-    def test_invalid_mode(self):
-        from repro.perfmodel import select_variants
-        from repro.pfm import GrandPotentialModel, make_two_phase_binary
-
-        model = GrandPotentialModel(make_two_phase_binary(dim=2))
-        with pytest.raises(ValueError, match="mode"):
-            select_variants(model, mode="guess")
 
 
 class TestPerformanceReport:
