@@ -13,7 +13,6 @@ cores: ~0.2 steps/s at 48 cores rising to hundreds of steps/s, with
 efficiency decaying as blocks shrink to a handful of cells.
 """
 
-import numpy as np
 import pytest
 
 from conftest import emit_table, p1_gpu_compute_rate

@@ -9,9 +9,9 @@ for the simulated-MPI runs of :mod:`repro.parallel` (the per-rank
 ranks' :func:`~repro.observability.recorder.rank_recorder` rings):
 
 * **communication matrix** — :class:`CommMatrix` accumulates per-
-  ``(src, dst)`` bytes and message counts (fed by
-  :func:`repro.parallel.ghostlayer.exchange_field`), rendered as a
-  heatmap-style text table;
+  ``(src, dst)`` bytes and message counts (fed by the ghost exchange,
+  :class:`repro.parallel.ghostlayer.GhostExchange`, under either
+  schedule), rendered as a heatmap-style text table;
 
 * **imbalance + closure** — :func:`imbalance_factor` computes
   λ = max/mean of the per-rank step times, and
@@ -173,8 +173,8 @@ def comm_closure_rows(step_model, profiler, steps: int, nodes: int = 1) -> list[
     total_measured = total_wait = total_copy = 0.0
     for field in fields:
         rec = profiler.records[f"exchange:{field}"]
-        # synchronous exchanges time the blocking phase as ":deliver";
-        # the async start/finish exchange times it as ":wait"
+        # the exchange times its blocking phase as ":deliver", and as
+        # ":wait" for the first axis of a start/finish split
         wait = getattr(
             profiler.records.get(f"exchange:{field}:deliver"), "seconds", 0.0
         ) + getattr(

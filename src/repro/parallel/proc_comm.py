@@ -10,8 +10,8 @@ processes; only the transport differs:
 * every rank is a forked ``multiprocessing`` worker (true cores, private
   GIL, inherited closures/compiled-kernel cache — no pickling of the rank
   program);
-* bulk array payloads (ghost strips, aggregated exchange bundles) travel
-  through per-``(src, dst)`` ``multiprocessing.shared_memory`` slabs: the
+* bulk array payloads (ghost strips) travel through per-``(src, dst)``
+  ``multiprocessing.shared_memory`` slabs: the
   sender parks each array in its slab with a bump allocator, the receiver
   copies it out and acknowledges the bytes so the slab recycles — one copy
   in, one copy out, no pickling of the hot data;

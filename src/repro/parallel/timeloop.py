@@ -11,7 +11,9 @@ as the ``sync`` primitive instead of boundary fills:
 4. ghost exchange of µ_dst, swap
 
 The communication-hiding variant (``overlap=True``) is a second schedule
-over the same ops, not a second loop.
+over the same ops, not a second loop, and the same exchange: the axis
+relay of :mod:`repro.parallel.ghostlayer`, split at its first axis into
+``start`` / ``finish``.  Both schedules send the same messages.
 
 Philox counters use *global* cell coordinates (``block.cell_offset``), so a
 distributed run with fluctuations is bit-identical to a single-block run —
@@ -29,7 +31,7 @@ from ..pfm.model import PhaseFieldKernelSet
 from ..profiling import compile_cached
 from ..timeloop import TimeLoop
 from .blockforest import Block, BlockForest
-from .ghostlayer import ExchangePlan, GhostExchange, exchange_field
+from .ghostlayer import GhostExchange, exchange_field
 from .mpi_sim import SimComm
 
 __all__ = ["DistributedSolver"]
@@ -42,7 +44,7 @@ class DistributedSolver(TimeLoop):
     every owned block on the monitor's cadence during :meth:`step`.
 
     ``overlap=True`` selects the communication-hiding schedule (paper
-    §4.3): each ghost exchange is split into an asynchronous
+    §4.3): each ghost exchange is split at its first axis into a
     :meth:`~repro.parallel.ghostlayer.GhostExchange.start` /
     :meth:`~repro.parallel.ghostlayer.GhostExchange.finish` pair, and the
     µ sweep is split into an *interior* kernel (cells that read no ghost
@@ -88,7 +90,6 @@ class DistributedSolver(TimeLoop):
         self.bytes_sent = 0
         self.comm_matrix = CommMatrix(self.n_ranks)
         self._in_flight: dict[str, GhostExchange] = {}
-        self._exchange_plan: ExchangePlan | None = None
         super().__init__(
             kernel_set.all_kernels,
             self.blocks.values(),
@@ -182,11 +183,11 @@ class DistributedSolver(TimeLoop):
 
     # -- ghost synchronization ------------------------------------------------------
 
-    def _exchange(self, primitive, name: str, **extra):
+    def _exchange(self, primitive, name: str):
         """``exchange_field`` or ``GhostExchange`` over this rank's blocks."""
         return primitive(
             self.blocks, self.forest, self.owners, self.comm, name, self.ghost_layers,
-            profiler=self.profiler, comm_matrix=self.comm_matrix, **extra,
+            profiler=self.profiler, comm_matrix=self.comm_matrix,
         )
 
     def sync(self, name: str) -> None:
@@ -194,14 +195,8 @@ class DistributedSolver(TimeLoop):
         self.bytes_sent += self._exchange(exchange_field, name)
 
     def start(self, name: str) -> None:
-        """Post the asynchronous exchange of field *name*."""
-        if self._exchange_plan is None:  # the neighbour topology is static
-            self._exchange_plan = ExchangePlan(
-                self.blocks, self.forest, self.owners, self.rank, self.ghost_layers
-            )
-        self._in_flight[name] = self._exchange(
-            GhostExchange, name, plan=self._exchange_plan
-        )
+        """Post the first axis of the exchange of field *name*."""
+        self._in_flight[name] = self._exchange(GhostExchange, name)
         self._in_flight[name].start()
 
     def finish(self, name: str) -> None:

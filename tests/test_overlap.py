@@ -11,6 +11,8 @@ from repro.parallel import (
     DistributedSolver,
     GhostExchange,
     RankError,
+    launch_ranks,
+    process_backend_available,
     run_ranks,
 )
 from repro.parallel.boundary import fill_ghosts
@@ -145,6 +147,54 @@ class TestGhostExchange:
             return True
 
         assert all(run_ranks(n_ranks, prog))
+
+    @pytest.mark.parametrize("backend", ["sim", "process"])
+    @pytest.mark.parametrize("periodic", [True, False])
+    @pytest.mark.parametrize("gl", [1, 2])
+    @pytest.mark.parametrize("n_ranks", [2, 8])
+    def test_matches_synchronous_exchange_bitwise_3d(
+        self, periodic, gl, n_ranks, backend
+    ):
+        """A 3-D forest against the padded global field.  At 8 ranks every
+        axis has remote neighbours, so ``finish`` relays remote axes too."""
+        if backend == "process" and not process_backend_available():
+            pytest.skip("no fork + shared memory on this platform")
+        forest = BlockForest((8, 8, 8), (4, 4, 4), periodic=periodic)
+        # the Neumann wall mirrors ghost layer l onto interior layer 2gl-1-l
+        padded = np.pad(
+            self._global_interior(forest, gl), gl,
+            mode="wrap" if periodic else "symmetric",
+        )
+
+        def prog(comm):
+            owners = forest.owner_map(comm.size)
+            a = self._make_blocks(forest, owners, comm.rank, gl)
+            b = self._make_blocks(forest, owners, comm.rank, gl)
+            ex = GhostExchange(a, forest, owners, comm, "phi", gl)
+            ex.start()
+            ex.finish()
+            exchange_field(b, forest, owners, comm, "phi", gl)
+            for c in a:
+                lo = [i * 4 for i in c]
+                window = tuple(slice(o, o + 4 + 2 * gl) for o in lo)
+                np.testing.assert_array_equal(a[c].arrays["phi"], padded[window])
+                np.testing.assert_array_equal(a[c].arrays["phi"], b[c].arrays["phi"])
+            return True
+
+        assert all(launch_ranks(n_ranks, prog, backend=backend))
+
+    @classmethod
+    def _global_interior(cls, forest, gl):
+        """The interiors of :meth:`_make_blocks`, assembled into one array."""
+        owners = dict.fromkeys(forest.all_block_coords(), 0)
+        blocks = cls._make_blocks(forest, owners, 0, gl)
+        out = np.empty(forest.global_shape)
+        for coords, block in blocks.items():
+            sl = tuple(
+                slice(c * b, (c + 1) * b) for c, b in zip(coords, forest.block_shape)
+            )
+            out[sl] = block.arrays["phi"][(slice(gl, -gl),) * forest.dim]
+        return out
 
     def test_finish_requires_start_and_runs_once(self):
         forest = BlockForest((8, 8), (4, 4), periodic=True)
@@ -350,6 +400,39 @@ class TestOverlappedSchedule:
         forest = BlockForest((8, 8), (4, 4), periodic=True)
         with pytest.raises(ValueError, match="below the kernel set"):
             DistributedSolver(kernels, forest, ghost_layers=0)
+
+
+class TestOneExchange:
+    def test_both_schedules_send_the_same_messages(self, kernels):
+        """``overlap`` picks the schedule, not the exchange: equal per-rank
+        traffic, message for message, and on 2 ranks ``finish`` sends
+        nothing (the split runs along the axis ``start`` posts)."""
+        params = kernels.model.params
+        forest = BlockForest((8, 8), (4, 4), periodic=True)
+
+        def prog(comm, overlap):
+            solver = DistributedSolver(
+                kernels, forest, comm=comm, seed=7, overlap=overlap
+            )
+            solver.set_state_from(_initializer(params, (8, 8)))
+            solver.step(3)
+            solver.gather("phi")  # drains a deferred µ exchange
+            ex = GhostExchange(
+                solver.blocks, forest, solver.owners, comm, "phi",
+                solver.ghost_layers,
+            )
+            ex.start()
+            posted = ex.messages_sent
+            ex.finish()
+            assert ex.messages_sent == posted > 0
+            return solver.comm_matrix, solver.bytes_sent
+
+        sync = run_ranks(2, prog, False)
+        over = run_ranks(2, prog, True)
+        for (sync_matrix, sync_bytes), (over_matrix, over_bytes) in zip(sync, over):
+            assert over_bytes == sync_bytes > 0
+            np.testing.assert_array_equal(over_matrix.bytes, sync_matrix.bytes)
+            np.testing.assert_array_equal(over_matrix.messages, sync_matrix.messages)
 
 
 class TestDistributedCheckpoint:

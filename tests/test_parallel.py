@@ -411,16 +411,12 @@ class TestMPIAdapter:
         assert fold_tag(-1) == bcast  # deterministic across calls
 
     def test_exchange_plan_tags_fold_without_collision(self):
-        """Every tag the solver's exchanges actually use — the aggregated
-        (field, "ghosts") bundles, the per-axis relay tags, and the
-        collective tags — must land on distinct folded values."""
+        """Every tag the solver's exchanges actually use — the per-axis
+        relay tags and the collective tags — must land on distinct folded
+        values."""
         from repro.parallel import fold_tag
 
         rich_tags = [
-            ("phi", "ghosts"),
-            ("mu", "ghosts"),
-            ("phi_dst", "ghosts"),
-            ("mu_dst", "ghosts"),
             *(
                 (field, axis, side)
                 for field in ("phi", "mu", "phi_dst", "mu_dst")
