@@ -23,7 +23,6 @@ reported next to the model (absolute numbers differ — scalar C vs AVX-512 —
 but the variant ordering is what the experiment is about).
 """
 
-import numpy as np
 import pytest
 
 from conftest import emit_table
@@ -123,40 +122,19 @@ def test_fig2_middle_phi_variants(benchmark, ecm, p1_full, p1_split, p2_full, p2
 
 def test_fig2_measured_single_core(benchmark, p1_full, p1_split):
     """Measured C-kernel rates on this machine (the 'Bench' curves)."""
-    from repro.backends.c_backend import c_compiler_available, compile_c_kernel
-    from repro.backends.numpy_backend import create_arrays
+    from repro.backends.c_backend import c_compiler_available
+    from repro.perfmodel import measure_kernel
 
     if not c_compiler_available():
         pytest.skip("no C compiler")
 
     n = 48
-    results = {}
     # µ-split is the contracted kernel: the two sweeps run as one
-    for label, kernels in (
-        ("mu-full", p1_full.mu_kernels),
-        ("mu-split", p1_split.mu_kernels),
-    ):
-        fields = sorted(set().union(*(k.fields for k in kernels)), key=lambda f: f.name)
-        arrays = create_arrays(fields, (n, n, n), 1)
-        rng = np.random.default_rng(0)
-        arrays["phi"][...] = rng.random(arrays["phi"].shape)
-        arrays["phi"] /= arrays["phi"].sum(axis=-1, keepdims=True)
-        arrays["phi_dst"][...] = arrays["phi"]
-        compiled = [compile_c_kernel(k) for k in kernels]
-
-        import time
-
-        def sweep():
-            for c in compiled:
-                c(arrays, ghost_layers=1, t=0.0)
-
-        sweep()  # warm up
-        t0 = time.perf_counter()
-        reps = 3
-        for _ in range(reps):
-            sweep()
-        dt = (time.perf_counter() - t0) / reps
-        results[label] = n**3 / dt / 1e6
+    (mu_full,), (mu_split,) = p1_full.mu_kernels, p1_split.mu_kernels
+    results = {
+        label: measure_kernel(k, (n, n, n), iterations=3, repeats=1).mlups
+        for label, k in (("mu-full", mu_full), ("mu-split", mu_split))
+    }
 
     lines = [
         "Fig. 2 'Bench' stand-in — measured single-core C kernels on this host",
@@ -165,8 +143,8 @@ def test_fig2_measured_single_core(benchmark, p1_full, p1_split):
         "",
         f"  µ-split / µ-full measured speedup at 1 core: "
         f"{results['mu-split'] / results['mu-full']:.2f}x  (ECM predicts "
-        f"{p1_split.mu_kernels[0].operation_count().normalized_flops():.0f} against "
-        f"{p1_full.mu_kernels[0].operation_count().normalized_flops():.0f} normalized "
+        f"{mu_split.operation_count().normalized_flops():.0f} against "
+        f"{mu_full.operation_count().normalized_flops():.0f} normalized "
         "FLOPs; split must not be slower single-core)",
     ]
     emit_table("fig2_measured_single_core", lines)
@@ -174,12 +152,4 @@ def test_fig2_measured_single_core(benchmark, p1_full, p1_split):
         benchmark.extra_info[f"{label} MLUP/s"] = round(mlups, 3)
     assert results["mu-split"] > 0.85 * results["mu-full"]
 
-    mu_full_kernels = [compile_c_kernel(k) for k in p1_full.mu_kernels]
-    fields = sorted(set().union(*(k.fields for k in p1_full.mu_kernels)), key=lambda f: f.name)
-    arrays = create_arrays(fields, (24, 24, 24), 1)
-
-    def one_sweep():
-        for c in mu_full_kernels:
-            c(arrays, ghost_layers=1, t=0.0)
-
-    benchmark(one_sweep)
+    benchmark(measure_kernel, mu_full, (24, 24, 24), iterations=1, repeats=1)

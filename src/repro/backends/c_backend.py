@@ -70,6 +70,7 @@ __all__ = [
     "CompiledCKernel",
     "compile_c_fill",
     "CompiledCFill",
+    "pack_ops",
     "c_compiler_available",
     "CStatementPrinter",
     "function_head",
@@ -562,8 +563,7 @@ def c_compiler_available() -> bool:
     return which(os.environ.get("CC", "cc")) is not None
 
 
-#: what decides the machine code of a loop nest, and all an executable (the
-#: benchmark-mode harness) is built with.  -fno-math-errno is the one
+#: what decides the machine code of a loop nest.  -fno-math-errno is the one
 #: math flag: no generated kernel reads errno, and without its branch
 #: ``sqrt`` is one instruction with the same value, so the loop around it
 #: can be vectorized.  It is not a fast-math flag.
@@ -600,7 +600,7 @@ def compile_attempts(
     the compiler left at *tmp_path*, so the retry (and the caller) never
     sees a partial artifact.  libm is named behind the source: a linker
     that keeps only needed libraries drops one named before the object
-    that needs it, and an executable then does not link.
+    that needs it.
     """
     base = [os.environ.get("CC", "cc"), *_compiler_flags(flags)]
     last = None
@@ -883,8 +883,8 @@ class CompiledCKernel:
     def lower(
         self, arrays, block_offset=(0, 0, 0), origin=(0.0, 0.0, 0.0),
         ghost_layers=None, **params,
-    ) -> tuple | None:
-        """A call on *arrays* as one op of ``repro_run``, or ``None`` for a reduction.
+    ) -> tuple:
+        """A call on *arrays* as one op of ``repro_run`` (:func:`pack_ops`).
 
         ``(entry, ints, doubles, time_step slot, t slot)``: the packed
         entry's address and a copy of the set's binding, checked and with
@@ -892,15 +892,16 @@ class CompiledCKernel:
         runner writes ``time_step`` and ``t`` (slot -1: no parameter
         ``t``) before every call.  A copy, so a later direct call on the
         set (another ``seed``) cannot change the op; its addresses stay
-        valid while the arrays live.
+        valid while the arrays live.  A reduction's op writes its sums
+        into the tail of its own doubles block, behind every argument,
+        where nothing reads them.
         """
-        if self.kernel.reductions:
-            return None  # each call needs a fresh output
         ints, doubles = self._blocks(arrays, block_offset, origin, ghost_layers, params)
-        return (
-            self._entry, self._Ints.from_buffer_copy(ints),
-            self._Doubles.from_buffer_copy(doubles), self._step_slot, self._t_slot,
-        )
+        ints = self._Ints.from_buffer_copy(ints)
+        doubles = (ctypes.c_double * (len(doubles) + len(self.kernel.reductions)))(*doubles)
+        if self.kernel.reductions:
+            ints[self._step_slot + 2] = ctypes.addressof(doubles) + ctypes.sizeof(self._Doubles)
+        return self._entry, ints, doubles, self._step_slot, self._t_slot
 
 
 def compile_c_kernel(kernel: Kernel) -> CompiledCKernel:
@@ -991,6 +992,22 @@ void repro_run(int64_t n, const int64_t *ops, int64_t nops, int64_t parity,
 }
 
 """
+
+def pack_ops(halves) -> ctypes.Array:
+    """``repro_run``'s op list: per parity of the array set, its op records.
+
+    A record is ``(entry, ints, doubles, time_step slot, t slot)`` — a
+    kernel's (:meth:`CompiledCKernel.lower`) or a fill's; the list holds
+    the addresses of the blocks, so the caller keeps the records alive
+    while it runs the list.
+    """
+    return (ctypes.c_int64 * (5 * sum(map(len, halves))))(*(
+        v
+        for records in halves
+        for entry, ints, doubles, step, t in records
+        for v in (entry, ctypes.addressof(ints), ctypes.addressof(doubles), step, t)
+    ))
+
 
 #: most loops one copy of the native fill nests (the array's axes but one);
 #: :data:`_FILL_C` sizes its loop counters by it

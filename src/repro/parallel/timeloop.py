@@ -131,33 +131,16 @@ class DistributedSolver(TimeLoop):
     def _overlapped_schedule(self) -> list[tuple]:
         """Algorithm 1 with both exchanges hidden behind compute (§4.3)."""
         ks = self.kernel_set
-        margin = max((max(k.ghost_layers, 1) for k in ks.mu_kernels), default=1)
+        (mu,) = ks.mu_kernels
+        margin = max(mu.ghost_layers, 1)
         if min(self.forest.block_shape) < 2 * margin:
             raise ValueError(
                 f"overlap requires blocks of at least {2 * margin} cells per "
                 f"axis (interior margin {margin}), got {self.forest.block_shape}"
             )
-        # the interior/frontier split runs a kernel's pieces back to back,
-        # so no µ kernel may read a field another µ kernel writes
-        for ki in ks.mu_kernels:
-            for kj in ks.mu_kernels:
-                if ki is kj:
-                    continue
-                clash = {f.name for f in ki.ac.fields_read} & {
-                    f.name for f in kj.ac.fields_written
-                }
-                if clash:
-                    raise ValueError(
-                        f"overlap schedule needs independent µ kernels, but "
-                        f"{ki.name!r} reads {sorted(clash)} written by {kj.name!r}"
-                    )
-        # lower each µ kernel into one interior variant plus 2·dim frontier
+        # lower the µ kernel into one interior variant plus 2·dim frontier
         # slabs; together they tile the block exactly once
-        mu_interior, mu_frontier = [], []
-        for k in ks.mu_kernels:
-            interior, frontiers = split_interior_frontier(k)
-            mu_interior.append(interior)
-            mu_frontier.extend(frontiers)
+        mu_interior, mu_frontier = split_interior_frontier(mu)
         # defer the µ_dst finish into the next step only when the φ sweep
         # reads µ at the centre cell alone — then stale µ ghosts during the
         # φ sweep are never observed, and that sweep hides the exchange too
@@ -171,12 +154,12 @@ class DistributedSolver(TimeLoop):
         return [
             ("sweep", phi_like),
             ("start", "phi_dst"),
-            ("sweep", mu_interior),
+            ("sweep", [mu_interior]),
             # the previous step's µ_dst exchange (today's µ_src ghosts) must
             # land before any frontier cell reads them
             ("finish", "mu_dst"),
             ("finish", "phi_dst"),
-            ("sweep", mu_frontier),
+            ("sweep", list(mu_frontier)),
             ("start", "mu_dst"),
             *([] if defer_mu else [("finish", "mu_dst")]),
         ]

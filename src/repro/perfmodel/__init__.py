@@ -21,7 +21,7 @@ from .machine import (
     detect_host,
     detect_machine,
 )
-from .benchmark_mode import MeasuredPerformance, generate_benchmark_source, measure_kernel
+from .benchmark_mode import MeasuredPerformance, measure_kernel
 from .report import performance_report
 from .roofline import RooflinePoint, roofline
 
@@ -52,6 +52,5 @@ __all__ = [
     "RooflinePoint",
     "roofline",
     "MeasuredPerformance",
-    "generate_benchmark_source",
     "measure_kernel",
 ]

@@ -7,7 +7,7 @@ in a parameter study pays the full sympy→CSE→C→gcc latency again.  This
 module is the missing tier: an on-disk store shared by every process of
 every run, holding two kinds of artifact:
 
-* ``kernel.so`` — a compiled kernel (or ``bench``, a benchmark harness),
+* ``kernel.so`` — a compiled kernel (or the native fill and runner),
   keyed by its content: :func:`cache_key`;
 * ``kernels.pickle`` — the IR tier: a model's derived kernel set
   (:meth:`repro.pfm.GrandPotentialModel.create_kernels`), keyed by the
@@ -458,7 +458,6 @@ class KernelDiskCache:
         *,
         source: str | None = None,
         meta: dict | None = None,
-        artifact: str | None = None,
     ) -> tuple[Path, bool]:
         """Return ``(path, hit)`` for the compiled artifact under *key*.
 
@@ -469,9 +468,7 @@ class KernelDiskCache:
         readers either see the complete artifact or none at all.
         """
         global _HITS, _MISSES, _BUILDS
-        path, hit = self._publish(
-            key, build, source=source, meta=meta, artifact=artifact
-        )
+        path, hit = self._publish(key, build, source=source, meta=meta)
         with _LOCK:
             if hit:
                 _HITS += 1
@@ -630,7 +627,7 @@ class KernelDiskCache:
         """Bytes of *published* artifacts of every kind (temp orphans excluded)."""
         total = 0
         for entry in self.entries():
-            for name in (self.ARTIFACT, "bench", self.IR_ARTIFACT):
+            for name in (self.ARTIFACT, self.IR_ARTIFACT):
                 path = entry / name
                 try:
                     total += path.stat().st_size

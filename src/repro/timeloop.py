@@ -38,7 +38,7 @@ from functools import partial
 from math import prod
 from time import perf_counter
 
-from .backends.c_backend import CompiledCKernel, compile_c_fill
+from .backends.c_backend import CompiledCKernel, compile_c_fill, pack_ops
 from .backends.numpy_backend import create_arrays
 from .observability.hwcounters import get_counter_harness
 from .observability.log import get_logger, kv
@@ -82,12 +82,7 @@ class _Batch:
         self.names = tuple(name for name, _ in named)
         self.measured = tuple(measured for _, measured in named)
         self.nops = len(named)
-        self.ops = (ctypes.c_int64 * (10 * self.nops))(*(
-            v
-            for _, _, records, _ in halves
-            for entry, ints, doubles, step, t in records
-            for v in (entry, ctypes.addressof(ints), ctypes.addressof(doubles), step, t)
-        ))
+        self.ops = pack_ops([records for _, _, records, _ in halves])
         #: the arrays (and so the blocks) the op list points into, kept alive
         self._halves = halves
         self._held = [
@@ -451,11 +446,8 @@ class TimeLoop:
                     # a wrapper (a trace, an injected fault) must see every call
                     if type(compiled) is not CompiledCKernel:
                         return None
-                    record = compiled.lower(arrays, **call)
-                    if record is None:
-                        return None
                     named.append((name, measured))
-                    records.append(record)
+                    records.append(compiled.lower(arrays, **call))
             elif op == "sync":
                 blocks = self._native_sync(arrays, arg)
                 if blocks is None:

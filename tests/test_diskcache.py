@@ -96,7 +96,7 @@ class TestCacheKey:
         assert cache_key("abc", flags=("-O3",)) != cache_key("abc", flags=("-O2",))
 
     def test_backend_changes_key(self):
-        assert cache_key("abc", backend="c") != cache_key("abc", backend="c-bench")
+        assert cache_key("abc", backend="c") != cache_key("abc", backend="numpy")
 
     def test_compiler_identity_changes_key(self):
         # /bin/echo happily answers --version with a different banner than cc

@@ -126,41 +126,6 @@ class TestBenchmarkMode:
             ac, KernelConfig(parameter_values={"dt": 0.1, "dx_0": 1, "dx_1": 1, "dx_2": 1})
         )
 
-    def test_source_structure(self, heat_kernel):
-        from repro.perfmodel import generate_benchmark_source
-
-        src = generate_benchmark_source(heat_kernel, (16, 16, 16))
-        assert "int main(void)" in src
-        assert "seconds_per_sweep=" in src
-        assert "clock_gettime" in src
-
-    def test_source_is_independent_of_hash_seed(self):
-        """The initial data's per-field shift was ``hash(name) % 97``: salted per process."""
-        import os
-        import subprocess
-        import sys
-
-        program = (
-            "import hashlib\n"
-            "from repro.ir import create_kernel\n"
-            "from repro.perfmodel import generate_benchmark_source\n"
-            "from repro.symbolic import Assignment, AssignmentCollection, Field\n"
-            "f, g = Field('f_bm', 2), Field('f_bm_dst', 2)\n"
-            "ac = AssignmentCollection([Assignment(g.center(), 2 * f.center())], name='bm')\n"
-            "src = generate_benchmark_source(create_kernel(ac), (8, 8))\n"
-            "print(hashlib.sha256(src.encode()).hexdigest())\n"
-        )
-        digests = [
-            subprocess.run(
-                [sys.executable, "-c", program],
-                env={**os.environ, "PYTHONHASHSEED": seed},
-                check=True, capture_output=True, text=True, timeout=300,
-            ).stdout.strip()
-            for seed in ("1", "2")
-        ]
-        assert len(digests[0]) == 64
-        assert digests[0] == digests[1]
-
     def test_measurement_runs(self, heat_kernel):
         from repro.backends.c_backend import c_compiler_available
         from repro.perfmodel import measure_kernel
@@ -185,27 +150,59 @@ class TestBenchmarkMode:
         (mu,) = model.create_kernels().mu_kernels
         return split_interior_frontier(mu)[0]
 
-    def test_driver_calls_a_non_plain_kernel_by_its_signature(self, non_plain_kernel, tmp_path):
-        """The call site was a hand-written list: ``kernel_mu:interior(`` and too few arguments."""
-        import os
-        import subprocess
-
+    def test_driver_calls_a_non_plain_kernel_by_its_signature(self, non_plain_kernel):
+        """The runner calls it through its packed entry: a sub-range, an output block."""
         from repro.backends.c_backend import c_compiler_available
-        from repro.perfmodel import generate_benchmark_source, measure_kernel
+        from repro.perfmodel import measure_kernel
 
         if not c_compiler_available():
             pytest.skip("no C compiler")
-        source = generate_benchmark_source(non_plain_kernel, (24, 20))
-        assert f"{non_plain_kernel.c_name}(f_" in source
-        c_path = tmp_path / "bench.c"
-        c_path.write_text(source)
-        check = subprocess.run(
-            [os.environ.get("CC", "cc"), "-std=c99", "-fsyntax-only", "-fopenmp", str(c_path)],
-            capture_output=True, text=True,
-        )
-        assert check.returncode == 0, check.stderr
         perf = measure_kernel(non_plain_kernel, (24, 20), iterations=3, repeats=2)
         assert perf.mlups > 0 and perf.cycles_per_lup(2.3) > 0
+
+    def test_a_warm_cache_builds_nothing(self, heat_kernel, cold_cache):
+        """It times the ``.so`` a solver calls: the harness was an executable of its own."""
+        from repro.backends.c_backend import c_compiler_available, compile_c_fill
+        from repro.perfmodel import measure_kernel
+        from repro.profiling import compile_cached, disk_cache_stats
+
+        if not c_compiler_available():
+            pytest.skip("no C compiler")
+        compile_cached(heat_kernel, "c")
+        compile_c_fill()  # the runner, which a C solver builds beside its kernels
+        builds = disk_cache_stats().builds
+        assert measure_kernel(heat_kernel, (8, 8, 8), iterations=1, repeats=1).mlups > 0
+        assert disk_cache_stats().builds == builds
+
+    def test_a_lowered_reduction_writes_the_sums_a_call_returns(self):
+        """The op of a reduction holds its output block; ``repro_run`` fills it."""
+        import ctypes
+
+        from repro.backends.c_backend import c_compiler_available, compile_c_fill, pack_ops
+        from repro.backends.numpy_backend import create_arrays
+        from repro.diagnostics import DiagnosticsSuite
+        from repro.pfm import GrandPotentialModel, make_two_phase_binary
+        from repro.profiling import compile_cached
+
+        if not c_compiler_available():
+            pytest.skip("no C compiler")
+        model = GrandPotentialModel(make_two_phase_binary(dim=2))
+        kernel = DiagnosticsSuite.for_model(model).kernel
+        arrays = create_arrays(kernel.fields, (24, 20), max(kernel.min_ghost_layers, 1))
+        rng = np.random.default_rng(7)
+        for a in arrays.values():
+            a[...] = rng.random(a.shape)
+        params = {name: 0.5 for name in kernel.required_parameters}
+        compiled = compile_cached(kernel, "c")
+        op = compiled.lower(arrays, **params)
+        compile_c_fill().run(
+            1, pack_ops([[op]] * 2), 1, 0, (ctypes.c_int64 * 1)(), (ctypes.c_double * 1)(),
+            0.0, (ctypes.c_double * 1)(), (ctypes.c_int64 * 2)(),
+        )
+        n = len(kernel.reductions)
+        lowered = np.array(op[2][-n:])
+        called = np.array(list(compiled(arrays, **params).values()))
+        assert lowered.tobytes() == called.tobytes()
 
 
 class TestPerformanceReport:
