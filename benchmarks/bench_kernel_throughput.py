@@ -43,14 +43,14 @@ def _compile(kernels, backend):
 
 def _attach_model_accuracy(benchmark, kernels, n):
     """Join the ECM prediction with the measured sweep time (Fig. 2 closure)."""
-    from repro.observability import model_accuracy_rows
+    from repro.perfmodel import records_from_profiler
     from repro.profiling import SolverProfiler
 
     profiler = SolverProfiler()
     for k in kernels:
         profiler.record(k.name, benchmark.stats["mean"] / len(kernels), cells=n**3)
-    rows = model_accuracy_rows(kernels, profiler, block_shape=(n, n, n))
-    predicted_seconds = sum(n**3 / (r["predicted_mlups"] * 1e6) for r in rows)
+    records = records_from_profiler("kernel_throughput", kernels, profiler, block_shape=(n, n, n))
+    predicted_seconds = sum(n**3 / (r["predicted"]["mlups"] * 1e6) for r in records)
     benchmark.extra_info["predicted MLUP/s"] = round(n**3 / predicted_seconds / 1e6, 3)
     benchmark.extra_info["model ratio"] = round(
         predicted_seconds / benchmark.stats["mean"], 4

@@ -55,10 +55,10 @@ from repro.observability import (
     chrome_trace,
     configure_logging,
     get_recorder,
-    model_accuracy_report,
     set_recorder,
 )
 from repro.parallel import fill_ghosts
+from repro.perfmodel import PerfLedger, model_accuracy_report, records_from_profiler
 from repro.profiling import SolverProfiler, compile_cached
 from repro.symbolic import (
     EnergyFunctional,
@@ -257,8 +257,15 @@ def _run(args, health, rundir):
     if fingerprints is not None:
         print("\n" + fingerprints.summary())
 
+    # the measured-vs-predicted kernel record: printed as the closure table
+    # and, with a run directory, appended to its perf ledger so
+    # check_observability.py --require perf can validate it
+    perf_records = records_from_profiler(
+        "quickstart", [kernel], profiler,
+        block_shape=(n, n), options={"backend": "numpy"},
+    )
     print()
-    print(model_accuracy_report([kernel], profiler, block_shape=(n, n)))
+    print(model_accuracy_report(perf_records))
     if health is not None:
         print("\n" + health.summary())
     if args.trace:
@@ -267,14 +274,6 @@ def _run(args, health, rundir):
         Path(args.trace).write_text(json.dumps(chrome_trace(recorders), indent=1))
         print(f"trace written to {args.trace} (load in chrome://tracing)")
     if rundir is not None:
-        # append the measured-vs-predicted kernel record to the run's perf
-        # ledger so check_observability.py --require perf can validate it
-        from repro.perfmodel.ledger import PerfLedger, records_from_profiler
-
-        perf_records = records_from_profiler(
-            "quickstart", [kernel], profiler,
-            block_shape=(n, n), options={"backend": "numpy"},
-        )
         if perf_records:
             PerfLedger(rundir.perf_path).extend(perf_records)
         print(f"run directory: {rundir.path} (render with tools/run_report.py)")

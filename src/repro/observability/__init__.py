@@ -15,9 +15,6 @@ This subsystem makes every layer observable:
   and field-bound alarms with a warn/record/raise policy,
 * :mod:`~repro.observability.log` — structured ``key=value`` logging for
   the whole ``repro`` namespace,
-* :mod:`~repro.observability.report` — the predicted-vs-measured model
-  accuracy table joining :class:`repro.perfmodel.ecm.ECMModel` predictions
-  with :class:`repro.profiling.SolverProfiler` measurements,
 * :mod:`~repro.observability.distributed` — the scaling layer: the
   per-(src, dst) communication matrix, the λ = max/mean step-time
   imbalance factor and the comm-model closure against
@@ -81,7 +78,6 @@ from .recorder import (
     set_recorder,
     set_thread_recorder,
 )
-from .report import model_accuracy_report, model_accuracy_rows
 from .rundir import MANIFEST_SCHEMA, RunDir, get_rundir, load_manifest, set_rundir
 
 __all__ = [
@@ -123,8 +119,6 @@ __all__ = [
     "kv",
     "load_journal",
     "load_manifest",
-    "model_accuracy_report",
-    "model_accuracy_rows",
     "parse_block_key",
     "perf_events_available",
     "rank_recorder",

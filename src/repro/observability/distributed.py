@@ -18,7 +18,7 @@ ranks' :func:`~repro.observability.recorder.rank_recorder` rings):
   :func:`comm_closure_report` joins the measured ghost-exchange time
   (wait vs copy split) with the analytic
   :class:`repro.parallel.comm_model.StepTimeModel` prediction, mirroring
-  the ECM kernel closure of :mod:`repro.observability.report`.
+  the ECM kernel closure of :func:`repro.perfmodel.ledger.records_from_profiler`.
 
 Imports from :mod:`repro.parallel` are deferred to call time: the
 parallel layer imports ``repro.observability`` at module level, so the

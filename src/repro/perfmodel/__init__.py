@@ -1,4 +1,9 @@
-"""Automatic performance modeling: op counts, layer conditions, ECM, roofline."""
+"""Automatic performance modeling: op counts, layer conditions, ECM.
+
+The ECM model predicts each kernel's rate; :func:`records_from_profiler`
+joins it with a run's measured rates (the ``repro-perf/1`` records) and
+:func:`model_accuracy_report` renders that join.
+"""
 
 from .ecm import ECMModel, ECMPrediction
 from .flops import SKYLAKE_WEIGHTS, OperationCount, count_operations
@@ -14,7 +19,6 @@ from .ledger import (
 )
 from .machine import (
     HASWELL_2690V3,
-    MACHINES,
     SKYLAKE_8174,
     CacheLevel,
     MachineModel,
@@ -22,8 +26,7 @@ from .machine import (
     detect_machine,
 )
 from .benchmark_mode import MeasuredPerformance, measure_kernel
-from .report import performance_report
-from .roofline import RooflinePoint, roofline
+from .report import model_accuracy_report, performance_report
 
 __all__ = [
     "ECMModel",
@@ -35,7 +38,6 @@ __all__ = [
     "analyze_traffic",
     "blocking_factor",
     "HASWELL_2690V3",
-    "MACHINES",
     "SKYLAKE_8174",
     "CacheLevel",
     "MachineModel",
@@ -48,9 +50,8 @@ __all__ = [
     "perf_record",
     "records_from_profiler",
     "validate_perf_record",
+    "model_accuracy_report",
     "performance_report",
-    "RooflinePoint",
-    "roofline",
     "MeasuredPerformance",
     "measure_kernel",
 ]

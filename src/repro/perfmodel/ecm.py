@@ -58,7 +58,7 @@ class ECMPrediction:
         cycles_per_lup = self.t_single / _LUPS_PER_UNIT
         return self.machine.clock_ghz * 1e3 / cycles_per_lup  # MLUP/s
 
-    def mlups(self, cores: int, penalty: float | None = None) -> float:
+    def mlups(self, cores: int) -> float:
         """Aggregate MLUP/s on *cores* cores of one socket.
 
         Uses the utilization-penalty refinement: the effective memory time
@@ -68,10 +68,9 @@ class ECMPrediction:
         cores = int(cores)
         if cores < 1:
             raise ValueError("cores must be >= 1")
-        penalty = self.machine.mem_latency_penalty if penalty is None else penalty
         n_sat = self.saturation_cores
         u = min(1.0, cores / n_sat)
-        t_mem_eff = self.t_mem * (1.0 + penalty * u * (cores > 1))
+        t_mem_eff = self.t_mem * (1.0 + self.machine.mem_latency_penalty * u * (cores > 1))
         t = max(self.t_comp, self.t_cache + t_mem_eff)
         linear = cores * self.machine.clock_ghz * 1e3 * _LUPS_PER_UNIT / t
         if self.t_mem > 0:
@@ -79,8 +78,8 @@ class ECMPrediction:
             return min(linear, roof)
         return linear
 
-    def mlups_per_core(self, cores: int, **kw) -> float:
-        return self.mlups(cores, **kw) / cores
+    def mlups_per_core(self, cores: int) -> float:
+        return self.mlups(cores) / cores
 
     def __str__(self):
         kind = "compute" if self.is_compute_bound else "memory"

@@ -1,9 +1,12 @@
 """Per-run perf ledger: ``repro-perf/1`` records, measured next to ECM.
 
 ``TimeLoop.export_perf`` appends one JSONL record per measured kernel to
-``<rundir>/perf/perf.jsonl``: the measured side (MLUP/s, seconds and — when
-hardware counters ran — cycles/LUP, IPC, bytes/LUP) joined with the ECM
-prediction for the same kernel.  ``tools/run_report.py`` renders it and
+``<rundir>/perf/perf.jsonl``: the measured side (MLUP/s, seconds, calls and
+— when hardware counters ran — cycles/LUP, IPC, bytes/LUP) joined with the
+ECM prediction for the same kernel.  :func:`records_from_profiler` is the
+only such join; ``solver.profile_report()`` renders its records through
+:func:`repro.perfmodel.report.model_accuracy_report`,
+``tools/run_report.py`` renders the ledger and
 ``tools/check_observability.py RUNDIR --require perf`` schema-checks it.
 It is the closure of *one* run, not a trajectory; numbers are compared
 across commits by ``benchmarks/perf/run.py``.
@@ -20,13 +23,13 @@ Record shape (one JSON object per line)::
       "options": {...},                    # codegen options of the variant
       "host": {... detect_host() stanza ..., "key": "hex16"},
       "measured": {
-        "mlups": ..., "mean_seconds": ...,
+        "mlups": ..., "mean_seconds": ..., "calls": ...,
         "cycles_per_lup": null, "ipc": null, "bytes_per_lup": null,
         "counter_source": "unavailable"       # or "perf"
       },
-      "predicted": {
+      "predicted": {                          # ECM, one core
         "mlups": ..., "cycles_per_lup": ..., "bytes_per_lup": ...,
-        "t_comp": ..., "t_cache": ..., "t_mem": ...
+        "bound": "compute"                    # or "memory"
       } | null
     }
 
@@ -45,7 +48,9 @@ from datetime import datetime, timezone
 
 from ..observability.jsonl import JsonlLedger
 from ..observability.rundir import git_sha
-from .machine import detect_host
+from .ecm import _LUPS_PER_UNIT, ECMModel
+from .layer_condition import analyze_traffic
+from .machine import SKYLAKE_8174, detect_host
 
 __all__ = [
     "PERF_SCHEMA",
@@ -158,40 +163,47 @@ def records_from_profiler(
     profiler,
     machine=None,
     block_shape: tuple[int, ...] | None = None,
-    cores: int = 1,
     options: dict | None = None,
 ) -> list[dict]:
     """One ledger record per cell-counted kernel the profiler timed.
 
-    Joins the measured side (MLUP/s, mean seconds, and — when hardware
-    counters ran — cycles/LUP, IPC, bytes/LUP) with the ECM
-    prediction; counter-less hosts get ``null`` counter fields, never 0.
+    The one place where measured timings meet the ECM model: the measured
+    side (MLUP/s, mean seconds, calls, and — when hardware counters ran —
+    cycles/LUP, IPC, bytes/LUP) is joined with the single-core ECM
+    prediction on *machine* (default Skylake 8174) for a block of
+    *block_shape* (default 60 per axis).  Counter-less hosts get ``null``
+    counter fields, never 0.  Kernels without a cell-counted timing are
+    skipped: fills and exchanges have no LUP rate.
     """
     from ..observability.hwcounters import get_counter_harness
-    from ..observability.report import model_accuracy_rows
     from ..profiling.cache import kernel_fingerprint
 
+    machine = machine or SKYLAKE_8174
+    model = ECMModel(machine)
+    llc = machine.cache_levels[-1]
     source = "unavailable" if get_counter_harness() is None else "perf"
-    rows = model_accuracy_rows(
-        kernels, profiler, machine=machine, block_shape=block_shape, cores=cores
-    )
-    by_name = {k.name: k for k in kernels}
     records = []
-    for row in rows:
-        kernel = by_name[row["kernel"]]
-        rec = profiler.records[kernel.name]
+    for kernel in kernels:
+        rec = profiler.records.get(kernel.name)
+        if rec is None or rec.cells == 0 or rec.seconds == 0.0:
+            continue
+        shape = block_shape or (60,) * kernel.dim
+        traffic = analyze_traffic(kernel, shape)
+        prediction = model.predict(kernel, shape, traffic=traffic)
         measured = {
-            "mlups": row["measured_mlups"],
+            "mlups": rec.mlups,
             "mean_seconds": rec.mean_seconds,
-            "cycles_per_lup": row["measured_cycles_per_lup"],
-            "ipc": row["ipc"],
-            "bytes_per_lup": row["measured_bytes_per_lup"],
+            "calls": rec.calls,
+            "cycles_per_lup": rec.cycles_per_lup,
+            "ipc": rec.ipc,
+            "bytes_per_lup": rec.measured_bytes_per_lup(machine.cache_line_bytes),
             "counter_source": source,
         }
         predicted = {
-            "mlups": row["predicted_mlups"],
-            "cycles_per_lup": row["predicted_cycles_per_lup"],
-            "bytes_per_lup": row["predicted_bytes_per_lup"],
+            "mlups": prediction.mlups(1),
+            "cycles_per_lup": prediction.t_single / _LUPS_PER_UNIT,
+            "bytes_per_lup": traffic.total_bytes(llc.size_bytes),
+            "bound": "compute" if prediction.is_compute_bound else "memory",
         }
         records.append(
             perf_record(

@@ -37,7 +37,6 @@ __all__ = [
     "CacheLevel",
     "SKYLAKE_8174",
     "HASWELL_2690V3",
-    "MACHINES",
     "detect_physical_cores",
     "detect_cache_hierarchy",
     "detect_host",
@@ -117,8 +116,6 @@ HASWELL_2690V3 = MachineModel(
     ),
     mem_bandwidth_gbs=60.0,
 )
-
-MACHINES = {"skylake": SKYLAKE_8174, "haswell": HASWELL_2690V3}
 
 
 # ---------------------------------------------------------------------------

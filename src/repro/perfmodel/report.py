@@ -1,21 +1,29 @@
-"""Combined per-kernel performance report (the Kerncraft front-end role).
+"""Human-readable performance reports (the Kerncraft front-end role).
 
-One call aggregates every §3.6 analysis for a kernel on a machine: operation
-counts, layer-condition traffic, the ECM decomposition and scaling, the
-roofline placement, the blocking recommendation and — for GPU targets — the
+:func:`performance_report` aggregates every §3.6 analysis for a kernel on a
+machine: operation counts, layer-condition traffic, the ECM decomposition
+and scaling, the blocking recommendation and — for GPU targets — the
 register/occupancy picture.  This is the "performance rating of the
 candidates" a human reads when deciding between kernel variants.
+
+:func:`model_accuracy_report` is the paper's Fig.-2-style closure of a run:
+the ``repro-perf/1`` records of
+:func:`repro.perfmodel.ledger.records_from_profiler` (measured MLUP/s next
+to the ECM prediction, per kernel) as a table.  On the paper's machine a
+measured/predicted ratio near 1 validates the model; on other hosts the
+ratio is a calibration factor (the machine model describes a Skylake
+socket, not this host).
 """
 
 from __future__ import annotations
 
 from ..ir.kernel import Kernel
+from ..observability.hwcounters import counter_provenance_line
 from .ecm import ECMModel
 from .layer_condition import analyze_traffic, blocking_factor
 from .machine import MachineModel, SKYLAKE_8174
-from .roofline import roofline
 
-__all__ = ["performance_report", "format_table", "report_header"]
+__all__ = ["performance_report", "model_accuracy_report", "format_table", "report_header"]
 
 
 def report_header(title: str, width: int = 72) -> list[str]:
@@ -100,14 +108,6 @@ def performance_report(
     push(f"  single core: {ecm.mlups_single_core():.1f} MLUP/s; "
          f"full socket ({machine.cores_per_socket} cores): "
          f"{ecm.mlups(machine.cores_per_socket):.1f} MLUP/s")
-    push("")
-
-    rf = roofline(kernel, machine, block_shape)
-    push("roofline:")
-    push(f"  arithmetic intensity: {rf.intensity_flop_per_byte:.2f} FLOP/B "
-         f"({rf.bound}-bound)")
-    push(f"  attainable: {rf.attainable_mflops / 1e3:.1f} of "
-         f"{rf.peak_mflops / 1e3:.1f} GFLOP/s (normalized units)")
 
     if gpu:
         from ..gpu import TransformationSequence, apply_sequence
@@ -123,4 +123,50 @@ def performance_report(
                  f"({tuned.registers.spilled_registers} spilled), "
                  f"occupancy {tuned.model.occupancy:.2f}")
             push(f"  {label}modeled rate: {tuned.model.mlups():.0f} MLUP/s")
+    return "\n".join(lines)
+
+
+def model_accuracy_report(records: list[dict], machine: MachineModel | None = None) -> str:
+    """The predicted-vs-measured table of *records* (Fig.-2-style closure).
+
+    *records* are :func:`~repro.perfmodel.ledger.records_from_profiler`'s,
+    joined on *machine* (default Skylake 8174, as there); the table ends
+    with the counter provenance line.
+    """
+    machine = machine or SKYLAKE_8174
+
+    def opt(value, spec: str) -> str:
+        return format(value, spec) if value is not None else "-"
+
+    def row(record: dict) -> tuple:
+        measured, predicted = record["measured"], record["predicted"]
+        return (
+            record["kernel"]["name"],
+            int(measured["calls"]),
+            f"{predicted['mlups']:.2f}",
+            f"{measured['mlups']:.2f}",
+            f"{measured['mlups'] / predicted['mlups']:.3f}",
+            predicted["bound"],
+            f"{predicted['cycles_per_lup']:.1f}",
+            opt(measured["cycles_per_lup"], ".1f"),
+            f"{predicted['bytes_per_lup']:.1f}",
+            opt(measured["bytes_per_lup"], ".1f"),
+            opt(measured["ipc"], ".2f"),
+        )
+
+    lines = report_header(
+        f"model accuracy (predicted vs measured) — {machine.name}, 1 core"
+    )
+    if records:
+        lines.extend(
+            format_table(
+                ["kernel", "calls", "predicted MLUP/s", "measured MLUP/s",
+                 "measured/predicted", "bound", "pred cy/LUP", "meas cy/LUP",
+                 "pred B/LUP", "meas B/LUP", "IPC"],
+                [row(record) for record in records],
+            )
+        )
+    else:
+        lines.append("(no cell-counted kernel timings yet)")
+    lines.append(counter_provenance_line())
     return "\n".join(lines)

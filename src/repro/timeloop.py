@@ -760,24 +760,25 @@ class TimeLoop:
     def profile_report(self, machine=None) -> str:
         """Per-kernel timing table plus the predicted-vs-measured closure.
 
-        The second section joins the ECM prediction for every generated
-        kernel (on *machine*, default Skylake 8174) with the measured
-        MLUP/s of this run — the reproduction's Fig.-2-style model-accuracy
-        check.
+        The second section renders this run's ``repro-perf/1`` records
+        (:meth:`export_perf`'s join of the ECM prediction on *machine*,
+        default Skylake 8174, with the measured MLUP/s) — the
+        reproduction's Fig.-2-style model-accuracy check.  It ends with
+        the counter provenance line, so the timing table's own is dropped.
         """
-        from .observability.report import model_accuracy_report
+        from .observability.hwcounters import counter_provenance_line
+        from .perfmodel.ledger import records_from_profiler
+        from .perfmodel.report import model_accuracy_report
 
         self._drain()
-        parts = [
-            self.profiler.report(
-                f"{self.kind} profile: rank {self.rank}, {len(self._owned)} block(s) "
-                f"of {self.block_shape}, backend={self.backend!r}, {self.time_step} steps"
-            ),
-            "",
-            model_accuracy_report(
-                self.kernels, self.profiler, machine=machine, block_shape=self.block_shape
-            ),
-        ]
+        timings = self.profiler.report(
+            f"{self.kind} profile: rank {self.rank}, {len(self._owned)} block(s) "
+            f"of {self.block_shape}, backend={self.backend!r}, {self.time_step} steps"
+        ).removesuffix("\n" + counter_provenance_line())
+        records = records_from_profiler(
+            "solver", self.kernels, self.profiler, machine=machine, block_shape=self.block_shape
+        )
+        parts = [timings, "", model_accuracy_report(records, machine)]
         if self.health is not None:
             parts += ["", self.health.summary()]
         return "\n".join(parts)

@@ -229,7 +229,6 @@ class TestPerformanceReport:
             "operation counts",
             "layer conditions",
             "ECM model",
-            "roofline",
             "recommended blocking",
             "GPU (Tesla P100",
         ):

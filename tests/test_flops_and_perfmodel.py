@@ -12,7 +12,6 @@ from repro.perfmodel import (
     analyze_traffic,
     blocking_factor,
     count_operations,
-    roofline,
 )
 from repro.symbolic import Assignment, AssignmentCollection, Field
 
@@ -196,16 +195,3 @@ class TestMachineModel:
         assert l2.name == "L2" and l2 in SKYLAKE_8174.cache_levels
         with pytest.raises(KeyError):
             SKYLAKE_8174.level("L4")
-
-
-class TestRoofline:
-    def test_memory_bound_stencil(self):
-        k = _heat_kernel_3d()
-        pt = roofline(k, SKYLAKE_8174, (60, 60, 60))
-        assert pt.bound == "memory"
-        assert pt.attainable_mflops < pt.peak_mflops
-
-    def test_intensity_positive(self):
-        k = _heat_kernel_3d()
-        pt = roofline(k, SKYLAKE_8174, (60, 60, 60))
-        assert pt.intensity_flop_per_byte > 0

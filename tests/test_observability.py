@@ -19,12 +19,11 @@ from repro.observability import (
     HealthError,
     HealthMonitor,
     chrome_trace,
-    model_accuracy_rows,
     set_recorder,
 )
 from repro.parallel import BlockForest
 from repro.parallel.timeloop import DistributedSolver
-from repro.perfmodel.ledger import PerfLedger
+from repro.perfmodel import PerfLedger, model_accuracy_report, records_from_profiler
 from repro.pfm import (
     GrandPotentialModel,
     SingleBlockSolver,
@@ -373,27 +372,29 @@ class TestModelAccuracy:
         solver.set_state(_front((8, 8), kernel_set.model.params))
         solver.step(2)
 
-        rows = model_accuracy_rows(
-            kernel_set.all_kernels, solver.profiler, block_shape=(8, 8)
+        records = records_from_profiler(
+            "unit", kernel_set.all_kernels, solver.profiler, block_shape=(8, 8)
         )
-        assert {r["kernel"] for r in rows} == {
+        assert {r["kernel"]["name"] for r in records} == {
             k.name for k in kernel_set.all_kernels
         }
-        for r in rows:
-            assert r["predicted_mlups"] > 0
-            assert r["measured_mlups"] > 0
-            assert r["ratio"] == pytest.approx(
-                r["measured_mlups"] / r["predicted_mlups"]
-            )
+        for r in records:
+            assert r["predicted"]["mlups"] > 0
+            assert r["measured"]["mlups"] > 0
+            assert r["measured"]["calls"] == 2
 
+        table = model_accuracy_report(records).splitlines()
+        for r in records:
+            row = next(line.split() for line in table if line.startswith(r["kernel"]["name"] + " "))
+            assert row[4] == f"{r['measured']['mlups'] / r['predicted']['mlups']:.3f}"
         report = solver.profile_report()
         assert "predicted MLUP/s" in report and "measured MLUP/s" in report
 
     def test_unmeasured_kernels_skipped(self, kernel_set):
-        rows = model_accuracy_rows(
-            kernel_set.all_kernels, SolverProfiler(), block_shape=(8, 8)
+        records = records_from_profiler(
+            "unit", kernel_set.all_kernels, SolverProfiler(), block_shape=(8, 8)
         )
-        assert rows == []
+        assert records == []
 
 
 # -- satellite regressions -----------------------------------------------------

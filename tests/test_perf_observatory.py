@@ -544,6 +544,44 @@ class TestRecordsFromProfiler:
             assert measured["ipc"] == 2.0     # the fake PMU's 2n instructions
             assert measured["cycles_per_lup"] == pytest.approx(1 / (16 * 16))
 
+    @pytest.mark.parametrize("pmu", ["no_pmu", "fake_pmu"])
+    def test_profile_report_has_one_provenance_line(self, request, pmu):
+        # the timing table and the closure table are one report: the
+        # closure's provenance line closes it, the timing table's is dropped
+        request.getfixturevalue(pmu)
+        solver = _binary_solver("numpy")
+        solver.step(3)
+        lines = solver.profile_report().splitlines()
+        assert [line for line in lines if line.startswith("counters:")] == [lines[-1]]
+
+        solver.profiler.reset()
+        lines = solver.profile_report().splitlines()
+        assert "(no timed operations yet)" in lines
+        assert [line for line in lines if line.startswith("counters:")] == [lines[-1]]
+
+    def test_export_perf_carries_the_ecm_values_themselves(self, tmp_path, no_pmu):
+        from repro.perfmodel import SKYLAKE_8174, ECMModel, analyze_traffic
+        from repro.perfmodel.ecm import _LUPS_PER_UNIT
+
+        solver = _binary_solver("numpy")
+        solver.step(3)
+        records = PerfLedger(solver.export_perf(tmp_path / "perf.jsonl")).load(strict=True)
+        kernels = {k.name: k for k in solver.kernels}
+        assert [r["kernel"]["name"] for r in records] == list(kernels)
+        llc = SKYLAKE_8174.cache_levels[-1]
+        for record in records:
+            kernel = kernels[record["kernel"]["name"]]
+            prediction = ECMModel(SKYLAKE_8174).predict(kernel, solver.block_shape)
+            traffic = analyze_traffic(kernel, solver.block_shape)
+            predicted = record["predicted"]
+            assert predicted["mlups"] == prediction.mlups(1)
+            assert predicted["cycles_per_lup"] == prediction.t_single / _LUPS_PER_UNIT
+            assert predicted["bytes_per_lup"] == traffic.total_bytes(llc.size_bytes)
+            assert predicted["bound"] == (
+                "compute" if prediction.is_compute_bound else "memory"
+            )
+            assert record["measured"]["calls"] == solver.profiler.records[kernel.name].calls
+
     def test_export_perf_writes_on_rank_0_only(self, tmp_path):
         from repro.parallel import BlockForest, DistributedSolver, run_ranks
 

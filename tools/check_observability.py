@@ -175,6 +175,13 @@ def check_perf(rundir: Path) -> None:
         fail(f"{path}: invalid repro-perf/1 ledger ({exc})")
     if not records:
         fail(f"{path}: perf ledger holds no records")
+    for record in records:
+        # the closure's own columns: a record joined with the ECM model
+        # carries its call count and the model's compute/memory verdict
+        if record["predicted"] and (
+            "calls" not in record["measured"] or "bound" not in record["predicted"]
+        ):
+            fail(f"{path}: {record['name']}: measured.calls or predicted.bound missing")
     sources = {r["measured"].get("counter_source") for r in records}
     print(
         f"check_observability: {path}: {len(records)} repro-perf/1 record(s), "

@@ -285,16 +285,17 @@ def section_perf(records) -> str:
         m = r.get("measured", {})
         p = r.get("predicted") or {}
         ratio = m["mlups"] / p["mlups"] if m.get("mlups") and p.get("mlups") else None
+        calls = "-" if m.get("calls") is None else f"{m['calls']:.0f}"  # a JSON float
         rows.append((
-            r.get("name", "-"),
-            fmt(m.get("mlups")), fmt(p.get("mlups")), fmt(ratio),
+            r.get("name", "-"), calls,
+            fmt(m.get("mlups")), fmt(p.get("mlups")), fmt(ratio), p.get("bound", "-"),
             fmt(m.get("cycles_per_lup")), fmt(p.get("cycles_per_lup")),
             fmt(m.get("bytes_per_lup")), fmt(p.get("bytes_per_lup")),
             fmt(m.get("ipc")),
         ))
     out.append(table(
-        ["series", "MLUP/s", "pred MLUP/s", "measured/predicted", "cy/LUP", "pred cy/LUP",
-         "B/LUP", "pred B/LUP", "IPC"], rows
+        ["series", "calls", "MLUP/s", "pred MLUP/s", "measured/predicted", "bound",
+         "cy/LUP", "pred cy/LUP", "B/LUP", "pred B/LUP", "IPC"], rows
     ))
     return "".join(out)
 
