@@ -60,7 +60,7 @@ from ..ir.loops import analytic_axes
 from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
-from ..symbolic.ordering import CanonicalTermOrder, SmallPowersAsProducts
+from ..symbolic.ordering import BalancedSums, CanonicalTermOrder, SmallPowersAsProducts
 from ..symbolic.random import RandomValue
 
 __all__ = [
@@ -142,7 +142,9 @@ static inline double _min(double a, double b) {
 """
 
 
-class CStatementPrinter(CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter):
+class CStatementPrinter(
+    BalancedSums, CanonicalTermOrder, SmallPowersAsProducts, C99CodePrinter
+):
     """Prints the statements of one write region of a kernel as C.
 
     What a field access, an RNG call, a kernel parameter, a spacing and a

@@ -44,7 +44,7 @@ from ..ir.kernel import Kernel
 from ..symbolic.assignment import Assignment
 from ..symbolic.coordinates import CoordinateSymbol
 from ..symbolic.field import FieldAccess
-from ..symbolic.ordering import CanonicalTermOrder, SmallPowersAsProducts
+from ..symbolic.ordering import BalancedSums, CanonicalTermOrder, SmallPowersAsProducts
 from ..symbolic.random import RandomValue
 from .runtime import RUNTIME_NAMESPACE, tile_sum
 
@@ -73,7 +73,7 @@ def create_arrays(
     return {f.name: f.allocate(spatial, fill) for f in fields}
 
 
-class _Printer(CanonicalTermOrder, SmallPowersAsProducts, NumPyPrinter):
+class _Printer(BalancedSums, CanonicalTermOrder, SmallPowersAsProducts, NumPyPrinter):
     """Expression printer with symbol renaming and fast-math lowering."""
 
     def __init__(self, rename: dict[str, str]):

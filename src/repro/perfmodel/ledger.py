@@ -81,7 +81,11 @@ _HOST_STANZA: dict | None = None
 
 
 def _clean_metrics(metrics: dict, context: str) -> dict:
-    """Validate a measured/predicted stanza: numbers or None, finite."""
+    """Validate a measured/predicted stanza: numbers or None, finite.
+
+    A count stays an ``int`` (``"calls": 5`` in the JSON); any other number
+    becomes a ``float``.
+    """
     clean = {}
     for key, value in metrics.items():
         if value is None or isinstance(value, str):
@@ -91,7 +95,7 @@ def _clean_metrics(metrics: dict, context: str) -> dict:
             raise PerfSchemaError(f"{context}.{key}={value!r} is not a number")
         if not math.isfinite(value):
             raise PerfSchemaError(f"{context}.{key}={value!r} is not finite")
-        clean[key] = float(value)
+        clean[key] = value if isinstance(value, int) else float(value)
     return clean
 
 

@@ -142,7 +142,7 @@ def model_accuracy_report(records: list[dict], machine: MachineModel | None = No
         measured, predicted = record["measured"], record["predicted"]
         return (
             record["kernel"]["name"],
-            int(measured["calls"]),
+            measured["calls"],
             f"{predicted['mlups']:.2f}",
             f"{measured['mlups']:.2f}",
             f"{measured['mlups'] / predicted['mlups']:.3f}",

@@ -11,9 +11,9 @@ The multi-obstacle potential
 
 with higher-order terms suppressing spurious third phases.  The obstacle
 part (infinite outside the Gibbs simplex) is realised by the projection
-kernel (:func:`repro.pfm.model.build_projection_kernel`), the established
-practice for this potential.  A smooth multi-well variant is provided for
-comparison/testing.
+kernel (:meth:`repro.pfm.model.GrandPotentialModel.projection_collection`),
+the established practice for this potential.  A smooth multi-well variant
+is provided for comparison/testing.
 """
 
 from __future__ import annotations

@@ -19,15 +19,17 @@ itself produces whenever the comparison is consistent).
 
 The module holds the lowering rules every code printer must share for the
 backends to agree bit for bit: besides the term order, how a small integer
-power is spelled (:class:`SmallPowersAsProducts`).
+power is spelled (:class:`SmallPowersAsProducts`) and how the terms of a
+long sum are grouped (:class:`BalancedSums`).
 """
 
 from __future__ import annotations
 
 import sympy as sp
 from sympy.core.sorting import default_sort_key
+from sympy.printing.precedence import PRECEDENCE, precedence
 
-__all__ = ["CanonicalTermOrder", "SmallPowersAsProducts", "ordered_terms"]
+__all__ = ["BalancedSums", "CanonicalTermOrder", "SmallPowersAsProducts", "ordered_terms"]
 
 _term_key, _ = sp.Expr._parse_order(None)
 
@@ -80,3 +82,36 @@ class SmallPowersAsProducts:
             # parenthesize: the caller assumes Pow precedence, the chain has Mul
             return f"({chain})" if int(expo) > 0 else f"(1.0/({chain}))"
         return super()._print_Pow(expr)
+
+
+class BalancedSums:
+    """Code-printer mixin: a sum of ``n >= 4`` terms is a pairwise tree.
+
+    Printed left to right, an 18-term sum is a chain of 17 dependent adds,
+    and since the compiler may not reassociate (no fast-math flag) each
+    vector of cells waits on all of them.  The tree keeps the canonical
+    term order and splits it in halves (the larger one left), down to
+    chains of 2 or 3 terms, which print as they always did: depth
+    ``ceil(log2 n)``.  C and Python parse ``a + b + (c + d)`` alike, so
+    both backends evaluate the same tree.
+    """
+
+    def _print_Add(self, expr, order=None):
+        return self._sum_tree(self._as_ordered_terms(expr, order=order))
+
+    def _sum_tree(self, terms) -> str:
+        if len(terms) >= 4:
+            half = (len(terms) + 1) // 2
+            # ``+`` is left-associative: only the right half needs parentheses
+            return f"{self._sum_tree(terms[:half])} + ({self._sum_tree(terms[half:])})"
+        # a chain, signs folded in as sympy's ``StrPrinter._print_Add`` folds them
+        out = []
+        for term in terms:
+            t = self._print(term)
+            sign = "+"
+            if t.startswith("-") and not term.is_Add:
+                sign, t = "-", t[1:]
+            if precedence(term) < PRECEDENCE["Add"] or term.is_Add:
+                t = f"({t})"
+            out += [sign, t]
+        return (out[0] if out[0] == "-" else "") + " ".join(out[1:])

@@ -7,7 +7,9 @@ NumPy), then the update that reads them.  Its oracle is the two-sweep pair
 it replaced — a flux sweep writing a staggered field, an update sweep
 reading it.  The SHA-256 digests below are that pair's results on fixed
 inputs (P1 φ's re-taken when the φ rows came to read one shared Lagrange
-multiplier).  The contracted kernel must reproduce them bitwise, and so
+multiplier, all of them when both printers came to print a sum of four or
+more terms as a balanced tree, ``symbolic.ordering.BalancedSums``).  The
+contracted kernel must reproduce them bitwise, and so
 must its two stages (:attr:`repro.ir.kernel.Kernel.stages`, the kernels
 the CUDA emitter and the GPU model take) run one after the other through
 a staggered field: in C and in NumPy, at one and two ghost layers.
@@ -47,12 +49,12 @@ SETS = {
 #: (set, system) -> SHA-256 of the interior of ``<system>_dst`` after the
 #: two-sweep split pair ran on :func:`_inputs`, C and NumPy alike
 TWO_SWEEP = {
-    ("binary2d", "phi"): "7633daa9f64768c563b796824931bcfdc816157512741d8b8de7d6236ebdd24e",
-    ("binary2d", "mu"): "0e7a2f3f0de9b46b40470929f1bb001726c99622867c592c4f4c34dce5017627",
-    ("binary3d", "phi"): "fc191b92b559dcb1bfd848480d2e3c71043d7ddb44cc69a1fd88f080cd18eb3e",
-    ("binary3d", "mu"): "e2807c359b79cab9e1a6942d44ea3279911a56795f82d83067c24788e576af9a",
-    ("p1", "phi"): "cdffc27225624810d17bd70fc61899103e08e6dcbeecbc01ca51f7125fa13c1b",
-    ("p1", "mu"): "06fa2455ad6bc61b103ab11e57638ba592cdb9facaec05c75f5c2090235fe7d8",
+    ("binary2d", "phi"): "6cda2137662d76f8031a63cb415b81e04133cac452a146c3c72972777c9cba39",
+    ("binary2d", "mu"): "2f9c32c937c780e523448d7463be354df279570508dc9253cff2fda1d1d82864",
+    ("binary3d", "phi"): "6d371041468fddb0d1e735f0272fcf43e768d2577545d783659b6aad70a41140",
+    ("binary3d", "mu"): "ba752b5a2319a2b916d65986ea4ab2964d0ff8edaa2b3ab8dbdcdd4678655986",
+    ("p1", "phi"): "21dcd4eb1cb0fd3cc79d19e19a5996d7fb43e0d6d75a807723041150f4e50a15",
+    ("p1", "mu"): "7004883b1cf8a57bb00db3761b8b477ec93faabba3455095ee13f80242676e07",
 }
 
 #: what every kernel call of this module passes

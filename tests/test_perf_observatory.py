@@ -11,6 +11,7 @@ auto-detection whose key never includes the hostname.
 
 import errno
 import functools
+import json
 import math
 import os
 import struct
@@ -581,6 +582,17 @@ class TestRecordsFromProfiler:
                 "compute" if prediction.is_compute_bound else "memory"
             )
             assert record["measured"]["calls"] == solver.profiler.records[kernel.name].calls
+
+    def test_export_perf_writes_calls_as_a_json_integer(self, tmp_path, no_pmu):
+        """A count is a count: ``"calls": 5``, not ``5.0``, in the file itself."""
+        solver = _binary_solver("numpy")
+        solver.step(5)
+        with open(solver.export_perf(tmp_path / "perf.jsonl")) as f:
+            lines = f.read().splitlines()
+        assert len(lines) == len(solver.kernels)
+        for line in lines:
+            calls = json.loads(line)["measured"]["calls"]
+            assert type(calls) is int and calls == 5, line
 
     def test_export_perf_writes_on_rank_0_only(self, tmp_path):
         from repro.parallel import BlockForest, DistributedSolver, run_ranks

@@ -285,7 +285,7 @@ def section_perf(records) -> str:
         m = r.get("measured", {})
         p = r.get("predicted") or {}
         ratio = m["mlups"] / p["mlups"] if m.get("mlups") and p.get("mlups") else None
-        calls = "-" if m.get("calls") is None else f"{m['calls']:.0f}"  # a JSON float
+        calls = "-" if m.get("calls") is None else str(m["calls"])
         rows.append((
             r.get("name", "-"), calls,
             fmt(m.get("mlups")), fmt(p.get("mlups")), fmt(ratio), p.get("bound", "-"),
